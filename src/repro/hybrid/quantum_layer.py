@@ -357,6 +357,10 @@ class StackedQuantumLayer(StackedLayer):
         # owning StackedSequential/GroupedStack.
         return self._engine.peak_bytes(rows, runs=self.runs, mode="adjoint")
 
+    def bind(self, params, grads) -> None:
+        super().bind(params, grads)
+        self.weights = params[0]
+
     def sync_to_layers(self, layers) -> None:
         for r, lay in enumerate(layers):
             lay.weights[...] = self._xp.to_numpy(self.weights[r])
@@ -366,9 +370,7 @@ class StackedQuantumLayer(StackedLayer):
         the smaller run-major batch on the next execute (its per-run
         kernels are bit-identical for any slice count)."""
         super().compact(keep)
-        self.weights = self.weights[keep]
-        self.params = [self.weights]
-        self.grads = [g[keep] for g in self.grads]
+        self.bind([self.weights[keep]], [g[keep] for g in self.grads])
 
 
 def _stack_quantum_layers(runs, layers):

@@ -29,6 +29,29 @@ class Loss:
     def gradient(self, output: np.ndarray, targets: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def stacked(
+        self, output: np.ndarray, targets: np.ndarray, slices: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per-slice values and the gradient of a slice-major stack.
+
+        ``output`` holds ``slices`` equal row blocks, each one slice's
+        batch (see :mod:`repro.nn.stacked`).  Returns a ``(slices,)``
+        array whose entry ``s`` is ``value`` of block ``s`` and the
+        gradient whose block ``s`` is ``gradient`` of block ``s`` — so
+        each slice divides by its own batch, not the fused one.  This
+        base loops over the blocks; subclasses may vectorize it,
+        bit-identically.
+        """
+        self._check(output, targets)
+        per = output.shape[0] // slices
+        values = np.empty(slices)
+        grad = np.empty_like(output)
+        for s in range(slices):
+            sl = slice(s * per, (s + 1) * per)
+            values[s] = self.value(output[sl], targets[sl])
+            grad[sl] = self.gradient(output[sl], targets[sl])
+        return values, grad
+
     @staticmethod
     def _check(output: np.ndarray, targets: np.ndarray) -> None:
         if output.shape != targets.shape:
@@ -53,6 +76,19 @@ class CrossEntropy(Loss):
         clipped = np.clip(output, _EPS, 1.0)
         batch = output.shape[0]
         return -(targets / clipped) / batch
+
+    def stacked(
+        self, output: np.ndarray, targets: np.ndarray, slices: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        # The same elementwise and row-wise steps as value/gradient over
+        # the whole stack; each slice's mean reduces its own contiguous
+        # row of a (slices, per) view, as value's 1-D mean does.
+        self._check(output, targets)
+        clipped = np.clip(output, _EPS, 1.0)
+        per = output.shape[0] // slices
+        rows = np.sum(targets * np.log(clipped), axis=1)
+        values = -np.mean(rows.reshape(slices, per), axis=1)
+        return values, -(targets / clipped) / per
 
 
 class SoftmaxCrossEntropy(Loss):

@@ -7,10 +7,13 @@ parameter arrays in place so the layers' views stay valid.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..backends import active_backend
 from ..exceptions import ConfigurationError
+from .stacked import flat_views
 
 __all__ = ["Optimizer", "SGD", "Adam", "StackedAdam"]
 
@@ -107,11 +110,19 @@ class StackedAdam(Adam):
     lockstep, because the update is elementwise and the shared ``t``
     counter equals each active run's own step count.
 
+    The moments live in two flat buffers laid out like the parameter
+    list, with one reshaped view per parameter.  When the caller passes
+    the stack's :class:`~repro.nn.stacked.ParameterArena` (whose flat
+    buffers the parameter and gradient stacks are views of), an
+    unmasked step is a single elementwise update over the whole arena.
+
     ``active`` masks runs that hit their early-stop threshold: a frozen
     run's parameters *and* moment estimates stay untouched (exactly as
     if its scalar training loop had broken out), while the surviving
     runs keep stepping.  Frozen runs never resume, so the shared ``t``
-    stays equal to every active run's step count.
+    stays equal to every active run's step count.  A masked step (and
+    any step over parameter stacks that are not arena views) updates
+    each parameter's active rows through the per-parameter views.
 
     ``row_maps`` supports cross-candidate stacks
     (:class:`repro.nn.stacked.GroupedStack`): parameter stacks whose
@@ -119,15 +130,15 @@ class StackedAdam(Adam):
     index map from their rows to global slice ids, and the ``active``
     mask is translated through it per parameter.
 
-    ``compact`` mirrors the stacks' frozen-row compaction: moment
-    buffers gather the surviving rows (bit-identical values), and a
-    parameter stack whose rows all froze drops its state entirely.
+    ``compact`` mirrors the stacks' frozen-row compaction: the moments
+    re-flatten into the compacted layout, keeping the surviving rows'
+    values bit for bit, and a parameter stack whose rows all froze
+    drops its state entirely.
 
     The parameter stacks may live on any array backend (the stacked
     layers put them wherever :func:`repro.backends.active_backend`
     said at construction); the update routes its elementwise primitives
-    through the same backend so moments stay device-resident.  On the
-    NumPy backend every call is the verbatim pre-backend sequence.
+    through the same backend so moments stay device-resident.
     """
 
     def __init__(
@@ -140,6 +151,24 @@ class StackedAdam(Adam):
     ) -> None:
         super().__init__(learning_rate, beta_1, beta_2, epsilon)
         self._xp = backend if backend is not None else active_backend()
+        #: Per-parameter views of the flat ``_m``/``_v`` moment buffers.
+        self._m_views: list = []
+        self._v_views: list = []
+
+    def _flatten_moments(self, shapes: list[tuple], pieces=None) -> None:
+        """Allocate flat moments laid out as ``shapes``; ``pieces``
+        (one ``(m, v)`` pair per shape) seeds them, zeros otherwise."""
+        xp = self._xp
+        total = sum(math.prod(shape) for shape in shapes)
+        self._m = xp.zeros(total, dtype=xp.real_dtype)
+        self._v = xp.zeros(total, dtype=xp.real_dtype)
+        self._m_views = flat_views(self._m, shapes)
+        self._v_views = flat_views(self._v, shapes)
+        for m, v, (m_old, v_old) in zip(
+            self._m_views, self._v_views, pieces or ()
+        ):
+            m[...] = m_old
+            v[...] = v_old
 
     def step(
         self,
@@ -147,35 +176,40 @@ class StackedAdam(Adam):
         grads: list[np.ndarray],
         active: np.ndarray | None = None,
         row_maps: "list[np.ndarray | None] | None" = None,
+        arena=None,
     ) -> None:
         xp = self._xp
         self._check(params, grads)
         if self._m is None:
-            self._m = [xp.zeros_like(p) for p in params]
-            self._v = [xp.zeros_like(p) for p in params]
+            self._flatten_moments([tuple(p.shape) for p in params])
         self._t += 1
         lr_t = self.learning_rate * (
             np.sqrt(1.0 - self.beta_2**self._t) / (1.0 - self.beta_1**self._t)
         )
-        if active is None or bool(np.all(active)):
-            # Unmasked update: same elementwise sequence as Adam.step,
-            # with the array primitives routed through the backend.
-            for p, g, m, v in zip(params, grads, self._m, self._v):
-                m *= self.beta_1
-                m += (1.0 - self.beta_1) * g
-                v *= self.beta_2
-                v += (1.0 - self.beta_2) * xp.square(g)
-                p -= lr_t * m / (xp.sqrt(v) + self.epsilon)
+        unmasked = active is None or bool(np.all(active))
+        if unmasked and arena is not None:
+            # Same elementwise sequence as Adam.step, once over the
+            # whole arena.
+            p, g, m, v = arena.values, arena.grads, self._m, self._v
+            m *= self.beta_1
+            m += (1.0 - self.beta_1) * g
+            v *= self.beta_2
+            v += (1.0 - self.beta_2) * xp.square(g)
+            p -= lr_t * m / (xp.sqrt(v) + self.epsilon)
             return
-        idx = np.flatnonzero(active)
-        for i, (p, g, m, v) in enumerate(zip(params, grads, self._m, self._v)):
+        idx = None if unmasked else np.flatnonzero(active)
+        moments = zip(self._m_views, self._v_views)
+        for i, (p, g, (m, v)) in enumerate(zip(params, grads, moments)):
             rows = row_maps[i] if row_maps is not None else None
-            local = idx if rows is None else np.flatnonzero(active[rows])
-            if local.size == 0:
-                continue
+            if idx is None:
+                local = slice(None)
+            else:
+                local = idx if rows is None else np.flatnonzero(active[rows])
+                if local.size == 0:
+                    continue
             # Fancy indexing copies the active slices; the arithmetic on
-            # them is the same elementwise sequence as the unmasked
-            # update, then the results are written back in place.
+            # them is the same elementwise sequence as the arena update,
+            # then the results are written back in place.
             ms, vs, gs = m[local], v[local], g[local]
             ms *= self.beta_1
             ms += (1.0 - self.beta_1) * gs
@@ -186,20 +220,19 @@ class StackedAdam(Adam):
             p[local] = p[local] - lr_t * ms / (xp.sqrt(vs) + self.epsilon)
 
     def compact(self, row_keeps: "list[np.ndarray]") -> None:
-        """Gather each parameter's surviving moment rows.
+        """Re-flatten the moments into the compacted parameter layout.
 
         ``row_keeps`` aligns with the parameter list of the *last* step:
-        one index array per parameter; an empty array drops the
-        parameter's state (its stack left the group).  No-op before the
-        first step (no moments exist yet).
+        one index array per parameter, whose rows are gathered (their
+        values bit-identical); an empty array drops the parameter's
+        state (its stack left the group).  No-op before the first step
+        (no moments exist yet).
         """
         if self._m is None:
             return
-        kept_m: list[np.ndarray] = []
-        kept_v: list[np.ndarray] = []
-        for m, v, keep in zip(self._m, self._v, row_keeps):
-            if keep.size:
-                kept_m.append(m[keep])
-                kept_v.append(v[keep])
-        self._m = kept_m
-        self._v = kept_v
+        pieces = [
+            (m[keep], v[keep])
+            for m, v, keep in zip(self._m_views, self._v_views, row_keeps)
+            if keep.size
+        ]
+        self._flatten_moments([tuple(m.shape) for m, _ in pieces], pieces)

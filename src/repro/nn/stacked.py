@@ -14,7 +14,9 @@ independently:
 
 * :class:`StackedDense` applies one gemm per run slice — NumPy's
   batched ``matmul`` over a ``(R, B, in) @ (R, in, out)`` stack performs
-  the same per-slice gemm a scalar :class:`~repro.nn.layers.Dense` would;
+  the same per-slice gemm a scalar :class:`~repro.nn.layers.Dense` would
+  (one fused ``(R*B, in) @ (in, out)`` gemm would not: BLAS blocks by
+  row count and may round differently);
 * parameter-free elementwise/row-wise layers (ReLU, Tanh, Sigmoid,
   Softmax, Flatten) operate row-independently, so the scalar
   implementations are reused as-is on the fused batch;
@@ -51,10 +53,19 @@ slices belong to the same candidate.
 einsum-only quantum kernels, per-slice gemms — bit-identical, so a run
 that early-stops (or a candidate whose runs all finished) can leave the
 fused sweep instead of riding along frozen.
+
+**Parameter arena.**  A :class:`StackedSequential` or
+:class:`GroupedStack` owns one :class:`ParameterArena`: a flat value
+buffer and a flat gradient buffer, with every layer's parameter and
+gradient stacks bound as reshaped views into them.  Resetting the
+gradients is one fill, and :class:`~repro.nn.optimizers.StackedAdam`
+steps the whole stack with one elementwise update over the flat
+buffers.  Compaction gathers the surviving rows and rebuilds the arena.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -65,6 +76,8 @@ from .layers import Dense, Flatten, Layer, ReLU, Sigmoid, Softmax, Tanh
 from .model import Sequential
 
 __all__ = [
+    "ParameterArena",
+    "flat_views",
     "StackedLayer",
     "StackedDense",
     "StackedSequential",
@@ -81,7 +94,9 @@ class StackedLayer:
 
     The interface mirrors :class:`~repro.nn.layers.Layer` but activations
     carry a fused run-major ``(R * B, features)`` batch.  ``params`` and
-    ``grads`` hold ``(R, ...)`` stacks (leading run axis).
+    ``grads`` hold ``(R, ...)`` stacks (leading run axis); the owning
+    stack binds them to views of its :class:`ParameterArena` and resets
+    the gradients there.
     """
 
     def __init__(self, runs: int, name: str) -> None:
@@ -96,9 +111,12 @@ class StackedLayer:
     def backward(self, grad: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def zero_grads(self) -> None:
-        for g in self.grads:
-            g[...] = 0.0
+    def bind(self, params: list, grads: list) -> None:
+        """Point the parameter and gradient stacks at new arrays of the
+        same shapes (views into a :class:`ParameterArena`).  Subclasses
+        that alias a stack under its own name rebind that name too."""
+        self.params = params
+        self.grads = grads
 
     def peak_bytes(self, rows: int) -> int:
         """Predicted activation working-set bytes of one training step
@@ -151,11 +169,13 @@ class _StackedPassthrough(StackedLayer):
 class StackedDense(StackedLayer):
     """R :class:`~repro.nn.layers.Dense` layers as one batched stack.
 
-    Weights are ``(R, in, out)`` and biases ``(R, out)``.  The forward
-    and backward gemms run per run slice: one dgemm per run keeps the
-    arithmetic bit-identical to the scalar layer (a single fused gemm
-    would let BLAS block differently and drift in the last ulp, which
-    run-vectorized searches are not allowed to do).
+    Weights are ``(R, in, out)`` and biases ``(R, out)``.  Forward and
+    backward are batched ``matmul`` calls over ``(R, B, ·)`` views of the
+    fused batch: NumPy runs one dgemm per run slice inside the call,
+    which keeps the arithmetic bit-identical to the scalar layer (a
+    single fused ``(R*B, in)`` gemm would let BLAS block differently
+    and drift in the last ulp, which run-vectorized searches are not
+    allowed to do).
     """
 
     def __init__(self, runs: int, layers: Sequence[Dense]) -> None:
@@ -190,14 +210,10 @@ class StackedDense(StackedLayer):
             )
         if training:
             self._cache_x = x
-        per = x.shape[0] // self.runs
-        out = self._xp.empty(
-            (x.shape[0], self.out_features), dtype=self._xp.real_dtype
-        )
-        for r in range(self.runs):
-            sl = slice(r * per, (r + 1) * per)
-            out[sl] = x[sl] @ self.weight[r] + self.bias[r]
-        return out
+        rows = x.shape[0]
+        x3 = x.reshape(self.runs, rows // self.runs, self.in_features)
+        out = self._xp.matmul(x3, self.weight) + self.bias[:, None, :]
+        return out.reshape(rows, self.out_features)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._cache_x is None:
@@ -206,20 +222,21 @@ class StackedDense(StackedLayer):
             )
         grad = self._xp.as_real(grad)
         x = self._cache_x
-        per = x.shape[0] // self.runs
-        out = self._xp.empty(
-            (x.shape[0], self.in_features), dtype=self._xp.real_dtype
-        )
-        for r in range(self.runs):
-            sl = slice(r * per, (r + 1) * per)
-            self.grads[0][r] += x[sl].T @ grad[sl]
-            self.grads[1][r] += grad[sl].sum(axis=0)
-            out[sl] = grad[sl] @ self.weight[r].T
-        return out
+        rows = x.shape[0]
+        x3 = x.reshape(self.runs, rows // self.runs, self.in_features)
+        g3 = grad.reshape(self.runs, rows // self.runs, self.out_features)
+        self.grads[0] += self._xp.matmul(x3.swapaxes(1, 2), g3)
+        self.grads[1] += g3.sum(axis=1)
+        out = self._xp.matmul(g3, self.weight.swapaxes(1, 2))
+        return out.reshape(rows, self.in_features)
 
     def peak_bytes(self, rows: int) -> int:
         # The cached forward input plus the output block, float64 rows.
         return 2 * rows * (self.in_features + self.out_features) * 8
+
+    def bind(self, params: list, grads: list) -> None:
+        super().bind(params, grads)
+        self.weight, self.bias = params
 
     def sync_to_layers(self, layers: Sequence[Layer]) -> None:
         for r, lay in enumerate(layers):
@@ -228,10 +245,9 @@ class StackedDense(StackedLayer):
 
     def compact(self, keep: np.ndarray) -> None:
         super().compact(keep)
-        self.weight = self.weight[keep]
-        self.bias = self.bias[keep]
-        self.params = [self.weight, self.bias]
-        self.grads = [g[keep] for g in self.grads]
+        self.bind(
+            [p[keep] for p in self.params], [g[keep] for g in self.grads]
+        )
         self._cache_x = None
 
 
@@ -240,10 +256,65 @@ def _param_nbytes(p) -> int:
     nbytes = getattr(p, "nbytes", None)
     if isinstance(nbytes, int):
         return nbytes
-    size = 1
-    for s in getattr(p, "shape", ()):
-        size *= int(s)
-    return size * 8
+    return _numel(p) * 8
+
+
+def _numel(p) -> int:
+    return math.prod(p.shape)
+
+
+def flat_views(flat, shapes: Sequence[tuple]) -> list:
+    """Consecutive reshaped views of the 1-D buffer ``flat``, one per
+    shape (in order, no gaps)."""
+    views, offset = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[offset : offset + size].reshape(shape))
+        offset += size
+    return views
+
+
+class ParameterArena:
+    """Flat value and gradient buffers behind a stack's parameters.
+
+    ``values[o:o+n]`` and ``grads[o:o+n]`` hold one parameter stack and
+    its gradient, in the owning stack's ``parameters()`` order; the
+    layers see them as reshaped views (:meth:`StackedLayer.bind`), so
+    every in-place layer update lands in the arena.  Elementwise work
+    over the whole stack — the gradient reset, the Adam update — is
+    then one call on ``values``/``grads``.
+    """
+
+    __slots__ = ("values", "grads")
+
+    def __init__(self, values, grads) -> None:
+        self.values = values
+        self.grads = grads
+
+    @classmethod
+    def bind(cls, layers: Sequence[StackedLayer], xp) -> "ParameterArena":
+        """Copy ``layers``' parameter and gradient stacks into a fresh
+        arena and rebind every layer to views of it."""
+        shapes = [tuple(p.shape) for layer in layers for p in layer.params]
+        total = sum(math.prod(shape) for shape in shapes)
+        arena = cls(
+            xp.empty(total, dtype=xp.real_dtype),
+            xp.empty(total, dtype=xp.real_dtype),
+        )
+        views = zip(
+            flat_views(arena.values, shapes), flat_views(arena.grads, shapes)
+        )
+        for layer in layers:
+            pairs = [next(views) for _ in layer.params]
+            for (value, grad), p, g in zip(pairs, layer.params, layer.grads):
+                value[...] = p
+                grad[...] = g
+            layer.bind([v for v, _ in pairs], [g for _, g in pairs])
+        return arena
+
+    def section(self, start: int, stop: int) -> "ParameterArena":
+        """The arena slice ``start:stop`` (views, not copies)."""
+        return ParameterArena(self.values[start:stop], self.grads[start:stop])
 
 
 #: type -> stacker(runs, layers) registry.  Keyed on the *exact* type:
@@ -289,7 +360,8 @@ class StackedSequential:
 
     Build via :func:`stack_models`.  ``forward``/``backward`` take fused
     run-major activations; ``parameters()``/``gradients()`` expose the
-    ``(R, ...)`` stacks (feed them to a stacked optimizer such as
+    ``(R, ...)`` stacks as views into :attr:`arena` (feed them, with the
+    arena, to a stacked optimizer such as
     :class:`repro.nn.optimizers.StackedAdam`).
     """
 
@@ -302,6 +374,8 @@ class StackedSequential:
         self.runs = runs
         self.layers = list(layers)
         self._models = list(models)
+        self._xp = active_backend()
+        self.arena = ParameterArena.bind(self.layers, self._xp)
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         out = x
@@ -348,8 +422,7 @@ class StackedSequential:
         return total
 
     def zero_grads(self) -> None:
-        for layer in self.layers:
-            layer.zero_grads()
+        self._xp.fill(self.arena.grads, 0.0)
 
     def sync_to_models(self) -> None:
         """Write the trained per-run parameters back into the R models."""
@@ -357,12 +430,14 @@ class StackedSequential:
             layer.sync_to_layers([m.layers[pos] for m in self._models])
 
     def compact(self, keep: np.ndarray) -> None:
-        """Drop every run row not in ``keep`` from all layer stacks."""
+        """Drop every run row not in ``keep`` from all layer stacks and
+        rebuild the arena over the survivors."""
         keep = np.asarray(keep, dtype=np.intp)
         for layer in self.layers:
             layer.compact(keep)
         self._models = [self._models[i] for i in keep]
         self.runs = int(keep.size)
+        self.arena = ParameterArena.bind(self.layers, self._xp)
 
 
 def _stack_rows(
@@ -468,6 +543,21 @@ class GroupedStack:
         self.shared = shared
         self.runs = sum(m.size for m in members)
         self._xp = active_backend()
+        self._bind_arena()
+
+    def _bind_arena(self) -> None:
+        """One arena over every prefix stack, then the shared layers
+        (the :meth:`parameters` order); each prefix keeps its section."""
+        prefixes = [m.prefix for m in self.members if m.prefix is not None]
+        self.arena = ParameterArena.bind(
+            [lay for p in prefixes for lay in p.layers] + self.shared,
+            self._xp,
+        )
+        offset = 0
+        for prefix in prefixes:
+            size = sum(_numel(p) for p in prefix.parameters())
+            prefix.arena = self.arena.section(offset, offset + size)
+            offset += size
 
     @property
     def _segmented(self) -> bool:
@@ -591,11 +681,7 @@ class GroupedStack:
         return total
 
     def zero_grads(self) -> None:
-        for member in self.members:
-            if member.prefix is not None:
-                member.prefix.zero_grads()
-        for layer in self.shared:
-            layer.zero_grads()
+        self._xp.fill(self.arena.grads, 0.0)
 
     def sync_to_models(self) -> None:
         """Write every slice's parameters back into its source model."""
@@ -617,6 +703,7 @@ class GroupedStack:
         its prefix stack (and its parameters) drop out of
         :meth:`parameters` — so the caller must compact any optimizer
         state with the matching :meth:`row_maps` *before* this call.
+        The arena is rebuilt over the survivors.
         """
         keep = np.asarray(keep, dtype=np.intp)
         survivors: list[_GroupMember] = []
@@ -636,6 +723,7 @@ class GroupedStack:
         for layer in self.shared:
             layer.compact(keep)
         self.runs = int(keep.size)
+        self._bind_arena()
 
 
 def stack_candidates(

@@ -217,9 +217,11 @@ def train_stack(
     xp = active_backend()
     optimizer = StackedAdam(learning_rate=learning_rate)
     histories = [History() for _ in range(total)]
-    # Row maps only change when the stack compacts; cache them instead
-    # of rebuilding per minibatch step.
+    # Row maps and the parameter/gradient views only change when the
+    # stack compacts; cache them instead of rebuilding per minibatch
+    # step.
     maps = stack.row_maps()
+    params, grads = stack.parameters(), stack.gradients()
     #: Index map: current stack row -> original slice (history / rng).
     slots = np.arange(total)
     active = np.ones(total, dtype=bool)
@@ -251,7 +253,8 @@ def train_stack(
             orders[r] = np.arange(n)
             if shuffle and active[r]:
                 rngs[slots[r]].shuffle(orders[r])
-        epoch_losses: list[list[float]] = [[] for _ in range(slices)]
+        #: One (slices,) row of minibatch loss values per step.
+        step_losses: list[np.ndarray] = []
         for start in range(0, n, batch_size):
             idx = orders[:, start : start + batch_size]
             per = idx.shape[1]
@@ -267,19 +270,15 @@ def train_stack(
             out = xp.to_numpy(stack.forward(xb, training=True))
             # Loss values and gradients per slice: the scalar loss
             # divides by the *slice's* batch, not the fused one.
-            grad = np.empty_like(out)
-            for r in range(slices):
-                sl = slice(r * per, (r + 1) * per)
-                if active[r]:
-                    epoch_losses[r].append(loss.value(out[sl], yb[sl]))
-                grad[sl] = loss.gradient(out[sl], yb[sl])
+            values, grad = loss.stacked(out, yb, slices)
+            step_losses.append(values)
             stack.backward(grad)
             optimizer.step(
-                stack.parameters(),
-                stack.gradients(),
-                active,
-                row_maps=maps,
+                params, grads, active, row_maps=maps, arena=stack.arena
             )
+        # (slices, steps): each slice's epoch mean reduces one contiguous
+        # row, as the scalar loop's mean over its list of step losses.
+        epoch_losses = np.stack(step_losses, axis=1)
 
         train_out = xp.to_numpy(stack.predict(x_train_tiled))
         val_out = xp.to_numpy(stack.predict(x_val_tiled))
@@ -320,6 +319,7 @@ def train_stack(
                 )
                 stack.compact(keep)
                 maps = stack.row_maps()
+                params, grads = stack.parameters(), stack.gradients()
                 slots = slots[keep]
                 active = np.ones(keep.size, dtype=bool)
                 x_train_tiled = np.tile(x_train, (keep.size, 1))

@@ -40,10 +40,13 @@ values into the compiled slots — data features through ``input``
 call per gate type, and then streams the instruction program over a pair
 of preallocated ping-pong buffers.  No per-gate allocation happens on the
 hot path.  The compiled adjoint sweep (``adjoint_gradients``) reuses the
-recorded forward matrices and two more pooled buffers (bra, bra scratch)
-across the whole reversed tape; each gate's gradient contraction runs
-over all of its parameters in one vectorised einsum (the ``Rot`` gate's
-three angles cost one contraction, not three).
+recorded forward matrices and moves ket and bra *together*: a recorded
+forward runs in the first halves of two pooled ``(2, B, 2**n)`` buffers,
+the bra is seeded into the second half, and every inverse gate of the
+reversed tape is one kernel call over both halves.  Each gate's gradient
+contraction runs over all of its parameters in one vectorised einsum
+(the ``Rot`` gate's three angles cost one contraction, not three), and
+its scatter into the input/weight gradients is compiled once per tape.
 
 **Run-stacked execution (one sweep for R parameter sets).**  The paper's
 protocol trains every candidate ``runs`` times with an *identical*
@@ -79,8 +82,8 @@ Contract notes:
   it (or use :meth:`CompiledTape.run`) if you need it to survive.
 * ``execute(record=True)`` keeps the bound matrices and final state for
   a subsequent ``adjoint_gradients`` call; the recorded state owns its
-  buffers, so it survives intervening (e.g. evaluation) executes.  The
-  adjoint call releases the record when done — and buffer pools are
+  buffer pair, so it survives intervening (e.g. evaluation) executes.
+  The adjoint call releases the record when done — and buffer pools are
   bounded to a few batch sizes — so long training runs do not pin the
   largest batch in memory.
 """
@@ -219,6 +222,11 @@ class CompiledTape:
         self._program: list[tuple] = []
         self._adj_program: list[tuple] = []
         self._compile_program()
+        self._scatter = {
+            g: self._compile_scatter(g)
+            for group in self._train_groups.values()
+            for g in group
+        }
 
         self._pools: dict[int, dict[str, list[np.ndarray]]] = {}
         self._last: dict | None = None
@@ -393,6 +401,37 @@ class CompiledTape:
                 for s in range(start, g - 1):
                     adj[s] = ("skip",)
                 adj[g - 1] = ("perm", comb, np.argsort(comb))
+
+    def _compile_scatter(self, g: int) -> tuple:
+        """How op ``g``'s derivative overlaps reach the gradients.
+
+        Returns ``(keep, inputs, weights)``: ``keep`` selects the
+        parameters with a live ref from the op's derivative stack
+        (``None`` when all are live); ``inputs``/``weights`` are lists
+        of ``(rows, cols)`` index pairs — overlap rows of the kept stack
+        and the gradient columns they add into.  A column appears at
+        most once per pair, so one fancy-index add per pair performs
+        exactly the per-parameter ``+=`` sequence.
+        """
+        refs = self._specs[g].refs
+        live = [p for p, ref in enumerate(refs) if ref is not None]
+        keep = None if len(live) == len(refs) else np.asarray(live)
+        scatters: dict[str, list[tuple[list[int], list[int]]]] = {
+            "input": [],
+            "weight": [],
+        }
+        for row, p in enumerate(live):
+            ref = refs[p]
+            chunks = scatters[ref.kind]
+            if not chunks or ref.index in chunks[-1][1]:
+                chunks.append(([], []))
+            chunks[-1][0].append(row)
+            chunks[-1][1].append(ref.index)
+        inputs, weights = (
+            [(np.asarray(r), np.asarray(c)) for r, c in scatters[kind]]
+            for kind in ("input", "weight")
+        )
+        return keep, inputs, weights
 
     def clone(self) -> "CompiledTape":
         """A new engine sharing this one's (immutable) compiled program.
@@ -666,12 +705,13 @@ class CompiledTape:
                             mats = mats.reshape(len(part), eff, k, k)
                     per_op.append(mats)
                 if deriv:
-                    # Stack the per-parameter derivative matrices into one
-                    # (P, [L,] k, k) array per op so the adjoint sweep can
-                    # contract all of a gate's parameters in a single
-                    # einsum.
+                    # Stack the per-parameter derivative matrices once
+                    # per partition; each op gets its (P, [L,] k, k) row
+                    # so the adjoint sweep can contract all of a gate's
+                    # parameters in a single einsum.
+                    stacked = np.stack(per_op, axis=1)
                     for i, g in enumerate(part):
-                        out[g] = np.stack([mats[i] for mats in per_op])
+                        out[g] = stacked[i]
                 else:
                     for i, g in enumerate(part):
                         out[g] = tuple(mats[i] for mats in per_op)
@@ -691,6 +731,9 @@ class CompiledTape:
     # -- buffers -----------------------------------------------------------
 
     def _buffers(self, batch: int, kind: str, count: int) -> list[np.ndarray]:
+        """Pooled buffers for one batch size: ``"fwd"`` buffers are flat
+        ``(batch, 2**n)`` states, ``"pair"`` buffers ``(2, batch, 2**n)``
+        ket/bra pairs."""
         pool = self._pools.get(batch)
         if pool is None:
             pool = self._pools[batch] = {}
@@ -702,8 +745,11 @@ class CompiledTape:
             del self._pools[next(iter(self._pools))]
         bufs = pool.get(kind)
         if bufs is None:
+            shape = (batch, self.dim)
+            if kind == "pair":
+                shape = (2,) + shape
             bufs = [
-                self._xp.empty((batch, self.dim), dtype=self._xp.complex_dtype)
+                self._xp.empty(shape, dtype=self._xp.complex_dtype)
                 for _ in range(count)
             ]
             pool[kind] = bufs
@@ -720,10 +766,10 @@ class CompiledTape:
         Counted per mode:
 
         * ``"forward"``: the ping-pong statevector pair.
-        * ``"adjoint"``: the forward pair, the recorded forward
-          (``record=True`` detaches its own pair so it survives
-          intervening executes), the bra/bra-scratch adjoint pair, and
-          the per-op derivative stacks for every trainable group.
+        * ``"adjoint"``: the forward pair (plain executes), the two
+          ``(2, batch, 2**n)`` ket/bra buffers a recorded forward and
+          its paired adjoint sweep ping-pong through, and the per-op
+          derivative stacks for every trainable group.
 
         Both modes add the bound dynamic gate-matrix stacks: per-sample
         ops (``input`` refs) bind a ``(batch, k, k)`` stack, per-run
@@ -757,10 +803,18 @@ class CompiledTape:
     # -- kernels -----------------------------------------------------------
 
     def _apply_1q(self, mat, wire, src, dst, batch, runs=None) -> None:
+        """Apply a single-qubit matrix (stack) to ``src`` into ``dst``.
+
+        The states are flat ``(batch, 2**n)`` buffers or ``(2, batch,
+        2**n)`` ket/bra pairs; a pair's halves share every matrix, so
+        its leading axis broadcasts (and each half's arithmetic is that
+        of a separate call: every contraction has two terms).
+        """
         left, right = self._lr[wire]
+        pair = tuple(src.shape[:-2])
         if mat.ndim == 2:
-            s = src.reshape(batch, left, 2, right)
-            d = dst.reshape(batch, left, 2, right)
+            s = src.reshape(-1, left, 2, right)
+            d = dst.reshape(-1, left, 2, right)
             self._xp.einsum("ij,bljr->blir", mat, s, out=d)
         elif mat.ndim == 4:
             # Run-stacked (R, 1, 2, 2)-tagged matrices over a run-major
@@ -772,28 +826,28 @@ class CompiledTape:
             # it bitwise where the broadcast-matmul trailing-axis kernel
             # does not (complex gemm rounds differently).  Bit-identical
             # vectorized_runs searches depend on this.
-            s = src.reshape(runs, -1, 2, right)
-            d = dst.reshape(runs, -1, 2, right)
-            self._xp.einsum("rij,rmjs->rmis", mat[:, 0], s, out=d)
+            s = src.reshape(pair + (runs, -1, 2, right))
+            d = dst.reshape(pair + (runs, -1, 2, right))
+            self._xp.einsum("rij,...rmjs->...rmis", mat[:, 0], s, out=d)
         elif right == 1:
             # Batched matrices contracting the trailing axis: einsum's
             # slow path; broadcast matmul is ~2x faster (see the kernel
             # note at the top of this module).
             self._xp.matmul(
                 mat[:, None],
-                src.reshape(batch, left, 2, 1),
-                out=dst.reshape(batch, left, 2, 1),
+                src.reshape(pair + (batch, left, 2, 1)),
+                out=dst.reshape(pair + (batch, left, 2, 1)),
             )
         else:
-            s = src.reshape(batch, left, 2, right)
-            d = dst.reshape(batch, left, 2, right)
-            self._xp.einsum("bij,bljr->blir", mat, s, out=d)
+            s = src.reshape(pair + (batch, left, 2, right))
+            d = dst.reshape(pair + (batch, left, 2, right))
+            self._xp.einsum("bij,...bljr->...blir", mat, s, out=d)
 
     def _apply_1q_inv(self, mat, wire, src, dst, batch, runs=None) -> None:
         if mat.ndim == 2:
             left, right = self._lr[wire]
-            s = src.reshape(batch, left, 2, right)
-            d = dst.reshape(batch, left, 2, right)
+            s = src.reshape(-1, left, 2, right)
+            d = dst.reshape(-1, left, 2, right)
             self._xp.einsum("ji,bljr->blir", mat.conj(), s, out=d)
         else:
             # Daggered batched matrices reuse the forward kernel (and its
@@ -936,7 +990,19 @@ class CompiledTape:
             )
         )
 
-        buf, scratch = self._buffers(batch, "fwd", 2)
+        if record:
+            # The record takes exclusive ownership of a ket/bra buffer
+            # pair: detaching it from the pool means later (e.g.
+            # inference) executes use the "fwd" pair instead of
+            # clobbering the recorded final state before backward
+            # consumes it.  The forward runs in the pair's ket halves;
+            # the pair returns to the pool on release.
+            pairs = self._buffers(batch, "pair", 2)
+            self._pools[batch].pop("pair")
+            buf, scratch = pairs[0][0], pairs[1][0]
+            owner = {id(buf): pairs[0], id(scratch): pairs[1]}
+        else:
+            buf, scratch = self._buffers(batch, "fwd", 2)
         self._xp.fill(buf, 0.0)
         buf[:, 0] = 1.0
         for instr in self._program:
@@ -963,12 +1029,9 @@ class CompiledTape:
                 self._apply_2q(mat, instr[1], instr[2], buf, scratch, batch)
                 buf, scratch = scratch, buf
         if record:
-            # The record takes exclusive ownership of this buffer pair:
-            # detaching it from the pool means later (e.g. inference)
-            # executes allocate fresh buffers instead of clobbering the
-            # recorded final state before backward consumes it.  The pair
-            # returns to the pool on release.
-            self._pools[batch].pop("fwd", None)
+            # The kernels only ever swap the two half views, so identity
+            # tells which pair holds the final state.
+            live = owner[id(buf)]
             self._last = {
                 "batch": batch,
                 "runs": runs,
@@ -976,7 +1039,7 @@ class CompiledTape:
                 "mats": mats,
                 "values": values,
                 "final": buf,
-                "scratch": scratch,
+                "pair": (live, owner[id(scratch)]),
             }
         else:
             # Keep the fwd pool aligned with the post-swap buffer roles.
@@ -1008,7 +1071,8 @@ class CompiledTape:
     ) -> np.ndarray:
         """Per-wire Z expectations of a flat state (default: last final).
 
-        With ``runs=R`` the sign-table contraction runs once per run's
+        With ``runs=R`` the sign-table contraction is one batched
+        ``matmul`` over ``(R, B, dim)`` views, i.e. one gemm per run's
         row block: BLAS chooses its blocking by row count, so a single
         ``(R*B, dim)`` gemm is *not* bitwise identical to the per-run
         ``(B, dim)`` gemms — and run-stacked training must reproduce the
@@ -1036,20 +1100,16 @@ class CompiledTape:
                 else self._xp.asarray(signs)
             )
         probs = self._xp.abs2(state)
-        if runs is None or runs == 1:
-            return probs @ signs.T
-        if probs.shape[0] % runs != 0:
+        blocks = runs or 1
+        rows = probs.shape[0]
+        if rows % blocks != 0:
             raise ShapeError(
-                f"batch {probs.shape[0]} is not a multiple of runs {runs}"
+                f"batch {rows} is not a multiple of runs {runs}"
             )
-        out = self._xp.empty(
-            (probs.shape[0], n_signs), dtype=self._xp.real_dtype
+        out = self._xp.matmul(
+            probs.reshape(blocks, rows // blocks, -1), signs.T
         )
-        per = probs.shape[0] // runs
-        for r in range(runs):
-            sl = slice(r * per, (r + 1) * per)
-            self._xp.matmul(probs[sl], signs.T, out=out[sl])
-        return out
+        return out.reshape(rows, n_signs)
 
     # -- compiled adjoint --------------------------------------------------
 
@@ -1063,7 +1123,7 @@ class CompiledTape:
         if self._last is not None:
             pool = self._pools.get(self._last["batch"])
             if pool is not None:
-                pool["fwd"] = [self._last["final"], self._last["scratch"]]
+                pool["pair"] = list(self._last["pair"])
             self._last = None
 
     def _deriv_overlaps(self, dmats, wire, ket, bra, batch, runs=None) -> np.ndarray:
@@ -1102,21 +1162,31 @@ class CompiledTape:
         )
 
     def _apply_adj_step(self, step, mats, src, dst, batch, runs=None):
-        """Apply the inverse of one original op; return the live buffer pair."""
+        """Undo one original op on both halves of the ``(2, batch,
+        2**n)`` ket/bra pair ``src``; return ``(live, spare)``."""
         kind = step[0]
         if kind == "m1":
             self._apply_1q_inv(mats, step[1], src, dst, batch, runs)
             return dst, src
         if kind == "perm":
-            self._xp.take(src, self._dev_idx(step[2]), dst)
+            self._xp.take(
+                src.reshape(2 * batch, self.dim),
+                self._dev_idx(step[2]),
+                dst.reshape(2 * batch, self.dim),
+            )
             return dst, src
         if kind == "neg":
-            src[:, self._dev_idx(step[1])] *= -1.0
+            src[:, :, self._dev_idx(step[1])] *= -1.0
             return src, dst
         # kind == "m2" — two-qubit matrices stay host-side (see
-        # _apply_2q), so the dagger is plain NumPy.
+        # _apply_2q), so the dagger is plain NumPy.  Each half keeps
+        # the row count of a separate sweep: the static kernel is a
+        # gemm, whose blocking depends on it.
         inv = np.conj(np.swapaxes(mats, -1, -2))
-        self._apply_2q(inv, step[1], step[2], src, dst, batch)
+        for half in range(2):
+            self._apply_2q(
+                inv, step[1], step[2], src[half], dst[half], batch
+            )
         return dst, src
 
     def adjoint_gradients(
@@ -1147,8 +1217,10 @@ class CompiledTape:
         last = self._last
         batch, mats, values = last["batch"], last["mats"], last["values"]
         runs = last["runs"]
-        ket, kscr = last["final"], last["scratch"]
-        bra, bscr = self._buffers(batch, "adj", 2)
+        # The recorded final state (the ket) is src[0]; the bra is
+        # seeded into src[1], and both then move through the reversed
+        # tape together.
+        src, dst = last["pair"]
 
         grad_out = self._xp.as_real(grad_out)
         signs = self._z_signs
@@ -1167,18 +1239,15 @@ class CompiledTape:
             )
         # Seed |bra_b> = (sum_k g_bk Z_k)|psi_b>: the Z combination is a
         # diagonal, so it is one matmul against the sign table followed by
-        # an elementwise product with the final state.  Run-stacked
-        # records seed per run block so the gemm's row count — and with
-        # it BLAS's rounding — matches a per-run execution exactly.
-        if runs is None or runs == 1:
-            seed = grad_out @ signs
-        else:
-            seed = self._xp.empty((batch, n_z), dtype=self._xp.real_dtype)
-            per = batch // runs
-            for r in range(runs):
-                sl = slice(r * per, (r + 1) * per)
-                self._xp.matmul(grad_out[sl], signs, out=seed[sl])
-        self._xp.multiply(seed, ket, bra)
+        # an elementwise product with the final state.  The matmul is
+        # batched over run blocks, one gemm per block, so the gemm's row
+        # count — and with it BLAS's rounding — matches a per-run
+        # execution exactly.
+        blocks = runs or 1
+        seed = self._xp.matmul(
+            grad_out.reshape(blocks, batch // blocks, -1), signs
+        ).reshape(batch, n_z)
+        self._xp.multiply(seed, src[0], src[1])
 
         derivs = self._grouped_matrices(
             self._train_groups,
@@ -1203,8 +1272,8 @@ class CompiledTape:
                 n_weights, dtype=self._xp.real_dtype
             )
 
+        idx = self._dev_idx
         for g in range(len(self._specs) - 1, -1, -1):
-            spec = self._specs[g]
             step = self._adj_program[g]
             if step[0] == "skip":
                 # Folded into a fused permutation applied at the end of
@@ -1215,40 +1284,39 @@ class CompiledTape:
                 if step[0] in ("m1", "m2")
                 else None
             )
-            ket, kscr = self._apply_adj_step(
-                step, gate_mat, ket, kscr, batch, runs
+            src, dst = self._apply_adj_step(
+                step, gate_mat, src, dst, batch, runs
             )
             d_entry = derivs.get(g)
-            if d_entry is not None:
-                refs = spec.refs
-                if any(r is None for r in refs):
-                    keep = [p for p, r in enumerate(refs) if r is not None]
-                    d_entry = d_entry[keep]
-                    refs = [refs[p] for p in keep]
-                overlaps = self._deriv_overlaps(
-                    d_entry, spec.wires[0], ket, bra, batch, runs
-                )
-                for per_sample, ref in zip(overlaps, refs):
-                    if ref.kind == "input":
-                        input_grads[:, ref.index] += per_sample
-                    elif runs is not None:
-                        # Per-run weight gradients: each run's row sums
-                        # its own B contiguous samples (same pairwise
-                        # reduction a per-run execution would perform).
-                        weight_grads[:, ref.index] += per_sample.reshape(
-                            runs, -1
-                        ).sum(axis=1)
-                    else:
-                        weight_grads[ref.index] += per_sample.sum()
-            bra, bscr = self._apply_adj_step(
-                step, gate_mat, bra, bscr, batch, runs
+            if d_entry is None:
+                continue
+            # Trainable ops are single-qubit ("m1", a ping-pong step):
+            # the undone ket is now src[0], while dst[1] still holds the
+            # bra from before this op's undo.
+            keep, inputs, weights = self._scatter[g]
+            if keep is not None:
+                d_entry = d_entry[idx(keep)]
+            overlaps = self._deriv_overlaps(
+                d_entry, self._specs[g].wires[0], src[0], dst[1], batch, runs
             )
+            for rows, cols in inputs:
+                input_grads[:, idx(cols)] += overlaps[idx(rows)].T
+            for rows, cols in weights:
+                per_sample = overlaps[idx(rows)]
+                if runs is not None:
+                    # Per-run weight gradients: each run's row sums its
+                    # own B contiguous samples (same pairwise reduction
+                    # a per-run execution would perform).
+                    weight_grads[:, idx(cols)] += per_sample.reshape(
+                        rows.size, runs, -1
+                    ).sum(axis=2).T
+                else:
+                    weight_grads[idx(cols)] += per_sample.sum(axis=1)
 
         pool = self._pools.get(batch)
         if pool is not None:
-            pool["adj"] = [bra, bscr]
             # Return the record's buffer pair to the pool for reuse.
-            pool["fwd"] = [ket, kscr]
+            pool["pair"] = [src, dst]
         self._last = None
         return input_grads, weight_grads
 

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ShapeError
+from repro.quantum.adjoint import adjoint_gradients
+from repro.quantum.circuit import Operation, input_ref, run, weight_ref
 from repro.quantum.engine import CompiledTape
 from repro.quantum.templates import (
     angle_embedding,
@@ -256,3 +258,70 @@ class TestPerRunShifts:
                 inputs=x, weights=w, shifts={slot: float(deltas[r])}
             )
             assert np.array_equal(ref, fused[r * batch : (r + 1) * batch])
+
+
+def mixed_tape(x, w, n_qubits, n_layers):
+    """A tape reaching every step kind of the paired adjoint sweep.
+
+    Per layer: a ``Rot`` per wire whose middle angle is a constant (no
+    ref, so the keep-mask drops its derivative), a CZ (``neg`` step), a
+    static CRX (``m2`` step), a SWAP (``perm``) and an RY driven by
+    input 0 again.  The last layer's first ``Rot`` feeds both live
+    angles from one weight, so one op adds into a column twice.
+    """
+    ops = angle_embedding(x, n_qubits)
+    k = 0
+    for layer in range(n_layers):
+        for q in range(n_qubits):
+            refs = (weight_ref(k), None, weight_ref(k + 1))
+            params = (w[k], 0.3 + q, w[k + 1])
+            if layer == n_layers - 1 and q == 0:
+                refs = (weight_ref(k), None, weight_ref(k))
+                params = (w[k], 0.3, w[k])
+            ops.append(Operation("Rot", (q,), params, refs))
+            k += 2
+        ops.append(Operation("CZ", (0, 1)))
+        ops.append(Operation("CRX", (1, 2), (0.7 + layer,)))
+        ops.append(Operation("SWAP", (0, n_qubits - 1)))
+        ops.append(Operation("RY", (1,), (x[:, 0],), (input_ref(0),)))
+    return ops, k
+
+
+class TestPairedAdjointStepKinds:
+    """The paired ket/bra sweep on CZ, static two-qubit and partially
+    referenced ``Rot`` gates: run-stacked gradients equal per-run ones
+    bit for bit, and per-run ones match the reference adjoint."""
+
+    @pytest.mark.parametrize(
+        "n_q,n_l,runs,batch", [(3, 1, 2, 1), (3, 2, 3, 4), (4, 2, 2, 8)]
+    )
+    def test_stacked_equals_per_run_and_reference(self, n_q, n_l, runs, batch):
+        rng = np.random.default_rng((n_q, n_l, runs, batch, 41))
+        n_w = 2 * n_l * n_q
+        ops, _ = mixed_tape(np.zeros((1, n_q)), np.zeros(n_w), n_q, n_l)
+        steps = {step[0] for step in CompiledTape(ops, n_q)._adj_program}
+        assert {"m1", "neg", "m2", "perm"} <= steps
+        stacked = CompiledTape(ops, n_q)
+        scalar = CompiledTape(ops, n_q)
+        weights = rng.normal(size=(runs, n_w))
+        inputs = rng.normal(size=(runs * batch, n_q))
+        grad = rng.normal(size=(runs * batch, n_q))
+
+        stacked.execute(inputs=inputs, weights=weights, runs=runs, record=True)
+        ig, wg = stacked.adjoint_gradients(grad, n_inputs=n_q, n_weights=n_w)
+        for r in range(runs):
+            sl = slice(r * batch, (r + 1) * batch)
+            scalar.execute(inputs=inputs[sl], weights=weights[r], record=True)
+            rig, rwg = scalar.adjoint_gradients(
+                grad[sl], n_inputs=n_q, n_weights=n_w
+            )
+            assert np.array_equal(rig, ig[sl])
+            assert np.array_equal(rwg, wg[r])
+
+            bound, _ = mixed_tape(inputs[sl], weights[r], n_q, n_l)
+            final = run(bound, n_q, batch)
+            ref_ig, ref_wg = adjoint_gradients(
+                bound, final, grad[sl], n_inputs=n_q, n_weights=n_w
+            )
+            np.testing.assert_allclose(rig, ref_ig, atol=1e-12, rtol=0)
+            np.testing.assert_allclose(rwg, ref_wg, atol=1e-12, rtol=0)
