@@ -7,17 +7,19 @@ averaged max-over-epochs train **and** validation accuracies reach the
 threshold.  The first success is, by construction, the cheapest
 successful model.
 
-``workers > 1`` fans the (candidate, run) training jobs out across a
-process pool (:mod:`repro.runtime.parallel`) while preserving those
-sequential early-stop semantics exactly: candidates are still committed
-in FLOPs order, the winner is still the cheapest pass, and every run
+Every execution mode commits through one
+:class:`~repro.runtime.frontier.SearchFrontier`: ``workers=1`` trains
+in-process, ``workers > 1`` fans the (candidate, run) training jobs out
+across a process pool (:mod:`repro.runtime.parallel`), and ``spool=`` /
+``connect=`` shard them across hosts.  Candidates are always committed
+in FLOPs order, the winner is always the cheapest pass, and every run
 uses the same ``(seed, candidate, run)``-derived RNG stream, so the
-returned :class:`SearchOutcome` is identical to the sequential one.
+returned :class:`SearchOutcome` is identical in every mode.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
@@ -25,7 +27,8 @@ import numpy as np
 from ..data.splits import DataSplit
 from ..exceptions import SearchError
 from ..flops.conventions import CountingConvention, get_convention
-from ..runtime.jobs import RunResult, execute_candidates, execute_runs
+from ..runtime.frontier import SearchEvent, SearchFrontier
+from ..runtime.jobs import RunResult
 from .search_space import ModelSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -49,7 +52,7 @@ __all__ = [
 #: so the cap bounds the work discarded when that member passes.
 MAX_GROUP_CANDIDATES = 4
 
-#: How far past the commit frontier the sequential search scans for
+#: How far past the commit frontier the in-process executor scans for
 #: same-structure candidates to group.  Non-matching candidates in
 #: between are skipped (they commit from their own, later groups).
 GROUP_LOOKAHEAD = 8
@@ -96,10 +99,10 @@ class TrainingSettings:
       hard timeout, or runtime error is re-executed before the search
       gives up on the pool.
     - ``fallback_sequential``: on retry exhaustion, finish the
-      remaining candidates in-process with the sequential primitive
-      instead of raising.  Disable when a candidate is suspected of
-      *killing* its process (an in-process rerun would kill the
-      driver).
+      remaining candidates in-process (the ``workers=1`` executor,
+      with grouping and the OOM ladder) instead of raising.  Disable
+      when a candidate is suspected of *killing* its process (an
+      in-process rerun would kill the driver).
     - ``chunk_timeout_s``: absolute per-chunk deadline (submission to
       completion).  ``None`` derives deadlines from measured cost:
       ``chunk_deadline_factor`` x the cost model's seconds estimate,
@@ -217,8 +220,9 @@ def aggregate_runs(
 ) -> CandidateResult:
     """Fold per-run results (in run order) into one :class:`CandidateResult`.
 
-    Shared by the sequential path and the parallel scheduler so
-    aggregation is deterministic regardless of run completion order.
+    Called by :meth:`repro.runtime.frontier.SearchFrontier.offer` once a
+    candidate's runs are all in, so aggregation is deterministic
+    regardless of run completion order.
     """
     result = CandidateResult(
         spec=spec, flops=spec.flops(convention), params=spec.param_count
@@ -231,107 +235,6 @@ def aggregate_runs(
         if rr.history is not None:
             result.histories.append(rr.history)
     return result
-
-
-def _ladder_runs(
-    spec: ModelSpec,
-    seed: int,
-    candidate_index: int,
-    runs: Sequence[int],
-    split: DataSplit,
-    settings: TrainingSettings,
-    notify: Callable[[str, Sequence[int]], None] | None = None,
-) -> list[RunResult]:
-    """:func:`~repro.runtime.jobs.execute_runs` with the OOM recovery
-    ladder.
-
-    An out-of-memory failure in the vectorized sweep degrades stepwise —
-    retry the fused sweep on the NumPy backend (device OOMs fit in host
-    RAM far more often than not), then fall to the per-run scalar path —
-    instead of raising.  Every step trains from the same
-    ``(seed, candidate, run)`` streams, and the scalar path is the
-    bit-identity oracle, so degradation never changes results.  A scalar
-    OOM raises: the ladder has no smaller allocation left to try.
-    """
-    try:
-        return execute_runs(
-            spec,
-            seed,
-            candidate_index,
-            runs,
-            split,
-            settings,
-            vectorized=settings.vectorized_runs,
-        )
-    except Exception as exc:  # noqa: BLE001 - classified below
-        from ..runtime.memory import is_memory_error
-
-        if not (settings.vectorized_runs and is_memory_error(exc)):
-            raise
-    if notify is not None:
-        notify("vectorized run sweep hit OOM", (candidate_index,))
-    from ..backends import resolve_backend
-
-    numpy_settings = replace(settings, backend="numpy")
-    resolved, _ = resolve_backend(settings.backend)
-    if not resolved.is_numpy:
-        try:
-            return execute_runs(
-                spec,
-                seed,
-                candidate_index,
-                runs,
-                split,
-                numpy_settings,
-                vectorized=True,
-            )
-        except Exception as exc:  # noqa: BLE001 - classified below
-            from ..runtime.memory import is_memory_error
-
-            if not is_memory_error(exc):
-                raise
-        if notify is not None:
-            notify("numpy retry hit OOM", (candidate_index,))
-    return execute_runs(
-        spec,
-        seed,
-        candidate_index,
-        runs,
-        split,
-        numpy_settings,
-        vectorized=False,
-    )
-
-
-def _evaluate_candidate(
-    spec: ModelSpec,
-    split: DataSplit,
-    settings: TrainingSettings,
-    seed: int,
-    candidate_index: int,
-    convention: CountingConvention,
-    notify: Callable[[str, Sequence[int]], None] | None = None,
-) -> CandidateResult:
-    """Train one candidate ``settings.runs`` times and aggregate.
-
-    With ``settings.vectorized_runs`` the whole run set trains as one
-    stacked sweep (:func:`repro.runtime.jobs.execute_runs`); metrics are
-    bit-identical to the per-run loop either way.  Out-of-memory
-    failures degrade through :func:`_ladder_runs`.
-    """
-    return aggregate_runs(
-        spec,
-        convention,
-        _ladder_runs(
-            spec,
-            seed,
-            candidate_index,
-            range(settings.runs),
-            split,
-            settings,
-            notify=notify,
-        ),
-    )
 
 
 def plan_group(
@@ -399,109 +302,6 @@ def plan_group(
     return group
 
 
-def _evaluate_group(
-    ranked: Sequence[ModelSpec],
-    indices: Sequence[int],
-    split: DataSplit,
-    settings: TrainingSettings,
-    seed: int,
-    convention: CountingConvention,
-    notify: Callable[[str, Sequence[int]], None] | None = None,
-) -> "dict[int, CandidateResult | Exception] | None":
-    """Train a multi-candidate group as one fused sweep.
-
-    Returns per-candidate results keyed by candidate index — or
-    ``None`` when the group cannot be stacked (the caller then trains
-    the anchor alone, speculating nothing).  A failure inside the fused
-    sweep falls back to per-candidate execution so the error is
-    re-attributed to the candidate the sequential loop would blame:
-    errors are captured per candidate and surface only at that
-    candidate's commit turn.
-
-    An *out-of-memory* failure takes the recovery ladder instead: the
-    group splits in half (each half fused again, recursively), then per
-    candidate, then down :func:`_ladder_runs` — every step
-    bit-identity-preserving, each reported through ``notify``.
-    """
-    group = [(ranked[j], j, range(settings.runs)) for j in indices]
-    try:
-        results = execute_candidates(group, seed, split, settings)
-    except Exception as exc:  # noqa: BLE001 - re-run per candidate to attribute
-        from ..runtime.memory import is_memory_error
-
-        if notify is not None and is_memory_error(exc) and len(indices) > 1:
-            notify(
-                f"fused sweep of {len(indices)} candidates hit OOM, "
-                f"splitting in half",
-                tuple(indices),
-            )
-            mid = (len(indices) + 1) // 2
-            out: dict[int, CandidateResult | Exception] = {}
-            for half in (list(indices[:mid]), list(indices[mid:])):
-                if len(half) > 1:
-                    sub = _evaluate_group(
-                        ranked,
-                        half,
-                        split,
-                        settings,
-                        seed,
-                        convention,
-                        notify=notify,
-                    )
-                    if sub is not None:
-                        out.update(sub)
-                        continue
-                for j in half:
-                    try:
-                        out[j] = aggregate_runs(
-                            ranked[j],
-                            convention,
-                            _ladder_runs(
-                                ranked[j],
-                                seed,
-                                j,
-                                range(settings.runs),
-                                split,
-                                settings,
-                                notify=notify,
-                            ),
-                        )
-                    except Exception as sub_exc:  # noqa: BLE001
-                        out[j] = sub_exc
-            return out
-        results = None
-    else:
-        if results is None:
-            return None
-        out = {}
-        for spec, j, _ in group:
-            out[j] = aggregate_runs(
-                spec,
-                convention,
-                [rr for rr in results if rr.candidate_index == j],
-            )
-        return out
-    out = {}
-    for spec, j, runs_j in group:
-        try:
-            out[j] = aggregate_runs(
-                spec,
-                convention,
-                _ladder_runs(
-                    spec,
-                    seed,
-                    j,
-                    runs_j,
-                    split,
-                    settings,
-                    notify=notify,
-                ),
-            )
-        except Exception as exc:  # noqa: BLE001 - surfaced at commit turn
-            out[j] = exc
-    return out
-
-
 def grid_search(
     specs: Sequence[ModelSpec],
     split: DataSplit,
@@ -540,7 +340,8 @@ def grid_search(
         Optional callback invoked after each candidate (commit order,
         i.e. FLOPs order, under either execution mode).
     workers:
-        ``1`` (default) runs the exact sequential loop in-process.
+        ``1`` (default) trains in-process
+        (:meth:`repro.runtime.frontier.SearchFrontier.run_in_process`).
         ``> 1`` fans (candidate, run) jobs out across that many worker
         processes with speculative FLOPs-order commit semantics
         (:func:`repro.runtime.parallel.speculative_search`); ``None``
@@ -566,10 +367,12 @@ def grid_search(
         ``settings.return_histories`` (histories are not journaled).
     on_event:
         Optional callback receiving a
-        :class:`repro.runtime.parallel.SearchEvent` for every
-        fault-tolerance decision the parallel scheduler takes (worker
-        loss, retry, deadline warning/timeout, sequential fallback);
-        unused by the sequential path.
+        :class:`repro.runtime.frontier.SearchEvent` for every execution
+        decision: ``backend-fallback`` (any mode), ``group-resize`` and
+        ``memory-degrade`` (any mode, including ``workers=1``), and the
+        distributed modes' fault-tolerance decisions (worker loss,
+        retry, deadline warning/timeout, sequential fallback, lease
+        expiry...).
     spool:
         Optional path to a shared-filesystem spool directory (or a
         :class:`repro.runtime.cluster.SpoolConfig`).  When given, the
@@ -619,8 +422,6 @@ def grid_search(
 
     _, backend_fallback = resolve_backend(settings.backend)
     if backend_fallback is not None and on_event is not None:
-        from ..runtime.parallel import SearchEvent
-
         on_event(
             SearchEvent(kind="backend-fallback", message=backend_fallback)
         )
@@ -629,15 +430,11 @@ def grid_search(
     if max_candidates is not None:
         ranked = ranked[:max_candidates]
 
-    # Checkpoint/resume: replay the journal's committed prefix (if any)
-    # through the normal commit path — same progress sequence, same
-    # early-stop check — then hand the frontier to whichever execution
-    # mode runs the rest.  Candidate indices are *absolute* ranks:
-    # every run's RNG stream derives from (seed, candidate_index, run),
-    # so the remainder must never be computed over a sliced list.
+    # Checkpoint/resume: the frontier replays the journal's committed
+    # prefix through the normal commit path — same progress sequence,
+    # same early-stop check — and whichever execution mode runs the
+    # rest continues from its commit position.
     search_journal = None
-    outcome = SearchOutcome(threshold=threshold, winner=None)
-    start_index = 0
     if journal is not None:
         if settings.return_histories:
             raise SearchError(
@@ -649,191 +446,42 @@ def grid_search(
         from ..runtime.journal import SearchJournal, search_key
 
         search_journal = SearchJournal(
-            journal, search_key(ranked, threshold, settings, conv, seed)
+            journal, search_key(ranked, split, threshold, settings, conv, seed)
         )
-        for candidate in search_journal.load():
-            outcome.evaluated.append(candidate)
-            if progress is not None:
-                progress(candidate)
-            if candidate.passes(threshold):
-                outcome.winner = candidate
-                return outcome
-        start_index = len(outcome.evaluated)
-        if start_index >= len(ranked):
-            return outcome
+    frontier = SearchFrontier(
+        ranked,
+        threshold,
+        conv,
+        settings.runs,
+        progress=progress,
+        journal=search_journal,
+    )
+    if frontier.resume():
+        return frontier.outcome
 
     if spool is not None:
         from ..runtime.cluster import cluster_search
 
         return cluster_search(
-            ranked,
-            split,
-            threshold,
-            settings,
-            conv,
-            seed,
-            spool=spool,
-            progress=progress,
-            journal=search_journal,
-            on_event=on_event,
-            outcome=outcome,
-            start_index=start_index,
+            frontier, split, settings, seed, spool=spool, on_event=on_event
         )
-
     if connect is not None:
         from ..runtime.cluster_tcp import tcp_cluster_search
 
         return tcp_cluster_search(
-            ranked,
-            split,
-            threshold,
-            settings,
-            conv,
-            seed,
-            connect=connect,
-            progress=progress,
-            journal=search_journal,
-            on_event=on_event,
-            outcome=outcome,
-            start_index=start_index,
+            frontier, split, settings, seed, connect=connect, on_event=on_event
         )
-
     from ..runtime.parallel import resolve_workers, speculative_search
 
     n_workers = resolve_workers(workers)
     if pool is not None or n_workers > 1:
         return speculative_search(
-            ranked,
+            frontier,
             split,
-            threshold,
             settings,
-            conv,
             seed,
             workers=n_workers,
-            progress=progress,
             pool=pool,
-            journal=search_journal,
             on_event=on_event,
-            outcome=outcome,
-            start_index=start_index,
         )
-
-    # The same compiled-tape reuse the parallel workers get: every
-    # (candidate, run) rebuilds a structurally identical circuit, so
-    # cache compilations for the duration of the search and restore the
-    # caller's cache state afterwards.  Cache hits return clones sharing
-    # only the immutable program, so results are unchanged.
-    from ..quantum.engine import (
-        compile_cache_info,
-        disable_compile_cache,
-        enable_compile_cache,
-    )
-
-    had_cache = compile_cache_info()["enabled"]
-    if not had_cache:
-        # Leave an already-configured cache (custom maxsize) untouched.
-        enable_compile_cache()
-
-    # Memory governance: one budget resolution for the whole search
-    # (settings > env > a fraction of the free-memory probe), consulted
-    # by every group plan; OOM-ladder steps surface as memory-degrade
-    # events.  Budgets shape group sizes, never results.
-    from ..runtime.memory import resolve_memory_budget
-    from ..runtime.parallel import SearchEvent
-
-    budget = resolve_memory_budget(getattr(settings, "memory_budget", None))
-
-    def notify(message: str, candidates: Sequence[int] = ()) -> None:
-        if on_event is not None:
-            on_event(
-                SearchEvent(
-                    kind="memory-degrade",
-                    message=message,
-                    candidates=tuple(candidates),
-                )
-            )
-
-    try:
-        # Results of speculatively trained group members past the
-        # commit frontier; an Exception entry re-raises at its
-        # candidate's turn (exactly when the ungrouped loop would hit
-        # it) and is discarded wholesale if a cheaper candidate passes.
-        speculated: dict[int, CandidateResult | Exception] = {}
-        index = start_index
-        while index < len(ranked):
-            if index in speculated:
-                committed = speculated.pop(index)
-                if isinstance(committed, Exception):
-                    raise committed
-                candidate = committed
-            else:
-                group = plan_group(
-                    ranked,
-                    index,
-                    settings,
-                    skip=speculated.keys(),
-                    budget=budget,
-                )
-                if budget.active and on_event is not None:
-                    ungoverned = plan_group(
-                        ranked, index, settings, skip=speculated.keys()
-                    )
-                    if len(group) != len(ungoverned):
-                        grew = len(group) > len(ungoverned)
-                        on_event(
-                            SearchEvent(
-                                kind="group-resize",
-                                message=(
-                                    f"budget ({budget.source}) "
-                                    f"{'grew' if grew else 'shrank'} group "
-                                    f"at {index} to {len(group)} members "
-                                    f"(ungoverned: {len(ungoverned)})"
-                                ),
-                                candidates=tuple(group),
-                            )
-                        )
-                verdicts = (
-                    _evaluate_group(
-                        ranked,
-                        group,
-                        split,
-                        settings,
-                        seed,
-                        conv,
-                        notify=notify,
-                    )
-                    if len(group) > 1
-                    else None
-                )
-                if verdicts is None:
-                    candidate = _evaluate_candidate(
-                        ranked[index],
-                        split,
-                        settings,
-                        seed=seed,
-                        candidate_index=index,
-                        convention=conv,
-                        notify=notify,
-                    )
-                else:
-                    # Re-enter the loop: the anchor's verdict now sits
-                    # in `speculated` and commits through the single
-                    # raise-or-commit branch above.
-                    speculated.update(verdicts)
-                    continue
-            outcome.evaluated.append(candidate)
-            if search_journal is not None:
-                # Journal before the progress callback: if the driver
-                # dies inside its own callback, the committed candidate
-                # is already durable and a resume replays it.
-                search_journal.append(index, candidate)
-            if progress is not None:
-                progress(candidate)
-            if candidate.passes(threshold):
-                outcome.winner = candidate
-                break
-            index += 1
-        return outcome
-    finally:
-        if not had_cache:
-            disable_compile_cache()
+    return frontier.run_in_process(split, settings, seed, on_event)

@@ -22,6 +22,7 @@ from .adjoint import adjoint_gradients
 from .engine import (
     CompiledTape,
     compile_cache_info,
+    compile_cache_scope,
     compiled_tape,
     disable_compile_cache,
     enable_compile_cache,
@@ -88,6 +89,7 @@ __all__ = [
     "compiled_tape",
     "enable_compile_cache",
     "disable_compile_cache",
+    "compile_cache_scope",
     "compile_cache_info",
     "parameter_shift_gradients",
     "compiled_parameter_shift_gradients",

@@ -90,7 +90,8 @@ Contract notes:
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from contextlib import contextmanager
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -105,6 +106,7 @@ __all__ = [
     "enable_compile_cache",
     "disable_compile_cache",
     "compile_cache_info",
+    "compile_cache_scope",
 ]
 
 #: Buffer pools are kept for at most this many distinct batch sizes; the
@@ -1410,6 +1412,28 @@ def compile_cache_info() -> dict[str, int | bool]:
         "misses": _CACHE_MISSES,
         "evictions": _CACHE_EVICTIONS,
     }
+
+
+@contextmanager
+def compile_cache_scope() -> Iterator[None]:
+    """Enable the compiled-tape cache for the duration of a block.
+
+    Every (candidate, run) of a search rebuilds a structurally identical
+    circuit, so searches and cluster agents cache compilations while
+    they run.  The cache is enabled only if it is off — an
+    already-configured cache (custom ``maxsize``, a pool worker's) is
+    left untouched — and dropped on exit only if this scope enabled it.
+    The hit/miss counters stay readable after exit.  Cache hits return
+    clones sharing only the immutable program, so results are unchanged.
+    """
+    owned = not compile_cache_info()["enabled"]
+    if owned:
+        enable_compile_cache()
+    try:
+        yield
+    finally:
+        if owned:
+            disable_compile_cache()
 
 
 def compiled_tape(

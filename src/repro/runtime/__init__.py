@@ -16,9 +16,13 @@ model behind adaptive chunk packing.
 cost-aware job packing and fault-tolerant supervision (chunk retry,
 deadline watchdog, sequential fallback), and :mod:`repro.runtime.jobs`
 holds the shared run primitives — scalar
-:func:`~repro.runtime.jobs.execute_job` and the run-stacked
+:func:`~repro.runtime.jobs.execute_job`, the run-stacked
 :func:`~repro.runtime.jobs.execute_runs` that trains a candidate's
-whole run set in one vectorized sweep.
+whole run set in one vectorized sweep, and the one OOM recovery ladder
+over them (:func:`~repro.runtime.jobs.chunk_entries`).
+:mod:`repro.runtime.frontier` is the FLOPs-order commit frontier every
+execution mode shares, including the in-process executor that is both
+``workers=1`` and every mode's graceful-degradation floor.
 
 :mod:`repro.runtime.journal` persists every committed candidate to a
 JSONL checkpoint so interrupted searches resume bit-identically, and
@@ -55,6 +59,7 @@ from .cluster_tcp import (
     tcp_cluster_search,
 )
 from .faults import FaultPlan
+from .frontier import SearchFrontier
 from .jobs import (
     RunResult,
     TrainingJob,
@@ -88,6 +93,7 @@ __all__ = [
     "resolve_workers",
     "speculative_search",
     "SearchEvent",
+    "SearchFrontier",
     "SPECULATION_FACTOR",
     "PersistentPool",
     "SharedSplitHandle",

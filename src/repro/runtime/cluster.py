@@ -38,9 +38,9 @@ The protocol:
 * an **agent** (:func:`run_agent`, ``repro cluster-agent --spool``)
   claims a task by atomically renaming it into ``leases/`` — rename is
   the spool's only mutual-exclusion primitive, and it moves the payload
-  with the claim — executes the chunk through the same
-  ``_chunk_entries`` primitive the pool workers run, writes a result
-  file, and releases the lease;
+  with the claim — executes the chunk through the same OOM ladder
+  (:func:`~repro.runtime.jobs.chunk_entries`) the pool workers run,
+  writes a result file, and releases the lease;
 
 * while training, the agent's heartbeat thread rewrites a per-agent
   counter file.  The coordinator judges liveness **only on its own
@@ -65,9 +65,8 @@ The protocol:
 
 * losing **every** agent degrades gracefully: after ``agent_grace_s``
   with no live heartbeat the coordinator finishes the remaining
-  candidates in-process through the same sequential primitive the pool
-  scheduler falls back to — the sweep completes, identically, on the
-  coordinator alone.
+  candidates through the in-process executor the pool scheduler falls
+  back to — the sweep completes, identically, on the coordinator alone.
 
 Determinism, as everywhere in this runtime: distribution, chunking,
 claim order, retries, duplicates, quarantines and fallbacks shape only
@@ -89,7 +88,7 @@ import socket
 import struct
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from ..config import (
@@ -101,20 +100,15 @@ from ..config import (
 from ..exceptions import SearchError, TrainingCancelled
 from . import faults
 from .backoff import retry_call
-from .jobs import RunResult, TrainingJob
-from .parallel import SearchEvent, _finish_sequential
-from .pool import RunError, _chunk_entries, _pid_alive
+from .frontier import RetriesExhausted, SearchEvent, SearchFrontier
+from .jobs import RunError, RunResult, TrainingJob, chunk_entries
+from .pool import _pid_alive
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.grid_search import (
-        CandidateResult,
-        SearchOutcome,
-        TrainingSettings,
-    )
+    from ..core.grid_search import SearchOutcome, TrainingSettings
     from ..core.search_space import ModelSpec
     from ..data.splits import DataSplit
     from ..flops.conventions import CountingConvention
-    from .journal import SearchJournal
 
 __all__ = [
     "CoordinatorCore",
@@ -380,11 +374,10 @@ def _file_owner(name: str) -> str | None:
 class SpoolChunk:
     """A picklable unit of cluster work: every run of one candidate.
 
-    Duck-type compatible with the pool's ``JobChunk`` where it matters:
-    agents execute it through the same ``_chunk_entries`` primitive the
-    pool workers run (it needs only ``jobs``/``settings``/
-    ``vectorized``), so a spool-trained run is bit-identical to a
-    pool-trained or sequential one.
+    Agents execute its ``jobs`` through the same OOM ladder
+    (:func:`~repro.runtime.jobs.chunk_entries`) the pool workers run,
+    so a spool-trained run is bit-identical to a pool-trained or
+    sequential one.
     """
 
     token: str  # owning coordinator, owner-id grammar
@@ -489,32 +482,29 @@ def stop_agents(spool_dir: "str | os.PathLike") -> None:
 # -- coordinator ------------------------------------------------------------
 
 
-class _Exhausted(Exception):
-    """Internal: a chunk ran out of attempts; carries the would-be error."""
-
-    def __init__(self, error: Exception, attempts: int) -> None:
-        super().__init__(str(error))
-        self.error = error
-        self.attempts = attempts
-
-
 class CoordinatorCore:
     """Transport-agnostic half of a cluster coordinator.
 
-    Everything that makes a sharded search *correct* lives here, shared
-    by every transport: strict FLOPs-order commit (``_commit_ready``),
-    bounded re-attempts for lost chunks (``_next_attempt``),
-    first-commit-wins duplicate arbitration plus run-coverage
-    validation (``_ingest``), measured-cost feedback into a
+    What a sharded search needs beyond the shared
+    :class:`~repro.runtime.frontier.SearchFrontier` (which owns
+    FLOPs-order commit, run aggregation, journaling and the in-process
+    fallback) lives here, shared by every transport: bounded
+    re-attempts for lost chunks (``_next_attempt``), first-commit-wins
+    duplicate arbitration plus run-coverage validation (``_ingest``),
+    measured-cost feedback into a
     :class:`~repro.runtime.pool.ChunkCostModel` (optionally persisted
     through ``cost_cache``), and the graceful-degradation floor
-    (``_fallback`` → the shared ``_finish_sequential``).  A transport
-    subclass (:class:`SpoolCoordinator` over a shared filesystem,
-    :class:`repro.runtime.cluster_tcp.TcpCoordinator` over sockets)
-    owns only the medium — how chunks reach agents, how results come
-    back, how liveness is observed — which is why the returned
-    :class:`~repro.core.grid_search.SearchOutcome` is bit-identical
-    across transports and to the sequential baseline.
+    (``_fallback`` → :meth:`SearchFrontier.run_in_process`).  A
+    transport subclass (:class:`SpoolCoordinator` over a shared
+    filesystem, :class:`repro.runtime.cluster_tcp.TcpCoordinator` over
+    sockets) owns only the medium — how chunks reach agents, how
+    results come back, how liveness is observed — which is why the
+    returned :class:`~repro.core.grid_search.SearchOutcome` is
+    bit-identical across transports and to the sequential baseline.
+
+    ``frontier`` carries a search's commit state (a journal-restored
+    prefix, ``progress``, the journal); without one the coordinator
+    commits into a fresh frontier over ``ranked``/``threshold``.
     """
 
     def __init__(
@@ -525,38 +515,28 @@ class CoordinatorCore:
         settings: "TrainingSettings",
         convention: "CountingConvention",
         seed: int,
-        progress: Callable[["CandidateResult"], None] | None = None,
-        journal: "SearchJournal | None" = None,
         on_event: Callable[[SearchEvent], None] | None = None,
-        outcome: "SearchOutcome | None" = None,
-        start_index: int = 0,
+        frontier: SearchFrontier | None = None,
         cost_cache: "str | os.PathLike | None" = None,
     ) -> None:
-        from ..core.grid_search import SearchOutcome
         from .pool import ChunkCostModel
 
         if settings.runs < 1:
             raise SearchError(
                 f"settings.runs must be >= 1, got {settings.runs}"
             )
-        self.ranked = ranked
-        self.split = split
-        self.threshold = threshold
-        self.settings = settings
-        self.convention = convention
-        self.seed = seed
-        self.progress = progress
-        self.journal = journal
-        self.on_event = on_event
-        self.outcome = outcome or SearchOutcome(
-            threshold=threshold, winner=None
+        self.frontier = frontier or SearchFrontier(
+            ranked, threshold, convention, settings.runs
         )
+        self.ranked = self.frontier.ranked
+        self.convention = self.frontier.convention
+        self.split = split
+        self.settings = settings
+        self.seed = seed
+        self.on_event = on_event
         self.token = _new_owner_id()
         self.dataset_name = f"{self.token}.split"
-        # Commit bookkeeping (mirrors the pool scheduler's).
-        self.next_commit = start_index
-        self.ready: "dict[int, CandidateResult | RunError]" = {}
-        self.done: set[int] = set()
+        self.done: set[int] = set()  # chunks whose result was ingested
         self.attempts: dict[int, int] = {}  # cid -> submissions so far
         # Measured per-chunk cost feedback: agents report wall_time_s
         # with every result, so claim-grant packing (and, persisted,
@@ -610,7 +590,7 @@ class CoordinatorCore:
 
     def _next_attempt(self, cid: int, cause: str) -> int | None:
         """Account one more attempt for a lost chunk, or ``None`` when
-        the chunk already completed.  Raises :class:`_Exhausted` past
+        the chunk already completed.  Raises :class:`RetriesExhausted` past
         ``settings.max_retries``; the transport enqueues the returned
         attempt on its own medium."""
         if cid in self.done:
@@ -623,7 +603,7 @@ class CoordinatorCore:
                 f"{attempt - 1} time(s) (max_retries={max_retries})"
             )
             error.attempts = attempt - 1
-            raise _Exhausted(error, attempt - 1)
+            raise RetriesExhausted(error, attempt - 1)
         self.chunk_retries += 1
         self._emit(
             "retry",
@@ -664,17 +644,15 @@ class CoordinatorCore:
     # -- result ingest and commit ------------------------------------------
 
     def _ingest(self, result: SpoolResult) -> bool:
-        """Buffer one delivered result's verdict for in-order commit.
+        """Offer one delivered result's entries to the frontier.
 
         Returns ``False`` for a duplicate delivery (the chunk already
         completed under another attempt — first commit wins, later
-        copies are counted and dropped), ``True`` once the verdict is
-        buffered.  Raises :class:`TornFileError` when the result does
+        copies are counted and dropped), ``True`` once the entries are
+        offered.  Raises :class:`TornFileError` when the result does
         not cover exactly runs ``0..runs-1``; the transport quarantines
         and requeues.
         """
-        from ..core.grid_search import aggregate_runs
-
         runs = self.settings.runs
         cid = result.chunk_id
         if cid in self.done:
@@ -685,58 +663,20 @@ class CoordinatorCore:
                 cid,
             )
             return False
-        per_run: "dict[int, RunResult | RunError]" = {
-            entry.run: entry for entry in result.entries
-        }
-        if set(per_run) != set(range(runs)):
+        covered = {entry.run for entry in result.entries}
+        if covered != set(range(runs)):
             raise TornFileError(
                 f"result for candidate {cid} covers runs "
-                f"{sorted(per_run)}; expected 0..{runs - 1}"
-            )
-        failed = [
-            r for r in range(runs) if isinstance(per_run[r], RunError)
-        ]
-        verdict: "CandidateResult | RunError"
-        if failed:
-            entry = per_run[failed[0]]
-            verdict = RunError(
-                candidate_index=entry.candidate_index,
-                run=entry.run,
-                error=entry.error,
-                attempts=self.attempts.get(cid, 1),
-            )
-        else:
-            verdict = aggregate_runs(
-                self.ranked[cid],
-                self.convention,
-                [per_run[r] for r in range(runs)],
+                f"{sorted(covered)}; expected 0..{runs - 1}"
             )
         self.done.add(cid)
         self._observe_cost(result)
-        self.ready[cid] = verdict
+        attempts = self.attempts.get(cid, 1)
+        for entry in result.entries:
+            if isinstance(entry, RunError):
+                entry = replace(entry, attempts=attempts)
+            self.frontier.offer(entry)
         return True
-
-    def _commit_ready(self) -> bool:
-        """Commit buffered verdicts strictly in FLOPs order."""
-        while self.next_commit in self.ready:
-            committed = self.ready.pop(self.next_commit)
-            if isinstance(committed, RunError):
-                run_error = committed.error
-                try:
-                    run_error.attempts = committed.attempts
-                except Exception:  # pragma: no cover - exotic error type
-                    pass
-                raise run_error
-            self.outcome.evaluated.append(committed)
-            if self.journal is not None:
-                self.journal.append(self.next_commit, committed)
-            self.next_commit += 1
-            if self.progress is not None:
-                self.progress(committed)
-            if committed.passes(self.threshold):
-                self.outcome.winner = committed
-                return True
-        return self.next_commit >= len(self.ranked)
 
     # -- fallback ----------------------------------------------------------
 
@@ -748,25 +688,24 @@ class CoordinatorCore:
         self._emit(
             "sequential-fallback",
             f"{reason}; finishing the remaining "
-            f"{len(self.ranked) - self.next_commit} candidate(s) "
+            f"{len(self.ranked) - self.frontier.next_commit} candidate(s) "
             "in-process sequentially",
             attempts=attempts,
         )
         # Stop agents from burning cycles on chunks whose results
         # nobody will read.
         self._abort_outstanding()
-        return _finish_sequential(
-            self.ranked,
-            self.split,
-            self.threshold,
-            self.settings,
-            self.convention,
-            self.seed,
-            self.outcome,
-            self.next_commit,
-            self.ready,
-            journal=self.journal,
-            progress=self.progress,
+        return self.frontier.run_in_process(
+            self.split, self.settings, self.seed, self.on_event
+        )
+
+    def _exhausted(self, exhausted: RetriesExhausted) -> "SearchOutcome":
+        """Retry exhaustion: re-raise, or finish in-process."""
+        if not self.settings.fallback_sequential:
+            raise exhausted.error from None
+        return self._fallback(
+            f"retries exhausted ({exhausted.error})",
+            attempts=exhausted.attempts,
         )
 
     # -- stats -------------------------------------------------------------
@@ -775,7 +714,7 @@ class CoordinatorCore:
         """Instrumentation counters shared by every transport."""
         return {
             "token": self.token,
-            "committed": self.next_commit,
+            "committed": self.frontier.next_commit,
             "enqueued": len(self.attempts),
             "completed_chunks": len(self.done),
             "duplicate_results": self.duplicate_results,
@@ -806,11 +745,8 @@ class SpoolCoordinator(CoordinatorCore):
         convention: "CountingConvention",
         seed: int,
         config: "SpoolConfig | str | os.PathLike",
-        progress: Callable[["CandidateResult"], None] | None = None,
-        journal: "SearchJournal | None" = None,
         on_event: Callable[[SearchEvent], None] | None = None,
-        outcome: "SearchOutcome | None" = None,
-        start_index: int = 0,
+        frontier: SearchFrontier | None = None,
     ) -> None:
         self.cfg = (
             config
@@ -824,11 +760,8 @@ class SpoolCoordinator(CoordinatorCore):
             settings,
             convention,
             seed,
-            progress=progress,
-            journal=journal,
             on_event=on_event,
-            outcome=outcome,
-            start_index=start_index,
+            frontier=frontier,
             cost_cache=self.cfg.cost_cache,
         )
         self.root = pathlib.Path(self.cfg.path)
@@ -942,8 +875,9 @@ class SpoolCoordinator(CoordinatorCore):
 
     def _top_up(self, live_agents: int) -> None:
         window = max(2, _SPECULATION_PER_AGENT * live_agents)
-        limit = min(len(self.ranked), self.next_commit + window)
-        for cid in range(self.next_commit, limit):
+        start = self.frontier.next_commit
+        limit = min(len(self.ranked), start + window)
+        for cid in range(start, limit):
             if cid not in self.attempts and cid not in self.done:
                 self._enqueue(cid, 1)
 
@@ -1095,7 +1029,7 @@ class SpoolCoordinator(CoordinatorCore):
                 self._requeue(cid, "its result file failed validation")
                 continue
             self.io.unlink(path)
-        return self._commit_ready()
+        return self.frontier.commit()
 
     # -- fallback ----------------------------------------------------------
 
@@ -1108,17 +1042,17 @@ class SpoolCoordinator(CoordinatorCore):
     # -- main loop ---------------------------------------------------------
 
     def _loop(self) -> "SearchOutcome":
-        if self.next_commit >= len(self.ranked):
-            return self.outcome
+        if self.frontier.finished:
+            return self.frontier.outcome
         no_agent_since: float | None = None
         try:
             while True:
                 live = self._observe_agents()
                 self._top_up(len(live))
                 self._check_leases(live)
-                before = (self.next_commit, len(self.done))
+                before = (self.frontier.next_commit, len(self.done))
                 if self._ingest_results():
-                    return self.outcome
+                    return self.frontier.outcome
                 if live:
                     no_agent_since = None
                 else:
@@ -1134,30 +1068,19 @@ class SpoolCoordinator(CoordinatorCore):
                         return self._fallback(
                             "no live agent is serving the spool"
                         )
-                if (self.next_commit, len(self.done)) == before:
+                if (self.frontier.next_commit, len(self.done)) == before:
                     time.sleep(self.cfg.poll_interval_s)
-        except _Exhausted as exhausted:
-            if not self.settings.fallback_sequential:
-                raise exhausted.error from None
-            return self._fallback(
-                f"retries exhausted ({exhausted.error})",
-                attempts=exhausted.attempts,
-            )
+        except RetriesExhausted as exhausted:
+            return self._exhausted(exhausted)
 
 
 def cluster_search(
-    ranked: Sequence["ModelSpec"],
+    frontier: SearchFrontier,
     split: "DataSplit",
-    threshold: float,
     settings: "TrainingSettings",
-    convention: "CountingConvention",
     seed: int,
     spool: "SpoolConfig | str | os.PathLike",
-    progress: Callable[["CandidateResult"], None] | None = None,
-    journal: "SearchJournal | None" = None,
     on_event: Callable[[SearchEvent], None] | None = None,
-    outcome: "SearchOutcome | None" = None,
-    start_index: int = 0,
 ) -> "SearchOutcome":
     """Run a spool-sharded search (see module docstring for the protocol).
 
@@ -1167,18 +1090,15 @@ def cluster_search(
     started separately (``repro cluster-agent --spool DIR``).
     """
     return SpoolCoordinator(
-        ranked,
+        frontier.ranked,
         split,
-        threshold,
+        frontier.threshold,
         settings,
-        convention,
+        frontier.convention,
         seed,
         spool,
-        progress=progress,
-        journal=journal,
         on_event=on_event,
-        outcome=outcome,
-        start_index=start_index,
+        frontier=frontier,
     ).run()
 
 
@@ -1269,11 +1189,7 @@ def run_agent(
     spool concurrently; the atomic-rename claim makes every chunk
     execute under exactly one live lease.
     """
-    from ..quantum.engine import (
-        compile_cache_info,
-        disable_compile_cache,
-        enable_compile_cache,
-    )
+    from ..quantum.engine import compile_cache_scope
 
     root = pathlib.Path(spool_dir)
     for sub in _DIRS:
@@ -1286,32 +1202,33 @@ def run_agent(
         root / _AGENT_DIR / f"{agent_id}.agent", heartbeat_s
     )
     heartbeat.start()
-    had_cache = compile_cache_info()["enabled"]
-    if not had_cache:
-        enable_compile_cache()
     logger.info("cluster agent %s serving spool %s", agent_id, root)
     last_work = time.monotonic()
     try:
-        while True:
-            if (root / _STOP_FILE).exists():
-                break
-            if max_chunks is not None and stats.chunks_done >= max_chunks:
-                break
-            claim = _claim_next(root, agent_id, io, stats)
-            if claim is None:
+        with compile_cache_scope():
+            while True:
+                if (root / _STOP_FILE).exists():
+                    break
                 if (
-                    idle_timeout_s is not None
-                    and time.monotonic() - last_work > idle_timeout_s
+                    max_chunks is not None
+                    and stats.chunks_done >= max_chunks
                 ):
                     break
-                time.sleep(poll_interval_s)
-                continue
-            _serve_chunk(root, claim, agent_id, io, splits, heartbeat, stats)
-            last_work = time.monotonic()
+                claim = _claim_next(root, agent_id, io, stats)
+                if claim is None:
+                    if (
+                        idle_timeout_s is not None
+                        and time.monotonic() - last_work > idle_timeout_s
+                    ):
+                        break
+                    time.sleep(poll_interval_s)
+                    continue
+                _serve_chunk(
+                    root, claim, agent_id, io, splits, heartbeat, stats
+                )
+                last_work = time.monotonic()
     finally:
         heartbeat.stop()
-        if not had_cache:
-            disable_compile_cache()
         logger.info("cluster agent %s exiting: %s", agent_id, stats)
     return stats
 
@@ -1423,8 +1340,12 @@ def _serve_chunk(
 
     started = time.perf_counter()
     try:
-        entries, _fallback, _degrades = _chunk_entries(
-            chunk, split, lease_lost
+        entries, _fallback, _degrades = chunk_entries(
+            chunk.jobs,
+            split,
+            chunk.settings,
+            vectorized=chunk.vectorized,
+            cancel_check=lease_lost,
         )
         result = SpoolResult(
             chunk_id=chunk.chunk_id,

@@ -62,12 +62,13 @@ medium:
 
 * losing **every** agent degrades gracefully: after ``agent_grace_s``
   with no live connection the coordinator finishes the remaining
-  candidates in-process through the same sequential primitive every
-  other execution path falls back to.
+  candidates through the in-process executor every other execution
+  path falls back to.
 
-All of the correctness machinery — strict-order commit, attempt
-bounding, duplicate arbitration, run-coverage validation, measured-cost
-feedback, the sequential floor — is inherited unchanged from
+All of the correctness machinery — strict-order commit (the shared
+:class:`~repro.runtime.frontier.SearchFrontier`), attempt bounding,
+duplicate arbitration, run-coverage validation, measured-cost feedback,
+the in-process floor — is inherited unchanged from
 :class:`~repro.runtime.cluster.CoordinatorCore`, which is why a
 TCP-sharded :class:`~repro.core.grid_search.SearchOutcome` is
 bit-identical to a spool-sharded or sequential one under any failure
@@ -107,26 +108,20 @@ from .cluster import (
     SpoolChunk,
     SpoolResult,
     TornFileError,
-    _Exhausted,
     _frame,
     _FRAME_VERSION,
     _HEADER,
     _MAGIC,
     _new_owner_id,
 )
-from .parallel import SearchEvent
-from .pool import _chunk_entries
+from .frontier import RetriesExhausted, SearchEvent, SearchFrontier
+from .jobs import chunk_entries
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.grid_search import (
-        CandidateResult,
-        SearchOutcome,
-        TrainingSettings,
-    )
+    from ..core.grid_search import SearchOutcome, TrainingSettings
     from ..core.search_space import ModelSpec
     from ..data.splits import DataSplit
     from ..flops.conventions import CountingConvention
-    from .journal import SearchJournal
 
 __all__ = [
     "TcpConfig",
@@ -354,11 +349,8 @@ class TcpCoordinator(CoordinatorCore):
         convention: "CountingConvention",
         seed: int,
         config: "TcpConfig | str",
-        progress: Callable[["CandidateResult"], None] | None = None,
-        journal: "SearchJournal | None" = None,
         on_event: Callable[[SearchEvent], None] | None = None,
-        outcome: "SearchOutcome | None" = None,
-        start_index: int = 0,
+        frontier: SearchFrontier | None = None,
     ) -> None:
         self.cfg = (
             config if isinstance(config, TcpConfig) else TcpConfig(config)
@@ -370,17 +362,14 @@ class TcpCoordinator(CoordinatorCore):
             settings,
             convention,
             seed,
-            progress=progress,
-            journal=journal,
             on_event=on_event,
-            outcome=outcome,
-            start_index=start_index,
+            frontier=frontier,
             cost_cache=self.cfg.cost_cache,
         )
         self.host, self.port = _parse_address(self.cfg.address)
         self.address = self.cfg.address
         # Static FLOPs per candidate, for cost-model claim packing.
-        self._costs = [spec.flops(convention) for spec in ranked]
+        self._costs = [spec.flops(self.convention) for spec in self.ranked]
         # Shared state between the caller thread and connection-handler
         # threads, all guarded by one lock: the unclaimed work queue,
         # the lease table, per-agent last-frame times, open connections
@@ -617,9 +606,10 @@ class TcpCoordinator(CoordinatorCore):
         from .cluster import _SPECULATION_PER_AGENT
 
         window = max(2, _SPECULATION_PER_AGENT * live_agents)
-        limit = min(len(self.ranked), self.next_commit + window)
+        start = self.frontier.next_commit
+        limit = min(len(self.ranked), start + window)
         with self._lock:
-            for cid in range(self.next_commit, limit):
+            for cid in range(start, limit):
                 if cid not in self.attempts and cid not in self.done:
                     self.attempts[cid] = 1
                     self._pending.append((cid, 1))
@@ -709,7 +699,7 @@ class TcpCoordinator(CoordinatorCore):
                 for cid, attempt in self._pending
                 if cid not in self.done
             ]
-        return self._commit_ready()
+        return self.frontier.commit()
 
     def _abort_outstanding(self) -> None:
         """Withdraw ungranted work; later claims are answered ``idle``."""
@@ -718,8 +708,8 @@ class TcpCoordinator(CoordinatorCore):
             self._pending.clear()
 
     def _loop(self) -> "SearchOutcome":
-        if self.next_commit >= len(self.ranked):
-            return self.outcome
+        if self.frontier.finished:
+            return self.frontier.outcome
         no_agent_since: float | None = None
         try:
             while True:
@@ -727,9 +717,9 @@ class TcpCoordinator(CoordinatorCore):
                 self._expire_leases()
                 live = self._live_agents()
                 self._top_up(len(live))
-                before = (self.next_commit, len(self.done))
+                before = (self.frontier.next_commit, len(self.done))
                 if self._drain_results():
-                    return self.outcome
+                    return self.frontier.outcome
                 if live:
                     no_agent_since = None
                 else:
@@ -745,30 +735,19 @@ class TcpCoordinator(CoordinatorCore):
                         return self._fallback(
                             "no live agent is connected"
                         )
-                if (self.next_commit, len(self.done)) == before:
+                if (self.frontier.next_commit, len(self.done)) == before:
                     time.sleep(self.cfg.poll_interval_s)
-        except _Exhausted as exhausted:
-            if not self.settings.fallback_sequential:
-                raise exhausted.error from None
-            return self._fallback(
-                f"retries exhausted ({exhausted.error})",
-                attempts=exhausted.attempts,
-            )
+        except RetriesExhausted as exhausted:
+            return self._exhausted(exhausted)
 
 
 def tcp_cluster_search(
-    ranked: Sequence["ModelSpec"],
+    frontier: SearchFrontier,
     split: "DataSplit",
-    threshold: float,
     settings: "TrainingSettings",
-    convention: "CountingConvention",
     seed: int,
     connect: "TcpConfig | str",
-    progress: Callable[["CandidateResult"], None] | None = None,
-    journal: "SearchJournal | None" = None,
     on_event: Callable[[SearchEvent], None] | None = None,
-    outcome: "SearchOutcome | None" = None,
-    start_index: int = 0,
 ) -> "SearchOutcome":
     """Run a TCP-sharded search (see module docstring for the protocol).
 
@@ -777,18 +756,15 @@ def tcp_cluster_search(
     started separately (``repro cluster-agent --connect HOST:PORT``).
     """
     return TcpCoordinator(
-        ranked,
+        frontier.ranked,
         split,
-        threshold,
+        frontier.threshold,
         settings,
-        convention,
+        frontier.convention,
         seed,
         connect,
-        progress=progress,
-        journal=journal,
         on_event=on_event,
-        outcome=outcome,
-        start_index=start_index,
+        frontier=frontier,
     ).run()
 
 
@@ -885,91 +861,83 @@ def run_tcp_agent(
     points at a spool-style ``faults/`` token directory for the
     deterministic TCP fault plans (tests only).
     """
-    from ..quantum.engine import (
-        compile_cache_info,
-        disable_compile_cache,
-        enable_compile_cache,
-    )
+    from ..quantum.engine import compile_cache_scope
 
     host, port = _parse_address(address)
     agent_id = _new_owner_id()
     stats = AgentStats(agent_id=agent_id)
     halt = stop if stop is not None else threading.Event()
     backoff = Backoff(base_s=0.05, cap_s=TCP_RECONNECT_CAP_S, rng=rng)
-    had_cache = compile_cache_info()["enabled"]
-    if not had_cache:
-        enable_compile_cache()
     logger.info("cluster agent %s dialing %s:%d", agent_id, host, port)
     last_work = [time.monotonic()]
     last_connected = time.monotonic()
     connected_before = False
-    try:
-        while not halt.is_set():
-            if max_chunks is not None and stats.chunks_done >= max_chunks:
-                break
-            if (
-                idle_timeout_s is not None
-                and time.monotonic() - last_work[0] > idle_timeout_s
-            ):
-                break
-            try:
-                conn = socket.create_connection(
-                    (host, port), timeout=frame_timeout_s
-                )
-            except OSError:
-                if (
-                    time.monotonic() - last_connected
-                    > reconnect_timeout_s
-                ):
-                    logger.info(
-                        "agent %s giving up: no coordinator at %s:%d "
-                        "for %.1fs",
-                        agent_id,
-                        host,
-                        port,
-                        reconnect_timeout_s,
-                    )
+    with compile_cache_scope():
+        try:
+            while not halt.is_set():
+                if max_chunks is not None and stats.chunks_done >= max_chunks:
                     break
+                if (
+                    idle_timeout_s is not None
+                    and time.monotonic() - last_work[0] > idle_timeout_s
+                ):
+                    break
+                try:
+                    conn = socket.create_connection(
+                        (host, port), timeout=frame_timeout_s
+                    )
+                except OSError:
+                    if (
+                        time.monotonic() - last_connected
+                        > reconnect_timeout_s
+                    ):
+                        logger.info(
+                            "agent %s giving up: no coordinator at %s:%d "
+                            "for %.1fs",
+                            agent_id,
+                            host,
+                            port,
+                            reconnect_timeout_s,
+                        )
+                        break
+                    if connected_before:
+                        stats.reconnects += 1
+                    halt.wait(backoff.next_delay())
+                    continue
                 if connected_before:
                     stats.reconnects += 1
-                halt.wait(backoff.next_delay())
-                continue
-            if connected_before:
-                stats.reconnects += 1
-            connected_before = True
-            backoff.reset()
-            try:
-                _serve_connection(
-                    conn,
-                    agent_id,
-                    stats,
-                    poll_interval_s=poll_interval_s,
-                    heartbeat_s=heartbeat_s,
-                    frame_timeout_s=frame_timeout_s,
-                    idle_timeout_s=idle_timeout_s,
-                    max_chunks=max_chunks,
-                    fault_dir=fault_dir,
-                    halt=halt,
-                    last_work=last_work,
-                )
-            except _ExitServeLoop:
-                break
-            except (ConnectionDead, TornFileError, OSError) as error:
-                logger.info(
-                    "agent %s lost its connection (%s); redialing",
-                    agent_id,
-                    error,
-                )
-            finally:
+                connected_before = True
+                backoff.reset()
                 try:
-                    conn.close()
-                except OSError:  # pragma: no cover - already closed
-                    pass
-            last_connected = time.monotonic()
-    finally:
-        if not had_cache:
-            disable_compile_cache()
-        logger.info("cluster agent %s exiting: %s", agent_id, stats)
+                    _serve_connection(
+                        conn,
+                        agent_id,
+                        stats,
+                        poll_interval_s=poll_interval_s,
+                        heartbeat_s=heartbeat_s,
+                        frame_timeout_s=frame_timeout_s,
+                        idle_timeout_s=idle_timeout_s,
+                        max_chunks=max_chunks,
+                        fault_dir=fault_dir,
+                        halt=halt,
+                        last_work=last_work,
+                    )
+                except _ExitServeLoop:
+                    break
+                except (ConnectionDead, TornFileError, OSError) as error:
+                    logger.info(
+                        "agent %s lost its connection (%s); redialing",
+                        agent_id,
+                        error,
+                    )
+                finally:
+                    try:
+                        conn.close()
+                    except OSError:  # pragma: no cover - already closed
+                        pass
+                last_connected = time.monotonic()
+        finally:
+            logger.info("cluster agent %s exiting: %s", agent_id, stats)
     return stats
 
 
@@ -1072,8 +1040,12 @@ def _serve_connection(
                     stall_mid_frame_s = plan.delay_s
             started = time.perf_counter()
             try:
-                entries, _fallback, _degrades = _chunk_entries(
-                    chunk, split, cancelled
+                entries, _fallback, _degrades = chunk_entries(
+                    chunk.jobs,
+                    split,
+                    chunk.settings,
+                    vectorized=chunk.vectorized,
+                    cancel_check=cancelled,
                 )
             except TrainingCancelled:
                 stats.cancelled += 1

@@ -9,11 +9,12 @@ never behind the in-memory outcome by more than the record being
 written.
 
 Records are keyed by :func:`search_key`, a hash over everything that
-determines the result stream: the ranked candidate list, the threshold,
-the base seed, the counting convention and the result-affecting training
-settings.  Runs derive their RNG streams from ``(seed, candidate_index,
-run)``, so a candidate's journaled result is bit-identical to what a
-rerun would recompute — resuming skips completed candidates and the
+determines the result stream: the ranked candidate list, the dataset
+split, the threshold, the base seed, the counting convention, the
+result-affecting training settings and the resolved array backend.
+Runs derive their RNG streams from ``(seed, candidate_index, run)``,
+so a candidate's journaled result is bit-identical to what a rerun
+would recompute — resuming skips completed candidates and the
 final :class:`~repro.core.grid_search.SearchOutcome` is indistinguishable
 from an uninterrupted run's.  Records whose key does not match are
 ignored, so pointing a changed configuration at an old journal can never
@@ -41,9 +42,14 @@ import os
 import pathlib
 from typing import TYPE_CHECKING, Sequence
 
+import numpy as np
+
+from ..backends import resolve_backend
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.grid_search import CandidateResult, TrainingSettings
     from ..core.search_space import ModelSpec
+    from ..data.splits import DataSplit
     from ..flops.conventions import CountingConvention
 
 __all__ = ["SearchJournal", "search_key", "JOURNAL_VERSION"]
@@ -53,8 +59,13 @@ JOURNAL_VERSION = 1
 logger = logging.getLogger("repro.runtime")
 
 
+#: The split arrays a search trains and validates on.
+_SPLIT_ARRAYS = ("x_train", "y_train", "x_val", "y_val")
+
+
 def search_key(
     ranked: Sequence["ModelSpec"],
+    split: "DataSplit",
     threshold: float,
     settings: "TrainingSettings",
     convention: "CountingConvention",
@@ -62,21 +73,37 @@ def search_key(
 ) -> str:
     """Hash of everything that determines a search's result stream.
 
-    Only result-affecting settings participate: execution knobs
+    Covers the split's arrays (shape, dtype and bytes) and the name of
+    the *resolved* array backend — only NumPy is bit-exact, so a journal
+    written on one backend must not resume on another.  Of the
+    settings, only result-affecting ones participate: execution knobs
     (workers, vectorization, stacking, retry policy) change wall time,
-    never results, so a journal written under one execution mode resumes
-    under any other.
+    never results, so a journal written under one execution mode
+    resumes under any other.
     """
     from ..core.results import spec_to_dict
 
+    data = []
+    for name in _SPLIT_ARRAYS:
+        array = np.ascontiguousarray(getattr(split, name))
+        data.append(
+            [
+                name,
+                list(array.shape),
+                array.dtype.str,
+                hashlib.sha256(array.tobytes()).hexdigest(),
+            ]
+        )
     payload = {
         "specs": [
             {"class": type(spec).__name__, **spec_to_dict(spec)}
             for spec in ranked
         ],
+        "data": data,
         "threshold": threshold,
         "seed": seed,
         "convention": convention.name,
+        "backend": resolve_backend(settings.backend)[0].name,
         "settings": {
             "epochs": settings.epochs,
             "batch_size": settings.batch_size,

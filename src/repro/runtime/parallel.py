@@ -52,12 +52,12 @@ run)`` — so a lost chunk can simply be executed again:
 
 * retry exhaustion degrades gracefully: with
   ``settings.fallback_sequential`` (the default) the remaining
-  candidates are trained in-process by the exact sequential primitive,
-  so the sweep completes — identically — instead of dying;
+  candidates are trained by the in-process executor
+  (:meth:`~repro.runtime.frontier.SearchFrontier.run_in_process`, with
+  grouping and the OOM ladder), so the sweep completes — identically —
+  instead of dying;
 
-* every committed candidate can be appended to a
-  :class:`~repro.runtime.journal.SearchJournal` for checkpoint/resume,
-  and every supervision decision is surfaced as a :class:`SearchEvent`
+* every supervision decision is surfaced as a :class:`SearchEvent`
   through ``on_event`` (and the ``repro.runtime`` logger).
 
 Execution runs on a :class:`repro.runtime.pool.PersistentPool`.  Pass
@@ -68,9 +68,10 @@ datasets across many searches — the protocol drivers do this — or let
 The reported :class:`~repro.core.grid_search.SearchOutcome` — winner,
 evaluated list, per-run accuracies, progress-callback sequence — is
 identical to ``workers=1`` regardless of completion order, chunking,
-packing, retries, or a mid-search fallback.  Every worker runs
-:func:`repro.runtime.jobs.execute_job`, the same primitive the
-sequential path uses.
+packing, retries, or a mid-search fallback: commits go through the
+same :class:`~repro.runtime.frontier.SearchFrontier` as ``workers=1``,
+and every worker runs the same OOM ladder
+(:func:`repro.runtime.jobs.chunk_entries`) as the in-process executor.
 """
 
 from __future__ import annotations
@@ -86,19 +87,13 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from ..exceptions import SearchError
 from .backoff import Backoff
-from .jobs import RunResult, execute_runs
-from .pool import ChunkResult, JobChunk, PersistentPool, RunError, make_chunks
+from .frontier import RetriesExhausted, SearchEvent, SearchFrontier
+from .jobs import RunError
+from .pool import ChunkResult, JobChunk, PersistentPool, make_chunks
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.grid_search import (
-        CandidateResult,
-        SearchOutcome,
-        TrainingSettings,
-    )
-    from ..core.search_space import ModelSpec
+    from ..core.grid_search import SearchOutcome, TrainingSettings
     from ..data.splits import DataSplit
-    from ..flops.conventions import CountingConvention
-    from .journal import SearchJournal
 
 __all__ = [
     "resolve_workers",
@@ -129,50 +124,6 @@ _WATCHDOG_INTERVAL_S = 10.0
 _HARD_DEADLINE_FACTOR = 2.0
 
 
-@dataclass(frozen=True)
-class SearchEvent:
-    """A structured supervision event, delivered to ``on_event``.
-
-    ``kind`` is one of ``"worker-lost"``, ``"retry"``,
-    ``"chunk-overdue"``, ``"chunk-timeout"``, ``"sequential-fallback"``,
-    ``"backend-fallback"`` (a requested array backend was unimportable
-    and the search fell back to NumPy; emitted once per search),
-    ``"group-resize"`` (the memory budget grew a stacked group past the
-    fixed cap or refused a merge), or ``"memory-degrade"`` (an
-    out-of-memory failure walked the recovery ladder — results are
-    unchanged, only the execution shape degraded).  The cluster
-    coordinator (:mod:`repro.runtime.cluster`) adds ``"lease-expired"``
-    (a chunk was reclaimed from a dead or partitioned agent),
-    ``"torn-file"`` (a spool file or socket frame failed validation),
-    and ``"no-agents"`` (no live agent served the cluster within the
-    grace period); the TCP coordinator
-    (:mod:`repro.runtime.cluster_tcp`) adds ``"conn-lost"`` (an agent
-    connection dropped and its leased chunks were requeued).
-    ``candidates`` lists the affected candidate indices (rank order);
-    ``attempts`` is the highest submission count among the affected
-    chunks at the time of the event.  ``str(event)`` is the human
-    message, so string-based progress sinks can display events
-    directly.
-    """
-
-    kind: str
-    message: str
-    candidates: tuple[int, ...] = ()
-    attempts: int = 0
-
-    def __str__(self) -> str:
-        return self.message
-
-
-class _RetryExhausted(Exception):
-    """Internal: a chunk ran out of attempts; carries the would-be error."""
-
-    def __init__(self, error: Exception, attempts: int) -> None:
-        super().__init__(str(error))
-        self.error = error
-        self.attempts = attempts
-
-
 @dataclass
 class _Flight:
     """One outstanding chunk: identity, provenance, and retry state."""
@@ -196,95 +147,16 @@ def resolve_workers(workers: int | None) -> int:
     return workers
 
 
-def _finish_sequential(
-    ranked: Sequence["ModelSpec"],
-    split: "DataSplit",
-    threshold: float,
-    settings: "TrainingSettings",
-    convention: "CountingConvention",
-    seed: int,
-    outcome: "SearchOutcome",
-    start: int,
-    ready: "dict[int, CandidateResult | RunError]",
-    journal: "SearchJournal | None" = None,
-    progress: Callable[["CandidateResult"], None] | None = None,
-) -> "SearchOutcome":
-    """Finish a sweep in-process from the commit frontier.
-
-    Runs the exact sequential primitive (``execute_runs``) from rank
-    ``start``, reusing verdicts already buffered in ``ready``; results
-    are bit-identical to what distributed execution would have
-    produced.  This is the shared graceful-degradation floor: the pool
-    scheduler lands here after retry exhaustion, the spool coordinator
-    after losing every agent.  The same compiled-tape cache dance as
-    the sequential path in :func:`repro.core.grid_search.grid_search`.
-    """
-    from ..core.grid_search import aggregate_runs
-    from ..quantum.engine import (
-        compile_cache_info,
-        disable_compile_cache,
-        enable_compile_cache,
-    )
-
-    had_cache = compile_cache_info()["enabled"]
-    if not had_cache:
-        enable_compile_cache()
-    try:
-        index = start
-        while index < len(ranked):
-            verdict = ready.get(index)
-            if verdict is None:
-                verdict = aggregate_runs(
-                    ranked[index],
-                    convention,
-                    execute_runs(
-                        ranked[index],
-                        seed,
-                        index,
-                        range(settings.runs),
-                        split,
-                        settings,
-                        vectorized=settings.vectorized_runs,
-                    ),
-                )
-            if isinstance(verdict, RunError):
-                run_error = verdict.error
-                try:
-                    run_error.attempts = verdict.attempts
-                except Exception:  # pragma: no cover
-                    pass
-                raise run_error
-            outcome.evaluated.append(verdict)
-            if journal is not None:
-                journal.append(index, verdict)
-            if progress is not None:
-                progress(verdict)
-            if verdict.passes(threshold):
-                outcome.winner = verdict
-                return outcome
-            index += 1
-        return outcome
-    finally:
-        if not had_cache:
-            disable_compile_cache()
-
-
 def speculative_search(
-    ranked: Sequence["ModelSpec"],
+    frontier: SearchFrontier,
     split: "DataSplit",
-    threshold: float,
     settings: "TrainingSettings",
-    convention: "CountingConvention",
     seed: int,
     workers: int,
-    progress: Callable[["CandidateResult"], None] | None = None,
     pool: PersistentPool | None = None,
-    journal: "SearchJournal | None" = None,
     on_event: Callable[[SearchEvent], None] | None = None,
-    outcome: "SearchOutcome | None" = None,
-    start_index: int = 0,
 ) -> "SearchOutcome":
-    """Parallel grid search over an already-FLOPs-ranked candidate list.
+    """Parallel grid search from ``frontier``'s commit position.
 
     Returns a :class:`SearchOutcome` equal to the sequential search's —
     same winner, same ``evaluated`` list (same order, same per-run
@@ -292,41 +164,32 @@ def speculative_search(
     ``wall_time_s`` values differ (they measure actual run time).  A
     training error, too, surfaces exactly when the sequential path would
     hit it: at its candidate's commit turn, and never if a cheaper
-    candidate passes first.
+    candidate passes first.  Commit, journaling and progress belong to
+    the :class:`~repro.runtime.frontier.SearchFrontier`; this scheduler
+    only decides what trains where.
 
     ``pool``: a :class:`~repro.runtime.pool.PersistentPool` to run on.
     When omitted, an ephemeral pool is created and torn down with the
     search (the pre-persistent-pool behaviour); when given, the pool's
     worker count wins over ``workers``, the dataset is published to
     shared memory at most once per pool, and the search leaves the pool
-    warm for the caller's next search.
-
-    ``journal``: a :class:`~repro.runtime.journal.SearchJournal` to
-    append each committed candidate to.  ``outcome``/``start_index``
-    carry a journal-restored prefix: ``outcome`` already holds the
-    replayed candidates and the scheduler starts committing at rank
-    ``start_index``.  ``on_event`` receives a :class:`SearchEvent` for
-    every supervision decision (retry, timeout, fallback).
+    warm for the caller's next search.  ``on_event`` receives a
+    :class:`SearchEvent` for every supervision decision (retry,
+    timeout, fallback).
     """
-    from ..core.grid_search import (
-        MAX_ADAPTIVE_GROUP,
-        MAX_GROUP_CANDIDATES,
-        SearchOutcome,
-        aggregate_runs,
-    )
+    from ..core.grid_search import MAX_ADAPTIVE_GROUP, MAX_GROUP_CANDIDATES
     from .memory import estimate_candidate_bytes, resolve_memory_budget
 
     if settings.runs < 1:
         raise SearchError(f"settings.runs must be >= 1, got {settings.runs}")
+    if frontier.finished:
+        return frontier.outcome
     owns_pool = pool is None
     if owns_pool:
         pool = PersistentPool(workers)
     else:
         workers = pool.workers
-    if outcome is None:
-        outcome = SearchOutcome(threshold=threshold, winner=None)
-    if start_index >= len(ranked):
-        return outcome
+    ranked = frontier.ranked
     runs = settings.runs
     max_retries = settings.max_retries
     watchdog_s = (
@@ -344,9 +207,7 @@ def speculative_search(
     # its chunk was grouped, and commits stay in FLOPs order.  Stacking
     # makes single-run candidates worth vectorizing too (the group
     # supplies the slices a lone run lacks).
-    stacking = settings.vectorized_runs and getattr(
-        settings, "stacked_candidates", True
-    )
+    stacking = settings.vectorized_runs and settings.stacked_candidates
     vectorized = settings.vectorized_runs and (runs > 1 or stacking)
     group_keys = (
         [spec.group_key() for spec in ranked] if stacking else None
@@ -380,13 +241,13 @@ def speculative_search(
     #: times refine it through the pool's ChunkCostModel (an EWMA per
     #: candidate label), so later searches on a persistent pool pack by
     #: observed seconds rather than raw FLOPs.
-    costs = [spec.flops(convention) for spec in ranked]
+    costs = [spec.flops(frontier.convention) for spec in ranked]
     cost_model = pool.cost_model
     # Memory governance: groups and the in-flight window are sized
     # against this budget.  Sizing never affects results (commits stay
     # in FLOPs order and every execution shape is bit-identical), so
     # the budget only shapes concurrency and group width.
-    budget = resolve_memory_budget(getattr(settings, "memory_budget", None))
+    budget = resolve_memory_budget(settings.memory_budget)
     group_cap = (
         MAX_ADAPTIVE_GROUP
         if budget.active and budget.explicit
@@ -419,11 +280,7 @@ def speculative_search(
     generation = pool.new_generation()
     handle = pool.acquire_split(split)
 
-    # per-candidate buffered results: run -> RunResult | RunError
-    pending_runs: dict[int, dict[int, RunResult | RunError]] = {}
-    ready: dict[int, "CandidateResult | RunError"] = {}
-    next_commit = start_index
-    next_unqueued = start_index  # next candidate not yet made submittable
+    next_unqueued = frontier.next_commit  # next candidate not yet queued
     # Submittable chunks as (candidate_index, first_run, chunk).  The
     # most expensive one is picked at *submit* time — estimates must be
     # priced when the slot frees, not when the chunk was queued, or the
@@ -603,7 +460,7 @@ def speculative_search(
 
     def top_up() -> None:
         nonlocal next_unqueued
-        limit = min(len(ranked), next_commit + lookahead)
+        limit = min(len(ranked), frontier.next_commit + lookahead)
         while next_unqueued < limit:
             index = next_unqueued
             chunks = make_chunks(
@@ -667,7 +524,7 @@ def speculative_search(
                     f"(max_retries={max_retries})"
                 )
                 error.attempts = flight.attempts - 1
-                raise _RetryExhausted(error, flight.attempts - 1)
+                raise RetriesExhausted(error, flight.attempts - 1)
 
     def resubmit_outstanding() -> None:
         """Move the whole search to a fresh generation and resubmit.
@@ -777,7 +634,7 @@ def speculative_search(
                 error.attempts = flight.attempts - 1
             except Exception:  # pragma: no cover - exotic exception type
                 pass
-            raise _RetryExhausted(error, flight.attempts - 1)
+            raise RetriesExhausted(error, flight.attempts - 1)
         pool.chunk_retries += 1
         delay = retry_backoff.next_delay()
         pool.retry_backoff_s += delay
@@ -894,88 +751,31 @@ def speculative_search(
                         candidates=sorted(counted),
                     )
                 for entry in result.entries:
-                    per_run = pending_runs.setdefault(
-                        entry.candidate_index, {}
-                    )
                     if (
                         isinstance(entry, RunError)
                         and entry.attempts != flight.attempts
                     ):
                         entry = replace(entry, attempts=flight.attempts)
-                    per_run[entry.run] = entry
-                    if len(per_run) < runs:
-                        continue
-                    index = entry.candidate_index
-                    del pending_runs[index]
-                    # Surface the lowest-run error (the one the
-                    # sequential loop would hit first), else aggregate
-                    # normally.
-                    verdict: "CandidateResult | RunError"
-                    failed = [
-                        r
-                        for r in range(runs)
-                        if isinstance(per_run[r], RunError)
-                    ]
-                    if failed:
-                        verdict = per_run[failed[0]]
-                    else:
-                        verdict = aggregate_runs(
-                            ranked[index],
-                            convention,
-                            [per_run[r] for r in range(runs)],
-                        )
-                    ready[index] = verdict
-                # Commit strictly in FLOPs order; verdicts (and errors)
-                # of speculative higher-FLOPs candidates wait until
-                # their turn and are discarded wholesale if a cheaper
-                # candidate passes first.
-                while next_commit in ready:
-                    committed = ready.pop(next_commit)
-                    if isinstance(committed, RunError):
-                        run_error = committed.error
-                        try:
-                            run_error.attempts = committed.attempts
-                        except Exception:  # pragma: no cover
-                            pass
-                        raise run_error
-                    outcome.evaluated.append(committed)
-                    if journal is not None:
-                        journal.append(next_commit, committed)
-                    next_commit += 1
-                    if progress is not None:
-                        progress(committed)
-                    if committed.passes(threshold):
-                        outcome.winner = committed
-                        return outcome
+                    frontier.offer(entry)
+                if frontier.commit():
+                    return frontier.outcome
                 top_up()
-            return outcome
-        except _RetryExhausted as exhausted:
+            return frontier.outcome
+        except RetriesExhausted as exhausted:
             if not settings.fallback_sequential:
                 raise exhausted.error from None
             pool.sequential_fallbacks += 1
             emit(
                 "sequential-fallback",
                 f"retries exhausted ({exhausted.error}); finishing the "
-                f"remaining {len(ranked) - next_commit} candidate(s) "
-                "in-process sequentially",
+                f"remaining {len(ranked) - frontier.next_commit} "
+                "candidate(s) in-process sequentially",
                 attempts=exhausted.attempts,
             )
             # Stop burning workers on doomed chunks before training
             # in-process.
             pool.cancel(generation)
-            return _finish_sequential(
-                ranked,
-                split,
-                threshold,
-                settings,
-                convention,
-                seed,
-                outcome,
-                next_commit,
-                ready,
-                journal=journal,
-                progress=progress,
-            )
+            return frontier.run_in_process(split, settings, seed, on_event)
     finally:
         # End this search's generation: still-queued speculative chunks
         # no-op, running trainings abort at the next epoch boundary.

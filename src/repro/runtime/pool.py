@@ -57,13 +57,7 @@ import numpy as np
 
 from ..exceptions import SearchError, TrainingCancelled
 from . import faults
-from .jobs import (
-    RunResult,
-    TrainingJob,
-    execute_candidates,
-    execute_job,
-    execute_runs,
-)
+from .jobs import RunError, RunResult, TrainingJob, chunk_entries
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from multiprocessing.shared_memory import SharedMemory
@@ -373,23 +367,6 @@ class JobChunk:
 
 
 @dataclass(frozen=True)
-class RunError:
-    """A picklable per-run failure, surfaced at the candidate's commit turn.
-
-    ``attempts`` is how many times the run's chunk was executed before
-    this entry was accepted (> 1 when the scheduler retried the chunk
-    after a worker loss or timeout); the scheduler stamps it so error
-    reports distinguish a first-try failure from one that survived
-    retries.
-    """
-
-    candidate_index: int
-    run: int
-    error: Exception
-    attempts: int = 1
-
-
-@dataclass(frozen=True)
 class ChunkResult:
     """What a worker sends back for one chunk.
 
@@ -403,9 +380,10 @@ class ChunkResult:
 
     ``memory_degrades`` counts OOM recovery-ladder steps the worker took
     for this chunk (group halving, numpy retry, scalar floor — see
-    :func:`_candidate_entries`); the scheduler turns a non-zero count
-    into a ``memory-degrade`` :class:`~repro.runtime.parallel.SearchEvent`
-    and the pool accumulates it.  ``peak_bytes`` is the worker's
+    :func:`repro.runtime.jobs.chunk_entries`); the scheduler turns a
+    non-zero count into a ``memory-degrade``
+    :class:`~repro.runtime.frontier.SearchEvent` and the pool
+    accumulates it.  ``peak_bytes`` is the worker's
     measured resident-set growth over the chunk (0 = unobserved); it
     feeds the cost model's bytes EWMA that cross-checks the analytic
     peak-bytes predictions.
@@ -420,229 +398,6 @@ class ChunkResult:
 
 
 _CANCELLED_CHUNK = ChunkResult(cancelled=True)
-
-
-def _maybe_inject_oom(inject: "list[bool] | None") -> None:
-    """Raise the armed ``oom`` fault once (worker side, tests only)."""
-    if inject and inject[0]:
-        inject[0] = False
-        raise MemoryError("injected 'oom' fault")
-
-
-def _numpy_settings(settings):
-    """``settings`` pinned to the NumPy backend (OOM-ladder retries)."""
-    from dataclasses import replace
-
-    return replace(settings, backend="numpy")
-
-
-def _candidate_entries(
-    jobs: "tuple[TrainingJob, ...] | list[TrainingJob]",
-    split,
-    settings,
-    cancelled,
-    vectorized: bool,
-    inject: "list[bool] | None" = None,
-):
-    """Execute one candidate's runs; per-run errors become RunError entries.
-
-    Returns ``(entries, vectorized_fallback, memory_degrades)``.  The
-    vectorized path trains the whole run set in one stacked sweep.  A
-    failure inside that sweep cannot be attributed to a single run, so
-    it falls back to the scalar per-run loop, which reproduces the exact
-    error the sequential path would hit first (lowest run) and still
-    accounts for every other run.
-
-    An *out-of-memory* failure in the sweep is a resource, not a
-    correctness, problem: it walks the recovery ladder instead — retry
-    the fused sweep on the NumPy backend (device OOMs usually fit in
-    host RAM), then the per-run scalar path — each step counted in
-    ``memory_degrades``.  Every step trains from the same
-    ``(seed, candidate, run)`` streams and the scalar path is the
-    bit-identity oracle, so degradation never changes results.
-    """
-    from .memory import is_memory_error
-
-    fallback = False
-    degrades = 0
-    if vectorized and len(jobs) > 1:
-        job0 = jobs[0]
-        runs = [job.run for job in jobs]
-        try:
-            _maybe_inject_oom(inject)
-            return (
-                execute_runs(
-                    job0.spec,
-                    job0.seed,
-                    job0.candidate_index,
-                    runs,
-                    split,
-                    settings,
-                    cancel_check=cancelled,
-                    vectorized=True,
-                ),
-                False,
-                0,
-            )
-        except TrainingCancelled:
-            raise
-        except Exception as exc:  # noqa: BLE001 - classified below
-            if not is_memory_error(exc):
-                fallback = True  # re-run scalar for attribution
-            else:
-                degrades += 1
-                from ..backends import resolve_backend
-
-                resolved, _ = resolve_backend(
-                    getattr(settings, "backend", None)
-                )
-                if not resolved.is_numpy:
-                    try:
-                        return (
-                            execute_runs(
-                                job0.spec,
-                                job0.seed,
-                                job0.candidate_index,
-                                runs,
-                                split,
-                                _numpy_settings(settings),
-                                cancel_check=cancelled,
-                                vectorized=True,
-                            ),
-                            False,
-                            degrades,
-                        )
-                    except TrainingCancelled:
-                        raise
-                    except Exception as retry_exc:  # noqa: BLE001
-                        if not is_memory_error(retry_exc):
-                            fallback = True
-                        else:
-                            degrades += 1
-    elif inject and inject[0]:
-        # No fused sweep to inject into (scalar chunk): the ladder's
-        # floor *is* the scalar path, so the fault is absorbed here —
-        # counted, never re-raised — keeping results identical.
-        inject[0] = False
-        degrades += 1
-    entries: list[RunResult | RunError] = []
-    for job in jobs:
-        try:
-            entries.append(
-                execute_job(job, split, settings, cancel_check=cancelled)
-            )
-        except TrainingCancelled:
-            raise
-        except Exception as exc:  # noqa: BLE001 - surfaced at commit turn
-            entries.append(RunError(job.candidate_index, job.run, exc))
-    return entries, fallback, degrades
-
-
-def _grouped_entries(
-    items: "list[tuple[int, list[TrainingJob]]]",
-    chunk: "JobChunk",
-    split,
-    cancelled,
-    inject: "list[bool] | None",
-):
-    """One cross-candidate fused sweep over ``items``, with OOM halving.
-
-    Returns ``(entries, vectorized_fallback, memory_degrades)``;
-    ``entries`` is ``None`` when the caller must fall back to
-    per-candidate execution (the group declined to stack, or the sweep
-    failed for a non-memory reason).  An out-of-memory sweep splits the
-    group in half and fuses each half recursively — per-slice arithmetic
-    is unchanged by group membership, so every split is bit-identical to
-    the unsplit sweep.
-    """
-    from .memory import is_memory_error
-
-    group = [
-        (jobs[0].spec, index, [job.run for job in jobs])
-        for index, jobs in items
-    ]
-    try:
-        _maybe_inject_oom(inject)
-        results = execute_candidates(
-            group,
-            chunk.jobs[0].seed,
-            split,
-            chunk.settings,
-            cancel_check=cancelled,
-        )
-    except TrainingCancelled:
-        raise
-    except Exception as exc:  # noqa: BLE001 - classified below
-        if not (is_memory_error(exc) and len(items) > 1):
-            return None, True, 0
-        entries: list[RunResult | RunError] = []
-        fallback = False
-        degrades = 1
-        mid = (len(items) + 1) // 2
-        for half in (items[:mid], items[mid:]):
-            if len(half) > 1:
-                sub_entries, sub_fallback, sub_degrades = _grouped_entries(
-                    half, chunk, split, cancelled, inject
-                )
-                if sub_entries is not None:
-                    entries.extend(sub_entries)
-                    fallback = fallback or sub_fallback
-                    degrades += sub_degrades
-                    continue
-                fallback = fallback or sub_fallback
-                degrades += sub_degrades
-            for index, jobs in half:
-                sub_entries, sub_fallback, sub_degrades = _candidate_entries(
-                    jobs,
-                    split,
-                    chunk.settings,
-                    cancelled,
-                    chunk.vectorized,
-                    inject,
-                )
-                entries.extend(sub_entries)
-                fallback = fallback or sub_fallback
-                degrades += sub_degrades
-        return entries, fallback, degrades
-    if results is None:
-        return None, False, 0
-    return list(results), False, 0
-
-
-def _chunk_entries(
-    chunk: JobChunk, split, cancelled, inject: "list[bool] | None" = None
-):
-    """Execute a chunk's runs; per-run errors become RunError entries.
-
-    Returns ``(entries, vectorized_fallback, memory_degrades)``.  A
-    multi-candidate vectorized chunk first attempts one cross-candidate
-    fused sweep (:func:`repro.runtime.jobs.execute_candidates`); if the
-    group declines to stack or the sweep raises, every candidate re-runs
-    through the per-candidate path below, which re-attributes any error
-    to its exact (candidate, run) coordinates.  Out-of-memory failures
-    walk the recovery ladder instead (see :func:`_grouped_entries` and
-    :func:`_candidate_entries`).
-    """
-    by_candidate: dict[int, list[TrainingJob]] = {}
-    for job in chunk.jobs:
-        by_candidate.setdefault(job.candidate_index, []).append(job)
-    fallback = False
-    degrades = 0
-    if chunk.vectorized and len(by_candidate) > 1:
-        entries, fallback, degrades = _grouped_entries(
-            list(by_candidate.items()), chunk, split, cancelled, inject
-        )
-        if entries is not None:
-            return entries, fallback, degrades
-    entries = []
-    for jobs in by_candidate.values():
-        sub_entries, sub_fallback, sub_degrades = _candidate_entries(
-            jobs, split, chunk.settings, cancelled, chunk.vectorized, inject
-        )
-        entries.extend(sub_entries)
-        fallback = fallback or sub_fallback
-        degrades += sub_degrades
-    return entries, fallback, degrades
 
 
 def _max_rss_bytes() -> int:
@@ -706,8 +461,13 @@ def _run_chunk(chunk: JobChunk) -> "ChunkResult | ShmResultHandle":
     rss_before = _max_rss_bytes()
     started = time.perf_counter()
     try:
-        entries, fallback, degrades = _chunk_entries(
-            chunk, split, cancelled, inject
+        entries, fallback, degrades = chunk_entries(
+            chunk.jobs,
+            split,
+            chunk.settings,
+            vectorized=chunk.vectorized,
+            cancel_check=cancelled,
+            inject=inject,
         )
     except TrainingCancelled:
         return _CANCELLED_CHUNK

@@ -159,6 +159,45 @@ class TestRetryExhaustion:
             )
             assert fallback.attempts == settings.max_retries + 1
 
+    def test_fallback_floor_walks_oom_ladder(self, easy_split, monkeypatch):
+        """The in-process floor a pool falls back to is the same executor
+        as ``workers=1``: an out-of-memory sweep there degrades through
+        the OOM ladder instead of killing the search."""
+        from repro.nn.training import VectorizedTrainer
+
+        settings = _settings(max_retries=1)
+        kwargs = _search_kwargs(easy_split, settings)
+        seq = grid_search(**kwargs, workers=1)
+        with PersistentPool(2) as pool:
+            grid_search(**kwargs, pool=pool)  # warm the workers
+            # Pool workers are separate processes: only the driver's
+            # in-process sweeps see this patch.
+            real_train = VectorizedTrainer.train
+            fired = []
+
+            def oom_once(self, *args, **kw):
+                if not fired:
+                    fired.append(True)
+                    raise MemoryError("injected in-process sweep OOM")
+                return real_train(self, *args, **kw)
+
+            monkeypatch.setattr(VectorizedTrainer, "train", oom_once)
+            events = []
+            pool.install_fault(
+                FaultPlan(kind="kill", candidate=1, times=4)
+            )
+            try:
+                faulted = grid_search(
+                    **kwargs, pool=pool, on_event=events.append
+                )
+            finally:
+                pool.clear_fault()
+            assert fired  # the fault hit the driver's fallback sweep
+            _assert_same_outcome(faulted, seq)
+            assert pool.sequential_fallbacks == 1
+            kinds = [e.kind for e in events]
+            assert "memory-degrade" in kinds
+
     def test_exhaustion_raises_with_attempts_when_fallback_disabled(
         self, easy_split
     ):
@@ -256,24 +295,42 @@ class TestJournalResume:
 
         return progress, Interrupted
 
-    @pytest.mark.parametrize("mode", ["sequential", "pooled"])
+    @pytest.mark.parametrize(
+        "interrupt_mode, resume_mode",
+        [
+            pytest.param("sequential", "sequential", id="sequential"),
+            pytest.param("pooled", "pooled", id="pooled"),
+            # A journal written under one execution mode resumes under
+            # any other (search_key covers no execution knob).
+            pytest.param(
+                "pooled", "sequential", id="pooled-then-sequential"
+            ),
+            pytest.param(
+                "sequential", "pooled", id="sequential-then-pooled"
+            ),
+        ],
+    )
     def test_interrupted_search_resumes_bit_identically(
-        self, easy_split, tmp_path, mode
+        self, easy_split, tmp_path, interrupt_mode, resume_mode
     ):
         settings = _settings()
         kwargs = _search_kwargs(easy_split, settings)
         journal = tmp_path / "search.jsonl"
         baseline = grid_search(**kwargs, workers=1)
 
-        pool = PersistentPool(2) if mode == "pooled" else None
-        run_kwargs = dict(pool=pool) if pool else dict(workers=1)
+        needs_pool = "pooled" in (interrupt_mode, resume_mode)
+        pool = PersistentPool(2) if needs_pool else None
+
+        def run_kwargs(mode):
+            return dict(pool=pool) if mode == "pooled" else dict(workers=1)
+
         try:
             seen = []
             progress, Interrupted = self._interrupt_after(2, seen)
             with pytest.raises(Interrupted):
                 grid_search(
                     **kwargs,
-                    **run_kwargs,
+                    **run_kwargs(interrupt_mode),
                     journal=str(journal),
                     progress=progress,
                 )
@@ -283,7 +340,7 @@ class TestJournalResume:
             replayed = []
             resumed = grid_search(
                 **kwargs,
-                **run_kwargs,
+                **run_kwargs(resume_mode),
                 journal=str(journal),
                 progress=replayed.append,
             )
@@ -298,7 +355,8 @@ class TestJournalResume:
             if pool is not None:
                 pool.close()
 
-    def test_mismatched_key_is_ignored(self, easy_split, tmp_path):
+    @pytest.mark.parametrize("change", ["seed", "split"])
+    def test_mismatched_key_is_ignored(self, easy_split, tmp_path, change):
         """A journal written under another configuration must never
         smuggle stale results into a resume; resuming under a new key
         compacts the file down to that key's records."""
@@ -306,9 +364,14 @@ class TestJournalResume:
         journal = tmp_path / "search.jsonl"
         kwargs = _search_kwargs(easy_split, settings)
         first = grid_search(**kwargs, workers=1, journal=str(journal))
-        other_kwargs = dict(kwargs, seed=6)
+        if change == "seed":
+            other_kwargs = dict(kwargs, seed=6)
+        else:
+            # Same specs, seed and settings over a different dataset.
+            bigger = make_spiral(4, n_points=300, noise=0.0, turns=0.4, seed=7)
+            other_kwargs = dict(kwargs, split=stratified_split(bigger, seed=7))
         fresh = grid_search(**other_kwargs, workers=1)
-        # Same journal file, different seed: full re-run, same results.
+        # Same journal file, different key: full re-run, same results.
         resumed = grid_search(
             **other_kwargs, workers=1, journal=str(journal)
         )
@@ -321,6 +384,29 @@ class TestJournalResume:
         # and still lands on identical results.
         again = grid_search(**kwargs, workers=1, journal=str(journal))
         _assert_same_outcome(again, first)
+
+    def test_key_covers_resolved_backend(self, easy_split, monkeypatch):
+        """Only NumPy is bit-exact: a journal written on one resolved
+        backend must not resume on another."""
+        from repro import backends
+        from repro.core.grid_search import rank_by_flops
+        from repro.flops.conventions import get_convention
+        from repro.runtime.journal import search_key
+
+        class DeviceBackend(backends.ArrayBackend):
+            name = "torch"
+
+        # Register a stand-in so "torch" resolves even where the
+        # library is not installed.
+        monkeypatch.setitem(backends._INSTANCES, "torch", DeviceBackend())
+        conv = get_convention("paper")
+        ranked = rank_by_flops(small_space(), conv)
+
+        def key(backend):
+            settings = _settings(backend=backend)
+            return search_key(ranked, easy_split, 1.01, settings, conv, 5)
+
+        assert key("torch") != key("numpy")
 
     def test_torn_trailing_line_is_tolerated(self, easy_split, tmp_path):
         """A crash mid-append leaves a torn last line; resume must use

@@ -333,7 +333,7 @@ class TestSequentialDifferential:
         visible as memory-degrade events."""
         import importlib
 
-        gs = importlib.import_module("repro.core.grid_search")
+        jobs = importlib.import_module("repro.runtime.jobs")
         # Classical specs never group, so use the head-varied hybrid
         # space — its candidates train as one fused sweep.
         kwargs = dict(
@@ -344,7 +344,7 @@ class TestSequentialDifferential:
         )
         baseline = grid_search(**kwargs, settings=_settings(), workers=1)
 
-        real = gs.execute_candidates
+        real = jobs.execute_candidates
         fired = []
 
         def oom_once(group, *args, **kw):
@@ -353,7 +353,7 @@ class TestSequentialDifferential:
                 raise MemoryError("injected fused-sweep OOM")
             return real(group, *args, **kw)
 
-        monkeypatch.setattr(gs, "execute_candidates", oom_once)
+        monkeypatch.setattr(jobs, "execute_candidates", oom_once)
         events = []
         degraded = grid_search(
             **kwargs, settings=_settings(), workers=1,

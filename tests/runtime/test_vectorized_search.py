@@ -206,12 +206,12 @@ class TestChunkPacking:
         """A stacked sweep that raises re-runs scalar (entries complete,
         results correct) and the chunk is flagged so the pool can count
         the silent double-work."""
-        import repro.runtime.pool as pool_mod
+        import repro.runtime.jobs as jobs_mod
 
         def boom(*args, **kwargs):
             raise RuntimeError("stacked path exploded")
 
-        monkeypatch.setattr(pool_mod, "execute_runs", boom)
+        monkeypatch.setattr(jobs_mod, "execute_runs", boom)
         shm, handle = publish_split(easy_split)
         try:
             spec = classical_search_space(
