@@ -344,7 +344,8 @@ def grid_search(
         (:meth:`repro.runtime.frontier.SearchFrontier.run_in_process`).
         ``> 1`` fans (candidate, run) jobs out across that many worker
         processes with speculative FLOPs-order commit semantics
-        (:func:`repro.runtime.parallel.speculative_search`); ``None``
+        (:class:`repro.runtime.parallel.Scheduler` on a
+        :class:`~repro.runtime.parallel.PoolExecutor`); ``None``
         or ``0`` uses all available cores.  The outcome is identical in
         either mode (only ``wall_time_s`` values differ).
     pool:
@@ -376,8 +377,8 @@ def grid_search(
     spool:
         Optional path to a shared-filesystem spool directory (or a
         :class:`repro.runtime.cluster.SpoolConfig`).  When given, the
-        search runs as a cross-host cluster coordinator
-        (:func:`repro.runtime.cluster.cluster_search`): chunks are
+        search's scheduler runs on a
+        :class:`repro.runtime.cluster.SpoolExecutor`: chunks are
         leased to ``repro cluster-agent`` processes — on this or any
         host sharing the filesystem — instead of local pool workers,
         and ``workers``/``pool`` are ignored.  The outcome is
@@ -388,8 +389,8 @@ def grid_search(
     connect:
         Optional ``HOST:PORT`` to bind (or a
         :class:`repro.runtime.cluster_tcp.TcpConfig`).  When given, the
-        search runs as a TCP cluster coordinator
-        (:func:`repro.runtime.cluster_tcp.tcp_cluster_search`): chunks
+        search's scheduler runs on a
+        :class:`repro.runtime.cluster_tcp.TcpExecutor`: chunks
         are leased to ``repro cluster-agent --connect`` processes over
         checksummed socket frames — no shared filesystem required —
         instead of local pool workers, and ``workers``/``pool`` are
@@ -459,29 +460,24 @@ def grid_search(
     if frontier.resume():
         return frontier.outcome
 
+    from ..runtime.parallel import (
+        PoolExecutor,
+        resolve_workers,
+        speculative_search,
+    )
+
     if spool is not None:
-        from ..runtime.cluster import cluster_search
+        from ..runtime.cluster import SpoolExecutor
 
-        return cluster_search(
-            frontier, split, settings, seed, spool=spool, on_event=on_event
-        )
-    if connect is not None:
-        from ..runtime.cluster_tcp import tcp_cluster_search
+        executor = SpoolExecutor(spool)
+    elif connect is not None:
+        from ..runtime.cluster_tcp import TcpExecutor
 
-        return tcp_cluster_search(
-            frontier, split, settings, seed, connect=connect, on_event=on_event
-        )
-    from ..runtime.parallel import resolve_workers, speculative_search
-
-    n_workers = resolve_workers(workers)
-    if pool is not None or n_workers > 1:
-        return speculative_search(
-            frontier,
-            split,
-            settings,
-            seed,
-            workers=n_workers,
-            pool=pool,
-            on_event=on_event,
-        )
-    return frontier.run_in_process(split, settings, seed, on_event)
+        executor = TcpExecutor(connect)
+    elif pool is not None or resolve_workers(workers) > 1:
+        executor = PoolExecutor(pool, resolve_workers(workers))
+    else:
+        return frontier.run_in_process(split, settings, seed, on_event)
+    return speculative_search(
+        frontier, split, settings, seed, executor, on_event
+    )

@@ -14,7 +14,9 @@ shared-memory return path for oversized results, and the measured-cost
 model behind adaptive chunk packing.
 :mod:`repro.runtime.parallel` is the speculative scheduler with
 cost-aware job packing and fault-tolerant supervision (chunk retry,
-deadline watchdog, sequential fallback), and :mod:`repro.runtime.jobs`
+duplicate dropping, sequential fallback) over a small executor
+protocol, plus the pool executor (generations, worker watchdog,
+deadlines), and :mod:`repro.runtime.jobs`
 holds the shared run primitives — scalar
 :func:`~repro.runtime.jobs.execute_job`, the run-stacked
 :func:`~repro.runtime.jobs.execute_runs` that trains a candidate's
@@ -31,12 +33,12 @@ hooks (worker kill, chunk delay, corrupt result segment, host kill,
 lease steal, torn file) the fault-tolerance tests drive real process
 death with.
 
-:mod:`repro.runtime.cluster` shards one search across hosts over a
-shared-filesystem spool — lease-based claims, heartbeat liveness,
-dead-host recovery, sequential-identical commit order —
-:mod:`repro.runtime.cluster_tcp` is the same coordinator core over a
-listening socket for filesystem-less rigs (checksummed frames,
-connection leases, reconnect with backoff, partition tolerance), and
+:mod:`repro.runtime.cluster` is the executor that shards one search
+across hosts over a shared-filesystem spool (lease-based claims,
+heartbeat liveness, dead-host recovery),
+:mod:`repro.runtime.cluster_tcp` the one over a listening socket for
+filesystem-less rigs (checksummed frames, connection leases, reconnect
+with backoff, partition tolerance), and
 :mod:`repro.runtime.backoff` is the shared capped decorrelated-jitter
 retry policy every retry path sleeps through.
 """
@@ -44,20 +46,13 @@ retry policy every retry path sleeps through.
 from .backoff import Backoff, retry_call
 from .cluster import (
     AgentStats,
-    CoordinatorCore,
     SpoolConfig,
-    SpoolCoordinator,
-    cluster_search,
+    SpoolExecutor,
     run_agent,
     stop_agents,
     sweep_stale_leases,
 )
-from .cluster_tcp import (
-    TcpConfig,
-    TcpCoordinator,
-    run_tcp_agent,
-    tcp_cluster_search,
-)
+from .cluster_tcp import TcpConfig, TcpExecutor, run_tcp_agent
 from .faults import FaultPlan
 from .frontier import SearchFrontier
 from .jobs import (
@@ -70,6 +65,8 @@ from .jobs import (
 from .journal import SearchJournal, search_key
 from .parallel import (
     SPECULATION_FACTOR,
+    PoolExecutor,
+    Scheduler,
     SearchEvent,
     resolve_workers,
     speculative_search,
@@ -92,6 +89,8 @@ __all__ = [
     "execute_candidates",
     "resolve_workers",
     "speculative_search",
+    "Scheduler",
+    "PoolExecutor",
     "SearchEvent",
     "SearchFrontier",
     "SPECULATION_FACTOR",
@@ -108,15 +107,12 @@ __all__ = [
     "Backoff",
     "retry_call",
     "SpoolConfig",
-    "SpoolCoordinator",
-    "CoordinatorCore",
+    "SpoolExecutor",
     "AgentStats",
-    "cluster_search",
     "run_agent",
     "stop_agents",
     "sweep_stale_leases",
     "TcpConfig",
-    "TcpCoordinator",
+    "TcpExecutor",
     "run_tcp_agent",
-    "tcp_cluster_search",
 ]

@@ -1,24 +1,24 @@
 """Cross-host sharded grid search over a shared-filesystem spool.
 
-ROADMAP item (e): shard one protocol run across multiple hosts.  The
-single-host seams — picklable :class:`~repro.runtime.jobs.TrainingJob`
+The single-host seams — picklable :class:`~repro.runtime.pool.JobChunk`
 chunks, ``(seed, candidate, run)``-derived RNG streams, strict
-FLOPs-order commit — already make distributed execution a pure
-transport problem, and the thinnest transport every cluster filesystem
-provides is a shared directory.  No sockets, no broker, no new
-dependencies: the **spool** directory is the wire.
+FLOPs-order commit — make distributed execution a pure transport
+problem, and the thinnest transport every cluster filesystem provides
+is a shared directory.  No sockets, no broker, no new dependencies:
+the **spool** directory is the wire.
 
 Spool layout (all files live under one directory)::
 
-    tasks/       <token>.c<cid>.a<attempt>.task      framed SpoolChunk
+    tasks/       <token>.c<cid>.a<attempt>.task      framed JobChunk
     leases/      <agent>.<token>.c<cid>.a<att>.lease a claimed task
-    results/     <token>.c<cid>.a<att>.<agent>.result framed SpoolResult
+    results/     <token>.c<cid>.a<att>.<agent>.result framed ChunkResult
     data/        <token>.split                       framed DataSplit
     agents/      <agent>.agent                       heartbeat counter
     quarantine/  files that failed frame validation
     faults/      spool-armed fault plans (tests only)
     stop                                             agents exit when present
 
+``<cid>`` is the scheduler's chunk id, not a candidate index.
 ``<token>`` and ``<agent>`` use the owner-id grammar
 ``repro_<host>_<pid>_<nonce>`` — the same discipline as the pool's
 ``repro_<pid>_*`` shared-memory segments — so dead-owner garbage is
@@ -27,20 +27,22 @@ pid is gone (see :func:`sweep_stale_leases`).
 
 The protocol:
 
-* the **coordinator** (:class:`SpoolCoordinator`, usually via
-  ``grid_search(spool=...)``) serializes one chunk per candidate into
-  ``tasks/`` within a bounded speculation window, ingests result files,
-  and commits candidates **strictly in FLOPs order** — so the returned
+* the coordinator runs the speculative
+  :class:`~repro.runtime.parallel.Scheduler` (usually via
+  ``grid_search(spool=...)``) on a :class:`SpoolExecutor`, which writes
+  each submitted chunk into ``tasks/`` and delivers result files back.
+  Speculation, packing, retries, duplicates and FLOPs-order commit are
+  the scheduler's, exactly as on a worker pool, so the returned
   :class:`~repro.core.grid_search.SearchOutcome` is bit-identical to
-  the sequential baseline for any host count, any claim interleaving,
-  any failure history;
+  the sequential baseline for any host count, claim interleaving or
+  failure history;
 
 * an **agent** (:func:`run_agent`, ``repro cluster-agent --spool``)
   claims a task by atomically renaming it into ``leases/`` — rename is
   the spool's only mutual-exclusion primitive, and it moves the payload
-  with the claim — executes the chunk through the same OOM ladder
-  (:func:`~repro.runtime.jobs.chunk_entries`) the pool workers run,
-  writes a result file, and releases the lease;
+  with the claim — trains the chunk with the pool workers' chunk
+  runner (:func:`~repro.runtime.pool.execute_chunk`, OOM ladder
+  included), writes a result file, and releases the lease;
 
 * while training, the agent's heartbeat thread rewrites a per-agent
   counter file.  The coordinator judges liveness **only on its own
@@ -50,11 +52,9 @@ The protocol:
   wall-clock timestamps are never compared, so arbitrary clock skew
   between hosts cannot cause a false (or missed) expiry;
 
-* an expired lease's chunk is re-enqueued with its attempt count
-  bumped, bounded by ``settings.max_retries``; chunks are deterministic
-  so the re-execution is bit-identical.  A *stale* agent that rejoins
-  and writes its result anyway just produces a duplicate result file —
-  the first ingested copy wins and later ones are counted and dropped;
+* an expired lease's chunk is resubmitted under the next attempt; a
+  *stale* agent that rejoins and writes its result anyway just produces
+  a duplicate, which the scheduler drops (first delivery wins);
 
 * every payload file is **framed** (magic, version, length, SHA-256)
   and written tmp-then-rename, so a torn or half-written file is
@@ -63,10 +63,8 @@ The protocol:
   with capped decorrelated-jitter backoff
   (:mod:`repro.runtime.backoff`);
 
-* losing **every** agent degrades gracefully: after ``agent_grace_s``
-  with no live heartbeat the coordinator finishes the remaining
-  candidates through the in-process executor the pool scheduler falls
-  back to — the sweep completes, identically, on the coordinator alone.
+* losing **every** agent for ``agent_grace_s`` starves the executor, and
+  the scheduler finishes the remaining candidates in-process.
 
 Determinism, as everywhere in this runtime: distribution, chunking,
 claim order, retries, duplicates, quarantines and fallbacks shape only
@@ -88,8 +86,8 @@ import socket
 import struct
 import threading
 import time
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Sequence
+from dataclasses import asdict, dataclass, field, replace
+from typing import TYPE_CHECKING, Callable
 
 from ..config import (
     SPOOL_AGENT_GRACE_S,
@@ -100,24 +98,24 @@ from ..config import (
 from ..exceptions import SearchError, TrainingCancelled
 from . import faults
 from .backoff import retry_call
-from .frontier import RetriesExhausted, SearchEvent, SearchFrontier
-from .jobs import RunError, RunResult, TrainingJob, chunk_entries
-from .pool import _pid_alive
+from .memory import MemoryBudget
+from .parallel import Delivered, ExecutorCounters, Lost, Notice, Starved
+from .pool import (
+    ChunkCostModel,
+    ChunkResult,
+    JobChunk,
+    _pid_alive,
+    execute_chunk,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.grid_search import SearchOutcome, TrainingSettings
-    from ..core.search_space import ModelSpec
+    from ..core.grid_search import TrainingSettings
     from ..data.splits import DataSplit
-    from ..flops.conventions import CountingConvention
 
 __all__ = [
-    "CoordinatorCore",
     "SpoolConfig",
-    "SpoolChunk",
-    "SpoolResult",
-    "SpoolCoordinator",
+    "SpoolExecutor",
     "AgentStats",
-    "cluster_search",
     "run_agent",
     "stop_agents",
     "sweep_stale_leases",
@@ -136,12 +134,6 @@ _STOP_FILE = "stop"
 _DIRS = (_TASK_DIR, _LEASE_DIR, _RESULT_DIR, _DATA_DIR, _AGENT_DIR,
          _QUARANTINE_DIR)
 
-#: Chunks enqueued ahead of the commit frontier per live agent (with a
-#: floor of two so a spool primed before any agent joins has work
-#: waiting).  Bounds the training discarded when an early candidate
-#: passes, exactly like the pool scheduler's speculation window.
-_SPECULATION_PER_AGENT = 2
-
 
 class TornFileError(SearchError):
     """A spool file failed frame validation (short, torn, or corrupt)."""
@@ -150,7 +142,9 @@ class TornFileError(SearchError):
 # -- framing ----------------------------------------------------------------
 
 _MAGIC = b"RSPL"
-_FRAME_VERSION = 1
+#: Version 2: payloads are JobChunk/ChunkResult.  A peer from an older
+#: checkout fails validation instead of unpickling a missing class.
+_FRAME_VERSION = 2
 _HEADER = struct.Struct("<4sIQ32s")  # magic, version, payload len, sha256
 
 
@@ -367,44 +361,14 @@ def _file_owner(name: str) -> str | None:
     return head if _OWNER_RE.match(head) else None
 
 
-# -- wire types -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SpoolChunk:
-    """A picklable unit of cluster work: every run of one candidate.
-
-    Agents execute its ``jobs`` through the same OOM ladder
-    (:func:`~repro.runtime.jobs.chunk_entries`) the pool workers run,
-    so a spool-trained run is bit-identical to a pool-trained or
-    sequential one.
-    """
-
-    token: str  # owning coordinator, owner-id grammar
-    chunk_id: int  # == candidate rank index
-    attempt: int
-    jobs: "tuple[TrainingJob, ...]"
-    settings: "TrainingSettings"
-    vectorized: bool
-    dataset: str  # file name under data/ the split travels in
-
-
-@dataclass(frozen=True)
-class SpoolResult:
-    """One executed chunk's entries, written as a framed result file."""
-
-    chunk_id: int
-    attempt: int
-    agent: str
-    entries: "tuple[RunResult | RunError, ...]"
-    wall_time_s: float
+# -- configuration ----------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class SpoolConfig:
     """Spool transport knobs (`path` is the shared directory).
 
-    ``cost_cache`` names an optional JSON file for the coordinator's
+    ``cost_cache`` names an optional JSON file for the executor's
     :class:`~repro.runtime.pool.ChunkCostModel` — measured per-chunk
     wall times loaded at start and saved at the end of the search, the
     cluster twin of the pool's ``--cost-cache`` persistence.
@@ -479,318 +443,103 @@ def stop_agents(spool_dir: "str | os.PathLike") -> None:
         )
 
 
-# -- coordinator ------------------------------------------------------------
+# -- executor ---------------------------------------------------------------
+
+#: Agents do not share this host's memory, so no budget governs them.
+_REMOTE_BUDGET = MemoryBudget(bytes=None, source="off")
 
 
-class CoordinatorCore:
-    """Transport-agnostic half of a cluster coordinator.
+def _cached_cost_model(path: "str | os.PathLike | None") -> ChunkCostModel:
+    """A cost model warm-started from ``path`` when it names a cache."""
+    model = ChunkCostModel()
+    if path:
+        model.load_json(path)
+    return model
 
-    What a sharded search needs beyond the shared
-    :class:`~repro.runtime.frontier.SearchFrontier` (which owns
-    FLOPs-order commit, run aggregation, journaling and the in-process
-    fallback) lives here, shared by every transport: bounded
-    re-attempts for lost chunks (``_next_attempt``), first-commit-wins
-    duplicate arbitration plus run-coverage validation (``_ingest``),
-    measured-cost feedback into a
-    :class:`~repro.runtime.pool.ChunkCostModel` (optionally persisted
-    through ``cost_cache``), and the graceful-degradation floor
-    (``_fallback`` → :meth:`SearchFrontier.run_in_process`).  A
-    transport subclass (:class:`SpoolCoordinator` over a shared
-    filesystem, :class:`repro.runtime.cluster_tcp.TcpCoordinator` over
-    sockets) owns only the medium — how chunks reach agents, how
-    results come back, how liveness is observed — which is why the
-    returned :class:`~repro.core.grid_search.SearchOutcome` is
-    bit-identical across transports and to the sequential baseline.
 
-    ``frontier`` carries a search's commit state (a journal-restored
-    prefix, ``progress``, the journal); without one the coordinator
-    commits into a fresh frontier over ``ranked``/``threshold``.
-    """
-
-    def __init__(
-        self,
-        ranked: Sequence["ModelSpec"],
-        split: "DataSplit",
-        threshold: float,
-        settings: "TrainingSettings",
-        convention: "CountingConvention",
-        seed: int,
-        on_event: Callable[[SearchEvent], None] | None = None,
-        frontier: SearchFrontier | None = None,
-        cost_cache: "str | os.PathLike | None" = None,
-    ) -> None:
-        from .pool import ChunkCostModel
-
-        if settings.runs < 1:
-            raise SearchError(
-                f"settings.runs must be >= 1, got {settings.runs}"
-            )
-        self.frontier = frontier or SearchFrontier(
-            ranked, threshold, convention, settings.runs
-        )
-        self.ranked = self.frontier.ranked
-        self.convention = self.frontier.convention
-        self.split = split
-        self.settings = settings
-        self.seed = seed
-        self.on_event = on_event
-        self.token = _new_owner_id()
-        self.dataset_name = f"{self.token}.split"
-        self.done: set[int] = set()  # chunks whose result was ingested
-        self.attempts: dict[int, int] = {}  # cid -> submissions so far
-        # Measured per-chunk cost feedback: agents report wall_time_s
-        # with every result, so claim-grant packing (and, persisted,
-        # the next run's) orders by observed seconds across hosts.
-        self.cost_cache = os.fspath(cost_cache) if cost_cache else None
-        self.cost_model = ChunkCostModel()
-        if self.cost_cache:
-            self.cost_model.load_json(self.cost_cache)
-        # Stats.
-        self.duplicate_results = 0
-        self.chunk_retries = 0
-        self.sequential_fallbacks = 0
-        self.agents_seen: set[str] = set()
-
-    # -- events ------------------------------------------------------------
-
-    def _emit(
-        self,
-        kind: str,
-        message: str,
-        candidates: Sequence[int] = (),
-        attempts: int = 0,
-    ) -> None:
-        logger.warning("%s", message)
-        if self.on_event is not None:
-            self.on_event(
-                SearchEvent(
-                    kind=kind,
-                    message=message,
-                    candidates=tuple(candidates),
-                    attempts=attempts,
-                )
+def _save_cost_model(
+    model: ChunkCostModel, path: "str | os.PathLike | None"
+) -> None:
+    if path and model.observations:
+        try:
+            model.save_json(path)
+        except OSError as error:  # pragma: no cover - cache dir gone
+            logger.warning(
+                "could not save cluster cost cache %s: %s", path, error
             )
 
-    # -- work creation -----------------------------------------------------
 
-    def _make_chunk(self, cid: int, attempt: int) -> SpoolChunk:
-        runs = self.settings.runs
-        return SpoolChunk(
-            token=self.token,
-            chunk_id=cid,
-            attempt=attempt,
-            jobs=tuple(
-                TrainingJob(self.ranked[cid], self.seed, cid, run)
-                for run in range(runs)
-            ),
-            settings=self.settings,
-            vectorized=self.settings.vectorized_runs and runs > 1,
-            dataset=self.dataset_name,
-        )
+class SpoolExecutor:
+    """A spool directory as an executor of the
+    :class:`~repro.runtime.parallel.Scheduler`.
 
-    def _next_attempt(self, cid: int, cause: str) -> int | None:
-        """Account one more attempt for a lost chunk, or ``None`` when
-        the chunk already completed.  Raises :class:`RetriesExhausted` past
-        ``settings.max_retries``; the transport enqueues the returned
-        attempt on its own medium."""
-        if cid in self.done:
-            return None
-        attempt = self.attempts.get(cid, 0) + 1
-        max_retries = self.settings.max_retries
-        if attempt > max_retries + 1:
-            error = SearchError(
-                f"{cause}; the chunk for candidate {cid} was lost "
-                f"{attempt - 1} time(s) (max_retries={max_retries})"
-            )
-            error.attempts = attempt - 1
-            raise RetriesExhausted(error, attempt - 1)
-        self.chunk_retries += 1
-        self._emit(
-            "retry",
-            f"{cause}; re-enqueueing the chunk for candidate {cid} "
-            f"(attempt {attempt} of {max_retries + 1})",
-            candidates=[cid],
-            attempts=attempt,
-        )
-        return attempt
-
-    # -- measured-cost feedback --------------------------------------------
-
-    def _observe_cost(self, result: SpoolResult) -> None:
-        """Feed a clean result's measured wall time into the cost model."""
-        if result.wall_time_s <= 0.0:
-            return
-        if any(isinstance(entry, RunError) for entry in result.entries):
-            return  # failed chunks measure the failure, not the work
-        spec = self.ranked[result.chunk_id]
-        self.cost_model.observe(
-            spec.label,
-            spec.flops(self.convention),
-            result.wall_time_s,
-            self.settings.runs,
-        )
-
-    def _save_cost_model(self) -> None:
-        if self.cost_cache and self.cost_model.observations:
-            try:
-                self.cost_model.save_json(self.cost_cache)
-            except OSError as error:  # pragma: no cover - cache dir gone
-                logger.warning(
-                    "could not save cluster cost cache %s: %s",
-                    self.cost_cache,
-                    error,
-                )
-
-    # -- result ingest and commit ------------------------------------------
-
-    def _ingest(self, result: SpoolResult) -> bool:
-        """Offer one delivered result's entries to the frontier.
-
-        Returns ``False`` for a duplicate delivery (the chunk already
-        completed under another attempt — first commit wins, later
-        copies are counted and dropped), ``True`` once the entries are
-        offered.  Raises :class:`TornFileError` when the result does
-        not cover exactly runs ``0..runs-1``; the transport quarantines
-        and requeues.
-        """
-        runs = self.settings.runs
-        cid = result.chunk_id
-        if cid in self.done:
-            self.duplicate_results += 1
-            logger.info(
-                "dropping duplicate result for candidate %d "
-                "(first-commit wins)",
-                cid,
-            )
-            return False
-        covered = {entry.run for entry in result.entries}
-        if covered != set(range(runs)):
-            raise TornFileError(
-                f"result for candidate {cid} covers runs "
-                f"{sorted(covered)}; expected 0..{runs - 1}"
-            )
-        self.done.add(cid)
-        self._observe_cost(result)
-        attempts = self.attempts.get(cid, 1)
-        for entry in result.entries:
-            if isinstance(entry, RunError):
-                entry = replace(entry, attempts=attempts)
-            self.frontier.offer(entry)
-        return True
-
-    # -- fallback ----------------------------------------------------------
-
-    def _abort_outstanding(self) -> None:
-        """Transport hook: withdraw work agents have not claimed yet."""
-
-    def _fallback(self, reason: str, attempts: int = 0) -> "SearchOutcome":
-        self.sequential_fallbacks += 1
-        self._emit(
-            "sequential-fallback",
-            f"{reason}; finishing the remaining "
-            f"{len(self.ranked) - self.frontier.next_commit} candidate(s) "
-            "in-process sequentially",
-            attempts=attempts,
-        )
-        # Stop agents from burning cycles on chunks whose results
-        # nobody will read.
-        self._abort_outstanding()
-        return self.frontier.run_in_process(
-            self.split, self.settings, self.seed, self.on_event
-        )
-
-    def _exhausted(self, exhausted: RetriesExhausted) -> "SearchOutcome":
-        """Retry exhaustion: re-raise, or finish in-process."""
-        if not self.settings.fallback_sequential:
-            raise exhausted.error from None
-        return self._fallback(
-            f"retries exhausted ({exhausted.error})",
-            attempts=exhausted.attempts,
-        )
-
-    # -- stats -------------------------------------------------------------
-
-    def core_stats(self) -> dict:
-        """Instrumentation counters shared by every transport."""
-        return {
-            "token": self.token,
-            "committed": self.frontier.next_commit,
-            "enqueued": len(self.attempts),
-            "completed_chunks": len(self.done),
-            "duplicate_results": self.duplicate_results,
-            "chunk_retries": self.chunk_retries,
-            "sequential_fallbacks": self.sequential_fallbacks,
-            "cost_observations": self.cost_model.observations,
-            "agents_seen": len(self.agents_seen),
-        }
-
-
-class SpoolCoordinator(CoordinatorCore):
-    """Drives one spool-sharded search; returns a sequential-identical
-    :class:`~repro.core.grid_search.SearchOutcome`.
+    Owns only the medium and its liveness: ``submit`` writes a framed
+    task file; ``poll`` judges agent heartbeats, expires the leases of
+    dead or partitioned agents, reports chunks that vanished from the
+    spool, ingests result files (quarantining torn ones) and reports
+    starvation once no agent has been live for ``agent_grace_s``.
+    Attempts, duplicates, packing, cost feedback, events and the
+    in-process fallback belong to the scheduler.
 
     Single-writer by design: one coordinator per spool directory at a
-    time (agents scale horizontally, the coordinator does not).  Usually
-    constructed via ``grid_search(spool=...)`` / :func:`cluster_search`;
-    the class is exposed so tests can drive ``prepare``/``_loop``
-    stepwise.
+    time (agents scale horizontally).  File names carry chunk ids
+    (``c<cid>``), not candidate indices.
     """
 
-    def __init__(
-        self,
-        ranked: Sequence["ModelSpec"],
-        split: "DataSplit",
-        threshold: float,
-        settings: "TrainingSettings",
-        convention: "CountingConvention",
-        seed: int,
-        config: "SpoolConfig | str | os.PathLike",
-        on_event: Callable[[SearchEvent], None] | None = None,
-        frontier: SearchFrontier | None = None,
-    ) -> None:
+    def __init__(self, config: "SpoolConfig | str | os.PathLike") -> None:
         self.cfg = (
             config
             if isinstance(config, SpoolConfig)
             else SpoolConfig(path=config)
         )
-        super().__init__(
-            ranked,
-            split,
-            threshold,
-            settings,
-            convention,
-            seed,
-            on_event=on_event,
-            frontier=frontier,
-            cost_cache=self.cfg.cost_cache,
-        )
         self.root = pathlib.Path(self.cfg.path)
         self.io = _SpoolIO(self.cfg.io_retries)
-        # Liveness observation: agent -> (counter, monotonic last change);
-        # lease name -> monotonic first seen (for agents that died before
-        # their first heartbeat landed).
+        self.token = _new_owner_id()
+        self.dataset_name = f"{self.token}.split"
+        self.cost_model = _cached_cost_model(self.cfg.cost_cache)
+        self.counters = ExecutorCounters()
+        self.capacity = 0
+        self._opened = False
+        #: cid -> attempt of every chunk in the spool not yet delivered.
+        self._live: dict[int, int] = {}
+        # Liveness, judged on this process's monotonic clock: agent ->
+        # (counter, last change); lease name -> first seen (for agents
+        # that died before their first heartbeat landed).
         self.agents: dict[str, tuple[int, float]] = {}
+        self.agents_seen: set[str] = set()
         self.lease_seen: dict[str, float] = {}
         self._missing_once: set[int] = set()
-        # Spool-specific stats.
+        self._idle_since: float | None = None
         self.swept_leases = 0
         self.swept_files = 0
         self.expired_leases = 0
         self.quarantined = 0
 
+    def memory_budget(self, settings: "TrainingSettings") -> MemoryBudget:
+        return _REMOTE_BUDGET
+
+    def stats(self) -> dict:
+        """One snapshot of the executor's instrumentation counters."""
+        return {
+            "token": self.token,
+            **asdict(self.counters),
+            "cost_observations": self.cost_model.observations,
+            "agents_seen": len(self.agents_seen),
+            "expired_leases": self.expired_leases,
+            "swept_leases": self.swept_leases,
+            "swept_files": self.swept_files,
+            "quarantined": self.quarantined,
+            "io_retries": self.io.io_retries,
+            "io_backoff_s": round(self.io.backoff_s, 3),
+        }
+
     # -- lifecycle ---------------------------------------------------------
 
-    def run(self) -> "SearchOutcome":
-        self.prepare()
-        try:
-            return self._loop()
-        finally:
-            self._cleanup()
-            self._save_cost_model()
-            logger.info("spool coordinator stats: %s", self.stats())
-
-    def prepare(self) -> None:
+    def open(self, split: "DataSplit", chunk_seconds=None) -> None:
         """Create the layout, sweep dead-owner garbage, publish the split."""
+        if self._opened:
+            return
+        self._opened = True
         for sub in _DIRS:
             (self.root / sub).mkdir(parents=True, exist_ok=True)
         # A leftover stop file from a previous wound-down run would make
@@ -800,7 +549,7 @@ class SpoolCoordinator(CoordinatorCore):
         self._sweep_dead_files()
         self.io.write_frame(
             self.root / _DATA_DIR / self.dataset_name,
-            pickle.dumps(self.split, protocol=pickle.HIGHEST_PROTOCOL),
+            pickle.dumps(split, protocol=pickle.HIGHEST_PROTOCOL),
         )
 
     def _sweep_dead_files(self) -> None:
@@ -832,8 +581,12 @@ class SpoolCoordinator(CoordinatorCore):
                 self.swept_files,
             )
 
-    def _cleanup(self) -> None:
-        """Best-effort removal of everything this search put in the spool."""
+    def close(self) -> None:
+        """Remove everything this search put in the spool (best effort)
+        and persist the cost model."""
+        if not self._opened:
+            return
+        self._opened = False
         try:
             for sub in (_TASK_DIR, _RESULT_DIR, _DATA_DIR):
                 for name in self.io.listing(self.root / sub):
@@ -841,45 +594,47 @@ class SpoolCoordinator(CoordinatorCore):
                         self.io.unlink(self.root / sub / name)
         except OSError:  # pragma: no cover - spool died; nothing to clean
             pass
+        _save_cost_model(self.cost_model, self.cfg.cost_cache)
 
-    def stats(self) -> dict:
-        """One snapshot of the coordinator's instrumentation counters."""
-        return {
-            **self.core_stats(),
-            "expired_leases": self.expired_leases,
-            "swept_leases": self.swept_leases,
-            "swept_files": self.swept_files,
-            "quarantined": self.quarantined,
-            "io_retries": self.io.io_retries,
-            "io_backoff_s": round(self.io.backoff_s, 3),
-        }
+    # -- the executor protocol ---------------------------------------------
 
-    # -- work creation -----------------------------------------------------
-
-    def _enqueue(self, cid: int, attempt: int) -> None:
-        payload = pickle.dumps(
-            self._make_chunk(cid, attempt),
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
+    def submit(self, cid: int, attempt: int, chunk: JobChunk) -> None:
         self.io.write_frame(
             self.root / _TASK_DIR / _task_name(self.token, cid, attempt),
-            payload,
+            pickle.dumps(
+                replace(chunk, handle=self.dataset_name),
+                protocol=pickle.HIGHEST_PROTOCOL,
+            ),
         )
-        self.attempts[cid] = attempt
+        self._live[cid] = attempt
 
-    def _requeue(self, cid: int, cause: str) -> None:
-        """Re-enqueue a lost chunk, bounded by ``settings.max_retries``."""
-        attempt = self._next_attempt(cid, cause)
-        if attempt is not None:
-            self._enqueue(cid, attempt)
+    def poll(self, timeout: float) -> list:
+        live = self._observe_agents()
+        self.capacity = len(live)
+        reports = self._check_leases(live) + self._ingest_results()
+        now = time.monotonic()
+        if live:
+            self._idle_since = None
+        elif self._idle_since is None:
+            self._idle_since = now
+        elif now - self._idle_since > self.cfg.agent_grace_s:
+            reports.append(
+                Notice(
+                    "no-agents",
+                    f"no live cluster agent for {self.cfg.agent_grace_s:.1f}s",
+                )
+            )
+            reports.append(Starved("no live agent is serving the spool"))
+        if not reports:
+            time.sleep(min(timeout, self.cfg.poll_interval_s))
+        return reports
 
-    def _top_up(self, live_agents: int) -> None:
-        window = max(2, _SPECULATION_PER_AGENT * live_agents)
-        start = self.frontier.next_commit
-        limit = min(len(self.ranked), start + window)
-        for cid in range(start, limit):
-            if cid not in self.attempts and cid not in self.done:
-                self._enqueue(cid, 1)
+    def abort(self) -> None:
+        """Withdraw unclaimed task files."""
+        for name in self.io.listing(self.root / _TASK_DIR):
+            if name.startswith(self.token + "."):
+                self.io.unlink(self.root / _TASK_DIR / name)
+        self._live.clear()
 
     # -- liveness ----------------------------------------------------------
 
@@ -917,8 +672,9 @@ class SpoolCoordinator(CoordinatorCore):
                 live.add(owner)
         return live
 
-    def _check_leases(self, live: set[str]) -> None:
-        """Expire leases of dead/partitioned agents; detect lost chunks."""
+    def _check_leases(self, live: set[str]) -> list:
+        """Expire leases of dead/partitioned agents; report lost chunks."""
+        reports: list = []
         now = time.monotonic()
         seen_leases: set[str] = set()
         leased_cids: set[int] = set()
@@ -945,161 +701,78 @@ class SpoolCoordinator(CoordinatorCore):
             self.io.unlink(self.root / _LEASE_DIR / name)
             self.lease_seen.pop(name, None)
             self.expired_leases += 1
-            self._emit(
-                "lease-expired",
-                f"lease for candidate {cid} (attempt {attempt}) expired: "
-                f"agent {agent} is dead or partitioned; reclaiming",
-                candidates=[cid],
-                attempts=attempt,
-            )
-            self._requeue(cid, "its lease expired")
+            if self._live.get(cid) == attempt:
+                reports.append(
+                    Notice(
+                        "lease-expired",
+                        f"lease for chunk {cid} (attempt {attempt}) expired: "
+                        f"agent {agent} is dead or partitioned; reclaiming",
+                        (cid,),
+                    )
+                )
+                reports.append(Lost((cid,), "its lease expired"))
         for stale in set(self.lease_seen) - seen_leases:
             del self.lease_seen[stale]
-        # Lost chunks: enqueued, not done, yet neither a task file, a
-        # lease, nor (checked by the subsequent ingest pass) a result —
-        # e.g. an agent quarantined a torn lease payload.  Requeue on
-        # the second consecutive sighting: agents write results *before*
-        # releasing leases, so anything genuinely in flight reappears in
-        # one of the three places by the next poll.
-        task_cids = {
+        # Lost chunks: in the spool, yet neither a task file, a lease,
+        # nor a result — e.g. an agent quarantined a torn lease payload.
+        # Reported on the second consecutive sighting: agents write
+        # results *before* releasing leases, so anything genuinely in
+        # flight reappears in one of the three places by the next poll.
+        present = {
             parsed[1]
-            for name in self.io.listing(self.root / _TASK_DIR)
-            if (parsed := _parse_task(name)) is not None
-            and parsed[0] == self.token
+            for sub, parse in (
+                (_TASK_DIR, _parse_task),
+                (_RESULT_DIR, _parse_result),
+            )
+            for name in self.io.listing(self.root / sub)
+            if (parsed := parse(name)) is not None and parsed[0] == self.token
         }
-        result_cids = self._pending_result_cids()
-        missing = {
-            cid
-            for cid in self.attempts
-            if cid not in self.done
-            and cid not in task_cids
-            and cid not in leased_cids
-            and cid not in result_cids
-        }
+        missing = set(self._live) - present - leased_cids
         for cid in sorted(missing & self._missing_once):
-            self._requeue(cid, "its chunk vanished from the spool")
+            reports.append(Lost((cid,), "its chunk vanished from the spool"))
         self._missing_once = missing - self._missing_once
+        return reports
 
-    def _pending_result_cids(self) -> set[int]:
-        return {
-            parsed[1]
-            for name in self.io.listing(self.root / _RESULT_DIR)
-            if (parsed := _parse_result(name)) is not None
-            and parsed[0] == self.token
-        }
-
-    # -- result ingest and commit ------------------------------------------
-
-    def _ingest_results(self) -> bool:
-        """Ingest result files; commit in rank order.  True when done."""
+    def _ingest_results(self) -> list:
+        """Deliver result files; quarantine the ones failing validation."""
+        reports: list = []
         for name in self.io.listing(self.root / _RESULT_DIR):
             parsed = _parse_result(name)
-            if parsed is None:
+            if parsed is None or parsed[0] != self.token:
                 continue
-            token, cid, attempt, agent = parsed
-            if token != self.token:
-                continue
+            _token, cid, attempt, _agent = parsed
             path = self.root / _RESULT_DIR / name
-            if cid in self.done:
-                # A stale agent rejoined and delivered late: the chunk
-                # is deterministic, so the copy we already ingested has
-                # identical entries.  First commit wins; count and drop.
-                self.duplicate_results += 1
-                logger.info(
-                    "dropping duplicate result %s (first-commit wins)",
-                    name,
-                )
-                self.io.unlink(path)
-                continue
             blob = self.io.read_bytes(path)
             if blob is None:
                 continue  # raced its own ingest on a previous poll
             try:
                 result = pickle.loads(_unframe(blob))
-                self._ingest(result)
+                if not isinstance(result, ChunkResult):
+                    raise TornFileError(f"not a chunk result: {result!r}")
             except Exception as error:
                 self.quarantined += 1
                 self.io.quarantine(path, self.root)
-                self._emit(
-                    "torn-file",
-                    f"quarantined spool result {name}: {error}",
-                    candidates=[cid],
-                    attempts=self.attempts.get(cid, 0),
-                )
-                self._requeue(cid, "its result file failed validation")
+                if self._live.get(cid) == attempt:
+                    reports.append(
+                        Notice(
+                            "torn-file",
+                            f"quarantined spool result {name}: {error}",
+                            (cid,),
+                        )
+                    )
+                    reports.append(
+                        Lost((cid,), "its result file failed validation")
+                    )
                 continue
             self.io.unlink(path)
-        return self.frontier.commit()
-
-    # -- fallback ----------------------------------------------------------
-
-    def _abort_outstanding(self) -> None:
-        """Withdraw unclaimed task files before the sequential floor."""
-        for name in self.io.listing(self.root / _TASK_DIR):
-            if name.startswith(self.token + "."):
-                self.io.unlink(self.root / _TASK_DIR / name)
-
-    # -- main loop ---------------------------------------------------------
-
-    def _loop(self) -> "SearchOutcome":
-        if self.frontier.finished:
-            return self.frontier.outcome
-        no_agent_since: float | None = None
-        try:
-            while True:
-                live = self._observe_agents()
-                self._top_up(len(live))
-                self._check_leases(live)
-                before = (self.frontier.next_commit, len(self.done))
-                if self._ingest_results():
-                    return self.frontier.outcome
-                if live:
-                    no_agent_since = None
-                else:
-                    now = time.monotonic()
-                    if no_agent_since is None:
-                        no_agent_since = now
-                    elif now - no_agent_since > self.cfg.agent_grace_s:
-                        self._emit(
-                            "no-agents",
-                            "no live cluster agent for "
-                            f"{self.cfg.agent_grace_s:.1f}s",
-                        )
-                        return self._fallback(
-                            "no live agent is serving the spool"
-                        )
-                if (self.frontier.next_commit, len(self.done)) == before:
-                    time.sleep(self.cfg.poll_interval_s)
-        except RetriesExhausted as exhausted:
-            return self._exhausted(exhausted)
-
-
-def cluster_search(
-    frontier: SearchFrontier,
-    split: "DataSplit",
-    settings: "TrainingSettings",
-    seed: int,
-    spool: "SpoolConfig | str | os.PathLike",
-    on_event: Callable[[SearchEvent], None] | None = None,
-) -> "SearchOutcome":
-    """Run a spool-sharded search (see module docstring for the protocol).
-
-    Same contract as
-    :func:`repro.runtime.parallel.speculative_search`, with the spool
-    replacing the process pool as the execution substrate; agents are
-    started separately (``repro cluster-agent --spool DIR``).
-    """
-    return SpoolCoordinator(
-        frontier.ranked,
-        split,
-        frontier.threshold,
-        settings,
-        frontier.convention,
-        seed,
-        spool,
-        on_event=on_event,
-        frontier=frontier,
-    ).run()
+            # Withdraw a still-unclaimed retry of a chunk that is now
+            # delivered (a no-op when that attempt is the one delivered).
+            pending = self._live.pop(cid, None)
+            if pending is not None:
+                task = _task_name(self.token, cid, pending)
+                self.io.unlink(self.root / _TASK_DIR / task)
+            reports.append(Delivered(cid, result))
+        return reports
 
 
 # -- agent ------------------------------------------------------------------
@@ -1238,9 +911,9 @@ def _claim_next(
 ) -> "pathlib.Path | None":
     """Claim the lowest-named task via atomic rename, or ``None``.
 
-    Task names sort by (token, candidate, attempt), so agents prefer
-    the candidate closest to the commit frontier — least-speculative
-    first, minimizing discarded work when an early candidate passes.
+    Task names sort by (token, chunk id, attempt), so agents take
+    chunks in the order the scheduler submitted them: most expensive
+    first within its speculation window.
     """
     for name in io.listing(root / _TASK_DIR):
         if not name.endswith(".task"):
@@ -1273,7 +946,9 @@ def _serve_chunk(
     if blob is None:  # pragma: no cover - lease swept mid-claim
         return
     try:
-        chunk: SpoolChunk = pickle.loads(_unframe(blob))
+        chunk = pickle.loads(_unframe(blob))
+        if not isinstance(chunk, JobChunk):
+            raise TornFileError(f"not a chunk: {chunk!r}")
     except Exception as error:
         # Torn/corrupt lease payload: quarantine it; the coordinator's
         # lost-chunk pass re-enqueues the work.
@@ -1281,9 +956,9 @@ def _serve_chunk(
         logger.warning("quarantining torn lease %s: %s", lease.name, error)
         io.quarantine(lease, root)
         return
-    split = splits.get(chunk.dataset)
+    split = splits.get(chunk.handle)
     if split is None:
-        raw = io.read_bytes(root / _DATA_DIR / chunk.dataset)
+        raw = io.read_bytes(root / _DATA_DIR / chunk.handle)
         if raw is None:
             # Dataset gone: the owning search has ended; drop the lease
             # so the spool carries no trace of the dead work.
@@ -1293,14 +968,14 @@ def _serve_chunk(
             split = pickle.loads(_unframe(raw))
         except Exception as error:
             logger.warning(
-                "quarantining torn dataset %s: %s", chunk.dataset, error
+                "quarantining torn dataset %s: %s", chunk.handle, error
             )
             stats.quarantined += 1
-            io.quarantine(root / _DATA_DIR / chunk.dataset, root)
+            io.quarantine(root / _DATA_DIR / chunk.handle, root)
             io.unlink(lease)
             return
         splits.clear()  # one search's split at a time; keep memory flat
-        splits[chunk.dataset] = split
+        splits[chunk.handle] = split
     plan = faults.claim_spool_fault(
         root, {job.candidate_index for job in chunk.jobs}
     )
@@ -1338,28 +1013,13 @@ def _serve_chunk(
         # so it trains on regardless.
         return not ignore_lease_loss and not lease.exists()
 
-    started = time.perf_counter()
     try:
-        entries, _fallback, _degrades = chunk_entries(
-            chunk.jobs,
-            split,
-            chunk.settings,
-            vectorized=chunk.vectorized,
-            cancel_check=lease_lost,
-        )
-        result = SpoolResult(
-            chunk_id=chunk.chunk_id,
-            attempt=chunk.attempt,
-            agent=agent_id,
-            entries=tuple(entries),
-            wall_time_s=time.perf_counter() - started,
-        )
+        result = execute_chunk(chunk, split, lease_lost)
         payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-        name = (
-            f"{chunk.token}.c{chunk.chunk_id:05d}.a{chunk.attempt:02d}"
-            f".{agent_id}.result"
-        )
-        path = root / _RESULT_DIR / name
+        # <agent>.<task>.lease -> <task>.<agent>.result, where <task>
+        # is <token>.c<cid>.a<att>.
+        task = lease.name[len(agent_id) + 1 : -len(".lease")]
+        path = root / _RESULT_DIR / f"{task}.{agent_id}.result"
         if tear_result:
             # Fault injection: ship a frame whose payload is cut short,
             # as if the writer died mid-write on a filesystem without
@@ -1380,10 +1040,7 @@ def _serve_chunk(
         # the agent alive for the next chunk.  This agent heartbeats, so
         # an abandoned-but-held lease would pin the chunk forever.
         logger.warning(
-            "agent %s dropping chunk c%d after %r",
-            agent_id,
-            chunk.chunk_id,
-            error,
+            "agent %s dropping chunk %s after %r", agent_id, lease.name, error
         )
         io.unlink(lease)
         return

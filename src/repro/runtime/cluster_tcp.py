@@ -1,28 +1,27 @@
 """Cross-host sharded grid search over plain TCP sockets.
 
-The spool transport (:mod:`repro.runtime.cluster`) made distributed
-search a pure transport problem — picklable chunks, ``(seed, candidate,
-run)``-derived RNG streams, strict FLOPs-order commit — and solved it
-for clusters that share a filesystem.  Most multi-host rigs people
-actually have (lab desktops, cloud VMs, CI runners) share nothing but a
-network, so this module provides the second interchangeable transport:
-a :class:`TcpCoordinator` that listens on a socket and agents
-(:func:`run_tcp_agent`, ``repro cluster-agent --connect HOST:PORT``)
-that dial in and claim chunks over the wire.
+The spool transport (:mod:`repro.runtime.cluster`) serves clusters that
+share a filesystem.  Most multi-host rigs people actually have (lab
+desktops, cloud VMs, CI runners) share nothing but a network, so this
+module provides the second cluster executor: a :class:`TcpExecutor`
+that listens on a socket for agents (:func:`run_tcp_agent`,
+``repro cluster-agent --connect HOST:PORT``) that dial in and claim
+chunks over the wire.
 
 The wire protocol reuses the spool's ``RSPL`` framing verbatim — magic,
 version, payload length, SHA-256 — so every message is length-prefixed
 and checksummed, and the payloads are the same pickled
-:class:`~repro.runtime.cluster.SpoolChunk` /
-:class:`~repro.runtime.cluster.SpoolResult` types.  On top of the
-stream, five message kinds::
+:class:`~repro.runtime.pool.JobChunk` /
+:class:`~repro.runtime.pool.ChunkResult` types a pool worker sees.  On
+top of the stream, eight message kinds::
 
     agent -> coordinator    ("hello",  {"agent": id})
-    coordinator -> agent    ("welcome", {"token", "dataset", "split"})
+    coordinator -> agent    ("welcome", {"token", "split"})
     agent -> coordinator    ("claim",  {"agent": id})
-    coordinator -> agent    ("chunk",  SpoolChunk) | ("idle", None)
+    coordinator -> agent    ("chunk",  (cid, attempt, JobChunk))
+                            | ("idle", None)
     agent -> coordinator    ("beat",   {"agent": id})      # no reply
-    agent -> coordinator    ("result", SpoolResult)
+    agent -> coordinator    ("result", (cid, attempt, ChunkResult))
     coordinator -> agent    ("ack",    None)
 
 The spool's full robustness ladder translates to the partition-prone
@@ -40,8 +39,8 @@ medium:
   a frame from it, exactly like a spool lease whose heartbeat counter
   stopped changing.  A connection that dies outright (EOF, reset, torn
   frame) releases its leases immediately — faster than waiting out the
-  timeout — and either way the chunk is re-enqueued under an
-  incremented attempt, bounded by ``settings.max_retries``;
+  timeout — and either way the scheduler resubmits the chunk under the
+  next attempt, bounded by ``settings.max_retries``;
 
 * **per-frame timeouts**: silence *between* frames is legal (that is
   what the lease table is for), but a frame that started arriving must
@@ -55,24 +54,20 @@ medium:
   restarts — and gives up after ``reconnect_timeout_s`` without a
   successful connection;
 
-* **duplicates** are first-commit-wins, same as the spool: a
-  partitioned agent whose lease was re-issued can reconnect and deliver
-  its (bit-identical, because chunks are deterministic) result anyway;
-  the first ingested copy commits, later ones are counted and dropped;
+* **duplicates** are harmless: a partitioned agent whose lease was
+  re-issued can reconnect and deliver its (bit-identical, because
+  chunks are deterministic) result anyway; the scheduler keeps the
+  first delivered copy and counts and drops later ones;
 
-* losing **every** agent degrades gracefully: after ``agent_grace_s``
-  with no live connection the coordinator finishes the remaining
-  candidates through the in-process executor every other execution
-  path falls back to.
+* losing **every** agent for ``agent_grace_s`` starves the executor,
+  and the scheduler finishes the remaining candidates in-process.
 
-All of the correctness machinery — strict-order commit (the shared
-:class:`~repro.runtime.frontier.SearchFrontier`), attempt bounding,
-duplicate arbitration, run-coverage validation, measured-cost feedback,
-the in-process floor — is inherited unchanged from
-:class:`~repro.runtime.cluster.CoordinatorCore`, which is why a
-TCP-sharded :class:`~repro.core.grid_search.SearchOutcome` is
-bit-identical to a spool-sharded or sequential one under any failure
-history.
+All of the correctness machinery — speculation, packing, attempt
+bounding, duplicate arbitration, cost feedback, FLOPs-order commit and
+the in-process floor — is the :class:`~repro.runtime.parallel.Scheduler`'s,
+shared with the pool and the spool, which is why a TCP-sharded
+:class:`~repro.core.grid_search.SearchOutcome` is bit-identical to a
+pooled, spool-sharded or sequential one under any failure history.
 """
 
 from __future__ import annotations
@@ -87,8 +82,8 @@ import random
 import socket
 import threading
 import time
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING, Callable
 
 from ..config import (
     TCP_AGENT_GRACE_S,
@@ -103,31 +98,29 @@ from ..exceptions import SearchError, TrainingCancelled
 from . import faults
 from .backoff import Backoff
 from .cluster import (
+    _REMOTE_BUDGET,
     AgentStats,
-    CoordinatorCore,
-    SpoolChunk,
-    SpoolResult,
     TornFileError,
+    _cached_cost_model,
     _frame,
     _FRAME_VERSION,
     _HEADER,
     _MAGIC,
     _new_owner_id,
+    _save_cost_model,
 )
-from .frontier import RetriesExhausted, SearchEvent, SearchFrontier
-from .jobs import chunk_entries
+from .memory import MemoryBudget
+from .parallel import Delivered, ExecutorCounters, Lost, Notice, Starved
+from .pool import ChunkResult, JobChunk, execute_chunk
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.grid_search import SearchOutcome, TrainingSettings
-    from ..core.search_space import ModelSpec
+    from ..core.grid_search import TrainingSettings
     from ..data.splits import DataSplit
-    from ..flops.conventions import CountingConvention
 
 __all__ = [
     "TcpConfig",
-    "TcpCoordinator",
+    "TcpExecutor",
     "run_tcp_agent",
-    "tcp_cluster_search",
     "ConnectionDead",
 ]
 
@@ -295,10 +288,10 @@ def _recv_msg(
 class TcpConfig:
     """TCP transport knobs (``address`` is ``HOST:PORT``).
 
-    The coordinator binds the address (port 0 picks an ephemeral port,
-    readable as ``coordinator.address`` after ``prepare()``); agents
-    dial the same string.  ``cost_cache`` names an optional JSON file
-    for the coordinator's measured-cost model, exactly as on
+    The executor binds the address (port 0 picks an ephemeral port,
+    readable as ``executor.address`` after ``open()``); agents dial the
+    same string.  ``cost_cache`` names an optional JSON file for the
+    executor's measured-cost model, exactly as on
     :class:`~repro.runtime.cluster.SpoolConfig`.
     """
 
@@ -324,88 +317,86 @@ class _Lease:
         self.last_seen = last_seen
 
 
-# -- coordinator ------------------------------------------------------------
+# -- executor ---------------------------------------------------------------
 
 
-class TcpCoordinator(CoordinatorCore):
-    """Drives one TCP-sharded search; returns a sequential-identical
-    :class:`~repro.core.grid_search.SearchOutcome`.
+class TcpExecutor:
+    """A listening socket as an executor of the
+    :class:`~repro.runtime.parallel.Scheduler`.
 
-    Single-writer like the spool coordinator: one listening socket, one
-    commit stream; agents scale horizontally.  Connection handling runs
-    on daemon threads; all commit-order bookkeeping stays on the caller
-    thread, fed through a queue, so the inherited core never sees
-    concurrency.  Usually constructed via ``grid_search(connect=...)``
-    / :func:`tcp_cluster_search`; exposed so tests can drive
-    ``prepare``/``_loop`` stepwise and read the bound port.
+    Owns only the medium and its liveness: ``submit`` queues a chunk
+    for the next ``claim`` (granted in submission order, which the
+    scheduler already packed most-expensive-first); ``poll`` requeues
+    the leases of dropped connections, expires the leases of silent
+    agents, delivers received results and reports starvation once no
+    agent has been live for ``agent_grace_s``.  Connection handling
+    runs on daemon threads and reaches the scheduler thread through a
+    lock-guarded lease table and a result queue.
+
+    Single-writer like the spool: one listening socket, one commit
+    stream; agents scale horizontally.  ``address`` holds the bound
+    ``HOST:PORT`` once :meth:`open` ran (port 0 picks a free one).
     """
 
-    def __init__(
-        self,
-        ranked: Sequence["ModelSpec"],
-        split: "DataSplit",
-        threshold: float,
-        settings: "TrainingSettings",
-        convention: "CountingConvention",
-        seed: int,
-        config: "TcpConfig | str",
-        on_event: Callable[[SearchEvent], None] | None = None,
-        frontier: SearchFrontier | None = None,
-    ) -> None:
+    def __init__(self, config: "TcpConfig | str") -> None:
         self.cfg = (
             config if isinstance(config, TcpConfig) else TcpConfig(config)
         )
-        super().__init__(
-            ranked,
-            split,
-            threshold,
-            settings,
-            convention,
-            seed,
-            on_event=on_event,
-            frontier=frontier,
-            cost_cache=self.cfg.cost_cache,
-        )
         self.host, self.port = _parse_address(self.cfg.address)
         self.address = self.cfg.address
-        # Static FLOPs per candidate, for cost-model claim packing.
-        self._costs = [spec.flops(self.convention) for spec in self.ranked]
-        # Shared state between the caller thread and connection-handler
-        # threads, all guarded by one lock: the unclaimed work queue,
-        # the lease table, per-agent last-frame times, open connections
-        # and the ids of connections that have died since the last reap.
+        self.token = _new_owner_id()
+        self.cost_model = _cached_cost_model(self.cfg.cost_cache)
+        self.counters = ExecutorCounters()
+        self.capacity = 0
+        self._split: "DataSplit | None" = None
+        # Shared between the scheduler thread and connection-handler
+        # threads, all guarded by one lock: unclaimed chunks, the lease
+        # table, per-agent last-frame times, open connections and the
+        # ids of connections that died since the last poll.
         self._lock = threading.Lock()
-        self._pending: list[tuple[int, int]] = []  # (cid, attempt)
+        self._pending: list[tuple[int, int, JobChunk]] = []
         self._leases: dict[int, _Lease] = {}  # cid -> lease
         self._agent_seen: dict[str, float] = {}  # agent -> monotonic
         self._agent_conns: dict[int, str] = {}  # conn_id -> agent
         self._conns: dict[int, socket.socket] = {}
         self._lost_conns: list[int] = []
-        self._results: "queue.SimpleQueue[SpoolResult]" = queue.SimpleQueue()
+        #: (cid, attempt, ChunkResult) as received.
+        self._results: "queue.SimpleQueue[tuple]" = queue.SimpleQueue()
         self._conn_ids = itertools.count(1)
         self._closing = False
         self._draining = False
+        self._idle_since: float | None = None
         self._server: socket.socket | None = None
         self._accept_thread: threading.Thread | None = None
-        # TCP-specific stats.
+        self.agents_seen: set[str] = set()
         self.connections_accepted = 0
         self.connections_lost = 0
         self.expired_leases = 0
         self.torn_frames = 0
 
+    def memory_budget(self, settings: "TrainingSettings") -> MemoryBudget:
+        return _REMOTE_BUDGET
+
+    def stats(self) -> dict:
+        """One snapshot of the executor's instrumentation counters."""
+        return {
+            "token": self.token,
+            **asdict(self.counters),
+            "cost_observations": self.cost_model.observations,
+            "agents_seen": len(self.agents_seen),
+            "connections_accepted": self.connections_accepted,
+            "connections_lost": self.connections_lost,
+            "expired_leases": self.expired_leases,
+            "torn_frames": self.torn_frames,
+        }
+
     # -- lifecycle ---------------------------------------------------------
 
-    def run(self) -> "SearchOutcome":
-        self.prepare()
-        try:
-            return self._loop()
-        finally:
-            self._cleanup()
-            self._save_cost_model()
-            logger.info("tcp coordinator stats: %s", self.stats())
-
-    def prepare(self) -> None:
+    def open(self, split: "DataSplit", chunk_seconds=None) -> None:
         """Bind the listening socket and start accepting agents."""
+        if self._server is not None:
+            return
+        self._split = split
         self._server = socket.create_server(
             (self.host, self.port), backlog=64
         )
@@ -419,13 +410,15 @@ class TcpCoordinator(CoordinatorCore):
             "tcp coordinator %s listening on %s", self.token, self.address
         )
 
-    def _cleanup(self) -> None:
+    def close(self) -> None:
+        """Close every socket and persist the cost model."""
+        if self._server is None or self._closing:
+            return
         self._closing = True
-        if self._server is not None:
-            try:
-                self._server.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
+        try:
+            self._server.close()
+        except OSError:  # pragma: no cover - already closed
+            pass
         with self._lock:
             conns = list(self._conns.values())
             self._conns.clear()
@@ -436,16 +429,7 @@ class TcpCoordinator(CoordinatorCore):
                 pass
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5.0)
-
-    def stats(self) -> dict:
-        """One snapshot of the coordinator's instrumentation counters."""
-        return {
-            **self.core_stats(),
-            "connections_accepted": self.connections_accepted,
-            "connections_lost": self.connections_lost,
-            "expired_leases": self.expired_leases,
-            "torn_frames": self.torn_frames,
-        }
+        _save_cost_model(self.cost_model, self.cfg.cost_cache)
 
     # -- connection handling (daemon threads) ------------------------------
 
@@ -477,36 +461,16 @@ class TcpCoordinator(CoordinatorCore):
                 if lease.conn_id == conn_id:
                     lease.last_seen = now
 
-    def _grant(self, agent: str, conn_id: int) -> SpoolChunk | None:
-        """Lease out the most expensive pending chunk (LPT packing).
-
-        Estimates come from the measured-cost model fed by every
-        delivered result (cross-host ``wall_time_s`` feedback); before
-        any observation they fall back to static FLOPs.  Ties break on
-        the lower candidate id.  Reading the model from a handler
-        thread races its updates at worst into a stale estimate —
-        packing order shapes only the makespan, never results.
-        """
+    def _grant(self, agent: str, conn_id: int) -> tuple | None:
+        """Lease out the oldest pending chunk as ``(cid, attempt, chunk)``."""
         with self._lock:
             if self._draining or not self._pending:
                 return None
-            runs = self.settings.runs
-            best = max(
-                range(len(self._pending)),
-                key=lambda i: (
-                    self.cost_model.estimate(
-                        self.ranked[self._pending[i][0]].label,
-                        self._costs[self._pending[i][0]],
-                        runs,
-                    ),
-                    -self._pending[i][0],
-                ),
+            grant = self._pending.pop(0)
+            self._leases[grant[0]] = _Lease(
+                agent, conn_id, grant[1], time.monotonic()
             )
-            cid, attempt = self._pending.pop(best)
-            self._leases[cid] = _Lease(
-                agent, conn_id, attempt, time.monotonic()
-            )
-        return self._make_chunk(cid, attempt)
+        return grant
 
     def _serve_conn(self, conn: socket.socket, conn_id: int) -> None:
         agent: str | None = None
@@ -535,11 +499,7 @@ class TcpCoordinator(CoordinatorCore):
                         conn,
                         (
                             "welcome",
-                            {
-                                "token": self.token,
-                                "dataset": self.dataset_name,
-                                "split": self.split,
-                            },
+                            {"token": self.token, "split": self._split},
                         ),
                         timeout,
                         wlock,
@@ -552,17 +512,23 @@ class TcpCoordinator(CoordinatorCore):
                     self._touch(conn_id, now)
                 elif kind == "claim":
                     self._touch(conn_id, now)
-                    chunk = self._grant(agent, conn_id)
-                    reply = ("chunk", chunk) if chunk else ("idle", None)
+                    grant = self._grant(agent, conn_id)
+                    reply = ("chunk", grant) if grant else ("idle", None)
                     _send_msg(conn, reply, timeout, wlock)
                 elif kind == "result":
                     self._touch(conn_id, now)
-                    result: SpoolResult = data
+                    if not (
+                        isinstance(data, tuple)
+                        and len(data) == 3
+                        and isinstance(data[2], ChunkResult)
+                    ):
+                        raise TornFileError("malformed result message")
+                    cid, attempt, result = data
                     with self._lock:
-                        lease = self._leases.get(result.chunk_id)
+                        lease = self._leases.get(cid)
                         if lease is not None and lease.conn_id == conn_id:
-                            del self._leases[result.chunk_id]
-                    self._results.put(result)
+                            del self._leases[cid]
+                    self._results.put((cid, attempt, result))
                     _send_msg(conn, ("ack", None), timeout, wlock)
                 else:
                     raise ConnectionDead(
@@ -570,7 +536,7 @@ class TcpCoordinator(CoordinatorCore):
                     )
         except TornFileError as error:
             # A framing violation poisons the whole stream (no resync
-            # on TCP): count it and drop the connection; the reap pass
+            # on TCP): count it and drop the connection; the next poll
             # requeues whatever it held.
             self.torn_frames += 1
             logger.warning(
@@ -593,179 +559,94 @@ class TcpCoordinator(CoordinatorCore):
                 self._lost_conns.append(conn_id)
             self.connections_lost += 1
 
-    # -- caller-thread supervision ----------------------------------------
+    # -- the executor protocol (scheduler thread) --------------------------
 
-    def _requeue(self, cid: int, cause: str) -> None:
-        attempt = self._next_attempt(cid, cause)
-        if attempt is not None:
-            with self._lock:
-                self.attempts[cid] = attempt
-                self._pending.append((cid, attempt))
-
-    def _top_up(self, live_agents: int) -> None:
-        from .cluster import _SPECULATION_PER_AGENT
-
-        window = max(2, _SPECULATION_PER_AGENT * live_agents)
-        start = self.frontier.next_commit
-        limit = min(len(self.ranked), start + window)
+    def submit(self, cid: int, attempt: int, chunk: JobChunk) -> None:
         with self._lock:
-            for cid in range(start, limit):
-                if cid not in self.attempts and cid not in self.done:
-                    self.attempts[cid] = 1
-                    self._pending.append((cid, 1))
+            self._pending.append((cid, attempt, chunk))
 
-    def _live_agents(self) -> set[str]:
-        """Agents with an open connection and a recent frame, judged on
-        this process's monotonic clock."""
+    def poll(self, timeout: float) -> list:
         now = time.monotonic()
         with self._lock:
-            return {
+            lost = set(self._lost_conns)
+            self._lost_conns.clear()
+            dropped = [
+                (cid, lease)
+                for cid, lease in self._leases.items()
+                if lease.conn_id in lost
+            ]
+            silent = [
+                (cid, lease)
+                for cid, lease in self._leases.items()
+                if lease.conn_id not in lost
+                and now - lease.last_seen > self.cfg.lease_timeout_s
+            ]
+            for cid, _lease in dropped + silent:
+                del self._leases[cid]
+            live = {
                 agent
                 for agent in set(self._agent_conns.values())
                 if now - self._agent_seen.get(agent, 0.0)
                 <= self.cfg.lease_timeout_s
             }
-
-    def _reap_lost_conns(self) -> None:
-        """Requeue leases whose connection died (EOF/reset/torn frame)."""
-        with self._lock:
-            lost = set(self._lost_conns)
-            self._lost_conns.clear()
-            reclaimed = [
-                (cid, lease)
-                for cid, lease in self._leases.items()
-                if lease.conn_id in lost
-            ]
-            for cid, _lease in reclaimed:
-                del self._leases[cid]
-        for cid, lease in reclaimed:
-            self._emit(
-                "conn-lost",
-                f"the connection to agent {lease.agent} dropped while it "
-                f"held the lease for candidate {cid} "
-                f"(attempt {lease.attempt}); reclaiming",
-                candidates=[cid],
-                attempts=lease.attempt,
+        self.capacity = len(live)
+        self.expired_leases += len(silent)
+        reports: list = []
+        for cid, lease in dropped:
+            reports.append(
+                Notice(
+                    "conn-lost",
+                    f"the connection to agent {lease.agent} dropped while it "
+                    f"held the lease for chunk {cid} (attempt "
+                    f"{lease.attempt}); reclaiming",
+                    (cid,),
+                )
             )
-            self._requeue(cid, "its connection dropped")
-
-    def _expire_leases(self) -> None:
-        """Expire leases silent past the timeout (half-open partitions)."""
-        now = time.monotonic()
-        with self._lock:
-            expired = [
-                (cid, lease)
-                for cid, lease in self._leases.items()
-                if now - lease.last_seen > self.cfg.lease_timeout_s
-            ]
-            for cid, _lease in expired:
-                del self._leases[cid]
-        for cid, lease in expired:
-            self.expired_leases += 1
-            self._emit(
-                "lease-expired",
-                f"lease for candidate {cid} (attempt {lease.attempt}) "
-                f"expired: agent {lease.agent} is silent or partitioned; "
-                "reclaiming",
-                candidates=[cid],
-                attempts=lease.attempt,
+            reports.append(Lost((cid,), "its connection dropped"))
+        for cid, lease in silent:
+            # A half-open partition: the socket looks open, no frames.
+            reports.append(
+                Notice(
+                    "lease-expired",
+                    f"lease for chunk {cid} (attempt {lease.attempt}) "
+                    f"expired: agent {lease.agent} is silent or "
+                    "partitioned; reclaiming",
+                    (cid,),
+                )
             )
-            self._requeue(cid, "its lease expired")
-
-    def _drain_results(self) -> bool:
-        """Ingest queued results; commit in rank order.  True when done."""
+            reports.append(Lost((cid,), "its lease expired"))
         while True:
             try:
-                result = self._results.get_nowait()
+                cid, _attempt, result = self._results.get_nowait()
             except queue.Empty:
                 break
-            try:
-                self._ingest(result)
-            except TornFileError as error:
-                self.torn_frames += 1
-                self._emit(
-                    "torn-file",
-                    f"rejected result for candidate {result.chunk_id}: "
-                    f"{error}",
-                    candidates=[result.chunk_id],
-                    attempts=self.attempts.get(result.chunk_id, 0),
+            with self._lock:
+                # A retry of a chunk that is now delivered must not be
+                # granted (or its lease reclaimed) again.
+                self._pending = [p for p in self._pending if p[0] != cid]
+                self._leases.pop(cid, None)
+            reports.append(Delivered(cid, result))
+        if live:
+            self._idle_since = None
+        elif self._idle_since is None:
+            self._idle_since = now
+        elif now - self._idle_since > self.cfg.agent_grace_s:
+            reports.append(
+                Notice(
+                    "no-agents",
+                    f"no live cluster agent for {self.cfg.agent_grace_s:.1f}s",
                 )
-                self._requeue(result.chunk_id, "its result failed validation")
-        with self._lock:
-            # A requeued chunk whose earlier copy has since committed
-            # must not be granted again.
-            self._pending = [
-                (cid, attempt)
-                for cid, attempt in self._pending
-                if cid not in self.done
-            ]
-        return self.frontier.commit()
+            )
+            reports.append(Starved("no live agent is connected"))
+        if not reports:
+            time.sleep(min(timeout, self.cfg.poll_interval_s))
+        return reports
 
-    def _abort_outstanding(self) -> None:
+    def abort(self) -> None:
         """Withdraw ungranted work; later claims are answered ``idle``."""
         with self._lock:
             self._draining = True
             self._pending.clear()
-
-    def _loop(self) -> "SearchOutcome":
-        if self.frontier.finished:
-            return self.frontier.outcome
-        no_agent_since: float | None = None
-        try:
-            while True:
-                self._reap_lost_conns()
-                self._expire_leases()
-                live = self._live_agents()
-                self._top_up(len(live))
-                before = (self.frontier.next_commit, len(self.done))
-                if self._drain_results():
-                    return self.frontier.outcome
-                if live:
-                    no_agent_since = None
-                else:
-                    now = time.monotonic()
-                    if no_agent_since is None:
-                        no_agent_since = now
-                    elif now - no_agent_since > self.cfg.agent_grace_s:
-                        self._emit(
-                            "no-agents",
-                            "no live cluster agent for "
-                            f"{self.cfg.agent_grace_s:.1f}s",
-                        )
-                        return self._fallback(
-                            "no live agent is connected"
-                        )
-                if (self.frontier.next_commit, len(self.done)) == before:
-                    time.sleep(self.cfg.poll_interval_s)
-        except RetriesExhausted as exhausted:
-            return self._exhausted(exhausted)
-
-
-def tcp_cluster_search(
-    frontier: SearchFrontier,
-    split: "DataSplit",
-    settings: "TrainingSettings",
-    seed: int,
-    connect: "TcpConfig | str",
-    on_event: Callable[[SearchEvent], None] | None = None,
-) -> "SearchOutcome":
-    """Run a TCP-sharded search (see module docstring for the protocol).
-
-    Same contract as :func:`repro.runtime.cluster.cluster_search`, with
-    a listening socket replacing the spool directory; agents are
-    started separately (``repro cluster-agent --connect HOST:PORT``).
-    """
-    return TcpCoordinator(
-        frontier.ranked,
-        split,
-        frontier.threshold,
-        settings,
-        frontier.convention,
-        seed,
-        connect,
-        on_event=on_event,
-        frontier=frontier,
-    ).run()
 
 
 # -- agent ------------------------------------------------------------------
@@ -1002,7 +883,7 @@ def _serve_connection(
                 continue
             if msg[0] != "chunk":
                 raise ConnectionDead(f"expected chunk, got {msg[0]!r}")
-            chunk: SpoolChunk = msg[1]
+            cid, attempt, chunk = msg[1]
             plan = (
                 faults.claim_spool_fault(
                     fault_dir, {job.candidate_index for job in chunk.jobs}
@@ -1038,27 +919,14 @@ def _serve_connection(
                     drop_mid_frame = True
                 elif plan.kind == faults.SLOW_FRAME:
                     stall_mid_frame_s = plan.delay_s
-            started = time.perf_counter()
             try:
-                entries, _fallback, _degrades = chunk_entries(
-                    chunk.jobs,
-                    split,
-                    chunk.settings,
-                    vectorized=chunk.vectorized,
-                    cancel_check=cancelled,
-                )
+                result = execute_chunk(chunk, split, cancelled)
             except TrainingCancelled:
                 stats.cancelled += 1
                 continue  # the dead-connection check at the loop head
-            result = SpoolResult(
-                chunk_id=chunk.chunk_id,
-                attempt=chunk.attempt,
-                agent=agent_id,
-                entries=tuple(entries),
-                wall_time_s=time.perf_counter() - started,
-            )
             payload = pickle.dumps(
-                ("result", result), protocol=pickle.HIGHEST_PROTOCOL
+                ("result", (cid, attempt, result)),
+                protocol=pickle.HIGHEST_PROTOCOL,
             )
             frame = _frame(payload)
             # Past the header, inside the payload: the coordinator must

@@ -7,9 +7,9 @@ of that rule.  Execution modes differ only in how run results reach it:
 
 * in-process (``grid_search(workers=1)``, and the graceful-degradation
   floor of every other mode): :meth:`SearchFrontier.run_in_process`;
-* the pool scheduler (:func:`repro.runtime.parallel.speculative_search`);
-* the cluster coordinators (:class:`repro.runtime.cluster.CoordinatorCore`
-  over a spool or TCP).
+* the speculative scheduler (:class:`repro.runtime.parallel.Scheduler`)
+  on any of its three executors: a persistent worker pool, a
+  shared-filesystem spool, or TCP agents.
 
 Each mode :meth:`~SearchFrontier.offer`\\ s per-run entries as they
 arrive, in any order, and calls :meth:`~SearchFrontier.commit`.  A
@@ -40,28 +40,34 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .jobs import RunResult
     from .journal import SearchJournal
 
-__all__ = ["SearchEvent", "SearchFrontier", "RetriesExhausted"]
+__all__ = ["SearchEvent", "SearchFrontier"]
 
 
 @dataclass(frozen=True)
 class SearchEvent:
     """A structured supervision event, delivered to ``on_event``.
 
-    ``kind`` is one of ``"worker-lost"``, ``"retry"``,
-    ``"chunk-overdue"``, ``"chunk-timeout"``, ``"sequential-fallback"``,
-    ``"backend-fallback"`` (a requested array backend was unimportable
-    and the search fell back to NumPy; emitted once per search),
-    ``"group-resize"`` (the memory budget grew a stacked group past the
-    fixed cap or refused a merge), or ``"memory-degrade"`` (an
-    out-of-memory failure walked the recovery ladder — results are
-    unchanged, only the execution shape degraded).  The cluster
-    coordinator (:mod:`repro.runtime.cluster`) adds ``"lease-expired"``
-    (a chunk was reclaimed from a dead or partitioned agent),
-    ``"torn-file"`` (a spool file or socket frame failed validation),
-    and ``"no-agents"`` (no live agent served the cluster within the
-    grace period); the TCP coordinator
-    (:mod:`repro.runtime.cluster_tcp`) adds ``"conn-lost"`` (an agent
-    connection dropped and its leased chunks were requeued).
+    ``kind`` is one of:
+
+    * ``"retry"``: a lost chunk was resubmitted;
+    * ``"sequential-fallback"``: retries ran out (or no agent served a
+      cluster), so the search finishes in-process;
+    * ``"memory-degrade"``: an out-of-memory failure walked the recovery
+      ladder (results are unchanged, only the execution shape degraded);
+    * ``"group-resize"``: the memory budget resized an in-process group;
+    * ``"backend-fallback"``: a requested array backend was unimportable
+      and the search fell back to NumPy (once per search);
+    * ``"worker-lost"``, ``"chunk-overdue"``, ``"chunk-timeout"``: a
+      pool worker died, or a chunk passed its soft or hard deadline;
+    * ``"lease-expired"``: a chunk was reclaimed from a dead or
+      partitioned cluster agent;
+    * ``"conn-lost"``: a TCP agent's connection dropped while it held a
+      lease;
+    * ``"torn-file"``: a spool file, socket frame or result failed
+      validation;
+    * ``"no-agents"``: no live agent served a cluster within its grace
+      period.
+
     ``candidates`` lists the affected candidate indices (rank order);
     ``attempts`` is the highest submission count among the affected
     chunks at the time of the event.  ``str(event)`` is the human
@@ -76,20 +82,6 @@ class SearchEvent:
 
     def __str__(self) -> str:
         return self.message
-
-
-class RetriesExhausted(Exception):
-    """Internal: a chunk ran out of attempts; carries the would-be error.
-
-    Raised by the pool scheduler and the cluster coordinators; each
-    either re-raises ``error`` or finishes in-process through
-    :meth:`SearchFrontier.run_in_process`.
-    """
-
-    def __init__(self, error: Exception, attempts: int) -> None:
-        super().__init__(str(error))
-        self.error = error
-        self.attempts = attempts
 
 
 class SearchFrontier:

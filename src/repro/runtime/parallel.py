@@ -1,77 +1,50 @@
-"""Process-pool scheduler with speculative FLOPs-order semantics.
+"""The speculative scheduler every multi-worker execution mode shares.
 
 The paper's search trains candidates strictly in ascending-FLOPs order
 and stops at the first pass, which makes the *decision* sequential even
 though the *work* — ``runs`` independent trainings per candidate, each
 on its own ``(seed, candidate, run)``-derived RNG stream — is
-embarrassingly parallel.  The scheduler exploits that gap:
+embarrassingly parallel.  :class:`Scheduler` exploits that gap on any
+:class:`Executor`:
 
-* work is submitted to a worker pool in bounded-lookahead **chunks**
-  (*speculation*: workers may train candidate ``i + k`` before candidate
-  ``i``'s verdict is known); each chunk batches consecutive runs of one
-  candidate so a single worker invocation shares one dataset attachment
-  and one compiled tape across its runs — and, with candidate stacking,
-  waiting chunks of candidates with structurally identical tapes merge
-  into one multi-candidate chunk the worker trains as a single
-  cross-candidate fused sweep;
+* work goes out in bounded-lookahead **chunks** (*speculation*: the
+  executor may train candidate ``i + k`` before candidate ``i``'s
+  verdict is known).  At most ``SPECULATION_FACTOR x capacity`` chunks
+  are in flight, where capacity is the executor's worker or live-agent
+  count;
 
-* within the speculation window, chunks are submitted
-  **most-expensive-first** (FLOPs-aware packing): training time scales
-  with a candidate's FLOPs, so starting the window's longest jobs first
-  minimizes the window's makespan — the classic longest-processing-time
-  heuristic.  Submission order never affects results, only wall time,
-  because of the commit rule below;
+* within the window, chunks are submitted **most-expensive-first**
+  (longest-processing-time packing by the measured
+  :class:`~repro.runtime.pool.ChunkCostModel`), and a memory budget, on
+  executors that share this host's memory, caps the predicted bytes in
+  flight.  Submission order never affects results, because of the
+  commit rule below;
 
-* finished runs are buffered and candidates are **committed strictly in
-  FLOPs order** — a candidate's verdict (pass, fail, or even a training
-  error) is only acted upon once every cheaper candidate has been
-  committed, so a crash in a speculatively-trained expensive candidate
-  cannot surface from a search the sequential path would have won
-  earlier;
+* delivered runs go to the :class:`~repro.runtime.frontier.SearchFrontier`,
+  which commits candidates **strictly in FLOPs order** and stops at the
+  first pass;
 
-* the first committed pass is the winner (by construction the cheapest,
-  exactly as in the sequential path).  In-flight speculative chunks are
-  then *cancelled by generation*: queued chunks no-op, running trainings
-  abort at the next epoch boundary — and the pool survives for the next
-  search instead of being torn down.
+* chunks are deterministic, so a lost chunk simply runs again: every
+  chunk carries a stable id, re-attempts are bounded by
+  ``settings.max_retries``, and the first delivered copy of a chunk
+  wins (later copies are counted and dropped).  Retry exhaustion either
+  raises or, with ``settings.fallback_sequential`` (the default),
+  finishes in-process through
+  :meth:`~repro.runtime.frontier.SearchFrontier.run_in_process`;
 
-The scheduler is also the search's **supervisor**.  Chunks are
-deterministic — every run's RNG stream derives from ``(seed, candidate,
-run)`` — so a lost chunk can simply be executed again:
+* every decision is a :class:`SearchEvent` through ``on_event`` (and
+  the ``repro.runtime`` logger).
 
-* a worker death (OOM kill, segfault; ``multiprocessing.Pool`` silently
-  respawns the process and never fires the lost task's callbacks) is
-  detected by the pid watchdog; every outstanding chunk is resubmitted
-  under a fresh generation, bounded by ``settings.max_retries``;
-
-* each chunk carries a soft/hard **deadline** once the pool's
-  :class:`~repro.runtime.pool.ChunkCostModel` has a measured seconds
-  scale (or an absolute ``settings.chunk_timeout_s``): overdue chunks
-  emit a structured warning, chunks past the hard deadline are cancelled
-  via the generation mechanism and retried;
-
-* retry exhaustion degrades gracefully: with
-  ``settings.fallback_sequential`` (the default) the remaining
-  candidates are trained by the in-process executor
-  (:meth:`~repro.runtime.frontier.SearchFrontier.run_in_process`, with
-  grouping and the OOM ladder), so the sweep completes — identically —
-  instead of dying;
-
-* every supervision decision is surfaced as a :class:`SearchEvent`
-  through ``on_event`` (and the ``repro.runtime`` logger).
-
-Execution runs on a :class:`repro.runtime.pool.PersistentPool`.  Pass
-one in (``pool=``) to reuse warm workers and published shared-memory
-datasets across many searches — the protocol drivers do this — or let
-``speculative_search`` create and close an ephemeral one.
-
-The reported :class:`~repro.core.grid_search.SearchOutcome` — winner,
-evaluated list, per-run accuracies, progress-callback sequence — is
-identical to ``workers=1`` regardless of completion order, chunking,
-packing, retries, or a mid-search fallback: commits go through the
-same :class:`~repro.runtime.frontier.SearchFrontier` as ``workers=1``,
-and every worker runs the same OOM ladder
-(:func:`repro.runtime.jobs.chunk_entries`) as the in-process executor.
+An executor keeps only its medium and its liveness:
+``submit(cid, attempt, chunk)``, ``poll(timeout)`` (deliveries, losses,
+notices, starvation) and ``abort()``.  Three exist:
+:class:`PoolExecutor` (a :class:`~repro.runtime.pool.PersistentPool`:
+generations, the worker-pid watchdog and chunk deadlines),
+:class:`repro.runtime.cluster.SpoolExecutor` (a shared directory) and
+:class:`repro.runtime.cluster_tcp.TcpExecutor` (sockets).  The reported
+:class:`~repro.core.grid_search.SearchOutcome` is identical to
+``workers=1`` whatever the executor, completion order, packing, retries
+or fallback.
 """
 
 from __future__ import annotations
@@ -83,59 +56,59 @@ import random
 import time
 from dataclasses import dataclass, replace
 from queue import Empty, SimpleQueue
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Protocol, Sequence
 
 from ..exceptions import SearchError
 from .backoff import Backoff
-from .frontier import RetriesExhausted, SearchEvent, SearchFrontier
+from .frontier import SearchEvent, SearchFrontier
 from .jobs import RunError
-from .pool import ChunkResult, JobChunk, PersistentPool, make_chunks
+from .pool import (
+    ChunkCostModel,
+    ChunkResult,
+    JobChunk,
+    PersistentPool,
+    make_chunks,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.grid_search import SearchOutcome, TrainingSettings
     from ..data.splits import DataSplit
+    from .memory import MemoryBudget
 
 __all__ = [
     "resolve_workers",
     "speculative_search",
+    "Scheduler",
+    "Executor",
+    "PoolExecutor",
+    "ExecutorCounters",
+    "Delivered",
+    "Lost",
+    "Notice",
+    "Starved",
     "SearchEvent",
     "SPECULATION_FACTOR",
 ]
 
 logger = logging.getLogger("repro.runtime")
 
-#: In-flight chunks are capped at ``SPECULATION_FACTOR * workers``:
+#: In-flight chunks are capped at ``SPECULATION_FACTOR * capacity``:
 #: enough look-ahead to keep every worker busy across uneven run times,
-#: small enough to bound the training work discarded when an early
-#: candidate passes.
+#: small enough to bound the training discarded when an early candidate
+#: passes.
 SPECULATION_FACTOR = 2
 
-#: How often (seconds) the scheduler wakes from waiting on completions
-#: to check worker liveness and chunk deadlines.
-#: ``multiprocessing.Pool`` silently respawns a worker that dies mid-job
-#: (OOM kill, native segfault) and the job's callbacks never fire;
-#: without this watchdog the search would hang forever on such a loss.
-#: ``TrainingSettings.watchdog_interval_s`` overrides it per search.
+#: How often (seconds) the scheduler wakes an idle executor to check
+#: liveness (worker deaths, deadlines, leases).  ``multiprocessing.Pool``
+#: silently respawns a worker that dies mid-job and never fires the
+#: job's callbacks; without this tick a search would hang on such a
+#: loss.  ``TrainingSettings.watchdog_interval_s`` overrides it.
 _WATCHDOG_INTERVAL_S = 10.0
 
 #: Hard deadline as a multiple of the soft deadline when deadlines are
 #: derived from the cost model (an absolute ``chunk_timeout_s`` sets
 #: both to the same value).
 _HARD_DEADLINE_FACTOR = 2.0
-
-
-@dataclass
-class _Flight:
-    """One outstanding chunk: identity, provenance, and retry state."""
-
-    chunk: JobChunk
-    anchor: int  # candidate index the chunk was queued under
-    first_run: int
-    attempts: int = 1  # submissions so far (1 = first try)
-    submitted_at: float = 0.0  # time.monotonic() of the last submission
-    soft_deadline_s: float | None = None
-    hard_deadline_s: float | None = None
-    warned: bool = False
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -147,180 +120,299 @@ def resolve_workers(workers: int | None) -> int:
     return workers
 
 
-def speculative_search(
-    frontier: SearchFrontier,
-    split: "DataSplit",
-    settings: "TrainingSettings",
-    seed: int,
-    workers: int,
-    pool: PersistentPool | None = None,
-    on_event: Callable[[SearchEvent], None] | None = None,
-) -> "SearchOutcome":
-    """Parallel grid search from ``frontier``'s commit position.
+def chunk_candidates(chunk: JobChunk) -> list[int]:
+    """The candidate indices a chunk trains, ascending."""
+    return sorted({job.candidate_index for job in chunk.jobs})
 
-    Returns a :class:`SearchOutcome` equal to the sequential search's —
-    same winner, same ``evaluated`` list (same order, same per-run
-    accuracy lists), same ``progress`` call sequence.  Only
-    ``wall_time_s`` values differ (they measure actual run time).  A
-    training error, too, surfaces exactly when the sequential path would
-    hit it: at its candidate's commit turn, and never if a cheaper
-    candidate passes first.  Commit, journaling and progress belong to
-    the :class:`~repro.runtime.frontier.SearchFrontier`; this scheduler
-    only decides what trains where.
 
-    ``pool``: a :class:`~repro.runtime.pool.PersistentPool` to run on.
-    When omitted, an ephemeral pool is created and torn down with the
-    search (the pre-persistent-pool behaviour); when given, the pool's
-    worker count wins over ``workers``, the dataset is published to
-    shared memory at most once per pool, and the search leaves the pool
-    warm for the caller's next search.  ``on_event`` receives a
-    :class:`SearchEvent` for every supervision decision (retry,
-    timeout, fallback).
+# -- the executor protocol --------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Delivered:
+    """Chunk ``cid``'s result came back (possibly a duplicate copy)."""
+
+    cid: int
+    result: ChunkResult
+
+
+@dataclass(frozen=True)
+class Lost:
+    """The current executions of ``cids`` are lost; resubmit them.
+
+    ``cause`` says why, in the words of the retry and exhaustion
+    messages.  ``error`` marks a runtime failure of the medium: the
+    retry backs off first, and exhaustion re-raises ``error`` itself.
     """
-    from ..core.grid_search import MAX_ADAPTIVE_GROUP, MAX_GROUP_CANDIDATES
-    from .memory import estimate_candidate_bytes, resolve_memory_budget
 
-    if settings.runs < 1:
-        raise SearchError(f"settings.runs must be >= 1, got {settings.runs}")
-    if frontier.finished:
-        return frontier.outcome
-    owns_pool = pool is None
-    if owns_pool:
-        pool = PersistentPool(workers)
-    else:
-        workers = pool.workers
-    ranked = frontier.ranked
-    runs = settings.runs
-    max_retries = settings.max_retries
-    watchdog_s = (
-        settings.watchdog_interval_s
-        if settings.watchdog_interval_s is not None
-        else _WATCHDOG_INTERVAL_S
-    )
-    window = max(SPECULATION_FACTOR * workers, workers + 1)
-    # Cross-candidate stacking: vectorized chunks of same-structure
-    # candidates still waiting for a worker slot are merged into one
-    # multi-candidate chunk (one fused sweep on the worker).  Merging is
-    # opportunistic — it depends on what is still unsubmitted when a
-    # candidate enters the window — which, like packing order, only
-    # shapes wall time: every run's arithmetic is bit-identical however
-    # its chunk was grouped, and commits stay in FLOPs order.  Stacking
-    # makes single-run candidates worth vectorizing too (the group
-    # supplies the slices a lone run lacks).
-    stacking = settings.vectorized_runs and settings.stacked_candidates
-    vectorized = settings.vectorized_runs and (runs > 1 or stacking)
-    group_keys = (
-        [spec.group_key() for spec in ranked] if stacking else None
-    )
-    if vectorized:
-        # Run-stacked mode: one chunk per candidate carries the whole
-        # run set, so a single worker invocation trains all R runs in
-        # one stacked sweep.  The candidate lookahead equals the chunk
-        # window (one chunk each).
-        chunk_size = runs
-        lookahead = window
-    else:
-        # Speculation is bounded in *candidates*, not just in-flight
-        # chunks: only candidates within `lookahead` of the commit
-        # frontier may be submitted, so the training work discarded on
-        # an early pass is capped at ~`window` chunks past the winner
-        # even when one cheap candidate trains much slower than
-        # everything after it.  The bound still exposes >= `window`
-        # submittable chunks (lookahead * runs >= window * chunk), so
-        # workers stay busy across uneven run times.
+    cids: tuple[int, ...]
+    cause: str
+    error: Exception | None = None
+
+
+@dataclass(frozen=True)
+class Notice:
+    """Something the executor observed, reported as a :class:`SearchEvent`."""
+
+    kind: str
+    message: str
+    cids: tuple[int, ...] = ()
+
+
+@dataclass(frozen=True)
+class Starved:
+    """No capacity served the executor past its grace period."""
+
+    reason: str
+
+
+@dataclass
+class ExecutorCounters:
+    """What the scheduler counts on an executor (see ``stats()``)."""
+
+    chunk_retries: int = 0
+    sequential_fallbacks: int = 0
+    duplicate_results: int = 0
+    retry_backoff_s: float = 0.0
+
+
+class Executor(Protocol):
+    """What :class:`Scheduler` needs from an execution medium.
+
+    ``capacity`` is how many chunks the medium can work on at once (its
+    workers or live agents; it may change between polls).
+    ``cost_model`` carries measured chunk costs across searches;
+    ``counters`` holds the :class:`ExecutorCounters` fields the
+    scheduler increments.  ``open`` and ``close`` are idempotent.
+    """
+
+    capacity: int
+    cost_model: ChunkCostModel
+    counters: ExecutorCounters
+
+    def memory_budget(self, settings: "TrainingSettings") -> "MemoryBudget":
+        """The budget for chunks in flight (inactive off this host)."""
+
+    def open(
+        self,
+        split: "DataSplit",
+        chunk_seconds: Callable[[JobChunk], "float | None"],
+    ) -> None:
+        """Start a search over ``split``.  ``chunk_seconds`` is the
+        scheduler's measured-seconds estimate for a chunk (``None``
+        before calibration)."""
+
+    def submit(self, cid: int, attempt: int, chunk: JobChunk) -> None:
+        """Start attempt ``attempt`` of chunk ``cid``."""
+
+    def poll(
+        self, timeout: float
+    ) -> "list[Delivered | Lost | Notice | Starved]":
+        """What happened since the last poll; waits up to ``timeout``
+        seconds when nothing did."""
+
+    def abort(self) -> None:
+        """Withdraw or cancel every outstanding chunk."""
+
+    def close(self) -> None:
+        """End the search and release the medium's resources."""
+
+    def stats(self) -> dict:
+        """One snapshot of the executor's counters."""
+
+
+# -- the scheduler ----------------------------------------------------------
+
+
+class RetriesExhausted(Exception):
+    """Internal: a chunk ran out of attempts; carries the would-be error."""
+
+    def __init__(self, error: Exception, attempts: int) -> None:
+        super().__init__(str(error))
+        self.error = error
+        self.attempts = attempts
+
+
+@dataclass
+class _Flight:
+    chunk: JobChunk
+    attempts: int = 1  # submissions so far (1 = first try)
+
+
+class Scheduler:
+    """Speculative FLOPs-order search of one frontier on one executor.
+
+    Returns (from :meth:`run`) a :class:`SearchOutcome` equal to the
+    sequential search's — same winner, same ``evaluated`` list, same
+    ``progress`` call sequence; only ``wall_time_s`` differs.  A
+    training error surfaces at its candidate's commit turn, never if a
+    cheaper candidate passes first.  ``top_up`` is public so tests can
+    queue work before the loop starts.
+    """
+
+    def __init__(
+        self,
+        frontier: SearchFrontier,
+        split: "DataSplit",
+        settings: "TrainingSettings",
+        seed: int,
+        executor: Executor,
+        on_event: Callable[[SearchEvent], None] | None = None,
+    ) -> None:
+        if settings.runs < 1:
+            raise SearchError(
+                f"settings.runs must be >= 1, got {settings.runs}"
+            )
+        self.frontier = frontier
+        self.split = split
+        self.settings = settings
+        self.seed = seed
+        self.executor = executor
+        self.on_event = on_event
+        # Run-stacked chunks carry a candidate's whole run set, trained
+        # as one sweep; candidate stacking makes single-run candidates
+        # worth vectorizing too.
+        self.vectorized = settings.vectorized_runs and (
+            settings.runs > 1 or settings.stacked_candidates
+        )
+        #: Static FLOPs per candidate: the packing order before the cost
+        #: model has measured anything, on the same scale afterwards.
+        self._flops = [
+            spec.flops(frontier.convention) for spec in frontier.ranked
+        ]
+        # Memory governance shapes concurrency only, never results.
+        self.budget = executor.memory_budget(settings)
+        self._next_unqueued = frontier.next_commit
+        #: Chunks not yet submitted, as (candidate, first run, chunk).
+        self._waiting: list[tuple[int, int, JobChunk]] = []
+        #: Submitted chunks by a stable chunk id.  The id survives
+        #: retries, so a late copy of an accepted chunk is recognized and
+        #: dropped: a chunk's entries are accepted exactly once.
+        self._flights: dict[int, _Flight] = {}
+        self._cids = itertools.count()
+        # Retries after a runtime failure back off first: whatever broke
+        # the attempt is usually still broken a microsecond later.
+        # Seeded: delays shape wall time only.
+        self._backoff = Backoff(rng=random.Random(seed))
+
+    # -- shaping -------------------------------------------------------------
+
+    def _shape(self) -> tuple[int, int, int]:
+        """(window, candidate lookahead, runs per chunk) for the current
+        executor capacity."""
+        capacity = self.executor.capacity
+        window = max(SPECULATION_FACTOR * max(1, capacity), capacity + 1)
+        runs = self.settings.runs
+        if self.vectorized:
+            return window, window, runs
+        # Speculation is bounded in candidates, not just chunks, so the
+        # work discarded on an early pass stays near `window` chunks even
+        # when one cheap candidate trains slowly.  Batch consecutive runs
+        # only when `runs` is large relative to the window: the window
+        # still holds >= `window` submittable chunks.
         lookahead = max(1, -(-window // runs))
-        # Runs per chunk: 1 unless `runs` is large relative to the
-        # window (many runs, few workers), where batching consecutive
-        # runs of one candidate into a single submission amortizes IPC
-        # and shares one compiled tape per worker invocation without
-        # starving any worker — the window always holds >= `window`
-        # submittable chunks.
-        chunk_size = max(1, (lookahead * runs) // window)
-    #: Static per-candidate cost estimates: the same FLOPs the ranking
-    #: was computed from seed the packing order below; measured chunk
-    #: times refine it through the pool's ChunkCostModel (an EWMA per
-    #: candidate label), so later searches on a persistent pool pack by
-    #: observed seconds rather than raw FLOPs.
-    costs = [spec.flops(frontier.convention) for spec in ranked]
-    cost_model = pool.cost_model
-    # Memory governance: groups and the in-flight window are sized
-    # against this budget.  Sizing never affects results (commits stay
-    # in FLOPs order and every execution shape is bit-identical), so
-    # the budget only shapes concurrency and group width.
-    budget = resolve_memory_budget(settings.memory_budget)
-    group_cap = (
-        MAX_ADAPTIVE_GROUP
-        if budget.active and budget.explicit
-        else MAX_GROUP_CANDIDATES
-    )
+        return window, lookahead, max(1, (lookahead * runs) // window)
 
-    def candidate_bytes(index: int, n_runs: int) -> float:
-        """Predicted working-set bytes for ``n_runs`` of one candidate.
+    def _estimate(self, chunk: JobChunk) -> float:
+        index = chunk.jobs[0].candidate_index  # scheduler chunks span one
+        spec = self.frontier.ranked[index]
+        return self.executor.cost_model.estimate(
+            spec.label, self._flops[index], len(chunk.jobs)
+        )
 
-        Prefers the cost model's measured EWMA (fed by worker
-        ``ru_maxrss`` readings) and falls back to the analytic
-        :func:`~repro.runtime.memory.estimate_candidate_bytes` model
-        before any measurement exists.
-        """
-        measured = cost_model.bytes_estimate(ranked[index].label, n_runs)
+    def chunk_seconds(self, chunk: JobChunk) -> float | None:
+        """Measured-seconds estimate for a chunk, ``None`` before any."""
+        index = chunk.jobs[0].candidate_index
+        spec = self.frontier.ranked[index]
+        return self.executor.cost_model.seconds_estimate(
+            spec.label, self._flops[index], len(chunk.jobs)
+        )
+
+    def _bytes(self, chunk: JobChunk) -> float:
+        """Predicted working-set bytes: measured EWMA, else analytic."""
+        from .memory import estimate_candidate_bytes
+
+        spec = self.frontier.ranked[chunk.jobs[0].candidate_index]
+        measured = self.executor.cost_model.bytes_estimate(
+            spec.label, len(chunk.jobs)
+        )
         if measured is not None:
             return measured
         return float(
             estimate_candidate_bytes(
-                ranked[index], settings.batch_size, n_runs
+                spec, self.settings.batch_size, len(chunk.jobs)
             )
         )
 
-    def chunk_bytes(job_chunk: JobChunk) -> float:
-        return sum(
-            candidate_bytes(c, n)
-            for c, n in chunk_run_counts(job_chunk).items()
+    def top_up(self) -> None:
+        """Queue candidates within the lookahead; fill the window."""
+        window, lookahead, chunk_size = self._shape()
+        ranked = self.frontier.ranked
+        limit = min(len(ranked), self.frontier.next_commit + lookahead)
+        while self._next_unqueued < limit:
+            index = self._next_unqueued
+            self._next_unqueued += 1
+            for chunk in make_chunks(
+                ranked[index],
+                index,
+                self.seed,
+                self.settings.runs,
+                chunk_size,
+                None,
+                self.settings,
+                0,
+                vectorized=self.vectorized,
+            ):
+                self._waiting.append((index, chunk.jobs[0].run, chunk))
+        while self._waiting and len(self._flights) < window:
+            # Priced when the slot frees, not when queued: the first
+            # measured chunk would otherwise leave stale FLOPs-priced
+            # entries competing on another scale.  Ties fall back to
+            # (candidate, run) order.
+            best = max(
+                range(len(self._waiting)),
+                key=lambda i: (
+                    self._estimate(self._waiting[i][2]),
+                    -self._waiting[i][0],
+                    -self._waiting[i][1],
+                ),
+            )
+            if self.budget.active and self._flights:
+                # Admission control: never more predicted bytes in
+                # flight than the budget.  A lone chunk is admitted
+                # regardless, or one over-budget candidate would
+                # deadlock the search; the OOM ladder handles a real OOM.
+                in_flight = sum(
+                    self._bytes(f.chunk) for f in self._flights.values()
+                )
+                admitted = in_flight + self._bytes(self._waiting[best][2])
+                if admitted > self.budget.bytes:
+                    break
+            chunk = self._waiting.pop(best)[2]
+            cid = next(self._cids)
+            self._flights[cid] = _Flight(chunk)
+            self.executor.submit(cid, 1, chunk)
+
+    # -- events --------------------------------------------------------------
+
+    def _emit(self, kind: str, message: str, cids: Sequence[int] = ()) -> None:
+        flights = [self._flights[c] for c in cids if c in self._flights]
+        candidates = sorted(
+            {c for f in flights for c in chunk_candidates(f.chunk)}
         )
+        attempts = max((f.attempts for f in flights), default=0)
+        self._emit_event(kind, message, candidates, attempts)
 
-    generation = pool.new_generation()
-    handle = pool.acquire_split(split)
-
-    next_unqueued = frontier.next_commit  # next candidate not yet queued
-    # Submittable chunks as (candidate_index, first_run, chunk).  The
-    # most expensive one is picked at *submit* time — estimates must be
-    # priced when the slot frees, not when the chunk was queued, or the
-    # first measured chunk would leave stale FLOPs-priced entries
-    # competing on a different scale.  The pool is at most
-    # `lookahead * ceil(runs/chunk)` entries, so a linear scan is
-    # cheaper than keeping a heap consistent with moving estimates.
-    # Ties (chunks of one candidate, equal-cost candidates) fall back
-    # to (candidate, run) order, keeping submission deterministic for
-    # any fixed cost-model state.
-    submittable: list[tuple[int, int, JobChunk]] = []
-    # In-flight chunks by a stable chunk id.  The id survives retries
-    # (a resubmission replaces the flight's chunk but keeps its id), so
-    # duplicate completions — a superseded copy finishing after its
-    # replacement — are recognized and dropped: a chunk's entries are
-    # accepted exactly once no matter how many copies ever ran.
-    cid_counter = itertools.count()
-    outstanding: dict[int, _Flight] = {}
-
-    # Completions cross from the pool's result-handler thread to this
-    # one through a thread-safe queue: (cid, chunk, result, exception).
-    completions: SimpleQueue = SimpleQueue()
-
-    # Chunk retries pause with jittered backoff before resubmitting:
-    # whatever broke the attempt (a worker riding out memory pressure,
-    # a transient result-segment failure) is usually still broken a
-    # microsecond later, and an immediate resubmit just burns the retry
-    # budget against the same condition.  Seeded for a deterministic
-    # delay sequence; delays only shape wall time, never results.
-    retry_backoff = Backoff(rng=random.Random(seed))
-
-    def emit(
+    def _emit_event(
+        self,
         kind: str,
         message: str,
         candidates: Sequence[int] = (),
         attempts: int = 0,
     ) -> None:
         logger.warning("%s", message)
-        if on_event is not None:
-            on_event(
+        if self.on_event is not None:
+            self.on_event(
                 SearchEvent(
                     kind=kind,
                     message=message,
@@ -329,259 +421,358 @@ def speculative_search(
                 )
             )
 
-    def chunk_run_counts(job_chunk: JobChunk) -> dict[int, int]:
-        """Runs per candidate inside a (possibly merged) chunk."""
-        counts: dict[int, int] = {}
-        for job in job_chunk.jobs:
-            counts[job.candidate_index] = counts.get(job.candidate_index, 0) + 1
-        return counts
+    # -- reports -------------------------------------------------------------
 
-    def flight_candidates(flight: _Flight) -> list[int]:
-        return sorted(chunk_run_counts(flight.chunk))
+    def _accept(self, cid: int, result: ChunkResult) -> None:
+        """Offer a delivered chunk's entries; first copy wins."""
+        counters = self.executor.counters
+        flight = self._flights.get(cid)
+        if flight is None:
+            counters.duplicate_results += 1
+            logger.info("dropping duplicate result for chunk %d", cid)
+            return
+        expected = sorted(
+            (job.candidate_index, job.run) for job in flight.chunk.jobs
+        )
+        covered = sorted((e.candidate_index, e.run) for e in result.entries)
+        if covered != expected:
+            self._emit(
+                "torn-file",
+                f"rejected result for chunk {cid}: it covers runs {covered}, "
+                f"expected {expected}",
+                [cid],
+            )
+            self._retry(Lost((cid,), "its result failed validation"))
+            return
+        del self._flights[cid]
+        # A healthy completion ends the failure episode.
+        self._backoff.reset()
+        index = flight.chunk.jobs[0].candidate_index
+        label = self.frontier.ranked[index].label
+        n_runs = len(flight.chunk.jobs)
+        # Measured cost and working set refine later packing (and later
+        # searches on a persistent pool).  A failed chunk measures the
+        # failure, not the work.
+        if not any(isinstance(e, RunError) for e in result.entries):
+            cost_model = self.executor.cost_model
+            cost_model.observe(
+                label, self._flops[index], result.wall_time_s, n_runs
+            )
+            cost_model.observe_bytes(label, result.peak_bytes, n_runs)
+        if result.memory_degrades:
+            self._emit_event(
+                "memory-degrade",
+                f"chunk for candidate(s) {[index]} hit out-of-memory and "
+                f"recovered via {result.memory_degrades} degradation "
+                "step(s); results are unchanged",
+                [index],
+            )
+        for entry in result.entries:
+            if isinstance(entry, RunError):
+                entry = replace(entry, attempts=flight.attempts)
+            self.frontier.offer(entry)
 
-    def chunk_estimate(job_chunk: JobChunk) -> float:
-        """Expected chunk seconds: sum of its candidates' estimates."""
-        return sum(
-            cost_model.estimate(ranked[c].label, costs[c], n)
-            for c, n in chunk_run_counts(job_chunk).items()
+    def _retry(self, lost: Lost) -> None:
+        """Resubmit lost chunks, bounded by ``settings.max_retries``."""
+        max_retries = self.settings.max_retries
+        flights = {
+            cid: self._flights[cid]
+            for cid in lost.cids
+            if cid in self._flights
+        }
+        if not flights:
+            return  # every copy was delivered meanwhile
+        for flight in flights.values():
+            flight.attempts += 1
+            if flight.attempts > max_retries + 1:
+                lost_times = flight.attempts - 1
+                error = lost.error or SearchError(
+                    f"{lost.cause}; the chunk for candidate(s) "
+                    f"{chunk_candidates(flight.chunk)} was lost "
+                    f"{lost_times} time(s) (max_retries={max_retries})"
+                )
+                try:
+                    error.attempts = lost_times
+                except Exception:  # pragma: no cover - exotic error type
+                    pass
+                raise RetriesExhausted(error, lost_times)
+        delay = self._backoff.next_delay() if lost.error is not None else 0.0
+        counters = self.executor.counters
+        counters.chunk_retries += len(flights)
+        counters.retry_backoff_s += delay
+        time.sleep(delay)
+        for cid, flight in flights.items():
+            self._emit(
+                "retry",
+                f"{lost.cause}; retrying in {delay:.2f}s (chunk for "
+                f"candidate(s) {chunk_candidates(flight.chunk)}, attempt "
+                f"{flight.attempts} of {max_retries + 1})",
+                [cid],
+            )
+            self.executor.submit(cid, flight.attempts, flight.chunk)
+
+    def _fallback(self, reason: str, attempts: int = 0) -> "SearchOutcome":
+        self.executor.counters.sequential_fallbacks += 1
+        self._emit_event(
+            "sequential-fallback",
+            f"{reason}; finishing the remaining "
+            f"{len(self.frontier.ranked) - self.frontier.next_commit} "
+            "candidate(s) in-process sequentially",
+            attempts=attempts,
+        )
+        # Stop the medium burning cycles on chunks nobody will read.
+        self.executor.abort()
+        return self.frontier.run_in_process(
+            self.split, self.settings, self.seed, self.on_event
         )
 
-    def chunk_deadlines(
-        job_chunk: JobChunk,
-    ) -> tuple[float | None, float | None]:
-        """(soft, hard) deadline seconds for a chunk, or (None, None).
+    # -- the loop ------------------------------------------------------------
+
+    def run(self) -> "SearchOutcome":
+        """Search to the first committed pass (or exhaustion)."""
+        frontier = self.frontier
+        tick = (
+            self.settings.watchdog_interval_s
+            if self.settings.watchdog_interval_s is not None
+            else _WATCHDOG_INTERVAL_S
+        )
+        try:
+            if frontier.finished:
+                return frontier.outcome
+            self.executor.open(self.split, self.chunk_seconds)
+            try:
+                self.top_up()
+                while True:
+                    for report in self.executor.poll(tick):
+                        if isinstance(report, Delivered):
+                            self._accept(report.cid, report.result)
+                            frontier.commit()
+                        elif frontier.finished:
+                            continue  # decided: losses no longer matter
+                        elif isinstance(report, Lost):
+                            self._retry(report)
+                        elif isinstance(report, Notice):
+                            self._emit(
+                                report.kind, report.message, report.cids
+                            )
+                        else:
+                            return self._fallback(report.reason)
+                    if frontier.finished:
+                        return frontier.outcome
+                    self.top_up()
+            except RetriesExhausted as exhausted:
+                if not self.settings.fallback_sequential:
+                    raise exhausted.error from None
+                return self._fallback(
+                    f"retries exhausted ({exhausted.error})",
+                    exhausted.attempts,
+                )
+        finally:
+            self.executor.close()
+            logger.info(
+                "executor stats at search end: %s", self.executor.stats()
+            )
+
+
+def speculative_search(
+    frontier: SearchFrontier,
+    split: "DataSplit",
+    settings: "TrainingSettings",
+    seed: int,
+    executor: Executor,
+    on_event: Callable[[SearchEvent], None] | None = None,
+) -> "SearchOutcome":
+    """Run ``frontier``'s search on ``executor`` (see :class:`Scheduler`)."""
+    return Scheduler(frontier, split, settings, seed, executor, on_event).run()
+
+
+# -- the pool executor ------------------------------------------------------
+
+
+@dataclass
+class _PoolFlight:
+    chunk: JobChunk  # as submitted: handle and generation stamped
+    attempt: int
+    submitted_at: float
+    soft_deadline_s: float | None
+    hard_deadline_s: float | None
+    warned: bool = False
+
+
+class PoolExecutor:
+    """A :class:`~repro.runtime.pool.PersistentPool` as an executor.
+
+    Liveness is the pool's: each search runs under a generation
+    (cancelling it no-ops queued chunks and aborts running ones at the
+    next epoch boundary), a changed worker-pid set means a worker died
+    with its chunk (``multiprocessing.Pool`` fires no callback for it),
+    and chunks carry soft/hard deadlines once the cost model has a
+    seconds scale (or from ``settings.chunk_timeout_s``).  Cancellation
+    is generation-wide, so a deadline retry moves every outstanding
+    chunk to a fresh generation.
+
+    ``pool`` is reused warm; ``None`` creates an ephemeral
+    ``workers``-process pool that :meth:`close` tears down.
+    """
+
+    def __init__(self, pool: PersistentPool | None = None, workers: int = 1):
+        self._owns_pool = pool is None
+        self.pool = pool if pool is not None else PersistentPool(workers)
+        self.capacity = self.pool.workers
+        self.cost_model = self.pool.cost_model
+        self.counters = self.pool
+        self._handle = None
+        self._generation = 0
+        self._flights: dict[int, _PoolFlight] = {}
+        # Completions cross from the pool's result-handler thread to the
+        # scheduler's through a thread-safe queue:
+        # (cid, generation, result, exception).
+        self._completions: SimpleQueue = SimpleQueue()
+        self._pids: set[int] = set()
+        self._chunk_seconds: Callable[[JobChunk], float | None] = (
+            lambda chunk: None
+        )
+
+    def memory_budget(self, settings: "TrainingSettings") -> "MemoryBudget":
+        from .memory import resolve_memory_budget
+
+        return resolve_memory_budget(settings.memory_budget)
+
+    def stats(self) -> dict:
+        return self.pool.stats()
+
+    def open(self, split, chunk_seconds) -> None:
+        if self._handle is not None:
+            return
+        self._generation = self.pool.new_generation()
+        self._handle = self.pool.acquire_split(split)
+        self._chunk_seconds = chunk_seconds
+
+    def _deadlines(self, chunk: JobChunk) -> tuple[float | None, float | None]:
+        """(soft, hard) deadline seconds, counted from submission.
 
         An absolute ``chunk_timeout_s`` wins.  Otherwise deadlines are
-        ``chunk_deadline_factor`` x the cost model's measured seconds
-        estimate with a ``chunk_deadline_floor_s`` floor — and only
-        exist once the model has a real seconds scale (pre-calibration
-        "estimates" are raw FLOPs, meaningless as a time).  The clock
-        starts at submission, so deadlines include queue wait; the
-        generous factor and floor keep a busy-but-healthy pool from
-        tripping them.
+        ``chunk_deadline_factor`` x the measured seconds estimate,
+        floored at ``chunk_deadline_floor_s`` — and only once the model
+        has a seconds scale.  The clock includes queue wait; the factor
+        and floor keep a busy-but-healthy pool from tripping them.
         """
+        settings = chunk.settings
         if settings.chunk_timeout_s is not None:
             return settings.chunk_timeout_s, settings.chunk_timeout_s
-        estimates = [
-            cost_model.seconds_estimate(ranked[c].label, costs[c], n)
-            for c, n in chunk_run_counts(job_chunk).items()
-        ]
-        if any(est is None for est in estimates):
+        seconds = self._chunk_seconds(chunk)
+        if seconds is None:
             return None, None
         soft = max(
-            settings.chunk_deadline_factor * sum(estimates),
+            settings.chunk_deadline_factor * seconds,
             settings.chunk_deadline_floor_s,
         )
         return soft, _HARD_DEADLINE_FACTOR * soft
 
-    def dispatch(cid: int, flight: _Flight) -> None:
-        """(Re)submit a flight's chunk to the pool."""
-        flight.submitted_at = time.monotonic()
-        flight.warned = False
-        flight.soft_deadline_s, flight.hard_deadline_s = chunk_deadlines(
-            flight.chunk
+    def submit(self, cid: int, attempt: int, chunk: JobChunk) -> None:
+        chunk = replace(
+            chunk, handle=self._handle, generation=self._generation
         )
-        pool.submit(
-            flight.chunk,
-            callback=lambda res, c=flight.chunk, i=cid: completions.put(
-                (i, c, res, None)
+        self._flights[cid] = _PoolFlight(
+            chunk, attempt, time.monotonic(), *self._deadlines(chunk)
+        )
+        generation = self._generation
+        self.pool.submit(
+            chunk,
+            callback=lambda res: self._completions.put(
+                (cid, generation, res, None)
             ),
-            error_callback=lambda exc, c=flight.chunk, i=cid: completions.put(
-                (i, c, None, exc)
+            error_callback=lambda exc: self._completions.put(
+                (cid, generation, None, exc)
             ),
         )
+        if not self._pids:
+            # Workers start lazily: the baseline is sampled once work is
+            # submitted, so a later change means a worker died.
+            self._pids = self.pool.worker_pids()
 
-    def try_merge(index: int, job_chunk: JobChunk) -> bool:
-        """Merge a new candidate's chunk into a waiting same-key chunk.
-
-        Only still-unsubmitted vectorized chunks are candidates, and a
-        merged chunk is capped at MAX_GROUP_CANDIDATES members — or
-        MAX_ADAPTIVE_GROUP under an *explicit* memory budget, which lets
-        predicted-cheap groups grow past the fixed cap; either way the
-        budget's byte prediction can refuse a merge the member cap would
-        allow.  The merged jobs stay candidate-major so the worker's
-        fused sweep sees each candidate's runs contiguously.
-
-        Merging trades parallelism for per-sweep efficiency, so it only
-        happens once the window already holds enough distinct chunks to
-        keep every submission slot busy: on an idle pool the group's
-        members spread across workers instead of collapsing onto one
-        (a fused sweep is ~2x cheaper, but starving N-1 workers costs
-        ~Nx).  The excess beyond the window's supply merges.
-        """
-        if len(submittable) + len(outstanding) < window:
-            return False
-        key = group_keys[index]
-        if key is None:
-            return False
-        for slot, (anchor, first_run, existing) in enumerate(submittable):
-            if not existing.vectorized:
-                continue
-            counts = chunk_run_counts(existing)
-            if index in counts or len(counts) >= group_cap:
-                continue
-            if any(group_keys[c] != key for c in counts):
-                continue
-            if budget.active:
-                merged_bytes = chunk_bytes(existing) + chunk_bytes(job_chunk)
-                if merged_bytes > budget.bytes:
-                    emit(
-                        "group-resize",
-                        f"budget ({budget.source}) refused merging "
-                        f"candidate {index} into the stacked group "
-                        f"{sorted(counts)}: predicted "
-                        f"{merged_bytes / 1e6:.1f} MB exceeds "
-                        f"{budget.bytes / 1e6:.1f} MB",
-                        candidates=sorted(counts) + [index],
-                    )
-                    continue
-            submittable[slot] = (
-                anchor,
-                first_run,
-                JobChunk(
-                    jobs=existing.jobs + job_chunk.jobs,
-                    handle=existing.handle,
-                    settings=existing.settings,
-                    generation=existing.generation,
-                    vectorized=True,
-                ),
-            )
-            if len(counts) + 1 > MAX_GROUP_CANDIDATES:
-                emit(
-                    "group-resize",
-                    f"budget ({budget.source}) grew a stacked group to "
-                    f"{len(counts) + 1} members (fixed cap: "
-                    f"{MAX_GROUP_CANDIDATES}) for candidate(s) "
-                    f"{sorted(counts) + [index]}",
-                    candidates=sorted(counts) + [index],
-                )
-            return True
-        return False
-
-    def top_up() -> None:
-        nonlocal next_unqueued
-        limit = min(len(ranked), frontier.next_commit + lookahead)
-        while next_unqueued < limit:
-            index = next_unqueued
-            chunks = make_chunks(
-                ranked[index],
-                index,
-                seed,
-                runs,
-                chunk_size,
-                handle,
-                settings,
-                generation,
-                vectorized=vectorized,
-            )
-            if stacking and len(chunks) == 1 and try_merge(index, chunks[0]):
-                next_unqueued += 1
-                continue
-            for job_chunk in chunks:
-                submittable.append((index, job_chunk.jobs[0].run, job_chunk))
-            next_unqueued += 1
-        while submittable and len(outstanding) < window:
-            best = max(
-                range(len(submittable)),
-                key=lambda i: (
-                    chunk_estimate(submittable[i][2]),
-                    -submittable[i][0],
-                    -submittable[i][1],
-                ),
-            )
-            if budget.active and outstanding:
-                # Admission control: never put more predicted bytes in
-                # flight than the budget.  With nothing outstanding the
-                # chunk is admitted regardless — otherwise a single
-                # over-budget candidate could deadlock the search; the
-                # worker's degradation ladder handles a real OOM.
-                in_flight = sum(
-                    chunk_bytes(f.chunk) for f in outstanding.values()
-                )
-                if in_flight + chunk_bytes(submittable[best][2]) > (
-                    budget.bytes
-                ):
-                    break
-            anchor, first_run, job_chunk = submittable.pop(best)
-            cid = next(cid_counter)
-            flight = _Flight(
-                chunk=job_chunk, anchor=anchor, first_run=first_run
-            )
-            outstanding[cid] = flight
-            dispatch(cid, flight)
-
-    # -- supervision -------------------------------------------------------
-
-    def bump_attempts(flights: Sequence[_Flight], cause: str) -> None:
-        """Count one lost execution per flight; raise on exhaustion."""
-        for flight in flights:
-            flight.attempts += 1
-            if flight.attempts > max_retries + 1:
-                error = SearchError(
-                    f"{cause}; the chunk for candidate(s) "
-                    f"{flight_candidates(flight)} was lost "
-                    f"{flight.attempts - 1} time(s) "
-                    f"(max_retries={max_retries})"
-                )
-                error.attempts = flight.attempts - 1
-                raise RetriesExhausted(error, flight.attempts - 1)
-
-    def resubmit_outstanding() -> None:
-        """Move the whole search to a fresh generation and resubmit.
-
-        Cancellation is generation-wide — there is no per-chunk cancel —
-        so retrying *any* chunk via the generation mechanism requires
-        resubmitting *every* outstanding chunk under the new generation.
-        That is cheap in the common case: innocent chunks that complete
-        under the old generation before noticing the cancel still count
-        (their results are accepted by chunk id), and ones that do abort
-        re-run deterministically.
-        """
-        nonlocal generation
-        generation = pool.advance_generation()
-        for slot, (anchor, first_run, job_chunk) in enumerate(submittable):
-            # Still-queued chunks must ride the new generation too, or
-            # they would no-op the moment a worker picked them up.
-            submittable[slot] = (
-                anchor,
-                first_run,
-                replace(job_chunk, generation=generation),
-            )
-        for cid, flight in outstanding.items():
-            flight.chunk = replace(flight.chunk, generation=generation)
-            pool.chunk_retries += 1
-            dispatch(cid, flight)
-
-    def handle_worker_loss() -> None:
-        nonlocal worker_pids
-        worker_pids = pool.worker_pids()
-        lost = sorted(
-            {c for f in outstanding.values() for c in flight_candidates(f)}
-        )
-        emit(
-            "worker-lost",
-            "a grid-search worker process died unexpectedly (killed or "
-            f"out of memory?); {len(outstanding)} in-flight chunk(s) for "
-            f"candidate(s) {lost} may be lost",
-            candidates=lost,
-        )
-        bump_attempts(list(outstanding.values()), cause=(
-            "a grid-search worker process died unexpectedly "
-            "(killed or out of memory?)"
-        ))
-        resubmit_outstanding()
-        emit(
-            "retry",
-            f"resubmitted {len(outstanding)} chunk(s) under a new "
-            "generation after a worker loss",
-            candidates=lost,
-            attempts=max(f.attempts for f in outstanding.values()),
-        )
-
-    def check_deadlines() -> None:
+    def poll(self, timeout: float) -> list:
         now = time.monotonic()
-        timed_out: list[_Flight] = []
-        for flight in outstanding.values():
+        for flight in self._flights.values():
+            elapsed = now - flight.submitted_at
+            if flight.soft_deadline_s is not None and not flight.warned:
+                timeout = min(timeout, flight.soft_deadline_s - elapsed)
+            if flight.hard_deadline_s is not None:
+                timeout = min(timeout, flight.hard_deadline_s - elapsed)
+        try:
+            cid, generation, result, error = self._completions.get(
+                timeout=max(0.05, timeout)
+            )
+        except Empty:
+            return self._check_liveness()
+        flight = self._flights.get(cid)
+        if error is not None:
+            if flight is None or generation < self._generation:
+                return []  # a superseded copy's failure
+            # An infrastructure failure of this one chunk (its runner
+            # died, or its result segment was corrupt); per-run training
+            # errors arrive as RunError entries instead.
+            return [
+                Lost(
+                    (cid,),
+                    f"chunk for candidate(s) {chunk_candidates(flight.chunk)} "
+                    f"failed in the runtime ({error!r})",
+                    error=error,
+                )
+            ]
+        if result.cancelled:
+            if generation < self._generation:
+                return []  # the copy a retry superseded bailed out
+            raise SearchError(
+                "a worker cancelled a chunk of a live search; "
+                "was the pool closed concurrently?"
+            )
+        self._flights.pop(cid, None)
+        return [Delivered(cid, result)]
+
+    def _resubmit_all(self, lost: Sequence[int]) -> None:
+        """Move the search to a fresh generation.  Chunks not in
+        ``lost`` are resubmitted here at their attempt (an innocent copy
+        that finishes under the old generation still counts); the
+        scheduler resubmits the lost ones."""
+        self._generation = self.pool.advance_generation()
+        for cid, flight in list(self._flights.items()):
+            if cid not in lost:
+                self.submit(cid, flight.attempt, flight.chunk)
+
+    def _check_liveness(self) -> list:
+        current = self.pool.worker_pids()
+        if not self._pids:
+            self._pids = current
+        elif current != self._pids:
+            self._pids = current
+            lost = tuple(self._flights)
+            candidates = sorted(
+                {
+                    c
+                    for f in self._flights.values()
+                    for c in chunk_candidates(f.chunk)
+                }
+            )
+            self._resubmit_all(lost)
+            return [
+                Notice(
+                    "worker-lost",
+                    "a grid-search worker process died unexpectedly (killed "
+                    f"or out of memory?); {len(lost)} in-flight chunk(s) for "
+                    f"candidate(s) {candidates} may be lost",
+                    lost,
+                ),
+                Lost(
+                    lost,
+                    "a grid-search worker process died unexpectedly "
+                    "(killed or out of memory?)",
+                ),
+            ]
+        reports: list = []
+        timed_out: list[int] = []
+        now = time.monotonic()
+        for cid, flight in self._flights.items():
             elapsed = now - flight.submitted_at
             if (
                 not flight.warned
@@ -589,201 +780,55 @@ def speculative_search(
                 and elapsed > flight.soft_deadline_s
             ):
                 flight.warned = True
-                emit(
-                    "chunk-overdue",
-                    f"chunk for candidate(s) {flight_candidates(flight)} "
-                    f"is overdue: {elapsed:.1f}s elapsed vs "
-                    f"{flight.soft_deadline_s:.1f}s soft deadline "
-                    f"(attempt {flight.attempts})",
-                    candidates=flight_candidates(flight),
-                    attempts=flight.attempts,
+                cands = chunk_candidates(flight.chunk)
+                reports.append(
+                    Notice(
+                        "chunk-overdue",
+                        f"chunk for candidate(s) {cands} "
+                        f"is overdue: {elapsed:.1f}s elapsed vs "
+                        f"{flight.soft_deadline_s:.1f}s soft deadline "
+                        f"(attempt {flight.attempt})",
+                        (cid,),
+                    )
                 )
-            if (
-                flight.hard_deadline_s is not None
-                and elapsed > flight.hard_deadline_s
-            ):
-                timed_out.append(flight)
-        if not timed_out:
-            return
-        cands = sorted(
-            {c for f in timed_out for c in flight_candidates(f)}
-        )
-        pool.chunk_timeouts += len(timed_out)
-        emit(
-            "chunk-timeout",
-            f"cancelling {len(timed_out)} chunk(s) past their hard "
-            f"deadline [candidate(s) {cands}] and retrying",
-            candidates=cands,
-            attempts=max(f.attempts for f in timed_out),
-        )
-        bump_attempts(timed_out, cause="a chunk exceeded its hard deadline")
-        resubmit_outstanding()
-
-    def handle_runtime_error(
-        cid: int, flight: _Flight, error: Exception
-    ) -> None:
-        """An infrastructure failure for one chunk (the chunk runner
-        died, or its result segment was corrupt/unpicklable) — per-run
-        *training* errors are captured as RunError entries instead.
-        Retried alone: the failed submission is dead, so resubmitting
-        just this chunk cannot double-deliver."""
-        flight.attempts += 1
-        cands = flight_candidates(flight)
-        if flight.attempts > max_retries + 1:
-            try:
-                error.attempts = flight.attempts - 1
-            except Exception:  # pragma: no cover - exotic exception type
-                pass
-            raise RetriesExhausted(error, flight.attempts - 1)
-        pool.chunk_retries += 1
-        delay = retry_backoff.next_delay()
-        pool.retry_backoff_s += delay
-        emit(
-            "retry",
-            f"chunk for candidate(s) {cands} failed in the runtime "
-            f"({error!r}); retrying in {delay:.2f}s "
-            f"(attempt {flight.attempts} of {max_retries + 1})",
-            candidates=cands,
-            attempts=flight.attempts,
-        )
-        # The sleep runs on the scheduler thread: capped at 2s, it
-        # delays watchdog ticks by less than the watchdog's own
-        # resolution, and other completions simply queue behind it.
-        time.sleep(delay)
-        dispatch(cid, flight)
-
-    def wait_timeout() -> float:
-        """Sleep until the watchdog tick or the nearest deadline."""
-        nearest = watchdog_s
-        now = time.monotonic()
-        for flight in outstanding.values():
-            elapsed = now - flight.submitted_at
-            if flight.soft_deadline_s is not None and not flight.warned:
-                nearest = min(nearest, flight.soft_deadline_s - elapsed)
-            if flight.hard_deadline_s is not None:
-                nearest = min(nearest, flight.hard_deadline_s - elapsed)
-        return max(0.05, nearest)
-
-    try:
-        try:
-            top_up()
-            # Worker pids once work is submitted (workers start lazily
-            # on the first chunk): a changed set later means a worker
-            # died and was respawned — its in-flight chunk is lost (Pool
-            # fires no callback for it) and must be resubmitted.
-            worker_pids = pool.worker_pids()
-            while outstanding:
-                try:
-                    cid, job_chunk, result, error = completions.get(
-                        timeout=wait_timeout()
-                    )
-                except Empty:
-                    current = pool.worker_pids()
-                    if not worker_pids:
-                        # Workers start lazily: a baseline sampled
-                        # before the pool populated its process list
-                        # would otherwise disable death detection for
-                        # the whole search.  Adopt the first real set.
-                        worker_pids = current
-                    elif current != worker_pids:
-                        handle_worker_loss()
-                    check_deadlines()
-                    continue
-                flight = outstanding.get(cid)
-                if flight is None:
-                    # A superseded copy of an already-accepted chunk
-                    # (chunks are deterministic: its entries are the
-                    # ones we already have).
-                    continue
-                if error is not None:
-                    if job_chunk.generation < generation:
-                        # A superseded copy's failure; the live copy of
-                        # this chunk is still in flight.
-                        continue
-                    handle_runtime_error(cid, flight, error)
-                    continue
-                assert isinstance(result, ChunkResult)
-                if result.cancelled:
-                    if job_chunk.generation < generation:
-                        # Expected: the copy this retry superseded
-                        # noticed the cancelled generation and bailed.
-                        continue
-                    raise SearchError(
-                        "a worker cancelled a chunk of a live search; "
-                        "was the pool closed concurrently?"
-                    )
-                del outstanding[cid]
-                # A healthy completion ends the failure episode: later
-                # unrelated retries start from the base delay again.
-                retry_backoff.reset()
-                # Feed the measured chunk time back into the packer:
-                # later windows (and later searches on this pool) order
-                # by observed cost instead of the static FLOPs estimate.
-                # A merged multi-candidate chunk splits its wall time
-                # across its candidates by run share.
-                counted = chunk_run_counts(job_chunk)
-                for chunk_index, n_chunk_runs in counted.items():
-                    cost_model.observe(
-                        ranked[chunk_index].label,
-                        costs[chunk_index],
-                        result.wall_time_s
-                        * n_chunk_runs
-                        / len(job_chunk.jobs),
-                        n_chunk_runs,
-                    )
-                    # Measured working-set feedback for the memory
-                    # governor (0 = the chunk never raised the worker's
-                    # RSS high-water mark: skipped, see observe_bytes).
-                    cost_model.observe_bytes(
-                        ranked[chunk_index].label,
-                        result.peak_bytes
-                        * n_chunk_runs
-                        // len(job_chunk.jobs),
-                        n_chunk_runs,
-                    )
-                if result.memory_degrades:
-                    emit(
-                        "memory-degrade",
-                        f"chunk for candidate(s) {sorted(counted)} hit "
-                        "out-of-memory and recovered via "
-                        f"{result.memory_degrades} degradation step(s); "
-                        "results are unchanged",
-                        candidates=sorted(counted),
-                    )
-                for entry in result.entries:
-                    if (
-                        isinstance(entry, RunError)
-                        and entry.attempts != flight.attempts
-                    ):
-                        entry = replace(entry, attempts=flight.attempts)
-                    frontier.offer(entry)
-                if frontier.commit():
-                    return frontier.outcome
-                top_up()
-            return frontier.outcome
-        except RetriesExhausted as exhausted:
-            if not settings.fallback_sequential:
-                raise exhausted.error from None
-            pool.sequential_fallbacks += 1
-            emit(
-                "sequential-fallback",
-                f"retries exhausted ({exhausted.error}); finishing the "
-                f"remaining {len(ranked) - frontier.next_commit} "
-                "candidate(s) in-process sequentially",
-                attempts=exhausted.attempts,
+            hard = flight.hard_deadline_s
+            if hard is not None and elapsed > hard:
+                timed_out.append(cid)
+        if timed_out:
+            self.pool.chunk_timeouts += len(timed_out)
+            candidates = sorted(
+                {
+                    c
+                    for cid in timed_out
+                    for c in chunk_candidates(self._flights[cid].chunk)
+                }
             )
-            # Stop burning workers on doomed chunks before training
-            # in-process.
-            pool.cancel(generation)
-            return frontier.run_in_process(split, settings, seed, on_event)
-    finally:
-        # End this search's generation: still-queued speculative chunks
-        # no-op, running trainings abort at the next epoch boundary.
-        pool.release_split(handle)
-        pool.cancel(generation)
-        logger.info("pool stats at search end: %s", pool.stats())
-        if owns_pool:
-            # Ephemeral pool: tear down immediately (kills in-flight
-            # speculative trainings outright) and unlink the published
-            # dataset segment.
-            pool.close()
+            reports.append(
+                Notice(
+                    "chunk-timeout",
+                    f"cancelling {len(timed_out)} chunk(s) past their hard "
+                    f"deadline [candidate(s) {candidates}] and retrying",
+                    tuple(timed_out),
+                )
+            )
+            self._resubmit_all(timed_out)
+            reports.append(
+                Lost(tuple(timed_out), "a chunk exceeded its hard deadline")
+            )
+        return reports
+
+    def abort(self) -> None:
+        self.pool.cancel(self._generation)
+
+    def close(self) -> None:
+        """End the generation: queued speculative chunks no-op, running
+        trainings abort at the next epoch boundary."""
+        if self._handle is not None:
+            self.pool.release_split(self._handle)
+            self._handle = None
+            self.pool.cancel(self._generation)
+            self._flights.clear()
+        if self._owns_pool:
+            # Ephemeral pool: kill in-flight speculation outright and
+            # unlink the published dataset segment.
+            self.pool.close()

@@ -72,6 +72,7 @@ __all__ = [
     "attach_split",
     "JobChunk",
     "ChunkResult",
+    "execute_chunk",
     "RunError",
     "ChunkCostModel",
     "ShmResultHandle",
@@ -347,20 +348,25 @@ class JobChunk:
     one dataset attachment) across several runs, and cuts per-job IPC
     when ``runs`` is large relative to the worker count.  The payload is
     small by construction: jobs are coordinates, the handle is a name.
+    The scheduler builds chunks with ``handle=None`` and
+    ``generation=0``; each executor stamps where its workers find the
+    split (a :class:`SharedSplitHandle` on a pool, the dataset file
+    name on a spool, nothing over TCP, whose agents receive the split
+    on connect) and, on a pool, the search generation.
 
     ``vectorized`` asks the worker to train the chunk's whole run set as
     a single run-stacked sweep
     (:func:`repro.runtime.jobs.execute_runs`); the scheduler then packs
     one chunk per candidate so the stack spans every run.  A vectorized
-    chunk may additionally span **several candidates** whose tapes are
-    structurally identical (the scheduler merges their chunks by group
-    key): the worker then trains every run of every candidate as one
-    cross-candidate fused sweep
-    (:func:`repro.runtime.jobs.execute_candidates`).
+    chunk may also span **several candidates** whose tapes are
+    structurally identical: the worker then trains every run of every
+    candidate as one cross-candidate fused sweep
+    (:func:`repro.runtime.jobs.execute_candidates`).  The scheduler's
+    chunks hold one candidate each.
     """
 
     jobs: tuple[TrainingJob, ...]
-    handle: SharedSplitHandle
+    handle: "SharedSplitHandle | str | None"
     settings: "TrainingSettings"
     generation: int
     vectorized: bool = False
@@ -368,7 +374,7 @@ class JobChunk:
 
 @dataclass(frozen=True)
 class ChunkResult:
-    """What a worker sends back for one chunk.
+    """What a pool worker or cluster agent sends back for one chunk.
 
     ``wall_time_s`` is the measured execution time of the whole chunk on
     its worker — the feedback signal for the scheduler's measured-cost
@@ -404,7 +410,7 @@ def _max_rss_bytes() -> int:
     """This process's resident-set high-water mark, 0 when unreadable.
 
     ``ru_maxrss`` only moves when a chunk pushes the worker's all-time
-    peak higher, so the before/after delta in :func:`_run_chunk` is a
+    peak higher, so the before/after delta in :func:`execute_chunk` is a
     lower bound that is usually 0 after warm-up — exactly the right
     bias for an EWMA that must never *under*-report a chunk's weight.
     """
@@ -457,31 +463,48 @@ def _run_chunk(chunk: JobChunk) -> "ChunkResult | ShmResultHandle":
     # attempt (fused sweep when there is one, absorbed at the scalar
     # floor otherwise) so it engages the degradation ladder rather than
     # the crash/retry machinery.
-    inject = [fired == faults.OOM]
-    rss_before = _max_rss_bytes()
-    started = time.perf_counter()
     try:
-        entries, fallback, degrades = chunk_entries(
-            chunk.jobs,
-            split,
-            chunk.settings,
-            vectorized=chunk.vectorized,
-            cancel_check=cancelled,
-            inject=inject,
+        result = execute_chunk(
+            chunk, split, cancelled, inject=[fired == faults.OOM]
         )
     except TrainingCancelled:
         return _CANCELLED_CHUNK
     if fired == faults.CORRUPT_RESULT:
         return faults.corrupt_shipment()
-    return _ship_result(
-        ChunkResult(
-            cancelled=False,
-            entries=tuple(entries),
-            wall_time_s=time.perf_counter() - started,
-            vectorized_fallback=fallback,
-            memory_degrades=degrades,
-            peak_bytes=max(0, _max_rss_bytes() - rss_before),
-        )
+    return _ship_result(result)
+
+
+def execute_chunk(
+    chunk: JobChunk,
+    split: "DataSplit",
+    cancel_check,
+    inject: "list[bool] | None" = None,
+) -> ChunkResult:
+    """Train a chunk through the OOM ladder and measure it.
+
+    The one chunk runner of pool workers and both cluster agents:
+    :func:`~repro.runtime.jobs.chunk_entries` plus the wall time, the
+    ladder's counts and the resident-set growth the scheduler feeds
+    back.  Raises :class:`~repro.exceptions.TrainingCancelled` when
+    ``cancel_check`` fires.
+    """
+    rss_before = _max_rss_bytes()
+    started = time.perf_counter()
+    entries, fallback, degrades = chunk_entries(
+        chunk.jobs,
+        split,
+        chunk.settings,
+        vectorized=chunk.vectorized,
+        cancel_check=cancel_check,
+        inject=inject,
+    )
+    return ChunkResult(
+        cancelled=False,
+        entries=tuple(entries),
+        wall_time_s=time.perf_counter() - started,
+        vectorized_fallback=fallback,
+        memory_degrades=degrades,
+        peak_bytes=max(0, _max_rss_bytes() - rss_before),
     )
 
 
@@ -876,13 +899,15 @@ class PersistentPool:
         #: counter means some candidate's vectorized path is broken —
         #: results stay correct, wall time silently doubles.
         self.vectorized_fallbacks = 0
-        #: Fault-tolerance instrumentation, incremented by the scheduler:
-        #: chunks resubmitted after a worker loss / runtime error, chunks
-        #: cancelled past their hard deadline, and searches that finished
-        #: in-process after retry exhaustion.
+        #: Fault-tolerance instrumentation, incremented by the scheduler
+        #: and the pool executor: chunks resubmitted after a loss, chunks
+        #: cancelled past their hard deadline, searches that finished
+        #: in-process after retry exhaustion, and late copies of chunks
+        #: already accepted.
         self.chunk_retries = 0
         self.chunk_timeouts = 0
         self.sequential_fallbacks = 0
+        self.duplicate_results = 0
         #: Seconds slept in jittered backoff before chunk resubmissions
         #: (see :mod:`repro.runtime.backoff`); a climbing value means
         #: retries are landing on a still-unhealthy resource.
@@ -936,6 +961,7 @@ class PersistentPool:
             "chunk_timeouts": self.chunk_timeouts,
             "retry_backoff_s": round(self.retry_backoff_s, 3),
             "sequential_fallbacks": self.sequential_fallbacks,
+            "duplicate_results": self.duplicate_results,
             "vectorized_fallbacks": self.vectorized_fallbacks,
             "memory_degrades": self.memory_degrades,
             "shm_results_received": self.shm_results_received,

@@ -14,6 +14,7 @@ agents killed by the ``host-kill`` spool fault — a genuine SIGKILL,
 heartbeat and all.
 """
 
+import hashlib
 import os
 import pickle
 import subprocess
@@ -29,12 +30,14 @@ from repro.data import make_spiral, stratified_split
 from repro.runtime import cluster, faults
 from repro.runtime.cluster import (
     SpoolConfig,
-    SpoolCoordinator,
+    SpoolExecutor,
     run_agent,
     stop_agents,
     sweep_stale_leases,
 )
 from repro.runtime.faults import FaultPlan
+from repro.runtime.frontier import SearchFrontier
+from repro.runtime.parallel import Scheduler, speculative_search
 
 # A transport regression's failure mode is a hang (a chunk nobody
 # serves, a lease nobody expires); bound every test so CI fails fast.
@@ -166,17 +169,15 @@ class TestBitIdentity:
         conv = get_convention("paper")
         ranked = rank_by_flops(small_space(), conv)[:4]
         events = []
-        coordinator = SpoolCoordinator(
-            ranked,
+        coordinator = SpoolExecutor(_fast_spool(tmp_path, agent_grace_s=0.5))
+        outcome = speculative_search(
+            SearchFrontier(ranked, 1.01, conv, settings.runs),
             easy_split,
-            1.01,
             settings,
-            conv,
             5,
-            _fast_spool(tmp_path, agent_grace_s=0.5),
+            coordinator,
             on_event=events.append,
         )
-        outcome = coordinator.run()
         _assert_same_outcome(outcome, seq)
         kinds = [e.kind for e in events]
         assert "no-agents" in kinds
@@ -260,11 +261,17 @@ class TestDuplicateResults:
         conv = get_convention("paper")
         ranked = rank_by_flops(small_space(), conv)[:4]
         spool = _fast_spool(tmp_path, agent_grace_s=30.0)
-        coordinator = SpoolCoordinator(
-            ranked, easy_split, 1.01, settings, conv, 5, spool
+        coordinator = SpoolExecutor(spool)
+        scheduler = Scheduler(
+            SearchFrontier(ranked, 1.01, conv, settings.runs),
+            easy_split,
+            settings,
+            5,
+            coordinator,
         )
-        coordinator.prepare()
-        coordinator._top_up(2)  # window 4: every candidate enqueued
+        coordinator.open(easy_split)
+        coordinator.capacity = 2  # window 4: every candidate enqueued
+        scheduler.top_up()
         # Serve every task inline, then forge a duplicate of one result
         # under a different (live-owner) agent id before the coordinator
         # ever polls.
@@ -280,7 +287,7 @@ class TestDuplicateResults:
             blob = fh.read()
         with open(os.path.join(results_dir, forged), "wb") as fh:
             fh.write(blob)
-        outcome = coordinator._loop()
+        outcome = scheduler.run()
         _assert_same_outcome(outcome, seq)
         assert coordinator.stats()["duplicate_results"] == 1
 
@@ -335,6 +342,21 @@ class TestTornFiles:
         names = os.listdir(os.path.join(root, "quarantine"))
         assert len(names) == 1 and names[0].endswith(".lease")
         assert os.listdir(os.path.join(root, "results")) == []
+        # An intact frame from an older wire version (an agent or
+        # coordinator from another checkout) is refused the same way,
+        # never unpickled into a class that no longer exists.
+        payload = pickle.dumps("a version-1 chunk")
+        old = cluster._HEADER.pack(
+            cluster._MAGIC, 1, len(payload), hashlib.sha256(payload).digest()
+        )
+        task = os.path.join(root, "tasks", f"{token}.c00001.a01.task")
+        with open(task, "wb") as fh:
+            fh.write(old + payload)
+        stats = run_agent(root, poll_interval_s=0.05, idle_timeout_s=0.5)
+        assert stats.quarantined == 1
+        assert stats.chunks_done == 0
+        assert len(os.listdir(os.path.join(root, "quarantine"))) == 2
+        assert os.listdir(os.path.join(root, "results")) == []
 
 
 class TestCostModel:
@@ -355,12 +377,16 @@ class TestCostModel:
         conv = get_convention("paper")
         ranked = rank_by_flops(small_space(), conv)[:4]
         spool = _fast_spool(tmp_path, cost_cache=str(cache))
-        coordinator = SpoolCoordinator(
-            ranked, easy_split, 1.01, settings, conv, 5, spool
-        )
+        coordinator = SpoolExecutor(spool)
         agents = [_thread_agent(spool)]
         try:
-            outcome = coordinator.run()
+            outcome = speculative_search(
+                SearchFrontier(ranked, 1.01, conv, settings.runs),
+                easy_split,
+                settings,
+                5,
+                coordinator,
+            )
         finally:
             _join_agents(spool, agents)
         _assert_same_outcome(outcome, seq)
@@ -490,10 +516,8 @@ class TestStartupHygiene:
         # A stop file from a previous wound-down run must not survive
         # prepare, or fresh agents would exit immediately.
         (root / "stop").touch()
-        coordinator = SpoolCoordinator(
-            ranked, easy_split, 1.01, _settings(), conv, 5, spool
-        )
-        coordinator.prepare()
+        coordinator = SpoolExecutor(spool)
+        coordinator.open(easy_split)
         stats = coordinator.stats()
         assert stats["swept_leases"] == 1
         assert stats["swept_files"] == 1

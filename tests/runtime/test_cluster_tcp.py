@@ -27,13 +27,15 @@ from repro.core.grid_search import TrainingSettings, grid_search
 from repro.core.search_space import classical_search_space
 from repro.data import make_spiral, stratified_split
 from repro.runtime import faults
-from repro.runtime.cluster import SpoolResult
 from repro.runtime.cluster_tcp import (
     TcpConfig,
-    TcpCoordinator,
+    TcpExecutor,
     run_tcp_agent,
 )
 from repro.runtime.faults import FaultPlan
+from repro.runtime.frontier import SearchFrontier
+from repro.runtime.parallel import Scheduler, speculative_search
+from repro.runtime.pool import ChunkResult
 
 # A transport regression's failure mode is a hang (a chunk nobody
 # serves, a lease nobody expires); bound every test so CI fails fast.
@@ -187,17 +189,15 @@ class TestBitIdentity:
         conv = get_convention("paper")
         ranked = rank_by_flops(small_space(), conv)[:4]
         events = []
-        coordinator = TcpCoordinator(
-            ranked,
+        coordinator = TcpExecutor(_fast_tcp(port=0, agent_grace_s=0.5))
+        outcome = speculative_search(
+            SearchFrontier(ranked, 1.01, conv, settings.runs),
             easy_split,
-            1.01,
             settings,
-            conv,
             5,
-            _fast_tcp(port=0, agent_grace_s=0.5),
+            coordinator,
             on_event=events.append,
         )
-        outcome = coordinator.run()
         _assert_same_outcome(outcome, seq)
         kinds = [e.kind for e in events]
         assert "no-agents" in kinds
@@ -364,12 +364,19 @@ class TestDuplicateResults:
         seq = grid_search(**kwargs, workers=1)
         conv = get_convention("paper")
         ranked = rank_by_flops(small_space(), conv)[:4]
-        coordinator = TcpCoordinator(
-            ranked, easy_split, 1.01, settings, conv, 5, _fast_tcp(port=0)
+        coordinator = TcpExecutor(_fast_tcp(port=0))
+        scheduler = Scheduler(
+            SearchFrontier(ranked, 1.01, conv, settings.runs),
+            easy_split,
+            settings,
+            5,
+            coordinator,
         )
-        coordinator.prepare()  # accepting; the drain loop is not running
+        # Accepting; the scheduler loop is not running.
+        coordinator.open(easy_split)
         try:
-            coordinator._top_up(2)  # window 4: every candidate enqueued
+            coordinator.capacity = 2  # window 4: every candidate enqueued
+            scheduler.top_up()
             # Serve every chunk inline over a real connection, then
             # forge a duplicate of one queued result under a different
             # agent id before the coordinator ever drains.
@@ -382,17 +389,19 @@ class TestDuplicateResults:
             victim = coordinator._results.get(timeout=5)
             coordinator._results.put(victim)
             coordinator._results.put(
-                SpoolResult(
-                    chunk_id=victim.chunk_id,
-                    attempt=victim.attempt,
-                    agent="repro_forged_1_zzzzzz",
-                    entries=victim.entries,
-                    wall_time_s=victim.wall_time_s,
+                (
+                    victim[0],
+                    victim[1],
+                    ChunkResult(
+                        cancelled=False,
+                        entries=victim[2].entries,
+                        wall_time_s=victim[2].wall_time_s,
+                    ),
                 )
             )
-            outcome = coordinator._loop()
+            outcome = scheduler.run()
         finally:
-            coordinator._cleanup()
+            coordinator.close()
         _assert_same_outcome(outcome, seq)
         assert coordinator.stats()["duplicate_results"] == 1
 
@@ -440,16 +449,8 @@ class TestCostModel:
         cache = tmp_path / "chunk_costs.json"
         conv = get_convention("paper")
         ranked = rank_by_flops(small_space(), conv)[:4]
-        coordinator = TcpCoordinator(
-            ranked,
-            easy_split,
-            1.01,
-            settings,
-            conv,
-            5,
-            _fast_tcp(port=0, cost_cache=str(cache)),
-        )
-        coordinator.prepare()
+        coordinator = TcpExecutor(_fast_tcp(port=0, cost_cache=str(cache)))
+        coordinator.open(easy_split)
         stop = threading.Event()
         agents = [
             _thread_agent(
@@ -457,10 +458,15 @@ class TestCostModel:
             )
         ]
         try:
-            outcome = coordinator._loop()
+            outcome = speculative_search(
+                SearchFrontier(ranked, 1.01, conv, settings.runs),
+                easy_split,
+                settings,
+                5,
+                coordinator,
+            )
         finally:
-            coordinator._cleanup()
-            coordinator._save_cost_model()
+            coordinator.close()
             _join_agents(stop, agents)
         _assert_same_outcome(outcome, seq)
         assert (
