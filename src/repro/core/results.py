@@ -13,6 +13,7 @@ from pathlib import Path
 from typing import Any
 
 from ..exceptions import ExperimentError
+from ..quantum.engine import ARITHMETIC_VERSION
 from .experiment import LevelResult, ProtocolConfig, ProtocolResult
 from .grid_search import CandidateResult, SearchOutcome
 from .search_space import ClassicalSpec, HybridSpec, ModelSpec
@@ -124,6 +125,10 @@ def outcome_from_dict(data: dict[str, Any]) -> SearchOutcome:
 def protocol_to_dict(result: ProtocolResult) -> dict[str, Any]:
     return {
         "schema_version": SCHEMA_VERSION,
+        # Which engine arithmetic produced these numbers (see
+        # repro.quantum.engine.ARITHMETIC_VERSION); the result cache
+        # recomputes files stamped with another one.
+        "arithmetic_version": ARITHMETIC_VERSION,
         "family": result.family,
         "config": asdict(result.config),
         "levels": [

@@ -24,13 +24,15 @@ ordering, thresholds, metrics) is identical across profiles.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
 from ..core.experiment import ProtocolConfig, ProtocolResult, run_protocol
-from ..core.results import load_protocol, save_protocol
+from ..core.results import protocol_from_dict, save_protocol
 from ..exceptions import ExperimentError
+from ..quantum.engine import ARITHMETIC_VERSION
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.pool import PersistentPool
@@ -193,6 +195,11 @@ def run_family_cached(
     camp: device backends are tolerance-grade, not bit-identical, so
     ``backend="torch"`` results live under their own ``_backend-torch``
     cache files and never serve (or poison) the NumPy reference cache.
+    A cached file is served only if it was computed under the engine's
+    current :data:`~repro.quantum.engine.ARITHMETIC_VERSION` (stamped
+    into every saved result; files written before the stamp carry
+    none): results computed by older kernels are recomputed and
+    overwritten, never served as current.
     """
     prof = get_profile(profile)
     if cache_dir is None:
@@ -224,7 +231,9 @@ def run_family_cached(
     suffix = "".join(f"_{k}-{v}" for k, v in affecting.items())
     path = cache_dir / f"{family}_{prof.name}{suffix}.json"
     if path.exists():
-        return load_protocol(path)
+        data = json.loads(path.read_text())
+        if data.get("arithmetic_version") == ARITHMETIC_VERSION:
+            return protocol_from_dict(data)
     result = run_family(
         family,
         prof,

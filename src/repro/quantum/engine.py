@@ -65,6 +65,42 @@ identical to ``R`` independent executions (the kernels contract the same
 two-element axes in the same order), which is what makes
 ``vectorized_runs`` grid searches bit-identical to per-run ones.
 
+**Dense per-layer path (the paper's BEL/SEL tapes).**  At 3-5 qubits
+the per-gate program is bound by dispatch, not FLOPs: one kernel per
+fused gate, ring and derivative overlap on ``(B, 2**n)`` buffers of a
+few hundred amplitudes.  So compilation also matches the tape against
+one shape — RX/RY/RZ encoding gates on distinct wires, each fed by its
+own input column (a product state), then layers of one weight-only
+single-qubit gate per wire, every angle its own weight, each layer
+followed by zero or more permutation gates — and, when it matches at
+``n_qubits <= 5``, every execute without ``shifts`` takes the dense
+path instead:
+
+* the encoding is a kron of per-wire first columns, built from one
+  builder call over all encoded wires;
+* each layer is one ``(2**n, 2**n)`` unitary per run: one builder call
+  over every (run, layer, wire) angle, ``n - 1`` broadcast krons and
+  one row take that applies every layer's fused ring; the state moves
+  through a layer with one einsum;
+* the adjoint keeps each layer's input state, sweeps the bra back
+  through each layer's ``K^dagger``, and forms one overlap matrix ``H =
+  sum_b conj(bra_b)^T ket_b`` per layer and run block.  A gate ``X`` on
+  wire ``w`` has ``dK = K (X^dagger dX)_w``, so its gradients are
+  ``2 Re sum((X^dagger dX) * Tr_rest H)`` — partial traces through
+  ``(2,)*n`` reshapes, never a derivative kron.  Input gradients
+  contract the first bra with the encoding generators ``-i/2 P``
+  applied to the product state (a gather and a phase per wire).
+
+A layer unitary costs ``4**n`` per run to build and ``batch * 4**n`` to
+apply, against ``n * 2**n`` per gate, so beyond five qubits the FLOPs
+outgrow the dispatch saved and the per-gate program stays.  Every
+other tape — CZ, two-qubit matrices, constant or shared angles, an
+input ref after a weight op, ``n > 5`` — and every parameter-shift
+execute (``shifts``) runs the per-gate program, which also remains the
+reference the dense path is tested against.  The dense arithmetic
+differs from the per-gate program's at the ulp level;
+:data:`ARITHMETIC_VERSION` records such changes for result stores.
+
 For search workloads that rebuild structurally identical circuits over
 and over, :func:`compiled_tape` + :func:`enable_compile_cache` share one
 engine per circuit structure per process (the parallel runtime enables
@@ -82,7 +118,8 @@ Contract notes:
   it (or use :meth:`CompiledTape.run`) if you need it to survive.
 * ``execute(record=True)`` keeps the bound matrices and final state for
   a subsequent ``adjoint_gradients`` call; the recorded state owns its
-  buffer pair, so it survives intervening (e.g. evaluation) executes.
+  buffers (a ket/bra pair, or the dense path's per-layer states), so it
+  survives intervening (e.g. evaluation) executes.
   The adjoint call releases the record when done — and buffer pools are
   bounded to a few batch sizes — so long training runs do not pin the
   largest batch in memory.
@@ -97,10 +134,12 @@ import numpy as np
 
 from ..backends import COMPLEX_DTYPE, REAL_DTYPE, ArrayBackend, get_backend
 from ..exceptions import ConfigurationError, GateError, ShapeError
+from . import gates
 from .circuit import GATE_SET, Operation
 from .state import apply_two_qubit
 
 __all__ = [
+    "ARITHMETIC_VERSION",
     "CompiledTape",
     "compiled_tape",
     "enable_compile_cache",
@@ -108,6 +147,35 @@ __all__ = [
     "compile_cache_info",
     "compile_cache_scope",
 ]
+
+#: Version of the engine's floating-point arithmetic.  Bumped whenever a
+#: kernel change can move results at the ulp level, so result stores
+#: (search journals, the protocol result cache) never serve results
+#: computed by older kernels.  1: the per-gate program only; 2: the
+#: dense per-layer unitary path for small product-encoded tapes.
+ARITHMETIC_VERSION = 2
+
+#: Widest register the dense path serves.  One layer unitary is a
+#: ``(2**n, 2**n)`` matrix per run, so its build and its contraction
+#: grow as ``4**n`` while the per-gate program grows as ``n * 2**n``;
+#: at the paper's 3-5 qubits dispatch dominates and one dense
+#: contraction per layer wins, beyond that the FLOPs take over.
+_DENSE_MAX_QUBITS = 5
+
+#: An unencoded wire's factor of the dense path's product state.
+_KET0 = np.array([1.0, 0.0], dtype=COMPLEX_DTYPE)
+
+#: Generators ``P`` of the encoding rotations ``exp(-i x P / 2)``.
+_GENERATORS = {"RX": gates.PAULI_X, "RY": gates.PAULI_Y, "RZ": gates.PAULI_Z}
+
+#: Contraction of a ``(U, rows/U, 2**n)`` state view with one ``(U,
+#: 2**n, 2**n)`` layer matrix per run (``K`` forward, a contiguous
+#: ``K^dagger`` for the bra sweep), reducing over both operands' last,
+#: contiguous axis.  A plain einsum, not a gemm: its per-row arithmetic
+#: does not depend on the row count (a gemm blocks by rows), and it
+#: never wakes BLAS worker threads, which a state-by-unitary gemm does
+#: even at a few rows.
+_DENSE_APPLY = "ubj,uij->ubi"
 
 #: Buffer pools are kept for at most this many distinct batch sizes; the
 #: least recently used pool is evicted beyond that.  Bounds the memory a
@@ -148,6 +216,33 @@ class _OpSpec:
         self.defaults = op.params
         self.refs = op.refs
         self.dynamic = any(r is not None for r in op.refs)
+
+
+class _DensePlan:
+    """Compile-time record of a tape the dense path serves.
+
+    The tape is a product encoding (``enc_gate`` on ``enc_wires``, angle
+    ``i`` read from input column ``enc_inputs[i]``) followed by
+    ``n_layers`` layers, each one ``gate`` per wire, whose every angle
+    is a distinct weight (``widx[l, w, p]``), then a fused permutation.
+    """
+
+    __slots__ = (
+        "enc_gate",
+        "enc_ops",
+        "enc_wires",
+        "enc_inputs",
+        "gate",
+        "n_params",
+        "n_layers",
+        "widx",
+        "wflat",
+        "wdefault",
+        "rows",
+        "gen_idx",
+        "gen_phase",
+        "traces",
+    )
 
 
 class CompiledTape:
@@ -229,6 +324,7 @@ class CompiledTape:
             for group in self._train_groups.values()
             for g in group
         }
+        self._dense = self._compile_dense()
 
         self._pools: dict[int, dict[str, list[np.ndarray]]] = {}
         self._last: dict | None = None
@@ -435,6 +531,130 @@ class CompiledTape:
         )
         return keep, inputs, weights
 
+    def _compile_dense(self) -> "_DensePlan | None":
+        """Match the tape against the dense path's shape, or ``None``.
+
+        The shape is: single-qubit ``RX``/``RY``/``RZ`` encoding gates on
+        distinct wires, each driven by its own input column; then one
+        or more layers of one weight-only gate per wire (one gate type
+        throughout, every angle its own weight column, scalar
+        defaults), each followed by zero or more permutation gates.
+        Anything else — a CZ, a two-qubit matrix, an input ref after a
+        weight op, a constant or shared angle, more than
+        ``_DENSE_MAX_QUBITS`` wires — keeps the per-gate program only.
+        """
+        n, dim = self.n_qubits, self.dim
+        specs = self._specs
+        if n > _DENSE_MAX_QUBITS or self._fixed_batch > 1:
+            return None
+        g = 0
+        enc: list[int] = []
+        while (
+            g < len(specs)
+            and specs[g].name in _GENERATORS
+            and specs[g].refs[0] is not None
+            and specs[g].refs[0].kind == "input"
+        ):
+            enc.append(g)
+            g += 1
+        enc_wires = [specs[e].wires[0] for e in enc]
+        enc_inputs = [specs[e].refs[0].index for e in enc]
+        if (
+            len(set(enc_wires)) != len(enc)
+            or len(set(enc_inputs)) != len(enc)
+            or len({specs[e].name for e in enc}) > 1
+        ):
+            return None
+
+        gate = None
+        layers: list[tuple[list[int], np.ndarray]] = []
+        while g < len(specs):
+            block: dict[int, int] = {}
+            while g < len(specs):
+                spec = specs[g]
+                if len(spec.wires) != 1 or spec.wires[0] in block:
+                    break
+                if (
+                    spec.info.deriv_fn is None
+                    or spec.name != (gate or spec.name)
+                    or any(r is None or r.kind != "weight" for r in spec.refs)
+                    or any(d.ndim for d in spec.defaults)
+                ):
+                    return None
+                gate = spec.name
+                block[spec.wires[0]] = g
+                g += 1
+            if len(block) != n:
+                return None
+            perm = np.arange(dim)
+            while g < len(specs) and specs[g].info.basis_perm is not None:
+                perm = perm[
+                    self._full_perm(specs[g].info.basis_perm, *specs[g].wires)
+                ]
+                g += 1
+            layers.append(([block[w] for w in range(n)], perm))
+        if not layers:
+            return None
+
+        plan = _DensePlan()
+        plan.enc_gate = specs[enc[0]].name if enc else None
+        plan.enc_ops = enc
+        plan.enc_wires = np.asarray(enc_wires, dtype=np.intp)
+        plan.enc_inputs = np.asarray(enc_inputs, dtype=np.intp)
+        plan.gate = gate
+        plan.n_params = GATE_SET[gate].n_params
+        plan.n_layers = len(layers)
+        plan.widx = np.array(
+            [
+                [[r.index for r in specs[op].refs] for op in ops]
+                for ops, _ in layers
+            ],
+            dtype=np.intp,
+        )
+        plan.wflat = plan.widx.reshape(-1)
+        if len(set(plan.wflat.tolist())) != plan.wflat.size:
+            return None
+        plan.wdefault = np.array(
+            [
+                [[float(d) for d in specs[op].defaults] for op in ops]
+                for ops, _ in layers
+            ],
+            dtype=REAL_DTYPE,
+        )
+        # Row l*dim + k of the stacked kron products is row k of layer
+        # l's; taking rows l*dim + perm_l applies that layer's ring.
+        plan.rows = np.concatenate(
+            [l * dim + perm for l, (_, perm) in enumerate(layers)]
+        )
+        # The register-wide generator -i/2 P of encoded wire w maps
+        # basis state k to one basis state, so ``G_w psi`` is a gather
+        # plus a phase: (G_w psi)[k] = phase[k] * psi[src[k]].
+        ks = np.arange(dim)
+        idx, phase = [], []
+        for e, w in zip(enc, enc_wires):
+            pauli = _GENERATORS[specs[e].name]
+            shift = n - 1 - w
+            bit = (ks >> shift) & 1
+            src_bit = np.argmax(np.abs(pauli), axis=1)[bit]
+            idx.append((ks & ~(1 << shift)) | (src_bit << shift))
+            phase.append(-0.5j * pauli[bit, src_bit])
+        plan.gen_idx = np.concatenate(idx) if idx else np.zeros(0, np.intp)
+        plan.gen_phase = (
+            np.concatenate(phase).astype(COMPLEX_DTYPE)
+            if phase
+            else np.zeros(0, COMPLEX_DTYPE)
+        )
+        # Partial trace of an (L, blocks, dim, dim) matrix stack over
+        # every wire but w, into (blocks, L, 2, 2), through (2,)*n
+        # reshapes: row wires a..e, column wires f..j, and a column
+        # label equal to its row label for every traced wire.
+        rows = "abcde"[:n]
+        plan.traces = []
+        for w in range(n):
+            cols = "".join("fghij"[v] if v == w else rows[v] for v in range(n))
+            plan.traces.append(f"yz{rows}{cols}->zy{rows[w]}{cols[w]}")
+        return plan
+
     def clone(self) -> "CompiledTape":
         """A new engine sharing this one's (immutable) compiled program.
 
@@ -521,6 +741,11 @@ class CompiledTape:
     def n_instructions(self) -> int:
         """Number of compiled forward instructions (after fusion)."""
         return len(self._program)
+
+    @property
+    def dense(self) -> bool:
+        """Whether unshifted executes run the dense per-layer path."""
+        return self._dense is not None
 
     @property
     def has_record(self) -> bool:
@@ -778,7 +1003,12 @@ class CompiledTape:
         weight ops an ``(runs, k, k)`` one.  The prediction is
         cross-checked online by the measured bytes EWMA in
         :class:`~repro.runtime.pool.ChunkCostModel`.
+
+        Dense-path tapes count their own record instead (see
+        :meth:`_dense_peak_bytes`).
         """
+        if self._dense is not None:
+            return self._dense_peak_bytes(batch, runs, mode)
         item = np.dtype(COMPLEX_DTYPE).itemsize
         state = batch * self.dim * item
         total = 2 * state
@@ -800,6 +1030,39 @@ class CompiledTape:
                 for g in groups:
                     k = 2 ** len(self._specs[g].wires)
                     total += n_params * (runs or 1) * k * k * item
+        return total
+
+    def _dense_peak_bytes(
+        self, batch: int, runs: "int | None", mode: str
+    ) -> int:
+        """:meth:`peak_bytes` of the dense path.
+
+        ``"forward"``: the pooled ping-pong pair, the product state and
+        its kron partials (two states), and three ``(runs, L, 2**n,
+        2**n)`` unitary stacks (the kron product, its row take and the
+        one before it).  ``"adjoint"`` adds what a recorded step holds
+        at its peak: ``L + 1`` recorded states, ``L + 1`` bras, the
+        ``L`` conjugated bras of the overlap contraction or the
+        ``k + 1`` gathered generator states of the input gradients,
+        whichever is larger, and the daggered unitaries and the
+        overlap stack.  Both modes add the per-(run, layer, wire) gate,
+        derivative and builder-temporary matrices, the encoding's
+        per-sample ones, and a fixed allowance for array headers and
+        index tables.
+        """
+        plan = self._dense
+        item = np.dtype(COMPLEX_DTYPE).itemsize
+        n_layers, n_enc = plan.n_layers, len(plan.enc_ops)
+        state = batch * self.dim * item
+        stack = (runs or 1) * n_layers * self.dim * self.dim * item
+        small = 4 * item * (
+            16 * (1 + plan.n_params) * (runs or 1) * n_layers * self.n_qubits
+            + 16 * batch * self.n_qubits
+        )
+        total = 4 * state + 3 * stack + small + 16384
+        if mode == "adjoint":
+            total += (2 * n_layers + 2) * state + 2 * stack
+            total += max(n_layers, n_enc + 1) * state
         return total
 
     # -- kernels -----------------------------------------------------------
@@ -983,6 +1246,8 @@ class CompiledTape:
                 f"tape has baked-in batched parameters of size "
                 f"{self._fixed_batch}, cannot execute with batch {batch}"
             )
+        if self._dense is not None and shifts is None:
+            return self._execute_dense(inputs, weights, batch, runs, record)
         values, run_ops = self._resolve_values(
             inputs, weights, batch, shifts, runs
         )
@@ -1124,7 +1389,7 @@ class CompiledTape:
         """
         if self._last is not None:
             pool = self._pools.get(self._last["batch"])
-            if pool is not None:
+            if pool is not None and "pair" in self._last:
                 pool["pair"] = list(self._last["pair"])
             self._last = None
 
@@ -1217,12 +1482,7 @@ class CompiledTape:
             if self._specs[g].dynamic:
                 raise GateError(reason)
         last = self._last
-        batch, mats, values = last["batch"], last["mats"], last["values"]
-        runs = last["runs"]
-        # The recorded final state (the ket) is src[0]; the bra is
-        # seeded into src[1], and both then move through the reversed
-        # tape together.
-        src, dst = last["pair"]
+        batch, runs = last["batch"], last["runs"]
 
         grad_out = self._xp.as_real(grad_out)
         signs = self._z_signs
@@ -1249,6 +1509,13 @@ class CompiledTape:
         seed = self._xp.matmul(
             grad_out.reshape(blocks, batch // blocks, -1), signs
         ).reshape(batch, n_z)
+        if "dense" in last:
+            return self._adjoint_dense(seed, n_inputs, n_weights)
+        # The recorded final state (the ket) is src[0]; the bra is
+        # seeded into src[1], and both then move through the reversed
+        # tape together.
+        src, dst = last["pair"]
+        mats, values = last["mats"], last["values"]
         self._xp.multiply(seed, src[0], src[1])
 
         derivs = self._grouped_matrices(
@@ -1319,6 +1586,175 @@ class CompiledTape:
         if pool is not None:
             # Return the record's buffer pair to the pool for reuse.
             pool["pair"] = [src, dst]
+        self._last = None
+        return input_grads, weight_grads
+
+    # -- dense path --------------------------------------------------------
+
+    def _execute_dense(self, inputs, weights, batch, runs, record):
+        """``execute`` for a dense-eligible tape (see the module docstring).
+
+        Gate matrices, the product state and the layer unitaries are
+        built host-side, like every bound matrix of the per-gate program;
+        the state contractions run on the backend.
+        """
+        plan, xp = self._dense, self._xp
+        n, dim, n_layers = self.n_qubits, self.dim, plan.n_layers
+
+        # Product encoding: one builder call over every encoded wire;
+        # each gate's first column is its wire's factor of the state,
+        # and an unencoded wire's factor is |0>.
+        factors = [_KET0] * n
+        if plan.enc_ops:
+            if inputs is not None:
+                angles = inputs[:, plan.enc_inputs]
+            else:
+                angles = np.empty((batch, len(plan.enc_ops)))
+                for i, g in enumerate(plan.enc_ops):
+                    default = self._specs[g].defaults[0]
+                    if default.ndim == 1 and default.shape[0] != batch:
+                        raise ShapeError(
+                            f"{self._specs[g].name} parameter batch "
+                            f"{default.shape[0]} != execution batch {batch}"
+                        )
+                    angles[:, i] = default
+            mats = GATE_SET[plan.enc_gate].matrix_fn(angles.reshape(-1))
+            cols = mats[:, :, 0].reshape(batch, -1, 2)
+            del mats
+            for i, w in enumerate(plan.enc_wires):
+                factors[w] = cols[:, i]
+        psi = factors[0]
+        for w in range(1, n):
+            psi = psi[..., :, None] * factors[w][..., None, :]
+            psi = psi.reshape(psi.shape[:-2] + (-1,))
+        psi = np.broadcast_to(psi, (batch, dim))
+
+        # Layer unitaries: one builder call over every (run, layer,
+        # wire), n-1 broadcast krons and one row take for the rings.
+        if weights is None:
+            angles = plan.wdefault[None]
+        elif weights.ndim == 2:
+            angles = weights[:, plan.widx]
+        else:
+            angles = weights[plan.widx][None]
+        n_u = angles.shape[0]
+        args = [angles[..., p].reshape(-1) for p in range(plan.n_params)]
+        gate = GATE_SET[plan.gate].matrix_fn(*args)
+        per_wire = gate.reshape(n_u, n_layers, n, 2, 2)
+        kron = per_wire[:, :, 0]
+        for w in range(1, n):
+            side = 2 ** (w + 1)
+            factor = per_wire[:, :, w, None, :, None, :]
+            kron = (kron[..., :, None, :, None] * factor).reshape(
+                n_u, n_layers, side, side
+            )
+        unitary = kron.reshape(n_u, n_layers * dim, dim)[:, plan.rows]
+        unitary = xp.asarray(unitary.reshape(n_u, n_layers, dim, dim))
+
+        state = xp.asarray(psi)
+        if record:
+            states = xp.empty(
+                (n_layers + 1, batch, dim), dtype=xp.complex_dtype
+            )
+            states[0] = state
+            bufs = [states[l] for l in range(1, n_layers + 1)]
+        else:
+            pair = self._buffers(batch, "fwd", 2)
+            bufs = [pair[l % 2] for l in range(n_layers)]
+        for l, out in enumerate(bufs):
+            xp.einsum(
+                _DENSE_APPLY,
+                state.reshape(n_u, -1, dim),
+                unitary[:, l],
+                out=out.reshape(n_u, -1, dim),
+            )
+            state = out
+        if record:
+            self._last = {
+                "batch": batch,
+                "runs": runs,
+                "final": state,
+                "dense": (states, unitary, gate, args),
+            }
+        return state
+
+    def _adjoint_dense(self, seed, n_inputs, n_weights):
+        """``adjoint_gradients`` for a dense record; ``seed`` is the
+        ``(batch, 2**n)`` real Z-combination the bra starts from.
+
+        With ``mu`` the bra before layer ``l`` and ``psi`` the ket before
+        it, ``H = sum_b conj(mu_b)^T psi_b`` carries every overlap of the
+        layer: for gate ``X`` on wire ``w``, ``dK = K (X^dagger dX)_w``,
+        so the gradient is ``2 Re sum(A * Tr_rest H)`` with ``A =
+        X^dagger dX`` — no derivative kron is ever built.
+        """
+        plan, xp, last = self._dense, self._xp, self._last
+        states, unitary, gate, args = last["dense"]
+        batch, runs = last["batch"], last["runs"]
+        n, dim, n_layers = self.n_qubits, self.dim, plan.n_layers
+        n_u = unitary.shape[0]
+        blocks = runs or 1
+        idx = self._dev_idx
+
+        # bras[l] is the bra before layer l (bras[L]: the seeded bra).
+        bras = xp.empty((n_layers + 1, batch, dim), dtype=xp.complex_dtype)
+        xp.multiply(seed, states[n_layers], bras[n_layers])
+        inverse = xp.ascontiguousarray(xp.conj_transpose(unitary))
+        for l in range(n_layers - 1, -1, -1):
+            xp.einsum(
+                _DENSE_APPLY,
+                bras[l + 1].reshape(n_u, -1, dim),
+                inverse[:, l],
+                out=bras[l].reshape(n_u, -1, dim),
+            )
+
+        # Weight gradients, summed per run block: one (2**n, rows) x
+        # (rows, 2**n) gemm per (layer, block), so a block's arithmetic
+        # does not depend on how many blocks run beside it.
+        slices = (n_layers * blocks, -1, dim)
+        overlap = xp.matmul(
+            xp.conj_transpose(bras[:n_layers].reshape(slices)),
+            states[:n_layers].reshape(slices),
+        ).reshape((n_layers, blocks) + (2,) * (2 * n))
+        reduced = xp.empty((blocks, n_layers, n, 2, 2), dtype=xp.complex_dtype)
+        for w, spec in enumerate(plan.traces):
+            xp.einsum(spec, overlap, out=reduced[:, :, w])
+        derivs = GATE_SET[plan.gate].deriv_fn(*args)
+        if isinstance(derivs, tuple):
+            derivs = np.stack(derivs)
+        else:
+            derivs = derivs[None]
+        local = np.matmul(np.conj(np.swapaxes(gate, -1, -2)), derivs).reshape(
+            plan.n_params, n_u, n_layers, n, 2, 2
+        )
+        # With weights shared by every run (n_u == 1 < blocks) the run
+        # axis of ``local`` broadcasts: each block still sums only its
+        # own samples.
+        grads = 2.0 * xp.einsum(
+            "prlwac,rlwac->rlwp", xp.asarray(local), reduced
+        ).real
+        if runs is not None:
+            weight_grads = xp.zeros((runs, n_weights), dtype=xp.real_dtype)
+            weight_grads[:, idx(plan.wflat)] = grads.reshape(blocks, -1)
+        else:
+            weight_grads = xp.zeros(n_weights, dtype=xp.real_dtype)
+            weight_grads[idx(plan.wflat)] = grads.reshape(-1)
+
+        # Input gradients: 2 Re <bra_0| G_w |psi_0> for every encoded
+        # wire, with G_w psi_0 one gather and one phase multiply.
+        input_grads = xp.zeros((batch, n_inputs), dtype=xp.real_dtype)
+        if plan.enc_ops:
+            moved = xp.empty(
+                (batch, plan.gen_idx.size), dtype=xp.complex_dtype
+            )
+            xp.take(states[0], idx(plan.gen_idx), moved)
+            xp.multiply(moved, self._dev(plan.gen_phase), moved)
+            overlaps = xp.einsum(
+                "bk,bwk->bw",
+                bras[0].conj(),
+                moved.reshape(batch, len(plan.enc_ops), dim),
+            )
+            input_grads[:, idx(plan.enc_inputs)] = 2.0 * overlaps.real
         self._last = None
         return input_grads, weight_grads
 

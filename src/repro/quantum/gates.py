@@ -228,19 +228,33 @@ def rot_deriv(phi, theta, omega) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
       with RZ, so the generator may sit on either side of ``RZ(phi)``),
     * ``d/dtheta = RZ(omega) (-i Y / 2) RY(theta) RZ(phi)``,
     * ``d/domega = (-i Z / 2) Rot``.
+
+    With the entries of :func:`rot` written as phases times
+    ``cos(theta/2)``/``sin(theta/2)``, each identity only rescales
+    entries (``Z`` is diagonal, and ``d/dtheta`` swaps the cosine and
+    sine factors), so all three derivatives come from one trig pass.
     """
-    rz_phi = rz(phi)
-    ry_theta = ry(theta)
-    rz_omega = rz(omega)
-
-    def matmul(a, b):
-        return np.einsum("...ij,...jk->...ik", a, b)
-
-    full = matmul(rz_omega, matmul(ry_theta, rz_phi))
-    d_phi = matmul(full, -0.5j * PAULI_Z)
-    d_theta = matmul(rz_omega, matmul(-0.5j * np.einsum(
-        "ij,...jk->...ik", PAULI_Y, ry_theta), rz_phi))
-    d_omega = _left_multiply_pauli(PAULI_Z, full)
+    p = _as_array(phi) / 2.0
+    t = _as_array(theta) / 2.0
+    o = _as_array(omega) / 2.0
+    p, t, o = np.broadcast_arrays(p, t, o)
+    ct, st = np.cos(t), np.sin(t)
+    h00 = 0.5 * np.exp(-1j * (p + o))
+    h01 = 0.5 * np.exp(1j * (p - o))
+    h10 = 0.5 * np.exp(-1j * (p - o))
+    h11 = 0.5 * np.exp(1j * (p + o))
+    out = np.empty((3,) + ct.shape + (2, 2), dtype=COMPLEX_DTYPE)
+    d_phi, d_theta, d_omega = out
+    d_phi[..., 0, 0] = d_omega[..., 0, 0] = -1j * h00 * ct
+    d_phi[..., 1, 1] = d_omega[..., 1, 1] = 1j * h11 * ct
+    d_phi[..., 0, 1] = -1j * h01 * st
+    d_phi[..., 1, 0] = -1j * h10 * st
+    d_omega[..., 0, 1] = -d_phi[..., 0, 1]
+    d_omega[..., 1, 0] = -d_phi[..., 1, 0]
+    d_theta[..., 0, 0] = -h00 * st
+    d_theta[..., 0, 1] = -h01 * ct
+    d_theta[..., 1, 0] = h10 * ct
+    d_theta[..., 1, 1] = -h11 * st
     return d_phi, d_theta, d_omega
 
 

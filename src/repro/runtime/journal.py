@@ -45,6 +45,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from ..backends import resolve_backend
+from ..quantum.engine import ARITHMETIC_VERSION
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.grid_search import CandidateResult, TrainingSettings
@@ -73,9 +74,11 @@ def search_key(
 ) -> str:
     """Hash of everything that determines a search's result stream.
 
-    Covers the split's arrays (shape, dtype and bytes) and the name of
+    Covers the split's arrays (shape, dtype and bytes), the name of
     the *resolved* array backend — only NumPy is bit-exact, so a journal
-    written on one backend must not resume on another.  Of the
+    written on one backend must not resume on another — and the
+    engine's :data:`~repro.quantum.engine.ARITHMETIC_VERSION`, so a
+    journal written by older kernels is not resumed as current.  Of the
     settings, only result-affecting ones participate: execution knobs
     (workers, vectorization, stacking, retry policy) change wall time,
     never results, so a journal written under one execution mode
@@ -104,6 +107,7 @@ def search_key(
         "seed": seed,
         "convention": convention.name,
         "backend": resolve_backend(settings.backend)[0].name,
+        "arithmetic": ARITHMETIC_VERSION,
         "settings": {
             "epochs": settings.epochs,
             "batch_size": settings.batch_size,

@@ -72,6 +72,59 @@ class TestRunFamily:
             second.smallest_flops_series(), first.smallest_flops_series()
         )
 
+    @pytest.mark.parametrize("stamp", ["older", "missing"])
+    def test_cache_from_other_arithmetic_is_not_loaded(
+        self, micro_profile, tmp_path, monkeypatch, stamp
+    ):
+        """A result cached by other engine kernels (or before results
+        carried the stamp) is recomputed and overwritten, never served
+        as current."""
+        import json
+
+        from repro.experiments import runner
+        from repro.quantum.engine import ARITHMETIC_VERSION
+
+        computed = []
+
+        def counting_run_family(*args, **kwargs):
+            computed.append(args[0])
+            return run_family(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "run_family", counting_run_family)
+        kwargs = dict(cache_dir=tmp_path, max_candidates=1)
+        run_family_cached("bel", micro_profile, **kwargs)
+        path = tmp_path / "bel_micro_max_candidates-1.json"
+        data = json.loads(path.read_text())
+        assert data["arithmetic_version"] == ARITHMETIC_VERSION
+        # Forge the other engine's file: a cache that trusted it would
+        # report these accuracies.
+        if stamp == "older":
+            data["arithmetic_version"] = ARITHMETIC_VERSION - 1
+        else:
+            del data["arithmetic_version"]
+        for level in data["levels"]:
+            for outcome in level["outcomes"]:
+                for cand in outcome["evaluated"]:
+                    n_runs = len(cand["val_accuracies"])
+                    cand["val_accuracies"] = [-1.0] * n_runs
+        path.write_text(json.dumps(data))
+
+        result = run_family_cached("bel", micro_profile, **kwargs)
+        assert computed == ["bel", "bel"]
+        assert all(
+            acc >= 0.0
+            for level in result.levels
+            for outcome in level.outcomes
+            for cand in outcome.evaluated
+            for acc in cand.val_accuracies
+        )
+        # The recomputed file is current and is served from now on.
+        assert json.loads(path.read_text())["arithmetic_version"] == (
+            ARITHMETIC_VERSION
+        )
+        run_family_cached("bel", micro_profile, **kwargs)
+        assert computed == ["bel", "bel"]
+
     def test_cache_disabled(self, micro_profile, tmp_path):
         run_family_cached("classical", micro_profile, cache_dir=None, threshold=0.4)
         assert not list(tmp_path.iterdir())

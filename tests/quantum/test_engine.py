@@ -98,7 +98,73 @@ def covering_tape(batch):
     return ops
 
 
+def dense_tape(case, x, w):
+    """Encoding + ansatz tape of a dense-path case (see DENSE_CASES)."""
+    ansatz, n_qubits, _, rotation, _, custom_ranges = case
+    ops = angle_embedding(x, n_qubits, rotation=rotation)
+    if ansatz == "bel":
+        return ops + basic_entangler_layers(w, n_qubits, rotation=rotation)
+    ranges = None
+    if custom_ranges:
+        # Ranges a default SEL never picks: every other offset.
+        ranges = tuple((2 * l) % (n_qubits - 1) + 1 for l in range(w.shape[0]))
+    return ops + strongly_entangling_layers(w, n_qubits, ranges=ranges)
+
+
+def dense_case_data(case, rng, batch):
+    """Random ``(x, w, measure_wires)`` for a dense-path case."""
+    ansatz, n_qubits, n_layers, _, n_features, _ = case
+    shape = (
+        (n_layers, n_qubits) if ansatz == "bel" else (n_layers, n_qubits, 3)
+    )
+    x = rng.uniform(-np.pi, np.pi, (batch, n_features))
+    w = rng.uniform(0, 2 * np.pi, shape)
+    wires = rng.choice(n_qubits, size=max(1, n_qubits - 1), replace=False)
+    wires = sorted(wires)
+    return x, w, [int(q) for q in wires]
+
+
+#: (ansatz, n_qubits, n_layers, rotation, n_features, custom SEL ranges):
+#: every width the dense path serves, depths 1/4/10, every encoding axis,
+#: fewer encoded features than qubits, and non-default SEL ranges.
+DENSE_CASES = [
+    (
+        ansatz,
+        n,
+        layers,
+        "XYZ"[(n + layers) % 3],
+        max(1, n - (n + layers) % 2),
+        custom,
+    )
+    for ansatz in ("bel", "sel")
+    for n in range(1, 6)
+    for layers in (1, 4, 10)
+    for custom in ((False, True) if ansatz == "sel" and n > 2 else (False,))
+]
+
+
 class TestForwardDifferential:
+    @pytest.mark.parametrize("case", DENSE_CASES, ids=str)
+    def test_dense_tapes(self, case):
+        rng = np.random.default_rng(DENSE_CASES.index(case))
+        batch = 5
+        x, w, wires = dense_case_data(case, rng, batch)
+        tape = dense_tape(case, x, w)
+        engine = CompiledTape(tape, case[1])
+        assert engine.dense
+        ref = run(tape, case[1], batch)
+        np.testing.assert_allclose(
+            engine.run(inputs=x, weights=w.ravel()), ref, atol=ATOL, rtol=0
+        )
+        np.testing.assert_allclose(engine.run(), ref, atol=ATOL, rtol=0)
+        state = engine.execute(inputs=x, weights=w.ravel())
+        np.testing.assert_allclose(
+            engine.expvals(state, wires=wires),
+            expval_z(ref, wires=wires),
+            atol=ATOL,
+            rtol=0,
+        )
+
     def test_every_gate_once(self):
         batch = 5
         ops = covering_tape(batch)
@@ -183,6 +249,27 @@ class TestForwardDifferential:
 
 
 class TestAdjointDifferential:
+    @pytest.mark.parametrize("case", DENSE_CASES, ids=str)
+    def test_dense_tapes(self, case):
+        rng = np.random.default_rng(1000 + DENSE_CASES.index(case))
+        n_qubits, n_features, batch = case[1], case[4], 5
+        x, w, wires = dense_case_data(case, rng, batch)
+        tape = dense_tape(case, x, w)
+        final = run(tape, n_qubits, batch)
+        engine = CompiledTape(tape, n_qubits)
+        for measured in (None, wires):
+            width = n_qubits if measured is None else len(measured)
+            grad = rng.standard_normal((batch, width))
+            ig_ref, wg_ref = adjoint_gradients(
+                tape, final, grad, n_features, w.size, measure_wires=measured
+            )
+            engine.execute(inputs=x, weights=w.ravel(), record=True)
+            ig, wg = engine.adjoint_gradients(
+                grad, n_features, w.size, measure_wires=measured
+            )
+            np.testing.assert_allclose(ig, ig_ref, atol=ATOL, rtol=0)
+            np.testing.assert_allclose(wg, wg_ref, atol=ATOL, rtol=0)
+
     @pytest.mark.parametrize("seed", range(8))
     def test_randomized_tapes(self, seed):
         rng = np.random.default_rng(100 + seed)
@@ -413,6 +500,133 @@ class TestKernelPaths:
         # and the adjoint program carries matching skip markers
         skips = [s for s in engine._adj_program if s[0] == "skip"]
         assert len(skips) == layers * (n_qubits - 1)
+
+
+class TestDenseDispatch:
+    """The dense path serves exactly its tape shape, and never a shifted
+    execute; everything else runs the per-gate program, still matching
+    the reference."""
+
+    @staticmethod
+    def _variant(name, rng, batch=4):
+        n_qubits = 6 if name == "six-qubits" else 3
+        x = rng.uniform(-np.pi, np.pi, (batch, n_qubits))
+        w = random_sel_weights(2, n_qubits, rng)
+        if name == "shared-weight":
+            w[1] = w[0]
+        first, second = (
+            strongly_entangling_layers(w[l : l + 1], n_qubits)
+            for l in range(2)
+        )
+        # Second layer's weights are columns 3n..6n-1 of the flat vector
+        # (or, for "shared-weight", the first layer's again).
+        if name != "shared-weight":
+            for op in second:
+                op.refs = tuple(
+                    None if r is None else weight_ref(r.index + 3 * n_qubits)
+                    for r in op.refs
+                )
+        extra = {
+            "cz": [Operation("CZ", (0, 1))],
+            "static-2q": [Operation("CRX", (1, 2), (0.7,))],
+            "input-after-weight": [
+                Operation("RY", (1,), (x[:, 0],), (input_ref(0),))
+            ],
+        }.get(name, [])
+        encoding = angle_embedding(x, n_qubits)
+        if name == "shared-input":
+            encoding[1] = Operation("RY", (1,), (x[:, 0],), (input_ref(0),))
+        tape = encoding + first + extra + second
+        return tape, x, w, n_qubits
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "cz",
+            "static-2q",
+            "input-after-weight",
+            "six-qubits",
+            "shared-input",
+            "shared-weight",
+        ],
+    )
+    def test_other_tapes_run_per_gate(self, name, rng):
+        tape, x, w, n_qubits = self._variant(name, rng)
+        engine = CompiledTape(tape, n_qubits)
+        assert not engine.dense
+        batch = x.shape[0]
+        final = run(tape, n_qubits, batch)
+        got = engine.execute(inputs=x, weights=w.ravel(), record=True)
+        np.testing.assert_allclose(
+            got.reshape(final.shape), final, atol=ATOL, rtol=0
+        )
+        grad = rng.standard_normal((batch, n_qubits))
+        ig_ref, wg_ref = adjoint_gradients(tape, final, grad, n_qubits, w.size)
+        ig, wg = engine.adjoint_gradients(grad, n_qubits, w.size)
+        np.testing.assert_allclose(ig, ig_ref, atol=ATOL, rtol=0)
+        np.testing.assert_allclose(wg, wg_ref, atol=ATOL, rtol=0)
+
+    def test_shifted_executes_run_per_gate(self, rng, monkeypatch):
+        batch = 4
+        x = rng.uniform(-np.pi, np.pi, (batch, 3))
+        w = random_sel_weights(2, 3, rng)
+        tape = angle_embedding(x, 3) + strongly_entangling_layers(w, 3)
+        engine = CompiledTape(tape, 3)
+        assert engine.dense
+
+        def no_dense(*args, **kwargs):
+            raise AssertionError("dense path ran")
+
+        monkeypatch.setattr(engine, "_execute_dense", no_dense)
+        with pytest.raises(AssertionError, match="dense path"):
+            engine.execute(inputs=x, weights=w.ravel())
+        grad = rng.standard_normal((batch, 3))
+        ig_ref, wg_ref = parameter_shift_gradients(
+            tape, 3, batch, grad, 3, w.size
+        )
+        ig, wg = compiled_parameter_shift_gradients(
+            engine, grad, 3, w.size, inputs=x, weights=w.ravel()
+        )
+        np.testing.assert_allclose(ig, ig_ref, atol=ATOL, rtol=0)
+        np.testing.assert_allclose(wg, wg_ref, atol=ATOL, rtol=0)
+
+
+class TestDensePeakBytes:
+    """Memory governance sizes admissions with ``peak_bytes``: for dense
+    tapes it must cover what a recorded step really allocates."""
+
+    @pytest.mark.parametrize("runs", [1, 2])
+    @pytest.mark.parametrize("layers", [1, 4, 10])
+    @pytest.mark.parametrize("n_qubits", [3, 5])
+    def test_adjoint_prediction_covers_traced_peak(
+        self, n_qubits, layers, runs
+    ):
+        import tracemalloc
+
+        rng = np.random.default_rng((n_qubits, layers, runs))
+        batch = 8 * runs
+        w = random_sel_weights(layers, n_qubits, rng)
+        tape = angle_embedding_structure(
+            n_qubits, n_qubits
+        ) + strongly_entangling_layers(w, n_qubits)
+        engine = CompiledTape(tape, n_qubits)
+        weights = rng.normal(size=(runs, w.size))
+        x = rng.normal(size=(batch, n_qubits))
+        grad = rng.normal(size=(batch, n_qubits))
+
+        def step():
+            engine.execute(inputs=x, weights=weights, runs=runs, record=True)
+            engine.adjoint_gradients(grad, n_qubits, w.size)
+
+        step()  # warm the buffer pools, as a training loop would
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            step()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert engine.peak_bytes(batch, runs=runs, mode="adjoint") >= peak
 
 
 class TestCompileCache:

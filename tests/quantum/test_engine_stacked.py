@@ -47,7 +47,44 @@ CASES = [
     ("bel", 4, 3, 5, 8),
     ("bel", 5, 2, 4, 6),
     ("bel", 4, 10, 3, 8),
+    ("sel", 1, 4, 2, 3),
+    ("bel", 2, 1, 3, 2),
+    ("sel", 3, 10, 2, 8),
+    ("bel", 5, 10, 2, 8),
+    ("sel", 5, 10, 3, 1),
 ]
+
+#: (ansatz, n_qubits, n_layers, rotation, n_features, custom SEL ranges,
+#: weights shared by every run): encoding axes, fewer encoded features
+#: than qubits, non-default SEL ranges and 1-D weights broadcast over
+#: runs, each also measured on a subset of wires.
+VARIANT_CASES = [
+    ("sel", 1, 4, "X", 1, False, False),
+    ("bel", 2, 10, "Z", 1, False, False),
+    ("sel", 3, 10, "Y", 2, True, False),
+    ("bel", 4, 4, "X", 3, False, True),
+    ("sel", 5, 4, "Z", 4, True, False),
+    ("sel", 5, 10, "Y", 5, False, True),
+    ("bel", 5, 1, "Y", 5, False, False),
+    ("sel", 3, 1, "Z", 3, False, True),
+]
+
+
+def variant_tape(case, x, w):
+    ansatz, n_qubits, n_layers, rotation, _, custom, _ = case
+    ops = angle_embedding(x, n_qubits, rotation=rotation)
+    if ansatz == "bel":
+        return ops + basic_entangler_layers(
+            w.reshape(n_layers, n_qubits), n_qubits, rotation=rotation
+        )
+    ranges = (
+        tuple((2 * l) % (n_qubits - 1) + 1 for l in range(n_layers))
+        if custom
+        else None
+    )
+    return ops + strongly_entangling_layers(
+        w.reshape(n_layers, n_qubits, 3), n_qubits, ranges=ranges
+    )
 
 
 class TestStackedForward:
@@ -106,6 +143,52 @@ class TestStackedAdjoint:
             )
             assert np.array_equal(rig, ig[sl])
             assert np.array_equal(rwg, wg[r])
+
+    @pytest.mark.parametrize("case", VARIANT_CASES, ids=str)
+    def test_variants_equal_per_run_and_reference(self, case):
+        _, n_q, n_l, _, n_f, _, shared = case
+        rng = np.random.default_rng(VARIANT_CASES.index(case))
+        runs, batch = 3, 4
+        n_w = n_q * n_l * (3 if case[0] == "sel" else 1)
+        ops = variant_tape(case, np.zeros((1, n_f)), np.zeros(n_w))
+        stacked = CompiledTape(ops, n_q)
+        scalar = CompiledTape(ops, n_q)
+        assert stacked.dense
+        weights = rng.normal(size=n_w if shared else (runs, n_w))
+        inputs = rng.normal(size=(runs * batch, n_f))
+        wires = [q for q in range(n_q) if q != n_q // 2] or [0]
+        grad = rng.normal(size=(runs * batch, len(wires)))
+
+        state = stacked.execute(
+            inputs=inputs, weights=weights, runs=runs, record=True
+        ).copy()
+        ev = stacked.expvals(state, wires=wires, runs=runs)
+        ig, wg = stacked.adjoint_gradients(
+            grad, n_inputs=n_f, n_weights=n_w, measure_wires=wires
+        )
+        assert wg.shape == (runs, n_w)
+        for r in range(runs):
+            sl = slice(r * batch, (r + 1) * batch)
+            w_r = weights if shared else weights[r]
+            ref = scalar.execute(inputs=inputs[sl], weights=w_r, record=True)
+            assert np.array_equal(ref, state[sl])
+            assert np.array_equal(scalar.expvals(ref, wires=wires), ev[sl])
+            rig, rwg = scalar.adjoint_gradients(
+                grad[sl], n_inputs=n_f, n_weights=n_w, measure_wires=wires
+            )
+            assert np.array_equal(rig, ig[sl])
+            assert np.array_equal(rwg, wg[r])
+
+            bound = variant_tape(case, inputs[sl], w_r)
+            final = run(bound, n_q, batch)
+            np.testing.assert_allclose(
+                state[sl].reshape(final.shape), final, atol=1e-12, rtol=0
+            )
+            ref_ig, ref_wg = adjoint_gradients(
+                bound, final, grad[sl], n_f, n_w, measure_wires=wires
+            )
+            np.testing.assert_allclose(rig, ref_ig, atol=1e-12, rtol=0)
+            np.testing.assert_allclose(rwg, ref_wg, atol=1e-12, rtol=0)
 
     def test_record_released_after_backward(self):
         rng = np.random.default_rng(9)

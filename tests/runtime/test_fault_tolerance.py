@@ -408,6 +408,36 @@ class TestJournalResume:
 
         assert key("torch") != key("numpy")
 
+    def test_journal_from_other_arithmetic_is_ignored(
+        self, easy_split, tmp_path, monkeypatch
+    ):
+        """A journal written by older engine kernels must not resume:
+        its records are forged here so that trusting them would show."""
+        import json
+
+        from repro.runtime import journal as journal_module
+
+        settings = _settings()
+        journal = tmp_path / "search.jsonl"
+        kwargs = _search_kwargs(easy_split, settings)
+        fresh = grid_search(**kwargs, workers=1)
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                journal_module,
+                "ARITHMETIC_VERSION",
+                journal_module.ARITHMETIC_VERSION - 1,
+            )
+            grid_search(**kwargs, workers=1, journal=str(journal))
+        lines = journal.read_text().splitlines()
+        records = [json.loads(line) for line in lines]
+        for record in records:
+            record["candidate"]["val_accuracies"] = [
+                0.0 for _ in record["candidate"]["val_accuracies"]
+            ]
+        journal.write_text("".join(json.dumps(r) + "\n" for r in records))
+        resumed = grid_search(**kwargs, workers=1, journal=str(journal))
+        _assert_same_outcome(resumed, fresh)
+
     def test_torn_trailing_line_is_tolerated(self, easy_split, tmp_path):
         """A crash mid-append leaves a torn last line; resume must use
         the intact prefix instead of erroring out, and the resume's
