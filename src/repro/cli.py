@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--no-stacked-candidates",
         action="store_true",
-        help="do not merge same-structure candidates' run sets into one "
+        help="do not merge neighbouring candidates' run sets into one "
         "cross-candidate fused sweep; results are identical either way, "
         "only wall time changes",
     )

@@ -53,7 +53,7 @@ __all__ = [
 MAX_GROUP_CANDIDATES = 4
 
 #: How far past the commit frontier the in-process executor scans for
-#: same-structure candidates to group.  Non-matching candidates in
+#: same-key candidates to group.  Non-matching candidates in
 #: between are skipped (they commit from their own, later groups).
 GROUP_LOOKAHEAD = 8
 
@@ -82,11 +82,13 @@ class TrainingSettings:
     :attr:`CandidateResult.histories`) instead of dropping it after the
     max-over-epochs metrics are extracted.
 
-    ``stacked_candidates`` lets the search merge the run sets of
-    several candidates whose compiled tapes are structurally identical
-    (equal :meth:`~repro.core.search_space.ModelSpec.group_key`) into
-    one cross-candidate fused sweep — speculative, bounded by
-    :data:`MAX_GROUP_CANDIDATES`.  ``compact_frozen`` drops
+    ``stacked_candidates`` lets an in-process search merge the run sets
+    of the next candidates of one family and data shape (equal
+    :meth:`~repro.core.search_space.ModelSpec.group_key`) into one
+    cross-candidate fused sweep: the layers every member shares at the
+    input and output end run once over all of them, the rest per
+    candidate.  Speculative, bounded by :data:`MAX_GROUP_CANDIDATES`,
+    and cut short once a member passes.  ``compact_frozen`` drops
     early-stopped runs' rows from subsequent stacked sweeps instead of
     masking them.  Results are bit-identical with either knob on or
     off; only wall time changes.

@@ -68,13 +68,14 @@ class ModelSpec:
         raise NotImplementedError
 
     def group_key(self) -> tuple | None:
-        """Structural signature for cross-candidate stacked execution.
+        """Signature for cross-candidate stacked execution.
 
-        Candidates with equal non-``None`` keys compile to structurally
-        identical tapes (same qubits/ansatz/depth at the same feature
-        size), so the runtime may merge their run sets into one fused
-        sweep (:func:`repro.nn.stacked.stack_candidates`).  ``None``
-        means this spec never groups.
+        Candidates with equal non-``None`` keys — one family at one
+        feature and class count — build models that take the same input
+        and end in the same output layer, so the runtime may merge their
+        run sets into one fused sweep
+        (:func:`repro.nn.stacked.stack_candidates`) with a shared head
+        and tail.  ``None`` means this spec never groups.
         """
         return None
 
@@ -109,6 +110,9 @@ class ClassicalSpec(ModelSpec):
             self.n_features, self.hidden, self.n_classes, rng=rng
         )
 
+    def group_key(self) -> tuple | None:
+        return ("classical", self.n_features, self.n_classes)
+
 
 @dataclass(frozen=True)
 class HybridSpec(ModelSpec):
@@ -118,8 +122,8 @@ class HybridSpec(ModelSpec):
     width) in front of the quantum block's input layer.  The paper's
     search space keeps it empty; head-varying spaces hold many
     candidates that differ *only* in their head — structurally
-    identical tapes the runtime trains as one cross-candidate fused
-    sweep (see :meth:`group_key`).
+    identical tapes that a cross-candidate fused sweep (see
+    :meth:`group_key`) runs as one shared quantum layer.
     """
 
     n_qubits: int = 3
@@ -180,17 +184,7 @@ class HybridSpec(ModelSpec):
         )
 
     def group_key(self) -> tuple | None:
-        # Everything that shapes the compiled tape and the fixed
-        # classical tail — the head (``hidden``) is deliberately
-        # excluded: it only shapes the per-candidate prefix stack.
-        return (
-            "hybrid",
-            self.n_features,
-            self.n_classes,
-            self.n_qubits,
-            self.n_layers,
-            self.ansatz,
-        )
+        return (self.ansatz, self.n_features, self.n_classes)
 
 
 def combination_count(n_options: int, max_layers: int) -> int:

@@ -29,7 +29,7 @@ import numpy as np
 from ..backends import active_backend
 from ..exceptions import ConfigurationError, ShapeError
 from ..nn.layers import Layer
-from ..nn.stacked import StackedLayer, register_group_pivot, register_stacker
+from ..nn.stacked import StackedLayer, register_stacker
 from ..quantum.adjoint import adjoint_gradients
 from ..quantum.circuit import Operation, run
 from ..quantum.engine import CompiledTape, compiled_tape
@@ -403,9 +403,3 @@ def _stack_quantum_layers(runs, layers):
 
 
 register_stacker(QuantumLayer, _stack_quantum_layers)
-
-# The quantum layer is the split point for cross-candidate stacks:
-# candidates whose tapes are structurally identical fuse their quantum
-# sweep (and the fixed classical tail) across every run of every
-# candidate, while heterogeneous classical heads stay per candidate.
-register_group_pivot(QuantumLayer)

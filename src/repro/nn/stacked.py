@@ -35,17 +35,17 @@ keeping this module free of a quantum dependency).
 
 **Cross-candidate stacks.**  :func:`stack_candidates` generalizes the
 run axis to a *slice* axis spanning several candidates: C candidates x
-R runs whose models share one expensive pivot structure (the quantum
-layer — same qubits/ansatz/depth) merge into a single
-:class:`GroupedStack` of S = sum(R_c) slices.  Heterogeneous classical
-heads are handled per candidate (each candidate's prefix layers form
-their own R_c-slice stack over that candidate's contiguous row block),
-while the pivot and everything after it — structurally identical across
-the group — stack across all S slices.  Per-slice arithmetic is again
-bit-identical to the per-candidate stacks (and transitively to scalar
-training): prefix gemms see the same per-slice row blocks, and the
-pivot's per-slice engine kernels do not care whether neighbouring
-slices belong to the same candidate.
+R runs merge into a single :class:`GroupedStack` of S = sum(R_c)
+slices, whatever their depths and widths.  The leading layer positions
+that stack across all S slices form a shared *head*, the trailing ones
+a shared *tail* (in the paper's spaces: a classical candidate's first
+``Dense`` + ReLU and final Softmax, a hybrid candidate's input and
+output layers), and each candidate's remaining layers form its own
+*middle* stack over that candidate's contiguous row block.  Per-slice
+arithmetic is again bit-identical to the per-candidate stacks (and
+transitively to scalar training): middle gemms see the same per-slice
+row blocks, and shared per-slice gemms and engine kernels do not care
+whether neighbouring slices belong to the same candidate.
 
 **Frozen-row compaction.**  Every stacked layer supports
 ``compact(keep)``: dropping a slice's rows from the parameter stacks
@@ -83,7 +83,6 @@ __all__ = [
     "StackedSequential",
     "GroupedStack",
     "register_stacker",
-    "register_group_pivot",
     "stack_models",
     "stack_candidates",
 ]
@@ -197,23 +196,31 @@ class StackedDense(StackedLayer):
         ]
         self._cache_x: np.ndarray | None = None
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+    def forward(
+        self, x: np.ndarray, training: bool = False, shared: bool = False
+    ) -> np.ndarray:
+        """``shared`` (inference only) takes one ``(B, in)`` input that
+        every run sees: ``matmul`` broadcasts it against the weight stack,
+        running the same per-run gemm as an R-fold tiled copy would."""
+        if shared and training:
+            raise ShapeError(f"{self.name}: a shared input is inference-only")
         x = self._xp.as_real(x)
+        runs = 1 if shared else self.runs
         if (
             x.ndim != 2
             or x.shape[1] != self.in_features
-            or x.shape[0] % self.runs
+            or x.shape[0] % runs
         ):
             raise ShapeError(
                 f"{self.name} expected (runs*batch, {self.in_features}), "
-                f"got {tuple(x.shape)} for runs={self.runs}"
+                f"got {tuple(x.shape)} for runs={runs}"
             )
         if training:
             self._cache_x = x
         rows = x.shape[0]
-        x3 = x.reshape(self.runs, rows // self.runs, self.in_features)
+        x3 = x.reshape(runs, rows // runs, self.in_features)
         out = self._xp.matmul(x3, self.weight) + self.bias[:, None, :]
-        return out.reshape(rows, self.out_features)
+        return out.reshape(-1, self.out_features)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._cache_x is None:
@@ -355,6 +362,20 @@ def _stack_dense(runs: int, layers: Sequence[Layer]) -> StackedLayer | None:
 register_stacker(Dense, _stack_dense)
 
 
+def _forward_shared(layers: Sequence[StackedLayer], x, runs: int):
+    """Inference forward of one ``(n, features)`` input that all ``runs``
+    slices share: a leading :class:`StackedDense` broadcasts it, any
+    other first layer sees it tiled slice-major."""
+    if layers and isinstance(layers[0], StackedDense):
+        out = layers[0].forward(x, shared=True)
+        layers = layers[1:]
+    else:
+        out = np.tile(x, (runs, 1))
+    for layer in layers:
+        out = layer.forward(out, training=False)
+    return out
+
+
 class StackedSequential:
     """R structurally identical :class:`Sequential` models as one stack.
 
@@ -388,8 +409,12 @@ class StackedSequential:
             grad = layer.backward(grad)
         return grad
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        return self.forward(x, training=False)
+    def predict_shared(self, x: np.ndarray) -> np.ndarray:
+        """Predict every run on one ``(n, features)`` input they all
+        share; returns the fused run-major ``(runs * n, ·)`` output,
+        bit-identical to ``forward`` on ``runs`` tiled copies of ``x``
+        without materializing them."""
+        return _forward_shared(self.layers, x, self.runs)
 
     def parameters(self) -> list[np.ndarray]:
         return [p for layer in self.layers for p in layer.params]
@@ -488,46 +513,37 @@ def stack_models(models: Sequence[Sequential]) -> StackedSequential | None:
 
 # -- cross-candidate groups -------------------------------------------------
 
-#: Layer types a heterogeneous candidate group may be split at: each
-#: member model must contain exactly one pivot layer, the pivot and the
-#: layers after it stack across the whole group, and everything before
-#: it stacks per candidate.  The hybrid quantum layer registers itself
-#: on import (same pattern as the stacker registry).
-_GROUP_PIVOTS: set[type] = set()
-
-
-def register_group_pivot(layer_type: type) -> None:
-    """Mark a layer type as a valid cross-candidate split point."""
-    _GROUP_PIVOTS.add(layer_type)
-
 
 class _GroupMember:
     """One candidate's run set inside a :class:`GroupedStack`."""
 
-    __slots__ = ("models", "prefix", "pivot_pos", "size")
+    __slots__ = ("models", "middle", "size")
 
     def __init__(
-        self,
-        models: list[Sequential],
-        prefix: StackedSequential | None,
-        pivot_pos: int,
+        self, models: list[Sequential], middle: StackedSequential | None
     ) -> None:
         self.models = models
-        self.prefix = prefix
-        self.pivot_pos = pivot_pos
+        self.middle = middle
         self.size = len(models)
 
 
 class GroupedStack:
-    """C candidates x R runs as one stack with per-candidate prefixes.
+    """C candidates x R runs as one stack: shared head and tail, and a
+    per-candidate middle.
 
     Built by :func:`stack_candidates`.  The fused activation batch is
     *slice-major*: slice ``s`` (candidate-major, runs in order) owns
     rows ``s*B .. (s+1)*B``, exactly like :class:`StackedSequential`'s
-    run-major layout — ``runs`` here counts slices.  Classical prefix
-    layers that differ between candidates run per candidate on that
-    candidate's contiguous row block; the pivot layer (the quantum
-    sweep) and the shared suffix run once over all S slices.
+    run-major layout — ``runs`` here counts slices.  The layer list of
+    every member model splits into three parts:
+
+    * the :attr:`head`, the leading layer positions that stack across
+      all S slices, runs once over the whole fused batch;
+    * each member's ``middle`` — its remaining layers, possibly none —
+      runs as an ``R_c``-slice :class:`StackedSequential` over that
+      candidate's contiguous row block;
+    * the :attr:`tail`, the trailing layer positions that stack across
+      all S slices, runs once over the re-fused batch.
 
     Every kernel is per slice (per-slice gemms, per-run engine
     kernels), so each slice's arithmetic is bit-identical to the same
@@ -537,128 +553,140 @@ class GroupedStack:
     """
 
     def __init__(
-        self, members: list[_GroupMember], shared: list[StackedLayer]
+        self,
+        members: list[_GroupMember],
+        head: list[StackedLayer],
+        tail: list[StackedLayer],
     ) -> None:
         self.members = members
-        self.shared = shared
+        self.head = head
+        self.tail = tail
         self.runs = sum(m.size for m in members)
         self._xp = active_backend()
         self._bind_arena()
 
+    @property
+    def layers(self) -> list[StackedLayer]:
+        """Every stacked layer in :meth:`parameters` order: the head,
+        each member's middle, the tail."""
+        middles = [
+            layer
+            for m in self.members
+            if m.middle is not None
+            for layer in m.middle.layers
+        ]
+        return self.head + middles + self.tail
+
     def _bind_arena(self) -> None:
-        """One arena over every prefix stack, then the shared layers
-        (the :meth:`parameters` order); each prefix keeps its section."""
-        prefixes = [m.prefix for m in self.members if m.prefix is not None]
-        self.arena = ParameterArena.bind(
-            [lay for p in prefixes for lay in p.layers] + self.shared,
-            self._xp,
-        )
-        offset = 0
-        for prefix in prefixes:
-            size = sum(_numel(p) for p in prefix.parameters())
-            prefix.arena = self.arena.section(offset, offset + size)
-            offset += size
+        """One arena over every layer; each middle keeps its section."""
+        self.arena = ParameterArena.bind(self.layers, self._xp)
+        offset = sum(_numel(p) for layer in self.head for p in layer.params)
+        for member in self.members:
+            if member.middle is not None:
+                size = sum(_numel(p) for p in member.middle.parameters())
+                member.middle.arena = self.arena.section(offset, offset + size)
+                offset += size
 
     @property
     def _segmented(self) -> bool:
-        return any(m.prefix is not None for m in self.members)
+        return any(m.middle is not None for m in self.members)
+
+    def _per_member(self, x, apply) -> np.ndarray:
+        """Re-fuse ``apply(middle, block)`` over every member's row block
+        of ``x``; a member without a middle passes its block through.
+
+        Segmentation bookkeeping is host-side: device backends hand each
+        block to the middle stack (which uploads it) and download its
+        output.
+        """
+        x = np.asarray(self._xp.to_numpy(x), dtype=np.float64)
+        per = x.shape[0] // self.runs
+        blocks, offset = [], 0
+        for member in self.members:
+            rows = member.size * per
+            block = x[offset : offset + rows]
+            offset += rows
+            if member.middle is not None:
+                block = self._xp.to_numpy(apply(member.middle, block))
+            blocks.append(block)
+        return np.concatenate(blocks)
+
+    def _tail_forward(self, x, training: bool) -> np.ndarray:
+        for layer in self.tail:
+            x = layer.forward(x, training=training)
+        return x
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        # Segmentation bookkeeping is host-side: per-candidate blocks are
-        # sliced out of a host array and re-gathered into one.  Device
-        # backends hand each block to the prefix stack (which uploads
-        # it) and download its output; the shared pivot re-binds its
-        # inputs host-side anyway, so no transfer is wasted.
-        x = np.asarray(self._xp.to_numpy(x), dtype=np.float64)
         if x.ndim != 2 or x.shape[0] % self.runs:
             raise ShapeError(
                 f"grouped stack expected (slices*batch, features), got "
-                f"{x.shape} for {self.runs} slices"
+                f"{tuple(x.shape)} for {self.runs} slices"
             )
-        out = x
+        for layer in self.head:
+            x = layer.forward(x, training=training)
         if self._segmented:
-            per = x.shape[0] // self.runs
-            mid: np.ndarray | None = None
-            offset = 0
-            for member in self.members:
-                rows = member.size * per
-                block = x[offset : offset + rows]
-                if member.prefix is not None:
-                    block = self._xp.to_numpy(
-                        member.prefix.forward(block, training=training)
-                    )
-                if mid is None:
-                    mid = np.empty(
-                        (x.shape[0], block.shape[1]), dtype=np.float64
-                    )
-                mid[offset : offset + rows] = block
-                offset += rows
-            out = mid
-        for layer in self.shared:
-            out = layer.forward(out, training=training)
-        return out
+            x = self._per_member(
+                x, lambda middle, block: middle.forward(block, training)
+            )
+        return self._tail_forward(x, training)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        for layer in reversed(self.shared):
+        for layer in reversed(self.tail):
             grad = layer.backward(grad)
-        if not self._segmented:
-            return grad
-        grad = np.asarray(self._xp.to_numpy(grad), dtype=np.float64)
-        per = grad.shape[0] // self.runs
-        out: np.ndarray | None = None
-        offset = 0
-        for member in self.members:
-            rows = member.size * per
-            block = grad[offset : offset + rows]
-            if member.prefix is not None:
-                block = self._xp.to_numpy(member.prefix.backward(block))
-            if out is None:
-                out = np.empty(
-                    (grad.shape[0], block.shape[1]), dtype=np.float64
-                )
-            out[offset : offset + rows] = block
-            offset += rows
-        return out
+        if self._segmented:
+            grad = self._per_member(
+                grad, lambda middle, block: middle.backward(block)
+            )
+        for layer in reversed(self.head):
+            grad = layer.backward(grad)
+        return grad
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        return self.forward(x, training=False)
+    def predict_shared(self, x: np.ndarray) -> np.ndarray:
+        """Predict every slice on one ``(n, features)`` input they all
+        share (see :meth:`StackedSequential.predict_shared`); without a
+        head, each member's middle takes the shared input itself."""
+        if self.head:
+            out = _forward_shared(self.head, x, self.runs)
+            if self._segmented:
+                out = self._per_member(
+                    out, lambda middle, block: middle.forward(block)
+                )
+        else:
+            out = np.concatenate(
+                [
+                    np.tile(x, (m.size, 1))
+                    if m.middle is None
+                    else self._xp.to_numpy(m.middle.predict_shared(x))
+                    for m in self.members
+                ]
+            )
+        return self._tail_forward(out, training=False)
 
     def parameters(self) -> list[np.ndarray]:
-        out = []
-        for member in self.members:
-            if member.prefix is not None:
-                out.extend(member.prefix.parameters())
-        for layer in self.shared:
-            out.extend(layer.params)
-        return out
+        return [p for layer in self.layers for p in layer.params]
 
     def gradients(self) -> list[np.ndarray]:
-        out = []
-        for member in self.members:
-            if member.prefix is not None:
-                out.extend(member.prefix.gradients())
-        for layer in self.shared:
-            out.extend(layer.grads)
-        return out
+        return [g for layer in self.layers for g in layer.grads]
 
     def row_maps(self) -> list[np.ndarray | None]:
         """Slice indices behind each parameter stack's rows.
 
-        Prefix parameters of the candidate at slice offset ``o`` with
-        ``R_c`` runs map to slices ``o .. o+R_c``; shared parameters map
-        identically (``None``).  The optimizer uses these maps to
-        translate a global freeze mask into per-parameter row masks.
+        Middle parameters of the candidate at slice offset ``o`` with
+        ``R_c`` runs map to slices ``o .. o+R_c``; head and tail
+        parameters map identically (``None``).  The optimizer uses these
+        maps to translate a global freeze mask into per-parameter row
+        masks.
         """
-        maps: list[np.ndarray | None] = []
+        maps: list[np.ndarray | None] = [None] * sum(
+            len(layer.params) for layer in self.head
+        )
         offset = 0
         for member in self.members:
-            if member.prefix is not None:
+            if member.middle is not None:
                 rows = np.arange(offset, offset + member.size)
-                maps.extend(
-                    [rows] * len(member.prefix.parameters())
-                )
+                maps.extend([rows] * len(member.middle.parameters()))
             offset += member.size
-        maps.extend([None] * sum(len(lay.params) for lay in self.shared))
+        maps.extend([None] * sum(len(layer.params) for layer in self.tail))
         return maps
 
     def peak_bytes(self, batch: int) -> int:
@@ -666,18 +694,18 @@ class GroupedStack:
 
         Same accounting as :meth:`StackedSequential.peak_bytes` — every
         parameter stack four times over (values, grads, Adam moments) —
-        with prefix layers counted over their candidate's row block and
-        the shared pivot/suffix over all ``runs * batch`` fused rows.
+        with middle layers counted over their candidate's row block and
+        the head and tail over all ``runs * batch`` fused rows.
         """
         rows = self.runs * batch
         total = 4 * sum(_param_nbytes(p) for p in self.parameters())
+        total += sum(layer.peak_bytes(rows) for layer in self.head + self.tail)
         for member in self.members:
-            if member.prefix is not None:
+            if member.middle is not None:
                 total += sum(
                     layer.peak_bytes(member.size * batch)
-                    for layer in member.prefix.layers
+                    for layer in member.middle.layers
                 )
-        total += sum(layer.peak_bytes(rows) for layer in self.shared)
         return total
 
     def zero_grads(self) -> None:
@@ -685,22 +713,20 @@ class GroupedStack:
 
     def sync_to_models(self) -> None:
         """Write every slice's parameters back into its source model."""
+        flat = [model for member in self.members for model in member.models]
+        for pos, layer in enumerate(self.head):
+            layer.sync_to_layers([m.layers[pos] for m in flat])
+        for pos, layer in enumerate(self.tail, start=-len(self.tail)):
+            layer.sync_to_layers([m.layers[pos] for m in flat])
         for member in self.members:
-            if member.prefix is not None:
-                member.prefix.sync_to_models()
-        flat = [
-            (model, member.pivot_pos)
-            for member in self.members
-            for model in member.models
-        ]
-        for j, layer in enumerate(self.shared):
-            layer.sync_to_layers([m.layers[pos + j] for m, pos in flat])
+            if member.middle is not None:
+                member.middle.sync_to_models()
 
     def compact(self, keep: np.ndarray) -> None:
         """Drop every slice not in ``keep`` (current slice indices).
 
         A candidate whose slices all vanish leaves the group entirely —
-        its prefix stack (and its parameters) drop out of
+        its middle stack (and its parameters) drop out of
         :meth:`parameters` — so the caller must compact any optimizer
         state with the matching :meth:`row_maps` *before* this call.
         The arena is rebuilt over the survivors.
@@ -714,16 +740,45 @@ class GroupedStack:
             offset += member.size
             if local.size == 0:
                 continue
-            if member.prefix is not None:
-                member.prefix.compact(local)
+            if member.middle is not None:
+                member.middle.compact(local)
             member.models = [member.models[i] for i in local]
             member.size = int(local.size)
             survivors.append(member)
         self.members = survivors
-        for layer in self.shared:
+        for layer in self.head + self.tail:
             layer.compact(keep)
         self.runs = int(keep.size)
         self._bind_arena()
+
+
+def _widths(model: Sequential) -> list[int] | None:
+    """The feature width entering each layer of ``model``, then its
+    output width; ``None`` when the first layer declares no
+    ``in_features`` or the layers do not chain."""
+    width = getattr(model.layers[0], "in_features", None)
+    if width is None:
+        return None
+    widths = [width]
+    for layer in model.layers:
+        try:
+            width = layer.output_dim(width)
+        except ShapeError:
+            return None
+        widths.append(width)
+    return widths
+
+
+def _stack_run(runs: int, rows) -> list[StackedLayer]:
+    """Stack aligned layer rows in order up to the first that does not
+    stack across all ``runs`` slices."""
+    stacked: list[StackedLayer] = []
+    for layers in rows:
+        entry = _stack_rows(runs, [layers])
+        if entry is None:
+            break
+        stacked.extend(entry)
+    return stacked
 
 
 def stack_candidates(
@@ -732,15 +787,20 @@ def stack_candidates(
     """Fold several candidates' run sets into one :class:`GroupedStack`.
 
     ``model_groups[c]`` holds candidate ``c``'s run models (all
-    structurally identical to each other by construction).  Returns
-    ``None`` — train each candidate separately — unless either
+    structurally identical to each other by construction).  The group's
+    head is the longest run of leading layer positions that stack
+    across every model, its tail the longest run of trailing positions
+    that do (never overlapping the head in any model), and each
+    candidate's layers in between stack on their own.  Candidates of
+    any depth and width therefore group — a candidate whose layers all
+    sit in the head and tail has an empty middle.
 
-    * every model across the whole group stacks position-wise
-      (identical layer types and shapes: the fully fused case), or
-    * every model has exactly one registered pivot layer
-      (:func:`register_group_pivot`), the pivot and the layers after it
-      stack across all S slices, and each candidate's prefix stacks on
-      its own (heterogeneous classical heads).
+    Returns ``None`` — train each candidate separately — when the
+    models disagree on input width (one fused batch cannot feed them),
+    when their middles end at different widths (one fused batch cannot
+    enter the tail), when no layer position is shared at either end, or
+    when any layer has no stacker (custom types, Dropout,
+    parameter-shift quantum layers...).
     """
     groups = [list(g) for g in model_groups]
     if any(not g for g in groups):
@@ -749,55 +809,39 @@ def stack_candidates(
     total = len(flat)
     if total < 2:
         return None
-    # Fully aligned fast path: one stack over every slice, no segments.
-    n_layers = len(flat[0].layers)
-    if all(len(m.layers) == n_layers for m in flat):
-        stacked = _stack_rows(
-            total, [[m.layers[pos] for m in flat] for pos in range(n_layers)]
-        )
-        if stacked is not None:
-            members = [_GroupMember(g, None, 0) for g in groups]
-            return GroupedStack(members, stacked)
-    # Segmented path: split each model at its unique pivot layer.
-    split_at: list[int] = []
-    for model in flat:
-        pivots = [
-            pos
-            for pos, lay in enumerate(model.layers)
-            if type(lay) in _GROUP_PIVOTS
-        ]
-        if len(pivots) != 1:
-            return None
-        split_at.append(pivots[0])
-    suffix_lens = {
-        len(m.layers) - pos for m, pos in zip(flat, split_at)
-    }
-    if len(suffix_lens) != 1:
+    widths = [_widths(m) for m in flat]
+    if any(w is None for w in widths) or len({w[0] for w in widths}) != 1:
         return None
-    shared = _stack_rows(
-        total,
-        [
-            [m.layers[pos + j] for m, pos in zip(flat, split_at)]
-            for j in range(suffix_lens.pop())
-        ],
+    if any(len(m.layers) != len(g[0].layers) for g in groups for m in g):
+        return None
+    shortest = min(len(m.layers) for m in flat)
+    head = _stack_run(
+        total, ([m.layers[pos] for m in flat] for pos in range(shortest))
     )
-    if shared is None:
+    tail = _stack_run(
+        total,
+        (
+            [m.layers[-1 - pos] for m in flat]
+            for pos in range(shortest - len(head))
+        ),
+    )[::-1]
+    if not head and not tail:
+        return None
+    if len({w[-1 - len(tail)] for w in widths}) != 1:
         return None
     members = []
-    start = 0
     for group in groups:
-        positions = split_at[start : start + len(group)]
-        start += len(group)
-        pos = positions[0]
-        if any(p != pos for p in positions):
-            return None
-        if pos == 0:
-            prefix = None
-        else:
-            rows = [[m.layers[j] for m in group] for j in range(pos)]
-            layers = _stack_rows(len(group), rows)
+        subs = [
+            Sequential(m.layers[len(head) : len(m.layers) - len(tail)])
+            for m in group
+            if len(m.layers) > len(head) + len(tail)
+        ]
+        middle = None
+        if subs:
+            rows = [list(row) for row in zip(*(m.layers for m in subs))]
+            layers = _stack_rows(len(subs), rows)
             if layers is None:
                 return None
-            prefix = StackedSequential(len(group), layers, group)
-        members.append(_GroupMember(group, prefix, pos))
-    return GroupedStack(members, shared)
+            middle = StackedSequential(len(subs), layers, subs)
+        members.append(_GroupMember(group, middle))
+    return GroupedStack(members, head, tail)

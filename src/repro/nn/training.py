@@ -169,6 +169,7 @@ def train_stack(
     shuffle: bool = True,
     cancel_check: Callable[[], bool] | None = None,
     compact: bool = True,
+    stop: Callable[[Sequence[History]], bool] | None = None,
 ) -> list[History]:
     """Train a slice stack in lockstep; one :class:`History` per slice.
 
@@ -189,6 +190,12 @@ def train_stack(
     bookkeeping that leaves the surviving slices' arithmetic untouched.
     ``compact=False`` keeps the shape-stable masking behaviour; results
     are identical either way, only wall time changes.
+
+    ``stop`` (optional) is polled with the histories at every epoch
+    boundary where some slice froze; when it returns true, training
+    ends there and every slice still active keeps the epochs it ran.
+    The per-epoch accuracy passes feed the train and validation sets
+    once, shared by every slice (``predict_shared``).
     """
     if y_train.ndim != 2 or y_val.ndim != 2:
         raise ShapeError("targets must be one-hot encoded (2-D)")
@@ -229,10 +236,6 @@ def train_stack(
     n = x_train.shape[0]
     n_val = x_val.shape[0]
     n_classes = y_train.shape[1]
-    # The per-epoch evaluation passes see the full train/val sets,
-    # tiled slice-major (rebuilt whenever compaction shrinks the stack).
-    x_train_tiled = np.tile(x_train, (total, 1))
-    x_val_tiled = np.tile(x_val, (total, 1))
     xb = yb = None  # fused minibatch buffers, allocated per size
 
     for _ in range(epochs):
@@ -280,8 +283,8 @@ def train_stack(
         # row, as the scalar loop's mean over its list of step losses.
         epoch_losses = np.stack(step_losses, axis=1)
 
-        train_out = xp.to_numpy(stack.predict(x_train_tiled))
-        val_out = xp.to_numpy(stack.predict(x_val_tiled))
+        train_out = xp.to_numpy(stack.predict_shared(x_train))
+        val_out = xp.to_numpy(stack.predict_shared(x_val))
         frozen_now = False
         for r in range(slices):
             if not active[r]:
@@ -303,6 +306,8 @@ def train_stack(
                 history.wall_time_s = time.perf_counter() - started
                 active[r] = False
                 frozen_now = True
+        if frozen_now and stop is not None and stop(histories):
+            break
         if compact and frozen_now:
             # Frozen slices leave the sweep.  Their parameters are final
             # right now, so sync everything back (active slices resync
@@ -322,8 +327,6 @@ def train_stack(
                 params, grads = stack.parameters(), stack.gradients()
                 slots = slots[keep]
                 active = np.ones(keep.size, dtype=bool)
-                x_train_tiled = np.tile(x_train, (keep.size, 1))
-                x_val_tiled = np.tile(x_val, (keep.size, 1))
                 xb = yb = None
 
     elapsed = time.perf_counter() - started

@@ -358,9 +358,8 @@ class JobChunk:
     a single run-stacked sweep
     (:func:`repro.runtime.jobs.execute_runs`); the scheduler then packs
     one chunk per candidate so the stack spans every run.  A vectorized
-    chunk may also span **several candidates** whose tapes are
-    structurally identical: the worker then trains every run of every
-    candidate as one cross-candidate fused sweep
+    chunk may also span **several candidates**: the worker then trains
+    every run of every candidate as one cross-candidate fused sweep
     (:func:`repro.runtime.jobs.execute_candidates`).  The scheduler's
     chunks hold one candidate each.
     """

@@ -92,8 +92,7 @@ def assert_arena_backed(stack):
     # The arena is laid out in parameters() order.
     flat = np.concatenate([p.reshape(-1) for p in params])
     assert np.array_equal(flat, arena.values)
-    layers = getattr(stack, "layers", None) or stack.shared
-    for layer in layers:
+    for layer in stack.layers:
         if hasattr(layer, "weight"):
             assert layer.params[0] is layer.weight
             assert layer.params[1] is layer.bias
@@ -112,21 +111,33 @@ class TestParameterArena:
         one_model = classical(np.random.default_rng(0)).parameters()
         assert stack.arena.values.size == sum(p.size for p in one_model)
 
-    def test_grouped_stack_with_heterogeneous_prefixes(self):
+    def test_grouped_stack_with_heterogeneous_middles(self):
         stack = build_group()
-        assert all(m.prefix is not None for m in stack.members)
+        # the head-less variant lies entirely in the shared tail
+        assert stack.members[0].middle is None
+        assert all(m.middle is not None for m in stack.members[1:])
         for keep in (None, np.array([0, 1, 4, 5]), np.array([0, 3])):
             if keep is not None:
                 stack.compact(keep)
             assert_arena_backed(stack)
+            offset = sum(p.size for lay in stack.head for p in lay.params)
             for member in stack.members:
-                prefix = member.prefix
+                middle = member.middle
+                if middle is None:
+                    continue
+                # each middle owns the next section of the group arena
+                size = sum(p.size for p in middle.parameters())
                 assert np.shares_memory(
-                    prefix.arena.values, stack.arena.values
+                    middle.arena.values, stack.arena.values
                 )
-                for p, g in zip(prefix.parameters(), prefix.gradients()):
-                    assert np.shares_memory(p, prefix.arena.values)
-                    assert np.shares_memory(g, prefix.arena.grads)
+                assert np.array_equal(
+                    middle.arena.values,
+                    stack.arena.values[offset : offset + size],
+                )
+                offset += size
+                for p, g in zip(middle.parameters(), middle.gradients()):
+                    assert np.shares_memory(p, middle.arena.values)
+                    assert np.shares_memory(g, middle.arena.grads)
 
     def test_zero_grads_is_one_fill(self):
         stack = build_group()
@@ -180,8 +191,8 @@ class TestArenaAdam:
 
         for _ in range(3):
             step()
-        # In the group, slices 2 and 3 are the middle candidate's runs:
-        # its prefix stack (and its moments) leave on compaction.
+        # In the group, slices 2 and 3 are the second candidate's runs:
+        # its middle stack (and its moments) leave on compaction.
         active[[2, 3]] = False
         for _ in range(3):
             step()

@@ -17,16 +17,24 @@ from repro.core.grid_search import (
     TrainingSettings,
     grid_search,
     plan_group,
+    rank_by_flops,
 )
 from repro.core.search_space import (
+    ClassicalSpec,
     HybridSpec,
     classical_search_space,
     hybrid_search_space,
 )
 from repro.data import make_spiral, stratified_split
 from repro.exceptions import ConfigurationError
+from repro.nn.layers import Dropout
 from repro.nn.training import History
-from repro.runtime import ChunkCostModel, PersistentPool, execute_candidates
+from repro.runtime import (
+    ChunkCostModel,
+    PersistentPool,
+    execute_candidates,
+    jobs,
+)
 from repro.runtime.jobs import RunResult, TrainingJob, execute_job
 from repro.runtime.pool import (
     ChunkResult,
@@ -95,6 +103,23 @@ class BoomSpec(HybridSpec):
         raise RuntimeError(f"boom: {self.label}")
 
 
+class KeylessSpec(ClassicalSpec):
+    """A classical spec that opts out of grouping."""
+
+    def group_key(self):
+        return None
+
+
+class DropoutSpec(ClassicalSpec):
+    """A classical spec with a Dropout layer after its first hidden
+    layer: no stacker exists for it, so it never fuses."""
+
+    def build(self, rng=None):
+        model = super().build(rng=rng)
+        model.layers.insert(2, Dropout(0.2, rng=rng))
+        return model
+
+
 class TestSearchDifferential:
     """The issue's acceptance check: array_equal-identical SearchOutcome
     with candidate stacking and compaction on vs off."""
@@ -152,7 +177,8 @@ class TestSearchDifferential:
         _assert_same_outcome(on, off)
 
     def test_classical_space_unaffected(self, easy_split):
-        """Classical specs have no group key; stacking on is a no-op."""
+        """Classical candidates group (shared first and last layers);
+        the outcome is the same with stacking on or off."""
         specs = classical_search_space(4, neuron_options=(2, 8), max_layers=2)
         kwargs = dict(specs=specs, split=easy_split, threshold=1.01, seed=5)
         on = grid_search(
@@ -185,8 +211,31 @@ class TestPlanGroup:
         assert plan_group(
             ranked, 0, _settings(True, vectorized=False)
         ) == [0]
-        classical = classical_search_space(4, neuron_options=(2,))
-        assert plan_group(classical, 0, _settings(True)) == [0]
+        assert plan_group(
+            [KeylessSpec(n_features=4, hidden=(h,)) for h in (2, 4, 6)],
+            0,
+            _settings(True),
+        ) == [0]
+        # classical candidates group like any other family: the next
+        # MAX_GROUP_CANDIDATES, whatever their depths and widths
+        classical = classical_search_space(4, neuron_options=(2, 4))
+        assert plan_group(classical, 0, _settings(True)) == list(
+            range(MAX_GROUP_CANDIDATES)
+        )
+        group = [
+            (classical[j], j, range(2)) for j in range(MAX_GROUP_CANDIDATES)
+        ]
+        settings = _settings(True, epochs=3)
+        fused = execute_candidates(group, 7, easy_split, settings)
+        assert len(fused) == 2 * MAX_GROUP_CANDIDATES
+        for rr in fused:
+            job = TrainingJob(
+                classical[rr.candidate_index], 7, rr.candidate_index, rr.run
+            )
+            ref = execute_job(job, easy_split, settings)
+            assert rr.train_accuracy == ref.train_accuracy
+            assert rr.val_accuracy == ref.val_accuracy
+            assert rr.epochs_run == ref.epochs_run
 
     def test_skip_excludes_speculated(self):
         ranked = head_varied_space()
@@ -211,7 +260,9 @@ class TestExecuteCandidates:
         assert len(fused) == 6
         for rr in fused:
             ref = execute_job(
-                TrainingJob(specs[rr.candidate_index], 7, rr.candidate_index, rr.run),
+                TrainingJob(
+                    specs[rr.candidate_index], 7, rr.candidate_index, rr.run
+                ),
                 easy_split,
                 settings,
             )
@@ -227,10 +278,31 @@ class TestExecuteCandidates:
             is None
         )
 
-    def test_unstackable_group_returns_none(self, easy_split):
+    def test_classical_shapes_match_per_candidate_runs(self, easy_split):
         specs = classical_search_space(4, neuron_options=(2, 8), max_layers=1)
-        settings = _settings(True)
+        settings = _settings(True, return_histories=True)
         group = [(spec, i, range(2)) for i, spec in enumerate(specs[:2])]
+        fused = execute_candidates(group, 7, easy_split, settings)
+        assert [(rr.candidate_index, rr.run) for rr in fused] == [
+            (0, 0), (0, 1), (1, 0), (1, 1)
+        ]
+        for rr in fused:
+            ref = execute_job(
+                TrainingJob(
+                    specs[rr.candidate_index], 7, rr.candidate_index, rr.run
+                ),
+                easy_split,
+                settings,
+            )
+            assert rr.history.train_loss == ref.history.train_loss
+            assert rr.history.train_accuracy == ref.history.train_accuracy
+            assert rr.history.val_accuracy == ref.history.val_accuracy
+            assert rr.epochs_run == ref.epochs_run
+
+    def test_unstackable_group_returns_none(self, easy_split):
+        specs = [DropoutSpec(n_features=4, hidden=(h,)) for h in (2, 8)]
+        settings = _settings(True)
+        group = [(spec, i, range(2)) for i, spec in enumerate(specs)]
         assert execute_candidates(group, 7, easy_split, settings) is None
 
     def test_build_error_raises(self, easy_split):
@@ -241,6 +313,41 @@ class TestExecuteCandidates:
         group = [(spec, i, range(2)) for i, spec in enumerate(specs)]
         with pytest.raises(RuntimeError, match="boom"):
             execute_candidates(group, 7, easy_split, _settings(True))
+
+
+class TestGroupEarlyExit:
+    def test_group_stops_at_first_passing_member(
+        self, easy_split, monkeypatch
+    ):
+        """C[8] passes with both runs frozen at epoch 9, while C[10]'s
+        second run would train all 20 epochs: the fused group stops at
+        the winner's last epoch and reports only the winner."""
+        specs = classical_search_space(4, neuron_options=(8, 10), max_layers=2)
+        kwargs = dict(specs=specs, split=easy_split, threshold=0.6, seed=0)
+        settings = _settings(True, epochs=20)
+        ranked = rank_by_flops(specs)
+        group = [(ranked[j], j, range(2)) for j in range(MAX_GROUP_CANDIDATES)]
+        unbounded = execute_candidates(group, 0, easy_split, settings)
+        sweeps = []
+        train_stack = jobs.train_stack
+
+        def spy(*args, **kw):
+            histories = train_stack(*args, **kw)
+            sweeps.append([h.epochs_run for h in histories])
+            return histories
+
+        monkeypatch.setattr(jobs, "train_stack", spy)
+        on = grid_search(**kwargs, settings=settings, workers=1)
+        off = grid_search(
+            **kwargs, settings=_settings(False, epochs=20), workers=1
+        )
+        _assert_same_outcome(on, off)
+        assert on.winner.spec == ranked[0]
+        assert len(on.evaluated) == 1
+        [epochs] = sweeps
+        assert len(epochs) == 2 * MAX_GROUP_CANDIDATES
+        assert max(epochs) == max(on.winner.epochs_run)
+        assert max(r.epochs_run for r in unbounded) > max(epochs)
 
 
 class TestErrorAttribution:
@@ -461,13 +568,23 @@ class TestCostModelPersistence:
 
 
 class TestHeadVariedSpecs:
-    def test_group_key_ignores_head_only(self):
+    def test_group_key_is_family_and_data_shape(self):
         a = HybridSpec(n_features=4, n_qubits=3, n_layers=2, hidden=())
         b = HybridSpec(n_features=4, n_qubits=3, n_layers=2, hidden=(6, 4))
-        c = HybridSpec(n_features=4, n_qubits=3, n_layers=3, hidden=(6, 4))
-        assert a.group_key() == b.group_key()
-        assert a.group_key() != c.group_key()
+        c = HybridSpec(n_features=4, n_qubits=5, n_layers=3, hidden=(6, 4))
+        assert a.group_key() == b.group_key() == c.group_key()
         assert a.label != b.label  # cost-model labels stay distinct
+        others = [
+            HybridSpec(n_features=5, n_qubits=3, n_layers=2),
+            HybridSpec(n_features=4, n_classes=4, n_qubits=3, n_layers=2),
+            HybridSpec(n_features=4, n_qubits=3, n_layers=2, ansatz="bel"),
+            ClassicalSpec(n_features=4, hidden=(3,)),
+        ]
+        keys = {spec.group_key() for spec in [a] + others}
+        assert len(keys) == 1 + len(others)
+        assert ClassicalSpec(n_features=4, hidden=(2, 8)).group_key() == (
+            ClassicalSpec(n_features=4, hidden=(10,)).group_key()
+        )
 
     def test_head_changes_flops_and_params(self):
         a = HybridSpec(n_features=4, n_qubits=3, n_layers=2)
