@@ -87,8 +87,8 @@ class TrainingSettings:
     :meth:`~repro.core.search_space.ModelSpec.group_key`) into one
     cross-candidate fused sweep: the layers every member shares at the
     input and output end run once over all of them, the rest per
-    candidate.  Speculative, bounded by :data:`MAX_GROUP_CANDIDATES`,
-    and cut short once a member passes.  ``compact_frozen`` drops
+    candidate.  Speculative, bounded by :data:`MAX_GROUP_CANDIDATES`.
+    ``compact_frozen`` drops
     early-stopped runs' rows from subsequent stacked sweeps instead of
     masking them.  Results are bit-identical with either knob on or
     off; only wall time changes.

@@ -196,29 +196,26 @@ class StackedDense(StackedLayer):
         ]
         self._cache_x: np.ndarray | None = None
 
-    def forward(
-        self, x: np.ndarray, training: bool = False, shared: bool = False
-    ) -> np.ndarray:
-        """``shared`` (inference only) takes one ``(B, in)`` input that
-        every run sees: ``matmul`` broadcasts it against the weight stack,
-        running the same per-run gemm as an R-fold tiled copy would."""
-        if shared and training:
-            raise ShapeError(f"{self.name}: a shared input is inference-only")
+    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         x = self._xp.as_real(x)
-        runs = 1 if shared else self.runs
         if (
             x.ndim != 2
             or x.shape[1] != self.in_features
-            or x.shape[0] % runs
+            or x.shape[0] % self.runs
         ):
             raise ShapeError(
                 f"{self.name} expected (runs*batch, {self.in_features}), "
-                f"got {tuple(x.shape)} for runs={runs}"
+                f"got {tuple(x.shape)} for runs={self.runs}"
             )
         if training:
             self._cache_x = x
         rows = x.shape[0]
-        x3 = x.reshape(runs, rows // runs, self.in_features)
+        x3 = x.reshape(self.runs, rows // self.runs, self.in_features)
+        return self._broadcast(x3)
+
+    def _broadcast(self, x3: np.ndarray) -> np.ndarray:
+        """``x3 @ weight + bias`` fused run-major; a leading axis of 1
+        shares one input across every run (the same per-run gemm)."""
         out = self._xp.matmul(x3, self.weight) + self.bias[:, None, :]
         return out.reshape(-1, self.out_features)
 
@@ -364,10 +361,11 @@ register_stacker(Dense, _stack_dense)
 
 def _forward_shared(layers: Sequence[StackedLayer], x, runs: int):
     """Inference forward of one ``(n, features)`` input that all ``runs``
-    slices share: a leading :class:`StackedDense` broadcasts it, any
-    other first layer sees it tiled slice-major."""
+    slices share: a leading :class:`StackedDense` broadcasts it against
+    its weight stack, any other first layer sees it tiled slice-major."""
     if layers and isinstance(layers[0], StackedDense):
-        out = layers[0].forward(x, shared=True)
+        first = layers[0]
+        out = first._broadcast(first._xp.as_real(x)[None])
         layers = layers[1:]
     else:
         out = np.tile(x, (runs, 1))
@@ -591,23 +589,27 @@ class GroupedStack:
     def _segmented(self) -> bool:
         return any(m.middle is not None for m in self.members)
 
-    def _per_member(self, x, apply) -> np.ndarray:
+    def _per_member(self, x, apply, shared: bool = False) -> np.ndarray:
         """Re-fuse ``apply(middle, block)`` over every member's row block
         of ``x``; a member without a middle passes its block through.
+        With ``shared``, ``x`` is one input every slice sees, so each
+        member's block is ``x`` itself (tiled where it passes through).
 
         Segmentation bookkeeping is host-side: device backends hand each
         block to the middle stack (which uploads it) and download its
         output.
         """
         x = np.asarray(self._xp.to_numpy(x), dtype=np.float64)
-        per = x.shape[0] // self.runs
+        per = x.shape[0] if shared else x.shape[0] // self.runs
         blocks, offset = [], 0
         for member in self.members:
             rows = member.size * per
-            block = x[offset : offset + rows]
+            block = x if shared else x[offset : offset + rows]
             offset += rows
             if member.middle is not None:
                 block = self._xp.to_numpy(apply(member.middle, block))
+            elif shared:
+                block = np.tile(x, (member.size, 1))
             blocks.append(block)
         return np.concatenate(blocks)
 
@@ -646,21 +648,16 @@ class GroupedStack:
         share (see :meth:`StackedSequential.predict_shared`); without a
         head, each member's middle takes the shared input itself."""
         if self.head:
-            out = _forward_shared(self.head, x, self.runs)
+            x = _forward_shared(self.head, x, self.runs)
             if self._segmented:
-                out = self._per_member(
-                    out, lambda middle, block: middle.forward(block)
+                x = self._per_member(
+                    x, lambda middle, block: middle.forward(block)
                 )
         else:
-            out = np.concatenate(
-                [
-                    np.tile(x, (m.size, 1))
-                    if m.middle is None
-                    else self._xp.to_numpy(m.middle.predict_shared(x))
-                    for m in self.members
-                ]
+            x = self._per_member(
+                x, lambda middle, block: middle.predict_shared(block), True
             )
-        return self._tail_forward(out, training=False)
+        return self._tail_forward(x, training=False)
 
     def parameters(self) -> list[np.ndarray]:
         return [p for layer in self.layers for p in layer.params]

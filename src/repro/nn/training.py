@@ -169,7 +169,6 @@ def train_stack(
     shuffle: bool = True,
     cancel_check: Callable[[], bool] | None = None,
     compact: bool = True,
-    stop: Callable[[Sequence[History]], bool] | None = None,
 ) -> list[History]:
     """Train a slice stack in lockstep; one :class:`History` per slice.
 
@@ -191,9 +190,6 @@ def train_stack(
     ``compact=False`` keeps the shape-stable masking behaviour; results
     are identical either way, only wall time changes.
 
-    ``stop`` (optional) is polled with the histories at every epoch
-    boundary where some slice froze; when it returns true, training
-    ends there and every slice still active keeps the epochs it ran.
     The per-epoch accuracy passes feed the train and validation sets
     once, shared by every slice (``predict_shared``).
     """
@@ -306,8 +302,6 @@ def train_stack(
                 history.wall_time_s = time.perf_counter() - started
                 active[r] = False
                 frozen_now = True
-        if frozen_now and stop is not None and stop(histories):
-            break
         if compact and frozen_now:
             # Frozen slices leave the sweep.  Their parameters are final
             # right now, so sync everything back (active slices resync

@@ -168,15 +168,6 @@ class SearchFrontier:
             else aggregate_runs(self.ranked[index], self.convention, ordered)
         )
 
-    def _passes(self, index: int, results: "list[RunResult]") -> bool:
-        """Whether candidate ``index`` passes on these (all of its) runs:
-        :meth:`offer`'s fold, then the commit rule."""
-        from ..core.grid_search import aggregate_runs
-
-        return len(results) == self.runs and aggregate_runs(
-            self.ranked[index], self.convention, results
-        ).passes(self.threshold)
-
     def commit(self) -> bool:
         """Commit ready verdicts in rank order; ``True`` when finished.
 
@@ -226,11 +217,6 @@ class SearchFrontier:
         reused, never retrained.  This is ``grid_search(workers=1)`` and
         the graceful-degradation floor of every other mode.
 
-        A fused group stops at the first epoch boundary where a member
-        is decided to pass by the commit rule (:meth:`_passes`), every
-        cheaper member having frozen without passing: the members past
-        it cannot commit, so they are not trained further.
-
         Memory governance: one budget resolution for the whole run
         (settings > env > a fraction of the free-memory probe) sizes
         every group; a group the budget resized emits ``group-resize``,
@@ -277,11 +263,7 @@ class SearchFrontier:
                     for run in range(settings.runs)
                 ]
                 entries, _, degrades = chunk_entries(
-                    jobs,
-                    split,
-                    settings,
-                    vectorized=settings.vectorized_runs,
-                    passes=self._passes,
+                    jobs, split, settings, vectorized=settings.vectorized_runs
                 )
                 if degrades:
                     emit(

@@ -289,7 +289,6 @@ def execute_candidates(
     split: "DataSplit",
     settings: "TrainingSettings",
     cancel_check: Callable[[], bool] | None = None,
-    passes: Callable[[int, list[RunResult]], bool] | None = None,
 ) -> list[RunResult] | None:
     """Train several candidates' run sets as one cross-candidate sweep.
 
@@ -301,12 +300,6 @@ def execute_candidates(
     its model from the same ``(seed, candidate_index, run)`` stream the
     scalar and per-candidate paths use, so results are bit-identical to
     training each candidate separately.
-
-    ``passes(candidate_index, results)`` — the commit rule of a caller
-    that trains whole run sets — ends the sweep early: at each epoch
-    boundary the members are walked in rank order while all of a
-    member's slices have frozen, and the first member that passes stops
-    training.  Only the members up to and including it are returned.
 
     Returns ``None`` when the group cannot be stacked
     (:func:`repro.nn.stacked.stack_candidates` declined) — the caller
@@ -338,25 +331,6 @@ def execute_candidates(
         stack = stack_candidates(model_groups)
         if stack is None:
             return None
-        decided = len(slices)
-
-        def stop(histories) -> bool:
-            nonlocal decided
-            offset = 0
-            for _, candidate_index, runs in group:
-                members = histories[offset : offset + len(runs)]
-                offset += len(runs)
-                if not all(h.stopped_early for h in members):
-                    return False
-                results = [
-                    _to_result(candidate_index, run, h, settings)
-                    for run, h in zip(runs, members)
-                ]
-                if passes(candidate_index, results):
-                    decided = offset
-                    return True
-            return False
-
         histories = train_stack(
             stack,
             split.x_train,
@@ -370,13 +344,10 @@ def execute_candidates(
             early_stop_threshold=settings.early_stop_threshold,
             cancel_check=cancel_check,
             compact=settings.compact_frozen,
-            stop=None if passes is None else stop,
         )
     return [
         _to_result(candidate_index, run, history, settings)
-        for (_, candidate_index, run), history in zip(
-            slices[:decided], histories
-        )
+        for (_, candidate_index, run), history in zip(slices, histories)
     ]
 
 
@@ -472,7 +443,6 @@ def _grouped_entries(
     settings: "TrainingSettings",
     cancel_check: Callable[[], bool] | None,
     inject: "list[bool] | None",
-    passes: Callable[[int, list[RunResult]], bool] | None = None,
 ):
     """One cross-candidate fused sweep over ``items`` (one job list per
     candidate), with OOM halving.
@@ -482,8 +452,7 @@ def _grouped_entries(
     failed for a non-memory reason).  An out-of-memory sweep splits the
     group in half and fuses each half recursively — per-slice arithmetic
     is unchanged by group membership, so every split is bit-identical to
-    the unsplit sweep.  A half that ``passes`` cut short (see
-    :func:`execute_candidates`) ends the group.
+    the unsplit sweep.
     """
     group = [
         (jobs[0].spec, jobs[0].candidate_index, [job.run for job in jobs])
@@ -492,12 +461,7 @@ def _grouped_entries(
     try:
         _maybe_inject_oom(inject)
         results = execute_candidates(
-            group,
-            items[0][0].seed,
-            split,
-            settings,
-            cancel_check=cancel_check,
-            passes=passes,
+            group, items[0][0].seed, split, settings, cancel_check=cancel_check
         )
     except TrainingCancelled:
         raise
@@ -510,7 +474,7 @@ def _grouped_entries(
             sub_entries = None
             if len(half) > 1:
                 sub_entries, sub_fallback, sub_degrades = _grouped_entries(
-                    half, split, settings, cancel_check, inject, passes
+                    half, split, settings, cancel_check, inject
                 )
                 fallback = fallback or sub_fallback
                 degrades += sub_degrades
@@ -521,8 +485,6 @@ def _grouped_entries(
                 fallback = fallback or sub_fallback
                 degrades += sub_degrades
             entries.extend(sub_entries)
-            if len(sub_entries) < sum(len(jobs) for jobs in half):
-                break
         return entries, fallback, degrades
     if results is None:
         return None, False, 0
@@ -559,14 +521,11 @@ def chunk_entries(
     vectorized: bool,
     cancel_check: Callable[[], bool] | None = None,
     inject: "list[bool] | None" = None,
-    passes: Callable[[int, list[RunResult]], bool] | None = None,
 ):
     """Execute a batch of runs through the OOM recovery ladder.
 
     Returns ``(entries, vectorized_fallback, memory_degrades)``; every
-    job yields exactly one entry, a per-run failure a :class:`RunError`
-    — except past a member a fused sweep found to ``pass`` (see
-    :func:`execute_candidates`), whose successors yield none.
+    job yields exactly one entry, a per-run failure a :class:`RunError`.
     With ``vectorized``, a multi-candidate batch first attempts one
     cross-candidate fused sweep (:func:`execute_candidates`), halving on
     out-of-memory; if the group declines to stack or the sweep raises,
@@ -588,7 +547,7 @@ def chunk_entries(
     degrades = 0
     if vectorized and len(items) > 1:
         entries, fallback, degrades = _grouped_entries(
-            items, split, settings, cancel_check, inject, passes
+            items, split, settings, cancel_check, inject
         )
         if entries is not None:
             return entries, fallback, degrades

@@ -17,7 +17,6 @@ from repro.core.grid_search import (
     TrainingSettings,
     grid_search,
     plan_group,
-    rank_by_flops,
 )
 from repro.core.search_space import (
     ClassicalSpec,
@@ -29,12 +28,7 @@ from repro.data import make_spiral, stratified_split
 from repro.exceptions import ConfigurationError
 from repro.nn.layers import Dropout
 from repro.nn.training import History
-from repro.runtime import (
-    ChunkCostModel,
-    PersistentPool,
-    execute_candidates,
-    jobs,
-)
+from repro.runtime import ChunkCostModel, PersistentPool, execute_candidates
 from repro.runtime.jobs import RunResult, TrainingJob, execute_job
 from repro.runtime.pool import (
     ChunkResult,
@@ -313,41 +307,6 @@ class TestExecuteCandidates:
         group = [(spec, i, range(2)) for i, spec in enumerate(specs)]
         with pytest.raises(RuntimeError, match="boom"):
             execute_candidates(group, 7, easy_split, _settings(True))
-
-
-class TestGroupEarlyExit:
-    def test_group_stops_at_first_passing_member(
-        self, easy_split, monkeypatch
-    ):
-        """C[8] passes with both runs frozen at epoch 9, while C[10]'s
-        second run would train all 20 epochs: the fused group stops at
-        the winner's last epoch and reports only the winner."""
-        specs = classical_search_space(4, neuron_options=(8, 10), max_layers=2)
-        kwargs = dict(specs=specs, split=easy_split, threshold=0.6, seed=0)
-        settings = _settings(True, epochs=20)
-        ranked = rank_by_flops(specs)
-        group = [(ranked[j], j, range(2)) for j in range(MAX_GROUP_CANDIDATES)]
-        unbounded = execute_candidates(group, 0, easy_split, settings)
-        sweeps = []
-        train_stack = jobs.train_stack
-
-        def spy(*args, **kw):
-            histories = train_stack(*args, **kw)
-            sweeps.append([h.epochs_run for h in histories])
-            return histories
-
-        monkeypatch.setattr(jobs, "train_stack", spy)
-        on = grid_search(**kwargs, settings=settings, workers=1)
-        off = grid_search(
-            **kwargs, settings=_settings(False, epochs=20), workers=1
-        )
-        _assert_same_outcome(on, off)
-        assert on.winner.spec == ranked[0]
-        assert len(on.evaluated) == 1
-        [epochs] = sweeps
-        assert len(epochs) == 2 * MAX_GROUP_CANDIDATES
-        assert max(epochs) == max(on.winner.epochs_run)
-        assert max(r.epochs_run for r in unbounded) > max(epochs)
 
 
 class TestErrorAttribution:
