@@ -285,7 +285,8 @@ class QuantumLayer(Layer):
 
 
 class StackedQuantumLayer(StackedLayer):
-    """R same-structure :class:`QuantumLayer` instances as one stack.
+    """R :class:`QuantumLayer` instances that differ at most in depth,
+    as one stack.
 
     Drives the engine's run-stacked path: one compiled tape executes all
     R runs' forward (and adjoint backward) passes over a fused run-major
@@ -295,28 +296,45 @@ class StackedQuantumLayer(StackedLayer):
     (``tests/quantum/test_engine_stacked.py``), which is what lets
     ``vectorized_runs`` searches reproduce per-run results exactly.
 
+    Layers of different depths (dense-path tapes only, see
+    :func:`_stack_quantum_layers`) share one engine compiled from the
+    deepest tape: each run's weight row is zero-padded past its own
+    weights and ``depths`` makes the engine pass its state through the
+    layers past its depth, exactly as the run's own tape would.  Padded
+    weights get zero gradients, so Adam leaves them at zero.
+
     Built by :func:`repro.nn.stacked.stack_models` via the registered
     stacker; only adjoint-differentiated layers with engine-compilable
     tapes stack (anything else falls back to scalar training).
     """
 
-    def __init__(self, runs: int, layers: "list[QuantumLayer]") -> None:
-        first = layers[0]
-        super().__init__(runs, name=f"stacked_{first.name}")
+    def __init__(
+        self,
+        runs: int,
+        layers: "list[QuantumLayer]",
+        engine: CompiledTape | None = None,
+    ) -> None:
+        deepest = max(layers, key=lambda lay: lay.n_layers)
+        super().__init__(runs, name=f"stacked_{deepest.name}")
         # The stacked path is the explicit opt-in point for device
         # execution: the engine compiles against whatever backend is
         # active when the stack is built (scalar QuantumLayer always
         # stays on the bit-exact NumPy path).
         self._xp = active_backend()
-        self.n_qubits = first.n_qubits
-        self.n_weights = first.n_weights
-        self.weights = self._xp.asarray(
-            np.stack([lay.weights for lay in layers])
-        )
+        self.n_qubits = deepest.n_qubits
+        self.n_weights = deepest.n_weights
+        weights = np.zeros((runs, self.n_weights))
+        for r, lay in enumerate(layers):
+            weights[r, : lay.n_weights] = lay.weights.reshape(-1)
+        self.weights = self._xp.asarray(weights)
         self.params = [self.weights]
         self.grads = [self._xp.zeros_like(self.weights)]
-        self._engine: CompiledTape = compiled_tape(
-            first.representative_tape(), first.n_qubits, backend=self._xp
+        #: Per-run ansatz depths, or ``None`` when every run has the
+        #: compiled depth (the plain run-stacked execute).
+        depths = np.array([lay.n_layers for lay in layers])
+        self.depths = None if np.all(depths == deepest.n_layers) else depths
+        self._engine: CompiledTape = engine or compiled_tape(
+            deepest.representative_tape(), deepest.n_qubits, backend=self._xp
         )
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
@@ -334,9 +352,10 @@ class StackedQuantumLayer(StackedLayer):
             )
         state = self._engine.execute(
             inputs=x,
-            weights=self.weights.reshape(self.runs, -1),
+            weights=self.weights,
             runs=self.runs,
             record=training,
+            depths=self.depths,
         )
         return self._engine.expvals(state, runs=self.runs)
 
@@ -348,13 +367,14 @@ class StackedQuantumLayer(StackedLayer):
         input_grads, weight_grads = self._engine.adjoint_gradients(
             grad, n_inputs=self.n_qubits, n_weights=self.n_weights
         )
-        self.grads[0] += weight_grads.reshape(self.weights.shape)
+        self.grads[0] += weight_grads
         return input_grads
 
     def peak_bytes(self, rows: int) -> int:
         # The compiled engine's recorded-adjoint sweep dominates this
-        # layer's working set; the weight stacks are counted by the
-        # owning StackedSequential/GroupedStack.
+        # layer's working set (every run at the compiled, deepest
+        # depth); the weight stacks are counted by the owning
+        # StackedSequential/GroupedStack.
         return self._engine.peak_bytes(rows, runs=self.runs, mode="adjoint")
 
     def bind(self, params, grads) -> None:
@@ -363,19 +383,28 @@ class StackedQuantumLayer(StackedLayer):
 
     def sync_to_layers(self, layers) -> None:
         for r, lay in enumerate(layers):
-            lay.weights[...] = self._xp.to_numpy(self.weights[r])
+            own = self._xp.to_numpy(self.weights[r, : lay.n_weights])
+            lay.weights[...] = own.reshape(lay.weights.shape)
 
     def compact(self, keep) -> None:
-        """Drop frozen runs' weight rows; the compiled engine adapts to
-        the smaller run-major batch on the next execute (its per-run
-        kernels are bit-identical for any slice count)."""
+        """Drop frozen runs' weight rows (and depths); the compiled
+        engine adapts to the smaller run-major batch on the next execute
+        (its per-run kernels are bit-identical for any slice count)."""
         super().compact(keep)
+        if self.depths is not None:
+            self.depths = self.depths[keep]
         self.bind([self.weights[keep]], [g[keep] for g in self.grads])
 
 
 def _stack_quantum_layers(runs, layers):
     """Stacker for exact :class:`QuantumLayer` instances (see
     :func:`repro.nn.stacked.register_stacker`).
+
+    The layers must agree on everything but depth.  Different depths
+    stack only when the deepest tape runs the engine's dense path and
+    every shallower tape is a layer prefix of it
+    (:meth:`CompiledTape.is_layer_prefix`), so the engine's per-run
+    ``depths`` reproduce each layer's own circuit.
 
     Returns ``None`` — scalar fallback — for parameter-shift layers, for
     mismatched structures, and for tapes the engine cannot rebind (the
@@ -387,19 +416,27 @@ def _stack_quantum_layers(runs, layers):
         if (
             lay.gradient_method != "adjoint"
             or lay.n_qubits != first.n_qubits
-            or lay.n_layers != first.n_layers
             or lay.ansatz != first.ansatz
             or lay.rotation != first.rotation
-            or lay.weights.shape != first.weights.shape
         ):
             return None
-    tape = first.build_tape(np.zeros((1, first.n_qubits)))
+    deepest = max(layers, key=lambda lay: lay.n_layers)
+    tape = deepest.representative_tape()
     for op in tape:
         for ref, param in zip(op.refs, op.params):
             rebindable = ref is not None and ref.kind == "input"
             if param.ndim == 1 and not rebindable:
                 return None
-    return StackedQuantumLayer(runs, layers)
+    depths = {lay.n_layers for lay in layers}
+    if len(depths) == 1:
+        return StackedQuantumLayer(runs, layers)
+    engine = compiled_tape(tape, deepest.n_qubits, backend=active_backend())
+    for depth in depths - {deepest.n_layers}:
+        shallow = next(lay for lay in layers if lay.n_layers == depth)
+        prefix = compiled_tape(shallow.representative_tape(), first.n_qubits)
+        if not prefix.is_layer_prefix(engine):
+            return None
+    return StackedQuantumLayer(runs, layers, engine)
 
 
 register_stacker(QuantumLayer, _stack_quantum_layers)

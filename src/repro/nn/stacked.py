@@ -41,7 +41,12 @@ that stack across all S slices form a shared *head*, the trailing ones
 a shared *tail* (in the paper's spaces: a classical candidate's first
 ``Dense`` + ReLU and final Softmax, a hybrid candidate's input and
 output layers), and each candidate's remaining layers form its own
-*middle* stack over that candidate's contiguous row block.  Per-slice
+*middle* stack over that candidate's contiguous row block.  Quantum
+layers that differ only in depth stack across the group too (one
+depth-padded engine sweep, see
+:class:`~repro.hybrid.quantum_layer.StackedQuantumLayer`), so a
+hybrid group such as ``SEL(3,1)`` … ``SEL(3,4)`` is one shared head
+with no middles.  Per-slice
 arithmetic is again bit-identical to the per-candidate stacks (and
 transitively to scalar training): middle gemms see the same per-slice
 row blocks, and shared per-slice gemms and engine kernels do not care

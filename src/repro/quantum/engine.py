@@ -77,7 +77,7 @@ followed by zero or more permutation gates — and, when it matches at
 path instead:
 
 * the encoding is a kron of per-wire first columns, built from one
-  builder call over all encoded wires;
+  builder call over all encoded wires per block of rows;
 * each layer is one ``(2**n, 2**n)`` unitary per run: one builder call
   over every (run, layer, wire) angle, ``n - 1`` broadcast krons and
   one row take that applies every layer's fused ring; the state moves
@@ -90,6 +90,15 @@ path instead:
   ``(2,)*n`` reshapes, never a derivative kron.  Input gradients
   contract the first bra with the encoding generators ``-i/2 P``
   applied to the product state (a gather and a phase per wire).
+
+Run-stacked dense executes also take per-run ``depths``: run ``r``
+executes only its first ``depths[r]`` layers, every later layer's
+unitary being overwritten with the identity after the row take, and
+the adjoint writes exact zeros into those layers' weight gradients.
+``x * 1`` and ``x + 0`` are exact, so each run matches its own
+truncated tape bit for bit (:meth:`CompiledTape.is_layer_prefix` says
+which tapes qualify).  This is how quantum layers of several depths
+share one engine sweep in a fused candidate group.
 
 A layer unitary costs ``4**n`` per run to build and ``batch * 4**n`` to
 apply, against ``n * 2**n`` per gate, so beyond five qubits the FLOPs
@@ -161,6 +170,12 @@ ARITHMETIC_VERSION = 2
 #: at the paper's 3-5 qubits dispatch dominates and one dense
 #: contraction per layer wins, beyond that the FLOPs take over.
 _DENSE_MAX_QUBITS = 5
+
+#: Rows of the dense path's product state built per encoding-builder
+#: call.  Training minibatches take one call; an evaluation batch of
+#: every slice's whole training set takes a few, so the builder's
+#: per-row temporaries stay bounded by this rather than the batch.
+_ENCODE_ROWS = 1024
 
 #: An unencoded wire's factor of the dense path's product state.
 _KET0 = np.array([1.0, 0.0], dtype=COMPLEX_DTYPE)
@@ -1045,7 +1060,9 @@ class CompiledTape:
         ``L`` conjugated bras of the overlap contraction or the
         ``k + 1`` gathered generator states of the input gradients,
         whichever is larger, and the daggered unitaries and the
-        overlap stack.  Both modes add the per-(run, layer, wire) gate,
+        overlap stack.  ``L`` is the compiled depth, so an execute with
+        per-run ``depths`` (which records every run at that depth) is
+        covered too.  Both modes add the per-(run, layer, wire) gate,
         derivative and builder-temporary matrices, the encoding's
         per-sample ones, and a fixed allowance for array headers and
         index tables.
@@ -1177,6 +1194,7 @@ class CompiledTape:
         shifts: Mapping[tuple[int, int], float] | None = None,
         record: bool = False,
         runs: int | None = None,
+        depths: np.ndarray | None = None,
     ) -> np.ndarray:
         """Run the compiled program; return the final flat ``(B, 2**n)`` state.
 
@@ -1196,6 +1214,13 @@ class CompiledTape:
         the batch must be ``R * B`` with run-major rows (run ``r`` owns
         rows ``r*B .. (r+1)*B``).  One sweep executes all ``R`` runs;
         see the module docstring.
+
+        ``depths`` (dense tapes, run-stacked 2-D ``weights`` only) gives
+        each run its own ansatz depth: run ``r`` executes the first
+        ``depths[r]`` layers and every later layer's unitary is the
+        identity, so the run computes exactly what a tape truncated to
+        that depth would.  Its weights past its own layers are ignored
+        and their gradients come back as exact zeros.
         """
         if inputs is not None:
             # Parameter binding and gate-matrix construction are always
@@ -1246,8 +1271,12 @@ class CompiledTape:
                 f"tape has baked-in batched parameters of size "
                 f"{self._fixed_batch}, cannot execute with batch {batch}"
             )
+        if depths is not None:
+            depths = self._check_depths(depths, weights, runs, shifts)
         if self._dense is not None and shifts is None:
-            return self._execute_dense(inputs, weights, batch, runs, record)
+            return self._execute_dense(
+                inputs, weights, batch, runs, record, depths
+            )
         values, run_ops = self._resolve_values(
             inputs, weights, batch, shifts, runs
         )
@@ -1591,7 +1620,70 @@ class CompiledTape:
 
     # -- dense path --------------------------------------------------------
 
-    def _execute_dense(self, inputs, weights, batch, runs, record):
+    def _check_depths(self, depths, weights, runs, shifts) -> np.ndarray:
+        """Validate ``execute``'s per-run ``depths``; return them as an
+        integer array."""
+        if shifts is not None:
+            raise ShapeError("depths cannot be combined with shifts")
+        if self._dense is None:
+            raise ShapeError("depths need a dense-path tape")
+        if weights is None or weights.ndim != 2:
+            raise ShapeError("depths need run-stacked 2-D weights")
+        depths = np.asarray(depths)
+        if depths.shape != (runs,):
+            raise ShapeError(
+                f"depths must have shape ({runs},), got {depths.shape}"
+            )
+        if depths.min() < 1 or depths.max() > self._dense.n_layers:
+            raise ShapeError(
+                f"depths must lie in 1..{self._dense.n_layers}, "
+                f"got {depths.tolist()}"
+            )
+        return depths.astype(np.intp)
+
+    def is_layer_prefix(self, other: "CompiledTape") -> bool:
+        """Whether this dense tape is ``other``'s truncated to its own
+        depth: the same encoding and gate, and each of its layers reads
+        the same weights and applies the same ring as ``other``'s layer
+        at that position.  ``other.execute(..., depths=...)`` then runs
+        this tape's circuit at this tape's depth."""
+        mine, theirs = self._dense, other._dense
+        if mine is None or theirs is None:
+            return False
+        n_layers = mine.n_layers
+        return (
+            n_layers <= theirs.n_layers
+            and mine.enc_gate == theirs.enc_gate
+            and np.array_equal(mine.enc_wires, theirs.enc_wires)
+            and np.array_equal(mine.enc_inputs, theirs.enc_inputs)
+            and mine.gate == theirs.gate
+            and np.array_equal(mine.widx, theirs.widx[:n_layers])
+            and np.array_equal(mine.rows, theirs.rows[: n_layers * self.dim])
+        )
+
+    def _product_state(self, angles) -> np.ndarray:
+        """The dense path's encoded product state for a block of
+        ``(rows, n_encoded)`` angles, or ``|0...0>`` (shape ``(2**n,)``)
+        for a tape without encoding (``angles`` is ``None``).
+
+        One builder call over every encoded wire: each gate's first
+        column is its wire's factor of the state, and an unencoded
+        wire's factor is ``|0>``.
+        """
+        plan = self._dense
+        factors = [_KET0] * self.n_qubits
+        if angles is not None:
+            mats = GATE_SET[plan.enc_gate].matrix_fn(angles.reshape(-1))
+            cols = mats[:, :, 0].reshape(angles.shape[0], -1, 2)
+            for i, w in enumerate(plan.enc_wires):
+                factors[w] = cols[:, i]
+        psi = factors[0]
+        for w in range(1, self.n_qubits):
+            psi = psi[..., :, None] * factors[w][..., None, :]
+            psi = psi.reshape(psi.shape[:-2] + (-1,))
+        return psi
+
+    def _execute_dense(self, inputs, weights, batch, runs, record, depths):
         """``execute`` for a dense-eligible tape (see the module docstring).
 
         Gate matrices, the product state and the layer unitaries are
@@ -1601,15 +1693,12 @@ class CompiledTape:
         plan, xp = self._dense, self._xp
         n, dim, n_layers = self.n_qubits, self.dim, plan.n_layers
 
-        # Product encoding: one builder call over every encoded wire;
-        # each gate's first column is its wire's factor of the state,
-        # and an unencoded wire's factor is |0>.
-        factors = [_KET0] * n
+        encoding = None
         if plan.enc_ops:
             if inputs is not None:
-                angles = inputs[:, plan.enc_inputs]
+                encoding = inputs[:, plan.enc_inputs]
             else:
-                angles = np.empty((batch, len(plan.enc_ops)))
+                encoding = np.empty((batch, len(plan.enc_ops)))
                 for i, g in enumerate(plan.enc_ops):
                     default = self._specs[g].defaults[0]
                     if default.ndim == 1 and default.shape[0] != batch:
@@ -1617,17 +1706,7 @@ class CompiledTape:
                             f"{self._specs[g].name} parameter batch "
                             f"{default.shape[0]} != execution batch {batch}"
                         )
-                    angles[:, i] = default
-            mats = GATE_SET[plan.enc_gate].matrix_fn(angles.reshape(-1))
-            cols = mats[:, :, 0].reshape(batch, -1, 2)
-            del mats
-            for i, w in enumerate(plan.enc_wires):
-                factors[w] = cols[:, i]
-        psi = factors[0]
-        for w in range(1, n):
-            psi = psi[..., :, None] * factors[w][..., None, :]
-            psi = psi.reshape(psi.shape[:-2] + (-1,))
-        psi = np.broadcast_to(psi, (batch, dim))
+                    encoding[:, i] = default
 
         # Layer unitaries: one builder call over every (run, layer,
         # wire), n-1 broadcast krons and one row take for the rings.
@@ -1649,18 +1728,33 @@ class CompiledTape:
                 n_u, n_layers, side, side
             )
         unitary = kron.reshape(n_u, n_layers * dim, dim)[:, plan.rows]
-        unitary = xp.asarray(unitary.reshape(n_u, n_layers, dim, dim))
+        unitary = unitary.reshape(n_u, n_layers, dim, dim)
+        padded = None
+        if depths is not None:
+            # Layers past a run's depth pass its state through: x * 1
+            # and x + 0 are exact, so the run sees its own depth's
+            # circuit bit for bit.
+            padded = np.nonzero(np.arange(n_layers) >= depths[:, None])
+            unitary[padded] = np.eye(dim, dtype=unitary.dtype)
+        unitary = xp.asarray(unitary)
 
-        state = xp.asarray(psi)
         if record:
             states = xp.empty(
                 (n_layers + 1, batch, dim), dtype=xp.complex_dtype
             )
-            states[0] = state
+            state = states[0]
             bufs = [states[l] for l in range(1, n_layers + 1)]
         else:
             pair = self._buffers(batch, "fwd", 2)
+            state = pair[1]
             bufs = [pair[l % 2] for l in range(n_layers)]
+        # The product state goes straight into the buffer layer 0
+        # reads, built in row blocks so the builder's temporaries stay
+        # small on evaluation-sized batches.
+        for lo in range(0, batch, _ENCODE_ROWS):
+            rows = slice(lo, lo + _ENCODE_ROWS)
+            block = None if encoding is None else encoding[rows]
+            state[rows] = xp.asarray(self._product_state(block))
         for l, out in enumerate(bufs):
             xp.einsum(
                 _DENSE_APPLY,
@@ -1674,7 +1768,7 @@ class CompiledTape:
                 "batch": batch,
                 "runs": runs,
                 "final": state,
-                "dense": (states, unitary, gate, args),
+                "dense": (states, unitary, gate, args, padded),
             }
         return state
 
@@ -1689,7 +1783,7 @@ class CompiledTape:
         X^dagger dX`` — no derivative kron is ever built.
         """
         plan, xp, last = self._dense, self._xp, self._last
-        states, unitary, gate, args = last["dense"]
+        states, unitary, gate, args, padded = last["dense"]
         batch, runs = last["batch"], last["runs"]
         n, dim, n_layers = self.n_qubits, self.dim, plan.n_layers
         n_u = unitary.shape[0]
@@ -1733,6 +1827,9 @@ class CompiledTape:
         grads = 2.0 * xp.einsum(
             "prlwac,rlwac->rlwp", xp.asarray(local), reduced
         ).real
+        if padded is not None:
+            # A run's layers past its depth hold no weights of its own.
+            grads[tuple(xp.index_const(i) for i in padded)] = 0.0
         if runs is not None:
             weight_grads = xp.zeros((runs, n_weights), dtype=xp.real_dtype)
             weight_grads[:, idx(plan.wflat)] = grads.reshape(blocks, -1)

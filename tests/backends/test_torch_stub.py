@@ -154,3 +154,75 @@ class TestStackedSweepOverStub:
             [layer.forward(x[i * 5 : (i + 1) * 5]) for i, layer in enumerate(layers)]
         )
         np.testing.assert_array_equal(out, ref)
+
+
+class TestRaggedDepthOverStub:
+    """Quantum layers that differ only in depth share one padded stack;
+    the identity layers and the zeroed padded gradients must behave the
+    same on the device backend as on NumPy."""
+
+    def test_depths_execute_and_adjoint_match_numpy(self, torch_stub):
+        rng = np.random.default_rng(33)
+        depths = np.array([2, 2, 1, 1, 3, 3])
+        w = random_sel_weights(3, N_QUBITS, rng)
+        tape = angle_embedding(np.zeros((1, N_QUBITS)), N_QUBITS)
+        tape += strongly_entangling_layers(w, N_QUBITS)
+        weights = rng.standard_normal((depths.size, w.size))
+        weights[np.arange(w.size) >= 9 * depths[:, None]] = 0.0
+        x = rng.uniform(-1, 1, (depths.size * BATCH, N_QUBITS))
+        grad = rng.standard_normal(x.shape)
+        results = []
+        for engine in (
+            CompiledTape(tape, N_QUBITS, backend=get_backend("torch")),
+            CompiledTape(tape, N_QUBITS),
+        ):
+            xp = engine.backend
+            state = xp.to_numpy(
+                engine.execute(
+                    x, weights, runs=depths.size, record=True, depths=depths
+                )
+            ).copy()
+            ig, wg = engine.adjoint_gradients(grad, N_QUBITS, w.size)
+            results.append((state, xp.to_numpy(ig), xp.to_numpy(wg)))
+        for got, want in zip(*results):
+            np.testing.assert_array_equal(got, want)
+        assert not results[0][2][depths == 1, 9:].any()
+
+    def test_ragged_candidate_group_matches_numpy(self, torch_stub):
+        """SEL(3,1) and SEL(3,3) train as one shared head on the stub
+        and reproduce the NumPy results exactly."""
+        from repro.core.grid_search import TrainingSettings
+        from repro.hybrid.quantum_layer import StackedQuantumLayer
+        from repro.nn.stacked import stack_candidates
+        from repro.runtime.jobs import execute_candidates
+
+        split = stratified_split(make_spiral(4, n_points=60, seed=9), seed=9)
+        specs = [
+            HybridSpec(n_features=4, n_qubits=3, n_layers=depth)
+            for depth in (1, 3)
+        ]
+        rng = np.random.default_rng(0)
+        with use_backend(get_backend("torch")):
+            stack = stack_candidates(
+                [[spec.build(rng=rng) for _ in range(2)] for spec in specs]
+            )
+        layer = stack.head[1]
+        assert isinstance(layer, StackedQuantumLayer)
+        assert isinstance(layer.weights, torch_stub.Tensor)
+        assert layer.depths.tolist() == [1, 1, 3, 3]
+
+        def sweep(backend):
+            return execute_candidates(
+                [(spec, c, [0, 1]) for c, spec in enumerate(specs)],
+                seed=9,
+                split=split,
+                settings=TrainingSettings(
+                    epochs=2, batch_size=8, runs=2, backend=backend
+                ),
+            )
+
+        got, want = sweep("torch"), sweep(None)
+        for field in ("train_accuracy", "val_accuracy", "epochs_run"):
+            assert [getattr(r, field) for r in got] == [
+                getattr(r, field) for r in want
+            ]

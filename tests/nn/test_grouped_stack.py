@@ -39,9 +39,9 @@ def wide_split():
 HEADS = ((), (4,), (6, 4))
 
 
-def hybrid(n_qubits, depth, head=()):
+def hybrid(n_qubits, depth, head=(), ansatz="sel"):
     return lambda rng: build_hybrid_model(
-        4, n_qubits, depth, hidden=head, rng=rng
+        4, n_qubits, depth, hidden=head, ansatz=ansatz, rng=rng
     )
 
 
@@ -253,6 +253,48 @@ class TestGroupedDifferential:
             early_stop_threshold=0.5,
         )
 
+    def test_bel_depth_group_bit_identical(self, split):
+        """BEL(3,1)..BEL(3,4): one shared head whose quantum layer runs
+        every member at its own depth."""
+        builders = [hybrid(3, depth, ansatz="bel") for depth in (1, 2, 3, 4)]
+        stack = stack_candidates(build_candidates(builders, 2)[0])
+        assert layout(stack) == (
+            ["StackedDense", "StackedQuantumLayer", "StackedDense", "Softmax"],
+            [None] * 4,
+            [],
+        )
+        assert stack.head[1].depths.tolist() == [1, 1, 2, 2, 3, 3, 4, 4]
+        assert_groups_like_per_candidate(
+            split, builders, 2, epochs=3, batch_size=8
+        )
+        assert_groups_like_per_candidate(
+            split,
+            builders,
+            2,
+            epochs=12,
+            batch_size=8,
+            early_stop_threshold=0.5,
+        )
+
+    def test_compaction_dropping_deepest_member_bit_identical(
+        self, split, monkeypatch
+    ):
+        """SEL(3,4)'s runs freeze first: the shallow member keeps
+        training on the depth-4 engine, its layers still padded."""
+        depths = []
+        compact = GroupedStack.compact
+
+        def spy(stack, keep):
+            compact(stack, keep)
+            depths.append(stack.head[1].depths.tolist())
+
+        monkeypatch.setattr(GroupedStack, "compact", spy)
+        kw = dict(epochs=20, batch_size=8, early_stop_threshold=0.5)
+        assert_groups_like_per_candidate(
+            split, [hybrid(3, 1), hybrid(3, 4)], 2, **kw
+        )
+        assert [1, 1] in depths
+
     def test_empty_middle_bit_identical(self, split):
         """C[2] sits entirely in the head and tail it shares with
         C[2,2]: its rows skip the middle."""
@@ -365,17 +407,73 @@ class TestGroupedStackStructure:
         assert np.array_equal(stack.predict_shared(x), ref)
 
     def test_mismatched_tapes_group(self, split):
-        """SEL(3,1) beside SEL(3,2): the quantum layers are the middles,
-        the input and output layers are shared."""
+        """SEL(3,1) beside SEL(3,2): the quantum layers differ only in
+        depth, so every position, the quantum layer included, is one
+        shared head and nothing is left for per-candidate middles."""
         builders = [hybrid(3, 1), hybrid(3, 2)]
         groups, _ = build_candidates(builders, 2)
-        assert layout(stack_candidates(groups)) == (
-            ["StackedDense"],
-            [["StackedQuantumLayer"], ["StackedQuantumLayer"]],
-            ["StackedDense", "Softmax"],
+        stack = stack_candidates(groups)
+        assert layout(stack) == (
+            ["StackedDense", "StackedQuantumLayer", "StackedDense", "Softmax"],
+            [None, None],
+            [],
         )
+        assert stack.head[1].depths.tolist() == [1, 1, 2, 2]
         assert_groups_like_per_candidate(
             split, builders, 2, epochs=3, batch_size=8
+        )
+
+    def test_sync_restores_each_members_weight_shape(self, split):
+        builders = [hybrid(3, depth) for depth in (1, 2, 3, 4)]
+        groups, rngs = build_candidates(builders, 2)
+        stack = stack_candidates(groups)
+        layer = stack.head[1]
+        assert layer.weights.shape == (8, 4 * 3 * 3)
+        train_stack(
+            stack,
+            split.x_train,
+            split.y_train,
+            split.x_val,
+            split.y_val,
+            epochs=2,
+            batch_size=8,
+            rngs=[rng for group in rngs for rng in group],
+        )
+        for s, model in enumerate(m for group in groups for m in group):
+            quantum = model.layers[1]
+            own = quantum.n_layers * 3 * 3
+            assert quantum.weights.shape == (quantum.n_layers, 3, 3)
+            assert np.array_equal(
+                quantum.weights.reshape(-1), layer.weights[s, :own]
+            )
+            assert not layer.weights[s, own:].any()
+
+    def test_ragged_layer_counts_padded_record(self):
+        """Memory admission sizes a ragged quantum layer like a stack
+        whose every slice runs at the deepest member's depth."""
+        ragged = stack_candidates(
+            build_candidates([hybrid(3, 1), hybrid(3, 4)], 2)[0]
+        ).head[1]
+        uniform = stack_candidates(
+            build_candidates([hybrid(3, 4), hybrid(3, 4)], 2)[0]
+        ).head[1]
+        assert uniform.depths is None
+        assert ragged.peak_bytes(32) == uniform.peak_bytes(32)
+
+    @pytest.mark.parametrize(
+        "cells", [((3, 1), (4, 1)), ((6, 1), (6, 2))], ids=["qubits", "n6"]
+    )
+    def test_quantum_layers_stay_per_member(self, split, cells):
+        """Mixed register widths cannot share an engine, and n = 6 tapes
+        run the per-gate program (no depths): both keep the quantum
+        layers in per-member middles."""
+        builders = [hybrid(q, depth) for q, depth in cells]
+        stack = stack_candidates(build_candidates(builders, 2)[0])
+        head, middles, tail = layout(stack)
+        assert "StackedQuantumLayer" not in head + tail
+        assert all("StackedQuantumLayer" in middle for middle in middles)
+        assert_groups_like_per_candidate(
+            split, builders, 2, epochs=2, batch_size=8
         )
 
     def test_classical_models_group_across_shapes(self, split):
@@ -392,7 +490,7 @@ class TestGroupedStackStructure:
 
     def test_two_quantum_layers_group(self, split):
         """Single-run candidates with two quantum layers each, differing
-        in the second: the first joins the shared head."""
+        in the second's depth: both join the shared head."""
 
         def two_quantum(depth):
             def build(rng):
@@ -410,11 +508,20 @@ class TestGroupedStackStructure:
 
         builders = [two_quantum(1), two_quantum(2)]
         groups, _ = build_candidates(builders, 1)
-        assert layout(stack_candidates(groups)) == (
-            ["StackedDense", "StackedQuantumLayer"],
-            [["StackedQuantumLayer"], ["StackedQuantumLayer"]],
-            ["StackedDense", "Softmax"],
+        stack = stack_candidates(groups)
+        assert layout(stack) == (
+            [
+                "StackedDense",
+                "StackedQuantumLayer",
+                "StackedQuantumLayer",
+                "StackedDense",
+                "Softmax",
+            ],
+            [None, None],
+            [],
         )
+        assert stack.head[1].depths is None
+        assert stack.head[2].depths.tolist() == [1, 2]
         assert_groups_like_per_candidate(
             split, builders, 1, epochs=2, batch_size=8
         )

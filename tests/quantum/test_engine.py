@@ -628,6 +628,43 @@ class TestDensePeakBytes:
             tracemalloc.stop()
         assert engine.peak_bytes(batch, runs=runs, mode="adjoint") >= peak
 
+    @pytest.mark.parametrize("depths", [(1, 4), (1, 2, 3, 4), (2, 10, 5)])
+    @pytest.mark.parametrize("n_qubits", [3, 5])
+    def test_ragged_prediction_covers_traced_peak(self, n_qubits, depths):
+        """A ``depths=`` step records every run at the compiled depth:
+        the padded record is what ``peak_bytes`` must cover."""
+        import tracemalloc
+
+        rng = np.random.default_rng((n_qubits, len(depths)))
+        runs, batch = 2 * len(depths), 8
+        depths = np.repeat(depths, 2)
+        w = random_sel_weights(int(depths.max()), n_qubits, rng)
+        tape = angle_embedding_structure(
+            n_qubits, n_qubits
+        ) + strongly_entangling_layers(w, n_qubits)
+        engine = CompiledTape(tape, n_qubits)
+        weights = rng.normal(size=(runs, w.size))
+        x = rng.normal(size=(runs * batch, n_qubits))
+        grad = rng.normal(size=x.shape)
+
+        def step():
+            engine.execute(
+                inputs=x, weights=weights, runs=runs, record=True,
+                depths=depths,
+            )
+            engine.adjoint_gradients(grad, n_qubits, w.size)
+
+        step()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            step()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        predicted = engine.peak_bytes(runs * batch, runs=runs, mode="adjoint")
+        assert predicted >= peak
+
 
 class TestCompileCache:
     def teardown_method(self):

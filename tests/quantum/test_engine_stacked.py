@@ -408,3 +408,133 @@ class TestPairedAdjointStepKinds:
             )
             np.testing.assert_allclose(rig, ref_ig, atol=1e-12, rtol=0)
             np.testing.assert_allclose(rwg, ref_wg, atol=1e-12, rtol=0)
+
+
+class TestRaggedDepth:
+    """``execute(..., depths=...)``: one sweep of the deepest tape runs
+    every member at its own depth.  Each member's slices must equal the
+    member's own run-stacked execute and adjoint bit for bit, and the
+    weights past a member's depth must get exact zero gradients."""
+
+    RUNS = 2
+    BATCH = 4
+
+    @pytest.mark.parametrize("ansatz", ["bel", "sel"])
+    @pytest.mark.parametrize("n_q", [3, 4, 5])
+    @pytest.mark.parametrize(
+        "member_depths", [(1, 2, 3, 4), (2, 2, 5), (3, 1, 2)], ids=str
+    )
+    def test_equals_per_member_executes(self, ansatz, n_q, member_depths):
+        rng = np.random.default_rng((n_q, len(member_depths), 53))
+        runs, batch = self.RUNS, self.BATCH
+        deepest = max(member_depths)
+        ops, n_max = make_tape(ansatz, n_q, deepest, rng)
+        engine = CompiledTape(ops, n_q)
+        assert engine.dense
+        per_layer = n_max // deepest
+        depths = np.repeat(member_depths, runs)
+        slices = depths.size
+        weights = np.zeros((slices, n_max))
+        for s, depth in enumerate(depths):
+            weights[s, : depth * per_layer] = rng.normal(
+                size=depth * per_layer
+            )
+        inputs = rng.normal(size=(slices * batch, n_q))
+        grad = rng.normal(size=(slices * batch, n_q))
+
+        state = engine.execute(
+            inputs=inputs,
+            weights=weights,
+            runs=slices,
+            record=True,
+            depths=depths,
+        ).copy()
+        ev = engine.expvals(state, runs=slices)
+        ig, wg = engine.adjoint_gradients(
+            grad, n_inputs=n_q, n_weights=n_max
+        )
+        assert wg.shape == (slices, n_max)
+        for m, depth in enumerate(member_depths):
+            own_ops, n_w = make_tape(ansatz, n_q, depth, rng)
+            member = CompiledTape(own_ops, n_q)
+            assert member.is_layer_prefix(engine)
+            slots = slice(m * runs, (m + 1) * runs)
+            rows = slice(m * runs * batch, (m + 1) * runs * batch)
+            ref = member.execute(
+                inputs=inputs[rows],
+                weights=weights[slots, :n_w],
+                runs=runs,
+                record=True,
+            ).copy()
+            assert np.array_equal(ref, state[rows])
+            assert np.array_equal(member.expvals(ref, runs=runs), ev[rows])
+            rig, rwg = member.adjoint_gradients(
+                grad[rows], n_inputs=n_q, n_weights=n_w
+            )
+            assert np.array_equal(rig, ig[rows])
+            assert np.array_equal(rwg, wg[slots, :n_w])
+            padded = wg[slots, n_w:]
+            assert np.array_equal(padded, np.zeros_like(padded))
+            assert not np.signbit(padded).any()
+
+    def test_layer_prefix_requires_matching_structure(self):
+        rng = np.random.default_rng(59)
+
+        def engine(ansatz, n_q, n_l):
+            return CompiledTape(make_tape(ansatz, n_q, n_l, rng)[0], n_q)
+
+        deep = engine("sel", 3, 3)
+        assert engine("sel", 3, 2).is_layer_prefix(deep)
+        assert deep.is_layer_prefix(deep)
+        assert not deep.is_layer_prefix(engine("sel", 3, 2))
+        assert not engine("bel", 3, 1).is_layer_prefix(deep)
+        assert not engine("sel", 4, 1).is_layer_prefix(deep)
+        assert not engine("sel", 6, 1).is_layer_prefix(engine("sel", 6, 2))
+
+    @pytest.fixture
+    def ragged(self):
+        rng = np.random.default_rng(61)
+        ops, n_w = make_tape("sel", 3, 3, rng)
+        engine = CompiledTape(ops, 3)
+        return engine, rng.normal(size=(6, 3)), rng.normal(size=(3, n_w))
+
+    def test_rejects_shifts(self, ragged):
+        engine, x, w = ragged
+        slot = next(
+            (g, p) for g, p, r in engine.referenced_params()
+            if r.kind == "weight"
+        )
+        with pytest.raises(ShapeError, match="shifts"):
+            engine.execute(
+                inputs=x, weights=w, runs=3, depths=[1, 2, 3],
+                shifts={slot: 0.5},
+            )
+
+    def test_rejects_non_dense_tape(self):
+        rng = np.random.default_rng(67)
+        ops, n_w = make_tape("sel", 6, 2, rng)
+        engine = CompiledTape(ops, 6)
+        assert not engine.dense
+        with pytest.raises(ShapeError, match="dense"):
+            engine.execute(
+                inputs=rng.normal(size=(2, 6)),
+                weights=rng.normal(size=(2, n_w)),
+                runs=2,
+                depths=[1, 2],
+            )
+
+    def test_rejects_1d_weights(self, ragged):
+        engine, x, w = ragged
+        with pytest.raises(ShapeError, match="2-D"):
+            engine.execute(inputs=x, weights=w[0], runs=3, depths=[1, 2, 3])
+
+    def test_rejects_length_mismatch(self, ragged):
+        engine, x, w = ragged
+        with pytest.raises(ShapeError, match="shape"):
+            engine.execute(inputs=x, weights=w, runs=3, depths=[1, 2])
+
+    @pytest.mark.parametrize("bad", [[1, 2, 4], [0, 2, 3]])
+    def test_rejects_depth_out_of_range(self, ragged, bad):
+        engine, x, w = ragged
+        with pytest.raises(ShapeError, match="1..3"):
+            engine.execute(inputs=x, weights=w, runs=3, depths=bad)

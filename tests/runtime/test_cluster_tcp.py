@@ -15,6 +15,7 @@ genuine SIGKILL, connection and all.
 """
 
 import os
+import pickle
 import random
 import socket
 import subprocess
@@ -27,9 +28,12 @@ from repro.core.grid_search import TrainingSettings, grid_search
 from repro.core.search_space import classical_search_space
 from repro.data import make_spiral, stratified_split
 from repro.runtime import faults
+from repro.runtime.cluster import _frame
 from repro.runtime.cluster_tcp import (
     TcpConfig,
     TcpExecutor,
+    _recv_msg,
+    _send_msg,
     run_tcp_agent,
 )
 from repro.runtime.faults import FaultPlan
@@ -404,6 +408,124 @@ class TestDuplicateResults:
             coordinator.close()
         _assert_same_outcome(outcome, seq)
         assert coordinator.stats()["duplicate_results"] == 1
+
+
+def _rogue_agent(address, corrupt, closed):
+    """Claim one chunk over a raw connection and answer it with a
+    corrupted result frame (``corrupt`` is ``"magic"`` or
+    ``"checksum"``); appends to ``closed`` once the coordinator has
+    dropped the connection instead of acking."""
+    host, port = address.rsplit(":", 1)
+    lock = threading.Lock()
+    with socket.create_connection((host, int(port)), timeout=30) as sock:
+        _send_msg(sock, ("hello", {"agent": "rogue"}), 5.0, lock)
+        _recv_msg(sock, 5.0)
+        _send_msg(sock, ("claim", {"agent": "rogue"}), 5.0, lock)
+        kind, grant = _recv_msg(sock, 5.0)
+        if kind != "chunk":
+            return
+        cid, attempt, _ = grant
+        frame = bytearray(
+            _frame(pickle.dumps(("result", (cid, attempt, None))))
+        )
+        frame[0 if corrupt == "magic" else -1] ^= 0xFF
+        sock.sendall(bytes(frame))
+        try:
+            closed.append(sock.recv(1) == b"")
+        except ConnectionResetError:
+            closed.append(True)
+
+
+class TestCorruptFrame:
+    @pytest.mark.parametrize("corrupt", ["magic", "checksum"])
+    def test_corrupt_result_frame_requeues_chunk(self, easy_split, corrupt):
+        """A result frame with a foreign magic or a bad checksum: the
+        coordinator counts it, drops the connection and requeues the
+        chunk, which a healthy agent re-runs; results unchanged."""
+        from repro.core.grid_search import rank_by_flops
+        from repro.flops.conventions import get_convention
+
+        settings = _settings()
+        kwargs = _search_kwargs(easy_split, settings)
+        seq = grid_search(**kwargs, workers=1)
+        conv = get_convention("paper")
+        ranked = rank_by_flops(small_space(), conv)[:4]
+        coordinator = TcpExecutor(_fast_tcp(port=0))
+        events = []
+        scheduler = Scheduler(
+            SearchFrontier(ranked, 1.01, conv, settings.runs),
+            easy_split,
+            settings,
+            5,
+            coordinator,
+            on_event=events.append,
+        )
+        coordinator.open(easy_split)
+        stop = threading.Event()
+        agents = []
+        try:
+            scheduler.top_up()
+            # The rogue claims the first queued chunk before any
+            # healthy agent dials, so the corrupt frame is its only
+            # delivery.
+            closed = []
+            _rogue_agent(coordinator.address, corrupt, closed)
+            assert closed == [True]
+            agents.append(
+                _thread_agent(TcpConfig(address=coordinator.address), stop)
+            )
+            outcome = scheduler.run()
+        finally:
+            coordinator.close()
+            _join_agents(stop, agents)
+        _assert_same_outcome(outcome, seq)
+        assert coordinator.stats()["torn_frames"] == 1
+        assert "retry" in [e.kind for e in events]
+
+
+class TestCoordinatorRestart:
+    def test_restart_resumes_from_journal(self, easy_split, tmp_path):
+        """A coordinator that dies mid-run (after committing a durable
+        prefix) restarts on the same address against the same journal;
+        the agent redials it and the search completes bit-identically."""
+
+        class Interrupted(Exception):
+            pass
+
+        settings = _settings()
+        kwargs = _search_kwargs(easy_split, settings)
+        seq = grid_search(**kwargs, workers=1)
+        journal = tmp_path / "cluster.jsonl"
+        cfg = _fast_tcp()
+        stop = threading.Event()
+        agents = [_thread_agent(cfg, stop)]
+        try:
+            seen = []
+
+            def die_after_two(candidate):
+                seen.append(candidate)
+                if len(seen) >= 2:
+                    raise Interrupted()
+
+            with pytest.raises(Interrupted):
+                grid_search(
+                    **kwargs,
+                    connect=cfg,
+                    journal=str(journal),
+                    progress=die_after_two,
+                )
+            assert len(journal.read_text().splitlines()) >= 2
+            replayed = []
+            resumed = grid_search(
+                **kwargs,
+                connect=cfg,
+                journal=str(journal),
+                progress=replayed.append,
+            )
+        finally:
+            _join_agents(stop, agents)
+        _assert_same_outcome(resumed, seq)
+        assert len(replayed) == len(seq.evaluated)
 
 
 class TestReconnectBackoff:
