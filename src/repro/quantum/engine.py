@@ -155,6 +155,7 @@ __all__ = [
     "disable_compile_cache",
     "compile_cache_info",
     "compile_cache_scope",
+    "dense_peak_bytes",
 ]
 
 #: Version of the engine's floating-point arithmetic.  Bumped whenever a
@@ -171,11 +172,12 @@ ARITHMETIC_VERSION = 2
 #: contraction per layer wins, beyond that the FLOPs take over.
 _DENSE_MAX_QUBITS = 5
 
-#: Rows of the dense path's product state built per encoding-builder
-#: call.  Training minibatches take one call; an evaluation batch of
-#: every slice's whole training set takes a few, so the builder's
-#: per-row temporaries stay bounded by this rather than the batch.
-_ENCODE_ROWS = 1024
+#: Rows per call of the row-blocked passes: the dense path's
+#: product-state builder and :meth:`CompiledTape.expvals`' probability
+#: block.  Training minibatches take one call; an evaluation batch of
+#: every slice's whole training set takes a few, so their per-row
+#: temporaries stay bounded by this rather than the batch.
+_BLOCK_ROWS = 1024
 
 #: An unencoded wire's factor of the dense path's product state.
 _KET0 = np.array([1.0, 0.0], dtype=COMPLEX_DTYPE)
@@ -231,6 +233,51 @@ class _OpSpec:
         self.defaults = op.params
         self.refs = op.refs
         self.dynamic = any(r is not None for r in op.refs)
+
+
+def dense_peak_bytes(
+    n_qubits: int,
+    n_layers: int,
+    n_params: int,
+    n_enc: int,
+    batch: int,
+    runs: "int | None",
+    mode: str = "adjoint",
+) -> int:
+    """:meth:`CompiledTape.peak_bytes` of a dense-path tape, from its
+    shape alone: ``n_layers`` (``L``) layers of an ``n_params``-angle
+    gate per wire after ``n_enc`` encoding gates.  The pre-build
+    admission estimate
+    (:func:`repro.runtime.memory.estimate_candidate_bytes`) counts the
+    same record.
+
+    ``"forward"``: the pooled ping-pong pair, the product state and its
+    kron partials (two states), and three ``(runs, L, 2**n, 2**n)``
+    unitary stacks (the kron product, its row take and the one before
+    it).  ``"adjoint"`` adds what a recorded step holds at its peak:
+    ``L + 1`` recorded states, ``L + 1`` bras, the ``L`` conjugated bras
+    of the overlap contraction or the ``n_enc + 1`` gathered generator
+    states of the input gradients, whichever is larger, and the daggered
+    unitaries and the overlap stack.  ``L`` is the compiled depth, so an
+    execute with per-run ``depths`` (which records every run at that
+    depth) is covered too.  Both modes add the per-(run, layer, wire)
+    gate, derivative and builder-temporary matrices, the encoding's
+    per-sample ones, and a fixed allowance for array headers and index
+    tables.
+    """
+    item = np.dtype(COMPLEX_DTYPE).itemsize
+    dim = 2**n_qubits
+    state = batch * dim * item
+    stack = (runs or 1) * n_layers * dim * dim * item
+    small = 4 * item * (
+        16 * (1 + n_params) * (runs or 1) * n_layers * n_qubits
+        + 16 * batch * n_qubits
+    )
+    total = 4 * state + 3 * stack + small + 16384
+    if mode == "adjoint":
+        total += (2 * n_layers + 2) * state + 2 * stack
+        total += max(n_layers, n_enc + 1) * state
+    return total
 
 
 class _DensePlan:
@@ -1020,10 +1067,19 @@ class CompiledTape:
         :class:`~repro.runtime.pool.ChunkCostModel`.
 
         Dense-path tapes count their own record instead (see
-        :meth:`_dense_peak_bytes`).
+        :func:`dense_peak_bytes`).
         """
-        if self._dense is not None:
-            return self._dense_peak_bytes(batch, runs, mode)
+        plan = self._dense
+        if plan is not None:
+            return dense_peak_bytes(
+                self.n_qubits,
+                plan.n_layers,
+                plan.n_params,
+                len(plan.enc_ops),
+                batch,
+                runs,
+                mode,
+            )
         item = np.dtype(COMPLEX_DTYPE).itemsize
         state = batch * self.dim * item
         total = 2 * state
@@ -1045,41 +1101,6 @@ class CompiledTape:
                 for g in groups:
                     k = 2 ** len(self._specs[g].wires)
                     total += n_params * (runs or 1) * k * k * item
-        return total
-
-    def _dense_peak_bytes(
-        self, batch: int, runs: "int | None", mode: str
-    ) -> int:
-        """:meth:`peak_bytes` of the dense path.
-
-        ``"forward"``: the pooled ping-pong pair, the product state and
-        its kron partials (two states), and three ``(runs, L, 2**n,
-        2**n)`` unitary stacks (the kron product, its row take and the
-        one before it).  ``"adjoint"`` adds what a recorded step holds
-        at its peak: ``L + 1`` recorded states, ``L + 1`` bras, the
-        ``L`` conjugated bras of the overlap contraction or the
-        ``k + 1`` gathered generator states of the input gradients,
-        whichever is larger, and the daggered unitaries and the
-        overlap stack.  ``L`` is the compiled depth, so an execute with
-        per-run ``depths`` (which records every run at that depth) is
-        covered too.  Both modes add the per-(run, layer, wire) gate,
-        derivative and builder-temporary matrices, the encoding's
-        per-sample ones, and a fixed allowance for array headers and
-        index tables.
-        """
-        plan = self._dense
-        item = np.dtype(COMPLEX_DTYPE).itemsize
-        n_layers, n_enc = plan.n_layers, len(plan.enc_ops)
-        state = batch * self.dim * item
-        stack = (runs or 1) * n_layers * self.dim * self.dim * item
-        small = 4 * item * (
-            16 * (1 + plan.n_params) * (runs or 1) * n_layers * self.n_qubits
-            + 16 * batch * self.n_qubits
-        )
-        total = 4 * state + 3 * stack + small + 16384
-        if mode == "adjoint":
-            total += (2 * n_layers + 2) * state + 2 * stack
-            total += max(n_layers, n_enc + 1) * state
         return total
 
     # -- kernels -----------------------------------------------------------
@@ -1395,16 +1416,24 @@ class CompiledTape:
                 self._dev(signs) if wires is None
                 else self._xp.asarray(signs)
             )
-        probs = self._xp.abs2(state)
         blocks = runs or 1
-        rows = probs.shape[0]
+        rows = state.shape[0]
         if rows % blocks != 0:
             raise ShapeError(
                 f"batch {rows} is not a multiple of runs {runs}"
             )
-        out = self._xp.matmul(
-            probs.reshape(blocks, rows // blocks, -1), signs.T
-        )
+        per = rows // blocks
+        # Probabilities are formed a few runs' rows at a time, so their
+        # temporaries stay near _BLOCK_ROWS rows; each run's gemm is the
+        # same call whatever runs share its block.
+        step = max(1, _BLOCK_ROWS // max(1, per))
+        out = self._xp.empty((blocks, per, n_signs))
+        for lo in range(0, blocks, step):
+            hi = min(lo + step, blocks)
+            probs = self._xp.abs2(state[lo * per : hi * per])
+            self._xp.matmul(
+                probs.reshape(hi - lo, per, -1), signs.T, out=out[lo:hi]
+            )
         return out.reshape(rows, n_signs)
 
     # -- compiled adjoint --------------------------------------------------
@@ -1751,8 +1780,8 @@ class CompiledTape:
         # The product state goes straight into the buffer layer 0
         # reads, built in row blocks so the builder's temporaries stay
         # small on evaluation-sized batches.
-        for lo in range(0, batch, _ENCODE_ROWS):
-            rows = slice(lo, lo + _ENCODE_ROWS)
+        for lo in range(0, batch, _BLOCK_ROWS):
+            rows = slice(lo, lo + _BLOCK_ROWS)
             block = None if encoding is None else encoding[rows]
             state[rows] = xp.asarray(self._product_state(block))
         for l, out in enumerate(bufs):

@@ -206,7 +206,11 @@ def estimate_candidate_bytes(spec, batch: int, runs: int) -> int:
     * parameter stacks x4 (values, grads, Adam ``m``/``v`` moments);
     * dense activations: one input + one output row block per layer,
       cached for backward;
-    * quantum sweep (when ``spec`` has ``n_qubits``): the engine's
+    * quantum sweep (when ``spec`` has ``n_qubits``): at the dense
+      path's widths (``n <= 5``) the record
+      :func:`~repro.quantum.engine.dense_peak_bytes` counts for an
+      adjoint step (about ``3L + 2`` states plus the per-layer unitary
+      stacks); wider registers count the per-gate program's
       forward/adjoint/record statevector buffers — six ``(rows, 2**n)``
       complex buffers — plus the bound gate-matrix stacks (roughly
       3 matrices per qubit per layer, per-sample encoding stacks and
@@ -221,11 +225,19 @@ def estimate_candidate_bytes(spec, batch: int, runs: int) -> int:
     widths.extend(int(h) for h in getattr(spec, "hidden", ()) or ())
     widths.append(int(getattr(spec, "n_classes", 0) or 0))
     total += 2 * rows * sum(widths) * _REAL_ITEM
-    n_qubits = getattr(spec, "n_qubits", None)
+    n_qubits = int(getattr(spec, "n_qubits", 0) or 0)
     if n_qubits:
-        dim = 2 ** int(n_qubits)
-        total += 6 * rows * dim * _COMPLEX_ITEM
+        from ..quantum.engine import _DENSE_MAX_QUBITS, dense_peak_bytes
+
         n_layers = int(getattr(spec, "n_layers", 1) or 1)
-        gates = int(n_qubits) * (n_layers + 1) * 3
+        if n_qubits <= _DENSE_MAX_QUBITS:
+            # One angle per wire for BEL, three (Rot) for SEL; every
+            # wire carries one encoding gate.
+            n_params = 3 if getattr(spec, "ansatz", "sel") == "sel" else 1
+            return total + dense_peak_bytes(
+                n_qubits, n_layers, n_params, n_qubits, rows, runs
+            )
+        total += 6 * rows * 2**n_qubits * _COMPLEX_ITEM
+        gates = n_qubits * (n_layers + 1) * 3
         total += gates * (rows + runs) * 4 * _COMPLEX_ITEM
     return total

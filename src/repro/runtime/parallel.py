@@ -11,7 +11,8 @@ embarrassingly parallel.  :class:`Scheduler` exploits that gap on any
   executor may train candidate ``i + k`` before candidate ``i``'s
   verdict is known).  At most ``SPECULATION_FACTOR x capacity`` chunks
   are in flight, where capacity is the executor's worker or live-agent
-  count;
+  count.  Consecutive same-key candidates of the lookahead share a
+  chunk, which the worker trains as one fused sweep;
 
 * within the window, chunks are submitted **most-expensive-first**
   (longest-processing-time packing by the measured
@@ -54,6 +55,7 @@ import logging
 import os
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, replace
 from queue import Empty, SimpleQueue
 from typing import TYPE_CHECKING, Callable, Protocol, Sequence
@@ -123,6 +125,13 @@ def resolve_workers(workers: int | None) -> int:
 def chunk_candidates(chunk: JobChunk) -> list[int]:
     """The candidate indices a chunk trains, ascending."""
     return sorted({job.candidate_index for job in chunk.jobs})
+
+
+def _share(part: float, parts: Sequence[float]) -> float:
+    """``part``'s fraction of ``sum(parts)``; even shares when the
+    total is not positive."""
+    total = sum(parts)
+    return part / total if total > 0 else 1.0 / len(parts)
 
 
 # -- the executor protocol --------------------------------------------------
@@ -313,57 +322,125 @@ class Scheduler:
         lookahead = max(1, -(-window // runs))
         return window, lookahead, max(1, (lookahead * runs) // window)
 
-    def _estimate(self, chunk: JobChunk) -> float:
-        index = chunk.jobs[0].candidate_index  # scheduler chunks span one
-        spec = self.frontier.ranked[index]
+    def _members(self, chunk: JobChunk) -> list[tuple[int, int]]:
+        """``(candidate, run count)`` for each candidate of a chunk,
+        ascending (a packed chunk spans several)."""
+        counts = Counter(job.candidate_index for job in chunk.jobs)
+        return sorted(counts.items())
+
+    def _member_estimate(self, index: int, n_runs: int) -> float:
+        label = self.frontier.ranked[index].label
         return self.executor.cost_model.estimate(
-            spec.label, self._flops[index], len(chunk.jobs)
+            label, self._flops[index], n_runs
+        )
+
+    def _estimate(self, chunk: JobChunk) -> float:
+        return sum(
+            self._member_estimate(index, n_runs)
+            for index, n_runs in self._members(chunk)
         )
 
     def chunk_seconds(self, chunk: JobChunk) -> float | None:
-        """Measured-seconds estimate for a chunk, ``None`` before any."""
-        index = chunk.jobs[0].candidate_index
-        spec = self.frontier.ranked[index]
-        return self.executor.cost_model.seconds_estimate(
-            spec.label, self._flops[index], len(chunk.jobs)
-        )
+        """Measured-seconds estimate for a chunk, ``None`` before any
+        member has one."""
+        total = 0.0
+        for index, n_runs in self._members(chunk):
+            seconds = self.executor.cost_model.seconds_estimate(
+                self.frontier.ranked[index].label, self._flops[index], n_runs
+            )
+            if seconds is None:
+                return None
+            total += seconds
+        return total
 
-    def _bytes(self, chunk: JobChunk) -> float:
-        """Predicted working-set bytes: measured EWMA, else analytic."""
+    def _member_bytes(self, index: int, n_runs: int) -> float:
+        """Predicted working-set bytes of one candidate's runs: measured
+        EWMA, else analytic."""
         from .memory import estimate_candidate_bytes
 
-        spec = self.frontier.ranked[chunk.jobs[0].candidate_index]
-        measured = self.executor.cost_model.bytes_estimate(
-            spec.label, len(chunk.jobs)
-        )
+        spec = self.frontier.ranked[index]
+        measured = self.executor.cost_model.bytes_estimate(spec.label, n_runs)
         if measured is not None:
             return measured
         return float(
-            estimate_candidate_bytes(
-                spec, self.settings.batch_size, len(chunk.jobs)
-            )
+            estimate_candidate_bytes(spec, self.settings.batch_size, n_runs)
         )
+
+    def _bytes(self, chunk: JobChunk) -> float:
+        return sum(
+            self._member_bytes(index, n_runs)
+            for index, n_runs in self._members(chunk)
+        )
+
+    def _packs(self, indices: range, lookahead: int) -> list[list[int]]:
+        """Cut newly admitted candidates into the member lists of chunks.
+
+        Consecutive candidates with equal non-``None`` group keys share
+        a chunk, which the worker trains as one fused sweep.  A chunk
+        holds at most ``min(MAX_GROUP_CANDIDATES, ceil(lookahead /
+        capacity))`` candidates, so the lookahead still spreads over
+        every worker.
+        """
+        from ..core.grid_search import MAX_GROUP_CANDIDATES
+
+        settings = self.settings
+        if not (settings.vectorized_runs and settings.stacked_candidates):
+            return [[index] for index in indices]
+        ranked = self.frontier.ranked
+        cap = min(
+            MAX_GROUP_CANDIDATES,
+            -(-lookahead // max(1, self.executor.capacity)),
+        )
+        packs: list[list[int]] = []
+        for index in indices:
+            key = ranked[index].group_key()
+            last = packs[-1] if packs else None
+            if (
+                last is not None
+                and key is not None
+                and len(last) < cap
+                and ranked[last[-1]].group_key() == key
+            ):
+                last.append(index)
+            else:
+                packs.append([index])
+        return packs
 
     def top_up(self) -> None:
         """Queue candidates within the lookahead; fill the window."""
         window, lookahead, chunk_size = self._shape()
         ranked = self.frontier.ranked
         limit = min(len(ranked), self.frontier.next_commit + lookahead)
-        while self._next_unqueued < limit:
-            index = self._next_unqueued
-            self._next_unqueued += 1
-            for chunk in make_chunks(
-                ranked[index],
-                index,
-                self.seed,
-                self.settings.runs,
-                chunk_size,
-                None,
-                self.settings,
-                0,
-                vectorized=self.vectorized,
-            ):
-                self._waiting.append((index, chunk.jobs[0].run, chunk))
+        admitted = range(self._next_unqueued, limit)
+        self._next_unqueued = max(self._next_unqueued, limit)
+        for pack in self._packs(admitted, lookahead):
+            chunks = [
+                chunk
+                for index in pack
+                for chunk in make_chunks(
+                    ranked[index],
+                    index,
+                    self.seed,
+                    self.settings.runs,
+                    chunk_size,
+                    None,
+                    self.settings,
+                    0,
+                    vectorized=self.vectorized,
+                )
+            ]
+            if len(pack) > 1:
+                # Each member is one run-stacked chunk; merged, the
+                # worker trains them as one cross-candidate sweep.
+                chunks = [
+                    replace(
+                        chunks[0],
+                        jobs=tuple(job for c in chunks for job in c.jobs),
+                    )
+                ]
+            for chunk in chunks:
+                job = chunk.jobs[0]
+                self._waiting.append((job.candidate_index, job.run, chunk))
         while self._waiting and len(self._flights) < window:
             # Priced when the slot frees, not when queued: the first
             # measured chunk would otherwise leave stale FLOPs-priced
@@ -447,25 +524,37 @@ class Scheduler:
         del self._flights[cid]
         # A healthy completion ends the failure episode.
         self._backoff.reset()
-        index = flight.chunk.jobs[0].candidate_index
-        label = self.frontier.ranked[index].label
-        n_runs = len(flight.chunk.jobs)
+        members = self._members(flight.chunk)
         # Measured cost and working set refine later packing (and later
         # searches on a persistent pool).  A failed chunk measures the
-        # failure, not the work.
+        # failure, not the work.  A packed chunk is measured as a whole:
+        # each member takes the share it was priced at, so every label's
+        # EWMA stays per-run.
         if not any(isinstance(e, RunError) for e in result.entries):
+            prices = [self._member_estimate(i, n) for i, n in members]
+            sizes = [self._member_bytes(i, n) for i, n in members]
             cost_model = self.executor.cost_model
-            cost_model.observe(
-                label, self._flops[index], result.wall_time_s, n_runs
-            )
-            cost_model.observe_bytes(label, result.peak_bytes, n_runs)
+            for (index, n_runs), price, size in zip(members, prices, sizes):
+                label = self.frontier.ranked[index].label
+                cost_model.observe(
+                    label,
+                    self._flops[index],
+                    result.wall_time_s * _share(price, prices),
+                    n_runs,
+                )
+                cost_model.observe_bytes(
+                    label,
+                    round(result.peak_bytes * _share(size, sizes)),
+                    n_runs,
+                )
         if result.memory_degrades:
+            candidates = chunk_candidates(flight.chunk)
             self._emit_event(
                 "memory-degrade",
-                f"chunk for candidate(s) {[index]} hit out-of-memory and "
+                f"chunk for candidate(s) {candidates} hit out-of-memory and "
                 f"recovered via {result.memory_degrades} degradation "
                 "step(s); results are unchanged",
-                [index],
+                candidates,
             )
         for entry in result.entries:
             if isinstance(entry, RunError):

@@ -356,12 +356,12 @@ class JobChunk:
 
     ``vectorized`` asks the worker to train the chunk's whole run set as
     a single run-stacked sweep
-    (:func:`repro.runtime.jobs.execute_runs`); the scheduler then packs
-    one chunk per candidate so the stack spans every run.  A vectorized
-    chunk may also span **several candidates**: the worker then trains
-    every run of every candidate as one cross-candidate fused sweep
-    (:func:`repro.runtime.jobs.execute_candidates`).  The scheduler's
-    chunks hold one candidate each.
+    (:func:`repro.runtime.jobs.execute_runs`); the scheduler then puts
+    each candidate's whole run set in one chunk.  A vectorized chunk may
+    also span **several candidates**: the worker then trains every run
+    of every candidate as one cross-candidate fused sweep
+    (:func:`repro.runtime.jobs.execute_candidates`).  The scheduler
+    packs consecutive same-key candidates of its lookahead this way.
     """
 
     jobs: tuple[TrainingJob, ...]

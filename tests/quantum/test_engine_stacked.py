@@ -256,6 +256,34 @@ class TestStackedValidation:
             self.engine.expvals(state[:3], runs=2)
 
 
+class TestExpvalBlocks:
+    """``expvals`` forms probabilities a few runs' rows at a time; every
+    block size gives the one-gemm-per-run result bit for bit."""
+
+    @pytest.mark.parametrize("wires", [None, [2, 0]])
+    @pytest.mark.parametrize("block_rows", [1, 7, 14, 10**6])
+    def test_blocked_equals_unblocked(self, monkeypatch, wires, block_rows):
+        import repro.quantum.engine as engine_mod
+
+        rng = np.random.default_rng(11)
+        ops, n_w = make_tape("sel", 3, 2, rng)
+        engine = CompiledTape(ops, 3)
+        runs, batch = 5, 7
+        state = engine.execute(
+            inputs=rng.normal(size=(runs * batch, 3)),
+            weights=rng.normal(size=(runs, n_w)),
+            runs=runs,
+        ).copy()
+        signs = engine._z_signs if wires is None else engine._z_signs[wires]
+        probs = state.real**2 + state.imag**2
+        unblocked = np.matmul(
+            probs.reshape(runs, batch, -1), signs.T
+        ).reshape(runs * batch, -1)
+        monkeypatch.setattr(engine_mod, "_BLOCK_ROWS", block_rows)
+        got = engine.expvals(state, wires=wires, runs=runs)
+        assert np.array_equal(got, unblocked)
+
+
 class TestSliceCompaction:
     """Dropping run rows (frozen-run compaction) keeps the surviving
     slices bit-identical: the engine's per-run kernels never mix

@@ -270,15 +270,18 @@ class TestDuplicateResults:
             coordinator,
         )
         coordinator.open(easy_split)
-        coordinator.capacity = 2  # window 4: every candidate enqueued
+        # Window 4: every candidate is enqueued, two same-key
+        # candidates per chunk.
+        coordinator.capacity = 2
         scheduler.top_up()
+        n_chunks = len(ranked) // 2
         # Serve every task inline, then forge a duplicate of one result
         # under a different (live-owner) agent id before the coordinator
         # ever polls.
         stats = run_agent(
-            spool.path, poll_interval_s=0.05, max_chunks=len(ranked)
+            spool.path, poll_interval_s=0.05, max_chunks=n_chunks
         )
-        assert stats.chunks_done == len(ranked)
+        assert stats.chunks_done == n_chunks
         results_dir = os.path.join(str(spool.path), "results")
         victim = sorted(os.listdir(results_dir))[0]
         token, cid, att, _agent = victim.rsplit(".result", 1)[0].split(".")

@@ -231,11 +231,16 @@ class TestMemoryDegradeVisibility:
         self, easy_split, tmp_path, monkeypatch, kind
     ):
         from repro.nn.training import VectorizedTrainer
+        from repro.runtime import jobs
 
         kwargs = _search_kwargs(easy_split, _settings())
         seq = grid_search(**kwargs, workers=1)
         # Thread agents train in this process, so they see the patch.
+        # The one-shot fault covers both sweeps a chunk may run first:
+        # the cross-candidate one of a packed chunk and the per-candidate
+        # one.
         real_train = VectorizedTrainer.train
+        real_candidates = jobs.execute_candidates
         fired = []
 
         def oom_once(self, *args, **kw):
@@ -244,7 +249,14 @@ class TestMemoryDegradeVisibility:
                 raise MemoryError("injected agent sweep OOM")
             return real_train(self, *args, **kw)
 
+        def oom_once_grouped(*args, **kw):
+            if not fired:
+                fired.append(True)
+                raise MemoryError("injected agent sweep OOM")
+            return real_candidates(*args, **kw)
+
         monkeypatch.setattr(VectorizedTrainer, "train", oom_once)
+        monkeypatch.setattr(jobs, "execute_candidates", oom_once_grouped)
         events = []
         if kind == "spool":
             with _spool_agent(tmp_path) as spool:

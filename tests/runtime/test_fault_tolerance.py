@@ -164,6 +164,7 @@ class TestRetryExhaustion:
         as ``workers=1``: an out-of-memory sweep there degrades through
         the OOM ladder instead of killing the search."""
         from repro.nn.training import VectorizedTrainer
+        from repro.runtime import jobs
 
         settings = _settings(max_retries=1)
         kwargs = _search_kwargs(easy_split, settings)
@@ -171,8 +172,11 @@ class TestRetryExhaustion:
         with PersistentPool(2) as pool:
             grid_search(**kwargs, pool=pool)  # warm the workers
             # Pool workers are separate processes: only the driver's
-            # in-process sweeps see this patch.
+            # in-process sweeps see this patch.  The one-shot fault
+            # covers both sweeps the floor may run first: a fused group's
+            # and a lone candidate's.
             real_train = VectorizedTrainer.train
+            real_candidates = jobs.execute_candidates
             fired = []
 
             def oom_once(self, *args, **kw):
@@ -181,7 +185,14 @@ class TestRetryExhaustion:
                     raise MemoryError("injected in-process sweep OOM")
                 return real_train(self, *args, **kw)
 
+            def oom_once_grouped(*args, **kw):
+                if not fired:
+                    fired.append(True)
+                    raise MemoryError("injected in-process sweep OOM")
+                return real_candidates(*args, **kw)
+
             monkeypatch.setattr(VectorizedTrainer, "train", oom_once)
+            monkeypatch.setattr(jobs, "execute_candidates", oom_once_grouped)
             events = []
             pool.install_fault(
                 FaultPlan(kind="kill", candidate=1, times=4)

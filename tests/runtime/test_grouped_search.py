@@ -8,6 +8,8 @@ with the correct candidate coordinates; the shm result path surviving a
 worker crash mid-result without hanging or leaking.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from repro.core.grid_search import (
     TrainingSettings,
     grid_search,
     plan_group,
+    rank_by_flops,
 )
 from repro.core.search_space import (
     ClassicalSpec,
@@ -26,10 +29,18 @@ from repro.core.search_space import (
 )
 from repro.data import make_spiral, stratified_split
 from repro.exceptions import ConfigurationError
+from repro.flops.conventions import get_convention
 from repro.nn.layers import Dropout
 from repro.nn.training import History
 from repro.runtime import ChunkCostModel, PersistentPool, execute_candidates
+from repro.runtime.frontier import SearchFrontier
 from repro.runtime.jobs import RunResult, TrainingJob, execute_job
+from repro.runtime.memory import MemoryBudget
+from repro.runtime.parallel import (
+    ExecutorCounters,
+    Scheduler,
+    chunk_candidates,
+)
 from repro.runtime.pool import (
     ChunkResult,
     JobChunk,
@@ -37,6 +48,7 @@ from repro.runtime.pool import (
     ShmResultHandle,
     _run_chunk,
     _unwrap_result,
+    execute_chunk,
     make_chunks,
     publish_split,
 )
@@ -437,6 +449,139 @@ class TestErrorAttribution:
         finally:
             shm.close()
             shm.unlink()
+
+
+class _RecordingExecutor:
+    """An executor that records what the scheduler submits and never
+    delivers: enough to drive ``Scheduler.top_up`` and ``_accept``."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.cost_model = ChunkCostModel()
+        self.counters = ExecutorCounters()
+        self.submitted = {}
+
+    def memory_budget(self, settings):
+        return MemoryBudget(bytes=None, source="off")
+
+    def submit(self, cid, attempt, chunk):
+        self.submitted[cid] = chunk
+
+
+def _sel_depth_space():
+    """SEL(3,1)-SEL(3,4): one group key, ranked by FLOPs."""
+    return rank_by_flops(
+        hybrid_search_space(
+            4, "sel", qubit_options=(3,), depth_options=(1, 2, 3, 4)
+        ),
+        get_convention("paper"),
+    )
+
+
+def _scheduler(ranked, settings, executor, events=None):
+    frontier = SearchFrontier(
+        ranked, 1.01, get_convention("paper"), settings.runs
+    )
+    return Scheduler(
+        frontier, None, settings, 7, executor, on_event=events
+    )
+
+
+def _packs(executor):
+    return sorted(chunk_candidates(c) for c in executor.submitted.values())
+
+
+class TestSchedulerPacking:
+    """The scheduler packs consecutive same-key candidates of its
+    lookahead into one chunk, which a worker trains as one fused
+    sweep."""
+
+    def test_capacity_two_submits_pairs(self):
+        executor = _RecordingExecutor(capacity=2)
+        _scheduler(_sel_depth_space(), _settings(True), executor).top_up()
+        assert _packs(executor) == [[0, 1], [2, 3]]
+        for chunk in executor.submitted.values():
+            assert chunk.vectorized
+            assert len(chunk.jobs) == 4  # two candidates x two runs
+
+    @pytest.mark.parametrize(
+        "ranked",
+        [
+            [KeylessSpec(n_features=4, hidden=(h,)) for h in (2, 4, 6, 8)],
+            [
+                ClassicalSpec(n_features=4, hidden=(2,)),
+                HybridSpec(n_features=4, n_qubits=3, n_layers=1),
+                HybridSpec(n_features=4, n_qubits=3, ansatz="bel"),
+                ClassicalSpec(n_features=4, hidden=(4,)),
+            ],
+        ],
+        ids=["keyless", "mixed-keys"],
+    )
+    def test_keyless_and_mixed_keys_never_pack(self, ranked):
+        executor = _RecordingExecutor(capacity=2)
+        _scheduler(ranked, _settings(True), executor).top_up()
+        assert _packs(executor) == [[0], [1], [2], [3]]
+
+    @pytest.mark.parametrize(
+        "settings",
+        [_settings(False), _settings(True, vectorized=False)],
+        ids=["unstacked", "scalar"],
+    )
+    def test_packing_off_keeps_one_candidate_chunks(self, settings):
+        executor = _RecordingExecutor(capacity=2)
+        _scheduler(_sel_depth_space(), settings, executor).top_up()
+        assert all(len(c) == 1 for c in _packs(executor))
+
+    @pytest.mark.parametrize("capacity", [1, 2, 3])
+    def test_lookahead_unchanged(self, capacity):
+        """Packing regroups the lookahead; it queues the same
+        candidates as one-candidate chunks do."""
+        ranked = hybrid_search_space(
+            4, "sel", qubit_options=(3, 4), depth_options=(1, 2, 3, 4)
+        )
+        queued = []
+        for stacked in (True, False):
+            executor = _RecordingExecutor(capacity=capacity)
+            scheduler = _scheduler(ranked, _settings(stacked), executor)
+            scheduler.top_up()
+            chunks = list(executor.submitted.values()) + [
+                chunk for _, _, chunk in scheduler._waiting
+            ]
+            queued.append(
+                sorted(c for chunk in chunks for c in chunk_candidates(chunk))
+            )
+        assert queued[0] == queued[1]
+        window = max(2 * capacity, capacity + 1)
+        assert queued[0] == list(range(window))
+
+    def test_delivery_observes_each_member(self, easy_split):
+        ranked = _sel_depth_space()
+        events = []
+        executor = _RecordingExecutor(capacity=2)
+        settings = _settings(True, early_stop_threshold=None, epochs=1)
+        scheduler = _scheduler(ranked, settings, executor, events.append)
+        scheduler.top_up()
+        cid, chunk = next(
+            (cid, c)
+            for cid, c in executor.submitted.items()
+            if chunk_candidates(c) == [0, 1]
+        )
+        result = execute_chunk(chunk, easy_split, lambda: False)
+        result = replace(result, peak_bytes=4096, memory_degrades=1)
+        scheduler._accept(cid, result)
+        model = executor.cost_model
+        labels = [ranked[0].label, ranked[1].label]
+        assert model.observations == 2
+        assert sorted(model.snapshot()) == sorted(labels)
+        # Per-run EWMAs: the members' shares add up to the chunk.
+        assert sum(
+            model.estimate(label, 0, settings.runs) for label in labels
+        ) == pytest.approx(result.wall_time_s)
+        assert sum(
+            model.bytes_estimate(label, settings.runs) for label in labels
+        ) == pytest.approx(4096, abs=1)
+        degrade = next(e for e in events if e.kind == "memory-degrade")
+        assert degrade.candidates == (0, 1)
 
 
 class TestShmResultCrash:

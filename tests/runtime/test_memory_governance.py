@@ -245,6 +245,31 @@ class TestAnalyticEstimates:
         # Parameters + gradients + both Adam moments, at minimum.
         assert stacked.peak_bytes(8) >= 4 * param_bytes
 
+    @pytest.mark.parametrize("n_layers", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n_qubits", [3, 4, 5])
+    @pytest.mark.parametrize("ansatz", ["bel", "sel"])
+    def test_hybrid_estimate_covers_dense_record(
+        self, ansatz, n_qubits, n_layers
+    ):
+        """The pre-build estimate covers what the built candidate's
+        dense engine predicts for an adjoint step of the same rows."""
+        from repro.hybrid.quantum_layer import QuantumLayer
+        from repro.quantum.engine import CompiledTape
+
+        spec = HybridSpec(
+            n_features=4, n_qubits=n_qubits, n_layers=n_layers, ansatz=ansatz
+        )
+        model = spec.build(np.random.default_rng(0))
+        [qlayer] = [l for l in model.layers if isinstance(l, QuantumLayer)]
+        engine = CompiledTape(
+            qlayer.build_tape(np.zeros((1, n_qubits))), n_qubits
+        )
+        assert engine.dense
+        batch, runs = 8, 2
+        assert estimate_candidate_bytes(spec, batch, runs) >= (
+            engine.peak_bytes(batch * runs, runs=runs, mode="adjoint")
+        )
+
 
 class TestPlanGroupSizing:
     def test_explicit_budget_grows_past_fixed_cap(self):
