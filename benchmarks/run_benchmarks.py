@@ -116,7 +116,6 @@ def main(argv: list[str] | None = None) -> int:
             "benchmarks/test_vectorized_runs.py",
             "benchmarks/test_candidate_stacking.py",
             "benchmarks/test_backend_sweep.py",
-            "benchmarks/test_cluster_spool.py",
             "benchmarks/test_cluster_tcp.py",
         ]
     )

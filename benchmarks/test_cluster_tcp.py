@@ -1,7 +1,8 @@
 """TCP-transport overhead: socket-sharded search vs sequential.
 
-The TCP coordinator makes the same promise as the spool — "distribution
-is free, determinism-wise" — over a partition-prone medium; this
+The TCP coordinator makes the same promise as the worker pool —
+"distribution is free, determinism-wise" — over a partition-prone
+medium; this
 benchmark makes the *time* cost visible in the committed
 ``BENCH_<rev>.json`` snapshots.  A loopback, single-agent run is a
 pure-overhead configuration: every training second the sequential

@@ -47,8 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
         "experiment",
         choices=_EXPERIMENTS + ("all", "cluster-agent"),
         help="which paper artifact to regenerate, or 'cluster-agent' to "
-        "serve training chunks from a shared --spool directory or a "
-        "--connect HOST:PORT coordinator",
+        "serve training chunks to a --connect HOST:PORT coordinator",
     )
     parser.add_argument(
         "--profile",
@@ -144,36 +143,24 @@ def build_parser() -> argparse.ArgumentParser:
         "in-flight bytes, and never change results",
     )
     parser.add_argument(
-        "--spool",
-        default=None,
-        metavar="DIR",
-        help="shared-filesystem spool directory for cross-host sharding: "
-        "experiments run their grid searches as cluster coordinators "
-        "leasing chunks to 'repro cluster-agent --spool DIR' processes "
-        "on any host sharing the filesystem; results are bit-identical "
-        "to a local run, and losing every agent degrades to in-process "
-        "sequential execution (see docs/parallel_runtime.md)",
-    )
-    parser.add_argument(
         "--connect",
         default=None,
         metavar="HOST:PORT",
-        help="TCP cluster transport for filesystem-less rigs: experiments "
-        "bind the address and run their grid searches as coordinators "
-        "leasing chunks to 'repro cluster-agent --connect HOST:PORT' "
-        "processes over checksummed frames; results are bit-identical "
-        "to a local run, and losing every agent degrades to in-process "
-        "sequential execution (mutually exclusive with --spool)",
+        help="cross-host sharding over TCP: experiments bind the address "
+        "and run their grid searches as coordinators leasing chunks to "
+        "'repro cluster-agent --connect HOST:PORT' processes over "
+        "checksummed frames; results are bit-identical to a local run, "
+        "and losing every agent degrades to in-process sequential "
+        "execution (see docs/parallel_runtime.md)",
     )
     parser.add_argument(
         "--idle-timeout",
         type=float,
         default=None,
         metavar="S",
-        help="cluster-agent only: exit after this many seconds with no "
-        "claimable work (default: serve until the coordinator stops -- "
-        "the spool's stop file, or the TCP coordinator going away for "
-        "longer than the reconnect window)",
+        help="cluster-agent only: exit once this many seconds pass "
+        "without finishing a chunk (default: serve until the coordinator "
+        "stays unreachable for longer than the reconnect window)",
     )
     parser.add_argument(
         "--lease-timeout",
@@ -218,12 +205,8 @@ def validate_args(parser: argparse.ArgumentParser, args) -> None:
             parse_memory_budget(args.memory_budget)
         except ConfigurationError as exc:
             parser.error(str(exc))
-    if args.spool and args.connect:
-        parser.error("--spool and --connect are mutually exclusive")
-    if args.experiment == "cluster-agent" and not (args.spool or args.connect):
-        parser.error(
-            "cluster-agent requires --spool DIR or --connect HOST:PORT"
-        )
+    if args.experiment == "cluster-agent" and not args.connect:
+        parser.error("cluster-agent requires --connect HOST:PORT")
     if args.idle_timeout is not None and args.idle_timeout <= 0:
         parser.error(
             f"--idle-timeout must be > 0, got {args.idle_timeout}"
@@ -236,13 +219,12 @@ def validate_args(parser: argparse.ArgumentParser, args) -> None:
         parser.error(
             f"--frame-timeout must be > 0, got {args.frame_timeout}"
         )
-    if (args.spool or args.connect) and args.workers not in (0, 1):
+    if args.connect and args.workers not in (0, 1):
         # Not an error -- the cluster transport simply takes precedence
         # -- but the combination suggests a misunderstanding worth
         # flagging early.
-        flag = "--spool" if args.spool else "--connect"
         print(
-            f"note: {flag} overrides --workers (chunks run on cluster "
+            "note: --connect overrides --workers (chunks run on cluster "
             "agents, not a local pool)",
             file=sys.stderr,
         )
@@ -309,24 +291,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     validate_args(parser, args)
     if args.experiment == "cluster-agent":
-        # Serve chunks until the coordinator stops (spool stop file, or
-        # the TCP coordinator going away past the reconnect window) or
-        # the idle timeout fires; no experiment runs here.
-        if args.connect:
-            from .runtime.cluster_tcp import run_tcp_agent
+        # Serve chunks until the coordinator stays away past the
+        # reconnect window or the idle timeout fires; no experiment
+        # runs here.
+        from .runtime.cluster_tcp import run_tcp_agent
 
-            agent_kwargs = {"idle_timeout_s": args.idle_timeout}
-            if args.frame_timeout is not None:
-                agent_kwargs["frame_timeout_s"] = args.frame_timeout
-            stats = run_tcp_agent(args.connect, **agent_kwargs)
-        else:
-            from .runtime.cluster import run_agent
-
-            stats = run_agent(args.spool, idle_timeout_s=args.idle_timeout)
+        agent_kwargs = {"idle_timeout_s": args.idle_timeout}
+        if args.frame_timeout is not None:
+            agent_kwargs["frame_timeout_s"] = args.frame_timeout
+        stats = run_tcp_agent(args.connect, **agent_kwargs)
         if not args.quiet:
             print(
                 f"agent {stats.agent_id}: {stats.chunks_done} chunks, "
-                f"{stats.claims_lost} claims lost, "
                 f"{stats.cancelled} cancelled, "
                 f"{stats.reconnects} reconnects",
                 file=sys.stderr,
@@ -353,22 +329,23 @@ def main(argv: Sequence[str] | None = None) -> int:
         overrides["memory_budget"] = parse_memory_budget(args.memory_budget)
     from .runtime.parallel import resolve_workers
 
-    cluster = bool(args.spool or args.connect)
     pool = None
-    if not cluster and resolve_workers(args.workers) > 1:
+    if not args.connect and resolve_workers(args.workers) > 1:
         from .runtime.pool import PersistentPool
 
         pool = PersistentPool(resolve_workers(args.workers), backend=args.backend)
     # Warm the adaptive packer from a previous invocation's measured
     # chunk costs; written back below (pool) or by the coordinator
-    # itself (cluster transports) so reruns keep learning.  Cost
+    # itself (TCP transport) so reruns keep learning.  Cost
     # estimates shape submission order only, never results.
     cost_cache = args.cost_cache
-    if cost_cache is None and args.cache and (pool is not None or cluster):
+    if cost_cache is None and args.cache and (
+        pool is not None or args.connect
+    ):
         from pathlib import Path
 
         cost_cache = str(Path(args.cache) / "chunk_costs.json")
-    if pool is None and not cluster and args.cost_cache:
+    if pool is None and not args.connect and args.cost_cache:
         # Sequential runs have no chunk scheduler, so there is nothing
         # to warm or record; say so instead of silently dropping it.
         print(
@@ -377,13 +354,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         )
     if pool is not None and cost_cache:
         pool.cost_model.load_json(cost_cache)
-    if args.spool:
-        from .runtime.cluster import SpoolConfig
-
-        spool_kwargs: dict = {"cost_cache": cost_cache}
-        if args.lease_timeout is not None:
-            spool_kwargs["lease_timeout_s"] = args.lease_timeout
-        overrides["spool"] = SpoolConfig(path=args.spool, **spool_kwargs)
     if args.connect:
         from .runtime.cluster_tcp import TcpConfig
 
@@ -412,12 +382,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             if cost_cache and pool.cost_model.observations:
                 pool.cost_model.save_json(cost_cache)
             pool.close()
-        if args.spool:
-            # Wind the cluster down: agents exit when they see the stop
-            # file instead of idling on an empty spool forever.
-            from .runtime.cluster import stop_agents
-
-            stop_agents(args.spool)
     return 0
 
 

@@ -104,30 +104,16 @@ REPORTED_FEATURE_SIZES = (10, 40, 80, 110)
 #: concurrently; see ``repro.runtime.memory``.
 MEMORY_BUDGET_FRACTION = 0.5
 
-#: Cross-host spool defaults (``repro.runtime.cluster``; runtime knobs,
-#: not paper constants).  An agent rewrites its heartbeat counter every
-#: ``SPOOL_HEARTBEAT_S``; the coordinator reclaims a chunk lease after
-#: observing no counter change for ``SPOOL_LEASE_TIMEOUT_S`` on its own
-#: monotonic clock (remote wall clocks are never compared, so host skew
-#: is irrelevant — the ratio just needs enough slack for NFS attribute
-#: caching and scheduler hiccups).  With no live agent for
-#: ``SPOOL_AGENT_GRACE_S`` the coordinator finishes the search
-#: in-process instead of waiting forever.
-SPOOL_HEARTBEAT_S = 5.0
-SPOOL_LEASE_TIMEOUT_S = 60.0
-SPOOL_POLL_INTERVAL_S = 0.5
-SPOOL_AGENT_GRACE_S = 30.0
-
 #: Cross-host TCP defaults (``repro.runtime.cluster_tcp``; runtime
 #: knobs, not paper constants).  An agent sends an application-level
 #: heartbeat frame every ``TCP_HEARTBEAT_S``; the coordinator expires a
 #: chunk lease after seeing no frame from its holder for
-#: ``TCP_LEASE_TIMEOUT_S`` on its own monotonic clock (host clock skew
-#: is irrelevant, exactly as on the spool).  A frame that *started*
-#: arriving must keep moving: any single socket read or write stalling
-#: past ``TCP_FRAME_TIMEOUT_S`` marks the connection dead, which is how
-#: a mid-frame partition is told apart from an agent that is merely
-#: training.  With no live agent for ``TCP_AGENT_GRACE_S`` the
+#: ``TCP_LEASE_TIMEOUT_S`` on its own monotonic clock (remote wall
+#: clocks are never compared, so host clock skew is irrelevant).  A
+#: frame that *started* arriving must keep moving: any single socket
+#: read or write stalling past ``TCP_FRAME_TIMEOUT_S`` marks the
+#: connection dead, which is how a mid-frame partition is told apart
+#: from an agent that is merely training.  With no live agent for ``TCP_AGENT_GRACE_S`` the
 #: coordinator finishes in-process; a disconnected agent redials with
 #: decorrelated-jitter backoff (``repro.runtime.backoff``) capped at
 #: ``TCP_RECONNECT_CAP_S`` and gives up for good after

@@ -85,18 +85,11 @@ class ProtocolConfig:
     #: searches would discard every other search's checkpoint.  An
     #: interrupted protocol rerun skips everything already committed.
     journal: str | None = None
-    #: Optional shared-filesystem spool directory: every grid search of
-    #: the protocol runs as a cluster coordinator, leasing chunks to
-    #: ``repro cluster-agent`` processes on any host sharing the
-    #: filesystem (see ``repro.runtime.cluster``).  Overrides
-    #: ``workers``/pool execution; results are identical either way.
-    spool: str | None = None
     #: Optional ``HOST:PORT`` to bind as a TCP cluster coordinator:
     #: every grid search leases chunks to ``repro cluster-agent
     #: --connect`` processes over checksummed socket frames — no shared
     #: filesystem needed (see ``repro.runtime.cluster_tcp``).  Overrides
-    #: ``workers``/pool execution; mutually exclusive with ``spool``;
-    #: results are identical either way.
+    #: ``workers``/pool execution; results are identical either way.
     connect: str | None = None
     #: Array backend for the stacked training sweeps ("numpy", "torch",
     #: "cupy"; None = REPRO_BACKEND env, then NumPy).  NumPy is the
@@ -289,7 +282,6 @@ def run_protocol(
     owns_pool = False
     if (
         pool is None
-        and cfg.spool is None
         and cfg.connect is None
         and resolve_workers(cfg.workers) > 1
     ):
@@ -318,7 +310,6 @@ def run_protocol(
                             cfg.journal, feature_size, experiment
                         ),
                         on_event=on_event,
-                        spool=cfg.spool,
                         connect=cfg.connect,
                     )
                     level.outcomes.append(outcome)

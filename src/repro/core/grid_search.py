@@ -10,8 +10,8 @@ successful model.
 Every execution mode commits through one
 :class:`~repro.runtime.frontier.SearchFrontier`: ``workers=1`` trains
 in-process, ``workers > 1`` fans the (candidate, run) training jobs out
-across a process pool (:mod:`repro.runtime.parallel`), and ``spool=`` /
-``connect=`` shard them across hosts.  Candidates are always committed
+across a process pool (:mod:`repro.runtime.parallel`), and ``connect=``
+shards them across hosts over TCP.  Candidates are always committed
 in FLOPs order, the winner is always the cheapest pass, and every run
 uses the same ``(seed, candidate, run)``-derived RNG stream, so the
 returned :class:`SearchOutcome` is identical in every mode.
@@ -317,7 +317,6 @@ def grid_search(
     pool: "PersistentPool | None" = None,
     journal: "str | None" = None,
     on_event: Callable[..., None] | None = None,
-    spool: "str | None" = None,
     connect: "str | None" = None,
 ) -> SearchOutcome:
     """Run the FLOPs-sorted search.
@@ -376,18 +375,6 @@ def grid_search(
         distributed modes' fault-tolerance decisions (worker loss,
         retry, deadline warning/timeout, sequential fallback, lease
         expiry...).
-    spool:
-        Optional path to a shared-filesystem spool directory (or a
-        :class:`repro.runtime.cluster.SpoolConfig`).  When given, the
-        search's scheduler runs on a
-        :class:`repro.runtime.cluster.SpoolExecutor`: chunks are
-        leased to ``repro cluster-agent`` processes — on this or any
-        host sharing the filesystem — instead of local pool workers,
-        and ``workers``/``pool`` are ignored.  The outcome is
-        bit-identical to the sequential baseline regardless of agent
-        count or failures; losing every agent finishes the search
-        in-process.  An execution knob like ``workers``: it never
-        affects results.
     connect:
         Optional ``HOST:PORT`` to bind (or a
         :class:`repro.runtime.cluster_tcp.TcpConfig`).  When given, the
@@ -396,10 +383,10 @@ def grid_search(
         are leased to ``repro cluster-agent --connect`` processes over
         checksummed socket frames — no shared filesystem required —
         instead of local pool workers, and ``workers``/``pool`` are
-        ignored.  Same guarantee as ``spool``: the outcome is
-        bit-identical to the sequential baseline regardless of agent
-        count, disconnects, or partitions; losing every agent finishes
-        the search in-process.  Mutually exclusive with ``spool``.
+        ignored.  The outcome is bit-identical to the sequential
+        baseline regardless of agent count, disconnects, or
+        partitions; losing every agent finishes the search in-process.
+        An execution knob like ``workers``: it never affects results.
 
     Returns
     -------
@@ -409,11 +396,6 @@ def grid_search(
     """
     if not specs:
         raise SearchError("empty search space")
-    if spool is not None and connect is not None:
-        raise SearchError(
-            "spool= and connect= are mutually exclusive: pick one "
-            "cluster transport (shared-filesystem spool or TCP)"
-        )
     settings = settings or TrainingSettings()
     if settings.runs < 1:
         raise SearchError(f"settings.runs must be >= 1, got {settings.runs}")
@@ -468,11 +450,7 @@ def grid_search(
         speculative_search,
     )
 
-    if spool is not None:
-        from ..runtime.cluster import SpoolExecutor
-
-        executor = SpoolExecutor(spool)
-    elif connect is not None:
+    if connect is not None:
         from ..runtime.cluster_tcp import TcpExecutor
 
         executor = TcpExecutor(connect)

@@ -149,6 +149,10 @@ def protocol_from_dict(data: dict[str, Any]) -> ProtocolResult:
             f"with library schema {SCHEMA_VERSION}"
         )
     cfg_data = dict(data["config"])
+    # Files saved while ProtocolConfig still had a ``spool`` transport
+    # field carry it; it never affected results, so it is dropped.  Any
+    # other unknown key still raises.
+    cfg_data.pop("spool", None)
     cfg_data["feature_sizes"] = tuple(cfg_data["feature_sizes"])
     cfg = ProtocolConfig(**cfg_data)
     result = ProtocolResult(family=str(data["family"]), config=cfg)

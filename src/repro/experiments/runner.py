@@ -185,9 +185,8 @@ def run_family_cached(
     The cache key is ``{family}_{profile}.json`` inside ``cache_dir``;
     pass ``cache_dir=None`` to disable caching entirely.  ``workers``,
     ``pool``, ``vectorized_runs``, ``stacked_candidates``,
-    ``max_retries``, ``journal``, ``spool``, ``connect`` and
-    ``memory_budget`` do not
-    enter the cache key: they select execution/supervision mechanics that
+    ``max_retries``, ``journal``, ``connect`` and ``memory_budget`` do
+    not enter the cache key: they select execution/supervision mechanics that
     produce identical results, so any may serve another's cache.  Every other config
     override *does* change results, so it is appended to the key —
     ``repro fig8 --runs 3`` will never be served a default-runs cache
@@ -222,7 +221,6 @@ def run_family_cached(
             "stacked_candidates",
             "max_retries",
             "journal",
-            "spool",
             "connect",
             "memory_budget",
         )

@@ -29,30 +29,19 @@ execution mode shares, including the in-process executor that is both
 :mod:`repro.runtime.journal` persists every committed candidate to a
 JSONL checkpoint so interrupted searches resume bit-identically, and
 :mod:`repro.runtime.faults` provides the deterministic fault-injection
-hooks (worker kill, chunk delay, corrupt result segment, host kill,
-lease steal, torn file) the fault-tolerance tests drive real process
-death with.
+hooks (worker kill, chunk delay, corrupt result segment, agent kill,
+connection drop, partition, stalled frame) the fault-tolerance tests
+drive real process death with.
 
-:mod:`repro.runtime.cluster` is the executor that shards one search
-across hosts over a shared-filesystem spool (lease-based claims,
-heartbeat liveness, dead-host recovery),
-:mod:`repro.runtime.cluster_tcp` the one over a listening socket for
-filesystem-less rigs (checksummed frames, connection leases, reconnect
-with backoff, partition tolerance), and
-:mod:`repro.runtime.backoff` is the shared capped decorrelated-jitter
-retry policy every retry path sleeps through.
+:mod:`repro.runtime.cluster_tcp` is the executor that shards one search
+across hosts over a listening socket (checksummed frames, connection
+leases, heartbeat liveness, reconnect with backoff, partition
+tolerance), and :mod:`repro.runtime.backoff` is the shared capped
+decorrelated-jitter retry policy every retry path sleeps through.
 """
 
-from .backoff import Backoff, retry_call
-from .cluster import (
-    AgentStats,
-    SpoolConfig,
-    SpoolExecutor,
-    run_agent,
-    stop_agents,
-    sweep_stale_leases,
-)
-from .cluster_tcp import TcpConfig, TcpExecutor, run_tcp_agent
+from .backoff import Backoff
+from .cluster_tcp import AgentStats, TcpConfig, TcpExecutor, run_tcp_agent
 from .faults import FaultPlan
 from .frontier import SearchFrontier
 from .jobs import (
@@ -105,13 +94,7 @@ __all__ = [
     "SearchJournal",
     "search_key",
     "Backoff",
-    "retry_call",
-    "SpoolConfig",
-    "SpoolExecutor",
     "AgentStats",
-    "run_agent",
-    "stop_agents",
-    "sweep_stale_leases",
     "TcpConfig",
     "TcpExecutor",
     "run_tcp_agent",

@@ -1,12 +1,12 @@
 """Capped exponential backoff with decorrelated jitter.
 
 Retrying a failed operation immediately is the worst possible schedule:
-whatever broke the first attempt (a dying worker, an NFS server riding
-out a failover, a contended spool directory) is usually still broken a
-microsecond later, and a fleet of clients retrying in lockstep turns one
-hiccup into a thundering herd.  Every retry path in the runtime — the
-scheduler's chunk resubmission in :mod:`repro.runtime.parallel` and all
-spool I/O in :mod:`repro.runtime.cluster` — sleeps through a
+whatever broke the first attempt (a dying worker, a restarting
+coordinator) is usually still broken a microsecond later, and a fleet
+of clients retrying in lockstep turns one hiccup into a thundering
+herd.  Every retry path in the runtime — the scheduler's chunk
+resubmission in :mod:`repro.runtime.parallel` and the TCP agents'
+redials in :mod:`repro.runtime.cluster_tcp` — sleeps through a
 :class:`Backoff` instead.
 
 The policy is "decorrelated jitter": each delay is drawn uniformly from
@@ -20,12 +20,10 @@ cap on repeated failure.  The draw comes from an injectable
 from __future__ import annotations
 
 import random
-import time
-from typing import Callable
 
 from ..exceptions import SearchError
 
-__all__ = ["Backoff", "retry_call"]
+__all__ = ["Backoff"]
 
 
 class Backoff:
@@ -63,35 +61,3 @@ class Backoff:
     def reset(self) -> None:
         self._prev = None
 
-
-def retry_call(
-    fn: Callable,
-    *,
-    retries: int = 4,
-    base_s: float = 0.05,
-    cap_s: float = 2.0,
-    rng: random.Random | None = None,
-    retry_on: "tuple[type[BaseException], ...]" = (OSError,),
-    on_retry: Callable[[BaseException, int, float], None] | None = None,
-    sleep: Callable[[float], None] = time.sleep,
-) -> object:
-    """Call ``fn()``, retrying ``retry_on`` failures with jittered backoff.
-
-    At most ``retries`` retries (so up to ``retries + 1`` calls); the
-    final failure re-raises.  ``on_retry(error, attempt, delay_s)`` is
-    invoked before each sleep, so callers can count and log.  ``sleep``
-    is injectable for tests.
-    """
-    policy = Backoff(base_s, cap_s, rng=rng)
-    attempt = 0
-    while True:
-        try:
-            return fn()
-        except retry_on as error:
-            attempt += 1
-            if attempt > retries:
-                raise
-            delay = policy.next_delay()
-            if on_retry is not None:
-                on_retry(error, attempt, delay)
-            sleep(delay)

@@ -1,17 +1,19 @@
 """Cross-host sharded grid search over plain TCP sockets.
 
-The spool transport (:mod:`repro.runtime.cluster`) serves clusters that
-share a filesystem.  Most multi-host rigs people actually have (lab
-desktops, cloud VMs, CI runners) share nothing but a network, so this
-module provides the second cluster executor: a :class:`TcpExecutor`
-that listens on a socket for agents (:func:`run_tcp_agent`,
-``repro cluster-agent --connect HOST:PORT``) that dial in and claim
-chunks over the wire.
+The single-host seams — picklable :class:`~repro.runtime.pool.JobChunk`
+chunks, ``(seed, candidate, run)``-derived RNG streams, strict
+FLOPs-order commit — make distributed execution a pure transport
+problem.  This module is the one cross-host transport: a
+:class:`TcpExecutor` that listens on a socket for agents
+(:func:`run_tcp_agent`, ``repro cluster-agent --connect HOST:PORT``)
+that dial in and claim chunks over the wire.  Hosts need to share
+nothing but a network; a site whose compute nodes only share a
+filesystem forwards the coordinator's port over SSH instead (see
+``docs/parallel_runtime.md``).
 
-The wire protocol reuses the spool's ``RSPL`` framing verbatim — magic,
-version, payload length, SHA-256 — so every message is length-prefixed
-and checksummed, and the payloads are the same pickled
-:class:`~repro.runtime.pool.JobChunk` /
+Every message is one ``RSPL`` frame — magic, version, payload length,
+SHA-256 — so it is length-prefixed and checksummed, and the payloads
+are the same pickled :class:`~repro.runtime.pool.JobChunk` /
 :class:`~repro.runtime.pool.ChunkResult` types a pool worker sees.  On
 top of the stream, eight message kinds::
 
@@ -24,8 +26,7 @@ top of the stream, eight message kinds::
     agent -> coordinator    ("result", (cid, attempt, ChunkResult))
     coordinator -> agent    ("ack",    None)
 
-The spool's full robustness ladder translates to the partition-prone
-medium:
+The robustness ladder for the partition-prone medium:
 
 * **heartbeats** are application-level ``beat`` frames.  TCP keepalive
   is useless here — a wedged peer keeps a socket "open" for hours — so
@@ -36,8 +37,7 @@ medium:
 
 * **leases** live in coordinator memory: a granted chunk is leased to
   the granting connection and expires after ``lease_timeout_s`` without
-  a frame from it, exactly like a spool lease whose heartbeat counter
-  stopped changing.  A connection that dies outright (EOF, reset, torn
+  a frame from it.  A connection that dies outright (EOF, reset, torn
   frame) releases its leases immediately — faster than waiting out the
   timeout — and either way the scheduler resubmits the chunk under the
   next attempt, bounded by ``settings.max_retries``;
@@ -65,9 +65,9 @@ medium:
 All of the correctness machinery — speculation, packing, attempt
 bounding, duplicate arbitration, cost feedback, FLOPs-order commit and
 the in-process floor — is the :class:`~repro.runtime.parallel.Scheduler`'s,
-shared with the pool and the spool, which is why a TCP-sharded
+shared with the pool, which is why a TCP-sharded
 :class:`~repro.core.grid_search.SearchOutcome` is bit-identical to a
-pooled, spool-sharded or sequential one under any failure history.
+pooled or sequential one under any failure history.
 """
 
 from __future__ import annotations
@@ -79,10 +79,13 @@ import os
 import pickle
 import queue
 import random
+import re
+import secrets
 import socket
+import struct
 import threading
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from ..config import (
@@ -97,21 +100,9 @@ from ..config import (
 from ..exceptions import SearchError, TrainingCancelled
 from . import faults
 from .backoff import Backoff
-from .cluster import (
-    _REMOTE_BUDGET,
-    AgentStats,
-    TornFileError,
-    _cached_cost_model,
-    _frame,
-    _FRAME_VERSION,
-    _HEADER,
-    _MAGIC,
-    _new_owner_id,
-    _save_cost_model,
-)
 from .memory import MemoryBudget
 from .parallel import Delivered, ExecutorCounters, Lost, Notice, Starved
-from .pool import ChunkResult, JobChunk, execute_chunk
+from .pool import ChunkCostModel, ChunkResult, JobChunk, execute_chunk
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.grid_search import TrainingSettings
@@ -120,8 +111,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "TcpConfig",
     "TcpExecutor",
+    "AgentStats",
     "run_tcp_agent",
     "ConnectionDead",
+    "TornFrameError",
 ]
 
 logger = logging.getLogger("repro.runtime")
@@ -138,6 +131,35 @@ _STOP_POLL_S = 0.25
 
 class ConnectionDead(SearchError):
     """The peer closed, reset, or stalled the connection mid-frame."""
+
+
+class TornFrameError(SearchError):
+    """A frame failed validation (magic, version, length or checksum)."""
+
+
+_MAGIC = b"RSPL"
+#: Version 2: payloads are JobChunk/ChunkResult.  A peer from an older
+#: checkout fails validation instead of unpickling a missing class.
+_FRAME_VERSION = 2
+_HEADER = struct.Struct("<4sIQ32s")  # magic, version, payload len, sha256
+
+
+def _frame(payload: bytes) -> bytes:
+    return (
+        _HEADER.pack(
+            _MAGIC,
+            _FRAME_VERSION,
+            len(payload),
+            hashlib.sha256(payload).digest(),
+        )
+        + payload
+    )
+
+
+def _new_owner_id() -> str:
+    """``repro_<host>_<pid>_<nonce>``: one coordinator or agent identity."""
+    host = re.sub(r"[^A-Za-z0-9-]", "-", socket.gethostname()) or "host"
+    return f"repro_{host}_{os.getpid()}_{secrets.token_hex(3)}"
 
 
 def _parse_address(address: "str | os.PathLike") -> tuple[str, int]:
@@ -207,7 +229,7 @@ def _recv_frame(
     byte lands every subsequent read must progress within
     ``frame_timeout_s`` or the connection is declared dead.  A frame
     that fails validation raises
-    :class:`~repro.runtime.cluster.TornFileError` — on a byte stream
+    :class:`TornFrameError` — on a byte stream
     there is no way to resync past a bad frame, so callers treat the
     connection as unusable afterwards.
     """
@@ -233,18 +255,18 @@ def _recv_frame(
         head += _recv_exact(sock, _HEADER.size - len(head))
     magic, version, length, digest = _HEADER.unpack(head)
     if magic != _MAGIC:
-        raise TornFileError("TCP frame carries a foreign magic")
+        raise TornFrameError("TCP frame carries a foreign magic")
     if version != _FRAME_VERSION:
-        raise TornFileError(
+        raise TornFrameError(
             f"TCP frame version {version} != {_FRAME_VERSION}"
         )
     if length > _MAX_FRAME_BYTES:
-        raise TornFileError(
+        raise TornFrameError(
             f"TCP frame declares an absurd payload of {length} bytes"
         )
     payload = _recv_exact(sock, length)
     if hashlib.sha256(payload).digest() != digest:
-        raise TornFileError("TCP frame checksum mismatch")
+        raise TornFrameError("TCP frame checksum mismatch")
     return payload
 
 
@@ -271,13 +293,15 @@ def _recv_msg(
     try:
         msg = pickle.loads(payload)
     except Exception as error:
-        raise TornFileError(f"undecodable TCP message: {error}") from None
+        raise TornFrameError(f"undecodable TCP message: {error}") from None
     if (
         not isinstance(msg, tuple)
         or len(msg) != 2
         or not isinstance(msg[0], str)
     ):
-        raise TornFileError("malformed TCP message (want a (kind, data) pair)")
+        raise TornFrameError(
+            "malformed TCP message (want a (kind, data) pair)"
+        )
     return msg
 
 
@@ -291,8 +315,8 @@ class TcpConfig:
     The executor binds the address (port 0 picks an ephemeral port,
     readable as ``executor.address`` after ``open()``); agents dial the
     same string.  ``cost_cache`` names an optional JSON file for the
-    executor's measured-cost model, exactly as on
-    :class:`~repro.runtime.cluster.SpoolConfig`.
+    executor's measured-cost model, loaded when the executor is built
+    and saved on close.
     """
 
     address: str
@@ -333,8 +357,8 @@ class TcpExecutor:
     runs on daemon threads and reaches the scheduler thread through a
     lock-guarded lease table and a result queue.
 
-    Single-writer like the spool: one listening socket, one commit
-    stream; agents scale horizontally.  ``address`` holds the bound
+    Single-writer: one listening socket, one commit stream; agents
+    scale horizontally.  ``address`` holds the bound
     ``HOST:PORT`` once :meth:`open` ran (port 0 picks a free one).
     """
 
@@ -345,7 +369,9 @@ class TcpExecutor:
         self.host, self.port = _parse_address(self.cfg.address)
         self.address = self.cfg.address
         self.token = _new_owner_id()
-        self.cost_model = _cached_cost_model(self.cfg.cost_cache)
+        self.cost_model = ChunkCostModel()
+        if self.cfg.cost_cache:
+            self.cost_model.load_json(self.cfg.cost_cache)
         self.counters = ExecutorCounters()
         self.capacity = 0
         self._split: "DataSplit | None" = None
@@ -375,7 +401,8 @@ class TcpExecutor:
         self.torn_frames = 0
 
     def memory_budget(self, settings: "TrainingSettings") -> MemoryBudget:
-        return _REMOTE_BUDGET
+        # Agents do not share this host's memory, so no budget governs them.
+        return MemoryBudget(bytes=None, source="off")
 
     def stats(self) -> dict:
         """One snapshot of the executor's instrumentation counters."""
@@ -429,7 +456,15 @@ class TcpExecutor:
                 pass
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5.0)
-        _save_cost_model(self.cost_model, self.cfg.cost_cache)
+        if self.cfg.cost_cache and self.cost_model.observations:
+            try:
+                self.cost_model.save_json(self.cfg.cost_cache)
+            except OSError as error:  # pragma: no cover - cache dir gone
+                logger.warning(
+                    "could not save cluster cost cache %s: %s",
+                    self.cfg.cost_cache,
+                    error,
+                )
 
     # -- connection handling (daemon threads) ------------------------------
 
@@ -522,7 +557,7 @@ class TcpExecutor:
                         and len(data) == 3
                         and isinstance(data[2], ChunkResult)
                     ):
-                        raise TornFileError("malformed result message")
+                        raise TornFrameError("malformed result message")
                     cid, attempt, result = data
                     with self._lock:
                         lease = self._leases.get(cid)
@@ -534,7 +569,7 @@ class TcpExecutor:
                     raise ConnectionDead(
                         f"protocol violation: unknown kind {kind!r}"
                     )
-        except TornFileError as error:
+        except TornFrameError as error:
             # A framing violation poisons the whole stream (no resync
             # on TCP): count it and drop the connection; the next poll
             # requeues whatever it held.
@@ -652,6 +687,21 @@ class TcpExecutor:
 # -- agent ------------------------------------------------------------------
 
 
+@dataclass
+class AgentStats:
+    """What one agent serve loop did, for logs and tests.
+
+    ``reconnects`` counts every re-dial after the first established
+    connection.
+    """
+
+    agent_id: str
+    chunks_done: int = 0
+    cancelled: int = 0
+    reconnects: int = 0
+    faults_fired: list = field(default_factory=list)
+
+
 class _TcpHeartbeat(threading.Thread):
     """Sends a ``beat`` frame every ``interval_s`` over the agent's socket.
 
@@ -660,7 +710,7 @@ class _TcpHeartbeat(threading.Thread):
     cancellation check watches, aborting the doomed chunk at the next
     epoch boundary instead of training to completion for nobody.
     ``suspend``/``resume`` model a network partition for the
-    ``partition`` fault, exactly like the spool heartbeat's.
+    ``partition`` fault.
     """
 
     def __init__(
@@ -739,8 +789,8 @@ def run_tcp_agent(
     deterministic in tests), and a chunk in flight when the connection
     died is simply abandoned — the coordinator requeues it, and chunks
     are deterministic, so the retry is bit-identical.  ``fault_dir``
-    points at a spool-style ``faults/`` token directory for the
-    deterministic TCP fault plans (tests only).
+    names the directory :func:`repro.runtime.faults.arm_file_fault`
+    armed, for the deterministic TCP fault plans (tests only).
     """
     from ..quantum.engine import compile_cache_scope
 
@@ -805,7 +855,7 @@ def run_tcp_agent(
                     )
                 except _ExitServeLoop:
                     break
-                except (ConnectionDead, TornFileError, OSError) as error:
+                except (ConnectionDead, TornFrameError, OSError) as error:
                     logger.info(
                         "agent %s lost its connection (%s); redialing",
                         agent_id,
@@ -839,7 +889,7 @@ def _serve_connection(
 
     Raises :class:`_ExitServeLoop` for terminal conditions (stop event,
     ``max_chunks``, idle timeout) and :class:`ConnectionDead` /
-    :class:`~repro.runtime.cluster.TornFileError` when the connection
+    :class:`TornFrameError` when the connection
     must be redialed.
     """
     conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -885,7 +935,7 @@ def _serve_connection(
                 raise ConnectionDead(f"expected chunk, got {msg[0]!r}")
             cid, attempt, chunk = msg[1]
             plan = (
-                faults.claim_spool_fault(
+                faults.claim_file_fault(
                     fault_dir, {job.candidate_index for job in chunk.jobs}
                 )
                 if fault_dir is not None

@@ -33,23 +33,13 @@ fault-free one.
 Faults never fire outside an armed plan: with the plan region zeroed
 (the default), :func:`maybe_fire` is one 4-byte read per chunk.
 
-The cluster runtime (:mod:`repro.runtime.cluster`) has its own fault
-kinds — shared memory does not cross hosts, so its plans are armed as
-*spool files* instead of control-segment bytes:
+The TCP cluster transport (:mod:`repro.runtime.cluster_tcp`) has its
+own fault kinds — shared memory does not cross hosts, so its plans are
+armed as *files* in a directory every agent can read (its
+``fault_dir``) instead of control-segment bytes:
 
 * ``host-kill`` — the agent SIGKILLs itself right after claiming a
-  matching chunk's lease, exercising lease expiry and chunk re-enqueue;
-* ``lease-steal`` — the agent suspends its heartbeat for ``delay_s``
-  (a network partition), lets the coordinator expire its lease and
-  re-issue the chunk, then *rejoins* and still writes its now-duplicate
-  result, exercising first-commit-wins dedup;
-* ``torn-file`` — the agent writes a truncated result frame, exercising
-  checksum detection and quarantine.
-
-The TCP transport (:mod:`repro.runtime.cluster_tcp`) adds three more
-file-armed kinds — its agents take a ``fault_dir`` pointing at the same
-token directory layout, so the one-shot discipline carries over:
-
+  matching chunk, exercising lease expiry and chunk re-enqueue;
 * ``conn-drop`` — the agent writes half its result frame and then
   closes the connection, exercising mid-frame torn-delivery detection,
   dead-connection requeue and agent reconnect with backoff;
@@ -62,7 +52,7 @@ token directory layout, so the one-shot discipline carries over:
   exercising the coordinator's per-frame read timeout.
 
 ``times`` is enforced cross-process by one-shot token files claimed via
-atomic rename (:func:`claim_spool_fault`), so a retried chunk runs clean
+atomic rename (:func:`claim_file_fault`), so a retried chunk runs clean
 on any host.
 """
 
@@ -87,14 +77,12 @@ __all__ = [
     "CORRUPT_RESULT",
     "OOM",
     "HOST_KILL",
-    "LEASE_STEAL",
-    "TORN_FILE",
     "CONN_DROP",
     "PARTITION",
     "SLOW_FRAME",
-    "arm_spool_fault",
-    "clear_spool_fault",
-    "claim_spool_fault",
+    "arm_file_fault",
+    "clear_file_fault",
+    "claim_file_fault",
 ]
 
 KILL = "kill"
@@ -102,16 +90,12 @@ DELAY = "delay"
 CORRUPT_RESULT = "corrupt-result"
 OOM = "oom"
 HOST_KILL = "host-kill"
-LEASE_STEAL = "lease-steal"
-TORN_FILE = "torn-file"
 CONN_DROP = "conn-drop"
 PARTITION = "partition"
 SLOW_FRAME = "slow-frame"
-_SPOOL_KINDS = (HOST_KILL, LEASE_STEAL, TORN_FILE)
-_TCP_KINDS = (HOST_KILL, CONN_DROP, PARTITION, SLOW_FRAME)
 #: Every kind armed as one-shot token files rather than control-segment
-#: bytes (the union of the spool's and the TCP transport's kinds).
-_FILE_KINDS = tuple(dict.fromkeys(_SPOOL_KINDS + _TCP_KINDS))
+#: bytes: the TCP agents' kinds.
+_FILE_KINDS = (HOST_KILL, CONN_DROP, PARTITION, SLOW_FRAME)
 _KINDS = (KILL, DELAY, CORRUPT_RESULT, OOM) + _FILE_KINDS
 
 # Control-segment layout.  Byte 0 onward is owned by the cancellation
@@ -257,26 +241,25 @@ def corrupt_shipment(nbytes: int = 64) -> "ShmResultHandle":
     return ShmResultHandle(segment=shm.name, nbytes=nbytes)
 
 
-# -- spool-armed faults (cluster agents) ------------------------------------
+# -- file-armed faults (cluster agents) -------------------------------------
 
-_SPOOL_FAULT_DIR = "faults"
-_SPOOL_PLAN_FILE = "plan.json"
-
-
-def _spool_fault_dir(spool_dir) -> str:
-    return os.path.join(os.fspath(spool_dir), _SPOOL_FAULT_DIR)
+_FAULT_DIR = "faults"
+_PLAN_FILE = "plan.json"
 
 
-def arm_spool_fault(spool_dir, plan: FaultPlan) -> None:
-    """Arm one deterministic cluster fault in a spool (test/parent side).
+def _fault_dir(root) -> str:
+    return os.path.join(os.fspath(root), _FAULT_DIR)
+
+
+def arm_file_fault(root, plan: FaultPlan) -> None:
+    """Arm one deterministic cluster fault under ``root`` (test/parent side).
 
     Writes ``faults/plan.json`` plus ``plan.times`` one-shot token files;
-    an agent only fires after claiming a token by atomic rename, so the
-    firing bound holds across any number of agent processes and hosts.
-    File-armed plans must target a ``candidate`` — chunk-counting order
-    is not deterministic across hosts.  TCP agents point their
-    ``fault_dir`` at the same layout, so their kinds (``conn-drop``,
-    ``partition``, ``slow-frame``) arm identically.
+    an agent (whose ``fault_dir`` is ``root``) only fires after claiming
+    a token by atomic rename, so the firing bound holds across any
+    number of agent processes and hosts.  File-armed plans must target
+    a ``candidate`` — chunk-counting order is not deterministic across
+    hosts.
     """
     if plan.kind not in _FILE_KINDS:
         raise SearchError(
@@ -284,10 +267,10 @@ def arm_spool_fault(spool_dir, plan: FaultPlan) -> None:
             f"options: {_FILE_KINDS}"
         )
     if plan.candidate is None:
-        raise SearchError("spool fault plans must target a candidate index")
-    directory = _spool_fault_dir(spool_dir)
+        raise SearchError("file fault plans must target a candidate index")
+    directory = _fault_dir(root)
     os.makedirs(directory, exist_ok=True)
-    clear_spool_fault(spool_dir)
+    clear_file_fault(root)
     for i in range(plan.times):
         with open(os.path.join(directory, f"token-{i}"), "w"):
             pass
@@ -304,12 +287,12 @@ def arm_spool_fault(spool_dir, plan: FaultPlan) -> None:
     tmp = os.path.join(directory, f".plan.tmp{os.getpid()}")
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(payload)
-    os.replace(tmp, os.path.join(directory, _SPOOL_PLAN_FILE))
+    os.replace(tmp, os.path.join(directory, _PLAN_FILE))
 
 
-def clear_spool_fault(spool_dir) -> None:
-    """Disarm any spool plan and remove all tokens, fired or not."""
-    directory = _spool_fault_dir(spool_dir)
+def clear_file_fault(root) -> None:
+    """Disarm any file-armed plan and remove all tokens, fired or not."""
+    directory = _fault_dir(root)
     try:
         names = os.listdir(directory)
     except OSError:
@@ -321,18 +304,16 @@ def clear_spool_fault(spool_dir) -> None:
             continue
 
 
-def claim_spool_fault(spool_dir, candidates) -> FaultPlan | None:
+def claim_file_fault(root, candidates) -> FaultPlan | None:
     """Agent-side hook: the armed plan if it matches and a token remains.
 
     ``candidates`` is the claimed chunk's candidate-index collection.
     Claiming consumes one token file by atomic rename; with no tokens
     left (or no plan, or no match) nothing fires.
     """
-    directory = _spool_fault_dir(spool_dir)
+    directory = _fault_dir(root)
     try:
-        with open(
-            os.path.join(directory, _SPOOL_PLAN_FILE), encoding="utf-8"
-        ) as fh:
+        with open(os.path.join(directory, _PLAN_FILE), encoding="utf-8") as fh:
             data = json.loads(fh.read())
         plan = FaultPlan(
             kind=data["kind"],
@@ -346,7 +327,7 @@ def claim_spool_fault(spool_dir, candidates) -> FaultPlan | None:
         return None
     try:
         names = sorted(os.listdir(directory))
-    except OSError:  # pragma: no cover - spool vanished mid-claim
+    except OSError:  # pragma: no cover - directory vanished mid-claim
         return None
     for name in names:
         if not name.startswith("token-") or ".fired" in name:

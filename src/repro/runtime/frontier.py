@@ -8,8 +8,7 @@ of that rule.  Execution modes differ only in how run results reach it:
 * in-process (``grid_search(workers=1)``, and the graceful-degradation
   floor of every other mode): :meth:`SearchFrontier.run_in_process`;
 * the speculative scheduler (:class:`repro.runtime.parallel.Scheduler`)
-  on any of its three executors: a persistent worker pool, a
-  shared-filesystem spool, or TCP agents.
+  on either of its executors: a persistent worker pool or TCP agents.
 
 Each mode :meth:`~SearchFrontier.offer`\\ s per-run entries as they
 arrive, in any order, and calls :meth:`~SearchFrontier.commit`.  A
@@ -63,8 +62,7 @@ class SearchEvent:
       partitioned cluster agent;
     * ``"conn-lost"``: a TCP agent's connection dropped while it held a
       lease;
-    * ``"torn-file"``: a spool file, socket frame or result failed
-      validation;
+    * ``"torn-file"``: a socket frame or result failed validation;
     * ``"no-agents"``: no live agent served a cluster within its grace
       period.
 

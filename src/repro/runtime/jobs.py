@@ -31,7 +31,7 @@ bit-identical to the per-candidate paths, so grouping is pure wall-time
 optimization.
 
 :func:`chunk_entries` is the one **OOM recovery ladder** over those
-primitives, shared by every execution mode: pool workers, both cluster
+primitives, shared by every execution mode: pool workers, TCP cluster
 agents and the in-process executor
 (:meth:`repro.runtime.frontier.SearchFrontier.run_in_process`).  It
 turns a list of jobs into per-run :class:`RunResult` / :class:`RunError`

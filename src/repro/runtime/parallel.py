@@ -38,10 +38,9 @@ embarrassingly parallel.  :class:`Scheduler` exploits that gap on any
 
 An executor keeps only its medium and its liveness:
 ``submit(cid, attempt, chunk)``, ``poll(timeout)`` (deliveries, losses,
-notices, starvation) and ``abort()``.  Three exist:
+notices, starvation) and ``abort()``.  Two exist:
 :class:`PoolExecutor` (a :class:`~repro.runtime.pool.PersistentPool`:
-generations, the worker-pid watchdog and chunk deadlines),
-:class:`repro.runtime.cluster.SpoolExecutor` (a shared directory) and
+generations, the worker-pid watchdog and chunk deadlines) and
 :class:`repro.runtime.cluster_tcp.TcpExecutor` (sockets).  The reported
 :class:`~repro.core.grid_search.SearchOutcome` is identical to
 ``workers=1`` whatever the executor, completion order, packing, retries

@@ -349,10 +349,9 @@ class JobChunk:
     when ``runs`` is large relative to the worker count.  The payload is
     small by construction: jobs are coordinates, the handle is a name.
     The scheduler builds chunks with ``handle=None`` and
-    ``generation=0``; each executor stamps where its workers find the
-    split (a :class:`SharedSplitHandle` on a pool, the dataset file
-    name on a spool, nothing over TCP, whose agents receive the split
-    on connect) and, on a pool, the search generation.
+    ``generation=0``; a pool stamps the :class:`SharedSplitHandle` its
+    workers attach and the search generation (TCP agents receive the
+    split on connect, so their chunks keep ``handle=None``).
 
     ``vectorized`` asks the worker to train the chunk's whole run set as
     a single run-stacked sweep
@@ -365,7 +364,7 @@ class JobChunk:
     """
 
     jobs: tuple[TrainingJob, ...]
-    handle: "SharedSplitHandle | str | None"
+    handle: "SharedSplitHandle | None"
     settings: "TrainingSettings"
     generation: int
     vectorized: bool = False
@@ -481,7 +480,7 @@ def execute_chunk(
 ) -> ChunkResult:
     """Train a chunk through the OOM ladder and measure it.
 
-    The one chunk runner of pool workers and both cluster agents:
+    The one chunk runner of pool workers and TCP cluster agents:
     :func:`~repro.runtime.jobs.chunk_entries` plus the wall time, the
     ladder's counts and the resident-set growth the scheduler feeds
     back.  Raises :class:`~repro.exceptions.TrainingCancelled` when
@@ -928,9 +927,9 @@ class PersistentPool:
     def _worker_pool(self):
         """The underlying process pool, started on first use.
 
-        multiprocessing.Pool rather than ProcessPoolExecutor: its
-        terminate() kills in-flight work at close(), where an executor
-        could only cancel *queued* futures and would stall interpreter
+        multiprocessing.Pool rather than concurrent.futures' process
+        pool executor: its terminate() kills in-flight work at close(),
+        where an executor could only cancel *queued* futures and would stall interpreter
         exit on running speculative trainings.
         """
         if not self._pool_box:

@@ -139,6 +139,20 @@ class TestSerialization:
         restored = load_protocol(path)
         assert restored.config == classical_result.config
 
+    def test_legacy_spool_key_loads(self, classical_result):
+        """Files saved while the config had a ``spool`` transport field
+        carry ``"spool": null``; they still load, to the same config."""
+        data = protocol_to_dict(classical_result)
+        data["config"]["spool"] = None
+        restored = protocol_from_dict(data)
+        assert restored.config == classical_result.config
+
+    def test_unknown_config_key_rejected(self, classical_result):
+        data = protocol_to_dict(classical_result)
+        data["config"]["bogus"] = None
+        with pytest.raises(TypeError, match="bogus"):
+            protocol_from_dict(data)
+
     def test_schema_version_guard(self, classical_result):
         data = protocol_to_dict(classical_result)
         data["schema_version"] = "99.0"

@@ -125,6 +125,33 @@ class TestRunFamily:
         run_family_cached("bel", micro_profile, **kwargs)
         assert computed == ["bel", "bel"]
 
+    def test_cache_with_legacy_spool_key_is_served(
+        self, micro_profile, tmp_path, monkeypatch
+    ):
+        """A current-arithmetic file saved while the config still had a
+        ``spool`` field is served, not recomputed."""
+        import json
+
+        from repro.experiments import runner
+
+        computed = []
+
+        def counting_run_family(*args, **kwargs):
+            computed.append(args[0])
+            return run_family(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "run_family", counting_run_family)
+        kwargs = dict(cache_dir=tmp_path, threshold=0.4)
+        first = run_family_cached("classical", micro_profile, **kwargs)
+        path = tmp_path / "classical_micro.json"
+        data = json.loads(path.read_text())
+        data["config"]["spool"] = None
+        path.write_text(json.dumps(data))
+
+        second = run_family_cached("classical", micro_profile, **kwargs)
+        assert computed == ["classical"]
+        assert second.config == first.config
+
     def test_cache_disabled(self, micro_profile, tmp_path):
         run_family_cached("classical", micro_profile, cache_dir=None, threshold=0.4)
         assert not list(tmp_path.iterdir())

@@ -2,8 +2,7 @@
 
 Every retry path in the runtime sleeps through this policy, so its
 contract is load-bearing: delays must stay inside [base, cap], grow
-from the base, be deterministic under a seeded rng, and retry_call
-must re-raise the final failure untouched.
+from the base and be deterministic under a seeded rng.
 """
 
 import random
@@ -11,7 +10,7 @@ import random
 import pytest
 
 from repro.exceptions import SearchError
-from repro.runtime import Backoff, retry_call
+from repro.runtime import Backoff
 
 
 class TestBackoff:
@@ -47,89 +46,3 @@ class TestBackoff:
         with pytest.raises(SearchError, match="cap_s"):
             Backoff(base_s=1.0, cap_s=0.5)
 
-
-class TestRetryCall:
-    def test_retries_then_succeeds(self):
-        calls = []
-        slept = []
-        retried = []
-
-        def flaky():
-            calls.append(1)
-            if len(calls) < 3:
-                raise OSError("transient")
-            return "ok"
-
-        result = retry_call(
-            flaky,
-            retries=4,
-            base_s=0.001,
-            cap_s=0.01,
-            rng=random.Random(0),
-            on_retry=lambda err, attempt, delay: retried.append(
-                (type(err), attempt, delay)
-            ),
-            sleep=slept.append,
-        )
-        assert result == "ok"
-        assert len(calls) == 3
-        assert len(slept) == 2  # one sleep per failure before success
-        assert [a for _, a, _ in retried] == [1, 2]
-        assert all(0.001 <= d <= 0.01 for d in slept)
-
-    def test_exhaustion_reraises_final_error(self):
-        calls = []
-
-        def always_fails():
-            calls.append(1)
-            raise OSError("still broken")
-
-        with pytest.raises(OSError, match="still broken"):
-            retry_call(
-                always_fails,
-                retries=2,
-                base_s=0.001,
-                cap_s=0.002,
-                rng=random.Random(0),
-                sleep=lambda _s: None,
-            )
-        assert len(calls) == 3  # retries + 1 total attempts
-
-    def test_non_matching_error_propagates_immediately(self):
-        calls = []
-
-        def wrong_kind():
-            calls.append(1)
-            raise ValueError("not retryable")
-
-        with pytest.raises(ValueError):
-            retry_call(
-                wrong_kind,
-                retries=5,
-                retry_on=(OSError,),
-                sleep=lambda _s: None,
-            )
-        assert len(calls) == 1
-
-    def test_seeded_sleep_schedule_is_deterministic(self):
-        def schedule():
-            slept = []
-            n = [0]
-
-            def fails_twice():
-                n[0] += 1
-                if n[0] < 3:
-                    raise OSError("boom")
-                return None
-
-            retry_call(
-                fails_twice,
-                retries=4,
-                base_s=0.01,
-                cap_s=1.0,
-                rng=random.Random(7),
-                sleep=slept.append,
-            )
-            return slept
-
-        assert schedule() == schedule()

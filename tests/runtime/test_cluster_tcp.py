@@ -28,10 +28,10 @@ from repro.core.grid_search import TrainingSettings, grid_search
 from repro.core.search_space import classical_search_space
 from repro.data import make_spiral, stratified_split
 from repro.runtime import faults
-from repro.runtime.cluster import _frame
 from repro.runtime.cluster_tcp import (
     TcpConfig,
     TcpExecutor,
+    _frame,
     _recv_msg,
     _send_msg,
     run_tcp_agent,
@@ -119,7 +119,7 @@ def _thread_agent(cfg, stop, stats_out=None, **kwargs):
 
     Agents dial with backoff, so it is safe to start them before the
     coordinator binds.  ``stats_out`` (a list) receives the final
-    :class:`~repro.runtime.cluster.AgentStats`.
+    :class:`~repro.runtime.cluster_tcp.AgentStats`.
     """
     kwargs.setdefault("poll_interval_s", 0.05)
     kwargs.setdefault("heartbeat_s", 0.2)
@@ -223,7 +223,7 @@ class TestAgentDeath:
         cfg = _fast_tcp()
         fault_root = tmp_path / "faults"
         fault_root.mkdir()
-        faults.arm_spool_fault(
+        faults.arm_file_fault(
             fault_root, FaultPlan(kind="host-kill", candidate=1)
         )
         procs = [_subprocess_agent(cfg, fault_root) for _ in range(2)]
@@ -237,7 +237,7 @@ class TestAgentDeath:
                 except subprocess.TimeoutExpired:
                     proc.kill()
                     proc.wait()
-            faults.clear_spool_fault(fault_root)
+            faults.clear_file_fault(fault_root)
         _assert_same_outcome(par, seq)
         # Exactly one agent died: SIGKILL shows as a negative return code.
         assert sorted(p.returncode for p in procs) == [-9, 0]
@@ -259,7 +259,7 @@ class TestConnDrop:
         cfg = _fast_tcp()
         fault_root = tmp_path / "faults"
         fault_root.mkdir()
-        faults.arm_spool_fault(
+        faults.arm_file_fault(
             fault_root, FaultPlan(kind="conn-drop", candidate=1)
         )
         stop = threading.Event()
@@ -272,7 +272,7 @@ class TestConnDrop:
             par = grid_search(**kwargs, connect=cfg, on_event=events.append)
         finally:
             _join_agents(stop, agents)
-            faults.clear_spool_fault(fault_root)
+            faults.clear_file_fault(fault_root)
         _assert_same_outcome(par, seq)
         kinds = [e.kind for e in events]
         assert "conn-lost" in kinds
@@ -296,7 +296,7 @@ class TestPartition:
         cfg = _fast_tcp(lease_timeout_s=1.0)
         fault_root = tmp_path / "faults"
         fault_root.mkdir()
-        faults.arm_spool_fault(
+        faults.arm_file_fault(
             fault_root,
             FaultPlan(kind="partition", candidate=1, delay_s=3.0),
         )
@@ -310,7 +310,7 @@ class TestPartition:
             par = grid_search(**kwargs, connect=cfg, on_event=events.append)
         finally:
             _join_agents(stop, agents)
-            faults.clear_spool_fault(fault_root)
+            faults.clear_file_fault(fault_root)
         _assert_same_outcome(par, seq)
         kinds = [e.kind for e in events]
         assert "lease-expired" in kinds
@@ -330,7 +330,7 @@ class TestSlowFrame:
         cfg = _fast_tcp(frame_timeout_s=1.0, lease_timeout_s=2.0)
         fault_root = tmp_path / "faults"
         fault_root.mkdir()
-        faults.arm_spool_fault(
+        faults.arm_file_fault(
             fault_root,
             FaultPlan(kind="slow-frame", candidate=1, delay_s=4.0),
         )
@@ -347,7 +347,7 @@ class TestSlowFrame:
             par = grid_search(**kwargs, connect=cfg, on_event=events.append)
         finally:
             _join_agents(stop, agents)
-            faults.clear_spool_fault(fault_root)
+            faults.clear_file_fault(fault_root)
         _assert_same_outcome(par, seq)
         kinds = [e.kind for e in events]
         assert "conn-lost" in kinds or "lease-expired" in kinds
@@ -564,7 +564,7 @@ class TestCostModel:
     def test_tcp_coordinator_learns_and_persists_chunk_costs(
         self, easy_split, tmp_path
     ):
-        """Every delivered ``SpoolResult.wall_time_s`` feeds the
+        """Every delivered ``ChunkResult.wall_time_s`` feeds the
         coordinator's cost model, and ``cost_cache`` persists it."""
         from repro.core.grid_search import rank_by_flops
         from repro.flops.conventions import get_convention
@@ -603,6 +603,46 @@ class TestCostModel:
         warm = ChunkCostModel()
         assert warm.load_json(cache)
         assert warm.observations == len(seq.evaluated)
+
+
+class TestProtocolIntegration:
+    def test_run_protocol_over_tcp_with_journals(self, tmp_path):
+        """The protocol layer: ``ProtocolConfig.connect`` routes every
+        search through the coordinator, and the configured journal path
+        forks into one derived file per (level, experiment) — sharing a
+        file would lose checkpoints to compaction."""
+        from repro.core.experiment import ProtocolConfig, run_protocol
+
+        cfg = ProtocolConfig(
+            feature_sizes=(4,),
+            n_experiments=2,
+            runs_per_candidate=1,
+            epochs=2,
+            batch_size=32,
+            n_points=90,
+            max_candidates=2,
+            threshold=1.01,
+        )
+        seq = run_protocol("classical", cfg)
+        tcp = _fast_tcp()
+        stop = threading.Event()
+        agents = [_thread_agent(tcp, stop)]
+        try:
+            par = run_protocol(
+                "classical",
+                cfg.with_(
+                    connect=tcp,
+                    journal=str(tmp_path / "ckpt.jsonl"),
+                ),
+            )
+        finally:
+            _join_agents(stop, agents)
+        assert not (tmp_path / "ckpt.jsonl").exists()
+        for experiment in range(2):
+            assert (tmp_path / f"ckpt-f4-e{experiment}.jsonl").exists()
+        for lvl_seq, lvl_par in zip(seq.levels, par.levels):
+            for a, b in zip(lvl_seq.outcomes, lvl_par.outcomes):
+                _assert_same_outcome(b, a)
 
 
 class TestCliTcpSmoke:

@@ -1,7 +1,7 @@
-"""One scheduler, three executors: the cross-executor guarantees.
+"""One scheduler, two executors: the cross-executor guarantees.
 
-Every execution medium — the persistent worker pool, the spool
-directory and TCP agents — runs the same :class:`Scheduler`, so a
+Every execution medium — the persistent worker pool and TCP agents —
+runs the same :class:`Scheduler`, so a
 setting means the same thing on each: retries bound the same way and
 exhaust into the same fallback (or error), and a worker's out-of-memory
 recovery surfaces as the same ``memory-degrade`` event.  Each test is
@@ -9,7 +9,6 @@ parametrized over the executors; cluster agents run on daemon threads
 in this process.
 """
 
-import os
 import random
 import socket
 import threading
@@ -23,12 +22,6 @@ from repro.data import make_spiral, stratified_split
 from repro.exceptions import SearchError
 from repro.flops.conventions import get_convention
 from repro.runtime import FaultPlan, PersistentPool, faults
-from repro.runtime.cluster import (
-    SpoolConfig,
-    SpoolExecutor,
-    run_agent,
-    stop_agents,
-)
 from repro.runtime.cluster_tcp import TcpConfig, TcpExecutor, run_tcp_agent
 from repro.runtime.frontier import SearchFrontier
 from repro.runtime.parallel import PoolExecutor, speculative_search
@@ -97,30 +90,6 @@ def _start(target, *args, **kwargs):
 
 
 @contextmanager
-def _spool_agent(tmp_path, fault=None):
-    """A spool served by one thread agent; yields its config."""
-    spool = SpoolConfig(
-        path=str(tmp_path / "spool"),
-        lease_timeout_s=2.0,
-        poll_interval_s=0.05,
-        agent_grace_s=30.0,
-    )
-    os.makedirs(spool.path, exist_ok=True)
-    if fault is not None:
-        faults.arm_spool_fault(spool.path, fault)
-    agent = _start(
-        run_agent, spool.path, poll_interval_s=0.05, heartbeat_s=0.2
-    )
-    try:
-        yield spool
-    finally:
-        stop_agents(spool.path)
-        agent.join(timeout=30)
-        faults.clear_spool_fault(spool.path)
-    assert not agent.is_alive()
-
-
-@contextmanager
 def _tcp_agent(tmp_path, fault=None):
     """A TCP address served by one thread agent; yields its config."""
     cfg = TcpConfig(
@@ -133,7 +102,7 @@ def _tcp_agent(tmp_path, fault=None):
     fault_dir = tmp_path / "faults"
     fault_dir.mkdir()
     if fault is not None:
-        faults.arm_spool_fault(fault_dir, fault)
+        faults.arm_file_fault(fault_dir, fault)
     stop = threading.Event()
     agent = _start(
         run_tcp_agent,
@@ -149,7 +118,7 @@ def _tcp_agent(tmp_path, fault=None):
     finally:
         stop.set()
         agent.join(timeout=30)
-        faults.clear_spool_fault(fault_dir)
+        faults.clear_file_fault(fault_dir)
     assert not agent.is_alive()
 
 
@@ -165,17 +134,13 @@ def _chunk_losing_executor(kind, tmp_path, easy_split):
                 yield PoolExecutor(pool)
             finally:
                 pool.clear_fault()
-    elif kind == "spool":
-        fault = FaultPlan(kind="torn-file", candidate=1)
-        with _spool_agent(tmp_path, fault) as spool:
-            yield SpoolExecutor(spool)
     else:
         fault = FaultPlan(kind="conn-drop", candidate=1)
         with _tcp_agent(tmp_path, fault) as cfg:
             yield TcpExecutor(cfg)
 
 
-EXECUTORS = ["pool", "spool", "tcp"]
+EXECUTORS = ["pool", "tcp"]
 
 
 class TestRetryExhaustion:
@@ -226,7 +191,7 @@ class TestMemoryDegradeVisibility:
     """An agent's OOM ladder is visible to the coordinator exactly as a
     pool worker's is: one ``memory-degrade`` event, unchanged results."""
 
-    @pytest.mark.parametrize("kind", ["spool", "tcp"])
+    @pytest.mark.parametrize("kind", ["tcp"])
     def test_agent_oom_emits_memory_degrade(
         self, easy_split, tmp_path, monkeypatch, kind
     ):
@@ -258,16 +223,8 @@ class TestMemoryDegradeVisibility:
         monkeypatch.setattr(VectorizedTrainer, "train", oom_once)
         monkeypatch.setattr(jobs, "execute_candidates", oom_once_grouped)
         events = []
-        if kind == "spool":
-            with _spool_agent(tmp_path) as spool:
-                par = grid_search(
-                    **kwargs, spool=spool, on_event=events.append
-                )
-        else:
-            with _tcp_agent(tmp_path) as cfg:
-                par = grid_search(
-                    **kwargs, connect=cfg, on_event=events.append
-                )
+        with _tcp_agent(tmp_path) as cfg:
+            par = grid_search(**kwargs, connect=cfg, on_event=events.append)
         assert fired
         _assert_same_outcome(par, seq)
         assert "memory-degrade" in [e.kind for e in events]

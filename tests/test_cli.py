@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import socket
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -62,30 +64,25 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(argv)
 
-    def test_spool_flags(self):
-        args = build_parser().parse_args(
-            ["fig8", "--spool", "/mnt/shared/spool"]
-        )
-        assert args.spool == "/mnt/shared/spool"
-        assert args.idle_timeout is None
-        default = build_parser().parse_args(["fig8"])
-        assert default.spool is None
-
     def test_cluster_agent_requires_spool(self):
+        """``cluster-agent`` without ``--connect`` is a usage error."""
         with pytest.raises(SystemExit):
             main(["cluster-agent"])
 
 
 class TestMain:
-    def test_cluster_agent_idle_timeout_exits_clean(self, tmp_path):
-        """A cluster agent on an empty spool exits 0 once its idle
-        timeout passes (no coordinator ever appears)."""
+    def test_cluster_agent_idle_timeout_exits_clean(self):
+        """A cluster agent dialing a port nobody listens on exits 0 once
+        its idle timeout passes (no coordinator ever appears)."""
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
         assert (
             main(
                 [
                     "cluster-agent",
-                    "--spool",
-                    str(tmp_path / "spool"),
+                    "--connect",
+                    f"127.0.0.1:{port}",
                     "--idle-timeout",
                     "0.3",
                     "--quiet",
@@ -93,9 +90,6 @@ class TestMain:
             )
             == 0
         )
-        # The agent laid out the spool and removed its heartbeat file.
-        assert (tmp_path / "spool" / "tasks").is_dir()
-        assert list((tmp_path / "spool" / "agents").iterdir()) == []
 
     def test_fig4_smoke(self, capsys):
         assert main(["fig4", "--profile", "smoke", "--quiet"]) == 0
