@@ -443,6 +443,12 @@ class TcpExecutor:
             return
         self._closing = True
         try:
+            # close() alone does not wake a thread blocked in accept();
+            # shutdown() does, so the join below returns at once.
+            self._server.shutdown(socket.SHUT_RDWR)
+        except OSError:  # pragma: no cover - platform refuses on a listener
+            pass
+        try:
             self._server.close()
         except OSError:  # pragma: no cover - already closed
             pass
