@@ -1,14 +1,15 @@
 """NumPy-vs-torch wall clock on the fused stacked sweeps.
 
 One compiled SEL engine executes a candidate-stacked batch (5 stacked
-run slices x minibatch 8 statevectors) at 4 and 8 qubits — the exact
-shape :func:`repro.runtime.jobs.execute_candidates` drives — once per
-array backend.  ``forward`` times the state sweep alone; ``step`` times
+run slices x minibatch 8 statevectors) at 4 and 5 qubits (5 is the
+widest register the engine compiles) — the exact shape
+:func:`repro.runtime.jobs.execute_candidates` drives — once per array
+backend.  ``forward`` times the state sweep alone; ``step`` times
 a recorded forward plus the adjoint gradient sweep, i.e. one training
 step's quantum cost.
 
 Backend names are baked into the benchmark ids (``...[numpy-4q]``,
-``...[torch-8q]``), so ``scripts/check_bench_regression.py`` compares a
+``...[torch-5q]``), so ``scripts/check_bench_regression.py`` compares a
 backend only against itself across snapshots — a torch timing can never
 masquerade as a numpy regression (each entry also records its backend
 in the snapshot metadata; see ``run_benchmarks.condense``).
@@ -70,7 +71,7 @@ def _fused_case(n_qubits: int, backend_name: str):
 
 
 class TestBackendSweep:
-    @pytest.mark.parametrize("n_qubits", [4, 8], ids=["4q", "8q"])
+    @pytest.mark.parametrize("n_qubits", [4, 5], ids=["4q", "5q"])
     def test_fused_forward(self, benchmark, backend_name, n_qubits):
         engine, x, flat, _, _ = _fused_case(n_qubits, backend_name)
         benchmark.extra_info["backend"] = backend_name
@@ -82,7 +83,7 @@ class TestBackendSweep:
 
         benchmark(forward)
 
-    @pytest.mark.parametrize("n_qubits", [4, 8], ids=["4q", "8q"])
+    @pytest.mark.parametrize("n_qubits", [4, 5], ids=["4q", "5q"])
     def test_fused_forward_adjoint(self, benchmark, backend_name, n_qubits):
         engine, x, flat, grad, n_weights = _fused_case(n_qubits, backend_name)
         benchmark.extra_info["backend"] = backend_name

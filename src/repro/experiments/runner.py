@@ -11,7 +11,8 @@ is hours of compute.  Every experiment driver therefore accepts a
     count.  Exercises every code path; used by the test suite and the
     pytest benchmarks.
 ``reduced``
-    Tens of minutes on a laptop.  The paper's reported feature sizes
+    Minutes: on a 2-vCPU host Fig. 6 takes 181 s, Fig. 7 56 s and
+    Fig. 8 59 s.  The paper's reported feature sizes
     (10/40/80/110), one experiment, two runs per candidate, early
     stopping, threshold 0.85 (see RunProfile).  This is the profile
     behind the numbers in EXPERIMENTS.md.

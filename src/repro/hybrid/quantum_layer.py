@@ -17,9 +17,13 @@ Execution is routed through the compiled engine
 ``build_tape`` is compiled once on the first forward pass, and every
 subsequent call only rebinds the per-batch encoding angles and the
 current trainable weights into the compiled parameter slots.  Subclasses
-that override ``build_tape`` get compiled automatically; tapes the engine
-cannot rebind (per-sample parameters without ``input`` refs) silently
-fall back to the reference executor, which stays the semantics oracle.
+that override ``build_tape`` get compiled automatically when their tape
+has the engine's shape (a product encoding, then layers of one weight
+gate per wire and a CNOT/SWAP/CZ ring, at most five qubits); any other
+tape raises :class:`~repro.exceptions.ConfigurationError` at compile
+time, and the layer then runs on the reference executor
+(:func:`repro.quantum.circuit.run` with the reference adjoint or
+parameter-shift gradients), which stays the semantics oracle.
 """
 
 from __future__ import annotations
@@ -152,29 +156,24 @@ class QuantumLayer(Layer):
     # -- layer interface ---------------------------------------------------
 
     def _compile_engine(self, x: np.ndarray) -> CompiledTape | None:
-        """Compile ``build_tape`` once, if the engine can rebind it.
+        """Compile ``build_tape`` once, or return ``None`` when the tape
+        is outside the engine's shape: such a layer uses the reference
+        executor for good.
 
-        Per-sample (1-D) parameters are only rebindable through ``input``
-        refs; a tape carrying any other per-sample value — including a
-        batch-1 ``(1,)`` array — would go stale between batches, so such
-        layers permanently use the reference executor instead.  (A
-        data-dependent *scalar* parameter without a ref is
-        indistinguishable from a genuine constant and cannot be detected:
-        custom ``build_tape`` implementations must attach refs to, or
-        keep 1-D, anything derived from ``x``.)
+        The engine rebinds every angle from ``x`` (``input`` refs) or
+        the weights (``weight`` refs) on each forward, and refuses tapes
+        with any other angle, so a custom ``build_tape`` that bakes data
+        into an unreferenced parameter also lands on the reference path.
         """
-        tape = self.build_tape(x)
-        for op in tape:
-            for ref, param in zip(op.refs, op.params):
-                rebindable = ref is not None and ref.kind == "input"
-                if param.ndim == 1 and not rebindable:
-                    self._engine_disabled = True
-                    return None
         # compiled_tape consults the process-wide compile cache when the
         # runtime enabled it (grid-search workers retrain the same circuit
         # structures for every job); every referenced parameter is rebound
         # on each forward, which is exactly the cache's sharing contract.
-        return compiled_tape(tape, self.n_qubits)
+        try:
+            return compiled_tape(self.build_tape(x), self.n_qubits)
+        except ConfigurationError:
+            self._engine_disabled = True
+            return None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -296,30 +295,30 @@ class StackedQuantumLayer(StackedLayer):
     (``tests/quantum/test_engine_stacked.py``), which is what lets
     ``vectorized_runs`` searches reproduce per-run results exactly.
 
-    Layers of different depths (dense-path tapes only, see
-    :func:`_stack_quantum_layers`) share one engine compiled from the
-    deepest tape: each run's weight row is zero-padded past its own
+    ``engine`` is compiled from the deepest layer's tape (see
+    :func:`_stack_quantum_layers`).  Layers of different depths share
+    it: each run's weight row is zero-padded past its own
     weights and ``depths`` makes the engine pass its state through the
     layers past its depth, exactly as the run's own tape would.  Padded
     weights get zero gradients, so Adam leaves them at zero.
 
     Built by :func:`repro.nn.stacked.stack_models` via the registered
-    stacker; only adjoint-differentiated layers with engine-compilable
-    tapes stack (anything else falls back to scalar training).
+    stacker; only adjoint-differentiated layers whose tapes compile
+    stack (anything else falls back to scalar training).
     """
 
     def __init__(
         self,
         runs: int,
         layers: "list[QuantumLayer]",
-        engine: CompiledTape | None = None,
+        engine: CompiledTape,
     ) -> None:
         deepest = max(layers, key=lambda lay: lay.n_layers)
         super().__init__(runs, name=f"stacked_{deepest.name}")
         # The stacked path is the explicit opt-in point for device
-        # execution: the engine compiles against whatever backend is
-        # active when the stack is built (scalar QuantumLayer always
-        # stays on the bit-exact NumPy path).
+        # execution: the stacker compiles the engine against whatever
+        # backend is active when the stack is built (scalar
+        # QuantumLayer always stays on the bit-exact NumPy path).
         self._xp = active_backend()
         self.n_qubits = deepest.n_qubits
         self.n_weights = deepest.n_weights
@@ -333,9 +332,7 @@ class StackedQuantumLayer(StackedLayer):
         #: compiled depth (the plain run-stacked execute).
         depths = np.array([lay.n_layers for lay in layers])
         self.depths = None if np.all(depths == deepest.n_layers) else depths
-        self._engine: CompiledTape = engine or compiled_tape(
-            deepest.representative_tape(), deepest.n_qubits, backend=self._xp
-        )
+        self._engine = engine
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         if not self._xp.is_numpy:
@@ -400,16 +397,15 @@ def _stack_quantum_layers(runs, layers):
     """Stacker for exact :class:`QuantumLayer` instances (see
     :func:`repro.nn.stacked.register_stacker`).
 
-    The layers must agree on everything but depth.  Different depths
-    stack only when the deepest tape runs the engine's dense path and
-    every shallower tape is a layer prefix of it
+    The layers must agree on everything but depth, and the deepest
+    layer's tape must compile.  Different depths stack only when every
+    shallower tape is a layer prefix of the deepest
     (:meth:`CompiledTape.is_layer_prefix`), so the engine's per-run
     ``depths`` reproduce each layer's own circuit.
 
-    Returns ``None`` — scalar fallback — for parameter-shift layers, for
-    mismatched structures, and for tapes the engine cannot rebind (the
-    same per-sample-parameter check :meth:`QuantumLayer._compile_engine`
-    applies).
+    Returns ``None`` (scalar fallback) for parameter-shift layers, for
+    mismatched structures, and for tapes outside the engine's shape
+    (the layers then run on the reference executor one by one).
     """
     first = layers[0]
     for lay in layers:
@@ -421,21 +417,21 @@ def _stack_quantum_layers(runs, layers):
         ):
             return None
     deepest = max(layers, key=lambda lay: lay.n_layers)
-    tape = deepest.representative_tape()
-    for op in tape:
-        for ref, param in zip(op.refs, op.params):
-            rebindable = ref is not None and ref.kind == "input"
-            if param.ndim == 1 and not rebindable:
+    try:
+        engine = compiled_tape(
+            deepest.representative_tape(),
+            deepest.n_qubits,
+            backend=active_backend(),
+        )
+        for depth in {lay.n_layers for lay in layers} - {deepest.n_layers}:
+            shallow = next(lay for lay in layers if lay.n_layers == depth)
+            prefix = compiled_tape(
+                shallow.representative_tape(), first.n_qubits
+            )
+            if not prefix.is_layer_prefix(engine):
                 return None
-    depths = {lay.n_layers for lay in layers}
-    if len(depths) == 1:
-        return StackedQuantumLayer(runs, layers)
-    engine = compiled_tape(tape, deepest.n_qubits, backend=active_backend())
-    for depth in depths - {deepest.n_layers}:
-        shallow = next(lay for lay in layers if lay.n_layers == depth)
-        prefix = compiled_tape(shallow.representative_tape(), first.n_qubits)
-        if not prefix.is_layer_prefix(engine):
-            return None
+    except ConfigurationError:
+        return None
     return StackedQuantumLayer(runs, layers, engine)
 
 

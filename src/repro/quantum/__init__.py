@@ -14,7 +14,8 @@ Production execution goes through the compiled engine
 :class:`~repro.quantum.engine.CompiledTape`, then execute it many times
 with only parameter values changing.  The tape-walking reference
 executor (:func:`~repro.quantum.circuit.run`) remains the semantics
-oracle the engine is differentially tested against.
+oracle the engine is differentially tested against, and it runs every
+tape outside the engine's shape.
 """
 
 from . import gates

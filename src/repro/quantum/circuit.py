@@ -83,8 +83,8 @@ class GateInfo:
     ``basis_perm`` / ``basis_diag`` describe gates whose action on the
     computational basis is a pure index permutation (CNOT, SWAP) or a
     ``+-1`` diagonal (CZ).  The compiled execution engine
-    (:mod:`repro.quantum.engine`) uses them to run those gates as index
-    shuffles / sign flips on a flat buffer instead of matrix products;
+    (:mod:`repro.quantum.engine`) folds a ring of them into one signed
+    row permutation of a layer's unitary instead of matrix products;
     ``basis_perm[j]`` is the source basis index contributing to target
     basis index ``j`` of the gate's local ``|wire_a wire_b>`` ordering.
     """

@@ -8,115 +8,85 @@ cost model for training: the paper's protocol executes the same circuit
 structure thousands of times per grid-search cell with only the parameter
 values changing.
 
-:class:`CompiledTape` separates the two phases:
+:class:`CompiledTape` compiles one tape shape, the shape of the paper's
+3-5-qubit BEL/SEL circuits, into a dense per-layer program:
 
-**Compile (once per circuit structure).**  The tape is analysed into a
-flat instruction program:
+* a product encoding: ``RX``/``RY``/``RZ`` gates (one axis) on distinct
+  wires, each fed by its own input column;
+* then one or more layers, each one weight-only single-qubit gate per
+  wire (one differentiable gate type throughout, every angle its own
+  weight column), followed by a ring of zero or more CNOT, SWAP and CZ
+  gates;
+* at most five qubits.
 
-* fixed-gate matrices are built once and cached;
-* runs of single-qubit gates acting on the same wire (with no intervening
-  multi-qubit gate touching that wire) are fused into one 2x2 — or
-  batched ``(B, 2, 2)`` — matrix, so e.g. an encoding rotation and the
-  first ansatz rotation on each wire cost a single kernel application;
-* CNOT / SWAP become precomputed full-register index permutations and CZ
-  becomes an in-place sign flip of a precomputed index set — no
-  floating-point matrix arithmetic and no ``state.copy()``;
-* *runs* of consecutive permutation gates — an ansatz layer's whole CNOT
-  ring — are composed into a **single** fused permutation (pending
-  single-qubit fusions are hoisted across the ring, which is sound
-  because they commute with every ring gate before their wire's first
-  use), so a ring costs one ``np.take`` in the forward *and* in the
-  adjoint sweep;
-* per-wire reshape factors are precomputed so single-qubit kernels act on
-  a flat ``(B, 2**n)`` buffer through free ``(B, left, 2, right)``
-  reshape views instead of ``moveaxis`` copies; batched matrices on the
-  last wire take a ~2x faster broadcast-``matmul`` path (see the kernel
-  note below).
+Any other tape (a two-qubit rotation, a constant or shared angle, a
+baked-in batched weight default, an input read after a weight, ``n >
+5``) raises :class:`~repro.exceptions.ConfigurationError` at
+construction.  Such tapes run on the reference executor instead, with
+:func:`repro.quantum.adjoint.adjoint_gradients` or
+:func:`repro.quantum.parameter_shift.parameter_shift_gradients`;
+:class:`repro.hybrid.QuantumLayer` makes that switch by itself.
 
-**Execute (per batch / parameter binding).**  ``execute`` binds parameter
-values into the compiled slots — data features through ``input``
-:class:`~repro.quantum.circuit.ParamRef` slots, trainable angles through
-``weight`` slots — computes all dynamic gate matrices in one vectorised
-call per gate type, and then streams the instruction program over a pair
-of preallocated ping-pong buffers.  No per-gate allocation happens on the
-hot path.  The compiled adjoint sweep (``adjoint_gradients``) reuses the
-recorded forward matrices and moves ket and bra *together*: a recorded
-forward runs in the first halves of two pooled ``(2, B, 2**n)`` buffers,
-the bra is seeded into the second half, and every inverse gate of the
-reversed tape is one kernel call over both halves.  Each gate's gradient
-contraction runs over all of its parameters in one vectorised einsum
-(the ``Rot`` gate's three angles cost one contraction, not three), and
-its scatter into the input/weight gradients is compiled once per tape.
+**Execute.**  ``execute`` binds data features through ``input``
+:class:`~repro.quantum.circuit.ParamRef` slots and trainable angles
+through ``weight`` slots, then:
 
-**Run-stacked execution (one sweep for R parameter sets).**  The paper's
-protocol trains every candidate ``runs`` times with an *identical*
-circuit structure — only the seed-derived weights differ — so
-``execute`` also accepts a stacked 2-D ``weights`` of shape
-``(runs, n_weights)`` together with ``runs=R`` and a fused
-``(runs * batch, n_features)`` input whose rows are run-major.  Weight
-slots then bind one value *per run*: their gate matrices are built as a
-``(R, k, k)`` stack (R matrices instead of R*B) and applied through
-per-run kernels that view the flat ``(R*B, 2**n)`` buffer as
-``(R, B*left, 2, right)`` — a 3-operand einsum, or a broadcast
-``matmul`` on the last wire.  The adjoint sweep mirrors this: derivative
-stacks for per-run weights are ``(P, R, k, k)`` and weight gradients
-come back per run, shape ``(R, n_weights)``.  Per-sample arithmetic is
-identical to ``R`` independent executions (the kernels contract the same
-two-element axes in the same order), which is what makes
-``vectorized_runs`` grid searches bit-identical to per-run ones.
-
-**Dense per-layer path (the paper's BEL/SEL tapes).**  At 3-5 qubits
-the per-gate program is bound by dispatch, not FLOPs: one kernel per
-fused gate, ring and derivative overlap on ``(B, 2**n)`` buffers of a
-few hundred amplitudes.  So compilation also matches the tape against
-one shape — RX/RY/RZ encoding gates on distinct wires, each fed by its
-own input column (a product state), then layers of one weight-only
-single-qubit gate per wire, every angle its own weight, each layer
-followed by zero or more permutation gates — and, when it matches at
-``n_qubits <= 5``, every execute without ``shifts`` takes the dense
-path instead:
-
-* the encoding is a kron of per-wire first columns, built from one
+* builds the encoding as a kron of per-wire first columns, from one
   builder call over all encoded wires per block of rows;
-* each layer is one ``(2**n, 2**n)`` unitary per run: one builder call
-  over every (run, layer, wire) angle, ``n - 1`` broadcast krons and
-  one row take that applies every layer's fused ring; the state moves
-  through a layer with one einsum;
-* the adjoint keeps each layer's input state, sweeps the bra back
-  through each layer's ``K^dagger``, and forms one overlap matrix ``H =
-  sum_b conj(bra_b)^T ket_b`` per layer and run block.  A gate ``X`` on
-  wire ``w`` has ``dK = K (X^dagger dX)_w``, so its gradients are
-  ``2 Re sum((X^dagger dX) * Tr_rest H)`` — partial traces through
-  ``(2,)*n`` reshapes, never a derivative kron.  Input gradients
-  contract the first bra with the encoding generators ``-i/2 P``
-  applied to the product state (a gather and a phase per wire).
+* builds each layer as one ``(2**n, 2**n)`` unitary per run: one builder
+  call over every (run, layer, wire) angle, ``n - 1`` broadcast krons
+  and one row take that applies every layer's ring.  A ring is a signed
+  permutation: CNOT and SWAP permute rows, CZ flips signs, and the rows
+  whose sign is ``-1`` are negated after the take (BEL/SEL rings have
+  none, so nothing is negated);
+* moves the state through each layer with one einsum.
 
-Run-stacked dense executes also take per-run ``depths``: run ``r``
-executes only its first ``depths[r]`` layers, every later layer's
-unitary being overwritten with the identity after the row take, and
-the adjoint writes exact zeros into those layers' weight gradients.
-``x * 1`` and ``x + 0`` are exact, so each run matches its own
-truncated tape bit for bit (:meth:`CompiledTape.is_layer_prefix` says
-which tapes qualify).  This is how quantum layers of several depths
-share one engine sweep in a fused candidate group.
+**Adjoint.**  ``execute(record=True)`` keeps each layer's input state;
+``adjoint_gradients`` sweeps the bra back through each layer's
+``K^dagger`` and forms one overlap matrix ``H = sum_b conj(bra_b)^T
+ket_b`` per layer and run block.  A gate ``X`` on wire ``w`` has ``dK =
+K (X^dagger dX)_w`` for any fixed ring, so its gradients are ``2 Re
+sum((X^dagger dX) * Tr_rest H)``: partial traces through ``(2,)*n``
+reshapes, never a derivative kron.  Input gradients contract the first
+bra with the encoding generators ``-i/2 P`` applied to the product state
+(a gather and a phase per wire).
+
+**Run-stacked execution (one sweep for R parameter sets).**  The
+protocol trains every candidate ``runs`` times with an *identical*
+circuit structure, only the seed-derived weights differ, so ``execute``
+also accepts a stacked 2-D ``weights`` of shape ``(runs, n_weights)``
+together with ``runs=R`` and a fused ``(runs * batch, n_features)``
+input whose rows are run-major.  Each run gets its own layer unitaries,
+and every contraction works per run block, so each run's arithmetic is
+that of its own execution: ``vectorized_runs`` grid searches are
+bit-identical to per-run ones.  The same sweep serves the parameter-shift
+rule: :func:`~repro.quantum.parameter_shift.compiled_parameter_shift_gradients`
+runs its ``2P`` shifted circuits as ``2P`` runs of one execute.
+
+Run-stacked executes also take per-run ``depths``: run ``r`` executes
+only its first ``depths[r]`` layers, every later layer's unitary being
+overwritten with the identity after the row take, and the adjoint
+writes exact zeros into those layers' weight gradients.  ``x * 1`` and
+``x + 0`` are exact, so each run matches its own truncated tape bit for
+bit (:meth:`CompiledTape.is_layer_prefix` says which tapes qualify).
+This is how quantum layers of several depths share one engine sweep in
+a fused candidate group.
 
 A layer unitary costs ``4**n`` per run to build and ``batch * 4**n`` to
-apply, against ``n * 2**n`` per gate, so beyond five qubits the FLOPs
-outgrow the dispatch saved and the per-gate program stays.  Every
-other tape — CZ, two-qubit matrices, constant or shared angles, an
-input ref after a weight op, ``n > 5`` — and every parameter-shift
-execute (``shifts``) runs the per-gate program, which also remains the
-reference the dense path is tested against.  The dense arithmetic
-differs from the per-gate program's at the ulp level;
-:data:`ARITHMETIC_VERSION` records such changes for result stores.
+apply, against ``n * 2**n`` per gate on the reference executor.  At 3-5
+qubits dispatch, not FLOPs, bounds the step, and one contraction per
+layer wins; beyond five qubits the FLOPs take over, so wider registers
+stay on the reference executor.  :data:`ARITHMETIC_VERSION` records
+ulp-level arithmetic changes for result stores.
 
 For search workloads that rebuild structurally identical circuits over
 and over, :func:`compiled_tape` + :func:`enable_compile_cache` share one
 engine per circuit structure per process (the parallel runtime enables
 this in every worker).
 
-The engine is differentially tested against the reference executor and
-:func:`repro.quantum.adjoint.adjoint_gradients` to 1e-12
+The engine is differentially tested against the reference executor,
+:func:`repro.quantum.adjoint.adjoint_gradients` and
+:func:`repro.quantum.parameter_shift.parameter_shift_gradients` to 1e-12
 (``tests/quantum/test_engine.py``); the reference implementations remain
 the semantics oracle.
 
@@ -125,27 +95,25 @@ Contract notes:
 * Buffers are owned by the engine and reused: the array returned by a
   plain ``execute`` is only valid until the next ``execute`` call.  Copy
   it (or use :meth:`CompiledTape.run`) if you need it to survive.
-* ``execute(record=True)`` keeps the bound matrices and final state for
-  a subsequent ``adjoint_gradients`` call; the recorded state owns its
-  buffers (a ket/bra pair, or the dense path's per-layer states), so it
-  survives intervening (e.g. evaluation) executes.
-  The adjoint call releases the record when done — and buffer pools are
-  bounded to a few batch sizes — so long training runs do not pin the
+* ``execute(record=True)`` keeps the layer unitaries and per-layer
+  states for a subsequent ``adjoint_gradients`` call; the record owns
+  its arrays, so it survives intervening (e.g. evaluation) executes.
+  The adjoint call releases the record when done, and the buffer pools
+  are bounded to a few batch sizes, so long training runs do not pin the
   largest batch in memory.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from ..backends import COMPLEX_DTYPE, REAL_DTYPE, ArrayBackend, get_backend
-from ..exceptions import ConfigurationError, GateError, ShapeError
+from ..exceptions import ConfigurationError, ShapeError
 from . import gates
 from .circuit import GATE_SET, Operation
-from .state import apply_two_qubit
 
 __all__ = [
     "ARITHMETIC_VERSION",
@@ -165,21 +133,21 @@ __all__ = [
 #: dense per-layer unitary path for small product-encoded tapes.
 ARITHMETIC_VERSION = 2
 
-#: Widest register the dense path serves.  One layer unitary is a
+#: Widest register the engine compiles.  One layer unitary is a
 #: ``(2**n, 2**n)`` matrix per run, so its build and its contraction
-#: grow as ``4**n`` while the per-gate program grows as ``n * 2**n``;
+#: grow as ``4**n`` while the reference executor grows as ``n * 2**n``;
 #: at the paper's 3-5 qubits dispatch dominates and one dense
 #: contraction per layer wins, beyond that the FLOPs take over.
 _DENSE_MAX_QUBITS = 5
 
-#: Rows per call of the row-blocked passes: the dense path's
-#: product-state builder and :meth:`CompiledTape.expvals`' probability
-#: block.  Training minibatches take one call; an evaluation batch of
-#: every slice's whole training set takes a few, so their per-row
-#: temporaries stay bounded by this rather than the batch.
+#: Rows per call of the row-blocked passes: the product-state builder
+#: and :meth:`CompiledTape.expvals`' probability block.  Training
+#: minibatches take one call; an evaluation batch of every slice's whole
+#: training set takes a few, so their per-row temporaries stay bounded
+#: by this rather than the batch.
 _BLOCK_ROWS = 1024
 
-#: An unencoded wire's factor of the dense path's product state.
+#: An unencoded wire's factor of the product state.
 _KET0 = np.array([1.0, 0.0], dtype=COMPLEX_DTYPE)
 
 #: Generators ``P`` of the encoding rotations ``exp(-i x P / 2)``.
@@ -194,45 +162,11 @@ _GENERATORS = {"RX": gates.PAULI_X, "RY": gates.PAULI_Y, "RZ": gates.PAULI_Z}
 #: even at a few rows.
 _DENSE_APPLY = "ubj,uij->ubi"
 
-#: Buffer pools are kept for at most this many distinct batch sizes; the
-#: least recently used pool is evicted beyond that.  Bounds the memory a
-#: long-lived engine pins when it alternates minibatch training with
-#: full-dataset evaluation batches.
+#: Ping-pong buffer pairs are kept for at most this many distinct batch
+#: sizes; the least recently used pair is evicted beyond that.  Bounds
+#: the memory a long-lived engine pins when it alternates minibatch
+#: training with full-dataset evaluation batches.
 _MAX_POOLS = 4
-
-#: Kernel-selection note (small-operand specialization).  Three
-#: single-qubit kernel strategies were benchmarked head-to-head on tiny
-#: operands (batch <= 16, 3-5 qubits), where per-call dispatch overhead
-#: rivals the arithmetic: (a) ``np.einsum`` with ``out=``, (b) manual
-#: slice arithmetic over the wire's half-spaces, (c) broadcast
-#: ``np.matmul``.  On NumPy 2.4 einsum's two-operand fast path makes (b)
-#: ~2x *slower* (six small ufunc dispatches vs one), so no slice kernel
-#: exists here.  The one measured gap is batched ``(B, 2, 2)`` matrices
-#: on the last wire (contraction over the trailing axis, ``right == 1``),
-#: where einsum falls off its fast path and (c) wins ~2x at every batch
-#: size; ``_apply_1q`` special-cases exactly that shape.
-
-# Instruction opcodes for the forward program.
-_F1Q = 0        # fused single-qubit gate, matrix precomputed at compile
-_F1Q_DYN = 1    # fused single-qubit gate, matrix combined per execution
-_FPERM = 2      # full-register index permutation (CNOT, SWAP)
-_FNEG = 3       # in-place sign flip of an index subset (CZ)
-_F2Q = 4        # general two-qubit matrix, precomputed
-_F2Q_DYN = 5    # general two-qubit matrix, bound per execution
-
-
-class _OpSpec:
-    """Per-operation compile-time record."""
-
-    __slots__ = ("name", "wires", "info", "defaults", "refs", "dynamic")
-
-    def __init__(self, op: Operation) -> None:
-        self.name = op.name
-        self.wires = op.wires
-        self.info = op.info
-        self.defaults = op.params
-        self.refs = op.refs
-        self.dynamic = any(r is not None for r in op.refs)
 
 
 def dense_peak_bytes(
@@ -244,7 +178,7 @@ def dense_peak_bytes(
     runs: "int | None",
     mode: str = "adjoint",
 ) -> int:
-    """:meth:`CompiledTape.peak_bytes` of a dense-path tape, from its
+    """:meth:`CompiledTape.peak_bytes` of a compiled tape, from its
     shape alone: ``n_layers`` (``L``) layers of an ``n_params``-angle
     gate per wire after ``n_enc`` encoding gates.  The pre-build
     admission estimate
@@ -281,19 +215,26 @@ def dense_peak_bytes(
 
 
 class _DensePlan:
-    """Compile-time record of a tape the dense path serves.
+    """Compile-time record of a tape.
 
     The tape is a product encoding (``enc_gate`` on ``enc_wires``, angle
-    ``i`` read from input column ``enc_inputs[i]``) followed by
-    ``n_layers`` layers, each one ``gate`` per wire, whose every angle
-    is a distinct weight (``widx[l, w, p]``), then a fused permutation.
+    ``i`` read from input column ``enc_inputs[i]``, default values
+    ``enc_defaults[i]``) followed by ``n_layers`` layers, each one
+    ``gate`` per wire, whose every angle is a distinct weight
+    (``widx[l, w, p]``), then a signed permutation: row ``l*dim + k`` of
+    the stacked layer unitaries is row ``rows[l*dim + k]`` of the kron
+    products, negated when listed in ``flips``.  ``max_input`` /
+    ``max_weight`` are the highest columns a binding must hold.
     """
 
     __slots__ = (
         "enc_gate",
-        "enc_ops",
         "enc_wires",
         "enc_inputs",
+        "enc_defaults",
+        "default_batch",
+        "max_input",
+        "max_weight",
         "gate",
         "n_params",
         "n_layers",
@@ -301,6 +242,7 @@ class _DensePlan:
         "wflat",
         "wdefault",
         "rows",
+        "flips",
         "gen_idx",
         "gen_phase",
         "traces",
@@ -313,20 +255,21 @@ class CompiledTape:
     Parameters
     ----------
     ops:
-        The tape to compile.  Gate names, wires and ``ParamRef``s define
-        the *structure*; the operations' parameter values become the
+        The tape to compile; it must have the shape the module docstring
+        describes, or :class:`~repro.exceptions.ConfigurationError` is
+        raised.  Gate names, wires and ``ParamRef``s define the
+        *structure*; the operations' parameter values become the
         defaults used when no binding is supplied (so
         ``CompiledTape(ops, n).run()`` reproduces ``circuit.run(ops, n)``
         exactly).
     n_qubits:
-        Register width.
+        Register width (1 to 5).
     backend:
-        Optional :class:`~repro.backends.ArrayBackend` the hot kernels
-        execute on (default: the NumPy backend — the bit-exact
-        reference path).  Compilation is always host-side NumPy;
-        execution state (ping-pong buffers, bound gate-matrix stacks)
-        lives on the backend's device, and compile-time constants
-        (fused permutations, sign tables, static matrices) are uploaded
+        Optional :class:`~repro.backends.ArrayBackend` the state
+        contractions execute on (default: the NumPy backend, the
+        bit-exact reference path).  Compilation, gate matrices and layer
+        unitaries are always host-side NumPy; execution state lives on
+        the backend's device, and compile-time index tables are uploaded
         lazily once per engine.  See ``docs/backends.md``.
     """
 
@@ -341,20 +284,20 @@ class CompiledTape:
         self._xp = backend if backend is not None else get_backend("numpy")
         #: Device copies of compile-time constants, keyed by id() of the
         #: host array.  Only arrays owned by the (immutable, shared)
-        #: compiled program are cached here, so keys can never be
-        #: recycled while the engine lives; clones share the cache, so a
-        #: constant uploads once per compilation, not once per layer.
+        #: compiled plan are cached here, so keys can never be recycled
+        #: while the engine lives; clones share the cache, so a constant
+        #: uploads once per compilation, not once per layer.
         self._dev_cache: dict[int, object] = {}
         self.n_qubits = n_qubits
         self.dim = 2**n_qubits
-        self._specs = [_OpSpec(op) for op in ops]
-        self._validate_wires()
-
-        # Wire w of the flat (B, 2**n) buffer factors as
-        # (B, left, 2, right) with left = 2**w (wire 0 is the MSB).
-        self._lr = [
-            (2**w, 2 ** (n_qubits - 1 - w)) for w in range(n_qubits)
-        ]
+        ops = list(ops)
+        for op in ops:
+            for w in op.wires:
+                if not 0 <= w < n_qubits:
+                    raise ShapeError(
+                        f"{op.name} wire {w} out of range for "
+                        f"{n_qubits} qubits"
+                    )
 
         # Z-expectation sign table: signs[w, k] = +1 if bit w of basis
         # index k is 0 else -1.  Turns expval/adjoint seeding into one
@@ -363,338 +306,174 @@ class CompiledTape:
         bits = (ks[None, :] >> (n_qubits - 1 - np.arange(n_qubits)[:, None])) & 1
         self._z_signs = (1.0 - 2.0 * bits).astype(REAL_DTYPE)
 
-        self._static_mats: dict[int, np.ndarray] = {}
-        self._dynamic: list[int] = []
-        self._dyn_groups: dict[str, list[int]] = {}
-        self._train_groups: dict[str, list[int]] = {}
-        self._adjoint_unsupported: dict[int, str] = {}
-        self._max_input = -1
-        self._max_weight = -1
-        # _default_batch: batch inferred when execute() gets no binding
-        # (any batched default).  _fixed_batch: hard constraint coming
-        # from batched parameters of *static* ops, whose matrices are
-        # precomputed at compile time and cannot be rebound.
-        self._default_batch = 1
-        self._fixed_batch = 1
-        self._classify()
-
-        self._program: list[tuple] = []
-        self._adj_program: list[tuple] = []
-        self._compile_program()
-        self._scatter = {
-            g: self._compile_scatter(g)
-            for group in self._train_groups.values()
-            for g in group
-        }
-        self._dense = self._compile_dense()
-
-        self._pools: dict[int, dict[str, list[np.ndarray]]] = {}
+        self._plan = self._compile(ops)
+        self._pools: dict[int, list] = {}
         self._last: dict | None = None
 
     # -- compilation -------------------------------------------------------
 
-    def _validate_wires(self) -> None:
-        for spec in self._specs:
-            for w in spec.wires:
-                if not 0 <= w < self.n_qubits:
-                    raise ShapeError(
-                        f"{spec.name} wire {w} out of range for "
-                        f"{self.n_qubits} qubits"
-                    )
-
-    def _classify(self) -> None:
-        for g, spec in enumerate(self._specs):
-            for ref, dflt in zip(spec.refs, spec.defaults):
-                if ref is not None:
-                    if ref.kind == "input":
-                        self._max_input = max(self._max_input, ref.index)
-                    else:
-                        self._max_weight = max(self._max_weight, ref.index)
-                if dflt.ndim == 1 and dflt.shape[0] > 1:
-                    if self._default_batch not in (1, dflt.shape[0]):
-                        raise ShapeError(
-                            f"inconsistent batched default parameters: "
-                            f"{self._default_batch} vs {dflt.shape[0]}"
-                        )
-                    self._default_batch = dflt.shape[0]
-                    if not spec.dynamic:
-                        self._fixed_batch = dflt.shape[0]
-            if spec.dynamic:
-                self._dynamic.append(g)
-                if spec.info.matrix_fn is not None:
-                    self._dyn_groups.setdefault(spec.name, []).append(g)
-                if len(spec.wires) != 1:
-                    self._adjoint_unsupported[g] = (
-                        f"adjoint differentiation supports single-qubit "
-                        f"parametrized gates, got {spec.name} on {spec.wires}"
-                    )
-                elif spec.info.deriv_fn is None:
-                    self._adjoint_unsupported[g] = (
-                        f"{spec.name} has no derivative rule"
-                    )
-                else:
-                    self._train_groups.setdefault(spec.name, []).append(g)
-            elif spec.info.matrix_fn is not None and (
-                spec.info.basis_perm is None and spec.info.basis_diag is None
-            ):
-                self._static_mats[g] = spec.info.matrix_fn(*spec.defaults)
+    def _local_index(self, wire_a: int, wire_b: int) -> tuple:
+        """Each basis index's local ``|wire_a wire_b>`` index, and the
+        two wires' bit shifts."""
+        n = self.n_qubits
+        sa, sb = n - 1 - wire_a, n - 1 - wire_b
+        ks = np.arange(self.dim)
+        return (((ks >> sa) & 1) << 1) | ((ks >> sb) & 1), sa, sb
 
     def _full_perm(self, basis_perm, wire_a: int, wire_b: int) -> np.ndarray:
         """Register-wide permutation: ``new[k] = old[perm[k]]``."""
-        n = self.n_qubits
-        sa, sb = n - 1 - wire_a, n - 1 - wire_b
-        ks = np.arange(self.dim)
-        j = (((ks >> sa) & 1) << 1) | ((ks >> sb) & 1)
+        j, sa, sb = self._local_index(wire_a, wire_b)
         pj = np.asarray(basis_perm)[j]
-        cleared = ks & ~((1 << sa) | (1 << sb))
+        cleared = np.arange(self.dim) & ~((1 << sa) | (1 << sb))
         return cleared | ((pj >> 1) << sa) | ((pj & 1) << sb)
 
-    def _negate_indices(self, basis_diag, wire_a: int, wire_b: int) -> np.ndarray:
-        """Indices whose sign flips under a ``+-1`` diagonal gate."""
-        n = self.n_qubits
-        sa, sb = n - 1 - wire_a, n - 1 - wire_b
-        ks = np.arange(self.dim)
-        j = (((ks >> sa) & 1) << 1) | ((ks >> sb) & 1)
-        return ks[np.asarray(basis_diag)[j] < 0]
+    def _full_diag(self, basis_diag, wire_a: int, wire_b: int) -> np.ndarray:
+        """Register-wide ``+-1`` diagonal: ``new[k] = diag[k] * old[k]``."""
+        j, _, _ = self._local_index(wire_a, wire_b)
+        return np.asarray(basis_diag)[j]
 
-    def _flush(self, pending: dict[int, list[int]], wire: int) -> None:
-        members = pending.pop(wire, None)
-        if not members:
-            return
-        if all(m in self._static_mats for m in members):
-            mat = self._static_mats[members[0]]
-            for m in members[1:]:
-                mat = np.matmul(self._static_mats[m], mat)
-            self._program.append((_F1Q, wire, mat))
-        else:
-            self._program.append((_F1Q_DYN, wire, tuple(members)))
-
-    def _compile_program(self) -> None:
-        pending: dict[int, list[int]] = {}
-        n = len(self._specs)
-        g = 0
-        while g < n:
-            spec = self._specs[g]
-            info = spec.info
-            if len(spec.wires) == 1 and info.matrix_fn is not None:
-                pending.setdefault(spec.wires[0], []).append(g)
-                self._adj_program.append(("m1", spec.wires[0]))
-                g += 1
-                continue
-            if info.basis_perm is not None:
-                # Maximal run of consecutive permutation gates (a CNOT
-                # ring).  Flush every wire the run touches *up front*:
-                # a pending single-qubit gate commutes with each ring
-                # gate before its wire's first use, so hoisting the
-                # flushes preserves semantics and leaves the
-                # permutations adjacent for _fuse_permutations to merge
-                # into a single take.
-                end = g
-                while (
-                    end < n
-                    and self._specs[end].info.basis_perm is not None
-                ):
-                    end += 1
-                run_wires = {w for s in self._specs[g:end] for w in s.wires}
-                for w in sorted(run_wires):
-                    self._flush(pending, w)
-                for h in range(g, end):
-                    s = self._specs[h]
-                    perm = self._full_perm(s.info.basis_perm, *s.wires)
-                    self._program.append((_FPERM, perm))
-                    self._adj_program.append(("perm", perm, np.argsort(perm)))
-                g = end
-                continue
-            for w in spec.wires:
-                self._flush(pending, w)
-            wa, wb = spec.wires
-            if info.basis_diag is not None:
-                idx = self._negate_indices(info.basis_diag, wa, wb)
-                self._program.append((_FNEG, idx))
-                self._adj_program.append(("neg", idx))
-            elif g in self._static_mats:
-                self._program.append((_F2Q, wa, wb, self._static_mats[g]))
-                self._adj_program.append(("m2", wa, wb))
-            else:
-                self._program.append((_F2Q_DYN, wa, wb, g))
-                self._adj_program.append(("m2", wa, wb))
-            g += 1
-        for w in sorted(pending):
-            self._flush(pending, w)
-        self._fuse_permutations()
-
-    def _fuse_permutations(self) -> None:
-        """Collapse runs of index-permutation gates into one permutation.
-
-        An ansatz layer's CNOT ring compiles to ``n_qubits`` consecutive
-        ``_FPERM`` instructions; composing them at compile time turns the
-        whole ring into a single ``np.take``.  Applying permutation ``a``
-        then ``b`` is ``a[b]`` (``s2[k] = s1[b[k]] = s0[a[b[k]]]``).
-
-        The adjoint program gets the same treatment: a maximal run of
-        consecutive ``perm`` steps (permutation gates carry no parameters,
-        so no derivative is ever injected inside the run) is replaced by
-        one fused step at the run's *last* op — the first one the reversed
-        sweep reaches — and ``skip`` markers elsewhere.
-        """
-        fused: list[tuple] = []
-        for instr in self._program:
-            if instr[0] == _FPERM and fused and fused[-1][0] == _FPERM:
-                fused[-1] = (_FPERM, fused[-1][1][instr[1]])
-            else:
-                fused.append(instr)
-        self._program = fused
-
-        adj = self._adj_program
-        g = 0
-        while g < len(adj):
-            if adj[g][0] != "perm":
-                g += 1
-                continue
-            start = g
-            comb = adj[g][1]
-            g += 1
-            while g < len(adj) and adj[g][0] == "perm":
-                comb = comb[adj[g][1]]
-                g += 1
-            if g - start > 1:
-                for s in range(start, g - 1):
-                    adj[s] = ("skip",)
-                adj[g - 1] = ("perm", comb, np.argsort(comb))
-
-    def _compile_scatter(self, g: int) -> tuple:
-        """How op ``g``'s derivative overlaps reach the gradients.
-
-        Returns ``(keep, inputs, weights)``: ``keep`` selects the
-        parameters with a live ref from the op's derivative stack
-        (``None`` when all are live); ``inputs``/``weights`` are lists
-        of ``(rows, cols)`` index pairs — overlap rows of the kept stack
-        and the gradient columns they add into.  A column appears at
-        most once per pair, so one fancy-index add per pair performs
-        exactly the per-parameter ``+=`` sequence.
-        """
-        refs = self._specs[g].refs
-        live = [p for p, ref in enumerate(refs) if ref is not None]
-        keep = None if len(live) == len(refs) else np.asarray(live)
-        scatters: dict[str, list[tuple[list[int], list[int]]]] = {
-            "input": [],
-            "weight": [],
-        }
-        for row, p in enumerate(live):
-            ref = refs[p]
-            chunks = scatters[ref.kind]
-            if not chunks or ref.index in chunks[-1][1]:
-                chunks.append(([], []))
-            chunks[-1][0].append(row)
-            chunks[-1][1].append(ref.index)
-        inputs, weights = (
-            [(np.asarray(r), np.asarray(c)) for r, c in scatters[kind]]
-            for kind in ("input", "weight")
-        )
-        return keep, inputs, weights
-
-    def _compile_dense(self) -> "_DensePlan | None":
-        """Match the tape against the dense path's shape, or ``None``.
-
-        The shape is: single-qubit ``RX``/``RY``/``RZ`` encoding gates on
-        distinct wires, each driven by its own input column; then one
-        or more layers of one weight-only gate per wire (one gate type
-        throughout, every angle its own weight column, scalar
-        defaults), each followed by zero or more permutation gates.
-        Anything else — a CZ, a two-qubit matrix, an input ref after a
-        weight op, a constant or shared angle, more than
-        ``_DENSE_MAX_QUBITS`` wires — keeps the per-gate program only.
-        """
+    def _compile(self, ops: list[Operation]) -> _DensePlan:
+        """Match the tape against the compiled shape (see the module
+        docstring) and build its plan; raise
+        :class:`~repro.exceptions.ConfigurationError` naming the first
+        operation that does not fit."""
         n, dim = self.n_qubits, self.dim
-        specs = self._specs
-        if n > _DENSE_MAX_QUBITS or self._fixed_batch > 1:
-            return None
+        if n > _DENSE_MAX_QUBITS:
+            raise ConfigurationError(
+                f"the compiled engine serves at most {_DENSE_MAX_QUBITS} "
+                f"qubits, got {n}"
+            )
+
+        def misfit(g: int, why: str) -> ConfigurationError:
+            where = (
+                f"{ops[g].name} on wires {ops[g].wires} (operation {g})"
+                if g < len(ops)
+                else "the end of the tape"
+            )
+            return ConfigurationError(
+                f"{where}: {why}; the compiled engine serves product "
+                f"encodings followed by layers of one weight gate per "
+                f"wire and a CNOT/SWAP/CZ ring"
+            )
+
         g = 0
-        enc: list[int] = []
+        enc: list[Operation] = []
         while (
-            g < len(specs)
-            and specs[g].name in _GENERATORS
-            and specs[g].refs[0] is not None
-            and specs[g].refs[0].kind == "input"
+            g < len(ops)
+            and ops[g].name in _GENERATORS
+            and ops[g].refs[0] is not None
+            and ops[g].refs[0].kind == "input"
         ):
-            enc.append(g)
+            enc.append(ops[g])
             g += 1
-        enc_wires = [specs[e].wires[0] for e in enc]
-        enc_inputs = [specs[e].refs[0].index for e in enc]
+        enc_wires = [op.wires[0] for op in enc]
+        enc_inputs = [op.refs[0].index for op in enc]
         if (
             len(set(enc_wires)) != len(enc)
             or len(set(enc_inputs)) != len(enc)
-            or len({specs[e].name for e in enc}) > 1
+            or len({op.name for op in enc}) > 1
         ):
-            return None
+            raise misfit(
+                g - 1,
+                "encoding gates must share one axis and use distinct "
+                "wires and input columns",
+            )
+        default_batch = 1
+        for op in enc:
+            default = op.params[0]
+            if default.ndim == 1 and default.shape[0] > 1:
+                if default_batch not in (1, default.shape[0]):
+                    raise ShapeError(
+                        f"inconsistent batched default parameters: "
+                        f"{default_batch} vs {default.shape[0]}"
+                    )
+                default_batch = default.shape[0]
 
         gate = None
-        layers: list[tuple[list[int], np.ndarray]] = []
-        while g < len(specs):
-            block: dict[int, int] = {}
-            while g < len(specs):
-                spec = specs[g]
-                if len(spec.wires) != 1 or spec.wires[0] in block:
-                    break
-                if (
-                    spec.info.deriv_fn is None
-                    or spec.name != (gate or spec.name)
-                    or any(r is None or r.kind != "weight" for r in spec.refs)
-                    or any(d.ndim for d in spec.defaults)
-                ):
-                    return None
-                gate = spec.name
-                block[spec.wires[0]] = g
+        layers: list[tuple[list[Operation], np.ndarray, np.ndarray]] = []
+        while g < len(ops):
+            block: dict[int, Operation] = {}
+            while (
+                g < len(ops)
+                and len(ops[g].wires) == 1
+                and ops[g].wires[0] not in block
+            ):
+                op = ops[g]
+                if op.info.deriv_fn is None or op.name != (gate or op.name):
+                    raise misfit(g, "layer gates must be one differentiable rotation")
+                if any(r is None or r.kind != "weight" for r in op.refs):
+                    raise misfit(g, "every layer angle must be a weight")
+                if any(p.ndim for p in op.params):
+                    raise misfit(g, "a weight gate has a batched default")
+                gate = op.name
+                block[op.wires[0]] = op
                 g += 1
             if len(block) != n:
-                return None
+                raise misfit(g, "a layer must put one gate on every wire")
             perm = np.arange(dim)
-            while g < len(specs) and specs[g].info.basis_perm is not None:
-                perm = perm[
-                    self._full_perm(specs[g].info.basis_perm, *specs[g].wires)
-                ]
+            sign = np.ones(dim, dtype=np.int64)
+            while g < len(ops) and (
+                ops[g].info.basis_perm is not None
+                or ops[g].info.basis_diag is not None
+            ):
+                info = ops[g].info
+                if info.basis_perm is not None:
+                    step = self._full_perm(info.basis_perm, *ops[g].wires)
+                    perm, sign = perm[step], sign[step]
+                else:
+                    diag = self._full_diag(info.basis_diag, *ops[g].wires)
+                    sign = sign * diag
                 g += 1
-            layers.append(([block[w] for w in range(n)], perm))
+            layers.append(([block[w] for w in range(n)], perm, sign))
         if not layers:
-            return None
+            raise misfit(g, "the tape has no weight layer")
 
         plan = _DensePlan()
-        plan.enc_gate = specs[enc[0]].name if enc else None
-        plan.enc_ops = enc
+        plan.enc_gate = enc[0].name if enc else None
         plan.enc_wires = np.asarray(enc_wires, dtype=np.intp)
         plan.enc_inputs = np.asarray(enc_inputs, dtype=np.intp)
+        plan.enc_defaults = [op.params[0] for op in enc]
+        plan.default_batch = default_batch
         plan.gate = gate
         plan.n_params = GATE_SET[gate].n_params
         plan.n_layers = len(layers)
         plan.widx = np.array(
             [
-                [[r.index for r in specs[op].refs] for op in ops]
-                for ops, _ in layers
+                [[r.index for r in op.refs] for op in block]
+                for block, _, _ in layers
             ],
             dtype=np.intp,
         )
         plan.wflat = plan.widx.reshape(-1)
+        plan.max_input = max(enc_inputs, default=-1)
+        plan.max_weight = int(plan.wflat.max())
         if len(set(plan.wflat.tolist())) != plan.wflat.size:
-            return None
+            raise ConfigurationError(
+                "every layer angle must read its own weight column"
+            )
         plan.wdefault = np.array(
             [
-                [[float(d) for d in specs[op].defaults] for op in ops]
-                for ops, _ in layers
+                [[float(p) for p in op.params] for op in block]
+                for block, _, _ in layers
             ],
             dtype=REAL_DTYPE,
         )
         # Row l*dim + k of the stacked kron products is row k of layer
-        # l's; taking rows l*dim + perm_l applies that layer's ring.
+        # l's; taking rows l*dim + perm_l applies that layer's ring, and
+        # negating the rows whose ring sign is -1 its CZs.
         plan.rows = np.concatenate(
-            [l * dim + perm for l, (_, perm) in enumerate(layers)]
+            [l * dim + perm for l, (_, perm, _) in enumerate(layers)]
+        )
+        plan.flips = np.flatnonzero(
+            np.concatenate([sign for _, _, sign in layers]) < 0
         )
         # The register-wide generator -i/2 P of encoded wire w maps
         # basis state k to one basis state, so ``G_w psi`` is a gather
         # plus a phase: (G_w psi)[k] = phase[k] * psi[src[k]].
         ks = np.arange(dim)
         idx, phase = [], []
-        for e, w in zip(enc, enc_wires):
-            pauli = _GENERATORS[specs[e].name]
+        for op, w in zip(enc, enc_wires):
+            pauli = _GENERATORS[op.name]
             shift = n - 1 - w
             bit = (ks >> shift) & 1
             src_bit = np.argmax(np.abs(pauli), axis=1)[bit]
@@ -718,14 +497,14 @@ class CompiledTape:
         return plan
 
     def clone(self) -> "CompiledTape":
-        """A new engine sharing this one's (immutable) compiled program.
+        """A new engine sharing this one's (immutable) compiled plan.
 
-        The compiled artefacts — op specs, instruction programs, fused
-        permutations, static/classified matrices, sign tables — are
-        shared by reference; execution state (buffer pools, the recorded
-        forward) starts fresh.  This is how the compile cache hands the
-        same compilation to many live layers without any state hazard:
-        compiling is the expensive part, the clone is a dict copy.
+        The compiled artefacts (the plan's index tables, sign tables,
+        device constants) are shared by reference; execution state
+        (buffer pools, the recorded forward) starts fresh.  This is how
+        the compile cache hands the same compilation to many live layers
+        without any state hazard: compiling is the expensive part, the
+        clone is a dict copy.
         """
         twin = object.__new__(CompiledTape)
         twin.__dict__.update(self.__dict__)
@@ -737,16 +516,16 @@ class CompiledTape:
 
     @property
     def backend(self) -> ArrayBackend:
-        """The array backend this engine's hot kernels execute on."""
+        """The array backend this engine's contractions execute on."""
         return self._xp
 
     def _dev(self, arr):
         """Device copy of a *compile-time constant* array (cached).
 
         Identity on the NumPy backend.  Callers must only pass arrays
-        owned by the compiled program (static/fused matrices, sign
-        tables): the cache is keyed by ``id()``, which is only stable
-        for arrays that live as long as the engine.
+        owned by the compiled plan (phase and sign tables): the cache is
+        keyed by ``id()``, which is only stable for arrays that live as
+        long as the engine.
         """
         if self._xp.is_numpy:
             return arr
@@ -757,8 +536,7 @@ class CompiledTape:
         return dev
 
     def _dev_idx(self, arr):
-        """Like :meth:`_dev` but for integer index tables (permutations,
-        sign-flip index sets)."""
+        """Like :meth:`_dev` but for integer index tables."""
         if self._xp.is_numpy:
             return arr
         key = id(arr)
@@ -767,81 +545,26 @@ class CompiledTape:
             dev = self._dev_cache[key] = self._xp.index_const(arr)
         return dev
 
-    def _upload_mats(self, mats: dict) -> dict:
-        """Move freshly bound single-qubit matrix stacks on-device.
-
-        No-op on the NumPy backend.  Two-qubit (``k == 4``) matrices
-        stay host-side: the general two-qubit kernel round-trips through
-        the reference NumPy implementation (see :meth:`_apply_2q`), so
-        uploading them would only add transfers.
-        """
-        if self._xp.is_numpy:
-            return mats
-        out = {}
-        for g, entry in mats.items():
-            if isinstance(entry, tuple):
-                out[g] = tuple(
-                    self._xp.asarray(m) if m.shape[-1] == 2 else m
-                    for m in entry
-                )
-            else:
-                out[g] = (
-                    self._xp.asarray(entry)
-                    if entry.shape[-1] == 2
-                    else entry
-                )
-        return out
-
     # -- introspection -----------------------------------------------------
-
-    @property
-    def n_ops(self) -> int:
-        """Number of operations in the source tape."""
-        return len(self._specs)
-
-    @property
-    def n_instructions(self) -> int:
-        """Number of compiled forward instructions (after fusion)."""
-        return len(self._program)
-
-    @property
-    def dense(self) -> bool:
-        """Whether unshifted executes run the dense per-layer path."""
-        return self._dense is not None
 
     @property
     def has_record(self) -> bool:
         """Whether a recorded forward execution is pending a backward."""
         return self._last is not None
 
-    def referenced_params(self) -> list[tuple[int, int, object]]:
-        """All ``(op_index, param_index, ref)`` triples with a live ref."""
-        out = []
-        for g, spec in enumerate(self._specs):
-            for p, ref in enumerate(spec.refs):
-                if ref is not None:
-                    out.append((g, p, ref))
-        return out
+    @property
+    def input_columns(self) -> np.ndarray:
+        """The input column each encoding angle reads, in tape order.
+        No column feeds two angles."""
+        return self._plan.enc_inputs
 
     @property
-    def shift_stackable(self) -> bool:
-        """Whether all 2P parameter-shifted executions of this tape can
-        run as one run-stacked sweep.
+    def weight_columns(self) -> np.ndarray:
+        """The weight column each layer angle reads, in tape order.  No
+        column feeds two angles."""
+        return self._plan.wflat
 
-        Requires every referenced parameter to sit on a single-qubit
-        gate (the per-run kernels — and their bit-identity to separate
-        executions — only exist for single-qubit matrices) and no
-        baked-in batched default parameters (their batch would conflict
-        with the fused ``2P * B`` one).
-        """
-        if self._default_batch > 1 or self._fixed_batch > 1:
-            return False
-        return all(
-            len(self._specs[g].wires) == 1
-            for g, _, _ in self.referenced_params()
-        )
-
-    # -- parameter binding -------------------------------------------------
+    # -- buffers -----------------------------------------------------------
 
     def _resolve_batch(self, inputs, batch) -> int:
         if inputs is not None:
@@ -852,358 +575,46 @@ class CompiledTape:
             return inputs.shape[0]
         if batch is not None:
             return batch
-        return self._default_batch
+        return self._plan.default_batch
 
-    def _resolve_values(
-        self, inputs, weights, batch, shifts, runs=None
-    ) -> tuple[dict[int, list[np.ndarray]], set[int]]:
-        """Bind every dynamic op's parameter values for this execution.
-
-        Each value is a scalar (shared by the whole batch), a per-sample
-        ``(batch,)`` vector (``input`` refs), or — in run-stacked mode
-        with 2-D ``weights`` — a per-run ``(runs,)`` vector.  Per-run
-        values of multi-qubit gates are expanded to per-sample up front:
-        only the single-qubit kernels have a dedicated per-run path.
-
-        Also returns the set of *run-stacked* op indices — ops whose 1-D
-        values are all per-run.  Shapes alone cannot identify them (with
-        one sample per run, ``runs == batch``), so the per-run kernel
-        choice is keyed on this set, not on array shapes.
-        """
-        stacked = weights is not None and weights.ndim == 2
-        values: dict[int, list[np.ndarray]] = {}
-        run_ops: set[int] = set()
-        for g in self._dynamic:
-            spec = self._specs[g]
-            vals = []
-            per_run = stacked and len(spec.wires) == 1
-            for p, ref in enumerate(spec.refs):
-                if ref is not None and ref.kind == "input" and inputs is not None:
-                    v = inputs[:, ref.index]
-                elif (
-                    ref is not None
-                    and ref.kind == "weight"
-                    and weights is not None
-                ):
-                    if stacked:
-                        v = weights[:, ref.index]
-                        if len(spec.wires) != 1:
-                            v = np.repeat(v, batch // runs)
-                    else:
-                        v = weights[ref.index]
-                else:
-                    v = spec.defaults[p]
-                if v.ndim == 1 and v.shape[0] != batch and v.shape[0] != runs:
-                    raise ShapeError(
-                        f"{spec.name} parameter batch {v.shape[0]} != "
-                        f"execution batch {batch}"
-                    )
-                if per_run and v.ndim == 1 and not (
-                    ref is not None and ref.kind == "weight"
-                ):
-                    # A per-sample value (input ref or batched default)
-                    # forces this op onto the per-sample path; its
-                    # stacked weights expand there.
-                    per_run = False
-                if shifts is not None:
-                    delta = shifts.get((g, p))
-                    if delta is not None:
-                        delta = np.asarray(delta)
-                        if (
-                            delta.ndim == 1
-                            and runs is not None
-                            and v.ndim == 1
-                            and v.shape[0] == batch
-                            and batch != runs
-                        ):
-                            # A per-run (runs,) shift vector meeting a
-                            # per-sample value (input refs, expanded
-                            # multi-qubit weights): expand run-major so
-                            # each run's rows see their own delta.
-                            delta = np.repeat(delta, batch // runs)
-                        v = v + delta
-                vals.append(v)
-            values[g] = vals
-            if per_run and any(v.ndim == 1 for v in vals):
-                run_ops.add(g)
-        return values, run_ops
-
-    def _grouped_matrices(
-        self,
-        groups: Mapping[str, list[int]],
-        values: Mapping[int, list[np.ndarray]],
-        batch: int,
-        deriv: bool = False,
-        run_ops: set[int] | frozenset[int] = frozenset(),
-    ) -> dict[int, tuple[np.ndarray, ...] | np.ndarray]:
-        """Vectorised matrix construction: one builder call per gate type
-        and stacking width.
-
-        Ops of one gate type are partitioned by the *effective length* of
-        their bound values — 1 (scalar parameters, one shared matrix),
-        ``runs`` (run-stacked weights, an ``(R, k, k)`` stack) or
-        ``batch`` (per-sample inputs, a ``(B, k, k)`` stack) — and each
-        partition costs one builder call.  Returns a 1-tuple holding the
-        gate matrix per op, or — for ``deriv=True`` — one stacked
-        ``(P, [L,] k, k)`` array of the op's per-parameter derivative
-        matrices.
-
-        Run-stacked ops (``run_ops``) get their matrices tagged with an
-        extra singleton axis — ``(R, 1, k, k)``, derivs
-        ``(P, R, 1, k, k)`` — so the kernels can tell a per-run stack
-        from a per-sample one even when ``runs == batch``.
-        """
-        out: dict[int, tuple[np.ndarray, ...] | np.ndarray] = {}
-        for name, group in groups.items():
-            info = GATE_SET[name]
-            fn = info.deriv_fn if deriv else info.matrix_fn
-            n_p = info.n_params
-            # Partition key: (0, False) for all-scalar ops (one shared
-            # matrix), else the stacking width and per-run flag (a
-            # batch-1 execution's (1,)-vectors stay on the stacked path).
-            partitions: dict[tuple[int, bool], list[int]] = {}
-            for g in group:
-                lengths = [v.shape[0] for v in values[g] if v.ndim == 1]
-                key = (max(lengths) if lengths else 0, g in run_ops)
-                partitions.setdefault(key, []).append(g)
-            for (eff, per_run), part in partitions.items():
-                cols = [[values[g][p] for g in part] for p in range(n_p)]
-                if eff:
-                    args = []
-                    for col in cols:
-                        a = np.empty((len(part), eff))
-                        for i, v in enumerate(col):
-                            if v.ndim == 1 and v.shape[0] != eff:
-                                # A per-run value inside a per-sample op
-                                # (mixed refs): expand run-major.
-                                v = np.repeat(v, eff // v.shape[0])
-                            a[i] = v
-                        args.append(a.reshape(-1))
-                else:
-                    args = [np.array(col, dtype=REAL_DTYPE) for col in cols]
-                result = fn(*args)
-                if not isinstance(result, tuple):
-                    result = (result,)
-                per_op: list[np.ndarray] = []
-                for mats in result:
-                    k = mats.shape[-1]
-                    if eff:
-                        if per_run:
-                            mats = mats.reshape(len(part), eff, 1, k, k)
-                        else:
-                            mats = mats.reshape(len(part), eff, k, k)
-                    per_op.append(mats)
-                if deriv:
-                    # Stack the per-parameter derivative matrices once
-                    # per partition; each op gets its (P, [L,] k, k) row
-                    # so the adjoint sweep can contract all of a gate's
-                    # parameters in a single einsum.
-                    stacked = np.stack(per_op, axis=1)
-                    for i, g in enumerate(part):
-                        out[g] = stacked[i]
-                else:
-                    for i, g in enumerate(part):
-                        out[g] = tuple(mats[i] for mats in per_op)
-        return out
-
-    def _mat_of(self, g: int, mats: Mapping[int, tuple]) -> np.ndarray:
-        entry = mats.get(g)
-        if entry is not None:
-            return entry[0]
-        mat = self._static_mats[g]
-        # Single-qubit static matrices feed the device kernels; the
-        # general two-qubit kernel stays host-side (see _apply_2q).
-        if mat.shape[-1] == 2:
-            return self._dev(mat)
-        return mat
-
-    # -- buffers -----------------------------------------------------------
-
-    def _buffers(self, batch: int, kind: str, count: int) -> list[np.ndarray]:
-        """Pooled buffers for one batch size: ``"fwd"`` buffers are flat
-        ``(batch, 2**n)`` states, ``"pair"`` buffers ``(2, batch, 2**n)``
-        ket/bra pairs."""
-        pool = self._pools.get(batch)
-        if pool is None:
-            pool = self._pools[batch] = {}
-        else:
-            # Move to the end: dicts preserve insertion order, so the
-            # first key is always the least recently used pool.
-            self._pools[batch] = self._pools.pop(batch)
+    def _pair(self, batch: int) -> list:
+        """The pooled ping-pong pair of flat ``(batch, 2**n)`` states
+        plain executes sweep through."""
+        pair = self._pools.pop(batch, None)
+        if pair is None:
+            pair = [
+                self._xp.empty((batch, self.dim), dtype=self._xp.complex_dtype)
+                for _ in range(2)
+            ]
+        # Dicts preserve insertion order, so the first key is always
+        # the least recently used batch size.
+        self._pools[batch] = pair
         while len(self._pools) > _MAX_POOLS:
             del self._pools[next(iter(self._pools))]
-        bufs = pool.get(kind)
-        if bufs is None:
-            shape = (batch, self.dim)
-            if kind == "pair":
-                shape = (2,) + shape
-            bufs = [
-                self._xp.empty(shape, dtype=self._xp.complex_dtype)
-                for _ in range(count)
-            ]
-            pool[kind] = bufs
-        return bufs
+        return pair
 
     def peak_bytes(
         self, batch: int, runs: "int | None" = None, mode: str = "forward"
     ) -> int:
-        """Predicted peak working-set bytes of one execution.
+        """Predicted peak working-set bytes of one execution
+        (``"forward"``) or of a recorded execution and its adjoint
+        (``"adjoint"``): :func:`dense_peak_bytes` for this tape's shape.
 
-        An analytic upper envelope over the engine's allocations for a
-        ``(batch, 2**n)`` sweep — the memory-governance layer sizes
-        group admissions against it (see :mod:`repro.runtime.memory`).
-        Counted per mode:
-
-        * ``"forward"``: the ping-pong statevector pair.
-        * ``"adjoint"``: the forward pair (plain executes), the two
-          ``(2, batch, 2**n)`` ket/bra buffers a recorded forward and
-          its paired adjoint sweep ping-pong through, and the per-op
-          derivative stacks for every trainable group.
-
-        Both modes add the bound dynamic gate-matrix stacks: per-sample
-        ops (``input`` refs) bind a ``(batch, k, k)`` stack, per-run
-        weight ops an ``(runs, k, k)`` one.  The prediction is
+        The memory-governance layer sizes group admissions against it
+        (see :mod:`repro.runtime.memory`); the prediction is
         cross-checked online by the measured bytes EWMA in
         :class:`~repro.runtime.pool.ChunkCostModel`.
-
-        Dense-path tapes count their own record instead (see
-        :func:`dense_peak_bytes`).
         """
-        plan = self._dense
-        if plan is not None:
-            return dense_peak_bytes(
-                self.n_qubits,
-                plan.n_layers,
-                plan.n_params,
-                len(plan.enc_ops),
-                batch,
-                runs,
-                mode,
-            )
-        item = np.dtype(COMPLEX_DTYPE).itemsize
-        state = batch * self.dim * item
-        total = 2 * state
-        if mode == "adjoint":
-            total += 4 * state
-        for groups in self._dyn_groups.values():
-            for g in groups:
-                spec = self._specs[g]
-                k = 2 ** len(spec.wires)
-                per_sample = any(
-                    ref is not None and ref.kind == "input"
-                    for ref in spec.refs
-                )
-                eff = batch if per_sample else (runs or 1)
-                total += eff * k * k * item
-        if mode == "adjoint":
-            for name, groups in self._train_groups.items():
-                n_params = GATE_SET[name].n_params
-                for g in groups:
-                    k = 2 ** len(self._specs[g].wires)
-                    total += n_params * (runs or 1) * k * k * item
-        return total
-
-    # -- kernels -----------------------------------------------------------
-
-    def _apply_1q(self, mat, wire, src, dst, batch, runs=None) -> None:
-        """Apply a single-qubit matrix (stack) to ``src`` into ``dst``.
-
-        The states are flat ``(batch, 2**n)`` buffers or ``(2, batch,
-        2**n)`` ket/bra pairs; a pair's halves share every matrix, so
-        its leading axis broadcasts (and each half's arithmetic is that
-        of a separate call: every contraction has two terms).
-        """
-        left, right = self._lr[wire]
-        pair = tuple(src.shape[:-2])
-        if mat.ndim == 2:
-            s = src.reshape(-1, left, 2, right)
-            d = dst.reshape(-1, left, 2, right)
-            self._xp.einsum("ij,bljr->blir", mat, s, out=d)
-        elif mat.ndim == 4:
-            # Run-stacked (R, 1, 2, 2)-tagged matrices over a run-major
-            # (R*B, dim) buffer: one matrix per run, shared by that
-            # run's samples.  The buffer factors as (R, B*left, 2,
-            # right) for free.  Always einsum here — these matrices
-            # replace *shared* (2, 2) matrices of a per-run execution,
-            # whose kernel is einsum on every wire, and einsum matches
-            # it bitwise where the broadcast-matmul trailing-axis kernel
-            # does not (complex gemm rounds differently).  Bit-identical
-            # vectorized_runs searches depend on this.
-            s = src.reshape(pair + (runs, -1, 2, right))
-            d = dst.reshape(pair + (runs, -1, 2, right))
-            self._xp.einsum("rij,...rmjs->...rmis", mat[:, 0], s, out=d)
-        elif right == 1:
-            # Batched matrices contracting the trailing axis: einsum's
-            # slow path; broadcast matmul is ~2x faster (see the kernel
-            # note at the top of this module).
-            self._xp.matmul(
-                mat[:, None],
-                src.reshape(pair + (batch, left, 2, 1)),
-                out=dst.reshape(pair + (batch, left, 2, 1)),
-            )
-        else:
-            s = src.reshape(pair + (batch, left, 2, right))
-            d = dst.reshape(pair + (batch, left, 2, right))
-            self._xp.einsum("bij,...bljr->...blir", mat, s, out=d)
-
-    def _apply_1q_inv(self, mat, wire, src, dst, batch, runs=None) -> None:
-        if mat.ndim == 2:
-            left, right = self._lr[wire]
-            s = src.reshape(-1, left, 2, right)
-            d = dst.reshape(-1, left, 2, right)
-            self._xp.einsum("ji,bljr->blir", mat.conj(), s, out=d)
-        else:
-            # Daggered batched matrices reuse the forward kernel (and its
-            # trailing-axis matmul and run-stacked specializations).
-            self._apply_1q(
-                self._xp.conj_transpose(mat), wire, src, dst, batch, runs
-            )
-
-    def _apply_2q(self, mat, wire_a, wire_b, src, dst, batch) -> None:
-        # The general two-qubit gate keeps the reference NumPy kernel;
-        # device backends round-trip through host here (non-diagonal,
-        # non-permutation two-qubit gates are rare in the paper's
-        # circuits, so the transfer is off the hot path).
-        if self._xp.is_numpy:
-            tensor = src.reshape((batch,) + (2,) * self.n_qubits)
-            out = apply_two_qubit(tensor, mat, wire_a, wire_b)
-            dst[:] = out.reshape(batch, self.dim)
-            return
-        host = self._xp.to_numpy(src).reshape((batch,) + (2,) * self.n_qubits)
-        hmat = np.asarray(self._xp.to_numpy(mat))
-        out = apply_two_qubit(host, hmat, wire_a, wire_b)
-        dst[...] = self._xp.asarray(
-            np.ascontiguousarray(out.reshape(batch, self.dim)),
-            dtype=self._xp.complex_dtype,
+        plan = self._plan
+        return dense_peak_bytes(
+            self.n_qubits,
+            plan.n_layers,
+            plan.n_params,
+            plan.enc_wires.size,
+            batch,
+            runs,
+            mode,
         )
-
-    def _combined(self, members, mats, runs=None) -> np.ndarray:
-        mat = self._mat_of(members[0], mats)
-        for m in members[1:]:
-            mat = self._matmul_promote(self._mat_of(m, mats), mat, runs)
-        return mat
-
-    @staticmethod
-    def _matmul_promote(a, b, runs=None) -> np.ndarray:
-        """``a @ b`` for any mix of shared, per-run and per-sample stacks.
-
-        Shared ``(k, k)`` matrices broadcast against anything via plain
-        ``matmul`` (a per-run ``(R, 1, k, k)`` tag survives it).  Mixing
-        a per-run stack with a per-sample ``(R*B, k, k)`` stack views
-        the per-sample one as ``(R, B, k, k)`` so the run axis
-        broadcasts, then flattens back — the product is per-sample.
-
-        Uses the ``@`` operator so the same code works for ndarrays
-        (where it *is* ``np.matmul``, bit-identically) and device
-        tensors.
-        """
-        if a.ndim == 4 and b.ndim == 3:
-            wide = b.reshape(runs, -1, *b.shape[1:])
-            return (a @ wide).reshape(b.shape)
-        if a.ndim == 3 and b.ndim == 4:
-            wide = a.reshape(runs, -1, *a.shape[1:])
-            return (wide @ b).reshape(a.shape)
-        return a @ b
 
     # -- execution ---------------------------------------------------------
 
@@ -1212,23 +623,18 @@ class CompiledTape:
         inputs: np.ndarray | None = None,
         weights: np.ndarray | None = None,
         batch: int | None = None,
-        shifts: Mapping[tuple[int, int], float] | None = None,
         record: bool = False,
         runs: int | None = None,
         depths: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Run the compiled program; return the final flat ``(B, 2**n)`` state.
+        """Run the compiled tape; return the final flat ``(B, 2**n)`` state.
 
         ``inputs`` rebinds every ``input``-ref parameter from column
         ``ref.index`` of a ``(B, n_features)`` array; ``weights`` rebinds
         every ``weight``-ref parameter from a flat vector.  Parameters
-        without a binding keep the values baked in at compile time.
-        ``shifts`` adds a delta to individual ``(op_index, param_index)``
-        slots (the parameter-shift rule's hook); in run-stacked mode a
-        delta may be a per-run ``(runs,)`` vector — one shift per run —
-        which is how all ``2P`` shifted circuits of the parameter-shift
-        rule execute as a single fused sweep.  The returned array is an
-        engine-owned buffer, valid only until the next ``execute``.
+        without a binding keep the values baked in at compile time.  The
+        returned array is an engine-owned buffer, valid only until the
+        next ``execute``.
 
         ``runs=R`` enables run-stacked execution: ``weights`` may then be
         a 2-D ``(R, n_weights)`` stack, one parameter set per run, and
@@ -1236,45 +642,48 @@ class CompiledTape:
         rows ``r*B .. (r+1)*B``).  One sweep executes all ``R`` runs;
         see the module docstring.
 
-        ``depths`` (dense tapes, run-stacked 2-D ``weights`` only) gives
-        each run its own ansatz depth: run ``r`` executes the first
-        ``depths[r]`` layers and every later layer's unitary is the
-        identity, so the run computes exactly what a tape truncated to
-        that depth would.  Its weights past its own layers are ignored
-        and their gradients come back as exact zeros.
+        ``depths`` (run-stacked 2-D ``weights`` only) gives each run its
+        own ansatz depth: run ``r`` executes the first ``depths[r]``
+        layers and every later layer's unitary is the identity, so the
+        run computes exactly what a tape truncated to that depth would.
+        Its weights past its own layers are ignored and their gradients
+        come back as exact zeros.
         """
+        plan, xp = self._plan, self._xp
+        n, dim, n_layers = self.n_qubits, self.dim, plan.n_layers
         if inputs is not None:
             # Parameter binding and gate-matrix construction are always
-            # host-side (tiny arrays, branchy code); download any device
-            # inputs/weights first.  Identity on the NumPy backend.
-            inputs = np.asarray(self._xp.to_numpy(inputs), dtype=np.float64)
+            # host-side (tiny arrays); download any device inputs and
+            # weights first.  Identity on the NumPy backend.
+            inputs = np.asarray(xp.to_numpy(inputs), dtype=np.float64)
             if inputs.ndim != 2:
                 raise ShapeError(
                     f"inputs must be (batch, n_features), got {inputs.shape}"
                 )
-            if inputs.shape[1] <= self._max_input:
+            if inputs.shape[1] <= plan.max_input:
                 raise ShapeError(
-                    f"tape references input {self._max_input}, inputs only "
+                    f"tape references input {plan.max_input}, inputs only "
                     f"have {inputs.shape[1]} features"
                 )
         if weights is not None:
-            weights = np.asarray(self._xp.to_numpy(weights), dtype=np.float64)
+            weights = np.asarray(xp.to_numpy(weights), dtype=np.float64)
+            needed = plan.max_weight
             if weights.ndim == 2 and runs is not None:
                 if weights.shape[0] != runs:
                     raise ShapeError(
                         f"stacked weights have {weights.shape[0]} rows, "
                         f"expected runs={runs}"
                     )
-                if weights.shape[1] <= self._max_weight:
+                if weights.shape[1] <= needed:
                     raise ShapeError(
-                        f"tape references weight {self._max_weight}, got "
+                        f"tape references weight {needed}, got "
                         f"{weights.shape[1]} weights per run"
                     )
             else:
                 weights = np.ravel(weights)
-                if weights.size <= self._max_weight:
+                if weights.size <= needed:
                     raise ShapeError(
-                        f"tape references weight {self._max_weight}, got "
+                        f"tape references weight {needed}, got "
                         f"{weights.size} weights"
                     )
         batch = self._resolve_batch(inputs, batch)
@@ -1287,81 +696,151 @@ class CompiledTape:
                 raise ShapeError(
                     f"batch {batch} is not a multiple of runs {runs}"
                 )
-        if self._fixed_batch > 1 and batch != self._fixed_batch:
-            raise ShapeError(
-                f"tape has baked-in batched parameters of size "
-                f"{self._fixed_batch}, cannot execute with batch {batch}"
-            )
         if depths is not None:
-            depths = self._check_depths(depths, weights, runs, shifts)
-        if self._dense is not None and shifts is None:
-            return self._execute_dense(
-                inputs, weights, batch, runs, record, depths
+            depths = self._check_depths(depths, weights, runs)
+
+        encoding = None
+        if plan.enc_wires.size:
+            if inputs is not None:
+                encoding = inputs[:, plan.enc_inputs]
+            else:
+                encoding = np.empty((batch, plan.enc_wires.size))
+                for i, default in enumerate(plan.enc_defaults):
+                    if default.ndim == 1 and default.shape[0] != batch:
+                        raise ShapeError(
+                            f"{plan.enc_gate} parameter batch "
+                            f"{default.shape[0]} != execution batch {batch}"
+                        )
+                    encoding[:, i] = default
+
+        # Layer unitaries: one builder call over every (run, layer,
+        # wire), n-1 broadcast krons and one row take for the rings.
+        if weights is None:
+            angles = plan.wdefault[None]
+        elif weights.ndim == 2:
+            angles = weights[:, plan.widx]
+        else:
+            angles = weights[plan.widx][None]
+        n_u = angles.shape[0]
+        args = [angles[..., p].reshape(-1) for p in range(plan.n_params)]
+        gate = GATE_SET[plan.gate].matrix_fn(*args)
+        per_wire = gate.reshape(n_u, n_layers, n, 2, 2)
+        kron = per_wire[:, :, 0]
+        for w in range(1, n):
+            side = 2 ** (w + 1)
+            factor = per_wire[:, :, w, None, :, None, :]
+            kron = (kron[..., :, None, :, None] * factor).reshape(
+                n_u, n_layers, side, side
             )
-        values, run_ops = self._resolve_values(
-            inputs, weights, batch, shifts, runs
-        )
-        mats = self._upload_mats(
-            self._grouped_matrices(
-                self._dyn_groups, values, batch, run_ops=run_ops
-            )
-        )
+        unitary = kron.reshape(n_u, n_layers * dim, dim)[:, plan.rows]
+        if plan.flips.size:
+            unitary[:, plan.flips] = -unitary[:, plan.flips]
+        unitary = unitary.reshape(n_u, n_layers, dim, dim)
+        padded = None
+        if depths is not None:
+            # Layers past a run's depth pass its state through: x * 1
+            # and x + 0 are exact, so the run sees its own depth's
+            # circuit bit for bit.
+            padded = np.nonzero(np.arange(n_layers) >= depths[:, None])
+            unitary[padded] = np.eye(dim, dtype=unitary.dtype)
+        unitary = xp.asarray(unitary)
 
         if record:
-            # The record takes exclusive ownership of a ket/bra buffer
-            # pair: detaching it from the pool means later (e.g.
-            # inference) executes use the "fwd" pair instead of
-            # clobbering the recorded final state before backward
-            # consumes it.  The forward runs in the pair's ket halves;
-            # the pair returns to the pool on release.
-            pairs = self._buffers(batch, "pair", 2)
-            self._pools[batch].pop("pair")
-            buf, scratch = pairs[0][0], pairs[1][0]
-            owner = {id(buf): pairs[0], id(scratch): pairs[1]}
+            states = xp.empty(
+                (n_layers + 1, batch, dim), dtype=xp.complex_dtype
+            )
+            state = states[0]
+            bufs = [states[l] for l in range(1, n_layers + 1)]
         else:
-            buf, scratch = self._buffers(batch, "fwd", 2)
-        self._xp.fill(buf, 0.0)
-        buf[:, 0] = 1.0
-        for instr in self._program:
-            kind = instr[0]
-            if kind == _F1Q:
-                self._apply_1q(
-                    self._dev(instr[2]), instr[1], buf, scratch, batch
-                )
-                buf, scratch = scratch, buf
-            elif kind == _F1Q_DYN:
-                mat = self._combined(instr[2], mats, runs)
-                self._apply_1q(mat, instr[1], buf, scratch, batch, runs)
-                buf, scratch = scratch, buf
-            elif kind == _FPERM:
-                self._xp.take(buf, self._dev_idx(instr[1]), scratch)
-                buf, scratch = scratch, buf
-            elif kind == _FNEG:
-                buf[:, self._dev_idx(instr[1])] *= -1.0
-            elif kind == _F2Q:
-                self._apply_2q(instr[3], instr[1], instr[2], buf, scratch, batch)
-                buf, scratch = scratch, buf
-            else:  # _F2Q_DYN
-                mat = self._mat_of(instr[3], mats)
-                self._apply_2q(mat, instr[1], instr[2], buf, scratch, batch)
-                buf, scratch = scratch, buf
+            pair = self._pair(batch)
+            state = pair[1]
+            bufs = [pair[l % 2] for l in range(n_layers)]
+        # The product state goes straight into the buffer layer 0
+        # reads, built in row blocks so the builder's temporaries stay
+        # small on evaluation-sized batches.
+        for lo in range(0, batch, _BLOCK_ROWS):
+            rows = slice(lo, lo + _BLOCK_ROWS)
+            block = None if encoding is None else encoding[rows]
+            state[rows] = xp.asarray(self._product_state(block))
+        for l, out in enumerate(bufs):
+            xp.einsum(
+                _DENSE_APPLY,
+                state.reshape(n_u, -1, dim),
+                unitary[:, l],
+                out=out.reshape(n_u, -1, dim),
+            )
+            state = out
         if record:
-            # The kernels only ever swap the two half views, so identity
-            # tells which pair holds the final state.
-            live = owner[id(buf)]
             self._last = {
                 "batch": batch,
                 "runs": runs,
-                "run_ops": run_ops,
-                "mats": mats,
-                "values": values,
-                "final": buf,
-                "pair": (live, owner[id(scratch)]),
+                "final": state,
+                "states": states,
+                "unitary": unitary,
+                "gate": gate,
+                "args": args,
+                "padded": padded,
             }
-        else:
-            # Keep the fwd pool aligned with the post-swap buffer roles.
-            self._pools[batch]["fwd"] = [buf, scratch]
-        return buf
+        return state
+
+    def _check_depths(self, depths, weights, runs) -> np.ndarray:
+        """Validate ``execute``'s per-run ``depths``; return them as an
+        integer array."""
+        if weights is None or weights.ndim != 2:
+            raise ShapeError("depths need run-stacked 2-D weights")
+        depths = np.asarray(depths)
+        if depths.shape != (runs,):
+            raise ShapeError(
+                f"depths must have shape ({runs},), got {depths.shape}"
+            )
+        n_layers = self._plan.n_layers
+        if depths.min() < 1 or depths.max() > n_layers:
+            raise ShapeError(
+                f"depths must lie in 1..{n_layers}, got {depths.tolist()}"
+            )
+        return depths.astype(np.intp)
+
+    def _product_state(self, angles) -> np.ndarray:
+        """The encoded product state for a block of ``(rows,
+        n_encoded)`` angles, or ``|0...0>`` (shape ``(2**n,)``) for a
+        tape without encoding (``angles`` is ``None``).
+
+        One builder call over every encoded wire: each gate's first
+        column is its wire's factor of the state, and an unencoded
+        wire's factor is ``|0>``.
+        """
+        plan = self._plan
+        factors = [_KET0] * self.n_qubits
+        if angles is not None:
+            mats = GATE_SET[plan.enc_gate].matrix_fn(angles.reshape(-1))
+            cols = mats[:, :, 0].reshape(angles.shape[0], -1, 2)
+            for i, w in enumerate(plan.enc_wires):
+                factors[w] = cols[:, i]
+        psi = factors[0]
+        for w in range(1, self.n_qubits):
+            psi = psi[..., :, None] * factors[w][..., None, :]
+            psi = psi.reshape(psi.shape[:-2] + (-1,))
+        return psi
+
+    def is_layer_prefix(self, other: "CompiledTape") -> bool:
+        """Whether this tape is ``other``'s truncated to its own depth:
+        the same encoding and gate, and each of its layers reads the
+        same weights and applies the same ring as ``other``'s layer at
+        that position.  ``other.execute(..., depths=...)`` then runs
+        this tape's circuit at this tape's depth."""
+        mine, theirs = self._plan, other._plan
+        n_layers = mine.n_layers
+        size = n_layers * self.dim
+        return (
+            n_layers <= theirs.n_layers
+            and mine.enc_gate == theirs.enc_gate
+            and np.array_equal(mine.enc_wires, theirs.enc_wires)
+            and np.array_equal(mine.enc_inputs, theirs.enc_inputs)
+            and mine.gate == theirs.gate
+            and np.array_equal(mine.widx, theirs.widx[:n_layers])
+            and np.array_equal(mine.rows, theirs.rows[:size])
+            and np.array_equal(mine.flips, theirs.flips[theirs.flips < size])
+        )
 
     def run(
         self,
@@ -1436,83 +915,7 @@ class CompiledTape:
             )
         return out.reshape(rows, n_signs)
 
-    # -- compiled adjoint --------------------------------------------------
-
-    def release(self) -> None:
-        """Drop the recorded forward execution.
-
-        The record's buffer pair goes back to the pool (replacing any
-        pair allocated in the meantime), so nothing beyond the bounded
-        pools stays pinned between training steps.
-        """
-        if self._last is not None:
-            pool = self._pools.get(self._last["batch"])
-            if pool is not None and "pair" in self._last:
-                pool["pair"] = list(self._last["pair"])
-            self._last = None
-
-    def _deriv_overlaps(self, dmats, wire, ket, bra, batch, runs=None) -> np.ndarray:
-        """``2 Re <bra_b| dU_p |ket_b>`` for all P parameters at once.
-
-        ``dmats`` is the stacked ``(P, 2, 2)``, ``(P, B, 2, 2)`` or —
-        run-stacked — ``(P, R, 2, 2)`` derivative-matrix array of one
-        gate; returns ``(P, B)`` per-sample overlaps — the adjoint
-        method's gradient contraction, vectorised across the gate's
-        parameters instead of looping.
-        """
-        left, right = self._lr[wire]
-        if dmats.ndim == 5:
-            # Per-run (P, R, 1, 2, 2)-tagged derivative matrices over a
-            # run-major buffer: view the states as (R, B, left, 2,
-            # right) so the run axis lines up, then flatten the
-            # per-sample overlaps back to (P, R*B).
-            per = batch // runs
-            k = ket.reshape(runs, per, left, 2, right)
-            b = bra.reshape(runs, per, left, 2, right)
-            dk = self._xp.einsum("prij,rbljs->prblis", dmats[:, :, 0], k)
-            out = 2.0 * (
-                self._xp.einsum("rblis,prblis->prb", b.real, dk.real)
-                + self._xp.einsum("rblis,prblis->prb", b.imag, dk.imag)
-            )
-            return out.reshape(dmats.shape[0], batch)
-        k = ket.reshape(batch, left, 2, right)
-        b = bra.reshape(batch, left, 2, right)
-        if dmats.ndim == 3:
-            dk = self._xp.einsum("pij,bljr->pblir", dmats, k)
-        else:
-            dk = self._xp.einsum("pbij,bljr->pblir", dmats, k)
-        return 2.0 * (
-            self._xp.einsum("blir,pblir->pb", b.real, dk.real)
-            + self._xp.einsum("blir,pblir->pb", b.imag, dk.imag)
-        )
-
-    def _apply_adj_step(self, step, mats, src, dst, batch, runs=None):
-        """Undo one original op on both halves of the ``(2, batch,
-        2**n)`` ket/bra pair ``src``; return ``(live, spare)``."""
-        kind = step[0]
-        if kind == "m1":
-            self._apply_1q_inv(mats, step[1], src, dst, batch, runs)
-            return dst, src
-        if kind == "perm":
-            self._xp.take(
-                src.reshape(2 * batch, self.dim),
-                self._dev_idx(step[2]),
-                dst.reshape(2 * batch, self.dim),
-            )
-            return dst, src
-        if kind == "neg":
-            src[:, :, self._dev_idx(step[1])] *= -1.0
-            return src, dst
-        # kind == "m2" — two-qubit matrices stay host-side (see
-        # _apply_2q), so the dagger is plain NumPy.  Each half keeps
-        # the row count of a separate sweep: the static kernel is a
-        # gemm, whose blocking depends on it.
-        inv = np.conj(np.swapaxes(mats, -1, -2))
-        for half in range(2):
-            self._apply_2q(
-                inv, step[1], step[2], src[half], dst[half], batch
-            )
-        return dst, src
+    # -- adjoint -----------------------------------------------------------
 
     def adjoint_gradients(
         self,
@@ -1523,26 +926,34 @@ class CompiledTape:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Compiled version of :func:`repro.quantum.adjoint.adjoint_gradients`.
 
-        Consumes the execution recorded by ``execute(record=True)`` —
-        reusing its bound gate matrices — and releases it afterwards.
-        Returns per-sample ``input`` gradients ``(B, n_inputs)`` and
-        batch-summed ``weight`` gradients ``(n_weights,)``.  For a
-        run-stacked record (``execute(..., runs=R)`` with 2-D weights)
-        the weight gradients come back **per run**, shape
-        ``(R, n_weights)``, each row summed over that run's samples only.
+        Consumes the execution recorded by ``execute(record=True)`` and
+        releases it afterwards.  Returns per-sample ``input`` gradients
+        ``(B, n_inputs)`` and batch-summed ``weight`` gradients
+        ``(n_weights,)``.  For a run-stacked record (``execute(...,
+        runs=R)`` with 2-D weights) the weight gradients come back **per
+        run**, shape ``(R, n_weights)``, each row summed over that run's
+        samples only.
+
+        With ``mu`` the bra before layer ``l`` and ``psi`` the ket before
+        it, ``H = sum_b conj(mu_b)^T psi_b`` carries every overlap of the
+        layer: for gate ``X`` on wire ``w``, ``dK = K (X^dagger dX)_w``,
+        so the gradient is ``2 Re sum(A * Tr_rest H)`` with ``A =
+        X^dagger dX``; no derivative kron is ever built.
         """
         if self._last is None:
             raise ShapeError(
                 "adjoint_gradients needs a recorded forward; call "
                 "execute(record=True) first"
             )
-        for g, reason in self._adjoint_unsupported.items():
-            if self._specs[g].dynamic:
-                raise GateError(reason)
-        last = self._last
+        plan, xp, last = self._plan, self._xp, self._last
         batch, runs = last["batch"], last["runs"]
+        states, unitary = last["states"], last["unitary"]
+        n, dim, n_layers = self.n_qubits, self.dim, plan.n_layers
+        n_u = unitary.shape[0]
+        blocks = runs or 1
+        idx = self._dev_idx
 
-        grad_out = self._xp.as_real(grad_out)
+        grad_out = xp.as_real(grad_out)
         signs = self._z_signs
         if measure_wires is not None:
             signs = signs[list(measure_wires)]
@@ -1551,11 +962,10 @@ class CompiledTape:
                 f"grad_out must be ({batch}, {signs.shape[0]}), "
                 f"got {tuple(grad_out.shape)}"
             )
-        n_z = signs.shape[1]
-        if not self._xp.is_numpy:
+        if not xp.is_numpy:
             signs = (
                 self._dev(signs) if measure_wires is None
-                else self._xp.asarray(signs)
+                else xp.asarray(signs)
             )
         # Seed |bra_b> = (sum_k g_bk Z_k)|psi_b>: the Z combination is a
         # diagonal, so it is one matmul against the sign table followed by
@@ -1563,261 +973,9 @@ class CompiledTape:
         # batched over run blocks, one gemm per block, so the gemm's row
         # count — and with it BLAS's rounding — matches a per-run
         # execution exactly.
-        blocks = runs or 1
-        seed = self._xp.matmul(
+        seed = xp.matmul(
             grad_out.reshape(blocks, batch // blocks, -1), signs
-        ).reshape(batch, n_z)
-        if "dense" in last:
-            return self._adjoint_dense(seed, n_inputs, n_weights)
-        # The recorded final state (the ket) is src[0]; the bra is
-        # seeded into src[1], and both then move through the reversed
-        # tape together.
-        src, dst = last["pair"]
-        mats, values = last["mats"], last["values"]
-        self._xp.multiply(seed, src[0], src[1])
-
-        derivs = self._grouped_matrices(
-            self._train_groups,
-            values,
-            batch,
-            deriv=True,
-            run_ops=last["run_ops"],
-        )
-        if not self._xp.is_numpy:
-            # Derivative stacks are single-qubit only (2x2 trailing
-            # axes); upload them once for the whole reversed sweep.
-            derivs = {g: self._xp.asarray(d) for g, d in derivs.items()}
-        input_grads = self._xp.zeros(
-            (batch, n_inputs), dtype=self._xp.real_dtype
-        )
-        if runs is not None:
-            weight_grads = self._xp.zeros(
-                (runs, n_weights), dtype=self._xp.real_dtype
-            )
-        else:
-            weight_grads = self._xp.zeros(
-                n_weights, dtype=self._xp.real_dtype
-            )
-
-        idx = self._dev_idx
-        for g in range(len(self._specs) - 1, -1, -1):
-            step = self._adj_program[g]
-            if step[0] == "skip":
-                # Folded into a fused permutation applied at the end of
-                # this run of permutation gates (none carry parameters).
-                continue
-            gate_mat = (
-                self._mat_of(g, mats)
-                if step[0] in ("m1", "m2")
-                else None
-            )
-            src, dst = self._apply_adj_step(
-                step, gate_mat, src, dst, batch, runs
-            )
-            d_entry = derivs.get(g)
-            if d_entry is None:
-                continue
-            # Trainable ops are single-qubit ("m1", a ping-pong step):
-            # the undone ket is now src[0], while dst[1] still holds the
-            # bra from before this op's undo.
-            keep, inputs, weights = self._scatter[g]
-            if keep is not None:
-                d_entry = d_entry[idx(keep)]
-            overlaps = self._deriv_overlaps(
-                d_entry, self._specs[g].wires[0], src[0], dst[1], batch, runs
-            )
-            for rows, cols in inputs:
-                input_grads[:, idx(cols)] += overlaps[idx(rows)].T
-            for rows, cols in weights:
-                per_sample = overlaps[idx(rows)]
-                if runs is not None:
-                    # Per-run weight gradients: each run's row sums its
-                    # own B contiguous samples (same pairwise reduction
-                    # a per-run execution would perform).
-                    weight_grads[:, idx(cols)] += per_sample.reshape(
-                        rows.size, runs, -1
-                    ).sum(axis=2).T
-                else:
-                    weight_grads[idx(cols)] += per_sample.sum(axis=1)
-
-        pool = self._pools.get(batch)
-        if pool is not None:
-            # Return the record's buffer pair to the pool for reuse.
-            pool["pair"] = [src, dst]
-        self._last = None
-        return input_grads, weight_grads
-
-    # -- dense path --------------------------------------------------------
-
-    def _check_depths(self, depths, weights, runs, shifts) -> np.ndarray:
-        """Validate ``execute``'s per-run ``depths``; return them as an
-        integer array."""
-        if shifts is not None:
-            raise ShapeError("depths cannot be combined with shifts")
-        if self._dense is None:
-            raise ShapeError("depths need a dense-path tape")
-        if weights is None or weights.ndim != 2:
-            raise ShapeError("depths need run-stacked 2-D weights")
-        depths = np.asarray(depths)
-        if depths.shape != (runs,):
-            raise ShapeError(
-                f"depths must have shape ({runs},), got {depths.shape}"
-            )
-        if depths.min() < 1 or depths.max() > self._dense.n_layers:
-            raise ShapeError(
-                f"depths must lie in 1..{self._dense.n_layers}, "
-                f"got {depths.tolist()}"
-            )
-        return depths.astype(np.intp)
-
-    def is_layer_prefix(self, other: "CompiledTape") -> bool:
-        """Whether this dense tape is ``other``'s truncated to its own
-        depth: the same encoding and gate, and each of its layers reads
-        the same weights and applies the same ring as ``other``'s layer
-        at that position.  ``other.execute(..., depths=...)`` then runs
-        this tape's circuit at this tape's depth."""
-        mine, theirs = self._dense, other._dense
-        if mine is None or theirs is None:
-            return False
-        n_layers = mine.n_layers
-        return (
-            n_layers <= theirs.n_layers
-            and mine.enc_gate == theirs.enc_gate
-            and np.array_equal(mine.enc_wires, theirs.enc_wires)
-            and np.array_equal(mine.enc_inputs, theirs.enc_inputs)
-            and mine.gate == theirs.gate
-            and np.array_equal(mine.widx, theirs.widx[:n_layers])
-            and np.array_equal(mine.rows, theirs.rows[: n_layers * self.dim])
-        )
-
-    def _product_state(self, angles) -> np.ndarray:
-        """The dense path's encoded product state for a block of
-        ``(rows, n_encoded)`` angles, or ``|0...0>`` (shape ``(2**n,)``)
-        for a tape without encoding (``angles`` is ``None``).
-
-        One builder call over every encoded wire: each gate's first
-        column is its wire's factor of the state, and an unencoded
-        wire's factor is ``|0>``.
-        """
-        plan = self._dense
-        factors = [_KET0] * self.n_qubits
-        if angles is not None:
-            mats = GATE_SET[plan.enc_gate].matrix_fn(angles.reshape(-1))
-            cols = mats[:, :, 0].reshape(angles.shape[0], -1, 2)
-            for i, w in enumerate(plan.enc_wires):
-                factors[w] = cols[:, i]
-        psi = factors[0]
-        for w in range(1, self.n_qubits):
-            psi = psi[..., :, None] * factors[w][..., None, :]
-            psi = psi.reshape(psi.shape[:-2] + (-1,))
-        return psi
-
-    def _execute_dense(self, inputs, weights, batch, runs, record, depths):
-        """``execute`` for a dense-eligible tape (see the module docstring).
-
-        Gate matrices, the product state and the layer unitaries are
-        built host-side, like every bound matrix of the per-gate program;
-        the state contractions run on the backend.
-        """
-        plan, xp = self._dense, self._xp
-        n, dim, n_layers = self.n_qubits, self.dim, plan.n_layers
-
-        encoding = None
-        if plan.enc_ops:
-            if inputs is not None:
-                encoding = inputs[:, plan.enc_inputs]
-            else:
-                encoding = np.empty((batch, len(plan.enc_ops)))
-                for i, g in enumerate(plan.enc_ops):
-                    default = self._specs[g].defaults[0]
-                    if default.ndim == 1 and default.shape[0] != batch:
-                        raise ShapeError(
-                            f"{self._specs[g].name} parameter batch "
-                            f"{default.shape[0]} != execution batch {batch}"
-                        )
-                    encoding[:, i] = default
-
-        # Layer unitaries: one builder call over every (run, layer,
-        # wire), n-1 broadcast krons and one row take for the rings.
-        if weights is None:
-            angles = plan.wdefault[None]
-        elif weights.ndim == 2:
-            angles = weights[:, plan.widx]
-        else:
-            angles = weights[plan.widx][None]
-        n_u = angles.shape[0]
-        args = [angles[..., p].reshape(-1) for p in range(plan.n_params)]
-        gate = GATE_SET[plan.gate].matrix_fn(*args)
-        per_wire = gate.reshape(n_u, n_layers, n, 2, 2)
-        kron = per_wire[:, :, 0]
-        for w in range(1, n):
-            side = 2 ** (w + 1)
-            factor = per_wire[:, :, w, None, :, None, :]
-            kron = (kron[..., :, None, :, None] * factor).reshape(
-                n_u, n_layers, side, side
-            )
-        unitary = kron.reshape(n_u, n_layers * dim, dim)[:, plan.rows]
-        unitary = unitary.reshape(n_u, n_layers, dim, dim)
-        padded = None
-        if depths is not None:
-            # Layers past a run's depth pass its state through: x * 1
-            # and x + 0 are exact, so the run sees its own depth's
-            # circuit bit for bit.
-            padded = np.nonzero(np.arange(n_layers) >= depths[:, None])
-            unitary[padded] = np.eye(dim, dtype=unitary.dtype)
-        unitary = xp.asarray(unitary)
-
-        if record:
-            states = xp.empty(
-                (n_layers + 1, batch, dim), dtype=xp.complex_dtype
-            )
-            state = states[0]
-            bufs = [states[l] for l in range(1, n_layers + 1)]
-        else:
-            pair = self._buffers(batch, "fwd", 2)
-            state = pair[1]
-            bufs = [pair[l % 2] for l in range(n_layers)]
-        # The product state goes straight into the buffer layer 0
-        # reads, built in row blocks so the builder's temporaries stay
-        # small on evaluation-sized batches.
-        for lo in range(0, batch, _BLOCK_ROWS):
-            rows = slice(lo, lo + _BLOCK_ROWS)
-            block = None if encoding is None else encoding[rows]
-            state[rows] = xp.asarray(self._product_state(block))
-        for l, out in enumerate(bufs):
-            xp.einsum(
-                _DENSE_APPLY,
-                state.reshape(n_u, -1, dim),
-                unitary[:, l],
-                out=out.reshape(n_u, -1, dim),
-            )
-            state = out
-        if record:
-            self._last = {
-                "batch": batch,
-                "runs": runs,
-                "final": state,
-                "dense": (states, unitary, gate, args, padded),
-            }
-        return state
-
-    def _adjoint_dense(self, seed, n_inputs, n_weights):
-        """``adjoint_gradients`` for a dense record; ``seed`` is the
-        ``(batch, 2**n)`` real Z-combination the bra starts from.
-
-        With ``mu`` the bra before layer ``l`` and ``psi`` the ket before
-        it, ``H = sum_b conj(mu_b)^T psi_b`` carries every overlap of the
-        layer: for gate ``X`` on wire ``w``, ``dK = K (X^dagger dX)_w``,
-        so the gradient is ``2 Re sum(A * Tr_rest H)`` with ``A =
-        X^dagger dX`` — no derivative kron is ever built.
-        """
-        plan, xp, last = self._dense, self._xp, self._last
-        states, unitary, gate, args, padded = last["dense"]
-        batch, runs = last["batch"], last["runs"]
-        n, dim, n_layers = self.n_qubits, self.dim, plan.n_layers
-        n_u = unitary.shape[0]
-        blocks = runs or 1
-        idx = self._dev_idx
+        ).reshape(batch, dim)
 
         # bras[l] is the bra before layer l (bras[L]: the seeded bra).
         bras = xp.empty((n_layers + 1, batch, dim), dtype=xp.complex_dtype)
@@ -1842,11 +1000,12 @@ class CompiledTape:
         reduced = xp.empty((blocks, n_layers, n, 2, 2), dtype=xp.complex_dtype)
         for w, spec in enumerate(plan.traces):
             xp.einsum(spec, overlap, out=reduced[:, :, w])
-        derivs = GATE_SET[plan.gate].deriv_fn(*args)
+        derivs = GATE_SET[plan.gate].deriv_fn(*last["args"])
         if isinstance(derivs, tuple):
             derivs = np.stack(derivs)
         else:
             derivs = derivs[None]
+        gate = last["gate"]
         local = np.matmul(np.conj(np.swapaxes(gate, -1, -2)), derivs).reshape(
             plan.n_params, n_u, n_layers, n, 2, 2
         )
@@ -1856,9 +1015,9 @@ class CompiledTape:
         grads = 2.0 * xp.einsum(
             "prlwac,rlwac->rlwp", xp.asarray(local), reduced
         ).real
-        if padded is not None:
+        if last["padded"] is not None:
             # A run's layers past its depth hold no weights of its own.
-            grads[tuple(xp.index_const(i) for i in padded)] = 0.0
+            grads[tuple(xp.index_const(i) for i in last["padded"])] = 0.0
         if runs is not None:
             weight_grads = xp.zeros((runs, n_weights), dtype=xp.real_dtype)
             weight_grads[:, idx(plan.wflat)] = grads.reshape(blocks, -1)
@@ -1869,7 +1028,8 @@ class CompiledTape:
         # Input gradients: 2 Re <bra_0| G_w |psi_0> for every encoded
         # wire, with G_w psi_0 one gather and one phase multiply.
         input_grads = xp.zeros((batch, n_inputs), dtype=xp.real_dtype)
-        if plan.enc_ops:
+        n_enc = plan.enc_wires.size
+        if n_enc:
             moved = xp.empty(
                 (batch, plan.gen_idx.size), dtype=xp.complex_dtype
             )
@@ -1878,7 +1038,7 @@ class CompiledTape:
             overlaps = xp.einsum(
                 "bk,bwk->bw",
                 bras[0].conj(),
-                moved.reshape(batch, len(plan.enc_ops), dim),
+                moved.reshape(batch, n_enc, dim),
             )
             input_grads[:, idx(plan.enc_inputs)] = 2.0 * overlaps.real
         self._last = None
@@ -1891,19 +1051,19 @@ class CompiledTape:
 # of times (every run of every candidate rebuilds its model from scratch).
 # Compilation is cheap but not free, and in the parallel runtime each
 # worker process would otherwise recompile identical tapes for every job
-# it executes.  The cache below is keyed purely by structure — gate names,
-# wires, parameter provenance (``ParamRef``) and the *values* of
-# unreferenced (constant) parameters.  Referenced parameters are excluded
-# from the key on purpose: a cached compilation may carry a previous
-# tape's default values in those slots, so cache users must rebind every
-# referenced parameter on each ``execute`` (exactly what
-# :class:`repro.hybrid.QuantumLayer` does).  Every hit returns a
-# :meth:`CompiledTape.clone` — the compiled program is shared, execution
-# state (buffer pools, recorded forwards) is per-instance — so two live
-# layers with identical structure can never clobber each other.  The
-# cache is opt-in: sequential library use keeps the engine-per-layer
-# behaviour unless :func:`enable_compile_cache` is called (the parallel
-# runtime enables it in each worker's initializer).
+# it executes.  The cache below is keyed purely by structure: gate names,
+# wires and parameter provenance (``ParamRef``).  Every angle of a
+# compiled tape is referenced, so parameter values never enter the key:
+# a cached compilation may carry a previous tape's default values, and
+# cache users must rebind every referenced parameter on each ``execute``
+# (exactly what :class:`repro.hybrid.QuantumLayer` does).  Every hit
+# returns a :meth:`CompiledTape.clone`: the compiled plan is shared,
+# execution state (buffer pools, recorded forwards) is per-instance, so
+# two live layers with identical structure can never clobber each other.
+# A tape outside the compiled shape raises on every call and is never
+# cached.  The cache is opt-in: sequential library use keeps the
+# engine-per-layer behaviour unless :func:`enable_compile_cache` is
+# called (the parallel runtime enables it in each worker's initializer).
 
 _COMPILE_CACHE: dict[tuple, CompiledTape] | None = None
 _COMPILE_CACHE_MAX = 32
@@ -1914,17 +1074,9 @@ _CACHE_EVICTIONS = 0
 
 def _structure_key(ops: Sequence[Operation], n_qubits: int) -> tuple:
     """Hashable structural signature of a tape (see cache contract above)."""
-    parts: list[tuple] = [(n_qubits,)]
-    for op in ops:
-        entry: list[object] = [op.name, op.wires]
-        for param, ref in zip(op.params, op.refs):
-            if ref is not None:
-                entry.append((ref.kind, ref.index))
-            else:
-                arr = np.asarray(param)
-                entry.append((arr.shape, arr.tobytes()))
-        parts.append(tuple(entry))
-    return tuple(parts)
+    return (n_qubits,) + tuple(
+        (op.name, tuple(op.wires), tuple(op.refs)) for op in ops
+    )
 
 
 def enable_compile_cache(maxsize: int = 32) -> None:

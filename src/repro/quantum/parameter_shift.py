@@ -13,11 +13,12 @@ quantum hardware, which matters for the FLOPs-accounting conventions in
 to validate :mod:`repro.quantum.adjoint`.
 
 :func:`parameter_shift_gradients` deliberately stays on the reference
-executor so it remains an independent oracle.
+executor so it remains an independent oracle, and it serves every tape.
 :func:`compiled_parameter_shift_gradients` is the production variant used
-by the hybrid layer: it drives a :class:`~repro.quantum.engine.CompiledTape`
-and obtains each shifted execution by rebinding one parameter slot instead
-of rebuilding (and revalidating) a whole ``Operation`` list per shift.
+by the hybrid layer for tapes the engine compiles: it drives a
+:class:`~repro.quantum.engine.CompiledTape` and runs all shifted circuits
+as one run-stacked execute instead of rebuilding (and revalidating) a
+whole ``Operation`` list per shift.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ..exceptions import ShapeError
 from .circuit import Operation, run, shift_parameter
 from .measurements import expval_z
 
@@ -94,133 +96,67 @@ def compiled_parameter_shift_gradients(
     n_weights: int,
     inputs: np.ndarray | None = None,
     weights: np.ndarray | None = None,
-    batch: int | None = None,
     measure_wires: Sequence[int] | None = None,
-    vectorized: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Parameter-shift gradients via a compiled engine.
 
     Same contract as :func:`parameter_shift_gradients`, but ``engine`` is
-    a :class:`repro.quantum.engine.CompiledTape` and each shifted
-    execution rebinds one parameter slot (``shifts={(op, param): delta}``)
-    on the already-compiled program.  ``inputs`` / ``weights`` are the
-    bindings of the unshifted circuit.
+    a :class:`repro.quantum.engine.CompiledTape` and ``inputs`` /
+    ``weights`` bind the unshifted circuit (``inputs`` is required when
+    the tape encodes inputs).  The batch is ``grad_out``'s row count;
+    ``inputs`` must have as many rows.
 
-    With ``vectorized`` (the default) all ``2 * P`` shifted circuits of
-    the tape execute as **one** run-stacked sweep: slice ``2k`` /
-    ``2k+1`` carries parameter ``k``'s ``+pi/2`` / ``-pi/2`` circuit
-    (per-run shift vectors, tiled inputs and a tiled weight stack), so
-    one engine call replaces ``2 * P`` — the per-sweep dispatch overhead
-    that dominates small-batch shift gradients is paid once.  The
-    per-slice kernels and per-slice ``<Z>`` gemms are bit-identical to
-    the separate executions, so gradients match the loop exactly; tapes
-    the stacked path cannot express (multi-qubit referenced gates,
-    baked-in batched defaults, missing bindings) fall back to it
-    automatically.
+    In a compiled tape every input column feeds one encoding angle and
+    every weight one layer angle, so shifting a parameter is shifting
+    one column.  All ``2 * P`` shifted circuits therefore execute as the
+    ``2 * P`` runs of **one** run-stacked execute: run ``2k`` / ``2k+1``
+    carries parameter ``k``'s ``+pi/2`` / ``-pi/2`` circuit, input
+    shifts in its tiled input rows and weight shifts in its weight row.
+    Each run's ``<Z>`` is its own gemm, so every shifted circuit's
+    arithmetic is that of a separate execution.
     """
     grad_out = np.asarray(grad_out, dtype=np.float64)
-    resolved_batch = batch
-    if resolved_batch is None and inputs is not None:
-        resolved_batch = np.asarray(inputs).shape[0]
-    if resolved_batch is None:
-        resolved_batch = grad_out.shape[0]
-    refs = engine.referenced_params()
-
-    kinds = {ref.kind for _, _, ref in refs}
-    if (
-        vectorized
-        and refs
-        and engine.shift_stackable
-        and not ("input" in kinds and inputs is None)
-        and not ("weight" in kinds and weights is None)
-    ):
-        return _stacked_shift_gradients(
-            engine,
-            grad_out,
-            n_inputs,
-            n_weights,
-            refs,
-            inputs,
-            weights,
-            resolved_batch,
-            measure_wires,
+    if grad_out.ndim != 2:
+        raise ShapeError(
+            f"grad_out must be (batch, n_measured), got {grad_out.shape}"
         )
-
-    input_grads = np.zeros((resolved_batch, n_inputs), dtype=np.float64)
-    weight_grads = np.zeros(n_weights, dtype=np.float64)
-    for op_idx, p_idx, ref in refs:
-        exp = []
-        for delta in (+_SHIFT, -_SHIFT):
-            state = engine.execute(
-                inputs=inputs,
-                weights=weights,
-                batch=resolved_batch,
-                shifts={(op_idx, p_idx): delta},
+    batch = grad_out.shape[0]
+    in_cols, w_cols = engine.input_columns, engine.weight_columns
+    if weights is None:
+        raise ShapeError("compiled parameter shift needs the weights binding")
+    weights = np.ravel(np.asarray(weights, dtype=np.float64))
+    if inputs is not None:
+        inputs = np.asarray(inputs, dtype=np.float64)
+        if inputs.shape[0] != batch:
+            raise ShapeError(
+                f"inputs have {inputs.shape[0]} rows but grad_out has {batch}"
             )
-            exp.append(
-                engine.backend.to_numpy(
-                    engine.expvals(state, wires=measure_wires)
-                )
-            )
-        per_sample = np.sum(grad_out * (0.5 * (exp[0] - exp[1])), axis=1)
-        if ref.kind == "input":
-            input_grads[:, ref.index] += per_sample
-        else:
-            weight_grads[ref.index] += per_sample.sum()
+    elif in_cols.size:
+        raise ShapeError("compiled parameter shift needs the inputs binding")
+    n_in = in_cols.size
+    n_params = n_in + w_cols.size
+    runs = 2 * n_params
+    plus = 2 * np.arange(n_params)
 
-    return input_grads, weight_grads
-
-
-def _stacked_shift_gradients(
-    engine,
-    grad_out: np.ndarray,
-    n_inputs: int,
-    n_weights: int,
-    refs: Sequence[tuple],
-    inputs: np.ndarray | None,
-    weights: np.ndarray | None,
-    batch: int,
-    measure_wires: Sequence[int] | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """All 2P shifted executions as one run-stacked sweep (see above)."""
-    n_params = len(refs)
-    slices = 2 * n_params
-    big_inputs = (
-        np.tile(np.asarray(inputs, dtype=np.float64), (slices, 1))
-        if inputs is not None
-        else None
-    )
-    big_weights = (
-        np.tile(np.ravel(np.asarray(weights, dtype=np.float64)), (slices, 1))
-        if weights is not None
-        else None
-    )
-    shifts = {}
-    for k, (op_idx, p_idx, _) in enumerate(refs):
-        vec = np.zeros(slices)
-        vec[2 * k] = +_SHIFT
-        vec[2 * k + 1] = -_SHIFT
-        shifts[(op_idx, p_idx)] = vec
+    run_weights = np.tile(weights, (runs, 1))
+    run_weights[plus[n_in:], w_cols] += _SHIFT
+    run_weights[plus[n_in:] + 1, w_cols] -= _SHIFT
+    run_inputs = None
+    if inputs is not None:
+        run_inputs = np.tile(inputs, (runs, 1, 1))
+        run_inputs[plus[:n_in], :, in_cols] += _SHIFT
+        run_inputs[plus[:n_in] + 1, :, in_cols] -= _SHIFT
+        run_inputs = run_inputs.reshape(runs * batch, -1)
     state = engine.execute(
-        inputs=big_inputs,
-        weights=big_weights,
-        batch=slices * batch,
-        runs=slices,
-        shifts=shifts,
+        inputs=run_inputs, weights=run_weights, batch=runs * batch, runs=runs
     )
     exp = engine.backend.to_numpy(
-        engine.expvals(state, wires=measure_wires, runs=slices)
-    )
-    exp = exp.reshape(n_params, 2, batch, -1)
+        engine.expvals(state, wires=measure_wires, runs=runs)
+    ).reshape(n_params, 2, batch, -1)
+    per_sample = np.sum(grad_out * (0.5 * (exp[:, 0] - exp[:, 1])), axis=2)
 
     input_grads = np.zeros((batch, n_inputs), dtype=np.float64)
+    input_grads[:, in_cols] = per_sample[:n_in].T
     weight_grads = np.zeros(n_weights, dtype=np.float64)
-    for k, (_, _, ref) in enumerate(refs):
-        per_sample = np.sum(
-            grad_out * (0.5 * (exp[k, 0] - exp[k, 1])), axis=1
-        )
-        if ref.kind == "input":
-            input_grads[:, ref.index] += per_sample
-        else:
-            weight_grads[ref.index] += per_sample.sum()
+    weight_grads[w_cols] = per_sample[n_in:].sum(axis=1)
     return input_grads, weight_grads

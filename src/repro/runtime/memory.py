@@ -2,9 +2,9 @@
 
 The stacked execution engine buys throughput by fusing ever-larger
 ``(C*R*B, 2**n)`` complex sweeps, and nothing in the scheduler used to
-bound them: a grid search that merges four 8-qubit candidates allocates
-the whole fused working set in one ``einsum``.  This module makes memory
-a governed resource:
+bound them: a grid search that merges four 5-qubit candidates allocates
+every run's layer unitaries and recorded states at once.  This module
+makes memory a governed resource:
 
 * :func:`resolve_memory_budget` turns the user's intent — an explicit
   ``TrainingSettings.memory_budget`` / ``--memory-budget`` value, the
@@ -206,31 +206,35 @@ def estimate_candidate_bytes(spec, batch: int, runs: int) -> int:
     * parameter stacks x4 (values, grads, Adam ``m``/``v`` moments);
     * dense activations: one input + one output row block per layer,
       cached for backward;
-    * quantum sweep (when ``spec`` has ``n_qubits``): at the dense
-      path's widths (``n <= 5``) the record
+    * quantum sweep (when ``spec`` has ``n_qubits``): at the compiled
+      engine's widths (``n <= 5``) the record
       :func:`~repro.quantum.engine.dense_peak_bytes` counts for an
       adjoint step (about ``3L + 2`` states plus the per-layer unitary
-      stacks); wider registers count the per-gate program's
-      forward/adjoint/record statevector buffers — six ``(rows, 2**n)``
-      complex buffers — plus the bound gate-matrix stacks (roughly
-      3 matrices per qubit per layer, per-sample encoding stacks and
-      per-run weight stacks).
+      stacks).  Wider registers run on the reference executor and never
+      stack (the quantum stacker declines them), so the runs train one
+      by one and only one run's working set is live: six
+      ``(batch, 2**n)`` complex statevectors (the ``moveaxis`` copies
+      of a gate application, the recorded final state and the adjoint's
+      ket and bra) plus the per-gate matrices (roughly 3 per qubit per
+      layer, per sample for the encoding and once for the weights).
 
-    ``rows = batch * runs`` is the fused run-major activation height.
+    ``rows = batch * runs`` is the fused run-major activation height of a
+    stacked candidate, and ``batch`` for an unstacked one.
     """
-    rows = max(1, int(batch)) * max(1, int(runs))
+    from ..quantum.engine import _DENSE_MAX_QUBITS, dense_peak_bytes
+
     runs = max(1, int(runs))
+    n_qubits = int(getattr(spec, "n_qubits", 0) or 0)
+    stacked = n_qubits <= _DENSE_MAX_QUBITS
+    rows = max(1, int(batch)) * (runs if stacked else 1)
     total = 4 * int(getattr(spec, "param_count", 0) or 0) * runs * _REAL_ITEM
     widths = [int(getattr(spec, "n_features", 0) or 0)]
     widths.extend(int(h) for h in getattr(spec, "hidden", ()) or ())
     widths.append(int(getattr(spec, "n_classes", 0) or 0))
     total += 2 * rows * sum(widths) * _REAL_ITEM
-    n_qubits = int(getattr(spec, "n_qubits", 0) or 0)
     if n_qubits:
-        from ..quantum.engine import _DENSE_MAX_QUBITS, dense_peak_bytes
-
         n_layers = int(getattr(spec, "n_layers", 1) or 1)
-        if n_qubits <= _DENSE_MAX_QUBITS:
+        if stacked:
             # One angle per wire for BEL, three (Rot) for SEL; every
             # wire carries one encoding gate.
             n_params = 3 if getattr(spec, "ansatz", "sel") == "sel" else 1
@@ -239,5 +243,5 @@ def estimate_candidate_bytes(spec, batch: int, runs: int) -> int:
             )
         total += 6 * rows * 2**n_qubits * _COMPLEX_ITEM
         gates = n_qubits * (n_layers + 1) * 3
-        total += gates * (rows + runs) * 4 * _COMPLEX_ITEM
+        total += gates * (rows + 1) * 4 * _COMPLEX_ITEM
     return total

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -50,3 +53,15 @@ def micro_profile() -> RunProfile:
         max_candidates=3,
         threshold=0.4,
     )
+
+
+@pytest.fixture(scope="session")
+def cz_ring_layer():
+    """``CZRingLayer`` of ``examples/custom_ansatz.py``: a custom
+    :class:`~repro.hybrid.QuantumLayer` whose CZ rings the engine
+    compiles as signed permutations."""
+    path = Path(__file__).parent.parent / "examples" / "custom_ansatz.py"
+    spec = importlib.util.spec_from_file_location("custom_ansatz", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.CZRingLayer

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.config import HYBRID_DEPTH_OPTIONS, HYBRID_QUBIT_OPTIONS
+from repro.core.experiment import ProtocolConfig, run_protocol
 from repro.exceptions import ConfigurationError, ShapeError
 from repro.hybrid import QuantumLayer
 from repro.quantum import (
+    CompiledTape,
     angle_embedding,
     basic_entangler_layers,
     expval_z,
@@ -104,6 +107,40 @@ class TestEngineFallback:
         expected2 = expval_z(run(layer.build_tape(x2), 2, 4))
         assert np.allclose(out2, expected2, atol=1e-12)
         assert not np.allclose(out2, np.broadcast_to(out1, out2.shape))
+
+
+class TestProtocolStaysCompiled:
+    """Every quantum layer of the paper's search space compiles, so no
+    protocol run falls onto the slower reference executor unnoticed."""
+
+    @pytest.mark.parametrize("ansatz", ["bel", "sel"])
+    @pytest.mark.parametrize("n_qubits", HYBRID_QUBIT_OPTIONS)
+    def test_search_space_tapes_compile(self, ansatz, n_qubits):
+        for depth in HYBRID_DEPTH_OPTIONS:
+            layer = QuantumLayer(
+                n_qubits, depth, ansatz=ansatz, rng=np.random.default_rng(0)
+            )
+            CompiledTape(layer.representative_tape(), n_qubits)
+
+    @pytest.mark.parametrize("family", ["bel", "sel"])
+    def test_protocol_never_runs_reference(self, family, monkeypatch):
+        def refuse(self, x, training):
+            raise AssertionError(f"{self.name} ran the reference executor")
+
+        monkeypatch.setattr(QuantumLayer, "_forward_reference", refuse)
+        cfg = ProtocolConfig(
+            feature_sizes=(4,),
+            n_experiments=1,
+            runs_per_candidate=2,
+            epochs=2,
+            batch_size=8,
+            n_points=60,
+            max_candidates=4,
+            threshold=0.99,
+            workers=1,
+        )
+        result = run_protocol(family, cfg)
+        assert len(result.levels[0].outcomes[0].evaluated) == 4
 
 
 class TestBackward:

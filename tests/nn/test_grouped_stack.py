@@ -460,13 +460,10 @@ class TestGroupedStackStructure:
         assert uniform.depths is None
         assert ragged.peak_bytes(32) == uniform.peak_bytes(32)
 
-    @pytest.mark.parametrize(
-        "cells", [((3, 1), (4, 1)), ((6, 1), (6, 2))], ids=["qubits", "n6"]
-    )
+    @pytest.mark.parametrize("cells", [((3, 1), (4, 1))], ids=["qubits"])
     def test_quantum_layers_stay_per_member(self, split, cells):
-        """Mixed register widths cannot share an engine, and n = 6 tapes
-        run the per-gate program (no depths): both keep the quantum
-        layers in per-member middles."""
+        """Mixed register widths cannot share an engine: the quantum
+        layers stay in per-member middles."""
         builders = [hybrid(q, depth) for q, depth in cells]
         stack = stack_candidates(build_candidates(builders, 2)[0])
         head, middles, tail = layout(stack)
@@ -475,6 +472,43 @@ class TestGroupedStackStructure:
         assert_groups_like_per_candidate(
             split, builders, 2, epochs=2, batch_size=8
         )
+
+    def test_n6_groups_decline_stacking(self, split):
+        """Six-qubit tapes do not compile, so their quantum layers stack
+        neither across candidates nor across runs: the group declines
+        and each candidate trains run by run on the reference executor,
+        exactly as the scalar per-run loop does."""
+        from repro.core.grid_search import TrainingSettings
+        from repro.core.search_space import HybridSpec
+        from repro.runtime.jobs import (
+            TrainingJob,
+            execute_candidates,
+            execute_job,
+            execute_runs,
+        )
+
+        groups, _ = build_candidates([hybrid(6, 1), hybrid(6, 2)], 2)
+        assert stack_candidates(groups) is None
+        assert all(stack_models(group) is None for group in groups)
+
+        specs = [
+            HybridSpec(n_features=4, n_qubits=6, n_layers=depth)
+            for depth in (1, 2)
+        ]
+        settings = TrainingSettings(
+            epochs=2, batch_size=8, runs=2, return_histories=True
+        )
+        group = [(spec, c, [0, 1]) for c, spec in enumerate(specs)]
+        assert execute_candidates(group, 0, split, settings) is None
+        for c, spec in enumerate(specs):
+            got = execute_runs(spec, 0, c, [0, 1], split, settings)
+            for run, result in enumerate(got):
+                ref = execute_job(
+                    TrainingJob(spec, 0, c, run), split, settings
+                )
+                assert result.history.train_loss == ref.history.train_loss
+                assert result.val_accuracy == ref.val_accuracy
+                assert result.epochs_run == ref.epochs_run
 
     def test_classical_models_group_across_shapes(self, split):
         builders = [classical((4,)), classical((8,))]

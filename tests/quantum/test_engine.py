@@ -4,17 +4,18 @@ The reference implementations (:func:`repro.quantum.circuit.run`,
 :func:`repro.quantum.adjoint.adjoint_gradients`,
 :func:`repro.quantum.parameter_shift.parameter_shift_gradients`) are the
 semantics oracle; :class:`repro.quantum.engine.CompiledTape` must match
-them to 1e-12 on randomized tapes covering every gate in ``GATE_SET``,
-shared and per-sample ``(B,)`` parameters, and both of the paper's
-ansatze.
+them to 1e-12 on both of the paper's ansatze and on random tapes of the
+compiled shape (any width it serves, encoding axis and subset, layer
+gate, and rings mixing CNOT, SWAP and CZ).  Tapes outside that shape
+must raise at construction and run on the reference executor instead.
 """
 
 import numpy as np
 import pytest
 
-from repro.exceptions import GateError, ShapeError
+from repro.exceptions import ConfigurationError, ShapeError
+from repro.hybrid import QuantumLayer
 from repro.quantum import (
-    GATE_SET,
     CompiledTape,
     Operation,
     adjoint_gradients,
@@ -31,71 +32,58 @@ from repro.quantum import (
     strongly_entangling_layers,
     weight_ref,
 )
+from repro.quantum.circuit import GATE_SET
 
 ATOL = 1e-12
 
-#: Gates the adjoint backend can differentiate.
-_ADJOINT_GATES = ("RX", "RY", "RZ", "Rot")
+#: Layer gates of the compiled shape, and the ring gates its signed
+#: permutations fold.
+_LAYER_GATES = ("RX", "RY", "RZ", "Rot")
+_RING_GATES = ("CNOT", "SWAP", "CZ")
 
 
-def random_tape(rng, n_qubits, batch, n_ops=12, with_refs=False):
-    """A random tape drawing every gate type, mixing shared and (B,) params.
+def random_dense_tape(seed, batch):
+    """A random tape of the compiled shape, bound to random data.
 
-    With ``with_refs`` the differentiable single-qubit rotations get
-    input/weight refs; returns ``(ops, n_inputs, n_weights)``.
+    Seed ``s`` draws width ``1 + s % 5`` and layer gate
+    ``_LAYER_GATES[s % 4]`` (so eight seeds cover every width and gate);
+    the encoding axis, the encoded wires and their input columns, each
+    layer's wire order and each ring's CNOT/SWAP/CZ gates are random.
+    Weight columns are shuffled and two are left unused.  Returns
+    ``(ops, n_qubits, x, w)``.
     """
-    names = list(GATE_SET)
-    ops = []
-    n_inputs = n_qubits
-    next_weight = 0
-    for _ in range(n_ops):
-        name = names[rng.integers(len(names))]
-        info = GATE_SET[name]
-        wires = tuple(
-            rng.choice(n_qubits, size=info.n_wires, replace=False).tolist()
-        )
-        params = []
-        refs = []
-        for _ in range(info.n_params):
-            if rng.random() < 0.5:
-                params.append(rng.uniform(-np.pi, np.pi, size=batch))
-            else:
-                params.append(rng.uniform(-np.pi, np.pi))
-            refs.append(None)
-        if with_refs and name in _ADJOINT_GATES:
-            for p in range(info.n_params):
-                roll = rng.random()
-                if roll < 0.4:
-                    refs[p] = input_ref(int(rng.integers(n_inputs)))
-                elif roll < 0.8:
-                    refs[p] = weight_ref(next_weight)
-                    next_weight += 1
-        ops.append(Operation(name, wires, tuple(params), tuple(refs)))
-    return ops, n_inputs, max(next_weight, 1)
-
-
-def covering_tape(batch):
-    """A fixed 3-qubit tape that applies every gate in GATE_SET once."""
-    ops = []
-    for name, info in GATE_SET.items():
-        wires = (0,) if info.n_wires == 1 else (0, 1)
-        params = tuple(
-            np.linspace(0.3, 0.9, info.n_params) + 0.1 * len(ops)
-        ) if info.n_params else ()
-        ops.append(Operation(name, wires, params))
-        # Exercise the other wire orderings / batched params too.
-        if info.n_wires == 2:
+    rng = np.random.default_rng((seed, 7))
+    n = 1 + seed % 5
+    n_features = n + 1
+    x = rng.uniform(-np.pi, np.pi, (batch, n_features))
+    axis = str(rng.choice(["RX", "RY", "RZ"]))
+    wires = rng.permutation(n)[: rng.integers(0, n + 1)]
+    columns = rng.permutation(n_features)[: wires.size]
+    ops = [
+        Operation(axis, (int(w),), (x[:, c],), (input_ref(int(c)),))
+        for w, c in zip(wires, columns)
+    ]
+    gate = _LAYER_GATES[seed % 4]
+    n_p = GATE_SET[gate].n_params
+    n_layers = int(rng.integers(1, 4))
+    n_weights = n_layers * n * n_p + 2
+    w = rng.uniform(-np.pi, np.pi, n_weights)
+    order = iter(rng.permutation(n_weights).tolist())
+    for _ in range(n_layers):
+        for wire in rng.permutation(n).tolist():
+            cols = [next(order) for _ in range(n_p)]
             ops.append(
                 Operation(
-                    name,
-                    (2, 0),
-                    tuple(
-                        np.full(batch, 0.4 + 0.05 * k)
-                        for k in range(info.n_params)
-                    ),
+                    gate,
+                    (wire,),
+                    tuple(w[c] for c in cols),
+                    tuple(weight_ref(c) for c in cols),
                 )
             )
-    return ops
+        for _ in range(rng.integers(0, n + 2) if n > 1 else 0):
+            pair = rng.choice(n, size=2, replace=False).tolist()
+            ops.append(Operation(str(rng.choice(_RING_GATES)), tuple(pair)))
+    return ops, n, x, w
 
 
 def dense_tape(case, x, w):
@@ -151,7 +139,6 @@ class TestForwardDifferential:
         x, w, wires = dense_case_data(case, rng, batch)
         tape = dense_tape(case, x, w)
         engine = CompiledTape(tape, case[1])
-        assert engine.dense
         ref = run(tape, case[1], batch)
         np.testing.assert_allclose(
             engine.run(inputs=x, weights=w.ravel()), ref, atol=ATOL, rtol=0
@@ -165,23 +152,34 @@ class TestForwardDifferential:
             rtol=0,
         )
 
-    def test_every_gate_once(self):
-        batch = 5
-        ops = covering_tape(batch)
-        assert set(op.name for op in ops) == set(GATE_SET)
-        ref = run(ops, 3, batch)
-        got = CompiledTape(ops, 3).run(batch=batch)
-        np.testing.assert_allclose(got, ref, atol=ATOL, rtol=0)
-
     @pytest.mark.parametrize("seed", range(8))
     def test_randomized_tapes(self, seed):
-        rng = np.random.default_rng(seed)
-        n_qubits = int(rng.integers(2, 5))
-        batch = int(rng.integers(1, 7))
-        ops, _, _ = random_tape(rng, n_qubits, batch)
+        batch = 1 + seed % 6
+        ops, n_qubits, x, w = random_dense_tape(seed, batch)
         ref = run(ops, n_qubits, batch)
-        got = CompiledTape(ops, n_qubits).run(batch=batch)
-        np.testing.assert_allclose(got, ref, atol=ATOL, rtol=0)
+        engine = CompiledTape(ops, n_qubits)
+        np.testing.assert_allclose(
+            engine.run(inputs=x, weights=w), ref, atol=ATOL, rtol=0
+        )
+        np.testing.assert_allclose(
+            engine.run(batch=batch), ref, atol=ATOL, rtol=0
+        )
+
+    def test_cz_ring_layer(self, cz_ring_layer, rng):
+        """The custom-ansatz example's CZ ring compiles and runs on the
+        engine inside its layer."""
+        layer = cz_ring_layer(3, 2, rng=rng)
+        x = rng.uniform(-np.pi, np.pi, (4, 3))
+        tape = layer.build_tape(x)
+        got = CompiledTape(tape, 3).run(
+            inputs=x, weights=layer.weights.ravel()
+        )
+        np.testing.assert_allclose(got, run(tape, 3, 4), atol=ATOL, rtol=0)
+        out = layer.forward(x)
+        assert layer._engine is not None
+        np.testing.assert_allclose(
+            out, expval_z(run(tape, 3, 4)), atol=ATOL, rtol=0
+        )
 
     @pytest.mark.parametrize("ansatz", ["bel", "sel"])
     def test_paper_ansatze(self, ansatz, rng):
@@ -223,17 +221,9 @@ class TestForwardDifferential:
             got = engine.run(inputs=x, weights=w2.ravel())
             np.testing.assert_allclose(got, ref, atol=ATOL, rtol=0)
 
-    def test_fusion_shrinks_program(self, rng):
-        w = random_sel_weights(2, 4, rng)
-        x = rng.uniform(-1, 1, (8, 4))
-        tape = angle_embedding(x, 4) + strongly_entangling_layers(w, 4)
-        engine = CompiledTape(tape, 4)
-        # Encoding RY fuses with the first layer's Rot on each wire.
-        assert engine.n_instructions < engine.n_ops
-
-    def test_expvals_match_measurements(self, rng):
+    def test_expvals_match_measurements(self):
         batch = 5
-        ops = covering_tape(batch)
+        ops, n_qubits, _, _ = random_dense_tape(2, batch)
         engine = CompiledTape(ops, 3)
         state = engine.execute(batch=batch)
         ref_state = run(ops, 3, batch)
@@ -272,22 +262,38 @@ class TestAdjointDifferential:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_randomized_tapes(self, seed):
-        rng = np.random.default_rng(100 + seed)
-        n_qubits = int(rng.integers(2, 5))
-        batch = int(rng.integers(1, 7))
-        ops, n_inputs, n_weights = random_tape(
-            rng, n_qubits, batch, with_refs=True
-        )
-        grad = rng.standard_normal((batch, n_qubits))
+        batch = 1 + (seed + 3) % 6
+        ops, n_qubits, x, w = random_dense_tape(100 + seed, batch)
+        rng = np.random.default_rng(seed)
+        wires = sorted(rng.permutation(n_qubits)[: 1 + seed % n_qubits])
+        grad = rng.standard_normal((batch, len(wires)))
         final = run(ops, n_qubits, batch)
         ig_ref, wg_ref = adjoint_gradients(
-            ops, final, grad, n_inputs, n_weights
+            ops, final, grad, x.shape[1], w.size, measure_wires=wires
         )
         engine = CompiledTape(ops, n_qubits)
-        engine.execute(batch=batch, record=True)
-        ig, wg = engine.adjoint_gradients(grad, n_inputs, n_weights)
+        engine.execute(inputs=x, weights=w, record=True)
+        ig, wg = engine.adjoint_gradients(
+            grad, x.shape[1], w.size, measure_wires=wires
+        )
         np.testing.assert_allclose(ig, ig_ref, atol=ATOL, rtol=0)
         np.testing.assert_allclose(wg, wg_ref, atol=ATOL, rtol=0)
+
+    def test_cz_ring_layer(self, cz_ring_layer, rng):
+        layer = cz_ring_layer(3, 2, rng=rng)
+        x = rng.uniform(-np.pi, np.pi, (4, 3))
+        grad = rng.standard_normal((4, 3))
+        tape = layer.build_tape(x)
+        ig_ref, wg_ref = adjoint_gradients(
+            tape, run(tape, 3, 4), grad, 3, layer.n_weights
+        )
+        layer.forward(x, training=True)
+        np.testing.assert_allclose(
+            layer.backward(grad), ig_ref, atol=ATOL, rtol=0
+        )
+        np.testing.assert_allclose(
+            layer.grads[0].ravel(), wg_ref, atol=ATOL, rtol=0
+        )
 
     @pytest.mark.parametrize("ansatz", ["bel", "sel"])
     def test_paper_ansatze(self, ansatz, rng):
@@ -346,31 +352,110 @@ class TestAdjointDifferential:
         np.testing.assert_allclose(wg, wg_ref, atol=ATOL, rtol=0)
 
     def test_multi_qubit_trainable_rejected(self):
+        """A trainable two-qubit gate is outside the compiled shape."""
         ops = [Operation("CRX", (0, 1), (0.3,), (weight_ref(0),))]
-        engine = CompiledTape(ops, 2)
-        engine.execute(batch=1, record=True)
-        with pytest.raises(GateError):
-            engine.adjoint_gradients(np.ones((1, 2)), 1, 1)
+        with pytest.raises(ConfigurationError, match="CRX"):
+            CompiledTape(ops, 2)
 
 
 class TestCompiledParameterShift:
-    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("seed", range(8))
     def test_matches_reference(self, seed):
-        rng = np.random.default_rng(200 + seed)
-        n_qubits, batch = 3, 4
-        ops, n_inputs, n_weights = random_tape(
-            rng, n_qubits, batch, n_ops=8, with_refs=True
-        )
-        grad = rng.standard_normal((batch, n_qubits))
+        batch = 1 + seed % 4
+        ops, n_qubits, x, w = random_dense_tape(200 + seed, batch)
+        grad = np.random.default_rng(seed).standard_normal((batch, n_qubits))
         ig_ref, wg_ref = parameter_shift_gradients(
-            ops, n_qubits, batch, grad, n_inputs, n_weights
+            ops, n_qubits, batch, grad, x.shape[1], w.size
         )
         engine = CompiledTape(ops, n_qubits)
         ig, wg = compiled_parameter_shift_gradients(
-            engine, grad, n_inputs, n_weights, batch=batch
+            engine, grad, x.shape[1], w.size, inputs=x, weights=w
         )
         np.testing.assert_allclose(ig, ig_ref, atol=ATOL, rtol=0)
         np.testing.assert_allclose(wg, wg_ref, atol=ATOL, rtol=0)
+
+    def test_cz_ring_layer(self, cz_ring_layer, rng):
+        layer = cz_ring_layer(3, 2, rng=rng)
+        x = rng.uniform(-np.pi, np.pi, (4, 3))
+        grad = rng.standard_normal((4, 3))
+        tape = layer.build_tape(x)
+        ig_ref, wg_ref = parameter_shift_gradients(
+            tape, 3, 4, grad, 3, layer.n_weights
+        )
+        ig, wg = compiled_parameter_shift_gradients(
+            CompiledTape(tape, 3),
+            grad,
+            3,
+            layer.n_weights,
+            inputs=x,
+            weights=layer.weights.ravel(),
+        )
+        np.testing.assert_allclose(ig, ig_ref, atol=ATOL, rtol=0)
+        np.testing.assert_allclose(wg, wg_ref, atol=ATOL, rtol=0)
+
+    def test_one_execute(self, rng, monkeypatch):
+        """All 2P shifted circuits are the runs of one execute: P = 3
+        encoded inputs + 18 weights."""
+        x = rng.uniform(-np.pi, np.pi, (4, 3))
+        w = random_sel_weights(2, 3, rng)
+        tape = angle_embedding(x, 3) + strongly_entangling_layers(w, 3)
+        engine = CompiledTape(tape, 3)
+        calls = []
+        execute = engine.execute
+
+        def counted(**kwargs):
+            calls.append(kwargs["runs"])
+            return execute(**kwargs)
+
+        monkeypatch.setattr(engine, "execute", counted)
+        compiled_parameter_shift_gradients(
+            engine, np.ones((4, 3)), 3, w.size, inputs=x, weights=w.ravel()
+        )
+        assert calls == [2 * (3 + w.size)]
+
+    def test_tape_without_encoding(self, rng):
+        """No input column is encoded: ``grad_out``'s rows size the sweep."""
+        w = random_bel_weights(2, 3, rng)
+        tape = basic_entangler_layers(w, 3)
+        grad = rng.standard_normal((2, 3))
+        ig_ref, wg_ref = parameter_shift_gradients(tape, 3, 2, grad, 3, w.size)
+        ig, wg = compiled_parameter_shift_gradients(
+            CompiledTape(tape, 3), grad, 3, w.size, weights=w.ravel()
+        )
+        assert not ig.any()
+        np.testing.assert_allclose(ig, ig_ref, atol=ATOL, rtol=0)
+        np.testing.assert_allclose(wg, wg_ref, atol=ATOL, rtol=0)
+
+    def test_bindings_required(self, rng):
+        x = rng.uniform(-np.pi, np.pi, (2, 3))
+        w = random_bel_weights(1, 3, rng)
+        tape = angle_embedding(x, 3) + basic_entangler_layers(w, 3)
+        engine = CompiledTape(tape, 3)
+        grad = np.ones((2, 3))
+        with pytest.raises(ShapeError, match="inputs"):
+            compiled_parameter_shift_gradients(
+                engine, grad, 3, w.size, weights=w.ravel()
+            )
+        with pytest.raises(ShapeError, match="weights"):
+            compiled_parameter_shift_gradients(
+                engine, grad, 3, w.size, inputs=x
+            )
+
+    def test_batch_mismatch_rejected(self, rng):
+        """A grad_out whose rows disagree with the inputs raises instead of
+        broadcasting."""
+        x = rng.uniform(-np.pi, np.pi, (2, 3))
+        w = random_bel_weights(1, 3, rng)
+        tape = angle_embedding(x, 3) + basic_entangler_layers(w, 3)
+        engine = CompiledTape(tape, 3)
+        with pytest.raises(ShapeError, match="rows"):
+            compiled_parameter_shift_gradients(
+                engine, np.ones((1, 3)), 3, w.size, inputs=x, weights=w.ravel()
+            )
+        with pytest.raises(ShapeError, match="grad_out"):
+            compiled_parameter_shift_gradients(
+                engine, np.ones(3), 3, w.size, inputs=x, weights=w.ravel()
+            )
 
     def test_with_bindings(self, rng):
         n_qubits, batch = 3, 5
@@ -405,12 +490,17 @@ class TestValidation:
             CompiledTape([Operation("H", (2,))], 2)
 
     def test_bad_batch(self):
-        engine = CompiledTape([Operation("H", (0,))], 1)
+        engine = CompiledTape(
+            [Operation("RY", (0,), (0.0,), (weight_ref(0),))], 1
+        )
         with pytest.raises(ShapeError):
             engine.execute(batch=0)
 
     def test_too_few_input_features(self):
-        ops = [Operation("RY", (0,), (0.0,), (input_ref(3),))]
+        ops = [
+            Operation("RY", (0,), (0.0,), (input_ref(3),)),
+            Operation("RY", (0,), (0.0,), (weight_ref(0),)),
+        ]
         engine = CompiledTape(ops, 1)
         with pytest.raises(ShapeError):
             engine.execute(inputs=np.zeros((2, 2)))
@@ -422,9 +512,12 @@ class TestValidation:
             engine.execute(weights=np.zeros(3), batch=1)
 
     def test_baked_batch_conflict(self, rng):
-        # A (B,)-shaped parameter without a ref is baked in at compile
-        # time and pins the execution batch.
-        ops = [Operation("RY", (0,), (rng.uniform(size=4),))]
+        # A (B,)-shaped encoding default is the batch of an execute
+        # without an inputs binding.
+        ops = [
+            Operation("RY", (0,), (rng.uniform(size=4),), (input_ref(0),)),
+            Operation("RY", (0,), (0.5,), (weight_ref(0),)),
+        ]
         engine = CompiledTape(ops, 1)
         assert engine.run().shape[0] == 4
         with pytest.raises(ShapeError):
@@ -432,7 +525,9 @@ class TestValidation:
 
     def test_buffer_pools_bounded(self, rng):
         x = rng.uniform(-1, 1, (3, 2))
-        tape = angle_embedding(x, 2)
+        tape = angle_embedding(x, 2) + basic_entangler_layers(
+            random_bel_weights(1, 2, rng), 2
+        )
         engine = CompiledTape(tape, 2)
         for batch in range(1, 12):
             engine.execute(inputs=rng.uniform(-1, 1, (batch, 2)))
@@ -440,80 +535,32 @@ class TestValidation:
 
     def test_grad_shape_checked(self, rng):
         x = rng.uniform(-1, 1, (3, 2))
-        tape = angle_embedding(x, 2)
+        w = random_bel_weights(1, 2, rng)
+        tape = angle_embedding(x, 2) + basic_entangler_layers(w, 2)
         engine = CompiledTape(tape, 2)
         engine.execute(record=True)
         with pytest.raises(ShapeError):
             engine.adjoint_gradients(np.ones((3, 5)), 2, 1)
 
 
-class TestKernelPaths:
-    """The trailing-wire matmul specialization and the einsum kernels
-    must be two implementations of the same math, and the CNOT-ring
-    fusion must not change semantics — all checked against the reference
-    executor across batch sizes."""
-
-    @pytest.mark.parametrize("batch", [1, 8, 16, 17, 32])
-    def test_kernel_paths_agree(self, batch):
-        rng = np.random.default_rng(batch)
-        n_qubits = 3
-        x = rng.uniform(-np.pi, np.pi, (batch, n_qubits))
-        w = random_sel_weights(2, n_qubits, rng)
-        tape = angle_embedding(x, n_qubits) + strongly_entangling_layers(
-            w, n_qubits
-        )
-        ref = run(tape, n_qubits, batch)
-        got = CompiledTape(tape, n_qubits).run(inputs=x, weights=w.ravel())
-        np.testing.assert_allclose(got, ref, atol=ATOL, rtol=0)
-
-    @pytest.mark.parametrize("batch", [4, 32])
-    def test_adjoint_across_kernel_paths(self, batch):
-        rng = np.random.default_rng(batch)
-        n_qubits, layers = 3, 3  # 3 layers -> 3 fused CNOT rings
-        x = rng.uniform(-np.pi, np.pi, (batch, n_qubits))
-        w = random_sel_weights(layers, n_qubits, rng)
-        tape = angle_embedding(x, n_qubits) + strongly_entangling_layers(
-            w, n_qubits
-        )
-        grad = rng.standard_normal((batch, n_qubits))
-        final = run(tape, n_qubits, batch)
-        ig_ref, wg_ref = adjoint_gradients(tape, final, grad, n_qubits, w.size)
-        engine = CompiledTape(tape, n_qubits)
-        engine.execute(inputs=x, weights=w.ravel(), record=True)
-        ig, wg = engine.adjoint_gradients(grad, n_qubits, w.size)
-        np.testing.assert_allclose(ig, ig_ref, atol=ATOL, rtol=0)
-        np.testing.assert_allclose(wg, wg_ref, atol=ATOL, rtol=0)
-
-    def test_cnot_ring_fuses_to_one_permutation(self, rng):
-        from repro.quantum.engine import _FPERM
-
-        n_qubits, layers = 4, 2
-        x = rng.uniform(-1, 1, (4, n_qubits))
-        w = random_sel_weights(layers, n_qubits, rng)
-        tape = angle_embedding(x, n_qubits) + strongly_entangling_layers(
-            w, n_qubits
-        )
-        engine = CompiledTape(tape, n_qubits)
-        perms = [i for i in engine._program if i[0] == _FPERM]
-        # one fused permutation per layer's ring, not one per CNOT
-        assert len(perms) == layers
-        # and the adjoint program carries matching skip markers
-        skips = [s for s in engine._adj_program if s[0] == "skip"]
-        assert len(skips) == layers * (n_qubits - 1)
-
-
 class TestDenseDispatch:
-    """The dense path serves exactly its tape shape, and never a shifted
-    execute; everything else runs the per-gate program, still matching
-    the reference."""
+    """The engine compiles exactly its tape shape; every other tape
+    raises at construction, and a :class:`QuantumLayer` built on it runs
+    the reference executor instead, still matching the reference
+    gradients."""
 
     @staticmethod
-    def _variant(name, rng, batch=4):
+    def _variant(name, rng, x=None, w=None, batch=4):
+        """``(tape, x, w, n_qubits)`` of a two-layer SEL tape that one
+        change (``name``) takes outside the compiled shape; ``x`` and
+        ``w`` are drawn unless given."""
         n_qubits = 6 if name == "six-qubits" else 3
-        x = rng.uniform(-np.pi, np.pi, (batch, n_qubits))
-        w = random_sel_weights(2, n_qubits, rng)
-        if name == "shared-weight":
-            w[1] = w[0]
+        if x is None:
+            x = rng.uniform(-np.pi, np.pi, (batch, n_qubits))
+        if w is None:
+            w = random_sel_weights(2, n_qubits, rng)
+            if name == "shared-weight":
+                w[1] = w[0]
         first, second = (
             strongly_entangling_layers(w[l : l + 1], n_qubits)
             for l in range(2)
@@ -526,8 +573,9 @@ class TestDenseDispatch:
                     None if r is None else weight_ref(r.index + 3 * n_qubits)
                     for r in op.refs
                 )
+        if name == "constant-angle":
+            second[0].refs = (None,) + second[0].refs[1:]
         extra = {
-            "cz": [Operation("CZ", (0, 1))],
             "static-2q": [Operation("CRX", (1, 2), (0.7,))],
             "input-after-weight": [
                 Operation("RY", (1,), (x[:, 0],), (input_ref(0),))
@@ -542,53 +590,92 @@ class TestDenseDispatch:
     @pytest.mark.parametrize(
         "name",
         [
-            "cz",
             "static-2q",
             "input-after-weight",
             "six-qubits",
             "shared-input",
             "shared-weight",
+            "constant-angle",
         ],
     )
-    def test_other_tapes_run_per_gate(self, name, rng):
+    def test_other_tapes_fall_back_to_reference(self, name, rng):
         tape, x, w, n_qubits = self._variant(name, rng)
-        engine = CompiledTape(tape, n_qubits)
-        assert not engine.dense
+        with pytest.raises(ConfigurationError):
+            CompiledTape(tape, n_qubits)
+
+        variant = self._variant
+
+        class VariantLayer(QuantumLayer):
+            def build_tape(self, xx):
+                return variant(name, rng, xx, self.weights)[0]
+
+        layer = VariantLayer(n_qubits, 2, rng=rng)
+        layer.weights[...] = w
         batch = x.shape[0]
+        out = layer.forward(x, training=True)
+        assert layer._engine is None and layer._engine_disabled
         final = run(tape, n_qubits, batch)
-        got = engine.execute(inputs=x, weights=w.ravel(), record=True)
-        np.testing.assert_allclose(
-            got.reshape(final.shape), final, atol=ATOL, rtol=0
-        )
+        np.testing.assert_allclose(out, expval_z(final), atol=ATOL, rtol=0)
         grad = rng.standard_normal((batch, n_qubits))
         ig_ref, wg_ref = adjoint_gradients(tape, final, grad, n_qubits, w.size)
-        ig, wg = engine.adjoint_gradients(grad, n_qubits, w.size)
-        np.testing.assert_allclose(ig, ig_ref, atol=ATOL, rtol=0)
-        np.testing.assert_allclose(wg, wg_ref, atol=ATOL, rtol=0)
+        np.testing.assert_allclose(
+            layer.backward(grad), ig_ref, atol=ATOL, rtol=0
+        )
+        np.testing.assert_allclose(
+            layer.grads[0].ravel(), wg_ref, atol=ATOL, rtol=0
+        )
 
-    def test_shifted_executes_run_per_gate(self, rng, monkeypatch):
-        batch = 4
-        x = rng.uniform(-np.pi, np.pi, (batch, 3))
-        w = random_sel_weights(2, 3, rng)
-        tape = angle_embedding(x, 3) + strongly_entangling_layers(w, 3)
+    @pytest.mark.parametrize(
+        "ops,culprit",
+        [
+            ([Operation("H", (0,))], "H on wires (0,)"),
+            (
+                [
+                    Operation("RY", (0,), (0.1,), (weight_ref(0),)),
+                    Operation("RX", (1,), (0.2,), (weight_ref(1),)),
+                ],
+                "RX on wires (1,) (operation 1)",
+            ),
+            (
+                [Operation("RY", (0,), (0.1,), (weight_ref(0),))],
+                "the end of the tape",
+            ),
+            ([], "the end of the tape"),
+        ],
+    )
+    def test_error_names_the_misfit(self, ops, culprit):
+        with pytest.raises(ConfigurationError) as err:
+            CompiledTape(ops, 2)
+        assert str(err.value).startswith(culprit)
+
+    @pytest.mark.parametrize("ring", [["CZ"], ["SWAP", "CZ", "CNOT"]])
+    def test_signed_rings_compile(self, ring, rng):
+        """CZ folds into a layer's ring as a sign flip; a ring of
+        CNOTs alone negates nothing."""
+        x = rng.uniform(-np.pi, np.pi, (4, 3))
+        w = random_bel_weights(2, 3, rng)
+        tape = angle_embedding(x, 3)
+        for layer in range(2):
+            tape += [
+                Operation(
+                    "RY", (q,), (w[layer, q],), (weight_ref(3 * layer + q),)
+                )
+                for q in range(3)
+            ]
+            tape += [
+                Operation(name, (k % 3, (k + 1) % 3))
+                for k, name in enumerate(ring)
+            ]
         engine = CompiledTape(tape, 3)
-        assert engine.dense
-
-        def no_dense(*args, **kwargs):
-            raise AssertionError("dense path ran")
-
-        monkeypatch.setattr(engine, "_execute_dense", no_dense)
-        with pytest.raises(AssertionError, match="dense path"):
-            engine.execute(inputs=x, weights=w.ravel())
-        grad = rng.standard_normal((batch, 3))
-        ig_ref, wg_ref = parameter_shift_gradients(
-            tape, 3, batch, grad, 3, w.size
+        assert engine._plan.flips.size
+        np.testing.assert_allclose(
+            engine.run(inputs=x, weights=w.ravel()),
+            run(tape, 3, 4),
+            atol=ATOL,
+            rtol=0,
         )
-        ig, wg = compiled_parameter_shift_gradients(
-            engine, grad, 3, w.size, inputs=x, weights=w.ravel()
-        )
-        np.testing.assert_allclose(ig, ig_ref, atol=ATOL, rtol=0)
-        np.testing.assert_allclose(wg, wg_ref, atol=ATOL, rtol=0)
+        bel = angle_embedding(x, 3) + basic_entangler_layers(w, 3)
+        assert not CompiledTape(bel, 3)._plan.flips.size
 
 
 class TestDensePeakBytes:
@@ -683,7 +770,7 @@ class TestCompileCache:
         tape = self._sel_tape(rng)
         assert not compile_cache_info()["enabled"]
         a, b = compiled_tape(tape, 3), compiled_tape(tape, 3)
-        assert a is not b and a._program is not b._program
+        assert a is not b and a._plan is not b._plan
 
     def test_bad_maxsize_rejected(self):
         from repro.exceptions import ConfigurationError
@@ -705,10 +792,31 @@ class TestCompileCache:
         a = compiled_tape(self._sel_tape(rng), 3)
         b = compiled_tape(self._sel_tape(rng), 3)
         assert a is not b
-        assert a._program is b._program  # compiled program shared
+        assert a._plan is b._plan  # compiled plan shared
         assert a._pools is not b._pools  # execution state per instance
         info = compile_cache_info()
         assert info["enabled"] and info["hits"] == 1 and info["misses"] == 1
+
+    def test_list_refs_hash(self, rng):
+        """A tape built with refs and wires as lists compiles through the
+        cache and hits the entry of its tuple-built twin."""
+        from repro.quantum import (
+            compile_cache_info,
+            compiled_tape,
+            enable_compile_cache,
+        )
+
+        enable_compile_cache()
+        tape = self._sel_tape(rng)
+        listed = [
+            Operation(op.name, list(op.wires), op.params, list(op.refs))
+            for op in tape
+        ]
+        a = compiled_tape(tape, 3)
+        b = compiled_tape(listed, 3)
+        assert a._plan is b._plan
+        info = compile_cache_info()
+        assert info["hits"] == 1 and info["misses"] == 1
 
     def test_clones_do_not_share_records(self, rng):
         """Two live layers with identical structure must not clobber each
@@ -731,7 +839,11 @@ class TestCompileCache:
         np.testing.assert_allclose(wg_a, wg_b, atol=ATOL, rtol=0)
 
     def test_structure_and_constants_distinguish(self, rng):
-        from repro.quantum import compiled_tape, enable_compile_cache
+        from repro.quantum import (
+            compile_cache_info,
+            compiled_tape,
+            enable_compile_cache,
+        )
 
         enable_compile_cache()
         sel = compiled_tape(self._sel_tape(rng), 3)
@@ -739,11 +851,13 @@ class TestCompileCache:
         bel_tape = angle_embedding(x, 3) + basic_entangler_layers(
             random_bel_weights(2, 3, rng), 3
         )
-        assert compiled_tape(bel_tape, 3) is not sel
-        # Unreferenced (constant) parameters are part of the key.
-        c1 = compiled_tape([Operation("RY", (0,), (0.1,))], 1)
-        c2 = compiled_tape([Operation("RY", (0,), (0.2,))], 1)
-        assert c1 is not c2
+        assert compiled_tape(bel_tape, 3)._plan is not sel._plan
+        # A tape outside the compiled shape raises on every call and is
+        # never cached.
+        for _ in range(2):
+            with pytest.raises(ConfigurationError):
+                compiled_tape([Operation("RY", (0,), (0.1,))], 1)
+        assert compile_cache_info()["size"] == 2
 
     def test_cached_engine_rebinds_correctly(self, rng):
         from repro.quantum import compiled_tape, enable_compile_cache
@@ -766,6 +880,7 @@ class TestCompileCache:
         enable_compile_cache(maxsize=2)
         for angle_index in range(5):
             compiled_tape(
-                [Operation("RY", (0,), (float(angle_index),))], 1
+                [Operation("RY", (0,), (0.5,), (weight_ref(angle_index),))],
+                1,
             )
         assert len(engine_mod._COMPILE_CACHE) <= 2

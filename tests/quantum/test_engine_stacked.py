@@ -10,9 +10,10 @@ trajectories exactly (training is chaotic; a ulp would amplify).
 import numpy as np
 import pytest
 
-from repro.exceptions import ShapeError
+from repro.exceptions import ConfigurationError, ShapeError
+from repro.hybrid.quantum_layer import StackedQuantumLayer
 from repro.quantum.adjoint import adjoint_gradients
-from repro.quantum.circuit import Operation, input_ref, run, weight_ref
+from repro.quantum.circuit import Operation, run
 from repro.quantum.engine import CompiledTape
 from repro.quantum.templates import (
     angle_embedding,
@@ -153,7 +154,6 @@ class TestStackedAdjoint:
         ops = variant_tape(case, np.zeros((1, n_f)), np.zeros(n_w))
         stacked = CompiledTape(ops, n_q)
         scalar = CompiledTape(ops, n_q)
-        assert stacked.dense
         weights = rng.normal(size=n_w if shared else (runs, n_w))
         inputs = rng.normal(size=(runs * batch, n_f))
         wires = [q for q in range(n_q) if q != n_q // 2] or [0]
@@ -343,101 +343,6 @@ class TestSliceCompaction:
         assert np.array_equal(swg, wg[keep])
 
 
-class TestPerRunShifts:
-    """Run-stacked shift vectors: each run's slot sees its own delta."""
-
-    def test_per_run_shift_vector_matches_scalar_shifts(self):
-        rng = np.random.default_rng(31)
-        ops, n_w = make_tape("sel", 3, 1, rng)
-        stacked = CompiledTape(ops, 3)
-        scalar = CompiledTape(ops, 3)
-        batch, runs = 2, 3
-        w = rng.normal(size=n_w)
-        x = rng.normal(size=(batch, 3))
-        deltas = np.array([0.0, +np.pi / 2, -np.pi / 2])
-        refs = stacked.referenced_params()
-        slot = next((g, p) for g, p, r in refs if r.kind == "weight")
-
-        fused = stacked.execute(
-            inputs=np.tile(x, (runs, 1)),
-            weights=np.tile(w, (runs, 1)),
-            runs=runs,
-            shifts={slot: deltas},
-        ).copy()
-        for r in range(runs):
-            ref = scalar.execute(
-                inputs=x, weights=w, shifts={slot: float(deltas[r])}
-            )
-            assert np.array_equal(ref, fused[r * batch : (r + 1) * batch])
-
-
-def mixed_tape(x, w, n_qubits, n_layers):
-    """A tape reaching every step kind of the paired adjoint sweep.
-
-    Per layer: a ``Rot`` per wire whose middle angle is a constant (no
-    ref, so the keep-mask drops its derivative), a CZ (``neg`` step), a
-    static CRX (``m2`` step), a SWAP (``perm``) and an RY driven by
-    input 0 again.  The last layer's first ``Rot`` feeds both live
-    angles from one weight, so one op adds into a column twice.
-    """
-    ops = angle_embedding(x, n_qubits)
-    k = 0
-    for layer in range(n_layers):
-        for q in range(n_qubits):
-            refs = (weight_ref(k), None, weight_ref(k + 1))
-            params = (w[k], 0.3 + q, w[k + 1])
-            if layer == n_layers - 1 and q == 0:
-                refs = (weight_ref(k), None, weight_ref(k))
-                params = (w[k], 0.3, w[k])
-            ops.append(Operation("Rot", (q,), params, refs))
-            k += 2
-        ops.append(Operation("CZ", (0, 1)))
-        ops.append(Operation("CRX", (1, 2), (0.7 + layer,)))
-        ops.append(Operation("SWAP", (0, n_qubits - 1)))
-        ops.append(Operation("RY", (1,), (x[:, 0],), (input_ref(0),)))
-    return ops, k
-
-
-class TestPairedAdjointStepKinds:
-    """The paired ket/bra sweep on CZ, static two-qubit and partially
-    referenced ``Rot`` gates: run-stacked gradients equal per-run ones
-    bit for bit, and per-run ones match the reference adjoint."""
-
-    @pytest.mark.parametrize(
-        "n_q,n_l,runs,batch", [(3, 1, 2, 1), (3, 2, 3, 4), (4, 2, 2, 8)]
-    )
-    def test_stacked_equals_per_run_and_reference(self, n_q, n_l, runs, batch):
-        rng = np.random.default_rng((n_q, n_l, runs, batch, 41))
-        n_w = 2 * n_l * n_q
-        ops, _ = mixed_tape(np.zeros((1, n_q)), np.zeros(n_w), n_q, n_l)
-        steps = {step[0] for step in CompiledTape(ops, n_q)._adj_program}
-        assert {"m1", "neg", "m2", "perm"} <= steps
-        stacked = CompiledTape(ops, n_q)
-        scalar = CompiledTape(ops, n_q)
-        weights = rng.normal(size=(runs, n_w))
-        inputs = rng.normal(size=(runs * batch, n_q))
-        grad = rng.normal(size=(runs * batch, n_q))
-
-        stacked.execute(inputs=inputs, weights=weights, runs=runs, record=True)
-        ig, wg = stacked.adjoint_gradients(grad, n_inputs=n_q, n_weights=n_w)
-        for r in range(runs):
-            sl = slice(r * batch, (r + 1) * batch)
-            scalar.execute(inputs=inputs[sl], weights=weights[r], record=True)
-            rig, rwg = scalar.adjoint_gradients(
-                grad[sl], n_inputs=n_q, n_weights=n_w
-            )
-            assert np.array_equal(rig, ig[sl])
-            assert np.array_equal(rwg, wg[r])
-
-            bound, _ = mixed_tape(inputs[sl], weights[r], n_q, n_l)
-            final = run(bound, n_q, batch)
-            ref_ig, ref_wg = adjoint_gradients(
-                bound, final, grad[sl], n_inputs=n_q, n_weights=n_w
-            )
-            np.testing.assert_allclose(rig, ref_ig, atol=1e-12, rtol=0)
-            np.testing.assert_allclose(rwg, ref_wg, atol=1e-12, rtol=0)
-
-
 class TestRaggedDepth:
     """``execute(..., depths=...)``: one sweep of the deepest tape runs
     every member at its own depth.  Each member's slices must equal the
@@ -458,7 +363,6 @@ class TestRaggedDepth:
         deepest = max(member_depths)
         ops, n_max = make_tape(ansatz, n_q, deepest, rng)
         engine = CompiledTape(ops, n_q)
-        assert engine.dense
         per_layer = n_max // deepest
         depths = np.repeat(member_depths, runs)
         slices = depths.size
@@ -517,7 +421,17 @@ class TestRaggedDepth:
         assert not deep.is_layer_prefix(engine("sel", 3, 2))
         assert not engine("bel", 3, 1).is_layer_prefix(deep)
         assert not engine("sel", 4, 1).is_layer_prefix(deep)
-        assert not engine("sel", 6, 1).is_layer_prefix(engine("sel", 6, 2))
+        # CZ rings: a ring's signs must match as well as its rows.
+        ops, _ = make_tape("bel", 3, 2, rng)
+        cz = [
+            Operation("CZ", op.wires) if op.name == "CNOT" else op
+            for op in ops
+        ]
+        plain = [op for op in cz if op.name != "CZ"]
+        cz_deep = CompiledTape(cz, 3)
+        assert CompiledTape(cz[:-6], 3).is_layer_prefix(cz_deep)
+        assert not CompiledTape(plain, 3).is_layer_prefix(cz_deep)
+        assert not cz_deep.is_layer_prefix(engine("bel", 3, 2))
 
     @pytest.fixture
     def ragged(self):
@@ -526,30 +440,13 @@ class TestRaggedDepth:
         engine = CompiledTape(ops, 3)
         return engine, rng.normal(size=(6, 3)), rng.normal(size=(3, n_w))
 
-    def test_rejects_shifts(self, ragged):
-        engine, x, w = ragged
-        slot = next(
-            (g, p) for g, p, r in engine.referenced_params()
-            if r.kind == "weight"
-        )
-        with pytest.raises(ShapeError, match="shifts"):
-            engine.execute(
-                inputs=x, weights=w, runs=3, depths=[1, 2, 3],
-                shifts={slot: 0.5},
-            )
-
     def test_rejects_non_dense_tape(self):
+        """Six qubits are outside the compiled shape: the tape does not
+        compile, so no engine can run it at ragged depths."""
         rng = np.random.default_rng(67)
-        ops, n_w = make_tape("sel", 6, 2, rng)
-        engine = CompiledTape(ops, 6)
-        assert not engine.dense
-        with pytest.raises(ShapeError, match="dense"):
-            engine.execute(
-                inputs=rng.normal(size=(2, 6)),
-                weights=rng.normal(size=(2, n_w)),
-                runs=2,
-                depths=[1, 2],
-            )
+        ops, _ = make_tape("sel", 6, 2, rng)
+        with pytest.raises(ConfigurationError, match="at most 5 qubits"):
+            CompiledTape(ops, 6)
 
     def test_rejects_1d_weights(self, ragged):
         engine, x, w = ragged
@@ -566,3 +463,64 @@ class TestRaggedDepth:
         engine, x, w = ragged
         with pytest.raises(ShapeError, match="1..3"):
             engine.execute(inputs=x, weights=w, runs=3, depths=bad)
+
+
+class TestSignedRingStack:
+    """Rings with CZs (the custom-ansatz example's) fold into the layer
+    unitaries as sign flips, which keep every run's arithmetic its own:
+    stacked and ragged sweeps equal per-run executes bit for bit."""
+
+    def test_stacked_layer_equals_per_run(self, cz_ring_layer):
+        runs, batch, n_q = 3, 4, 3
+        layers = [
+            cz_ring_layer(n_q, 2, rng=np.random.default_rng(r))
+            for r in range(runs)
+        ]
+        engine = CompiledTape(layers[0].representative_tape(), n_q)
+        stacked = StackedQuantumLayer(runs, layers, engine)
+        rng = np.random.default_rng(71)
+        x = rng.normal(size=(runs * batch, n_q))
+        grad = rng.normal(size=x.shape)
+        out = stacked.forward(x, training=True)
+        dx = stacked.backward(grad)
+        for r, layer in enumerate(layers):
+            rows = slice(r * batch, (r + 1) * batch)
+            own = layer.forward(x[rows], training=True)
+            assert np.array_equal(own, out[rows])
+            assert layer._engine is not None
+            assert np.array_equal(layer.backward(grad[rows]), dx[rows])
+            assert np.array_equal(layer.grads[0].ravel(), stacked.grads[0][r])
+
+    def test_ragged_depths_equal_per_member(self, cz_ring_layer):
+        n_q, batch = 3, 4
+        depths = np.array([1, 3, 2])
+        layers = [
+            cz_ring_layer(n_q, int(d), rng=np.random.default_rng(d))
+            for d in depths
+        ]
+        engine = CompiledTape(layers[1].representative_tape(), n_q)
+        weights = np.zeros((depths.size, engine.weight_columns.size))
+        for s, layer in enumerate(layers):
+            weights[s, : layer.n_weights] = layer.weights.ravel()
+        rng = np.random.default_rng(73)
+        x = rng.normal(size=(depths.size * batch, n_q))
+        grad = rng.normal(size=x.shape)
+        state = engine.execute(
+            inputs=x, weights=weights, runs=depths.size, record=True,
+            depths=depths,
+        ).copy()
+        ig, wg = engine.adjoint_gradients(grad, n_q, weights.shape[1])
+        for s, layer in enumerate(layers):
+            member = CompiledTape(layer.representative_tape(), n_q)
+            assert member.is_layer_prefix(engine)
+            rows = slice(s * batch, (s + 1) * batch)
+            ref = member.execute(
+                inputs=x[rows], weights=layer.weights.ravel(), record=True
+            )
+            assert np.array_equal(ref, state[rows])
+            rig, rwg = member.adjoint_gradients(
+                grad[rows], n_q, layer.n_weights
+            )
+            assert np.array_equal(rig, ig[rows])
+            assert np.array_equal(rwg, wg[s, : layer.n_weights])
+            assert not wg[s, layer.n_weights :].any()

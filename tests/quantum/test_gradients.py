@@ -182,54 +182,8 @@ class TestEdgeCases:
 
 
 class TestStackedParameterShift:
-    """The vectorized compiled shift path — all 2P shifted circuits as
-    one run-stacked sweep — must match the per-shift loop bit for bit
-    (and the reference executor to tolerance)."""
-
-    def _engine_case(self, ansatz, n_qubits, n_layers, batch, rng):
-        from repro.quantum.engine import CompiledTape
-
-        x0 = np.zeros((1, n_qubits))
-        if ansatz == "bel":
-            w0 = random_bel_weights(n_layers, n_qubits, rng)
-            ops = angle_embedding(x0, n_qubits) + basic_entangler_layers(
-                w0, n_qubits
-            )
-        else:
-            w0 = random_sel_weights(n_layers, n_qubits, rng)
-            ops = angle_embedding(x0, n_qubits) + strongly_entangling_layers(
-                w0, n_qubits
-            )
-        inputs = rng.uniform(-np.pi, np.pi, (batch, n_qubits))
-        weights = rng.standard_normal(w0.size)
-        grad_out = rng.standard_normal((batch, n_qubits))
-        return ops, inputs, weights, grad_out, CompiledTape
-
-    @pytest.mark.parametrize("ansatz", ["bel", "sel"])
-    @pytest.mark.parametrize("n_qubits,n_layers,batch", [(3, 1, 4), (4, 2, 1)])
-    def test_stacked_matches_loop_bitwise(
-        self, ansatz, n_qubits, n_layers, batch, rng
-    ):
-        from repro.quantum.parameter_shift import (
-            compiled_parameter_shift_gradients,
-        )
-
-        ops, inputs, weights, grad_out, CompiledTape = self._engine_case(
-            ansatz, n_qubits, n_layers, batch, rng
-        )
-        stacked = CompiledTape(ops, n_qubits)
-        loop = CompiledTape(ops, n_qubits)
-        assert stacked.shift_stackable
-        gi_v, gw_v = compiled_parameter_shift_gradients(
-            stacked, grad_out, n_qubits, weights.size,
-            inputs=inputs, weights=weights,
-        )
-        gi_l, gw_l = compiled_parameter_shift_gradients(
-            loop, grad_out, n_qubits, weights.size,
-            inputs=inputs, weights=weights, vectorized=False,
-        )
-        assert np.array_equal(gi_v, gi_l)
-        assert np.array_equal(gw_v, gw_l)
+    """The compiled shift path runs all 2P shifted circuits as one
+    run-stacked sweep and must match the reference executor."""
 
     def test_stacked_matches_reference_executor(self, rng):
         from repro.quantum.engine import CompiledTape
@@ -252,45 +206,3 @@ class TestStackedParameterShift:
         )
         np.testing.assert_allclose(gi_v, gi_r, atol=1e-10)
         np.testing.assert_allclose(gw_v, gw_r, atol=1e-10)
-
-    def test_missing_bindings_fall_back_to_loop(self, rng):
-        """A tape with input refs but no inputs binding cannot stack its
-        shifts; the loop fallback must still produce gradients."""
-        from repro.quantum.engine import CompiledTape
-        from repro.quantum.parameter_shift import (
-            compiled_parameter_shift_gradients,
-        )
-
-        n_qubits, batch = 2, 2
-        w = random_sel_weights(1, n_qubits, rng)
-        x = rng.uniform(-np.pi, np.pi, (batch, n_qubits))
-        tape = build_sel_tape(x, w, n_qubits)
-        stacked = CompiledTape(tape, n_qubits)
-        loop = CompiledTape(tape, n_qubits)
-        grad_out = rng.standard_normal((batch, n_qubits))
-        # weights bound, inputs left at their baked-in defaults
-        gi_v, gw_v = compiled_parameter_shift_gradients(
-            stacked, grad_out, n_qubits, w.size,
-            weights=w.reshape(-1), batch=batch,
-        )
-        gi_l, gw_l = compiled_parameter_shift_gradients(
-            loop, grad_out, n_qubits, w.size,
-            weights=w.reshape(-1), batch=batch, vectorized=False,
-        )
-        assert np.array_equal(gi_v, gi_l)
-        assert np.array_equal(gw_v, gw_l)
-
-    def test_multi_qubit_referenced_gate_not_stackable(self):
-        from repro.quantum.engine import CompiledTape
-
-        ops = [
-            Operation("RY", (0,), (np.asarray(0.1),), (weight_ref(0),)),
-            Operation(
-                "CRX",
-                (0, 1),
-                (np.asarray(0.2),),
-                (weight_ref(1),),
-            ),
-        ]
-        engine = CompiledTape(ops, 2)
-        assert not engine.shift_stackable

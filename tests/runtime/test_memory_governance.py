@@ -212,6 +212,15 @@ class TestAnalyticEstimates:
             hybrid, 8, 2
         ) > estimate_candidate_bytes(classical, 8, 2)
 
+    def test_unstacked_width_sizes_one_run(self):
+        """n > 5 candidates never stack, so their runs train one by one:
+        only the per-run parameter stacks grow with ``runs``."""
+        spec = HybridSpec(n_features=4, n_qubits=6, n_layers=2)
+        one = estimate_candidate_bytes(spec, 8, 1)
+        four = estimate_candidate_bytes(spec, 8, 4)
+        assert four - one == 3 * 4 * spec.param_count * 8
+        assert one > 6 * 8 * 2**6 * 16
+
     def test_engine_peak_bytes(self):
         from repro.quantum import (
             angle_embedding,
@@ -264,7 +273,6 @@ class TestAnalyticEstimates:
         engine = CompiledTape(
             qlayer.build_tape(np.zeros((1, n_qubits))), n_qubits
         )
-        assert engine.dense
         batch, runs = 8, 2
         assert estimate_candidate_bytes(spec, batch, runs) >= (
             engine.peak_bytes(batch * runs, runs=runs, mode="adjoint")
