@@ -28,7 +28,7 @@ from .experiments import (
     fig10_comparative,
     table1_ablation,
 )
-from .experiments.runner import PROFILES
+from .experiments.runner import PROFILES, cache_name
 
 __all__ = ["main", "build_parser"]
 
@@ -98,8 +98,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="JSON file persisting the measured chunk-cost model across "
         "invocations so adaptive packing is warm on the first search of "
-        "a rerun (default: chunk_costs.json inside --cache when both "
-        "--cache and --workers > 1 are given)",
+        "a rerun (default: chunk_costs_<profile>[_<overrides>].json "
+        "inside --cache, named like the result cache, when both --cache "
+        "and --workers > 1 are given)",
     )
     parser.add_argument(
         "--journal",
@@ -336,15 +337,18 @@ def main(argv: Sequence[str] | None = None) -> int:
         pool = PersistentPool(resolve_workers(args.workers), backend=args.backend)
     # Warm the adaptive packer from a previous invocation's measured
     # chunk costs; written back below (pool) or by the coordinator
-    # itself (TCP transport) so reruns keep learning.  Cost
-    # estimates shape submission order only, never results.
+    # itself (TCP transport) so reruns keep learning.  Costs are keyed
+    # by candidate label only, so the default file carries the result
+    # cache's identity: smoke timings never warm the packing or the
+    # deadlines of a reduced run.
     cost_cache = args.cost_cache
     if cost_cache is None and args.cache and (
         pool is not None or args.connect
     ):
         from pathlib import Path
 
-        cost_cache = str(Path(args.cache) / "chunk_costs.json")
+        name = cache_name(args.profile, **overrides)
+        cost_cache = str(Path(args.cache) / f"chunk_costs_{name}.json")
     if pool is None and not args.connect and args.cost_cache:
         # Sequential runs have no chunk scheduler, so there is nothing
         # to warm or record; say so instead of silently dropping it.

@@ -31,6 +31,7 @@ from .grid_search import (
     TrainingSettings,
     grid_search,
 )
+from .identity import resolved_backend_name, setting
 from .search_space import search_space_for_family
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -44,64 +45,79 @@ class ProtocolConfig:
     """Every knob of the benchmarking protocol.
 
     Defaults are the paper's full-fidelity settings; the experiment
-    drivers override them for the smoke/reduced profiles.
+    drivers override them for the smoke/reduced profiles.  Each field
+    is tagged ``affects_results`` (see :mod:`repro.core.identity`): a
+    field tagged ``False`` changes wall time, never results, so it
+    keys no journal or result cache.
     """
 
-    feature_sizes: tuple[int, ...] = paper_config.FEATURE_SIZES
-    n_experiments: int = paper_config.N_EXPERIMENTS
-    runs_per_candidate: int = paper_config.RUNS_PER_CANDIDATE
-    threshold: float = paper_config.ACCURACY_THRESHOLD
-    epochs: int = paper_config.EPOCHS
-    batch_size: int = paper_config.BATCH_SIZE
-    learning_rate: float = paper_config.LEARNING_RATE
-    n_points: int = paper_config.N_POINTS
-    val_fraction: float = paper_config.VALIDATION_FRACTION
-    early_stop: bool = False
-    max_candidates: int | None = None
-    convention: str = "paper"
-    dataset_seed: int = 0
-    base_seed: int = 0
+    feature_sizes: tuple[int, ...] = setting(
+        paper_config.FEATURE_SIZES, affects_results=True
+    )
+    n_experiments: int = setting(
+        paper_config.N_EXPERIMENTS, affects_results=True
+    )
+    runs_per_candidate: int = setting(
+        paper_config.RUNS_PER_CANDIDATE, affects_results=True
+    )
+    threshold: float = setting(
+        paper_config.ACCURACY_THRESHOLD, affects_results=True
+    )
+    epochs: int = setting(paper_config.EPOCHS, affects_results=True)
+    batch_size: int = setting(paper_config.BATCH_SIZE, affects_results=True)
+    learning_rate: float = setting(
+        paper_config.LEARNING_RATE, affects_results=True
+    )
+    n_points: int = setting(paper_config.N_POINTS, affects_results=True)
+    val_fraction: float = setting(
+        paper_config.VALIDATION_FRACTION, affects_results=True
+    )
+    early_stop: bool = setting(False, affects_results=True)
+    max_candidates: int | None = setting(None, affects_results=True)
+    convention: str = setting("paper", affects_results=True)
+    dataset_seed: int = setting(0, affects_results=True)
+    base_seed: int = setting(0, affects_results=True)
     #: Worker processes per grid search: 1 (default) = in-process
     #: sequential, 0 = all cores, N > 1 = that many processes; negative
-    #: values are rejected.  Any value yields the same results; workers
-    #: only change wall time.
-    workers: int = 1
+    #: values are rejected.
+    workers: int = setting(1, affects_results=False)
     #: Run-stacked candidate training (one vectorized sweep per run set,
-    #: see :class:`~repro.core.grid_search.TrainingSettings`); results
-    #: are identical with it on or off, only wall time changes.
-    vectorized_runs: bool = True
+    #: see :class:`~repro.core.grid_search.TrainingSettings`).
+    vectorized_runs: bool = setting(True, affects_results=False)
     #: Cross-candidate stacked execution: candidates with structurally
     #: identical tapes merge their run sets into one fused sweep.
-    #: Results are identical with it on or off, only wall time changes.
-    stacked_candidates: bool = True
+    stacked_candidates: bool = setting(True, affects_results=False)
     #: How many times the parallel scheduler re-executes a chunk lost to
     #: a worker death, hard timeout, or runtime error before degrading
-    #: to in-process sequential execution.  Never changes results.
-    max_retries: int = 2
+    #: to in-process sequential execution.
+    max_retries: int = setting(2, affects_results=False)
     #: Optional checkpoint journal path.  Each of the protocol's grid
     #: searches writes its own derived file next to this path (e.g.
     #: ``ckpt-f4-e0.jsonl`` for ``ckpt.jsonl``): journals compact to a
     #: single search's records on resume, so sharing one file across
     #: searches would discard every other search's checkpoint.  An
     #: interrupted protocol rerun skips everything already committed.
-    journal: str | None = None
+    journal: str | None = setting(None, affects_results=False)
     #: Optional ``HOST:PORT`` to bind as a TCP cluster coordinator:
     #: every grid search leases chunks to ``repro cluster-agent
     #: --connect`` processes over checksummed socket frames — no shared
     #: filesystem needed (see ``repro.runtime.cluster_tcp``).  Overrides
-    #: ``workers``/pool execution; results are identical either way.
-    connect: str | None = None
+    #: ``workers``/pool execution.
+    connect: str | None = setting(None, affects_results=False)
     #: Array backend for the stacked training sweeps ("numpy", "torch",
     #: "cupy"; None = REPRO_BACKEND env, then NumPy).  NumPy is the
     #: bit-exact reference; device backends are tolerance-grade (see
-    #: docs/backends.md) and fall back to NumPy when unimportable.
-    backend: str | None = None
+    #: docs/backends.md) and fall back to NumPy when unimportable, so
+    #: results are identified by the resolved backend name.
+    backend: str | None = setting(
+        None, affects_results=True, identity=resolved_backend_name
+    )
     #: Memory budget in bytes for the speculative runtime (None = the
     #: ``REPRO_MEMORY_BUDGET`` env var, then an automatic fraction of
     #: free memory; <= 0 disables governance).  Budgets size stacked
-    #: groups and bound in-flight bytes; results never change (see
-    #: docs/parallel_runtime.md, "Memory governance").
-    memory_budget: float | None = None
+    #: groups and bound in-flight bytes (see docs/parallel_runtime.md,
+    #: "Memory governance").
+    memory_budget: float | None = setting(None, affects_results=False)
 
     def training_settings(self) -> TrainingSettings:
         return TrainingSettings(

@@ -29,6 +29,7 @@ from ..exceptions import SearchError
 from ..flops.conventions import CountingConvention, get_convention
 from ..runtime.frontier import SearchEvent, SearchFrontier
 from ..runtime.jobs import RunResult
+from .identity import resolved_backend_name, setting
 from .search_space import ModelSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -69,12 +70,15 @@ MAX_ADAPTIVE_GROUP = GROUP_LOOKAHEAD + 1
 class TrainingSettings:
     """How each candidate run is trained (paper defaults).
 
+    Each field is tagged ``affects_results`` (see
+    :mod:`repro.core.identity`): a field tagged ``False`` changes wall
+    time, never the :class:`SearchOutcome`.
+
     ``vectorized_runs`` selects the run-stacked execution mode: a
     candidate's whole run set trains as one
-    :class:`~repro.nn.training.VectorizedTrainer` sweep (bit-identical
-    metrics, one kernel sweep instead of ``runs``).  Models that cannot
-    be stacked fall back to per-run training automatically; results are
-    the same either way, only wall time changes.
+    :class:`~repro.nn.training.VectorizedTrainer` sweep (one kernel
+    sweep instead of ``runs``).  Models that cannot be stacked fall
+    back to per-run training automatically.
 
     ``return_histories`` keeps each run's full per-epoch
     :class:`~repro.nn.training.History` on its
@@ -88,38 +92,24 @@ class TrainingSettings:
     cross-candidate fused sweep: the layers every member shares at the
     input and output end run once over all of them, the rest per
     candidate.  Speculative, bounded by :data:`MAX_GROUP_CANDIDATES`.
-    ``compact_frozen`` drops
-    early-stopped runs' rows from subsequent stacked sweeps instead of
-    masking them.  Results are bit-identical with either knob on or
-    off; only wall time changes.
 
-    The remaining knobs configure the parallel scheduler's *fault
-    tolerance* (chunks are deterministic, so none of them can change
-    results — see ``docs/parallel_runtime.md``):
-
-    - ``max_retries``: how many times a chunk lost to a worker death,
-      hard timeout, or runtime error is re-executed before the search
-      gives up on the pool.
-    - ``fallback_sequential``: on retry exhaustion, finish the
-      remaining candidates in-process (the ``workers=1`` executor,
-      with grouping and the OOM ladder) instead of raising.  Disable
-      when a candidate is suspected of *killing* its process (an
-      in-process rerun would kill the driver).
-    - ``chunk_timeout_s``: absolute per-chunk deadline (submission to
-      completion).  ``None`` derives deadlines from measured cost:
-      ``chunk_deadline_factor`` x the cost model's seconds estimate,
-      floored at ``chunk_deadline_floor_s`` — and only once the model
-      is calibrated.
-    - ``watchdog_interval_s``: how often the scheduler checks worker
-      liveness and deadlines while idle (``None`` = runtime default,
-      10s).
+    The parallel scheduler's *fault tolerance* (see
+    ``docs/parallel_runtime.md``): ``max_retries`` is how many times a
+    chunk lost to a worker death, hard timeout, or runtime error is
+    re-executed before the search gives up on the pool;
+    ``fallback_sequential`` then finishes the remaining candidates
+    in-process (the ``workers=1`` executor, with grouping and the OOM
+    ladder) instead of raising.  Disable it when a candidate is
+    suspected of *killing* its process (an in-process rerun would kill
+    the driver).
 
     ``backend`` selects the array backend the stacked sweeps execute on
     (``"numpy"``, ``"torch"``, ``"cupy"``; ``None`` defers to the
     ``REPRO_BACKEND`` environment variable, then the process default,
     then NumPy).  Only the NumPy backend is bit-exact; device backends
-    are tolerance-grade (see ``docs/backends.md``).  A requested
-    backend whose library is unimportable falls back to NumPy with a
+    are tolerance-grade (see ``docs/backends.md``), so results are
+    identified by the *resolved* backend name.  A requested backend
+    whose library is unimportable falls back to NumPy with a
     ``backend-fallback`` :class:`~repro.runtime.parallel.SearchEvent`.
 
     ``memory_budget`` caps the predicted concurrent working-set bytes
@@ -128,29 +118,24 @@ class TrainingSettings:
     variable, then to a fraction of the backend's free-memory probe; a
     non-positive value disables governance.  An *explicit* budget also
     unlocks group growth past :data:`MAX_GROUP_CANDIDATES` when groups
-    are predicted cheap.  Budgets shape wall time and allocation only —
-    splitting and the scalar fallback are bit-identity-preserving, so
-    the :class:`SearchOutcome` never changes (see
-    ``docs/parallel_runtime.md``, "Memory governance").
+    are predicted cheap (see ``docs/parallel_runtime.md``, "Memory
+    governance").
     """
 
-    epochs: int = 100
-    batch_size: int = 8
-    learning_rate: float = 0.001
-    runs: int = 5
-    early_stop_threshold: float | None = None
-    vectorized_runs: bool = True
-    return_histories: bool = False
-    stacked_candidates: bool = True
-    compact_frozen: bool = True
-    max_retries: int = 2
-    fallback_sequential: bool = True
-    chunk_timeout_s: float | None = None
-    chunk_deadline_factor: float = 8.0
-    chunk_deadline_floor_s: float = 30.0
-    watchdog_interval_s: float | None = None
-    backend: str | None = None
-    memory_budget: float | None = None
+    epochs: int = setting(100, affects_results=True)
+    batch_size: int = setting(8, affects_results=True)
+    learning_rate: float = setting(0.001, affects_results=True)
+    runs: int = setting(5, affects_results=True)
+    early_stop_threshold: float | None = setting(None, affects_results=True)
+    vectorized_runs: bool = setting(True, affects_results=False)
+    return_histories: bool = setting(False, affects_results=False)
+    stacked_candidates: bool = setting(True, affects_results=False)
+    max_retries: int = setting(2, affects_results=False)
+    fallback_sequential: bool = setting(True, affects_results=False)
+    backend: str | None = setting(
+        None, affects_results=True, identity=resolved_backend_name
+    )
+    memory_budget: float | None = setting(None, affects_results=False)
 
 
 @dataclass

@@ -31,6 +31,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
 from ..core.experiment import ProtocolConfig, ProtocolResult, run_protocol
+from ..core.identity import result_identity
 from ..core.results import protocol_from_dict, save_protocol
 from ..exceptions import ExperimentError
 from ..quantum.engine import ARITHMETIC_VERSION
@@ -47,6 +48,7 @@ __all__ = [
     "get_profile",
     "run_family",
     "run_family_cached",
+    "cache_name",
 ]
 
 
@@ -172,6 +174,26 @@ def run_family(
     return run_protocol(family, cfg, progress=progress, pool=pool)
 
 
+def cache_name(profile: str | RunProfile, **config_overrides) -> str:
+    """The result-identity part of a cache filename.
+
+    ``{profile}`` plus one ``_{field}-{value}`` per result-affecting
+    :class:`~repro.core.experiment.ProtocolConfig` field (see
+    :func:`~repro.core.identity.result_identity`) whose identity
+    differs from the profile's reference run.  The reference runs on
+    NumPy whatever ``REPRO_BACKEND`` says: device backends are
+    tolerance-grade, so any run that resolves to another backend gets
+    its own ``_backend-<name>`` files and never serves (or poisons) the
+    NumPy reference.
+    """
+    prof = get_profile(profile)
+    reference = result_identity(prof.protocol_config(backend="numpy"))
+    identity = result_identity(prof.protocol_config(**config_overrides))
+    return prof.name + "".join(
+        f"_{k}-{v}" for k, v in sorted(identity.items()) if v != reference[k]
+    )
+
+
 def run_family_cached(
     family: str,
     profile: str | RunProfile = "smoke",
@@ -183,18 +205,12 @@ def run_family_cached(
 ) -> ProtocolResult:
     """Like :func:`run_family`, but reuse a JSON result when present.
 
-    The cache key is ``{family}_{profile}.json`` inside ``cache_dir``;
-    pass ``cache_dir=None`` to disable caching entirely.  ``workers``,
-    ``pool``, ``vectorized_runs``, ``stacked_candidates``,
-    ``max_retries``, ``journal``, ``connect`` and ``memory_budget`` do
-    not enter the cache key: they select execution/supervision mechanics that
-    produce identical results, so any may serve another's cache.  Every other config
-    override *does* change results, so it is appended to the key —
-    ``repro fig8 --runs 3`` will never be served a default-runs cache
-    entry (nor poison it).  ``backend`` is deliberately in the second
-    camp: device backends are tolerance-grade, not bit-identical, so
-    ``backend="torch"`` results live under their own ``_backend-torch``
-    cache files and never serve (or poison) the NumPy reference cache.
+    The cache file is ``{family}_{cache_name(...)}.json`` inside
+    ``cache_dir`` (see :func:`cache_name`); pass ``cache_dir=None`` to
+    disable caching entirely.  Only overrides of fields tagged
+    ``affects_results`` fork the key: ``repro fig8 --runs 3`` is never
+    served a default-runs entry (nor poisons it), while execution
+    mechanics such as ``workers`` or ``journal`` share one entry.
     A cached file is served only if it was computed under the engine's
     current :data:`~repro.quantum.engine.ARITHMETIC_VERSION` (stamped
     into every saved result; files written before the stamp carry
@@ -211,24 +227,8 @@ def run_family_cached(
             pool=pool,
             **config_overrides,
         )
-    cache_dir = Path(cache_dir)
-    base_cfg = prof.protocol_config()
-    affecting = {
-        k: v
-        for k, v in sorted(config_overrides.items())
-        if k
-        not in (
-            "vectorized_runs",
-            "stacked_candidates",
-            "max_retries",
-            "journal",
-            "connect",
-            "memory_budget",
-        )
-        and getattr(base_cfg, k, None) != v
-    }
-    suffix = "".join(f"_{k}-{v}" for k, v in affecting.items())
-    path = cache_dir / f"{family}_{prof.name}{suffix}.json"
+    name = cache_name(prof, **config_overrides)
+    path = Path(cache_dir) / f"{family}_{name}.json"
     if path.exists():
         data = json.loads(path.read_text())
         if data.get("arithmetic_version") == ARITHMETIC_VERSION:

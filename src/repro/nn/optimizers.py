@@ -101,39 +101,29 @@ class Adam(Optimizer):
 
 
 class StackedAdam(Adam):
-    """Adam over run-stacked ``(R, ...)`` parameters with freeze masking.
+    """Adam over run-stacked ``(R, ...)`` parameters.
 
     Used by :class:`repro.nn.training.VectorizedTrainer`: every
     parameter (and every moment buffer) carries a leading run axis, so
     one elementwise update steps all R runs' Adam states at once —
     bit-identical to R independent :class:`Adam` instances stepping in
     lockstep, because the update is elementwise and the shared ``t``
-    counter equals each active run's own step count.
+    counter equals each run's own step count.
 
     The moments live in two flat buffers laid out like the parameter
     list, with one reshaped view per parameter.  When the caller passes
     the stack's :class:`~repro.nn.stacked.ParameterArena` (whose flat
-    buffers the parameter and gradient stacks are views of), an
-    unmasked step is a single elementwise update over the whole arena.
+    buffers the parameter and gradient stacks are views of), a step is
+    a single elementwise update over the whole arena; otherwise it
+    updates each parameter through its moment views.
 
-    ``active`` masks runs that hit their early-stop threshold: a frozen
-    run's parameters *and* moment estimates stay untouched (exactly as
-    if its scalar training loop had broken out), while the surviving
-    runs keep stepping.  Frozen runs never resume, so the shared ``t``
-    stays equal to every active run's step count.  A masked step (and
-    any step over parameter stacks that are not arena views) updates
-    each parameter's active rows through the per-parameter views.
-
-    ``row_maps`` supports cross-candidate stacks
-    (:class:`repro.nn.stacked.GroupedStack`): parameter stacks whose
-    leading axis covers only a subset of the group's slices carry an
-    index map from their rows to global slice ids, and the ``active``
-    mask is translated through it per parameter.
-
-    ``compact`` mirrors the stacks' frozen-row compaction: the moments
-    re-flatten into the compacted layout, keeping the surviving rows'
-    values bit for bit, and a parameter stack whose rows all froze
-    drops its state entirely.
+    A run that hits its early-stop threshold leaves the stack
+    (:func:`repro.nn.training.train_stack`), and :meth:`compact`
+    mirrors that: the moments re-flatten into the compacted layout,
+    keeping the surviving rows' values bit for bit, and a parameter
+    stack whose rows all froze drops its state entirely.  Frozen runs
+    never resume, so the shared ``t`` stays equal to every remaining
+    run's step count.
 
     The parameter stacks may live on any array backend (the stacked
     layers put them wherever :func:`repro.backends.active_backend`
@@ -174,8 +164,6 @@ class StackedAdam(Adam):
         self,
         params: list[np.ndarray],
         grads: list[np.ndarray],
-        active: np.ndarray | None = None,
-        row_maps: "list[np.ndarray | None] | None" = None,
         arena=None,
     ) -> None:
         xp = self._xp
@@ -186,38 +174,18 @@ class StackedAdam(Adam):
         lr_t = self.learning_rate * (
             np.sqrt(1.0 - self.beta_2**self._t) / (1.0 - self.beta_1**self._t)
         )
-        unmasked = active is None or bool(np.all(active))
-        if unmasked and arena is not None:
+        if arena is not None:
             # Same elementwise sequence as Adam.step, once over the
             # whole arena.
-            p, g, m, v = arena.values, arena.grads, self._m, self._v
+            pieces = [(arena.values, arena.grads, self._m, self._v)]
+        else:
+            pieces = zip(params, grads, self._m_views, self._v_views)
+        for p, g, m, v in pieces:
             m *= self.beta_1
             m += (1.0 - self.beta_1) * g
             v *= self.beta_2
             v += (1.0 - self.beta_2) * xp.square(g)
             p -= lr_t * m / (xp.sqrt(v) + self.epsilon)
-            return
-        idx = None if unmasked else np.flatnonzero(active)
-        moments = zip(self._m_views, self._v_views)
-        for i, (p, g, (m, v)) in enumerate(zip(params, grads, moments)):
-            rows = row_maps[i] if row_maps is not None else None
-            if idx is None:
-                local = slice(None)
-            else:
-                local = idx if rows is None else np.flatnonzero(active[rows])
-                if local.size == 0:
-                    continue
-            # Fancy indexing copies the active slices; the arithmetic on
-            # them is the same elementwise sequence as the arena update,
-            # then the results are written back in place.
-            ms, vs, gs = m[local], v[local], g[local]
-            ms *= self.beta_1
-            ms += (1.0 - self.beta_1) * gs
-            vs *= self.beta_2
-            vs += (1.0 - self.beta_2) * xp.square(gs)
-            m[local] = ms
-            v[local] = vs
-            p[local] = p[local] - lr_t * ms / (xp.sqrt(vs) + self.epsilon)
 
     def compact(self, row_keeps: "list[np.ndarray]") -> None:
         """Re-flatten the moments into the compacted parameter layout.

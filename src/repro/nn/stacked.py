@@ -56,7 +56,7 @@ whether neighbouring slices belong to the same candidate.
 ``compact(keep)``: dropping a slice's rows from the parameter stacks
 (an index-map gather) leaves the surviving slices' per-slice kernels —
 einsum-only quantum kernels, per-slice gemms — bit-identical, so a run
-that early-stops (or a candidate whose runs all finished) can leave the
+that early-stops (or a candidate whose runs all finished) leaves the
 fused sweep instead of riding along frozen.
 
 **Parameter arena.**  A :class:`StackedSequential` or
@@ -675,9 +675,9 @@ class GroupedStack:
 
         Middle parameters of the candidate at slice offset ``o`` with
         ``R_c`` runs map to slices ``o .. o+R_c``; head and tail
-        parameters map identically (``None``).  The optimizer uses these
-        maps to translate a global freeze mask into per-parameter row
-        masks.
+        parameters map identically (``None``).  Compaction uses these
+        maps to translate the surviving slices into per-parameter rows
+        of the optimizer's moments.
         """
         maps: list[np.ndarray | None] = [None] * sum(
             len(layer.params) for layer in self.head

@@ -168,7 +168,6 @@ def train_stack(
     early_stop_threshold: float | None = None,
     shuffle: bool = True,
     cancel_check: Callable[[], bool] | None = None,
-    compact: bool = True,
 ) -> list[History]:
     """Train a slice stack in lockstep; one :class:`History` per slice.
 
@@ -183,12 +182,9 @@ def train_stack(
     engine kernels, per-slice gemms, per-slice loss values and its own
     RNG stream for minibatch shuffles.  A slice that reaches
     ``early_stop_threshold`` freezes exactly as its scalar loop would
-    have broken out — and with ``compact`` (the default) its rows are
-    *dropped from subsequent sweeps* instead of riding along frozen: an
+    have broken out: its rows are *dropped from subsequent sweeps* — an
     index-map gather of the parameter stacks, optimizer moments and RNG
     bookkeeping that leaves the surviving slices' arithmetic untouched.
-    ``compact=False`` keeps the shape-stable masking behaviour; results
-    are identical either way, only wall time changes.
 
     The per-epoch accuracy passes feed the train and validation sets
     once, shared by every slice (``predict_shared``).
@@ -220,14 +216,11 @@ def train_stack(
     xp = active_backend()
     optimizer = StackedAdam(learning_rate=learning_rate)
     histories = [History() for _ in range(total)]
-    # Row maps and the parameter/gradient views only change when the
-    # stack compacts; cache them instead of rebuilding per minibatch
-    # step.
-    maps = stack.row_maps()
+    # The parameter/gradient views only change when the stack compacts;
+    # cache them instead of rebuilding per minibatch step.
     params, grads = stack.parameters(), stack.gradients()
     #: Index map: current stack row -> original slice (history / rng).
     slots = np.arange(total)
-    active = np.ones(total, dtype=bool)
     started = time.perf_counter()
     n = x_train.shape[0]
     n_val = x_val.shape[0]
@@ -235,22 +228,18 @@ def train_stack(
     xb = yb = None  # fused minibatch buffers, allocated per size
 
     for _ in range(epochs):
-        if not active.any():
-            break
         if cancel_check is not None and cancel_check():
             raise TrainingCancelled(
                 "stacked training cancelled after "
                 f"{max(h.epochs_run for h in histories)} epochs"
             )
         slices = stack.runs
-        # One shuffled index order per active slice — drawn from that
-        # slice's own stream, exactly like its scalar loop.  Frozen
-        # slices (masking mode only) keep an arbitrary unshuffled
-        # order: their rows ride along but nothing reads their results.
+        # One shuffled index order per slice — drawn from that slice's
+        # own stream, exactly like its scalar loop.
         orders = np.empty((slices, n), dtype=np.intp)
         for r in range(slices):
             orders[r] = np.arange(n)
-            if shuffle and active[r]:
+            if shuffle:
                 rngs[slots[r]].shuffle(orders[r])
         #: One (slices,) row of minibatch loss values per step.
         step_losses: list[np.ndarray] = []
@@ -272,19 +261,15 @@ def train_stack(
             values, grad = loss.stacked(out, yb, slices)
             step_losses.append(values)
             stack.backward(grad)
-            optimizer.step(
-                params, grads, active, row_maps=maps, arena=stack.arena
-            )
+            optimizer.step(params, grads, arena=stack.arena)
         # (slices, steps): each slice's epoch mean reduces one contiguous
         # row, as the scalar loop's mean over its list of step losses.
         epoch_losses = np.stack(step_losses, axis=1)
 
         train_out = xp.to_numpy(stack.predict_shared(x_train))
         val_out = xp.to_numpy(stack.predict_shared(x_val))
-        frozen_now = False
+        live = np.ones(slices, dtype=bool)
         for r in range(slices):
-            if not active[r]:
-                continue
             history = histories[slots[r]]
             history.train_loss.append(float(np.mean(epoch_losses[r])))
             history.train_accuracy.append(
@@ -300,33 +285,31 @@ def train_stack(
             ):
                 history.stopped_early = True
                 history.wall_time_s = time.perf_counter() - started
-                active[r] = False
-                frozen_now = True
-        if compact and frozen_now:
-            # Frozen slices leave the sweep.  Their parameters are final
-            # right now, so sync everything back (active slices resync
-            # at the end) before the index-map gather drops their rows
-            # from the stacks and the optimizer moments.
-            stack.sync_to_models()
-            keep = np.flatnonzero(active)
-            if keep.size:
-                optimizer.compact(
-                    [
-                        keep if rows is None else np.flatnonzero(active[rows])
-                        for rows in maps
-                    ]
-                )
-                stack.compact(keep)
-                maps = stack.row_maps()
-                params, grads = stack.parameters(), stack.gradients()
-                slots = slots[keep]
-                active = np.ones(keep.size, dtype=bool)
-                xb = yb = None
+                live[r] = False
+        if live.all():
+            continue
+        # Frozen slices leave the sweep.  Their parameters are final
+        # right now, so sync everything back (live slices resync at the
+        # end) before the index-map gather drops their rows from the
+        # stacks and the optimizer moments.
+        stack.sync_to_models()
+        keep = np.flatnonzero(live)
+        slots = slots[keep]
+        if not keep.size:
+            break
+        optimizer.compact(
+            [
+                keep if rows is None else np.flatnonzero(live[rows])
+                for rows in stack.row_maps()
+            ]
+        )
+        stack.compact(keep)
+        params, grads = stack.parameters(), stack.gradients()
+        xb = yb = None
 
     elapsed = time.perf_counter() - started
-    for r in range(stack.runs):
-        if active[r]:
-            histories[slots[r]].wall_time_s = elapsed
+    for slot in slots:
+        histories[slot].wall_time_s = elapsed
     stack.sync_to_models()
     return histories
 
@@ -353,8 +336,8 @@ class VectorizedTrainer:
     * a run that reaches ``early_stop_threshold`` **freezes**: its
       parameters, optimizer state and history stop changing (exactly as
       if its scalar loop had broken out) while the remaining runs keep
-      training; by default its rows are then *compacted out* of the
-      fused sweep (see :func:`train_stack`), and the epoch loop ends
+      training; its rows are then *compacted out* of the fused sweep
+      (see :func:`train_stack`), and the epoch loop ends
       when every run is frozen or the epoch budget is spent.
 
     ``available`` is ``False`` when any layer cannot be stacked (custom
@@ -391,7 +374,6 @@ class VectorizedTrainer:
         early_stop_threshold: float | None = None,
         shuffle: bool = True,
         cancel_check: Callable[[], bool] | None = None,
-        compact: bool = True,
     ) -> list[History]:
         """Train the stack; return one :class:`History` per run.
 
@@ -399,9 +381,8 @@ class VectorizedTrainer:
         one generator per run (each in the state its scalar counterpart
         would be in when entering training); per-run ``wall_time_s``
         measures lockstep time from start until that run froze or the
-        loop ended.  With ``compact`` (the default) early-stopped runs
-        are dropped from subsequent sweeps instead of riding along
-        frozen — see :func:`train_stack` for the bit-identity contract.
+        loop ended.  Early-stopped runs are dropped from subsequent
+        sweeps — see :func:`train_stack` for the bit-identity contract.
         Raises :class:`~repro.exceptions.TrainingCancelled` when
         ``cancel_check`` fires at an epoch boundary.
         """
@@ -423,5 +404,4 @@ class VectorizedTrainer:
             early_stop_threshold=early_stop_threshold,
             shuffle=shuffle,
             cancel_check=cancel_check,
-            compact=compact,
         )

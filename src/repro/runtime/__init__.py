@@ -9,9 +9,8 @@ out across workers.
 :mod:`repro.runtime.pool` provides the persistent worker pool — spun up
 once, reused across every grid search of a protocol run — the
 shared-memory dataset protocol (workers attach to published
-:class:`~repro.data.splits.DataSplit` segments zero-copy), the
-shared-memory return path for oversized results, and the measured-cost
-model behind adaptive chunk packing.
+:class:`~repro.data.splits.DataSplit` segments zero-copy), and the
+measured-cost model behind adaptive chunk packing.
 :mod:`repro.runtime.parallel` is the speculative scheduler with
 cost-aware job packing and fault-tolerant supervision (chunk retry,
 duplicate dropping, sequential fallback) over a small executor
@@ -29,7 +28,7 @@ execution mode shares, including the in-process executor that is both
 :mod:`repro.runtime.journal` persists every committed candidate to a
 JSONL checkpoint so interrupted searches resume bit-identically, and
 :mod:`repro.runtime.faults` provides the deterministic fault-injection
-hooks (worker kill, chunk delay, corrupt result segment, agent kill,
+hooks (worker kill, chunk delay, chunk-runner error, agent kill,
 connection drop, partition, stalled frame) the fault-tolerance tests
 drive real process death with.
 
@@ -64,7 +63,6 @@ from .pool import (
     ChunkCostModel,
     PersistentPool,
     SharedSplitHandle,
-    ShmResultHandle,
     attach_split,
     publish_split,
     sweep_stale_segments,
@@ -85,7 +83,6 @@ __all__ = [
     "SPECULATION_FACTOR",
     "PersistentPool",
     "SharedSplitHandle",
-    "ShmResultHandle",
     "ChunkCostModel",
     "publish_split",
     "attach_split",

@@ -13,9 +13,8 @@ see :mod:`repro.runtime.pool`):
   chunk, exactly the signal an OOM killer sends;
 * ``delay`` — the worker sleeps before executing a matching chunk,
   pushing it past its scheduler deadline;
-* ``corrupt-result`` — the worker ships a shared-memory result handle
-  whose segment holds garbage, exercising the parent's result-inflation
-  error path;
+* ``error`` — the worker's chunk runner raises, exercising the
+  single-chunk retry path (no process dies, no generation bump);
 * ``oom`` — the worker raises :class:`MemoryError` at the start of a
   matching chunk's fused sweep, exercising the memory-governance
   recovery ladder (group halving, per-candidate, scalar — see
@@ -68,13 +67,13 @@ from typing import TYPE_CHECKING
 from ..exceptions import SearchError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .pool import JobChunk, ShmResultHandle
+    from .pool import JobChunk
 
 __all__ = [
     "FaultPlan",
     "KILL",
     "DELAY",
-    "CORRUPT_RESULT",
+    "ERROR",
     "OOM",
     "HOST_KILL",
     "CONN_DROP",
@@ -87,7 +86,7 @@ __all__ = [
 
 KILL = "kill"
 DELAY = "delay"
-CORRUPT_RESULT = "corrupt-result"
+ERROR = "error"
 OOM = "oom"
 HOST_KILL = "host-kill"
 CONN_DROP = "conn-drop"
@@ -96,7 +95,7 @@ SLOW_FRAME = "slow-frame"
 #: Every kind armed as one-shot token files rather than control-segment
 #: bytes: the TCP agents' kinds.
 _FILE_KINDS = (HOST_KILL, CONN_DROP, PARTITION, SLOW_FRAME)
-_KINDS = (KILL, DELAY, CORRUPT_RESULT, OOM) + _FILE_KINDS
+_KINDS = (KILL, DELAY, ERROR, OOM) + _FILE_KINDS
 
 # Control-segment layout.  Byte 0 onward is owned by the cancellation
 # protocol (an 8-byte generation floor, see pool._cancel_floor); the
@@ -194,7 +193,7 @@ def maybe_fire(buf, chunk: "JobChunk") -> str | None:
     """Worker-side hook, called once per live chunk execution.
 
     Returns the fired kind for faults the caller must act on (``delay``
-    already slept; ``corrupt-result`` asks the caller to ship garbage;
+    already slept; ``error`` asks the caller to raise;
     ``oom`` asks the caller to raise :class:`MemoryError` at the start
     of the chunk's first fused sweep), ``None`` when nothing fired.  A
     ``kill`` fault does not return.
@@ -223,22 +222,6 @@ def maybe_fire(buf, chunk: "JobChunk") -> str | None:
     if plan.kind == DELAY:
         time.sleep(plan.delay_s)
     return plan.kind
-
-
-def corrupt_shipment(nbytes: int = 64) -> "ShmResultHandle":
-    """A result handle whose segment holds garbage (worker side).
-
-    The parent's result inflation (`pool._receive_result`) attaches,
-    fails to unpickle, unlinks the segment and routes the error to the
-    search's error callback — the same path a worker crash mid-result
-    takes in production.
-    """
-    from .pool import ShmResultHandle, _create_named_segment
-
-    shm = _create_named_segment("flt", nbytes)
-    shm.buf[:nbytes] = (b"\xde\xad\xbe\xef" * (nbytes // 4 + 1))[:nbytes]
-    shm.close()
-    return ShmResultHandle(segment=shm.name, nbytes=nbytes)
 
 
 # -- file-armed faults (cluster agents) -------------------------------------

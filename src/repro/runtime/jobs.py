@@ -275,7 +275,6 @@ def execute_runs(
             rngs=rngs,
             early_stop_threshold=settings.early_stop_threshold,
             cancel_check=cancel_check,
-            compact=settings.compact_frozen,
         )
     return [
         _to_result(candidate_index, run, history, settings)
@@ -343,7 +342,6 @@ def execute_candidates(
             rngs=rngs,
             early_stop_threshold=settings.early_stop_threshold,
             cancel_check=cancel_check,
-            compact=settings.compact_frozen,
         )
     return [
         _to_result(candidate_index, run, history, settings)

@@ -44,7 +44,6 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ..backends import resolve_backend
 from ..quantum.engine import ARITHMETIC_VERSION
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -79,11 +78,11 @@ def search_key(
     written on one backend must not resume on another — and the
     engine's :data:`~repro.quantum.engine.ARITHMETIC_VERSION`, so a
     journal written by older kernels is not resumed as current.  Of the
-    settings, only result-affecting ones participate: execution knobs
-    (workers, vectorization, stacking, retry policy) change wall time,
-    never results, so a journal written under one execution mode
-    resumes under any other.
+    settings, only the fields tagged ``affects_results`` participate
+    (:func:`~repro.core.identity.result_identity`), so a journal written
+    under one execution mode resumes under any other.
     """
+    from ..core.identity import result_identity
     from ..core.results import spec_to_dict
 
     data = []
@@ -97,6 +96,7 @@ def search_key(
                 hashlib.sha256(array.tobytes()).hexdigest(),
             ]
         )
+    identity = result_identity(settings)
     payload = {
         "specs": [
             {"class": type(spec).__name__, **spec_to_dict(spec)}
@@ -106,15 +106,11 @@ def search_key(
         "threshold": threshold,
         "seed": seed,
         "convention": convention.name,
-        "backend": resolve_backend(settings.backend)[0].name,
+        # At the top level, where journals written before the tags
+        # hashed it, so they keep resuming.
+        "backend": identity.pop("backend"),
         "arithmetic": ARITHMETIC_VERSION,
-        "settings": {
-            "epochs": settings.epochs,
-            "batch_size": settings.batch_size,
-            "learning_rate": settings.learning_rate,
-            "runs": settings.runs,
-            "early_stop_threshold": settings.early_stop_threshold,
-        },
+        "settings": identity,
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()

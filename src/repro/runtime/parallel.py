@@ -103,12 +103,17 @@ SPECULATION_FACTOR = 2
 #: liveness (worker deaths, deadlines, leases).  ``multiprocessing.Pool``
 #: silently respawns a worker that dies mid-job and never fires the
 #: job's callbacks; without this tick a search would hang on such a
-#: loss.  ``TrainingSettings.watchdog_interval_s`` overrides it.
+#: loss.
 _WATCHDOG_INTERVAL_S = 10.0
 
-#: Hard deadline as a multiple of the soft deadline when deadlines are
-#: derived from the cost model (an absolute ``chunk_timeout_s`` sets
-#: both to the same value).
+#: Chunk deadlines, counted from submission, are derived from the cost
+#: model once it has a seconds scale: soft = ``_CHUNK_DEADLINE_FACTOR``
+#: x the chunk's seconds estimate, floored at
+#: ``_CHUNK_DEADLINE_FLOOR_S``; hard = ``_HARD_DEADLINE_FACTOR`` x soft.
+#: The clock includes queue wait; the factor and floor keep a
+#: busy-but-healthy pool from tripping them.
+_CHUNK_DEADLINE_FACTOR = 8.0
+_CHUNK_DEADLINE_FLOOR_S = 30.0
 _HARD_DEADLINE_FACTOR = 2.0
 
 
@@ -619,11 +624,6 @@ class Scheduler:
     def run(self) -> "SearchOutcome":
         """Search to the first committed pass (or exhaustion)."""
         frontier = self.frontier
-        tick = (
-            self.settings.watchdog_interval_s
-            if self.settings.watchdog_interval_s is not None
-            else _WATCHDOG_INTERVAL_S
-        )
         try:
             if frontier.finished:
                 return frontier.outcome
@@ -631,7 +631,7 @@ class Scheduler:
             try:
                 self.top_up()
                 while True:
-                    for report in self.executor.poll(tick):
+                    for report in self.executor.poll(_WATCHDOG_INTERVAL_S):
                         if isinstance(report, Delivered):
                             self._accept(report.cid, report.result)
                             frontier.commit()
@@ -695,7 +695,7 @@ class PoolExecutor:
     next epoch boundary), a changed worker-pid set means a worker died
     with its chunk (``multiprocessing.Pool`` fires no callback for it),
     and chunks carry soft/hard deadlines once the cost model has a
-    seconds scale (or from ``settings.chunk_timeout_s``).  Cancellation
+    seconds scale (see :data:`_CHUNK_DEADLINE_FACTOR`).  Cancellation
     is generation-wide, so a deadline retry moves every outstanding
     chunk to a fresh generation.
 
@@ -737,23 +737,13 @@ class PoolExecutor:
         self._chunk_seconds = chunk_seconds
 
     def _deadlines(self, chunk: JobChunk) -> tuple[float | None, float | None]:
-        """(soft, hard) deadline seconds, counted from submission.
-
-        An absolute ``chunk_timeout_s`` wins.  Otherwise deadlines are
-        ``chunk_deadline_factor`` x the measured seconds estimate,
-        floored at ``chunk_deadline_floor_s`` — and only once the model
-        has a seconds scale.  The clock includes queue wait; the factor
-        and floor keep a busy-but-healthy pool from tripping them.
-        """
-        settings = chunk.settings
-        if settings.chunk_timeout_s is not None:
-            return settings.chunk_timeout_s, settings.chunk_timeout_s
+        """(soft, hard) deadline seconds, counted from submission; none
+        before the cost model has a seconds scale."""
         seconds = self._chunk_seconds(chunk)
         if seconds is None:
             return None, None
         soft = max(
-            settings.chunk_deadline_factor * seconds,
-            settings.chunk_deadline_floor_s,
+            _CHUNK_DEADLINE_FACTOR * seconds, _CHUNK_DEADLINE_FLOOR_S
         )
         return soft, _HARD_DEADLINE_FACTOR * soft
 
@@ -798,8 +788,8 @@ class PoolExecutor:
             if flight is None or generation < self._generation:
                 return []  # a superseded copy's failure
             # An infrastructure failure of this one chunk (its runner
-            # died, or its result segment was corrupt); per-run training
-            # errors arrive as RunError entries instead.
+            # raised); per-run training errors arrive as RunError
+            # entries instead.
             return [
                 Lost(
                     (cid,),

@@ -75,8 +75,6 @@ __all__ = [
     "execute_chunk",
     "RunError",
     "ChunkCostModel",
-    "ShmResultHandle",
-    "RESULT_SHM_THRESHOLD",
     "sweep_stale_segments",
 ]
 
@@ -420,7 +418,7 @@ def _max_rss_bytes() -> int:
         return 0
 
 
-def _run_chunk(chunk: JobChunk) -> "ChunkResult | ShmResultHandle":
+def _run_chunk(chunk: JobChunk) -> ChunkResult:
     """Worker entry point: execute a chunk's runs under its generation.
 
     A stale generation (the submitting search already ended) returns
@@ -428,11 +426,8 @@ def _run_chunk(chunk: JobChunk) -> "ChunkResult | ShmResultHandle":
     next epoch boundary.  Per-run exceptions are captured — the
     scheduler surfaces them at the candidate's commit turn, never
     earlier — and the remaining runs still execute so the candidate can
-    complete (commit needs all runs accounted for).  Oversized results
-    (e.g. ``return_histories`` payloads) come back as a
-    :class:`ShmResultHandle` instead of travelling through the pool's
-    pickle pipe; :meth:`PersistentPool.submit` unwraps them before the
-    scheduler sees the result.
+    complete (commit needs all runs accounted for).  An exception that
+    escapes reaches the scheduler as the loss of this one chunk.
     """
     generation = chunk.generation
     if _cancel_floor() > generation:
@@ -457,6 +452,9 @@ def _run_chunk(chunk: JobChunk) -> "ChunkResult | ShmResultHandle":
     def cancelled() -> bool:
         return _cancel_floor() > generation
 
+    if fired == faults.ERROR:
+        raise RuntimeError("injected chunk-runner failure")
+
     # An armed "oom" fault is raised by the chunk's first recoverable
     # attempt (fused sweep when there is one, absorbed at the scalar
     # floor otherwise) so it engages the degradation ladder rather than
@@ -467,9 +465,7 @@ def _run_chunk(chunk: JobChunk) -> "ChunkResult | ShmResultHandle":
         )
     except TrainingCancelled:
         return _CANCELLED_CHUNK
-    if fired == faults.CORRUPT_RESULT:
-        return faults.corrupt_shipment()
-    return _ship_result(result)
+    return result
 
 
 def execute_chunk(
@@ -506,104 +502,12 @@ def execute_chunk(
     )
 
 
-# -- shared-memory result path ---------------------------------------------
-
-#: Results whose pickle exceeds this many bytes travel back through a
-#: shared-memory segment instead of the pool's result pipe.  Plain metric
-#: payloads (a few hundred bytes) never hit it; ``return_histories``
-#: payloads of long trainings do.
-RESULT_SHM_THRESHOLD = 64 * 1024
-
-
-@dataclass(frozen=True)
-class ShmResultHandle:
-    """Tiny picklable pointer to a result parked in shared memory.
-
-    Single-reader by construction: the worker writes the segment once,
-    the parent reads it once and unlinks it immediately (the same
-    parent-owned unlink discipline as the dataset segments — a shared
-    resource tracker under forkserver means the parent's unlink clears
-    the worker's create-time registration, and a worker that dies before
-    its handle is read leaves the segment to the tracker's exit sweep).
-    """
-
-    segment: str
-    nbytes: int
-
-
-def _ship_result(result: ChunkResult) -> "ChunkResult | ShmResultHandle":
-    """Park an oversized result in shared memory; small ones pass through.
-
-    Shipping is best-effort: if the segment cannot be created or written
-    (a full shm tmpfs raises ``ENOSPC`` mid-write), the segment is
-    unlinked *here* — the one exception to the parent-owns-unlinks rule,
-    safe because the handle never reached the parent — and the result
-    falls back to the pool's pickle pipe, which is slower but has no
-    size cliff.  Losing a trained chunk to a transport failure would
-    force a full retrain; a warning is the right price.
-    """
-    payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-    if len(payload) < RESULT_SHM_THRESHOLD:
-        return result
-    shm = None
-    try:
-        shm = _create_named_segment("res", len(payload))
-        shm.buf[: len(payload)] = payload
-        shm.close()
-        return ShmResultHandle(segment=shm.name, nbytes=len(payload))
-    except OSError as exc:
-        if shm is not None:
-            _unlink_quietly(shm)
-        logger.warning(
-            "shared-memory result shipping failed (%s); sending %d bytes "
-            "through the pool's result pipe instead",
-            exc,
-            len(payload),
-        )
-        return result
-
-
-def _receive_result(obj):
-    """Parent side: inflate a shipped result (pass-through otherwise).
-
-    Raises ``FileNotFoundError`` when the segment no longer exists —
-    e.g. a worker crashed mid-result and the resource tracker already
-    swept its segment.  Callers must route that to the search's error
-    path rather than let it kill the pool's result-handler thread (see
-    :func:`_unwrap_result`).
-    """
-    if not isinstance(obj, ShmResultHandle):
-        return obj
-    shm = _attach_segment(obj.segment)
-    try:
-        result = pickle.loads(bytes(shm.buf[: obj.nbytes]))
-    finally:
-        _unlink_quietly(shm)
-    return result
-
-
-def _unwrap_result(pool: "PersistentPool", obj, callback, error_callback):
-    """Inflate a chunk result on the pool's result-handler thread.
-
-    Any failure while attaching/unpickling a shared-memory result — a
-    worker crash mid-result leaves a handle whose segment is gone or
-    truncated — is routed to ``error_callback`` so the search fails
-    loudly instead of the handler thread dying and the search hanging
-    on a completion that never arrives.
-    """
-    try:
-        if isinstance(obj, ShmResultHandle):
-            pool.shm_results_received += 1
-            obj = _receive_result(obj)
-    except Exception as exc:  # noqa: BLE001 - surfaced to the scheduler
-        error_callback(exc)
-        return
-    if isinstance(obj, ChunkResult):
-        if obj.vectorized_fallback:
-            pool.vectorized_fallbacks += 1
-        if obj.memory_degrades:
-            pool.memory_degrades += obj.memory_degrades
-    callback(obj)
+def _count_result(pool: "PersistentPool", result: ChunkResult) -> None:
+    """Accumulate a finished chunk's fallback and memory-degrade counts
+    into the pool's instrumentation (on the result-handler thread)."""
+    if result.vectorized_fallback:
+        pool.vectorized_fallbacks += 1
+    pool.memory_degrades += result.memory_degrades
 
 
 # -- measured-cost packing --------------------------------------------------
@@ -890,8 +794,6 @@ class PersistentPool:
         #: pool: chunk wall times observed at one complexity level shape
         #: the packing order of the next (see :class:`ChunkCostModel`).
         self.cost_model = ChunkCostModel()
-        #: Instrumentation: results that came back via shared memory.
-        self.shm_results_received = 0
         #: Instrumentation: chunks whose stacked sweep failed and was
         #: re-trained scalar (each paid for both attempts).  A climbing
         #: counter means some candidate's vectorized path is broken —
@@ -946,7 +848,7 @@ class PersistentPool:
         """One snapshot of the pool's instrumentation counters.
 
         Collects the scattered counters (retry/timeout/fallback/
-        memory-degrade/shm accounting) into a single plain dict so the
+        memory-degrade accounting) into a single plain dict so the
         scheduler can log one line at search end and tests can assert
         on the whole picture at once.  Values are copies — mutating the
         snapshot never touches the live counters.
@@ -962,7 +864,9 @@ class PersistentPool:
             "duplicate_results": self.duplicate_results,
             "vectorized_fallbacks": self.vectorized_fallbacks,
             "memory_degrades": self.memory_degrades,
-            "shm_results_received": self.shm_results_received,
+            # Results always travel through the pool's pipe; the key
+            # stays because perfbench/layers.py reads it.
+            "shm_results_received": 0,
             "swept_segments": len(self.swept_segments),
             "live_segments": len(self._segments),
             "init_payload_bytes": self.init_payload_bytes,
@@ -1093,16 +997,14 @@ class PersistentPool:
     def submit(self, chunk: JobChunk, callback, error_callback) -> None:
         self._ensure_open()
 
-        def unwrap(obj):
-            # Oversized results arrive as a ShmResultHandle; inflate (and
-            # unlink the one-shot segment) before the scheduler sees it.
-            # Runs on the pool's result-handler thread, like callback.
-            _unwrap_result(self, obj, callback, error_callback)
+        def counted(result):
+            _count_result(self, result)
+            callback(result)
 
         self._worker_pool().apply_async(
             _run_chunk,
             (chunk,),
-            callback=unwrap,
+            callback=counted,
             error_callback=error_callback,
         )
 

@@ -103,9 +103,11 @@ class TestFallbackEvent:
 
 
 class TestCacheKeying:
-    def test_backend_override_keys_the_cache_filename(
+    def test_explicit_numpy_shares_the_plain_key(
         self, tmp_path, micro_profile
     ):
+        """The cache is keyed by the backend a run resolves to, so an
+        explicit ``backend="numpy"`` is the default run."""
         run_family_cached(
             "classical",
             micro_profile,
@@ -113,7 +115,49 @@ class TestCacheKeying:
             backend="numpy",
         )
         names = [p.name for p in tmp_path.glob("*.json")]
-        assert names == ["classical_micro_backend-numpy.json"]
+        assert names == ["classical_micro.json"]
+
+    def test_env_selected_backend_keys_its_own_file(
+        self, tmp_path, micro_profile, monkeypatch, torch_stub
+    ):
+        """A run that resolves to torch through ``REPRO_BACKEND`` must
+        neither write nor serve the NumPy reference file."""
+        monkeypatch.setenv(BACKEND_ENV_VAR, "torch")
+        device = run_family_cached(
+            "classical", micro_profile, cache_dir=tmp_path
+        )
+        names = sorted(p.name for p in tmp_path.glob("*.json"))
+        assert names == ["classical_micro_backend-torch.json"]
+        assert device.config.backend is None
+        monkeypatch.delenv(BACKEND_ENV_VAR)
+        reference = run_family_cached(
+            "classical", micro_profile, cache_dir=tmp_path
+        )
+        names = sorted(p.name for p in tmp_path.glob("*.json"))
+        assert names == [
+            "classical_micro.json",
+            "classical_micro_backend-torch.json",
+        ]
+        # From now on each backend is served its own file.
+        import repro.experiments.runner as runner_mod
+
+        def no_rerun(*args, **kwargs):
+            raise AssertionError("a cached result was recomputed")
+
+        monkeypatch.setattr(runner_mod, "run_family", no_rerun)
+        again = run_family_cached(
+            "classical", micro_profile, cache_dir=tmp_path
+        )
+
+        def accuracies(result):
+            return [
+                c.val_accuracies
+                for level in result.levels
+                for outcome in level.outcomes
+                for c in outcome.evaluated
+            ]
+
+        assert accuracies(again) == accuracies(reference)
 
     def test_default_backend_uses_the_plain_key(self, tmp_path, micro_profile):
         run_family_cached("classical", micro_profile, cache_dir=tmp_path)

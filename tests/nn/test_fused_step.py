@@ -165,7 +165,7 @@ class TestParameterArena:
 
 class TestArenaAdam:
     """The arena update against the per-parameter path, bitwise, over
-    unmasked, masked and compacted steps."""
+    steps before and after compaction."""
 
     @pytest.mark.parametrize("build", [build_runs, build_group])
     def test_arena_step_equals_per_parameter_step(self, build):
@@ -174,18 +174,15 @@ class TestArenaAdam:
         arena_opt = StackedAdam(learning_rate=0.01)
         loose_opt = StackedAdam(learning_rate=0.01)
         loose = [p.copy() for p in stack.parameters()]
-        maps = stack.row_maps()
-        active = np.ones(stack.runs, dtype=bool)
 
         def step():
             grads = [rng.normal(size=p.shape) for p in loose]
             for g, view in zip(grads, stack.gradients()):
                 view[...] = g
             arena_opt.step(
-                stack.parameters(), stack.gradients(), active,
-                row_maps=maps, arena=stack.arena,
+                stack.parameters(), stack.gradients(), arena=stack.arena
             )
-            loose_opt.step(loose, grads, active, row_maps=maps)
+            loose_opt.step(loose, grads)
             for a, b in zip(loose, stack.parameters()):
                 assert np.array_equal(a, b)
 
@@ -193,20 +190,17 @@ class TestArenaAdam:
             step()
         # In the group, slices 2 and 3 are the second candidate's runs:
         # its middle stack (and its moments) leave on compaction.
-        active[[2, 3]] = False
-        for _ in range(3):
-            step()
-        keep = np.flatnonzero(active)
+        live = np.ones(stack.runs, dtype=bool)
+        live[[2, 3]] = False
+        keep = np.flatnonzero(live)
         row_keeps = [
-            keep if rows is None else np.flatnonzero(active[rows])
-            for rows in maps
+            keep if rows is None else np.flatnonzero(live[rows])
+            for rows in stack.row_maps()
         ]
         arena_opt.compact(row_keeps)
         loose_opt.compact(row_keeps)
         loose = [p[k] for p, k in zip(loose, row_keeps) if k.size]
         stack.compact(keep)
-        maps = stack.row_maps()
-        active = np.ones(stack.runs, dtype=bool)
         for a, b in zip(loose, stack.parameters()):
             assert np.array_equal(a, b)
         for _ in range(3):

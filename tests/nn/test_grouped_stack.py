@@ -93,7 +93,6 @@ def train_each(split, groups, rngs, **kw):
     histories = []
     for group, group_rngs in zip(groups, rngs):
         if len(group) == 1:
-            scalar_kw = {k: v for k, v in kw.items() if k != "compact"}
             histories.append(
                 train_model(
                     group[0],
@@ -103,7 +102,7 @@ def train_each(split, groups, rngs, **kw):
                     split.y_val,
                     optimizer=Adam(learning_rate=0.001),
                     rng=group_rngs[0],
-                    **scalar_kw,
+                    **kw,
                 )
             )
             continue
@@ -185,21 +184,14 @@ class TestGroupedDifferential:
 
     def test_early_stop_with_compaction_bit_identical(self, split):
         kw = dict(epochs=20, batch_size=8, early_stop_threshold=0.5)
-        ref = train_per_candidate(split, 2, **kw, compact=False)
-        got = train_grouped(split, 2, **kw, compact=True)
+        ref = train_per_candidate(split, 2, **kw)
+        got = train_grouped(split, 2, **kw)
         assert_bit_identical(ref, got)
         # the scenario is only meaningful if some slice actually froze
         # before the rest (compaction fired mid-training)
         epochs = sorted(h.epochs_run for h in ref[0])
         assert epochs[0] < epochs[-1]
         assert any(h.stopped_early for h in ref[0])
-
-    def test_masking_equals_compaction(self, split):
-        kw = dict(epochs=20, batch_size=8, early_stop_threshold=0.5)
-        assert_bit_identical(
-            train_grouped(split, 2, **kw, compact=False),
-            train_grouped(split, 2, **kw, compact=True),
-        )
 
     @pytest.mark.parametrize("data", ["split", "wide_split"])
     def test_first_ranked_classical_specs_bit_identical(self, request, data):

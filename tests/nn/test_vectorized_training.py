@@ -47,7 +47,7 @@ def train_scalar(builder, split, runs, **kw):
     return histories, params
 
 
-def train_stacked(builder, split, runs, compact=True, **kw):
+def train_stacked(builder, split, runs, **kw):
     rngs = [np.random.default_rng((0, 1, r)) for r in range(runs)]
     models = [builder(rng) for rng in rngs]
     trainer = VectorizedTrainer(models, learning_rate=0.001)
@@ -58,7 +58,6 @@ def train_stacked(builder, split, runs, compact=True, **kw):
         split.x_val,
         split.y_val,
         rngs=rngs,
-        compact=compact,
         **kw,
     )
     return histories, [[p.copy() for p in m.parameters()] for m in models]
@@ -100,20 +99,18 @@ class TestVectorizedTrainerDifferential:
             train_stacked(builder, split, 4, **kw),
         )
 
-    @pytest.mark.parametrize("compact", [True, False])
-    def test_early_stop_freezes_runs_in_stack(self, split, compact):
+    def test_early_stop_freezes_runs_in_stack(self, split):
         """Runs that hit the threshold freeze (params, optimizer state,
-        history) while the rest keep training — exactly like their
-        scalar loops breaking out at different epochs.  With ``compact``
-        the frozen rows additionally leave the fused sweep; either mode
-        must match the scalar loops bit for bit."""
+        history) and leave the fused sweep while the rest keep training
+        — exactly like their scalar loops breaking out at different
+        epochs, bit for bit."""
 
         def builder(rng):
             return build_hybrid_model(4, 3, 1, ansatz="sel", rng=rng)
 
         kw = dict(epochs=25, batch_size=8, early_stop_threshold=0.5)
         ref = train_scalar(builder, split, 3, **kw)
-        got = train_stacked(builder, split, 3, compact=compact, **kw)
+        got = train_stacked(builder, split, 3, **kw)
         assert_bit_identical(ref, got)
         # the scenario is only meaningful if early stopping actually
         # fired for a strict subset of the runs (compaction mid-sweep)
@@ -264,24 +261,3 @@ class TestStackedAdam:
         for r in range(runs):
             for p, s in zip(params, scalars[r]):
                 assert np.array_equal(p[r], s)
-
-    def test_masked_runs_frozen_exactly(self):
-        rng = np.random.default_rng(1)
-        runs = 4
-        params = [rng.normal(size=(runs, 3))]
-        scalars = [[params[0][r].copy()] for r in range(runs)]
-        stacked_opt = StackedAdam(learning_rate=0.05)
-        scalar_opts = [Adam(learning_rate=0.05) for _ in range(runs)]
-        active = np.array([True, True, True, True])
-        for step in range(6):
-            if step == 2:
-                active[1] = False  # run 1 "early-stops" here
-            if step == 4:
-                active[3] = False
-            grads = [rng.normal(size=(runs, 3))]
-            stacked_opt.step(params, grads, active)
-            for r in range(runs):
-                if active[r]:
-                    scalar_opts[r].step(scalars[r], [grads[0][r].copy()])
-        for r in range(runs):
-            assert np.array_equal(params[0][r], scalars[r][0])

@@ -24,10 +24,17 @@ from repro.flops.conventions import get_convention
 from repro.runtime import FaultPlan, PersistentPool, faults
 from repro.runtime.cluster_tcp import TcpConfig, TcpExecutor, run_tcp_agent
 from repro.runtime.frontier import SearchFrontier
+from repro.runtime import parallel as parallel_mod
 from repro.runtime.parallel import PoolExecutor, speculative_search
 
 # A scheduler regression's failure mode is a hang; fail fast instead.
 pytestmark = pytest.mark.timeout(180)
+
+
+@pytest.fixture(autouse=True)
+def snappy_watchdog(monkeypatch):
+    """Worker death detected in ~0.2s instead of the production 10s."""
+    monkeypatch.setattr(parallel_mod, "_WATCHDOG_INTERVAL_S", 0.2)
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +50,7 @@ def small_space(n_features=4):
 
 
 def _settings(**overrides):
-    base = dict(epochs=3, batch_size=32, runs=2, watchdog_interval_s=0.2)
+    base = dict(epochs=3, batch_size=32, runs=2)
     base.update(overrides)
     return TrainingSettings(**base)
 

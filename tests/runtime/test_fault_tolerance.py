@@ -29,6 +29,7 @@ from repro.core.search_space import classical_search_space
 from repro.data import make_spiral, stratified_split
 from repro.exceptions import SearchError
 from repro.runtime import FaultPlan, PersistentPool, sweep_stale_segments
+from repro.runtime import parallel as parallel_mod
 
 # A supervision regression's failure mode is a hang (a lost chunk whose
 # completion never arrives); bound every test so CI fails fast instead.
@@ -66,10 +67,15 @@ def _assert_same_outcome(par, seq):
     ]
 
 
+@pytest.fixture(autouse=True)
+def snappy_watchdog(monkeypatch):
+    """Death detected in ~0.2s instead of the production 10s."""
+    monkeypatch.setattr(parallel_mod, "_WATCHDOG_INTERVAL_S", 0.2)
+
+
 def _settings(**overrides):
-    """Fast settings with a snappy watchdog (death detected in ~0.2s
-    instead of the production 10s)."""
-    base = dict(epochs=3, batch_size=32, runs=2, watchdog_interval_s=0.2)
+    """Fast settings."""
+    base = dict(epochs=3, batch_size=32, runs=2)
     base.update(overrides)
     return TrainingSettings(**base)
 
@@ -231,15 +237,22 @@ class TestRetryExhaustion:
 
 
 class TestDeadlineWatchdog:
-    def test_hard_timeout_cancels_and_retries(self, easy_split):
+    def test_hard_timeout_cancels_and_retries(self, easy_split, monkeypatch):
         """A chunk delayed past its hard deadline is cancelled via the
         generation mechanism and retried; results stay identical."""
-        settings = _settings(chunk_timeout_s=0.8)
+        settings = _settings()
         kwargs = _search_kwargs(easy_split, settings)
         seq = grid_search(**kwargs, workers=1)
         with PersistentPool(2) as pool:
+            # The clean run calibrates the cost model's seconds scale;
+            # deadlines exist from the next search on.  Shrink them to
+            # soft 0.4s / hard 0.8s: far above a clean chunk's
+            # milliseconds, far below the injected 2.5s delay.
             clean = grid_search(**kwargs, pool=pool)
             _assert_same_outcome(clean, seq)
+            assert pool.cost_model.observations
+            monkeypatch.setattr(parallel_mod, "_CHUNK_DEADLINE_FACTOR", 0.0)
+            monkeypatch.setattr(parallel_mod, "_CHUNK_DEADLINE_FLOOR_S", 0.4)
             events = []
             pool.install_fault(
                 FaultPlan(kind="delay", candidate=1, delay_s=2.5)
@@ -259,19 +272,17 @@ class TestDeadlineWatchdog:
             assert 1 in timeout.candidates
 
 
-class TestCorruptResultRetry:
-    def test_corrupt_result_segment_retries_single_chunk(self, easy_split):
-        """A worker shipping garbage through the shared-memory return
-        path fails result inflation in the parent; that chunk (alone)
-        is re-executed — no generation bump, no worker loss."""
+class TestChunkErrorRetry:
+    def test_chunk_runner_error_retries_single_chunk(self, easy_split):
+        """A worker's chunk runner raising reaches the parent as the
+        loss of that chunk (alone), which is re-executed — no
+        generation bump, no worker loss."""
         settings = _settings()
         kwargs = _search_kwargs(easy_split, settings)
         seq = grid_search(**kwargs, workers=1)
         with PersistentPool(2) as pool:
             events = []
-            pool.install_fault(
-                FaultPlan(kind="corrupt-result", candidate=1)
-            )
+            pool.install_fault(FaultPlan(kind="error", candidate=1))
             try:
                 faulted = grid_search(
                     **kwargs, pool=pool, on_event=events.append
@@ -283,6 +294,9 @@ class TestCorruptResultRetry:
             kinds = [e.kind for e in events]
             assert "retry" in kinds
             assert "worker-lost" not in kinds  # no process died
+            # One search, one generation: the retry resubmitted the
+            # lost chunk alone instead of moving the search on.
+            assert pool._generation == pool.searches_started == 1
             # The retry slept through the shared backoff policy, and
             # the pause is accounted in the stats snapshot.
             assert pool.stats()["retry_backoff_s"] > 0

@@ -27,7 +27,7 @@ def _tokens(root):
 class TestArming:
     @pytest.mark.parametrize(
         "kind",
-        [faults.KILL, faults.DELAY, faults.CORRUPT_RESULT, faults.OOM],
+        [faults.KILL, faults.DELAY, faults.ERROR, faults.OOM],
     )
     def test_control_segment_kinds_are_refused(self, tmp_path, kind):
         with pytest.raises(SearchError, match="cannot be file-armed"):

@@ -1,11 +1,10 @@
 """Runtime tests for cross-candidate stacked execution.
 
-Acceptance checks from the issue: bit-identical ``SearchOutcome`` with
-candidate stacking (and frozen-row compaction) on vs off, sequential
-and pooled; multi-candidate chunks priced and observed per candidate;
-stacked-path failures re-attributed through the per-candidate fallback
-with the correct candidate coordinates; the shm result path surviving a
-worker crash mid-result without hanging or leaking.
+Bit-identical ``SearchOutcome`` with candidate stacking on vs off,
+sequential and pooled; multi-candidate chunks priced and observed per
+candidate; stacked-path failures re-attributed through the
+per-candidate fallback with the correct candidate coordinates; chunk
+results counted into the pool's instrumentation.
 """
 
 from dataclasses import replace
@@ -45,9 +44,8 @@ from repro.runtime.pool import (
     ChunkResult,
     JobChunk,
     RunError,
-    ShmResultHandle,
+    _count_result,
     _run_chunk,
-    _unwrap_result,
     execute_chunk,
     make_chunks,
     publish_split,
@@ -90,14 +88,13 @@ def _assert_same_outcome(a, b):
     ]
 
 
-def _settings(stacked, vectorized=True, compact=True, **kw):
+def _settings(stacked, vectorized=True, **kw):
     defaults = dict(epochs=6, batch_size=8, runs=2, early_stop_threshold=0.6)
     defaults.update(kw)
     return TrainingSettings(
         **defaults,
         vectorized_runs=vectorized,
         stacked_candidates=stacked,
-        compact_frozen=compact,
     )
 
 
@@ -127,8 +124,8 @@ class DropoutSpec(ClassicalSpec):
 
 
 class TestSearchDifferential:
-    """The issue's acceptance check: array_equal-identical SearchOutcome
-    with candidate stacking and compaction on vs off."""
+    """array_equal-identical SearchOutcome with candidate stacking on
+    vs off."""
 
     def test_sequential_on_off_identical(self, easy_split):
         kwargs = dict(
@@ -136,14 +133,10 @@ class TestSearchDifferential:
         )
         off = grid_search(**kwargs, settings=_settings(False), workers=1)
         on = grid_search(**kwargs, settings=_settings(True), workers=1)
-        no_compact = grid_search(
-            **kwargs, settings=_settings(True, compact=False), workers=1
-        )
         scalar = grid_search(
             **kwargs, settings=_settings(False, vectorized=False), workers=1
         )
         _assert_same_outcome(off, on)
-        _assert_same_outcome(off, no_compact)
         _assert_same_outcome(off, scalar)
 
     def test_pooled_matches_sequential_both_modes(self, easy_split):
@@ -584,41 +577,20 @@ class TestSchedulerPacking:
         assert degrade.candidates == (0, 1)
 
 
-class TestShmResultCrash:
-    """Worker crash mid-result: the parent sees a handle whose segment
-    is gone (the shared resource tracker swept it with the dead worker).
-    The unwrap path must route the failure to the search's error
-    callback — not kill the pool's result-handler thread — and leak
-    nothing."""
+class TestResultCounters:
+    """Every finished chunk's fallback and memory-degrade counts reach
+    the pool's instrumentation on the result-handler thread."""
 
     class _PoolCounters:
-        shm_results_received = 0
         vectorized_fallbacks = 0
+        memory_degrades = 0
 
-    def test_stale_handle_routes_to_error_callback(self):
-        received, errors = [], []
-        _unwrap_result(
-            self._PoolCounters(),
-            ShmResultHandle(segment="psm_gone_ccstack", nbytes=128),
-            received.append,
-            errors.append,
-        )
-        assert received == []
-        assert len(errors) == 1
-        assert isinstance(errors[0], FileNotFoundError)
-        # nothing to leak: the segment never existed on this side, and
-        # attach failed before any mapping was created
-        from multiprocessing.shared_memory import SharedMemory
-
-        with pytest.raises(FileNotFoundError):
-            SharedMemory(name="psm_gone_ccstack")
-
-    def test_healthy_results_still_pass_through(self):
-        received, errors = [], []
+    def test_healthy_result_counts_nothing(self):
+        pool = self._PoolCounters()
         ok = ChunkResult(cancelled=False, entries=(), wall_time_s=0.1)
-        _unwrap_result(self._PoolCounters(), ok, received.append, errors.append)
-        assert received == [ok]
-        assert errors == []
+        _count_result(pool, ok)
+        assert pool.vectorized_fallbacks == 0
+        assert pool.memory_degrades == 0
 
     def test_fallback_counter_still_counted(self):
         pool = self._PoolCounters()
@@ -626,8 +598,19 @@ class TestShmResultCrash:
             cancelled=False, entries=(), wall_time_s=0.1,
             vectorized_fallback=True,
         )
-        _unwrap_result(pool, flagged, lambda _: None, lambda _: None)
+        _count_result(pool, flagged)
         assert pool.vectorized_fallbacks == 1
+
+    def test_memory_degrades_accumulate(self):
+        pool = self._PoolCounters()
+        for degrades in (2, 0, 1):
+            _count_result(
+                pool,
+                ChunkResult(
+                    cancelled=False, entries=(), memory_degrades=degrades
+                ),
+            )
+        assert pool.memory_degrades == 3
 
 
 class TestCostModelPersistence:

@@ -22,7 +22,6 @@ when allocations can genuinely fail.
 
 import errno
 import os
-import pickle
 
 import numpy as np
 import pytest
@@ -46,13 +45,8 @@ from repro.runtime.memory import (
     parse_memory_budget,
     resolve_memory_budget,
 )
-from repro.runtime.pool import (
-    RESULT_SHM_THRESHOLD,
-    ChunkCostModel,
-    ChunkResult,
-    _ship_result,
-)
-from repro.runtime.jobs import RunResult
+from repro.runtime import parallel as parallel_mod
+from repro.runtime.pool import ChunkCostModel
 
 pytestmark = pytest.mark.timeout(120)
 
@@ -79,6 +73,12 @@ def _capped_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
 
+@pytest.fixture(autouse=True)
+def snappy_watchdog(monkeypatch):
+    """Worker death detected in ~0.2s instead of the production 10s."""
+    monkeypatch.setattr(parallel_mod, "_WATCHDOG_INTERVAL_S", 0.2)
+
+
 @pytest.fixture(scope="module")
 def easy_split():
     ds = make_spiral(4, n_points=150, noise=0.0, turns=0.4, seed=7)
@@ -86,7 +86,7 @@ def easy_split():
 
 
 def _settings(**overrides):
-    base = dict(epochs=3, batch_size=32, runs=2, watchdog_interval_s=0.2)
+    base = dict(epochs=3, batch_size=32, runs=2)
     base.update(overrides)
     return TrainingSettings(**base)
 
@@ -485,65 +485,6 @@ class TestCostModelBytes:
         )
         assert model.estimate("a", 10, 1) == pytest.approx(1.5)
         assert model.bytes_estimate("a") is None
-
-
-class TestShipResultFallback:
-    """The ``_ship_result`` ENOSPC leak fix: a failed shared-memory
-    shipment unlinks its half-written segment and falls back to the
-    pool's pickle pipe instead of losing the trained chunk."""
-
-    def _big_result(self):
-        history = {"loss": list(float(i) for i in range(30000))}
-        entry = RunResult(0, 0, 0.5, 0.5, 1, 0.1, history=history)
-        result = ChunkResult(cancelled=False, entries=(entry,))
-        assert len(pickle.dumps(result)) >= RESULT_SHM_THRESHOLD
-        return result
-
-    def test_create_failure_falls_back_to_pipe(self, monkeypatch):
-        import repro.runtime.pool as pool_mod
-
-        def no_space(prefix, nbytes):
-            raise OSError(errno.ENOSPC, "No space left on device")
-
-        monkeypatch.setattr(pool_mod, "_create_named_segment", no_space)
-        result = self._big_result()
-        assert _ship_result(result) is result
-
-    def test_midwrite_failure_unlinks_segment(self, monkeypatch):
-        import repro.runtime.pool as pool_mod
-
-        calls = []
-
-        class TornBuf:
-            def __setitem__(self, key, value):
-                raise OSError(errno.ENOSPC, "No space left on device")
-
-        class FakeShm:
-            name = "repro_fake_res"
-            buf = TornBuf()
-
-            def close(self):
-                calls.append("close")
-
-            def unlink(self):
-                calls.append("unlink")
-
-        monkeypatch.setattr(
-            pool_mod, "_create_named_segment", lambda p, n: FakeShm()
-        )
-        result = self._big_result()
-        assert _ship_result(result) is result
-        assert "unlink" in calls  # the segment never leaks
-
-    def test_small_results_never_touch_shm(self, monkeypatch):
-        import repro.runtime.pool as pool_mod
-
-        def boom(prefix, nbytes):  # pragma: no cover - must not run
-            raise AssertionError("small result hit shared memory")
-
-        monkeypatch.setattr(pool_mod, "_create_named_segment", boom)
-        small = ChunkResult(cancelled=False, entries=())
-        assert _ship_result(small) is small
 
 
 class TestConfigPlumbing:

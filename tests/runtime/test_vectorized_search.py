@@ -3,10 +3,8 @@
 Acceptance checks from the issue: ``SearchOutcome`` winner and
 accuracies identical with ``vectorized_runs`` on/off, sequential and
 pooled; measured-cost packing feeds chunk wall times back into the
-packer; oversized results travel through shared memory leak-free.
+packer.
 """
-
-import pickle
 
 import numpy as np
 import pytest
@@ -20,15 +18,11 @@ from repro.runtime import ChunkCostModel, PersistentPool, execute_runs
 from repro.runtime.pool import (
     ChunkResult,
     JobChunk,
-    RESULT_SHM_THRESHOLD,
-    ShmResultHandle,
-    _receive_result,
     _run_chunk,
-    _ship_result,
     make_chunks,
     publish_split,
 )
-from repro.runtime.jobs import RunResult, TrainingJob, execute_job
+from repro.runtime.jobs import TrainingJob, execute_job
 
 
 @pytest.fixture(scope="module")
@@ -281,69 +275,3 @@ class TestChunkCostModel:
     def test_bad_alpha_rejected(self):
         with pytest.raises(SearchError):
             ChunkCostModel(alpha=0.0)
-
-
-class TestShmResultPath:
-    def _big_result(self):
-        history = History(
-            train_loss=[0.1] * 4000,
-            train_accuracy=[0.5] * 4000,
-            val_accuracy=[0.5] * 4000,
-            epochs_run=4000,
-        )
-        entries = tuple(
-            RunResult(0, r, 0.5, 0.5, 4000, 1.0, history=history)
-            for r in range(5)
-        )
-        result = ChunkResult(cancelled=False, entries=entries, wall_time_s=1.0)
-        assert len(pickle.dumps(result)) > RESULT_SHM_THRESHOLD
-        return result
-
-    def test_small_results_pass_through(self):
-        small = ChunkResult(cancelled=False, entries=(), wall_time_s=0.1)
-        assert _ship_result(small) is small
-
-    def test_large_results_round_trip_and_unlink(self):
-        result = self._big_result()
-        shipped = _ship_result(result)
-        assert isinstance(shipped, ShmResultHandle)
-        # the handle itself is tiny — that is the point
-        assert len(pickle.dumps(shipped)) < 512
-        received = _receive_result(shipped)
-        assert received == result
-        # the one-shot segment is gone after the read
-        from multiprocessing.shared_memory import SharedMemory
-
-        with pytest.raises(FileNotFoundError):
-            SharedMemory(name=shipped.segment)
-
-    def test_run_chunk_ships_large_histories(self, easy_split):
-        """An in-process _run_chunk call with return_histories and many
-        epochs produces a payload that takes the shm path end to end."""
-        shm, handle = publish_split(easy_split)
-        try:
-            spec = classical_search_space(
-                4, neuron_options=(2,), max_layers=1
-            )[0]
-            settings = TrainingSettings(
-                epochs=1, batch_size=32, runs=2, return_histories=True
-            )
-            [chunk] = make_chunks(
-                spec, 0, 1, 2, 2, handle, settings, 0, vectorized=True
-            )
-            import repro.runtime.pool as pool_mod
-
-            old = pool_mod.RESULT_SHM_THRESHOLD
-            pool_mod.RESULT_SHM_THRESHOLD = 1  # force the shm path
-            try:
-                shipped = _run_chunk(chunk)
-            finally:
-                pool_mod.RESULT_SHM_THRESHOLD = old
-            assert isinstance(shipped, ShmResultHandle)
-            result = _receive_result(shipped)
-            assert isinstance(result, ChunkResult)
-            assert len(result.entries) == 2
-            assert all(e.history is not None for e in result.entries)
-        finally:
-            shm.close()
-            shm.unlink()

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import pathlib
 import socket
 
 import pytest
@@ -154,17 +155,25 @@ class TestMain:
         assert "Fig 8" in capsys.readouterr().out
         assert (tmp_path / "sel_smoke.json").exists()
 
-    def test_cost_cache_written_and_reloaded(self, capsys, tmp_path, monkeypatch):
-        """With --cache and --workers > 1 the measured-cost model is
-        persisted next to the result cache and warms the next run."""
+    @staticmethod
+    def _fake_pools(monkeypatch, cost_paths=None):
+        """Stand in a cost-model-only pool and a dispatch that records
+        one observation per run; returns the created pools.
+        ``cost_paths`` (a list) receives every path the model loads."""
         import repro.cli as cli_mod
         from repro.runtime.pool import ChunkCostModel
+
+        class _FakeCostModel(ChunkCostModel):
+            def load_json(self, path):
+                if cost_paths is not None:
+                    cost_paths.append(str(path))
+                return super().load_json(path)
 
         class _FakePool:
             def __init__(self, workers, backend=None):
                 self.workers = workers
                 self.backend = backend
-                self.cost_model = ChunkCostModel()
+                self.cost_model = _FakeCostModel()
                 self.closed = False
 
             def close(self):
@@ -185,14 +194,54 @@ class TestMain:
             or created[-1],
         )
         monkeypatch.setattr(cli_mod, "_dispatch", fake_dispatch)
+        return created
+
+    def test_cost_cache_written_and_reloaded(self, capsys, tmp_path, monkeypatch):
+        """With --cache and --workers > 1 the measured-cost model is
+        persisted next to the result cache and warms the next run."""
+        from repro.runtime.pool import ChunkCostModel
+
+        created = self._fake_pools(monkeypatch)
         code = main(
             ["fig4", "--workers", "2", "--cache", str(tmp_path), "--quiet"]
         )
         assert code == 0
-        cost_path = tmp_path / "chunk_costs.json"
+        cost_path = tmp_path / "chunk_costs_smoke.json"
         assert cost_path.exists()
         assert created and created[0].closed
 
         warm = ChunkCostModel()
         assert warm.load_json(cost_path)
         assert "A" in warm.snapshot()
+
+    def test_default_cost_cache_is_partitioned_by_result_identity(
+        self, tmp_path, monkeypatch
+    ):
+        """Costs are keyed by candidate label only, so each profile and
+        result-affecting override warms from its own default file; a
+        mechanics flag shares it, and an explicit --cost-cache wins."""
+        loaded = []
+        self._fake_pools(monkeypatch, loaded)
+        base = ["fig8", "--workers", "2", "--quiet"]
+        base += ["--cache", str(tmp_path)]
+        for extra in (
+            [],
+            ["--no-stacked-candidates"],
+            ["--profile", "reduced"],
+            ["--runs", "3"],
+            ["--cost-cache", str(tmp_path / "mine.json")],
+        ):
+            assert main(base + extra) == 0
+        assert [pathlib.Path(p).name for p in loaded] == [
+            "chunk_costs_smoke.json",
+            "chunk_costs_smoke.json",
+            "chunk_costs_reduced.json",
+            "chunk_costs_smoke_runs_per_candidate-3.json",
+            "mine.json",
+        ]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "chunk_costs_reduced.json",
+            "chunk_costs_smoke.json",
+            "chunk_costs_smoke_runs_per_candidate-3.json",
+            "mine.json",
+        ]
