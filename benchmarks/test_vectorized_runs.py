@@ -3,7 +3,7 @@
 The innermost hot loop of every figure-reproduction experiment trains
 one candidate ``runs`` times with an identical circuit structure.  The
 run-vectorized engine executes all R runs as one stacked kernel sweep
-per minibatch (``repro.nn.training.VectorizedTrainer`` over
+per minibatch (``repro.nn.training.train_stack`` over
 ``CompiledTape.execute(..., runs=R)``) instead of R scalar sweeps.
 
 Two benchmarks pin the issue's acceptance target — stacked at least

@@ -1,10 +1,24 @@
-"""Legacy shim for environments without the ``wheel`` package.
+"""Package metadata for ``repro``, the library under ``src/``.
 
-All metadata lives in ``pyproject.toml``; this file only enables
-``python setup.py develop`` / ``pip install -e .`` on older toolchains
-where PEP 660 editable installs are unavailable.
+``pip install .`` (or ``pip install -e .`` for development) installs it
+with NumPy, its one runtime dependency.  The version is read from
+``src/repro/__init__.py`` so it has a single source.
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+_INIT = Path(__file__).parent / "src" / "repro" / "__init__.py"
+_VERSION = re.search(
+    r'^__version__ = "([^"]+)"', _INIT.read_text(), re.MULTILINE
+).group(1)
+
+setup(
+    name="repro",
+    version=_VERSION,
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy"],
+)

@@ -74,11 +74,11 @@ class TrainingSettings:
     :mod:`repro.core.identity`): a field tagged ``False`` changes wall
     time, never the :class:`SearchOutcome`.
 
-    ``vectorized_runs`` selects the run-stacked execution mode: a
-    candidate's whole run set trains as one
-    :class:`~repro.nn.training.VectorizedTrainer` sweep (one kernel
-    sweep instead of ``runs``).  Models that cannot be stacked fall
-    back to per-run training automatically.
+    ``vectorized_runs`` selects the stacked execution mode: a
+    candidate's whole run set trains as one fused sweep
+    (:func:`~repro.runtime.jobs.execute_candidates`, one kernel sweep
+    instead of ``runs``); off, every run trains scalar.  Models that
+    cannot be stacked fall back to per-run training automatically.
 
     ``return_histories`` keeps each run's full per-epoch
     :class:`~repro.nn.training.History` on its

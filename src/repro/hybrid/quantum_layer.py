@@ -302,8 +302,8 @@ class StackedQuantumLayer(StackedLayer):
     layers past its depth, exactly as the run's own tape would.  Padded
     weights get zero gradients, so Adam leaves them at zero.
 
-    Built by :func:`repro.nn.stacked.stack_models` via the registered
-    stacker; only adjoint-differentiated layers whose tapes compile
+    Built by :func:`repro.nn.stacked.stack_candidates` via the
+    registered stacker; only adjoint-differentiated layers whose tapes compile
     stack (anything else falls back to scalar training).
     """
 
@@ -371,7 +371,7 @@ class StackedQuantumLayer(StackedLayer):
         # The compiled engine's recorded-adjoint sweep dominates this
         # layer's working set (every run at the compiled, deepest
         # depth); the weight stacks are counted by the owning
-        # StackedSequential/GroupedStack.
+        # GroupedStack.
         return self._engine.peak_bytes(rows, runs=self.runs, mode="adjoint")
 
     def bind(self, params, grads) -> None:

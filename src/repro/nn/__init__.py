@@ -22,13 +22,10 @@ from .model import Sequential
 from .optimizers import SGD, Adam, Optimizer, StackedAdam
 from .stacked import (
     GroupedStack,
-    StackedSequential,
     stack_candidates,
-    stack_models,
 )
 from .training import (
     History,
-    VectorizedTrainer,
     iterate_minibatches,
     train_model,
     train_stack,
@@ -55,13 +52,10 @@ __all__ = [
     "SGD",
     "Adam",
     "StackedAdam",
-    "StackedSequential",
     "GroupedStack",
-    "stack_models",
     "stack_candidates",
     "History",
     "train_model",
     "train_stack",
-    "VectorizedTrainer",
     "iterate_minibatches",
 ]

@@ -103,7 +103,7 @@ class Adam(Optimizer):
 class StackedAdam(Adam):
     """Adam over run-stacked ``(R, ...)`` parameters.
 
-    Used by :class:`repro.nn.training.VectorizedTrainer`: every
+    Used by :func:`repro.nn.training.train_stack`: every
     parameter (and every moment buffer) carries a leading run axis, so
     one elementwise update steps all R runs' Adam states at once —
     bit-identical to R independent :class:`Adam` instances stepping in

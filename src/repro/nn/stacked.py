@@ -1,13 +1,13 @@
-"""Run-stacked models: R same-structure models trained as one stack.
+"""Stacked models: many same-shape training runs as one fused sweep.
 
 The paper's protocol trains every candidate architecture ``runs`` times
 with an identical structure — only the seed-derived initial parameters
 differ — so a training step's work factors as *structure x runs*.  This
-module folds the run axis into the batch axis: a
-:class:`StackedSequential` holds one set of ``(R, ...)``-shaped
-parameter stacks and executes all R runs' forward/backward passes in a
-single sweep over run-major ``(R * B, features)`` activations (run ``r``
-owns rows ``r*B .. (r+1)*B``).
+module folds the run axis into the batch axis: a stacked layer holds
+one set of ``(R, ...)``-shaped parameter stacks and executes all R
+runs' forward/backward passes in a single sweep over run-major
+``(R * B, features)`` activations (run ``r`` owns rows
+``r*B .. (r+1)*B``).
 
 Per-sample arithmetic is *bit-identical* to running the R source models
 independently:
@@ -24,33 +24,33 @@ independently:
   (:meth:`repro.quantum.engine.CompiledTape.execute` with ``runs=R``)
   is differentially tested bitwise against per-run execution.
 
-Stacking is *structural*: :func:`stack_models` inspects the R source
-models layer by layer and returns ``None`` whenever any layer has no
+Stacking is *structural*: :func:`stack_candidates` inspects the source
+models layer by layer and returns ``None`` whenever a layer has no
 registered stacker (custom layer types, Dropout, parameter-shift
-quantum layers...).  Callers fall back to the scalar per-run loop in
-that case, so vectorization is always an optimization, never a
-behaviour change.  Layer types register themselves via
+quantum layers...).  Callers fall back to per-candidate or scalar
+per-run training in that case, so stacking is always an optimization,
+never a behaviour change.  Layer types register themselves via
 :func:`register_stacker` (the hybrid quantum layer does this on import,
 keeping this module free of a quantum dependency).
 
-**Cross-candidate stacks.**  :func:`stack_candidates` generalizes the
-run axis to a *slice* axis spanning several candidates: C candidates x
-R runs merge into a single :class:`GroupedStack` of S = sum(R_c)
-slices, whatever their depths and widths.  The leading layer positions
-that stack across all S slices form a shared *head*, the trailing ones
-a shared *tail* (in the paper's spaces: a classical candidate's first
-``Dense`` + ReLU and final Softmax, a hybrid candidate's input and
-output layers), and each candidate's remaining layers form its own
-*middle* stack over that candidate's contiguous row block.  Quantum
-layers that differ only in depth stack across the group too (one
-depth-padded engine sweep, see
+**Cross-candidate stacks.**  The run axis generalizes to a *slice*
+axis spanning several candidates: C candidates x R runs merge into a
+single :class:`GroupedStack` of S = sum(R_c) slices, whatever their
+depths and widths; one candidate's run set is the one-candidate group.
+The leading layer positions that stack across all S slices form a
+shared *head*, the trailing ones a shared *tail* (in the paper's
+spaces: a classical candidate's first ``Dense`` + ReLU and final
+Softmax, a hybrid candidate's input and output layers), and each
+candidate's remaining layers form its own *middle*
+(:class:`StackedSequential`) over that candidate's contiguous row
+block.  Quantum layers that differ only in depth stack across the
+group too (one depth-padded engine sweep, see
 :class:`~repro.hybrid.quantum_layer.StackedQuantumLayer`), so a
 hybrid group such as ``SEL(3,1)`` … ``SEL(3,4)`` is one shared head
-with no middles.  Per-slice
-arithmetic is again bit-identical to the per-candidate stacks (and
-transitively to scalar training): middle gemms see the same per-slice
-row blocks, and shared per-slice gemms and engine kernels do not care
-whether neighbouring slices belong to the same candidate.
+with no middles.  Per-slice arithmetic is again bit-identical to
+scalar training: middle gemms see the same per-slice row blocks, and
+shared per-slice gemms and engine kernels do not care whether
+neighbouring slices belong to the same candidate.
 
 **Frozen-row compaction.**  Every stacked layer supports
 ``compact(keep)``: dropping a slice's rows from the parameter stacks
@@ -59,13 +59,13 @@ einsum-only quantum kernels, per-slice gemms — bit-identical, so a run
 that early-stops (or a candidate whose runs all finished) leaves the
 fused sweep instead of riding along frozen.
 
-**Parameter arena.**  A :class:`StackedSequential` or
-:class:`GroupedStack` owns one :class:`ParameterArena`: a flat value
-buffer and a flat gradient buffer, with every layer's parameter and
-gradient stacks bound as reshaped views into them.  Resetting the
-gradients is one fill, and :class:`~repro.nn.optimizers.StackedAdam`
-steps the whole stack with one elementwise update over the flat
-buffers.  Compaction gathers the surviving rows and rebuilds the arena.
+**Parameter arena.**  A :class:`GroupedStack` owns one
+:class:`ParameterArena`: a flat value buffer and a flat gradient
+buffer, with every layer's parameter and gradient stacks bound as
+reshaped views into them.  Resetting the gradients is one fill, and
+:class:`~repro.nn.optimizers.StackedAdam` steps the whole stack with
+one elementwise update over the flat buffers.  Compaction gathers the
+surviving rows and rebuilds the arena.
 """
 
 from __future__ import annotations
@@ -88,7 +88,6 @@ __all__ = [
     "StackedSequential",
     "GroupedStack",
     "register_stacker",
-    "stack_models",
     "stack_candidates",
 ]
 
@@ -265,11 +264,7 @@ def _param_nbytes(p) -> int:
     nbytes = getattr(p, "nbytes", None)
     if isinstance(nbytes, int):
         return nbytes
-    return _numel(p) * 8
-
-
-def _numel(p) -> int:
-    return math.prod(p.shape)
+    return math.prod(p.shape) * 8
 
 
 def flat_views(flat, shapes: Sequence[tuple]) -> list:
@@ -320,10 +315,6 @@ class ParameterArena:
                 grad[...] = g
             layer.bind([v for v, _ in pairs], [g for _, g in pairs])
         return arena
-
-    def section(self, start: int, stop: int) -> "ParameterArena":
-        """The arena slice ``start:stop`` (views, not copies)."""
-        return ParameterArena(self.values[start:stop], self.grads[start:stop])
 
 
 #: type -> stacker(runs, layers) registry.  Keyed on the *exact* type:
@@ -380,13 +371,13 @@ def _forward_shared(layers: Sequence[StackedLayer], x, runs: int):
 
 
 class StackedSequential:
-    """R structurally identical :class:`Sequential` models as one stack.
+    """One candidate's middle inside a :class:`GroupedStack`: R
+    structurally identical :class:`Sequential` models as one stack.
 
-    Build via :func:`stack_models`.  ``forward``/``backward`` take fused
-    run-major activations; ``parameters()``/``gradients()`` expose the
-    ``(R, ...)`` stacks as views into :attr:`arena` (feed them, with the
-    arena, to a stacked optimizer such as
-    :class:`repro.nn.optimizers.StackedAdam`).
+    ``forward``/``backward`` take fused run-major activations over the
+    candidate's row block; ``parameters()``/``gradients()`` expose the
+    ``(R, ...)`` stacks, which the owning group binds into its
+    :class:`ParameterArena`.
     """
 
     def __init__(
@@ -398,8 +389,6 @@ class StackedSequential:
         self.runs = runs
         self.layers = list(layers)
         self._models = list(models)
-        self._xp = active_backend()
-        self.arena = ParameterArena.bind(self.layers, self._xp)
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         out = x
@@ -425,47 +414,17 @@ class StackedSequential:
     def gradients(self) -> list[np.ndarray]:
         return [g for layer in self.layers for g in layer.grads]
 
-    def row_maps(self) -> list[np.ndarray | None]:
-        """Per-parameter map from parameter rows to stack slices.
-
-        ``None`` means the identity (every parameter stack spans every
-        slice) — true for a plain run stack.  :class:`GroupedStack`
-        overrides this for per-candidate parameter stacks.
-        """
-        return [None] * len(self.parameters())
-
-    def peak_bytes(self, batch: int) -> int:
-        """Predicted peak working-set bytes of one training step.
-
-        Parameter stacks count four times over — values, gradients and
-        the two Adam moment stacks a
-        :class:`~repro.nn.optimizers.StackedAdam` holds — plus each
-        layer's activation working set over the fused ``runs * batch``
-        rows.  An upper envelope for admission control, cross-checked by
-        the runtime's measured bytes EWMA.
-        """
-        rows = self.runs * batch
-        total = 4 * sum(_param_nbytes(p) for p in self.parameters())
-        total += sum(layer.peak_bytes(rows) for layer in self.layers)
-        return total
-
-    def zero_grads(self) -> None:
-        self._xp.fill(self.arena.grads, 0.0)
-
     def sync_to_models(self) -> None:
         """Write the trained per-run parameters back into the R models."""
         for pos, layer in enumerate(self.layers):
             layer.sync_to_layers([m.layers[pos] for m in self._models])
 
     def compact(self, keep: np.ndarray) -> None:
-        """Drop every run row not in ``keep`` from all layer stacks and
-        rebuild the arena over the survivors."""
-        keep = np.asarray(keep, dtype=np.intp)
+        """Drop every run row not in ``keep`` from all layer stacks."""
         for layer in self.layers:
             layer.compact(keep)
         self._models = [self._models[i] for i in keep]
         self.runs = int(keep.size)
-        self.arena = ParameterArena.bind(self.layers, self._xp)
 
 
 def _stack_rows(
@@ -491,29 +450,6 @@ def _stack_rows(
     return stacked
 
 
-def stack_models(models: Sequence[Sequential]) -> StackedSequential | None:
-    """Fold R structurally identical models into one stacked model.
-
-    Returns ``None`` — vectorization unavailable, train the models
-    scalar — unless every layer position holds R instances of one exact
-    type that is either a registered stackable type or a known
-    parameter-free row-wise layer.
-    """
-    models = list(models)
-    if len(models) < 2:
-        return None
-    n_layers = len(models[0].layers)
-    if any(len(m.layers) != n_layers for m in models[1:]):
-        return None
-    runs = len(models)
-    stacked = _stack_rows(
-        runs, [[m.layers[pos] for m in models] for pos in range(n_layers)]
-    )
-    if stacked is None:
-        return None
-    return StackedSequential(runs, stacked, models)
-
-
 # -- cross-candidate groups -------------------------------------------------
 
 
@@ -536,9 +472,8 @@ class GroupedStack:
 
     Built by :func:`stack_candidates`.  The fused activation batch is
     *slice-major*: slice ``s`` (candidate-major, runs in order) owns
-    rows ``s*B .. (s+1)*B``, exactly like :class:`StackedSequential`'s
-    run-major layout — ``runs`` here counts slices.  The layer list of
-    every member model splits into three parts:
+    rows ``s*B .. (s+1)*B`` — ``runs`` here counts slices.  The layer
+    list of every member model splits into three parts:
 
     * the :attr:`head`, the leading layer positions that stack across
       all S slices, runs once over the whole fused batch;
@@ -550,9 +485,8 @@ class GroupedStack:
 
     Every kernel is per slice (per-slice gemms, per-run engine
     kernels), so each slice's arithmetic is bit-identical to the same
-    run trained in a single-candidate stack — which is what lets
-    candidate-stacked grid searches reproduce unstacked results
-    exactly.
+    run trained scalar — which is what lets stacked grid searches
+    reproduce unstacked results exactly.
     """
 
     def __init__(
@@ -566,7 +500,7 @@ class GroupedStack:
         self.tail = tail
         self.runs = sum(m.size for m in members)
         self._xp = active_backend()
-        self._bind_arena()
+        self.arena = ParameterArena.bind(self.layers, self._xp)
 
     @property
     def layers(self) -> list[StackedLayer]:
@@ -579,16 +513,6 @@ class GroupedStack:
             for layer in m.middle.layers
         ]
         return self.head + middles + self.tail
-
-    def _bind_arena(self) -> None:
-        """One arena over every layer; each middle keeps its section."""
-        self.arena = ParameterArena.bind(self.layers, self._xp)
-        offset = sum(_numel(p) for layer in self.head for p in layer.params)
-        for member in self.members:
-            if member.middle is not None:
-                size = sum(_numel(p) for p in member.middle.parameters())
-                member.middle.arena = self.arena.section(offset, offset + size)
-                offset += size
 
     @property
     def _segmented(self) -> bool:
@@ -694,10 +618,13 @@ class GroupedStack:
     def peak_bytes(self, batch: int) -> int:
         """Predicted peak working-set bytes of one grouped training step.
 
-        Same accounting as :meth:`StackedSequential.peak_bytes` — every
-        parameter stack four times over (values, grads, Adam moments) —
-        with middle layers counted over their candidate's row block and
-        the head and tail over all ``runs * batch`` fused rows.
+        Every parameter stack counts four times over — values,
+        gradients and the two Adam moment stacks a
+        :class:`~repro.nn.optimizers.StackedAdam` holds — plus each
+        layer's activation working set: middle layers over their
+        candidate's row block, the head and tail over all
+        ``runs * batch`` fused rows.  An upper envelope for admission
+        control, cross-checked by the runtime's measured bytes EWMA.
         """
         rows = self.runs * batch
         total = 4 * sum(_param_nbytes(p) for p in self.parameters())
@@ -751,7 +678,7 @@ class GroupedStack:
         for layer in self.head + self.tail:
             layer.compact(keep)
         self.runs = int(keep.size)
-        self._bind_arena()
+        self.arena = ParameterArena.bind(self.layers, self._xp)
 
 
 def _widths(model: Sequential) -> list[int] | None:
@@ -795,9 +722,11 @@ def stack_candidates(
     that do (never overlapping the head in any model), and each
     candidate's layers in between stack on their own.  Candidates of
     any depth and width therefore group — a candidate whose layers all
-    sit in the head and tail has an empty middle.
+    sit in the head and tail has an empty middle.  A single candidate's
+    run set is the one-candidate group: every layer sits in the head.
 
-    Returns ``None`` — train each candidate separately — when the
+    Returns ``None`` — train each candidate separately, a lone one
+    scalar — when there are fewer than two models in all, when the
     models disagree on input width (one fused batch cannot feed them),
     when their middles end at different widths (one fused batch cannot
     enter the tail), when no layer position is shared at either end, or

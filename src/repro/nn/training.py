@@ -25,14 +25,12 @@ from .losses import CrossEntropy, Loss
 from .metrics import accuracy
 from .model import Sequential
 from .optimizers import Adam, Optimizer, StackedAdam
-from .stacked import stack_models
 
 __all__ = [
     "History",
     "train_model",
     "iterate_minibatches",
     "train_stack",
-    "VectorizedTrainer",
 ]
 
 
@@ -171,9 +169,8 @@ def train_stack(
 ) -> list[History]:
     """Train a slice stack in lockstep; one :class:`History` per slice.
 
-    ``stack`` is a :class:`~repro.nn.stacked.StackedSequential` (R runs
-    of one candidate) or a :class:`~repro.nn.stacked.GroupedStack`
-    (several candidates' run sets fused into one sweep); ``rngs`` holds
+    ``stack`` is a :class:`~repro.nn.stacked.GroupedStack` (one or
+    more candidates' run sets fused into one sweep); ``rngs`` holds
     one generator per slice, each in the state its scalar
     :func:`train_model` counterpart would be in when entering training.
     Histories come back in the stack's original slice order.
@@ -313,95 +310,3 @@ def train_stack(
     stack.sync_to_models()
     return histories
 
-
-class VectorizedTrainer:
-    """Train R same-structure models in lockstep as one run-stacked sweep.
-
-    The paper's protocol trains every candidate ``runs`` times with an
-    identical architecture, so each epoch's work is R structurally
-    identical forward/backward passes.  This trainer folds them into
-    one: the models are stacked (:func:`repro.nn.stacked.stack_models`),
-    each optimizer step updates all R parameter sets at once
-    (:class:`~repro.nn.optimizers.StackedAdam`), and every kernel sweep
-    carries a fused run-major ``(R * B, features)`` batch.
-
-    Per-run semantics are preserved exactly:
-
-    * run ``r`` consumes its own RNG stream (``rngs[r]``) for minibatch
-      shuffling, drawing the same values in the same order as its
-      scalar :func:`train_model` counterpart;
-    * every stacked kernel is bit-identical to the scalar one per run
-      slice, so losses, accuracies and parameter trajectories match
-      per-run training bit for bit;
-    * a run that reaches ``early_stop_threshold`` **freezes**: its
-      parameters, optimizer state and history stop changing (exactly as
-      if its scalar loop had broken out) while the remaining runs keep
-      training; its rows are then *compacted out* of the fused sweep
-      (see :func:`train_stack`), and the epoch loop ends
-      when every run is frozen or the epoch budget is spent.
-
-    ``available`` is ``False`` when any layer cannot be stacked (custom
-    layers, parameter-shift gradients, Dropout...); callers then fall
-    back to the scalar per-run loop — see
-    :func:`repro.runtime.jobs.execute_runs`.
-    """
-
-    def __init__(
-        self,
-        models: list[Sequential],
-        loss: Loss | None = None,
-        learning_rate: float = 0.001,
-    ) -> None:
-        self.models = list(models)
-        self.loss = loss or CrossEntropy()
-        self.learning_rate = learning_rate
-        self.stack = stack_models(self.models)
-
-    @property
-    def available(self) -> bool:
-        """Whether these models can be trained as one stack."""
-        return self.stack is not None
-
-    def train(
-        self,
-        x_train: np.ndarray,
-        y_train: np.ndarray,
-        x_val: np.ndarray,
-        y_val: np.ndarray,
-        epochs: int = 100,
-        batch_size: int = 8,
-        rngs: Sequence[np.random.Generator] | None = None,
-        early_stop_threshold: float | None = None,
-        shuffle: bool = True,
-        cancel_check: Callable[[], bool] | None = None,
-    ) -> list[History]:
-        """Train the stack; return one :class:`History` per run.
-
-        Mirrors :func:`train_model`'s protocol per run.  ``rngs`` holds
-        one generator per run (each in the state its scalar counterpart
-        would be in when entering training); per-run ``wall_time_s``
-        measures lockstep time from start until that run froze or the
-        loop ended.  Early-stopped runs are dropped from subsequent
-        sweeps — see :func:`train_stack` for the bit-identity contract.
-        Raises :class:`~repro.exceptions.TrainingCancelled` when
-        ``cancel_check`` fires at an epoch boundary.
-        """
-        if self.stack is None:
-            raise ConfigurationError(
-                "models cannot be stacked; check available before train()"
-            )
-        return train_stack(
-            self.stack,
-            x_train,
-            y_train,
-            x_val,
-            y_val,
-            epochs=epochs,
-            batch_size=batch_size,
-            loss=self.loss,
-            learning_rate=self.learning_rate,
-            rngs=rngs,
-            early_stop_threshold=early_stop_threshold,
-            shuffle=shuffle,
-            cancel_check=cancel_check,
-        )

@@ -17,10 +17,11 @@ duplicate dropping, sequential fallback) over a small executor
 protocol, plus the pool executor (generations, worker watchdog,
 deadlines), and :mod:`repro.runtime.jobs`
 holds the shared run primitives — scalar
-:func:`~repro.runtime.jobs.execute_job`, the run-stacked
-:func:`~repro.runtime.jobs.execute_runs` that trains a candidate's
-whole run set in one vectorized sweep, and the one OOM recovery ladder
-over them (:func:`~repro.runtime.jobs.chunk_entries`).
+:func:`~repro.runtime.jobs.execute_job`, the stacked
+:func:`~repro.runtime.jobs.execute_candidates` that trains one or more
+candidates' whole run sets in one fused sweep (one candidate's:
+:func:`~repro.runtime.jobs.execute_runs`), and the one OOM recovery
+ladder over them (:func:`~repro.runtime.jobs.chunk_entries`).
 :mod:`repro.runtime.frontier` is the FLOPs-order commit frontier every
 execution mode shares, including the in-process executor that is both
 ``workers=1`` and every mode's graceful-degradation floor.

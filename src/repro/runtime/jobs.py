@@ -14,21 +14,14 @@ call the same function with the same ``(seed, candidate_index,
 run)``-derived RNG, so parallel results are bit-identical to sequential
 ones by construction rather than by testing alone.
 
-:func:`execute_runs` is its run-vectorized sibling: it trains a whole
-run set of one candidate as one stacked sweep
-(:class:`repro.nn.training.VectorizedTrainer`) when the model stacks,
-and falls back to per-run :func:`execute_job` calls otherwise.  The
-stacked path's kernels are bit-identical to the scalar ones per run, so
-either path yields the same :class:`RunResult` list.
-
-:func:`execute_candidates` generalizes one step further: several
-candidates of one family and data shape (equal
-:meth:`~repro.core.search_space.ModelSpec.group_key`) merge their run
-sets into one cross-candidate fused sweep
-(:func:`repro.nn.stacked.stack_candidates` +
-:func:`repro.nn.training.train_stack`).  Per-slice arithmetic is again
-bit-identical to the per-candidate paths, so grouping is pure wall-time
-optimization.
+:func:`execute_candidates` is its fused sibling: the run sets of one
+or more candidates of one family and data shape (equal
+:meth:`~repro.core.search_space.ModelSpec.group_key`) train as one
+stacked sweep (:func:`repro.nn.stacked.stack_candidates` +
+:func:`repro.nn.training.train_stack`).  Per-slice arithmetic is
+bit-identical to the scalar path, so stacking and grouping are pure
+wall-time optimizations.  :func:`execute_runs` is the one-candidate
+case with the scalar loop as fallback.
 
 :func:`chunk_entries` is the one **OOM recovery ladder** over those
 primitives, shared by every execution mode: pool workers, TCP cluster
@@ -51,7 +44,7 @@ from ..backends import resolve_backend, use_backend
 from ..exceptions import TrainingCancelled
 from ..nn.optimizers import Adam
 from ..nn.stacked import stack_candidates
-from ..nn.training import VectorizedTrainer, train_model, train_stack
+from ..nn.training import train_model, train_stack
 from .memory import is_memory_error
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -89,9 +82,8 @@ class RunResult:
     metrics (max train/val accuracy over epochs), the epoch count and
     the wall time cross the process boundary.  With
     ``TrainingSettings.return_histories`` the full per-epoch
-    :class:`~repro.nn.training.History` rides along too — large ones are
-    shipped back through shared memory rather than the pool's pickle
-    channel (see :mod:`repro.runtime.pool`).
+    :class:`~repro.nn.training.History` rides along too, pickled with
+    the rest of the chunk's result.
     """
 
     candidate_index: int
@@ -197,24 +189,26 @@ def execute_runs(
 ) -> list[RunResult]:
     """Train several runs of one candidate; same results either way.
 
-    With ``vectorized`` (and at least two runs), the models are built
-    from their per-run RNG streams, stacked, and trained in lockstep by
-    one :class:`~repro.nn.training.VectorizedTrainer` sweep — the
-    innermost hot loop of a grid search becomes one tape sweep instead
-    of ``len(runs)``.  Models that cannot be stacked (custom layers,
-    parameter-shift gradients...), and single-run sets, fall back to
-    scalar :func:`execute_job` calls.  Both paths produce bit-identical
-    :class:`RunResult` metrics; only ``wall_time_s`` differs (stacked
-    runs share the lockstep clock).
-
-    The stacked sweep runs on the backend resolved from
-    ``settings.backend`` (scalar fallbacks always use NumPy — the
-    scalar layers are NumPy code).
+    With ``vectorized``, the run set trains as a one-candidate
+    :func:`execute_candidates` group — one stacked sweep instead of
+    ``len(runs)`` scalar loops.  Models that cannot be stacked (custom
+    layers, parameter-shift gradients...), and single-run sets, fall
+    back to scalar :func:`execute_job` calls.  Both paths produce
+    bit-identical :class:`RunResult` metrics; only ``wall_time_s``
+    differs (stacked runs share the lockstep clock).
     """
     runs = list(runs)
-
-    def scalar() -> list[RunResult]:
-        return [
+    results = None
+    if vectorized:
+        results = execute_candidates(
+            [(spec, candidate_index, runs)],
+            seed,
+            split,
+            settings,
+            cancel_check=cancel_check,
+        )
+    if results is None:
+        results = [
             execute_job(
                 TrainingJob(spec, seed, candidate_index, run),
                 split,
@@ -223,63 +217,7 @@ def execute_runs(
             )
             for run in runs
         ]
-
-    if not vectorized or len(runs) < 2:
-        return scalar()
-    with _settings_backend(settings):
-        # Build each run's model from its own (seed, candidate, run)
-        # stream; the streams then continue into minibatch shuffling,
-        # exactly as in execute_job.  Build errors surface at the lowest
-        # run first, like the scalar loop's.
-        rngs = [
-            np.random.default_rng((seed, candidate_index, run))
-            for run in runs
-        ]
-        models = [spec.build(rng=rng) for rng in rngs]
-        trainer = VectorizedTrainer(
-            models, learning_rate=settings.learning_rate
-        )
-        if not trainer.available:
-            # Unstackable models: train the ones just built (their rngs
-            # are already past initialization, exactly where
-            # execute_job's would be) instead of rebuilding each from
-            # scratch.
-            return [
-                _to_result(
-                    candidate_index,
-                    run,
-                    train_model(
-                        model,
-                        split.x_train,
-                        split.y_train,
-                        split.x_val,
-                        split.y_val,
-                        epochs=settings.epochs,
-                        batch_size=settings.batch_size,
-                        optimizer=Adam(learning_rate=settings.learning_rate),
-                        rng=rng,
-                        early_stop_threshold=settings.early_stop_threshold,
-                        cancel_check=cancel_check,
-                    ),
-                    settings,
-                )
-                for run, model, rng in zip(runs, models, rngs)
-            ]
-        histories = trainer.train(
-            split.x_train,
-            split.y_train,
-            split.x_val,
-            split.y_val,
-            epochs=settings.epochs,
-            batch_size=settings.batch_size,
-            rngs=rngs,
-            early_stop_threshold=settings.early_stop_threshold,
-            cancel_check=cancel_check,
-        )
-    return [
-        _to_result(candidate_index, run, history, settings)
-        for run, history in zip(runs, histories)
-    ]
+    return results
 
 
 def execute_candidates(
@@ -289,7 +227,7 @@ def execute_candidates(
     settings: "TrainingSettings",
     cancel_check: Callable[[], bool] | None = None,
 ) -> list[RunResult] | None:
-    """Train several candidates' run sets as one cross-candidate sweep.
+    """Train one or more candidates' run sets as one stacked sweep.
 
     ``group`` holds ``(spec, candidate_index, runs)`` triples in rank
     order, usually sharing a ``group_key``; their models fuse into one
@@ -297,15 +235,16 @@ def execute_candidates(
     (:func:`repro.nn.stacked.stack_candidates`).  Every slice — one
     ``(candidate, run)`` pair, candidate-major in group order — builds
     its model from the same ``(seed, candidate_index, run)`` stream the
-    scalar and per-candidate paths use, so results are bit-identical to
-    training each candidate separately.
+    scalar path uses, so results are bit-identical to training every
+    run scalar.
 
-    Returns ``None`` when the group cannot be stacked
-    (:func:`repro.nn.stacked.stack_candidates` declined) — the caller
-    falls back to per-candidate execution with nothing consumed.  A
-    training (or build) error raises: the error cannot be attributed to
-    one candidate from inside the fused sweep, so callers re-run per
-    candidate to reproduce the exact per-candidate error.
+    Returns ``None`` when the group has fewer than two slices or cannot
+    be stacked (:func:`repro.nn.stacked.stack_candidates` declined) —
+    the caller falls back to per-candidate (a lone candidate: scalar)
+    execution with nothing consumed.  A training (or build) error
+    raises: it cannot be attributed to one run from inside the fused
+    sweep, so callers re-run per candidate, then scalar, to reproduce
+    the exact per-run error.
     """
     slices = [
         (spec, candidate_index, run)
@@ -351,9 +290,8 @@ def execute_candidates(
 
 # -- the OOM recovery ladder ------------------------------------------------
 #
-# The ladder calls execute_runs / execute_candidates through this
-# module's globals, so wrapping or patching them here reaches every
-# execution mode at once.
+# The ladder calls execute_candidates through this module's globals, so
+# wrapping or patching it here reaches every execution mode at once.
 
 
 def _maybe_inject_oom(inject: "list[bool] | None") -> None:
@@ -361,154 +299,6 @@ def _maybe_inject_oom(inject: "list[bool] | None") -> None:
     if inject and inject[0]:
         inject[0] = False
         raise MemoryError("injected 'oom' fault")
-
-
-def _candidate_entries(
-    jobs: Sequence[TrainingJob],
-    split: "DataSplit",
-    settings: "TrainingSettings",
-    vectorized: bool,
-    cancel_check: Callable[[], bool] | None,
-    inject: "list[bool] | None",
-):
-    """Execute one candidate's runs; per-run errors become RunError entries.
-
-    The vectorized path trains the whole run set in one stacked sweep.
-    A failure inside that sweep cannot be attributed to a single run, so
-    it falls back to the scalar per-run loop, which reproduces the exact
-    error the sequential loop would hit first (lowest run) and still
-    accounts for every other run.
-
-    An *out-of-memory* failure in the sweep is a resource, not a
-    correctness, problem: it walks the recovery ladder instead — retry
-    the fused sweep on the NumPy backend (device OOMs usually fit in
-    host RAM), then the per-run scalar path — each step counted in
-    ``memory_degrades``.  Every step trains from the same
-    ``(seed, candidate, run)`` streams and the scalar path is the
-    bit-identity oracle, so degradation never changes results.
-    """
-    fallback = False
-    degrades = 0
-    if vectorized and len(jobs) > 1:
-        job0 = jobs[0]
-        runs = [job.run for job in jobs]
-        steps = [settings]
-        if not resolve_backend(settings.backend)[0].is_numpy:
-            steps.append(replace(settings, backend="numpy"))
-        for step in steps:
-            try:
-                _maybe_inject_oom(inject)
-                results = execute_runs(
-                    job0.spec,
-                    job0.seed,
-                    job0.candidate_index,
-                    runs,
-                    split,
-                    step,
-                    cancel_check=cancel_check,
-                    vectorized=True,
-                )
-                return results, False, degrades
-            except TrainingCancelled:
-                raise
-            except Exception as exc:  # noqa: BLE001 - classified below
-                if not is_memory_error(exc):
-                    fallback = True  # re-run scalar for attribution
-                    break
-                degrades += 1
-    elif inject and inject[0]:
-        # No fused sweep to inject into (scalar chunk): the ladder's
-        # floor *is* the scalar path, so the fault is absorbed here —
-        # counted, never re-raised — keeping results identical.
-        inject[0] = False
-        degrades += 1
-    entries: list[RunResult | RunError] = []
-    for job in jobs:
-        try:
-            entries.append(
-                execute_job(job, split, settings, cancel_check=cancel_check)
-            )
-        except TrainingCancelled:
-            raise
-        except Exception as exc:  # noqa: BLE001 - surfaced at commit turn
-            entries.append(RunError(job.candidate_index, job.run, exc))
-    return entries, fallback, degrades
-
-
-def _grouped_entries(
-    items: "list[list[TrainingJob]]",
-    split: "DataSplit",
-    settings: "TrainingSettings",
-    cancel_check: Callable[[], bool] | None,
-    inject: "list[bool] | None",
-):
-    """One cross-candidate fused sweep over ``items`` (one job list per
-    candidate), with OOM halving.
-
-    ``entries`` is ``None`` when the caller must fall back to
-    per-candidate execution (the group declined to stack, or the sweep
-    failed for a non-memory reason).  An out-of-memory sweep splits the
-    group in half and fuses each half recursively — per-slice arithmetic
-    is unchanged by group membership, so every split is bit-identical to
-    the unsplit sweep.
-    """
-    group = [
-        (jobs[0].spec, jobs[0].candidate_index, [job.run for job in jobs])
-        for jobs in items
-    ]
-    try:
-        _maybe_inject_oom(inject)
-        results = execute_candidates(
-            group, items[0][0].seed, split, settings, cancel_check=cancel_check
-        )
-    except TrainingCancelled:
-        raise
-    except Exception as exc:  # noqa: BLE001 - classified below
-        if not (is_memory_error(exc) and len(items) > 1):
-            return None, True, 0
-        mid = (len(items) + 1) // 2
-        entries, fallback, degrades = [], False, 1
-        for half in (items[:mid], items[mid:]):
-            sub_entries = None
-            if len(half) > 1:
-                sub_entries, sub_fallback, sub_degrades = _grouped_entries(
-                    half, split, settings, cancel_check, inject
-                )
-                fallback = fallback or sub_fallback
-                degrades += sub_degrades
-            if sub_entries is None:
-                sub_entries, sub_fallback, sub_degrades = _per_candidate(
-                    half, split, settings, True, cancel_check, inject
-                )
-                fallback = fallback or sub_fallback
-                degrades += sub_degrades
-            entries.extend(sub_entries)
-        return entries, fallback, degrades
-    if results is None:
-        return None, False, 0
-    return list(results), False, 0
-
-
-def _per_candidate(
-    items: "list[list[TrainingJob]]",
-    split: "DataSplit",
-    settings: "TrainingSettings",
-    vectorized: bool,
-    cancel_check: Callable[[], bool] | None,
-    inject: "list[bool] | None",
-):
-    """:func:`_candidate_entries` over each candidate, flags merged."""
-    entries: list[RunResult | RunError] = []
-    fallback = False
-    degrades = 0
-    for jobs in items:
-        sub_entries, sub_fallback, sub_degrades = _candidate_entries(
-            jobs, split, settings, vectorized, cancel_check, inject
-        )
-        entries.extend(sub_entries)
-        fallback = fallback or sub_fallback
-        degrades += sub_degrades
-    return entries, fallback, degrades
 
 
 def chunk_entries(
@@ -524,13 +314,9 @@ def chunk_entries(
 
     Returns ``(entries, vectorized_fallback, memory_degrades)``; every
     job yields exactly one entry, a per-run failure a :class:`RunError`.
-    With ``vectorized``, a multi-candidate batch first attempts one
-    cross-candidate fused sweep (:func:`execute_candidates`), halving on
-    out-of-memory; if the group declines to stack or the sweep raises,
-    every candidate re-runs through the per-candidate path, which
-    re-attributes any error to its exact ``(candidate, run)``.  Each
-    candidate's run set trains as one stacked sweep (:func:`execute_runs`)
-    with a NumPy retry and a scalar floor below it.
+    With ``vectorized``, the batch's candidates first train as one fused
+    sweep (:func:`execute_candidates`); see :func:`_ladder` for what
+    happens when that sweep runs out of memory, fails, or declines.
 
     ``cancel_check`` aborts training with
     :class:`~repro.exceptions.TrainingCancelled`; ``inject`` is the
@@ -540,16 +326,105 @@ def chunk_entries(
     by_candidate: dict[int, list[TrainingJob]] = {}
     for job in jobs:
         by_candidate.setdefault(job.candidate_index, []).append(job)
-    items = list(by_candidate.values())
+    return _ladder(
+        list(by_candidate.values()),
+        split,
+        settings,
+        vectorized,
+        cancel_check,
+        inject,
+    )
+
+
+def _ladder(
+    items: "list[list[TrainingJob]]",
+    split: "DataSplit",
+    settings: "TrainingSettings",
+    vectorized: bool,
+    cancel_check: Callable[[], bool] | None,
+    inject: "list[bool] | None",
+):
+    """Train ``items`` (one job list per candidate, rank order) as one
+    fused sweep, degrading stepwise; returns :func:`chunk_entries`' triple.
+
+    * An *out-of-memory* sweep is a resource, not a correctness,
+      problem: a multi-candidate group halves and each half walks the
+      ladder again; a lone candidate retries on the NumPy backend
+      (device OOMs usually fit in host RAM); the scalar per-run loop is
+      the floor.  Each step counts one ``memory_degrades``.
+    * Any *other* sweep failure cannot be attributed to one run from
+      inside the fused sweep: a group splits per candidate and a lone
+      candidate re-runs through the scalar loop, which reproduces the
+      exact error the sequential loop would hit first (lowest run) and
+      still accounts for every other run.  This sets
+      ``vectorized_fallback``.
+    * A group that declines to stack splits per candidate the same way;
+      a lone candidate that declines trains scalar, unflagged.
+
+    Every step trains from the same ``(seed, candidate, run)`` streams,
+    per-slice arithmetic does not depend on group membership, and the
+    scalar loop is the bit-identity oracle, so no step changes results.
+    """
     fallback = False
     degrades = 0
-    if vectorized and len(items) > 1:
-        entries, fallback, degrades = _grouped_entries(
-            items, split, settings, cancel_check, inject
-        )
-        if entries is not None:
-            return entries, fallback, degrades
-    entries, sub_fallback, sub_degrades = _per_candidate(
-        items, split, settings, vectorized, cancel_check, inject
-    )
-    return entries, fallback or sub_fallback, degrades + sub_degrades
+    parts = [[jobs] for jobs in items]
+    if vectorized and sum(len(jobs) for jobs in items) > 1:
+        group = [
+            (jobs[0].spec, jobs[0].candidate_index, [job.run for job in jobs])
+            for jobs in items
+        ]
+        steps = [settings]
+        numpy = resolve_backend(settings.backend)[0].is_numpy
+        if len(items) == 1 and not numpy:
+            steps.append(replace(settings, backend="numpy"))
+        for step in steps:
+            try:
+                _maybe_inject_oom(inject)
+                results = execute_candidates(
+                    group,
+                    items[0][0].seed,
+                    split,
+                    step,
+                    cancel_check=cancel_check,
+                )
+            except TrainingCancelled:
+                raise
+            except Exception as exc:  # noqa: BLE001 - classified below
+                if not is_memory_error(exc):
+                    fallback = True
+                    break
+                degrades += 1
+                if len(items) > 1:
+                    mid = (len(items) + 1) // 2
+                    parts = [items[:mid], items[mid:]]
+                    break
+            else:
+                if results is not None:
+                    return results, False, degrades
+                break
+    elif inject and inject[0]:
+        # No fused sweep to inject into (scalar chunk): the ladder's
+        # floor *is* the scalar path, so the fault is absorbed here —
+        # counted, never re-raised — keeping results identical.
+        inject[0] = False
+        degrades += 1
+    entries: list[RunResult | RunError] = []
+    if len(items) > 1:
+        for part in parts:
+            sub_entries, sub_fallback, sub_degrades = _ladder(
+                part, split, settings, vectorized, cancel_check, inject
+            )
+            entries.extend(sub_entries)
+            fallback = fallback or sub_fallback
+            degrades += sub_degrades
+        return entries, fallback, degrades
+    for job in items[0]:
+        try:
+            entries.append(
+                execute_job(job, split, settings, cancel_check=cancel_check)
+            )
+        except TrainingCancelled:
+            raise
+        except Exception as exc:  # noqa: BLE001 - surfaced at commit turn
+            entries.append(RunError(job.candidate_index, job.run, exc))
+    return entries, fallback, degrades

@@ -351,14 +351,12 @@ class JobChunk:
     workers attach and the search generation (TCP agents receive the
     split on connect, so their chunks keep ``handle=None``).
 
-    ``vectorized`` asks the worker to train the chunk's whole run set as
-    a single run-stacked sweep
-    (:func:`repro.runtime.jobs.execute_runs`); the scheduler then puts
-    each candidate's whole run set in one chunk.  A vectorized chunk may
-    also span **several candidates**: the worker then trains every run
-    of every candidate as one cross-candidate fused sweep
-    (:func:`repro.runtime.jobs.execute_candidates`).  The scheduler
-    packs consecutive same-key candidates of its lookahead this way.
+    ``vectorized`` asks the worker to train the chunk's run sets as one
+    stacked sweep (:func:`repro.runtime.jobs.execute_candidates`); the
+    scheduler then puts each candidate's whole run set in one chunk.  A
+    vectorized chunk may span **several candidates**, whose run sets
+    then fuse into one cross-candidate sweep.  The scheduler packs
+    consecutive same-key candidates of its lookahead this way.
     """
 
     jobs: tuple[TrainingJob, ...]
@@ -864,9 +862,6 @@ class PersistentPool:
             "duplicate_results": self.duplicate_results,
             "vectorized_fallbacks": self.vectorized_fallbacks,
             "memory_degrades": self.memory_degrades,
-            # Results always travel through the pool's pipe; the key
-            # stays because perfbench/layers.py reads it.
-            "shm_results_received": 0,
             "swept_segments": len(self.swept_segments),
             "live_segments": len(self._segments),
             "init_payload_bytes": self.init_payload_bytes,

@@ -13,8 +13,8 @@ from repro.data import make_spiral, stratified_split
 from repro.hybrid.builders import build_classical_model, build_hybrid_model
 from repro.nn.losses import CrossEntropy, MeanSquaredError, SoftmaxCrossEntropy
 from repro.nn.optimizers import Adam, StackedAdam
-from repro.nn.stacked import stack_candidates, stack_models
-from repro.nn.training import VectorizedTrainer, train_model
+from repro.nn.stacked import stack_candidates
+from repro.nn.training import train_model, train_stack
 
 
 @pytest.fixture(scope="module")
@@ -49,8 +49,9 @@ class TestClassicalRemainderMinibatch:
             scalar_p.append([p.copy() for p in model.parameters()])
         rngs = [np.random.default_rng((2, r)) for r in range(runs)]
         models = [classical(rng) for rng in rngs]
-        stacked_h = VectorizedTrainer(models).train(
-            x, y, split.x_val, split.y_val, rngs=rngs, **kw
+        stacked_h = train_stack(
+            stack_candidates([models]),
+            x, y, split.x_val, split.y_val, rngs=rngs, **kw,
         )
         for ref, got in zip(scalar_h, stacked_h):
             assert ref.train_loss == got.train_loss
@@ -76,8 +77,8 @@ def build_group(runs=2, heads=((), (4,), (6, 4))):
 
 
 def build_runs(runs=4):
-    return stack_models(
-        [classical(np.random.default_rng((3, r))) for r in range(runs)]
+    return stack_candidates(
+        [[classical(np.random.default_rng((3, r))) for r in range(runs)]]
     )
 
 
@@ -127,17 +128,18 @@ class TestParameterArena:
                     continue
                 # each middle owns the next section of the group arena
                 size = sum(p.size for p in middle.parameters())
-                assert np.shares_memory(
-                    middle.arena.values, stack.arena.values
-                )
+                values = stack.arena.values[offset : offset + size]
+                grads = stack.arena.grads[offset : offset + size]
                 assert np.array_equal(
-                    middle.arena.values,
-                    stack.arena.values[offset : offset + size],
+                    np.concatenate(
+                        [p.reshape(-1) for p in middle.parameters()]
+                    ),
+                    values,
                 )
                 offset += size
                 for p, g in zip(middle.parameters(), middle.gradients()):
-                    assert np.shares_memory(p, middle.arena.values)
-                    assert np.shares_memory(g, middle.arena.grads)
+                    assert np.shares_memory(p, values)
+                    assert np.shares_memory(g, grads)
 
     def test_zero_grads_is_one_fill(self):
         stack = build_group()

@@ -20,7 +20,7 @@ from repro.hybrid.quantum_layer import QuantumLayer, StackedQuantumLayer
 from repro.nn.layers import Dense, Dropout, ReLU, Sigmoid, Softmax, Tanh
 from repro.nn.model import Sequential
 from repro.nn.optimizers import Adam
-from repro.nn.stacked import GroupedStack, stack_candidates, stack_models
+from repro.nn.stacked import GroupedStack, stack_candidates
 from repro.nn.training import train_model, train_stack
 
 
@@ -88,8 +88,8 @@ def train_groups(split, groups, rngs, **kw):
 
 
 def train_each(split, groups, rngs, **kw):
-    """Each candidate on its own: a run stack, or the scalar loop for a
-    single run."""
+    """Each candidate on its own: a one-candidate group, or the scalar
+    loop for a single run."""
     histories = []
     for group, group_rngs in zip(groups, rngs):
         if len(group) == 1:
@@ -106,7 +106,7 @@ def train_each(split, groups, rngs, **kw):
                 )
             )
             continue
-        stack = stack_models(group)
+        stack = stack_candidates([group])
         assert stack is not None
         histories.extend(
             train_stack(
@@ -278,7 +278,10 @@ class TestGroupedDifferential:
 
         def spy(stack, keep):
             compact(stack, keep)
-            depths.append(stack.head[1].depths.tolist())
+            # The per-candidate references are one-candidate groups
+            # too; their uniform-depth layers carry no depths array.
+            if stack.head[1].depths is not None:
+                depths.append(stack.head[1].depths.tolist())
 
         monkeypatch.setattr(GroupedStack, "compact", spy)
         kw = dict(epochs=20, batch_size=8, early_stop_threshold=0.5)
@@ -392,7 +395,7 @@ class TestGroupedStackStructure:
         x = split.x_val
         fresh, _ = build_group(2)
         ref = np.concatenate(
-            [stack_models(fresh[0]).forward(np.tile(x, (2, 1)))]
+            [stack_candidates([fresh[0]]).forward(np.tile(x, (2, 1)))]
             + [fresh[2][0].predict(x)]
         )
         assert np.array_equal(stack.forward(np.tile(x, (3, 1))), ref)
@@ -481,7 +484,7 @@ class TestGroupedStackStructure:
 
         groups, _ = build_candidates([hybrid(6, 1), hybrid(6, 2)], 2)
         assert stack_candidates(groups) is None
-        assert all(stack_models(group) is None for group in groups)
+        assert all(stack_candidates([group]) is None for group in groups)
 
         specs = [
             HybridSpec(n_features=4, n_qubits=6, n_layers=depth)

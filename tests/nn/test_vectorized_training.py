@@ -1,4 +1,5 @@
-"""Tests for run-stacked model training (VectorizedTrainer + stacking).
+"""Tests for run-stacked model training: one candidate's run set as a
+one-candidate group (``stack_candidates([models])`` + ``train_stack``).
 
 The contract mirrors the engine's: training R stacked models in
 lockstep must be bit-identical — histories *and* final parameters — to
@@ -10,14 +11,14 @@ import numpy as np
 import pytest
 
 from repro.data import make_spiral, stratified_split
-from repro.exceptions import ConfigurationError, TrainingCancelled
+from repro.exceptions import TrainingCancelled
 from repro.hybrid.builders import build_classical_model, build_hybrid_model
 from repro.hybrid.quantum_layer import QuantumLayer, StackedQuantumLayer
 from repro.nn.layers import Dense, Dropout, ReLU, Softmax
 from repro.nn.model import Sequential
 from repro.nn.optimizers import Adam, StackedAdam
-from repro.nn.stacked import StackedDense, stack_models
-from repro.nn.training import VectorizedTrainer, train_model
+from repro.nn.stacked import StackedDense, stack_candidates
+from repro.nn.training import train_model, train_stack
 
 
 @pytest.fixture(scope="module")
@@ -50,13 +51,15 @@ def train_scalar(builder, split, runs, **kw):
 def train_stacked(builder, split, runs, **kw):
     rngs = [np.random.default_rng((0, 1, r)) for r in range(runs)]
     models = [builder(rng) for rng in rngs]
-    trainer = VectorizedTrainer(models, learning_rate=0.001)
-    assert trainer.available
-    histories = trainer.train(
+    stack = stack_candidates([models])
+    assert stack is not None
+    histories = train_stack(
+        stack,
         split.x_train,
         split.y_train,
         split.x_val,
         split.y_val,
+        learning_rate=0.001,
         rngs=rngs,
         **kw,
     )
@@ -77,7 +80,7 @@ def assert_bit_identical(ref, got):
             assert np.array_equal(a, b)
 
 
-class TestVectorizedTrainerDifferential:
+class TestRunStackDifferential:
     @pytest.mark.parametrize("ansatz", ["sel", "bel"])
     def test_hybrid_bit_identical(self, split, ansatz):
         def builder(rng):
@@ -135,7 +138,7 @@ class TestVectorizedTrainerDifferential:
             return build_classical_model(4, (4,), rng=rng)
 
         rngs = [np.random.default_rng((0, 1, r)) for r in range(2)]
-        trainer = VectorizedTrainer([builder(r) for r in rngs])
+        stack = stack_candidates([[builder(r) for r in rngs]])
         calls = []
 
         def cancel():
@@ -143,7 +146,8 @@ class TestVectorizedTrainerDifferential:
             return len(calls) > 2
 
         with pytest.raises(TrainingCancelled):
-            trainer.train(
+            train_stack(
+                stack,
                 split.x_train,
                 split.y_train,
                 split.x_val,
@@ -155,20 +159,20 @@ class TestVectorizedTrainerDifferential:
             )
 
 
-class TestStackModels:
+class TestStackOneCandidate:
     def test_quantum_layer_stacks(self):
         rngs = [np.random.default_rng(i) for i in range(3)]
         models = [
             build_hybrid_model(4, 3, 2, ansatz="sel", rng=rng) for rng in rngs
         ]
-        stack = stack_models(models)
+        stack = stack_candidates([models])
         assert stack is not None
         kinds = [type(lay) for lay in stack.layers]
         assert StackedDense in kinds and StackedQuantumLayer in kinds
 
     def test_single_model_not_stacked(self):
         m = build_classical_model(4, (4,), rng=np.random.default_rng(0))
-        assert stack_models([m]) is None
+        assert stack_candidates([[m]]) is None
 
     def test_parameter_shift_falls_back(self):
         models = [
@@ -178,8 +182,7 @@ class TestStackModels:
             )
             for i in range(2)
         ]
-        assert stack_models(models) is None
-        assert not VectorizedTrainer(models).available
+        assert stack_candidates([models]) is None
 
     def test_unknown_layer_falls_back(self):
         def build(i):
@@ -193,14 +196,14 @@ class TestStackModels:
                 ]
             )
 
-        assert stack_models([build(0), build(1)]) is None
+        assert stack_candidates([[build(0), build(1)]]) is None
 
     def test_mismatched_structures_fall_back(self):
         a = build_classical_model(4, (4,), rng=np.random.default_rng(0))
         b = build_classical_model(4, (8,), rng=np.random.default_rng(1))
         c = build_classical_model(4, (4, 4), rng=np.random.default_rng(2))
-        assert stack_models([a, b]) is None  # same layout, widths differ
-        assert stack_models([a, c]) is None  # different depth
+        assert stack_candidates([[a, b]]) is None  # widths differ
+        assert stack_candidates([[a, c]]) is None  # different depth
 
     def test_subclassed_quantum_layer_falls_back(self):
         class CustomLayer(QuantumLayer):
@@ -217,25 +220,7 @@ class TestStackModels:
                 ]
             )
 
-        assert stack_models([build(0), build(1)]) is None
-
-    def test_train_unstackable_raises(self, split):
-        models = [
-            build_hybrid_model(
-                4, 3, 1, gradient_method="parameter_shift",
-                rng=np.random.default_rng(i),
-            )
-            for i in range(2)
-        ]
-        trainer = VectorizedTrainer(models)
-        with pytest.raises(ConfigurationError, match="stacked"):
-            trainer.train(
-                split.x_train,
-                split.y_train,
-                split.x_val,
-                split.y_val,
-                epochs=1,
-            )
+        assert stack_candidates([[build(0), build(1)]]) is None
 
 
 class TestStackedAdam:

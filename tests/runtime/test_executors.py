@@ -202,24 +202,16 @@ class TestMemoryDegradeVisibility:
     def test_agent_oom_emits_memory_degrade(
         self, easy_split, tmp_path, monkeypatch, kind
     ):
-        from repro.nn.training import VectorizedTrainer
         from repro.runtime import jobs
 
         kwargs = _search_kwargs(easy_split, _settings())
         seq = grid_search(**kwargs, workers=1)
         # Thread agents train in this process, so they see the patch.
-        # The one-shot fault covers both sweeps a chunk may run first:
-        # the cross-candidate one of a packed chunk and the per-candidate
-        # one.
-        real_train = VectorizedTrainer.train
+        # Every sweep a chunk may run first — the cross-candidate one of
+        # a packed chunk or a lone candidate's — enters
+        # execute_candidates.
         real_candidates = jobs.execute_candidates
         fired = []
-
-        def oom_once(self, *args, **kw):
-            if not fired:
-                fired.append(True)
-                raise MemoryError("injected agent sweep OOM")
-            return real_train(self, *args, **kw)
 
         def oom_once_grouped(*args, **kw):
             if not fired:
@@ -227,7 +219,6 @@ class TestMemoryDegradeVisibility:
                 raise MemoryError("injected agent sweep OOM")
             return real_candidates(*args, **kw)
 
-        monkeypatch.setattr(VectorizedTrainer, "train", oom_once)
         monkeypatch.setattr(jobs, "execute_candidates", oom_once_grouped)
         events = []
         with _tcp_agent(tmp_path) as cfg:

@@ -169,7 +169,6 @@ class TestRetryExhaustion:
         """The in-process floor a pool falls back to is the same executor
         as ``workers=1``: an out-of-memory sweep there degrades through
         the OOM ladder instead of killing the search."""
-        from repro.nn.training import VectorizedTrainer
         from repro.runtime import jobs
 
         settings = _settings(max_retries=1)
@@ -178,18 +177,11 @@ class TestRetryExhaustion:
         with PersistentPool(2) as pool:
             grid_search(**kwargs, pool=pool)  # warm the workers
             # Pool workers are separate processes: only the driver's
-            # in-process sweeps see this patch.  The one-shot fault
-            # covers both sweeps the floor may run first: a fused group's
-            # and a lone candidate's.
-            real_train = VectorizedTrainer.train
+            # in-process sweeps see this patch.  Every sweep the floor
+            # may run first — a fused group's or a lone candidate's —
+            # enters execute_candidates.
             real_candidates = jobs.execute_candidates
             fired = []
-
-            def oom_once(self, *args, **kw):
-                if not fired:
-                    fired.append(True)
-                    raise MemoryError("injected in-process sweep OOM")
-                return real_train(self, *args, **kw)
 
             def oom_once_grouped(*args, **kw):
                 if not fired:
@@ -197,7 +189,6 @@ class TestRetryExhaustion:
                     raise MemoryError("injected in-process sweep OOM")
                 return real_candidates(*args, **kw)
 
-            monkeypatch.setattr(VectorizedTrainer, "train", oom_once)
             monkeypatch.setattr(jobs, "execute_candidates", oom_once_grouped)
             events = []
             pool.install_fault(

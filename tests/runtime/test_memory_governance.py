@@ -240,7 +240,7 @@ class TestAnalyticEstimates:
         assert engine.peak_bytes(16, runs=2, mode="forward") > fwd
 
     def test_stacked_peak_bytes_covers_adam_moments(self):
-        from repro.nn.stacked import stack_models
+        from repro.nn.stacked import stack_candidates
 
         models = [
             ClassicalSpec(n_features=4, hidden=(8,)).build(
@@ -248,7 +248,7 @@ class TestAnalyticEstimates:
             )
             for i in range(2)
         ]
-        stacked = stack_models(models)
+        stacked = stack_candidates([models])
         assert stacked is not None
         param_bytes = sum(p.nbytes for p in stacked.parameters())
         # Parameters + gradients + both Adam moments, at minimum.
@@ -396,6 +396,67 @@ class TestSequentialDifferential:
         _assert_same_outcome(degraded, baseline)
         kinds = [e.kind for e in events]
         assert "memory-degrade" in kinds
+
+
+class TestRecoveryLadder:
+    """:func:`~repro.runtime.jobs.chunk_entries` walks one ladder for
+    groups of any size.  Whatever every fused sweep does — run out of
+    memory, fail, or decline to stack — the entries equal the scalar
+    loop's, the flags count the steps taken, and every sweep attempt
+    is an ``execute_candidates`` call: a memory error halves a group
+    down to lone candidates, which then fall to the scalar floor (NumPy
+    needs no backend retry); any other failure or a decline splits the
+    group per candidate once."""
+
+    @pytest.mark.parametrize(
+        "n_candidates,failure,flags,attempts",
+        [
+            (1, "memory", (False, 1), [(0,)]),
+            (1, "other", (True, 0), [(0,)]),
+            (1, "declined", (False, 0), [(0,)]),
+            (3, "memory", (False, 5), [(0, 1, 2), (0, 1), (0,), (1,), (2,)]),
+            (3, "other", (True, 0), [(0, 1, 2), (0,), (1,), (2,)]),
+            (3, "declined", (False, 0), [(0, 1, 2), (0,), (1,), (2,)]),
+        ],
+    )
+    def test_ladder_steps(
+        self, easy_split, monkeypatch, n_candidates, failure, flags, attempts
+    ):
+        from repro.runtime import jobs
+
+        seen = []
+
+        def sweep(group, *args, **kw):
+            seen.append(tuple(index for _, index, _ in group))
+            if failure == "memory":
+                raise MemoryError("injected sweep OOM")
+            if failure == "other":
+                raise RuntimeError("injected sweep failure")
+            return None
+
+        monkeypatch.setattr(jobs, "execute_candidates", sweep)
+        settings = _settings(epochs=2)
+        specs = classical_search_space(4, neuron_options=(2, 8), max_layers=2)
+        batch = [
+            jobs.TrainingJob(spec, 5, index, run)
+            for index, spec in enumerate(specs[:n_candidates])
+            for run in range(settings.runs)
+        ]
+        entries, fallback, degrades = jobs.chunk_entries(
+            batch, easy_split, settings, vectorized=True
+        )
+        assert (fallback, degrades) == flags
+        assert seen == attempts
+        assert len(entries) == len(batch)
+        for job, entry in zip(batch, entries):
+            ref = jobs.execute_job(job, easy_split, settings)
+            assert (entry.candidate_index, entry.run) == (
+                job.candidate_index,
+                job.run,
+            )
+            assert entry.train_accuracy == ref.train_accuracy
+            assert entry.val_accuracy == ref.val_accuracy
+            assert entry.epochs_run == ref.epochs_run
 
 
 class TestPooledDifferential:

@@ -205,7 +205,7 @@ class TestChunkPacking:
         def boom(*args, **kwargs):
             raise RuntimeError("stacked path exploded")
 
-        monkeypatch.setattr(jobs_mod, "execute_runs", boom)
+        monkeypatch.setattr(jobs_mod, "execute_candidates", boom)
         shm, handle = publish_split(easy_split)
         try:
             spec = classical_search_space(

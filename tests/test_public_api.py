@@ -1,5 +1,9 @@
 """Smoke tests for the package's public surface."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,6 +13,19 @@ import repro
 class TestPublicImports:
     def test_version(self):
         assert repro.__version__ == "1.0.0"
+
+    def test_setup_metadata_matches_package(self):
+        """``setup.py`` declares the package's own name and version."""
+        root = Path(__file__).resolve().parent.parent
+        result = subprocess.run(
+            [sys.executable, "setup.py", "--name", "--version"],
+            capture_output=True,
+            text=True,
+            cwd=root,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["repro", repro.__version__]
 
     def test_all_names_resolve(self):
         for name in repro.__all__:
