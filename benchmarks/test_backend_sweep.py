@@ -9,10 +9,10 @@ a recorded forward plus the adjoint gradient sweep, i.e. one training
 step's quantum cost.
 
 Backend names are baked into the benchmark ids (``...[numpy-4q]``,
-``...[torch-5q]``), so ``scripts/check_bench_regression.py`` compares a
-backend only against itself across snapshots — a torch timing can never
-masquerade as a numpy regression (each entry also records its backend
-in the snapshot metadata; see ``run_benchmarks.condense``).
+``...[torch-5q]``), so snapshots compare a backend only against itself
+— a torch timing can never masquerade as a numpy regression (each
+entry also records its backend in the snapshot metadata; see
+``run_benchmarks.condense``).
 
 The torch variants skip cleanly when torch is not importable, so the
 committed snapshots on a numpy-only machine simply lack the torch rows.

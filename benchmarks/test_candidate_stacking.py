@@ -19,13 +19,9 @@ snapshots:
 * ``test_stacked_candidate_search`` — candidate stacking on: one fused
   sweep for the whole tape-structure group; bit-identical outcome.
 
-A third pair covers **adaptive group sizing** on a 6-candidate group:
-with an explicit, comfortably large ``memory_budget`` the speculator
-grows the stacked group past the fixed ``MAX_GROUP_CANDIDATES`` cap of
-4 (here: one fused 6-candidate sweep instead of 4 + 2), and the
-snapshot asserts the adaptive outcome is bit-identical to the
-fixed-cap one.  The acceptance bar is parity or better: fewer, larger
-fused sweeps must never be slower than the capped split.
+A third benchmark times a 6-candidate group, which the fixed
+``MAX_GROUP_CANDIDATES`` cap of 4 packs as a 4-member fused sweep plus a
+2-member one.
 """
 
 import pytest
@@ -40,27 +36,20 @@ _SPECS = [
     HybridSpec(n_features=4, n_qubits=4, n_layers=3, ansatz="sel", hidden=h)
     for h in _HEADS
 ]
-# Six same-group-key candidates for the adaptive-sizing pair: one more
-# than the fixed cap of 4 is not enough to show a regrouping, six gives
-# the budget-grown path a single fused sweep vs the capped 4 + 2 split.
+# Six same-group-key candidates: the fixed cap of 4 splits them 4 + 2.
 _WIDE_HEADS = ((), (3,), (4,), (5,), (6,), (8,))
 _WIDE_SPECS = [
     HybridSpec(n_features=4, n_qubits=4, n_layers=3, ansatz="sel", hidden=h)
     for h in _WIDE_HEADS
 ]
-# Explicit budget far above the workload's working set: growth past the
-# fixed cap only engages for *explicit* budgets, and 1 TiB guarantees
-# byte admission never splits the group on any bench machine.
-_BIG_BUDGET = float(1 << 40)
 
 
-def _settings(stacked: bool, memory_budget: float | None = None) -> TrainingSettings:
+def _settings(stacked: bool) -> TrainingSettings:
     return TrainingSettings(
         epochs=3,
         batch_size=8,
         runs=_RUNS,
         stacked_candidates=stacked,
-        memory_budget=memory_budget,
     )
 
 
@@ -83,12 +72,12 @@ def _search(split, stacked: bool):
     )
 
 
-def _wide_search(split, memory_budget: float | None):
+def _wide_search(split):
     return grid_search(
         _WIDE_SPECS,
         split,
         threshold=1.01,
-        settings=_settings(stacked=True, memory_budget=memory_budget),
+        settings=_settings(stacked=True),
         workers=1,
         seed=7,
     )
@@ -117,32 +106,14 @@ class TestCandidateStackedSearch:
 
 
 class TestAdaptiveGroupSizing:
-    """Budget-grown 6-candidate fused sweep vs the fixed 4-cap split."""
+    """A 6-candidate group under the fixed 4-cap split."""
 
     def test_fixed_cap_groups(self, benchmark, split):
-        # No budget: default behaviour, the 6-candidate group is packed
-        # as a 4-member fused sweep plus a 2-member one.
+        # The 6-candidate group is packed as a 4-member fused sweep
+        # plus a 2-member one.
         outcome = benchmark.pedantic(
-            lambda: _wide_search(split, memory_budget=None),
+            lambda: _wide_search(split),
             rounds=3,
             iterations=1,
         )
         assert outcome.candidates_trained == len(_WIDE_SPECS)
-
-    def test_budget_grown_group(self, benchmark, split):
-        # Explicit 1 TiB budget: the speculator grows the group past
-        # the fixed cap and trains all 6 candidates as one fused sweep.
-        outcome = benchmark.pedantic(
-            lambda: _wide_search(split, memory_budget=_BIG_BUDGET),
-            rounds=3,
-            iterations=1,
-        )
-        assert outcome.candidates_trained == len(_WIDE_SPECS)
-        # bit-identical to the fixed-cap packing — group sizing is pure
-        # execution strategy, never results
-        reference = _wide_search(split, memory_budget=None)
-        for got, ref in zip(outcome.evaluated, reference.evaluated):
-            assert got.spec == ref.spec
-            assert got.train_accuracies == ref.train_accuracies
-            assert got.val_accuracies == ref.val_accuracies
-            assert got.epochs_run == ref.epochs_run

@@ -138,10 +138,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="BYTES",
         help="memory budget for the speculative runtime, e.g. 2G, 512M, "
-        "or a plain byte count; 'off' disables governance (default: "
-        "the REPRO_MEMORY_BUDGET env var, then an automatic fraction "
-        "of free memory); budgets size stacked groups and bound "
-        "in-flight bytes, and never change results",
+        "or a plain byte count; 'off' disables governance (default: an "
+        "automatic fraction of free memory); a budget only shrinks "
+        "stacked groups and bounds in-flight bytes, and never changes "
+        "results",
     )
     parser.add_argument(
         "--connect",

@@ -112,11 +112,10 @@ class ProtocolConfig:
     backend: str | None = setting(
         None, affects_results=True, identity=resolved_backend_name
     )
-    #: Memory budget in bytes for the speculative runtime (None = the
-    #: ``REPRO_MEMORY_BUDGET`` env var, then an automatic fraction of
-    #: free memory; <= 0 disables governance).  Budgets size stacked
-    #: groups and bound in-flight bytes (see docs/parallel_runtime.md,
-    #: "Memory governance").
+    #: Memory budget in bytes for the speculative runtime (None = an
+    #: automatic fraction of free memory; <= 0 disables governance).  A
+    #: budget only shrinks stacked groups and bounds in-flight bytes
+    #: (see docs/parallel_runtime.md, "Memory governance").
     memory_budget: float | None = setting(None, affects_results=False)
 
     def training_settings(self) -> TrainingSettings:

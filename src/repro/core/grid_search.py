@@ -44,7 +44,6 @@ __all__ = [
     "grid_search",
     "plan_group",
     "MAX_GROUP_CANDIDATES",
-    "MAX_ADAPTIVE_GROUP",
     "GROUP_LOOKAHEAD",
 ]
 
@@ -57,13 +56,6 @@ MAX_GROUP_CANDIDATES = 4
 #: same-key candidates to group.  Non-matching candidates in
 #: between are skipped (they commit from their own, later groups).
 GROUP_LOOKAHEAD = 8
-
-#: Member ceiling for budget-driven group growth.  An *explicit* memory
-#: budget (``TrainingSettings.memory_budget`` / ``REPRO_MEMORY_BUDGET``)
-#: lets :func:`plan_group` grow past :data:`MAX_GROUP_CANDIDATES` while
-#: the predicted group bytes stay under budget, but never past the
-#: lookahead window — speculation stays bounded by rank distance.
-MAX_ADAPTIVE_GROUP = GROUP_LOOKAHEAD + 1
 
 
 @dataclass(frozen=True)
@@ -114,12 +106,10 @@ class TrainingSettings:
 
     ``memory_budget`` caps the predicted concurrent working-set bytes
     of fused sweeps and in-flight chunks (``--memory-budget`` on the
-    CLI).  ``None`` defers to the ``REPRO_MEMORY_BUDGET`` environment
-    variable, then to a fraction of the backend's free-memory probe; a
-    non-positive value disables governance.  An *explicit* budget also
-    unlocks group growth past :data:`MAX_GROUP_CANDIDATES` when groups
-    are predicted cheap (see ``docs/parallel_runtime.md``, "Memory
-    governance").
+    CLI).  ``None`` uses a fraction of the backend's free-memory probe;
+    a non-positive value disables governance.  A budget only shrinks
+    groups and holds back chunks (see ``docs/parallel_runtime.md``,
+    "Memory governance").
     """
 
     epochs: int = setting(100, affects_results=True)
@@ -230,7 +220,7 @@ def plan_group(
     settings: TrainingSettings,
     skip: "frozenset[int] | set[int]" = frozenset(),
     *,
-    budget=None,
+    budget: int | None = None,
 ) -> list[int]:
     """Candidate indices to train as one fused sweep, anchored at ``index``.
 
@@ -242,49 +232,35 @@ def plan_group(
     anything past a winner is discarded — so the plan only shapes wall
     time.
 
-    ``budget`` (a resolved :class:`~repro.runtime.memory.MemoryBudget`)
-    makes the plan memory-governed: members are admitted only while the
-    group's predicted peak bytes
-    (:func:`~repro.runtime.memory.estimate_candidate_bytes`) fit, so an
-    overweight group shrinks — down to the anchor alone.  An *explicit*
-    budget additionally raises the member ceiling to
-    :data:`MAX_ADAPTIVE_GROUP`, growing predicted-cheap groups past the
-    legacy cap (still lookahead-bounded).
+    ``budget`` (bytes, from
+    :func:`~repro.runtime.memory.resolve_memory_budget`; ``None`` =
+    ungoverned) makes the plan memory-governed: members are admitted
+    only while the group's predicted peak bytes
+    (:func:`~repro.runtime.memory.estimate_group_bytes`) fit, so an
+    overweight group shrinks — down to the anchor alone.
     """
     if not (settings.stacked_candidates and settings.vectorized_runs):
         return [index]
     key = ranked[index].group_key()
     if key is None:
         return [index]
-    active = budget is not None and budget.active
-    cap = (
-        MAX_ADAPTIVE_GROUP
-        if active and budget.explicit
-        else MAX_GROUP_CANDIDATES
-    )
-    group_bytes = 0
-    if active:
-        from ..runtime.memory import estimate_candidate_bytes
-
-        group_bytes = estimate_candidate_bytes(
-            ranked[index], settings.batch_size, settings.runs
-        )
     group = [index]
     limit = min(len(ranked), index + 1 + GROUP_LOOKAHEAD)
     for j in range(index + 1, limit):
-        if len(group) >= cap:
+        if len(group) >= MAX_GROUP_CANDIDATES:
             break
-        if j in skip:
+        if j in skip or ranked[j].group_key() != key:
             continue
-        if ranked[j].group_key() != key:
-            continue
-        if active:
-            member_bytes = estimate_candidate_bytes(
-                ranked[j], settings.batch_size, settings.runs
+        if budget is not None:
+            from ..runtime.memory import estimate_group_bytes
+
+            predicted = estimate_group_bytes(
+                [ranked[i] for i in group + [j]],
+                settings.batch_size,
+                settings.runs,
             )
-            if group_bytes + member_bytes > budget.bytes:
+            if predicted > budget:
                 break
-            group_bytes += member_bytes
         group.append(j)
     return group
 

@@ -367,13 +367,6 @@ class StackedQuantumLayer(StackedLayer):
         self.grads[0] += weight_grads
         return input_grads
 
-    def peak_bytes(self, rows: int) -> int:
-        # The compiled engine's recorded-adjoint sweep dominates this
-        # layer's working set (every run at the compiled, deepest
-        # depth); the weight stacks are counted by the owning
-        # GroupedStack.
-        return self._engine.peak_bytes(rows, runs=self.runs, mode="adjoint")
-
     def bind(self, params, grads) -> None:
         super().bind(params, grads)
         self.weights = params[0]

@@ -121,14 +121,6 @@ class StackedLayer:
         self.params = params
         self.grads = grads
 
-    def peak_bytes(self, rows: int) -> int:
-        """Predicted activation working-set bytes of one training step
-        over a fused ``(rows, features)`` batch, excluding the parameter
-        stacks (the owning stack counts those, with their optimizer
-        moments).  Parameter-free layers cost nothing beyond the
-        activations already counted by their neighbours."""
-        return 0
-
     def sync_to_layers(self, layers: Sequence[Layer]) -> None:
         """Copy the per-run parameter slices back into the source layers."""
 
@@ -238,10 +230,6 @@ class StackedDense(StackedLayer):
         out = self._xp.matmul(g3, self.weight.swapaxes(1, 2))
         return out.reshape(rows, self.in_features)
 
-    def peak_bytes(self, rows: int) -> int:
-        # The cached forward input plus the output block, float64 rows.
-        return 2 * rows * (self.in_features + self.out_features) * 8
-
     def bind(self, params: list, grads: list) -> None:
         super().bind(params, grads)
         self.weight, self.bias = params
@@ -257,14 +245,6 @@ class StackedDense(StackedLayer):
             [p[keep] for p in self.params], [g[keep] for g in self.grads]
         )
         self._cache_x = None
-
-
-def _param_nbytes(p) -> int:
-    """Bytes held by one parameter stack (backend-agnostic)."""
-    nbytes = getattr(p, "nbytes", None)
-    if isinstance(nbytes, int):
-        return nbytes
-    return math.prod(p.shape) * 8
 
 
 def flat_views(flat, shapes: Sequence[tuple]) -> list:
@@ -614,28 +594,6 @@ class GroupedStack:
             offset += member.size
         maps.extend([None] * sum(len(layer.params) for layer in self.tail))
         return maps
-
-    def peak_bytes(self, batch: int) -> int:
-        """Predicted peak working-set bytes of one grouped training step.
-
-        Every parameter stack counts four times over — values,
-        gradients and the two Adam moment stacks a
-        :class:`~repro.nn.optimizers.StackedAdam` holds — plus each
-        layer's activation working set: middle layers over their
-        candidate's row block, the head and tail over all
-        ``runs * batch`` fused rows.  An upper envelope for admission
-        control, cross-checked by the runtime's measured bytes EWMA.
-        """
-        rows = self.runs * batch
-        total = 4 * sum(_param_nbytes(p) for p in self.parameters())
-        total += sum(layer.peak_bytes(rows) for layer in self.head + self.tail)
-        for member in self.members:
-            if member.middle is not None:
-                total += sum(
-                    layer.peak_bytes(member.size * batch)
-                    for layer in member.middle.layers
-                )
-        return total
 
     def zero_grads(self) -> None:
         self._xp.fill(self.arena.grads, 0.0)

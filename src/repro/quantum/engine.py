@@ -178,12 +178,13 @@ def dense_peak_bytes(
     runs: "int | None",
     mode: str = "adjoint",
 ) -> int:
-    """:meth:`CompiledTape.peak_bytes` of a compiled tape, from its
-    shape alone: ``n_layers`` (``L``) layers of an ``n_params``-angle
-    gate per wire after ``n_enc`` encoding gates.  The pre-build
-    admission estimate
-    (:func:`repro.runtime.memory.estimate_candidate_bytes`) counts the
-    same record.
+    """Predicted peak working-set bytes of one execution (``"forward"``)
+    or of a recorded execution and its adjoint (``"adjoint"``) of a
+    compiled tape, from its shape alone: ``n_layers`` (``L``) layers of
+    an ``n_params``-angle gate per wire after ``n_enc`` encoding gates.
+    The admission estimate
+    (:func:`repro.runtime.memory.estimate_candidate_bytes`) counts this
+    record.
 
     ``"forward"``: the pooled ping-pong pair, the product state and its
     kron partials (two states), and three ``(runs, L, 2**n, 2**n)``
@@ -592,29 +593,6 @@ class CompiledTape:
         while len(self._pools) > _MAX_POOLS:
             del self._pools[next(iter(self._pools))]
         return pair
-
-    def peak_bytes(
-        self, batch: int, runs: "int | None" = None, mode: str = "forward"
-    ) -> int:
-        """Predicted peak working-set bytes of one execution
-        (``"forward"``) or of a recorded execution and its adjoint
-        (``"adjoint"``): :func:`dense_peak_bytes` for this tape's shape.
-
-        The memory-governance layer sizes group admissions against it
-        (see :mod:`repro.runtime.memory`); the prediction is
-        cross-checked online by the measured bytes EWMA in
-        :class:`~repro.runtime.pool.ChunkCostModel`.
-        """
-        plan = self._plan
-        return dense_peak_bytes(
-            self.n_qubits,
-            plan.n_layers,
-            plan.n_params,
-            plan.enc_wires.size,
-            batch,
-            runs,
-            mode,
-        )
 
     # -- execution ---------------------------------------------------------
 

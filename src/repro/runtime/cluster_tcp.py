@@ -100,7 +100,6 @@ from ..config import (
 from ..exceptions import SearchError, TrainingCancelled
 from . import faults
 from .backoff import Backoff
-from .memory import MemoryBudget
 from .parallel import Delivered, ExecutorCounters, Lost, Notice, Starved
 from .pool import ChunkCostModel, ChunkResult, JobChunk, execute_chunk
 
@@ -400,9 +399,9 @@ class TcpExecutor:
         self.expired_leases = 0
         self.torn_frames = 0
 
-    def memory_budget(self, settings: "TrainingSettings") -> MemoryBudget:
+    def memory_budget(self, settings: "TrainingSettings") -> int | None:
         # Agents do not share this host's memory, so no budget governs them.
-        return MemoryBudget(bytes=None, source="off")
+        return None
 
     def stats(self) -> dict:
         """One snapshot of the executor's instrumentation counters."""

@@ -216,8 +216,8 @@ class SearchFrontier:
         the graceful-degradation floor of every other mode.
 
         Memory governance: one budget resolution for the whole run
-        (settings > env > a fraction of the free-memory probe) sizes
-        every group; a group the budget resized emits ``group-resize``,
+        (the setting, else a fraction of the free-memory probe) caps
+        every group; a group the budget shrank emits ``group-resize``,
         and a group whose ladder degraded emits one ``memory-degrade``
         with the step count.  Budgets shape group sizes, never results.
         """
@@ -241,16 +241,14 @@ class SearchFrontier:
                 group = plan_group(
                     self.ranked, index, settings, skip=skip, budget=budget
                 )
-                if budget.active and on_event is not None:
+                if budget is not None and on_event is not None:
                     ungoverned = plan_group(
                         self.ranked, index, settings, skip=skip
                     )
-                    if len(group) != len(ungoverned):
-                        grew = len(group) > len(ungoverned)
+                    if len(group) < len(ungoverned):
                         emit(
                             "group-resize",
-                            f"budget ({budget.source}) "
-                            f"{'grew' if grew else 'shrank'} group at "
+                            f"budget of {budget} bytes shrank group at "
                             f"{index} to {len(group)} members "
                             f"(ungoverned: {len(ungoverned)})",
                             group,

@@ -1,4 +1,4 @@
-"""Memory governance: budgets, peak-bytes prediction, OOM classification.
+"""Memory governance: one budget, one analytic estimate, OOM classification.
 
 The stacked execution engine buys throughput by fusing ever-larger
 ``(C*R*B, 2**n)`` complex sweeps, and nothing in the scheduler used to
@@ -6,48 +6,46 @@ bound them: a grid search that merges four 5-qubit candidates allocates
 every run's layer unitaries and recorded states at once.  This module
 makes memory a governed resource:
 
-* :func:`resolve_memory_budget` turns the user's intent — an explicit
-  ``TrainingSettings.memory_budget`` / ``--memory-budget`` value, the
-  ``REPRO_MEMORY_BUDGET`` environment variable, or (by default) a
-  fraction of the backend's :meth:`~repro.backends.ArrayBackend.free_bytes`
-  probe — into one :class:`MemoryBudget` the group planner and the pool
-  scheduler size admissions against.
-* :func:`estimate_candidate_bytes` is the *a-priori* analytic peak-bytes
-  model for a candidate's run set: parameter stacks with Adam moments,
+* :func:`resolve_memory_budget` turns ``TrainingSettings.memory_budget``
+  (``--memory-budget`` on the CLI) into one byte count, or, when it is
+  unset, a fraction of the backend's
+  :meth:`~repro.backends.ArrayBackend.free_bytes` probe.  The group
+  planner and the pool scheduler size admissions against it.
+* :func:`estimate_group_bytes` is the analytic peak-bytes model of a
+  fused group, built from the specs alone: each member's
+  :func:`estimate_candidate_bytes` (parameter stacks with Adam moments,
   dense activations, and the quantum sweep's state buffers and gate
-  stacks.  Live model objects refine it (``CompiledTape.peak_bytes``,
-  ``GroupedStack.peak_bytes``); the scheduler additionally cross-checks
-  against the measured bytes EWMA in
-  :class:`~repro.runtime.pool.ChunkCostModel`.
+  stacks) at the group's deepest ``n_layers``, since a fused quantum
+  layer runs every slice at its deepest member's depth.
 * :func:`is_memory_error` classifies an exception as a *resource*
   failure (host ``MemoryError``, CUDA/CuPy OOM, shm ``ENOSPC``) so the
   chunk runner degrades gracefully instead of retrying the same
   oversized allocation as if a worker had crashed.
 
-Budgets never change results: group splitting and the scalar fallback
-are bit-identity-preserving, so any budget (and any OOM mid-search)
-yields the same :class:`~repro.core.grid_search.SearchOutcome`.
+A budget only ever shrinks a group or holds back a chunk; the OOM
+ladder (:func:`repro.runtime.jobs.chunk_entries`) catches what the
+estimate misses.  Group splitting and the scalar fallback are
+bit-identity-preserving, so any budget (and any OOM mid-search) yields
+the same :class:`~repro.core.grid_search.SearchOutcome`.
 """
 
 from __future__ import annotations
 
-import os
+import dataclasses
+import math
 import sys
-from dataclasses import dataclass
+from typing import Sequence
 
 from ..config import MEMORY_BUDGET_FRACTION
 from ..exceptions import ConfigurationError
 
 __all__ = [
-    "MEMORY_BUDGET_ENV_VAR",
-    "MemoryBudget",
     "parse_memory_budget",
     "resolve_memory_budget",
     "is_memory_error",
     "estimate_candidate_bytes",
+    "estimate_group_bytes",
 ]
-
-MEMORY_BUDGET_ENV_VAR = "REPRO_MEMORY_BUDGET"
 
 #: float64 / complex128 item sizes used by the analytic byte model.
 _REAL_ITEM = 8
@@ -62,43 +60,14 @@ _UNIT_SUFFIXES = {
 }
 
 
-@dataclass(frozen=True)
-class MemoryBudget:
-    """A resolved concurrent-bytes ceiling for one search.
-
-    ``bytes`` is ``None`` when governance is off (no probe available, or
-    the user disabled it with a non-positive value).  ``source`` records
-    where the number came from: ``"settings"`` (TrainingSettings /
-    ``--memory-budget``), ``"env"`` (``REPRO_MEMORY_BUDGET``), ``"auto"``
-    (a fraction of the backend's free-memory probe) or ``"off"``.
-    """
-
-    bytes: int | None
-    source: str
-
-    @property
-    def active(self) -> bool:
-        return self.bytes is not None
-
-    @property
-    def explicit(self) -> bool:
-        """Whether the user asked for this exact number.
-
-        Only explicit budgets unlock group growth past the legacy
-        ``MAX_GROUP_CANDIDATES`` cap; the implicit ``auto`` budget only
-        enables splitting and admission control, so default-settings
-        searches keep their historical group shapes.
-        """
-        return self.source in ("settings", "env")
-
-
 def parse_memory_budget(text: str) -> float:
     """Parse a ``--memory-budget`` value into bytes.
 
     Accepts a plain number of bytes or a ``K``/``M``/``G``/``T``
     binary-suffixed value (optional trailing ``B``, case-insensitive):
     ``"2G"`` is 2 GiB.  ``"0"``, ``"none"`` and ``"off"`` disable
-    governance (a non-positive budget).
+    governance (a non-positive budget).  Non-finite values (``nan``,
+    ``inf``, ``1e400``) are rejected.
     """
     raw = str(text).strip()
     if raw.lower() in ("none", "off"):
@@ -107,59 +76,41 @@ def parse_memory_budget(text: str) -> float:
     suffix = body[-1:] if body[-1:] in _UNIT_SUFFIXES and body[-1:].isalpha() else ""
     number = body[: len(body) - len(suffix)] if suffix else body
     try:
-        value = float(number)
+        value = float(number) * _UNIT_SUFFIXES.get(suffix, 1)
     except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
         raise ConfigurationError(
             f"invalid memory budget {text!r}: expected bytes or a "
             f"K/M/G/T-suffixed size (e.g. 512M, 2G), or 0/none/off"
-        ) from None
-    return value * _UNIT_SUFFIXES.get(suffix, 1)
+        )
+    return value
 
 
-def _probe_free_bytes(backend=None) -> int | None:
-    """Free memory of ``backend`` (or the active one); ``None`` unknown."""
-    if backend is None:
-        try:
-            from ..backends import active_backend
+def resolve_memory_budget(setting: "float | None" = None) -> int | None:
+    """The byte ceiling for one search, ``None`` when governance is off.
 
-            backend = active_backend()
-        except Exception:  # pragma: no cover - defensive
-            return None
+    ``setting`` is ``TrainingSettings.memory_budget`` (fed by
+    ``--memory-budget``); a non-positive value turns governance off.
+    Unset, the budget is ``MEMORY_BUDGET_FRACTION`` of the active
+    backend's free-memory probe, or ``None`` when the probe cannot tell.
+    """
+    if setting is not None:
+        value = float(setting)
+        if not math.isfinite(value):
+            raise ConfigurationError(
+                f"memory budget must be finite, got {setting!r}"
+            )
+        return int(value) if value > 0 else None
     try:
-        return backend.free_bytes()
+        from ..backends import active_backend
+
+        free = active_backend().free_bytes()
     except Exception:  # pragma: no cover - probe must never break a search
         return None
-
-
-def resolve_memory_budget(explicit=None, backend=None) -> MemoryBudget:
-    """Resolve the effective memory budget for one search.
-
-    Precedence: ``explicit`` (``TrainingSettings.memory_budget``, fed by
-    ``--memory-budget``) > the ``REPRO_MEMORY_BUDGET`` environment
-    variable > ``auto`` (``MEMORY_BUDGET_FRACTION`` of the backend's
-    free-memory probe).  A non-positive explicit or env value disables
-    governance entirely, as does a failed probe.
-    """
-    if explicit is not None:
-        value = float(explicit)
-        if value <= 0:
-            return MemoryBudget(bytes=None, source="off")
-        return MemoryBudget(bytes=int(value), source="settings")
-    env = os.environ.get(MEMORY_BUDGET_ENV_VAR)
-    if env is not None and env.strip():
-        try:
-            value = parse_memory_budget(env)
-        except ConfigurationError:
-            return MemoryBudget(bytes=None, source="off")
-        if value <= 0:
-            return MemoryBudget(bytes=None, source="off")
-        return MemoryBudget(bytes=int(value), source="env")
-    free = _probe_free_bytes(backend)
     if free is None:
-        return MemoryBudget(bytes=None, source="off")
-    return MemoryBudget(
-        bytes=int(free * MEMORY_BUDGET_FRACTION), source="auto"
-    )
+        return None
+    return int(free * MEMORY_BUDGET_FRACTION)
 
 
 def is_memory_error(exc: BaseException) -> bool:
@@ -199,9 +150,9 @@ def is_memory_error(exc: BaseException) -> bool:
 def estimate_candidate_bytes(spec, batch: int, runs: int) -> int:
     """Analytic peak working-set bytes for one candidate's fused run set.
 
-    A deliberately simple upper-envelope model — the scheduler only
-    needs relative magnitudes that track reality within a small factor,
-    and the measured bytes EWMA corrects it online.  Terms:
+    A deliberately simple upper-envelope model — admission only needs
+    magnitudes that track reality within a small factor, and the OOM
+    ladder catches what it misses.  Terms:
 
     * parameter stacks x4 (values, grads, Adam ``m``/``v`` moments);
     * dense activations: one input + one output row block per layer,
@@ -245,3 +196,26 @@ def estimate_candidate_bytes(spec, batch: int, runs: int) -> int:
         gates = n_qubits * (n_layers + 1) * 3
         total += gates * (rows + 1) * 4 * _COMPLEX_ITEM
     return total
+
+
+def estimate_group_bytes(specs: Sequence, batch: int, runs: int) -> int:
+    """Analytic peak working-set bytes of ``specs`` trained as one group.
+
+    The sum of every member's :func:`estimate_candidate_bytes`, each at
+    the group's deepest ``n_layers``: a fused quantum layer runs every
+    slice at its deepest member's depth (weights padded, states
+    recorded at that depth), so a ragged group costs what the same
+    group costs at uniform maximum depth.  Specs without ``n_layers``
+    (classical) count as they are.
+    """
+    depth = max((getattr(spec, "n_layers", 0) for spec in specs), default=0)
+    return sum(
+        estimate_candidate_bytes(
+            dataclasses.replace(spec, n_layers=depth)
+            if getattr(spec, "n_layers", depth) != depth
+            else spec,
+            batch,
+            runs,
+        )
+        for spec in specs
+    )

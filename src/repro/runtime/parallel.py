@@ -74,7 +74,6 @@ from .pool import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.grid_search import SearchOutcome, TrainingSettings
     from ..data.splits import DataSplit
-    from .memory import MemoryBudget
 
 __all__ = [
     "resolve_workers",
@@ -203,8 +202,9 @@ class Executor(Protocol):
     cost_model: ChunkCostModel
     counters: ExecutorCounters
 
-    def memory_budget(self, settings: "TrainingSettings") -> "MemoryBudget":
-        """The budget for chunks in flight (inactive off this host)."""
+    def memory_budget(self, settings: "TrainingSettings") -> int | None:
+        """The byte budget for chunks in flight (``None`` off this
+        host)."""
 
     def open(
         self,
@@ -357,23 +357,16 @@ class Scheduler:
             total += seconds
         return total
 
-    def _member_bytes(self, index: int, n_runs: int) -> float:
-        """Predicted working-set bytes of one candidate's runs: measured
-        EWMA, else analytic."""
-        from .memory import estimate_candidate_bytes
+    def _bytes(self, chunk: JobChunk) -> int:
+        """Predicted working-set bytes of a chunk, sized as one group
+        (every member of a packed chunk carries its whole run set)."""
+        from .memory import estimate_group_bytes
 
-        spec = self.frontier.ranked[index]
-        measured = self.executor.cost_model.bytes_estimate(spec.label, n_runs)
-        if measured is not None:
-            return measured
-        return float(
-            estimate_candidate_bytes(spec, self.settings.batch_size, n_runs)
-        )
-
-    def _bytes(self, chunk: JobChunk) -> float:
-        return sum(
-            self._member_bytes(index, n_runs)
-            for index, n_runs in self._members(chunk)
+        members = self._members(chunk)
+        return estimate_group_bytes(
+            [self.frontier.ranked[index] for index, _ in members],
+            self.settings.batch_size,
+            max(n_runs for _, n_runs in members),
         )
 
     def _packs(self, indices: range, lookahead: int) -> list[list[int]]:
@@ -458,7 +451,7 @@ class Scheduler:
                     -self._waiting[i][1],
                 ),
             )
-            if self.budget.active and self._flights:
+            if self.budget is not None and self._flights:
                 # Admission control: never more predicted bytes in
                 # flight than the budget.  A lone chunk is admitted
                 # regardless, or one over-budget candidate would
@@ -467,7 +460,7 @@ class Scheduler:
                     self._bytes(f.chunk) for f in self._flights.values()
                 )
                 admitted = in_flight + self._bytes(self._waiting[best][2])
-                if admitted > self.budget.bytes:
+                if admitted > self.budget:
                     break
             chunk = self._waiting.pop(best)[2]
             cid = next(self._cids)
@@ -529,26 +522,18 @@ class Scheduler:
         # A healthy completion ends the failure episode.
         self._backoff.reset()
         members = self._members(flight.chunk)
-        # Measured cost and working set refine later packing (and later
-        # searches on a persistent pool).  A failed chunk measures the
-        # failure, not the work.  A packed chunk is measured as a whole:
-        # each member takes the share it was priced at, so every label's
-        # EWMA stays per-run.
+        # Measured cost refines later packing (and later searches on a
+        # persistent pool).  A failed chunk measures the failure, not
+        # the work.  A packed chunk is measured as a whole: each member
+        # takes the share it was priced at, so every label's EWMA stays
+        # per-run.
         if not any(isinstance(e, RunError) for e in result.entries):
             prices = [self._member_estimate(i, n) for i, n in members]
-            sizes = [self._member_bytes(i, n) for i, n in members]
-            cost_model = self.executor.cost_model
-            for (index, n_runs), price, size in zip(members, prices, sizes):
-                label = self.frontier.ranked[index].label
-                cost_model.observe(
-                    label,
+            for (index, n_runs), price in zip(members, prices):
+                self.executor.cost_model.observe(
+                    self.frontier.ranked[index].label,
                     self._flops[index],
                     result.wall_time_s * _share(price, prices),
-                    n_runs,
-                )
-                cost_model.observe_bytes(
-                    label,
-                    round(result.peak_bytes * _share(size, sizes)),
                     n_runs,
                 )
         if result.memory_degrades:
@@ -721,7 +706,7 @@ class PoolExecutor:
             lambda chunk: None
         )
 
-    def memory_budget(self, settings: "TrainingSettings") -> "MemoryBudget":
+    def memory_budget(self, settings: "TrainingSettings") -> int | None:
         from .memory import resolve_memory_budget
 
         return resolve_memory_budget(settings.memory_budget)

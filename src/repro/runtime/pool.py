@@ -383,10 +383,7 @@ class ChunkResult:
     :func:`repro.runtime.jobs.chunk_entries`); the scheduler turns a
     non-zero count into a ``memory-degrade``
     :class:`~repro.runtime.frontier.SearchEvent` and the pool
-    accumulates it.  ``peak_bytes`` is the worker's
-    measured resident-set growth over the chunk (0 = unobserved); it
-    feeds the cost model's bytes EWMA that cross-checks the analytic
-    peak-bytes predictions.
+    accumulates it.
     """
 
     cancelled: bool
@@ -394,26 +391,9 @@ class ChunkResult:
     wall_time_s: float = 0.0
     vectorized_fallback: bool = False
     memory_degrades: int = 0
-    peak_bytes: int = 0
 
 
 _CANCELLED_CHUNK = ChunkResult(cancelled=True)
-
-
-def _max_rss_bytes() -> int:
-    """This process's resident-set high-water mark, 0 when unreadable.
-
-    ``ru_maxrss`` only moves when a chunk pushes the worker's all-time
-    peak higher, so the before/after delta in :func:`execute_chunk` is a
-    lower bound that is usually 0 after warm-up — exactly the right
-    bias for an EWMA that must never *under*-report a chunk's weight.
-    """
-    try:
-        import resource
-
-        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
-    except Exception:  # pragma: no cover - non-POSIX platforms
-        return 0
 
 
 def _run_chunk(chunk: JobChunk) -> ChunkResult:
@@ -475,12 +455,10 @@ def execute_chunk(
     """Train a chunk through the OOM ladder and measure it.
 
     The one chunk runner of pool workers and TCP cluster agents:
-    :func:`~repro.runtime.jobs.chunk_entries` plus the wall time, the
-    ladder's counts and the resident-set growth the scheduler feeds
-    back.  Raises :class:`~repro.exceptions.TrainingCancelled` when
+    :func:`~repro.runtime.jobs.chunk_entries` plus the wall time and
+    the ladder's counts the scheduler feeds back.  Raises :class:`~repro.exceptions.TrainingCancelled` when
     ``cancel_check`` fires.
     """
-    rss_before = _max_rss_bytes()
     started = time.perf_counter()
     entries, fallback, degrades = chunk_entries(
         chunk.jobs,
@@ -496,7 +474,6 @@ def execute_chunk(
         wall_time_s=time.perf_counter() - started,
         vectorized_fallback=fallback,
         memory_degrades=degrades,
-        peak_bytes=max(0, _max_rss_bytes() - rss_before),
     )
 
 
@@ -525,7 +502,9 @@ class ChunkCostModel:
     which keeps the two kinds of estimate on one comparable scale.
 
     Packing order never affects results (the scheduler commits strictly
-    in FLOPs order); this model only shapes the window's makespan.
+    in FLOPs order); this model only shapes the window's makespan.  It
+    measures seconds only: memory admission sizes chunks from their
+    specs (:func:`repro.runtime.memory.estimate_group_bytes`).
     """
 
     def __init__(self, alpha: float = 0.3) -> None:
@@ -534,7 +513,6 @@ class ChunkCostModel:
         self.alpha = alpha
         self._per_label: dict[str, float] = {}
         self._rate: float | None = None  # seconds per FLOP
-        self._bytes_per_label: dict[str, float] = {}
         self.observations = 0
 
     def _ewma(self, old: float | None, new: float) -> float:
@@ -555,32 +533,6 @@ class ChunkCostModel:
         if flops > 0:
             self._rate = self._ewma(self._rate, per_run / flops)
         self.observations += 1
-
-    def observe_bytes(
-        self, label: str, chunk_bytes: int, n_runs: int
-    ) -> None:
-        """Record a finished chunk's measured peak working set.
-
-        Zero readings are skipped, not averaged in: ``ru_maxrss`` deltas
-        only register when a chunk raises the worker's all-time peak, so
-        a 0 means "unobserved", and mixing it into the EWMA would bias
-        the memory governor toward admitting overweight groups.
-        """
-        if n_runs < 1 or chunk_bytes <= 0:
-            return
-        per_run = chunk_bytes / n_runs
-        self._bytes_per_label[label] = self._ewma(
-            self._bytes_per_label.get(label), per_run
-        )
-
-    def bytes_estimate(self, label: str, n_runs: int = 1) -> float | None:
-        """Measured working-set bytes for ``n_runs`` of ``label``, or
-        ``None`` before any reading — callers fall back to the analytic
-        :func:`repro.runtime.memory.estimate_candidate_bytes` model."""
-        per_run = self._bytes_per_label.get(label)
-        if per_run is None:
-            return None
-        return per_run * n_runs
 
     def estimate(self, label: str, flops: int, n_runs: int = 1) -> float:
         """Expected chunk cost in seconds (raw FLOPs before any data)."""
@@ -626,16 +578,15 @@ class ChunkCostModel:
     def state(self) -> dict:
         """JSON-serializable snapshot of the whole model.
 
-        ``schema`` 2 added ``bytes_per_label`` (measured working-set
-        EWMA); :meth:`restore` stays field-lenient, so v1 caches load
-        cleanly and v1 readers simply ignore the extra fields.
+        :meth:`restore` is field-lenient: it reads the fields it knows
+        and ignores the rest (the measured-bytes map schema-2 files
+        carry, for one), so caches of any schema load.
         """
         return {
-            "schema": 2,
+            "schema": 3,
             "alpha": self.alpha,
             "per_label": dict(self._per_label),
             "rate": self._rate,
-            "bytes_per_label": dict(self._bytes_per_label),
             "observations": self.observations,
         }
 
@@ -654,13 +605,6 @@ class ChunkCostModel:
         rate = state.get("rate")
         if isinstance(rate, (int, float)) and rate > 0.0:
             self._rate = float(rate)
-        bytes_per_label = state.get("bytes_per_label")
-        if isinstance(bytes_per_label, dict):
-            self._bytes_per_label = {
-                str(k): float(v)
-                for k, v in bytes_per_label.items()
-                if isinstance(v, (int, float)) and v > 0.0
-            }
         observations = state.get("observations")
         if isinstance(observations, int) and observations >= 0:
             self.observations = observations

@@ -443,18 +443,6 @@ class TestGroupedStackStructure:
             )
             assert not layer.weights[s, own:].any()
 
-    def test_ragged_layer_counts_padded_record(self):
-        """Memory admission sizes a ragged quantum layer like a stack
-        whose every slice runs at the deepest member's depth."""
-        ragged = stack_candidates(
-            build_candidates([hybrid(3, 1), hybrid(3, 4)], 2)[0]
-        ).head[1]
-        uniform = stack_candidates(
-            build_candidates([hybrid(3, 4), hybrid(3, 4)], 2)[0]
-        ).head[1]
-        assert uniform.depths is None
-        assert ragged.peak_bytes(32) == uniform.peak_bytes(32)
-
     @pytest.mark.parametrize("cells", [((3, 1), (4, 1))], ids=["qubits"])
     def test_quantum_layers_stay_per_member(self, split, cells):
         """Mixed register widths cannot share an engine: the quantum

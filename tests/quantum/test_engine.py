@@ -33,6 +33,7 @@ from repro.quantum import (
     weight_ref,
 )
 from repro.quantum.circuit import GATE_SET
+from repro.quantum.engine import dense_peak_bytes
 
 ATOL = 1e-12
 
@@ -678,9 +679,23 @@ class TestDenseDispatch:
         assert not CompiledTape(bel, 3)._plan.flips.size
 
 
+def _dense_record(engine, rows, runs):
+    """:func:`dense_peak_bytes` of an adjoint step at the tape's shape."""
+    plan = engine._plan
+    return dense_peak_bytes(
+        engine.n_qubits,
+        plan.n_layers,
+        plan.n_params,
+        plan.enc_wires.size,
+        rows,
+        runs,
+        "adjoint",
+    )
+
+
 class TestDensePeakBytes:
-    """Memory governance sizes admissions with ``peak_bytes``: for dense
-    tapes it must cover what a recorded step really allocates."""
+    """Memory governance sizes admissions with ``dense_peak_bytes``: for
+    dense tapes it must cover what a recorded step really allocates."""
 
     @pytest.mark.parametrize("runs", [1, 2])
     @pytest.mark.parametrize("layers", [1, 4, 10])
@@ -713,13 +728,13 @@ class TestDensePeakBytes:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert engine.peak_bytes(batch, runs=runs, mode="adjoint") >= peak
+        assert _dense_record(engine, batch, runs) >= peak
 
     @pytest.mark.parametrize("depths", [(1, 4), (1, 2, 3, 4), (2, 10, 5)])
     @pytest.mark.parametrize("n_qubits", [3, 5])
     def test_ragged_prediction_covers_traced_peak(self, n_qubits, depths):
         """A ``depths=`` step records every run at the compiled depth:
-        the padded record is what ``peak_bytes`` must cover."""
+        the padded record is what ``dense_peak_bytes`` must cover."""
         import tracemalloc
 
         rng = np.random.default_rng((n_qubits, len(depths)))
@@ -749,8 +764,7 @@ class TestDensePeakBytes:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        predicted = engine.peak_bytes(runs * batch, runs=runs, mode="adjoint")
-        assert predicted >= peak
+        assert _dense_record(engine, runs * batch, runs) >= peak
 
 
 class TestCompileCache:

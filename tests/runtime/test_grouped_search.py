@@ -34,7 +34,6 @@ from repro.nn.training import History
 from repro.runtime import ChunkCostModel, PersistentPool, execute_candidates
 from repro.runtime.frontier import SearchFrontier
 from repro.runtime.jobs import RunResult, TrainingJob, execute_job
-from repro.runtime.memory import MemoryBudget
 from repro.runtime.parallel import (
     ExecutorCounters,
     Scheduler,
@@ -455,7 +454,7 @@ class _RecordingExecutor:
         self.submitted = {}
 
     def memory_budget(self, settings):
-        return MemoryBudget(bytes=None, source="off")
+        return None
 
     def submit(self, cid, attempt, chunk):
         self.submitted[cid] = chunk
@@ -560,7 +559,7 @@ class TestSchedulerPacking:
             if chunk_candidates(c) == [0, 1]
         )
         result = execute_chunk(chunk, easy_split, lambda: False)
-        result = replace(result, peak_bytes=4096, memory_degrades=1)
+        result = replace(result, memory_degrades=1)
         scheduler._accept(cid, result)
         model = executor.cost_model
         labels = [ranked[0].label, ranked[1].label]
@@ -570,9 +569,6 @@ class TestSchedulerPacking:
         assert sum(
             model.estimate(label, 0, settings.runs) for label in labels
         ) == pytest.approx(result.wall_time_s)
-        assert sum(
-            model.bytes_estimate(label, settings.runs) for label in labels
-        ) == pytest.approx(4096, abs=1)
         degrade = next(e for e in events if e.kind == "memory-degrade")
         assert degrade.candidates == (0, 1)
 
