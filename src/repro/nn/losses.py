@@ -40,10 +40,12 @@ class Loss:
         gradient whose block ``s`` is ``gradient`` of block ``s`` — so
         each slice divides by its own batch, not the fused one.  This
         base loops over the blocks; subclasses may vectorize it,
-        bit-identically.
+        bit-identically.  Raises :class:`~repro.exceptions.ShapeError`
+        unless the rows split into ``slices >= 1`` equal, non-empty
+        blocks.
         """
         self._check(output, targets)
-        per = output.shape[0] // slices
+        per = self._per_slice(output, slices)
         values = np.empty(slices)
         grad = np.empty_like(output)
         for s in range(slices):
@@ -58,6 +60,16 @@ class Loss:
             raise ShapeError(
                 f"output {output.shape} and targets {targets.shape} differ"
             )
+
+    @staticmethod
+    def _per_slice(output: np.ndarray, slices: int) -> int:
+        """Rows per slice of a slice-major stack."""
+        rows = output.shape[0]
+        if slices < 1 or rows < slices or rows % slices:
+            raise ShapeError(
+                f"{rows} rows do not split into {slices} equal slices"
+            )
+        return rows // slices
 
 
 class CrossEntropy(Loss):
@@ -84,8 +96,8 @@ class CrossEntropy(Loss):
         # the whole stack; each slice's mean reduces its own contiguous
         # row of a (slices, per) view, as value's 1-D mean does.
         self._check(output, targets)
+        per = self._per_slice(output, slices)
         clipped = np.clip(output, _EPS, 1.0)
-        per = output.shape[0] // slices
         rows = np.sum(targets * np.log(clipped), axis=1)
         values = -np.mean(rows.reshape(slices, per), axis=1)
         return values, -(targets / clipped) / per

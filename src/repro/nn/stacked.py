@@ -66,6 +66,32 @@ reshaped views into them.  Resetting the gradients is one fill, and
 :class:`~repro.nn.optimizers.StackedAdam` steps the whole stack with
 one elementwise update over the flat buffers.  Compaction gathers the
 surviving rows and rebuilds the arena.
+
+**Compiled training step.**  On the NumPy backend a training step does
+not walk the layers: :meth:`GroupedStack.step_plan` compiles it, once
+per rows-per-slice, into a :class:`StepPlan`.  The plan owns the fused
+minibatch buffer and every activation, gradient and mask buffer, and
+runs a forward and a backward list of prebuilt steps over fixed views
+of them, each writing with ``out=``:
+
+* a *dense step* is a :class:`StackedDense` and the ReLU after it, if
+  any (the ReLU backward runs inside the dense backward);
+* an *opaque step* is any other stacked layer (the quantum layer,
+  Softmax, Tanh...): it calls the layer's own ``forward``/``backward``
+  and copies the result into the plan's buffer.
+
+Each member's middle writes straight into its row block of the tail's
+input buffer, so nothing is concatenated, and the first layers skip the
+input-gradient gemm nobody reads.  The plan is bit for bit the
+layer-by-layer step because it keeps every product at its shape,
+kernel and order of accumulation and writes in place only where the
+result has the same bits: the bias add is an in-place ``np.add``, a
+gradient is accumulated as ``np.matmul(..., out=tmp)`` then
+``np.add(G, tmp, out=G)`` (as ``G += ...`` does, which turns ``-0.0``
+into ``+0.0``), a bias gradient is ``np.add.reduce(g3, axis=1,
+out=...)``, and the ReLU writes ``+0.0`` through a ``np.greater`` mask
+(``np.maximum`` or ``x * mask`` differ in the sign of zero and for
+NaN).  Device backends, and evaluation forwards, run layer by layer.
 """
 
 from __future__ import annotations
@@ -87,6 +113,7 @@ __all__ = [
     "StackedDense",
     "StackedSequential",
     "GroupedStack",
+    "StepPlan",
     "register_stacker",
     "stack_candidates",
 ]
@@ -481,6 +508,8 @@ class GroupedStack:
         self.runs = sum(m.size for m in members)
         self._xp = active_backend()
         self.arena = ParameterArena.bind(self.layers, self._xp)
+        #: rows per slice -> compiled training step (see :meth:`step_plan`).
+        self._plans: dict[int, StepPlan] = {}
 
     @property
     def layers(self) -> list[StackedLayer]:
@@ -551,6 +580,15 @@ class GroupedStack:
         for layer in reversed(self.head):
             grad = layer.backward(grad)
         return grad
+
+    def step_plan(self, per: int) -> "StepPlan":
+        """The compiled training step for minibatches of ``per`` rows
+        per slice, built on first use and kept until :meth:`compact`
+        (whose arena rebuild moves every parameter view it holds)."""
+        plan = self._plans.get(per)
+        if plan is None:
+            plan = self._plans[per] = StepPlan(self, per)
+        return plan
 
     def predict_shared(self, x: np.ndarray) -> np.ndarray:
         """Predict every slice on one ``(n, features)`` input they all
@@ -637,6 +675,192 @@ class GroupedStack:
             layer.compact(keep)
         self.runs = int(keep.size)
         self.arena = ParameterArena.bind(self.layers, self._xp)
+        self._plans = {}
+
+
+# -- compiled training step ---------------------------------------------------
+
+
+def _dense_step(layer: StackedDense, relu: bool, per: int, x, gx, y, gy):
+    """Forward and backward of one :class:`StackedDense` (and, with
+    ``relu``, the ReLU after it) over fixed buffers.
+
+    ``x``/``y`` are the input and output buffers, ``gx``/``gy`` their
+    gradients; ``gx`` is ``None`` when nothing reads the input gradient,
+    and its gemm is skipped.  The steps compute what
+    :meth:`StackedDense.forward`/``backward`` and the scalar ReLU
+    compute, bit for bit, in place.
+    """
+    runs, n_in, n_out = layer.runs, layer.in_features, layer.out_features
+    weight, bias = layer.weight, layer.bias[:, None, :]
+    grad_w, grad_b = layer.grads
+    x3 = x.reshape(runs, per, n_in)
+    x3t = x3.swapaxes(1, 2)
+    weight_t = weight.swapaxes(1, 2)
+    z = np.empty_like(y) if relu else y
+    z3 = z.reshape(runs, per, n_out)
+    g3 = gy.reshape(runs, per, n_out)
+    gx3 = None if gx is None else gx.reshape(runs, per, n_in)
+    mask = np.empty(y.shape, dtype=bool) if relu else None
+    tmp_w, tmp_b = np.empty_like(grad_w), np.empty_like(grad_b)
+
+    def forward() -> None:
+        np.matmul(x3, weight, out=z3)
+        np.add(z3, bias, out=z3)
+        if relu:
+            np.greater(z, 0.0, out=mask)
+            y.fill(0.0)
+            np.copyto(y, z, where=mask)
+
+    def backward() -> None:
+        if relu:
+            np.multiply(gy, mask, out=gy)
+        np.matmul(x3t, g3, out=tmp_w)
+        np.add(grad_w, tmp_w, out=grad_w)
+        np.add.reduce(g3, axis=1, out=tmp_b)
+        np.add(grad_b, tmp_b, out=grad_b)
+        if gx3 is not None:
+            np.matmul(g3, weight_t, out=gx3)
+
+    return forward, backward
+
+
+def _opaque_step(layer: StackedLayer, x, gx, y, gy):
+    """Any other stacked layer: its own ``forward``/``backward``, with
+    the results copied into the plan's buffers."""
+
+    def forward() -> None:
+        np.copyto(y, layer.forward(x, training=True))
+
+    def backward() -> None:
+        grad = layer.backward(gy)
+        if gx is not None:
+            np.copyto(gx, grad)
+
+    return forward, backward
+
+
+def _copy_step(x, gx, y, gy):
+    """A member without a middle: its row block passes to the tail."""
+
+    def forward() -> None:
+        np.copyto(y, x)
+
+    def backward() -> None:
+        if gx is not None:
+            np.copyto(gx, gy)
+
+    return forward, backward
+
+
+class StepPlan:
+    """One :class:`GroupedStack` training step, compiled for minibatches
+    of ``per`` rows per slice (NumPy backend).
+
+    The plan owns the fused minibatch buffer (:attr:`inputs`) and every
+    activation, gradient and mask buffer of the step, and holds a
+    forward and a backward list of steps over fixed views of them
+    (``(R, B, ·)`` reshapes, ``swapaxes``, ``bias[:, None, :]``).  A
+    :class:`StackedDense` (fused with a ReLU after it) is a dense step
+    that writes with ``out=``; any other stacked layer is an opaque step
+    that calls its own ``forward``/``backward`` and copies the result.
+    Each member's middle writes its last output straight into its row
+    block of the tail's input buffer and reads its gradient back from
+    there, so nothing is concatenated.  The gradient of the minibatch
+    itself is never formed: the first layers skip their input-gradient
+    gemm.
+
+    Every product keeps the shape, kernel and accumulation order of the
+    layer-by-layer :meth:`GroupedStack.forward`/``backward`` (the
+    module docstring lists the in-place rules), so a step through the
+    plan is bit for bit the layer-by-layer step.  The parameter and
+    gradient views are the arena's at build time, which is why
+    :meth:`GroupedStack.compact` drops the plan.
+    """
+
+    def __init__(self, stack: GroupedStack, per: int) -> None:
+        slices = stack.runs
+        widths = [_widths(m.models[0]) for m in stack.members]
+        first = widths[0]
+        n_head, n_tail = len(stack.head), len(stack.tail)
+        self.inputs = np.empty((slices * per, first[0]))
+        self._forward: list[Callable[[], None]] = []
+        self._backward: list[Callable[[], None]] = []
+        x, gx = self._chain(
+            stack.head, first[1 : 1 + n_head], per, self.inputs, None
+        )
+        if stack._segmented:
+            joint = np.empty((slices * per, first[-1 - n_tail]))
+            grad = np.empty_like(joint)
+            start = 0
+            for member, member_widths in zip(stack.members, widths):
+                block = slice(start, start + member.size * per)
+                start = block.stop
+                ends = (
+                    x[block],
+                    None if gx is None else gx[block],
+                    joint[block],
+                    grad[block],
+                )
+                if member.middle is None:
+                    self._add(_copy_step(*ends))
+                    continue
+                middle = member.middle.layers
+                self._chain(
+                    middle,
+                    member_widths[1 + n_head : 1 + n_head + len(middle)],
+                    per,
+                    *ends,
+                )
+            x, gx = joint, grad
+        self.output, self._grad_output = self._chain(
+            stack.tail, first[len(first) - n_tail :], per, x, gx
+        )
+        self._backward.reverse()
+
+    def _add(self, step) -> None:
+        forward, backward = step
+        self._forward.append(forward)
+        self._backward.append(backward)
+
+    def _chain(self, layers, widths, per, x, gx, y=None, gy=None):
+        """Append the steps of ``layers`` (output widths ``widths``)
+        reading ``x``; the last one writes into ``y``/``gy`` when given.
+        Returns the chain's output buffer and its gradient."""
+        i = 0
+        while i < len(layers):
+            layer = layers[i]
+            after = layers[i + 1] if i + 1 < len(layers) else None
+            fused = (
+                isinstance(layer, StackedDense)
+                and isinstance(after, _StackedPassthrough)
+                and type(after._layer) is ReLU
+            )
+            i += 2 if fused else 1
+            if i == len(layers) and y is not None:
+                out, grad = y, gy
+            else:
+                out = np.empty((x.shape[0], widths[i - 1]))
+                grad = np.empty_like(out)
+            if isinstance(layer, StackedDense):
+                self._add(_dense_step(layer, fused, per, x, gx, out, grad))
+            else:
+                self._add(_opaque_step(layer, x, gx, out, grad))
+            x, gx = out, grad
+        return x, gx
+
+    def forward(self) -> np.ndarray:
+        """Run the step's forward over :attr:`inputs`; returns the
+        output buffer (overwritten by the next step)."""
+        for step in self._forward:
+            step()
+        return self.output
+
+    def backward(self, grad: np.ndarray) -> None:
+        """Accumulate every parameter gradient into the arena."""
+        np.copyto(self._grad_output, grad)
+        for step in self._backward:
+            step()
 
 
 def _widths(model: Sequential) -> list[int] | None:

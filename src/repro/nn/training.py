@@ -194,6 +194,8 @@ def train_stack(
         raise ShapeError("x_val and y_val batch sizes differ")
     if epochs < 1:
         raise ConfigurationError(f"epochs must be >= 1, got {epochs}")
+    if batch_size < 1:
+        raise ConfigurationError(f"batch size must be >= 1, got {batch_size}")
     loss = loss or CrossEntropy()
     total = stack.runs
     rngs = (
@@ -211,6 +213,14 @@ def train_stack(
     # the NumPy backend).  The optimizer shares the stack's backend so
     # the parameter/moment updates stay device-resident.
     xp = active_backend()
+    # On NumPy every step runs through the stack's compiled plan for its
+    # batch shape (at most two: full and remainder minibatches); its
+    # kernels are NumPy ``out=`` calls, so device backends step layer by
+    # layer.  The plan's input buffer is float64, as the layers would
+    # convert it.
+    planned = xp.is_numpy
+    if planned:
+        x_train = np.asarray(x_train, dtype=np.float64)
     optimizer = StackedAdam(learning_rate=learning_rate)
     histories = [History() for _ in range(total)]
     # The parameter/gradient views only change when the stack compacts;
@@ -221,8 +231,6 @@ def train_stack(
     started = time.perf_counter()
     n = x_train.shape[0]
     n_val = x_val.shape[0]
-    n_classes = y_train.shape[1]
-    xb = yb = None  # fused minibatch buffers, allocated per size
 
     for _ in range(epochs):
         if cancel_check is not None and cancel_check():
@@ -242,22 +250,24 @@ def train_stack(
         step_losses: list[np.ndarray] = []
         for start in range(0, n, batch_size):
             idx = orders[:, start : start + batch_size]
-            per = idx.shape[1]
             rows = idx.reshape(-1)
-            if xb is None or xb.shape[0] != slices * per:
-                xb = np.empty(
-                    (slices * per, x_train.shape[1]), dtype=x_train.dtype
-                )
-                yb = np.empty((slices * per, n_classes), dtype=y_train.dtype)
-            np.take(x_train, rows, axis=0, out=xb)
-            np.take(y_train, rows, axis=0, out=yb)
+            yb = np.take(y_train, rows, axis=0)
             stack.zero_grads()
-            out = xp.to_numpy(stack.forward(xb, training=True))
+            if planned:
+                plan = stack.step_plan(idx.shape[1])
+                np.take(x_train, rows, axis=0, out=plan.inputs)
+                out = plan.forward()
+            else:
+                xb = np.take(x_train, rows, axis=0)
+                out = xp.to_numpy(stack.forward(xb, training=True))
             # Loss values and gradients per slice: the scalar loss
             # divides by the *slice's* batch, not the fused one.
             values, grad = loss.stacked(out, yb, slices)
             step_losses.append(values)
-            stack.backward(grad)
+            if planned:
+                plan.backward(grad)
+            else:
+                stack.backward(grad)
             optimizer.step(params, grads, arena=stack.arena)
         # (slices, steps): each slice's epoch mean reduces one contiguous
         # row, as the scalar loop's mean over its list of step losses.
@@ -302,7 +312,6 @@ def train_stack(
         )
         stack.compact(keep)
         params, grads = stack.parameters(), stack.gradients()
-        xb = yb = None
 
     elapsed = time.perf_counter() - started
     for slot in slots:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.data import make_spiral, stratified_split
+from repro.exceptions import ShapeError
 from repro.hybrid.builders import build_classical_model, build_hybrid_model
 from repro.nn.losses import CrossEntropy, MeanSquaredError, SoftmaxCrossEntropy
 from repro.nn.optimizers import Adam, StackedAdam
@@ -228,3 +229,18 @@ def test_stacked_loss_equals_per_slice(loss, slices, per):
         sl = slice(s * per, (s + 1) * per)
         assert values[s] == loss.value(output[sl], targets[sl])
         assert np.array_equal(grad[sl], loss.gradient(output[sl], targets[sl]))
+
+
+@pytest.mark.parametrize(
+    "loss", [CrossEntropy(), SoftmaxCrossEntropy(), MeanSquaredError()]
+)
+@pytest.mark.parametrize(
+    "rows,slices", [(7, 2), (1, 2), (0, 2), (4, 0), (4, -1)]
+)
+def test_stacked_loss_rejects_uneven_slices(loss, rows, slices):
+    """A trailing partial block, fewer rows than slices, or no slices
+    at all: no per-slice value would be the scalar loss of one block."""
+    output = np.full((rows, 3), 1.0 / 3.0)
+    targets = np.eye(3)[np.arange(rows) % 3]
+    with pytest.raises(ShapeError):
+        loss.stacked(output, targets, slices)

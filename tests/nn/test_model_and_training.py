@@ -16,6 +16,8 @@ from repro.nn import (
     iterate_minibatches,
     train_model,
 )
+from repro.nn.stacked import stack_candidates
+from repro.nn.training import train_stack
 
 
 def small_model(rng):
@@ -168,6 +170,18 @@ class TestTrainModel:
             train_model(model, x, np.argmax(y, axis=1), x, y, epochs=1)
         with pytest.raises(ConfigurationError):
             train_model(model, x, y, x, y, epochs=0)
+
+    @pytest.mark.parametrize("batch_size", [0, -2])
+    def test_scalar_and_stacked_loops_reject_batch_size(
+        self, rng, batch_size
+    ):
+        x, y = xor_like_data(rng, 20)
+        kw = dict(epochs=1, batch_size=batch_size)
+        with pytest.raises(ConfigurationError):
+            train_model(small_model(rng), x, y, x, y, rng=rng, **kw)
+        stack = stack_candidates([[small_model(rng) for _ in range(2)]])
+        with pytest.raises(ConfigurationError):
+            train_stack(stack, x, y, x, y, **kw)
 
     def test_wall_time_recorded(self, rng):
         x, y = xor_like_data(rng, 40)
