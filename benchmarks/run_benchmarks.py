@@ -67,23 +67,14 @@ def condense(raw: dict) -> dict:
         "cpu_count": os.cpu_count(),
         "benchmarks": {},
     }
-    backends = set()
     for bench in raw.get("benchmarks", []):
         stats = bench["stats"]
-        # Which array backend timed this entry (stamped by the benchmark
-        # conftest; "numpy" for snapshots predating the field).  The
-        # regression check refuses to read a backend switch as a
-        # same-backend perf delta.
-        backend = bench.get("extra_info", {}).get("backend", "numpy")
-        backends.add(backend)
         snapshot["benchmarks"][bench["fullname"]] = {
             "mean_s": stats["mean"],
             "stddev_s": stats["stddev"],
             "min_s": stats["min"],
             "rounds": stats["rounds"],
-            "backend": backend,
         }
-    snapshot["backends"] = sorted(backends)
     return snapshot
 
 
@@ -115,7 +106,6 @@ def main(argv: list[str] | None = None) -> int:
             "benchmarks/test_pool_reuse.py",
             "benchmarks/test_vectorized_runs.py",
             "benchmarks/test_candidate_stacking.py",
-            "benchmarks/test_backend_sweep.py",
             "benchmarks/test_cluster_tcp.py",
         ]
     )

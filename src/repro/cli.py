@@ -125,15 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
         "results",
     )
     parser.add_argument(
-        "--backend",
-        default=None,
-        choices=("numpy", "torch", "cupy"),
-        help="array backend for the stacked training sweeps (default: "
-        "REPRO_BACKEND env var, then numpy); numpy is the bit-exact "
-        "reference, torch/cupy keep the fused sweeps device-resident "
-        "and fall back to numpy with a warning when unimportable",
-    )
-    parser.add_argument(
         "--memory-budget",
         default=None,
         metavar="BYTES",
@@ -322,8 +313,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         overrides["journal"] = args.journal
     if args.max_retries is not None:
         overrides["max_retries"] = args.max_retries
-    if args.backend is not None:
-        overrides["backend"] = args.backend
     if args.memory_budget is not None:
         from .runtime.memory import parse_memory_budget
 
@@ -334,7 +323,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if not args.connect and resolve_workers(args.workers) > 1:
         from .runtime.pool import PersistentPool
 
-        pool = PersistentPool(resolve_workers(args.workers), backend=args.backend)
+        pool = PersistentPool(resolve_workers(args.workers))
     # Warm the adaptive packer from a previous invocation's measured
     # chunk costs; written back below (pool) or by the coordinator
     # itself (TCP transport) so reruns keep learning.  Costs are keyed

@@ -100,7 +100,7 @@ REPORTED_FEATURE_SIZES = (10, 40, 80, 110)
 #: Fraction of the probed free memory used as the implicit search-wide
 #: memory budget when ``--memory-budget`` (``memory_budget``) is unset.
 #: A runtime knob, not a paper constant: it bounds how much of the host
-#: (or device) the fused sweeps may claim concurrently; see
+#: the fused sweeps may claim concurrently; see
 #: ``repro.runtime.memory``.
 MEMORY_BUDGET_FRACTION = 0.5
 

@@ -31,7 +31,7 @@ from .grid_search import (
     TrainingSettings,
     grid_search,
 )
-from .identity import resolved_backend_name, setting
+from .identity import check_backend, legacy_backend, setting
 from .search_space import search_space_for_family
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -104,19 +104,17 @@ class ProtocolConfig:
     #: filesystem needed (see ``repro.runtime.cluster_tcp``).  Overrides
     #: ``workers``/pool execution.
     connect: str | None = setting(None, affects_results=False)
-    #: Array backend for the stacked training sweeps ("numpy", "torch",
-    #: "cupy"; None = REPRO_BACKEND env, then NumPy).  NumPy is the
-    #: bit-exact reference; device backends are tolerance-grade (see
-    #: docs/backends.md) and fall back to NumPy when unimportable, so
-    #: results are identified by the resolved backend name.
-    backend: str | None = setting(
-        None, affects_results=True, identity=resolved_backend_name
-    )
+    #: ``None`` or ``"numpy"``: every run executes on NumPy (see
+    #: :func:`~repro.core.identity.legacy_backend`).
+    backend: str | None = legacy_backend()
     #: Memory budget in bytes for the speculative runtime (None = an
     #: automatic fraction of free memory; <= 0 disables governance).  A
     #: budget only shrinks stacked groups and bounds in-flight bytes
     #: (see docs/parallel_runtime.md, "Memory governance").
     memory_budget: float | None = setting(None, affects_results=False)
+
+    def __post_init__(self) -> None:
+        check_backend(self)
 
     def training_settings(self) -> TrainingSettings:
         return TrainingSettings(
@@ -302,7 +300,7 @@ def run_protocol(
     ):
         from ..runtime.pool import PersistentPool
 
-        pool = PersistentPool(resolve_workers(cfg.workers), backend=cfg.backend)
+        pool = PersistentPool(resolve_workers(cfg.workers))
         owns_pool = True
     try:
         for feature_size in cfg.feature_sizes:

@@ -27,9 +27,9 @@ import numpy as np
 from ..data.splits import DataSplit
 from ..exceptions import SearchError
 from ..flops.conventions import CountingConvention, get_convention
-from ..runtime.frontier import SearchEvent, SearchFrontier
+from ..runtime.frontier import SearchFrontier
 from ..runtime.jobs import RunResult
-from .identity import resolved_backend_name, setting
+from .identity import check_backend, legacy_backend, setting
 from .search_space import ModelSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -95,18 +95,13 @@ class TrainingSettings:
     suspected of *killing* its process (an in-process rerun would kill
     the driver).
 
-    ``backend`` selects the array backend the stacked sweeps execute on
-    (``"numpy"``, ``"torch"``, ``"cupy"``; ``None`` defers to the
-    ``REPRO_BACKEND`` environment variable, then the process default,
-    then NumPy).  Only the NumPy backend is bit-exact; device backends
-    are tolerance-grade (see ``docs/backends.md``), so results are
-    identified by the *resolved* backend name.  A requested backend
-    whose library is unimportable falls back to NumPy with a
-    ``backend-fallback`` :class:`~repro.runtime.parallel.SearchEvent`.
+    ``backend`` accepts only ``None`` or ``"numpy"``: every search runs
+    on NumPy, and the field stays so configurations that name it still
+    load (see :func:`~repro.core.identity.legacy_backend`).
 
     ``memory_budget`` caps the predicted concurrent working-set bytes
     of fused sweeps and in-flight chunks (``--memory-budget`` on the
-    CLI).  ``None`` uses a fraction of the backend's free-memory probe;
+    CLI).  ``None`` uses a fraction of the host's available memory;
     a non-positive value disables governance.  A budget only shrinks
     groups and holds back chunks (see ``docs/parallel_runtime.md``,
     "Memory governance").
@@ -122,10 +117,11 @@ class TrainingSettings:
     stacked_candidates: bool = setting(True, affects_results=False)
     max_retries: int = setting(2, affects_results=False)
     fallback_sequential: bool = setting(True, affects_results=False)
-    backend: str | None = setting(
-        None, affects_results=True, identity=resolved_backend_name
-    )
+    backend: str | None = legacy_backend()
     memory_budget: float | None = setting(None, affects_results=False)
+
+    def __post_init__(self) -> None:
+        check_backend(self)
 
 
 @dataclass
@@ -331,7 +327,7 @@ def grid_search(
     on_event:
         Optional callback receiving a
         :class:`repro.runtime.frontier.SearchEvent` for every execution
-        decision: ``backend-fallback`` (any mode), ``group-resize`` and
+        decision: ``group-resize`` and
         ``memory-degrade`` (any mode, including ``workers=1``), and the
         distributed modes' fault-tolerance decisions (worker loss,
         retry, deadline warning/timeout, sequential fallback, lease
@@ -360,17 +356,6 @@ def grid_search(
     settings = settings or TrainingSettings()
     if settings.runs < 1:
         raise SearchError(f"settings.runs must be >= 1, got {settings.runs}")
-    # Resolve the array backend once up front: an unknown name raises
-    # here (typo = configuration bug), and an unimportable backend
-    # emits a single structured fallback event — the per-job resolution
-    # in the runtime then falls back silently and consistently.
-    from ..backends import resolve_backend
-
-    _, backend_fallback = resolve_backend(settings.backend)
-    if backend_fallback is not None and on_event is not None:
-        on_event(
-            SearchEvent(kind="backend-fallback", message=backend_fallback)
-        )
     conv = get_convention(convention)
     ranked = rank_by_flops(specs, conv)
     if max_candidates is not None:

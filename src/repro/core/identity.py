@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import field, fields
 from typing import Any, Callable
 
-from ..backends import resolve_backend
+from ..exceptions import ConfigurationError
 
-__all__ = ["setting", "result_identity", "resolved_backend_name"]
+__all__ = ["setting", "result_identity", "legacy_backend", "check_backend"]
 
 
 def setting(
@@ -49,11 +49,21 @@ def result_identity(config) -> dict:
     return identity
 
 
-def resolved_backend_name(name: "str | None") -> str:
-    """The backend a run under ``name`` actually executes on.
+def legacy_backend():
+    """The ``backend`` field: ``None`` or ``"numpy"``, kept so
+    configurations that name it still load.
 
-    ``None`` defers to ``REPRO_BACKEND``, and an unimportable device
-    backend falls back to NumPy, so the request alone does not say
-    which arithmetic produced a result.
+    Every run executes on NumPy, so its identity is the constant
+    ``"numpy"``: the journal key keeps the top-level ``"backend"``
+    entry earlier releases hashed, and no value forks a cache name.
+    Classes declaring it call :func:`check_backend` at construction.
     """
-    return resolve_backend(name)[0].name
+    return setting(None, affects_results=True, identity=lambda _: "numpy")
+
+
+def check_backend(config) -> None:
+    """Reject any ``config.backend`` but ``None`` and ``"numpy"``."""
+    if config.backend not in (None, "numpy"):
+        raise ConfigurationError(
+            f"backend must be None or 'numpy', got {config.backend!r}"
+        )

@@ -28,15 +28,6 @@ class GateError(ConfigurationError):
     """An unknown gate name or invalid gate parameterization was used."""
 
 
-class BackendUnavailable(ConfigurationError):
-    """A requested array backend's library cannot be imported.
-
-    Raised by :func:`repro.backends.get_backend` for known backends
-    (torch, cupy) whose optional dependency is missing;
-    :func:`repro.backends.resolve_backend` converts it into a clean
-    fallback to the NumPy backend."""
-
-
 class SearchError(ReproError):
     """The model search could not complete (e.g. empty search space)."""
 

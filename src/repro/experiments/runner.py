@@ -11,8 +11,8 @@ is hours of compute.  Every experiment driver therefore accepts a
     count.  Exercises every code path; used by the test suite and the
     pytest benchmarks.
 ``reduced``
-    Minutes: on a 2-vCPU host Fig. 6 takes 181 s, Fig. 7 56 s and
-    Fig. 8 59 s.  The paper's reported feature sizes
+    Minutes: at ``--workers 1`` on a 2-vCPU host Fig. 6 takes 98.5 s,
+    Fig. 7 41.0 s and Fig. 8 42.4 s.  The paper's reported feature sizes
     (10/40/80/110), one experiment, two runs per candidate, early
     stopping, threshold 0.85 (see RunProfile).  This is the profile
     behind the numbers in EXPERIMENTS.md.
@@ -180,14 +180,10 @@ def cache_name(profile: str | RunProfile, **config_overrides) -> str:
     ``{profile}`` plus one ``_{field}-{value}`` per result-affecting
     :class:`~repro.core.experiment.ProtocolConfig` field (see
     :func:`~repro.core.identity.result_identity`) whose identity
-    differs from the profile's reference run.  The reference runs on
-    NumPy whatever ``REPRO_BACKEND`` says: device backends are
-    tolerance-grade, so any run that resolves to another backend gets
-    its own ``_backend-<name>`` files and never serves (or poisons) the
-    NumPy reference.
+    differs from the profile's reference run.
     """
     prof = get_profile(profile)
-    reference = result_identity(prof.protocol_config(backend="numpy"))
+    reference = result_identity(prof.protocol_config())
     identity = result_identity(prof.protocol_config(**config_overrides))
     return prof.name + "".join(
         f"_{k}-{v}" for k, v in sorted(identity.items()) if v != reference[k]

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..backends import active_backend
 from ..exceptions import ConfigurationError, ShapeError
 from ..nn.layers import Layer
 from ..nn.stacked import StackedLayer, register_stacker
@@ -315,19 +314,14 @@ class StackedQuantumLayer(StackedLayer):
     ) -> None:
         deepest = max(layers, key=lambda lay: lay.n_layers)
         super().__init__(runs, name=f"stacked_{deepest.name}")
-        # The stacked path is the explicit opt-in point for device
-        # execution: the stacker compiles the engine against whatever
-        # backend is active when the stack is built (scalar
-        # QuantumLayer always stays on the bit-exact NumPy path).
-        self._xp = active_backend()
         self.n_qubits = deepest.n_qubits
         self.n_weights = deepest.n_weights
         weights = np.zeros((runs, self.n_weights))
         for r, lay in enumerate(layers):
             weights[r, : lay.n_weights] = lay.weights.reshape(-1)
-        self.weights = self._xp.asarray(weights)
+        self.weights = weights
         self.params = [self.weights]
-        self.grads = [self._xp.zeros_like(self.weights)]
+        self.grads = [np.zeros_like(self.weights)]
         #: Per-run ansatz depths, or ``None`` when every run has the
         #: compiled depth (the plain run-stacked execute).
         depths = np.array([lay.n_layers for lay in layers])
@@ -335,8 +329,6 @@ class StackedQuantumLayer(StackedLayer):
         self._engine = engine
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        if not self._xp.is_numpy:
-            x = self._xp.to_numpy(x)
         x = np.asarray(x, dtype=np.float64)
         if (
             x.ndim != 2
@@ -373,7 +365,7 @@ class StackedQuantumLayer(StackedLayer):
 
     def sync_to_layers(self, layers) -> None:
         for r, lay in enumerate(layers):
-            own = self._xp.to_numpy(self.weights[r, : lay.n_weights])
+            own = self.weights[r, : lay.n_weights]
             lay.weights[...] = own.reshape(lay.weights.shape)
 
     def compact(self, keep) -> None:
@@ -411,11 +403,7 @@ def _stack_quantum_layers(runs, layers):
             return None
     deepest = max(layers, key=lambda lay: lay.n_layers)
     try:
-        engine = compiled_tape(
-            deepest.representative_tape(),
-            deepest.n_qubits,
-            backend=active_backend(),
-        )
+        engine = compiled_tape(deepest.representative_tape(), deepest.n_qubits)
         for depth in {lay.n_layers for lay in layers} - {deepest.n_layers}:
             shallow = next(lay for lay in layers if lay.n_layers == depth)
             prefix = compiled_tape(

@@ -11,7 +11,6 @@ import math
 
 import numpy as np
 
-from ..backends import active_backend
 from ..exceptions import ConfigurationError
 from .stacked import flat_views
 
@@ -124,11 +123,6 @@ class StackedAdam(Adam):
     stack whose rows all froze drops its state entirely.  Frozen runs
     never resume, so the shared ``t`` stays equal to every remaining
     run's step count.
-
-    The parameter stacks may live on any array backend (the stacked
-    layers put them wherever :func:`repro.backends.active_backend`
-    said at construction); the update routes its elementwise primitives
-    through the same backend so moments stay device-resident.
     """
 
     def __init__(
@@ -137,10 +131,8 @@ class StackedAdam(Adam):
         beta_1: float = 0.9,
         beta_2: float = 0.999,
         epsilon: float = 1e-7,
-        backend=None,
     ) -> None:
         super().__init__(learning_rate, beta_1, beta_2, epsilon)
-        self._xp = backend if backend is not None else active_backend()
         #: Per-parameter views of the flat ``_m``/``_v`` moment buffers.
         self._m_views: list = []
         self._v_views: list = []
@@ -148,10 +140,9 @@ class StackedAdam(Adam):
     def _flatten_moments(self, shapes: list[tuple], pieces=None) -> None:
         """Allocate flat moments laid out as ``shapes``; ``pieces``
         (one ``(m, v)`` pair per shape) seeds them, zeros otherwise."""
-        xp = self._xp
         total = sum(math.prod(shape) for shape in shapes)
-        self._m = xp.zeros(total, dtype=xp.real_dtype)
-        self._v = xp.zeros(total, dtype=xp.real_dtype)
+        self._m = np.zeros(total, dtype=np.float64)
+        self._v = np.zeros(total, dtype=np.float64)
         self._m_views = flat_views(self._m, shapes)
         self._v_views = flat_views(self._v, shapes)
         for m, v, (m_old, v_old) in zip(
@@ -166,7 +157,6 @@ class StackedAdam(Adam):
         grads: list[np.ndarray],
         arena=None,
     ) -> None:
-        xp = self._xp
         self._check(params, grads)
         if self._m is None:
             self._flatten_moments([tuple(p.shape) for p in params])
@@ -184,8 +174,8 @@ class StackedAdam(Adam):
             m *= self.beta_1
             m += (1.0 - self.beta_1) * g
             v *= self.beta_2
-            v += (1.0 - self.beta_2) * xp.square(g)
-            p -= lr_t * m / (xp.sqrt(v) + self.epsilon)
+            v += (1.0 - self.beta_2) * np.square(g)
+            p -= lr_t * m / (np.sqrt(v) + self.epsilon)
 
     def compact(self, row_keeps: "list[np.ndarray]") -> None:
         """Re-flatten the moments into the compacted parameter layout.

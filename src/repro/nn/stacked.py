@@ -67,9 +67,9 @@ reshaped views into them.  Resetting the gradients is one fill, and
 one elementwise update over the flat buffers.  Compaction gathers the
 surviving rows and rebuilds the arena.
 
-**Compiled training step.**  On the NumPy backend a training step does
-not walk the layers: :meth:`GroupedStack.step_plan` compiles it, once
-per rows-per-slice, into a :class:`StepPlan`.  The plan owns the fused
+**Compiled training step.**  A training step does not walk the
+layers: :meth:`GroupedStack.step_plan` compiles it, once per
+rows-per-slice, into a :class:`StepPlan`.  The plan owns the fused
 minibatch buffer and every activation, gradient and mask buffer, and
 runs a forward and a backward list of prebuilt steps over fixed views
 of them, each writing with ``out=``:
@@ -91,7 +91,9 @@ gradient is accumulated as ``np.matmul(..., out=tmp)`` then
 into ``+0.0``), a bias gradient is ``np.add.reduce(g3, axis=1,
 out=...)``, and the ReLU writes ``+0.0`` through a ``np.greater`` mask
 (``np.maximum`` or ``x * mask`` differ in the sign of zero and for
-NaN).  Device backends, and evaluation forwards, run layer by layer.
+NaN).  Evaluation forwards run layer by layer; the layer-by-layer
+:meth:`GroupedStack.forward`/``backward`` stay as the reference the
+plan is tested against.
 """
 
 from __future__ import annotations
@@ -101,7 +103,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..backends import active_backend
 from ..exceptions import ShapeError
 from .layers import Dense, Flatten, Layer, ReLU, Sigmoid, Softmax, Tanh
 from .model import Sequential
@@ -173,18 +174,11 @@ class _StackedPassthrough(StackedLayer):
     def __init__(self, runs: int, layer: Layer) -> None:
         super().__init__(runs, name=f"stacked_{layer.name}")
         self._layer = layer
-        self._xp = active_backend()
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        # Scalar layer implementations are NumPy; on a device backend
-        # the activation round-trips through host here.
-        if not self._xp.is_numpy:
-            x = self._xp.to_numpy(x)
         return self._layer.forward(x, training=training)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        if not self._xp.is_numpy:
-            grad = self._xp.to_numpy(grad)
         return self._layer.backward(grad)
 
 
@@ -202,25 +196,16 @@ class StackedDense(StackedLayer):
 
     def __init__(self, runs: int, layers: Sequence[Dense]) -> None:
         super().__init__(runs, name=f"stacked_{layers[0].name}")
-        self._xp = active_backend()
         self.in_features = layers[0].in_features
         self.out_features = layers[0].out_features
-        # asarray is a no-copy identity on the NumPy backend and a
-        # one-time device upload elsewhere; the stacks then stay
-        # device-resident for the whole training loop.
-        self.weight = self._xp.asarray(
-            np.stack([lay.weight for lay in layers])
-        )
-        self.bias = self._xp.asarray(np.stack([lay.bias for lay in layers]))
+        self.weight = np.stack([lay.weight for lay in layers])
+        self.bias = np.stack([lay.bias for lay in layers])
         self.params = [self.weight, self.bias]
-        self.grads = [
-            self._xp.zeros_like(self.weight),
-            self._xp.zeros_like(self.bias),
-        ]
+        self.grads = [np.zeros_like(self.weight), np.zeros_like(self.bias)]
         self._cache_x: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        x = self._xp.as_real(x)
+        x = np.asarray(x, dtype=np.float64)
         if (
             x.ndim != 2
             or x.shape[1] != self.in_features
@@ -239,7 +224,7 @@ class StackedDense(StackedLayer):
     def _broadcast(self, x3: np.ndarray) -> np.ndarray:
         """``x3 @ weight + bias`` fused run-major; a leading axis of 1
         shares one input across every run (the same per-run gemm)."""
-        out = self._xp.matmul(x3, self.weight) + self.bias[:, None, :]
+        out = np.matmul(x3, self.weight) + self.bias[:, None, :]
         return out.reshape(-1, self.out_features)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
@@ -247,14 +232,14 @@ class StackedDense(StackedLayer):
             raise ShapeError(
                 f"{self.name}.backward called without a training forward"
             )
-        grad = self._xp.as_real(grad)
+        grad = np.asarray(grad, dtype=np.float64)
         x = self._cache_x
         rows = x.shape[0]
         x3 = x.reshape(self.runs, rows // self.runs, self.in_features)
         g3 = grad.reshape(self.runs, rows // self.runs, self.out_features)
-        self.grads[0] += self._xp.matmul(x3.swapaxes(1, 2), g3)
+        self.grads[0] += np.matmul(x3.swapaxes(1, 2), g3)
         self.grads[1] += g3.sum(axis=1)
-        out = self._xp.matmul(g3, self.weight.swapaxes(1, 2))
+        out = np.matmul(g3, self.weight.swapaxes(1, 2))
         return out.reshape(rows, self.in_features)
 
     def bind(self, params: list, grads: list) -> None:
@@ -263,8 +248,8 @@ class StackedDense(StackedLayer):
 
     def sync_to_layers(self, layers: Sequence[Layer]) -> None:
         for r, lay in enumerate(layers):
-            lay.weight[...] = self._xp.to_numpy(self.weight[r])
-            lay.bias[...] = self._xp.to_numpy(self.bias[r])
+            lay.weight[...] = self.weight[r]
+            lay.bias[...] = self.bias[r]
 
     def compact(self, keep: np.ndarray) -> None:
         super().compact(keep)
@@ -303,14 +288,13 @@ class ParameterArena:
         self.grads = grads
 
     @classmethod
-    def bind(cls, layers: Sequence[StackedLayer], xp) -> "ParameterArena":
+    def bind(cls, layers: Sequence[StackedLayer]) -> "ParameterArena":
         """Copy ``layers``' parameter and gradient stacks into a fresh
         arena and rebind every layer to views of it."""
         shapes = [tuple(p.shape) for layer in layers for p in layer.params]
         total = sum(math.prod(shape) for shape in shapes)
         arena = cls(
-            xp.empty(total, dtype=xp.real_dtype),
-            xp.empty(total, dtype=xp.real_dtype),
+            np.empty(total, dtype=np.float64), np.empty(total, dtype=np.float64)
         )
         views = zip(
             flat_views(arena.values, shapes), flat_views(arena.grads, shapes)
@@ -368,7 +352,7 @@ def _forward_shared(layers: Sequence[StackedLayer], x, runs: int):
     its weight stack, any other first layer sees it tiled slice-major."""
     if layers and isinstance(layers[0], StackedDense):
         first = layers[0]
-        out = first._broadcast(first._xp.as_real(x)[None])
+        out = first._broadcast(np.asarray(x, dtype=np.float64)[None])
         layers = layers[1:]
     else:
         out = np.tile(x, (runs, 1))
@@ -506,8 +490,7 @@ class GroupedStack:
         self.head = head
         self.tail = tail
         self.runs = sum(m.size for m in members)
-        self._xp = active_backend()
-        self.arena = ParameterArena.bind(self.layers, self._xp)
+        self.arena = ParameterArena.bind(self.layers)
         #: rows per slice -> compiled training step (see :meth:`step_plan`).
         self._plans: dict[int, StepPlan] = {}
 
@@ -532,12 +515,8 @@ class GroupedStack:
         of ``x``; a member without a middle passes its block through.
         With ``shared``, ``x`` is one input every slice sees, so each
         member's block is ``x`` itself (tiled where it passes through).
-
-        Segmentation bookkeeping is host-side: device backends hand each
-        block to the middle stack (which uploads it) and download its
-        output.
         """
-        x = np.asarray(self._xp.to_numpy(x), dtype=np.float64)
+        x = np.asarray(x, dtype=np.float64)
         per = x.shape[0] if shared else x.shape[0] // self.runs
         blocks, offset = [], 0
         for member in self.members:
@@ -545,7 +524,7 @@ class GroupedStack:
             block = x if shared else x[offset : offset + rows]
             offset += rows
             if member.middle is not None:
-                block = self._xp.to_numpy(apply(member.middle, block))
+                block = apply(member.middle, block)
             elif shared:
                 block = np.tile(x, (member.size, 1))
             blocks.append(block)
@@ -634,7 +613,7 @@ class GroupedStack:
         return maps
 
     def zero_grads(self) -> None:
-        self._xp.fill(self.arena.grads, 0.0)
+        self.arena.grads.fill(0.0)
 
     def sync_to_models(self) -> None:
         """Write every slice's parameters back into its source model."""
@@ -674,7 +653,7 @@ class GroupedStack:
         for layer in self.head + self.tail:
             layer.compact(keep)
         self.runs = int(keep.size)
-        self.arena = ParameterArena.bind(self.layers, self._xp)
+        self.arena = ParameterArena.bind(self.layers)
         self._plans = {}
 
 
@@ -755,7 +734,7 @@ def _copy_step(x, gx, y, gy):
 
 class StepPlan:
     """One :class:`GroupedStack` training step, compiled for minibatches
-    of ``per`` rows per slice (NumPy backend).
+    of ``per`` rows per slice.
 
     The plan owns the fused minibatch buffer (:attr:`inputs`) and every
     activation, gradient and mask buffer of the step, and holds a

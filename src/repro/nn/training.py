@@ -19,7 +19,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..backends import active_backend
 from ..exceptions import ConfigurationError, ShapeError, TrainingCancelled
 from .losses import CrossEntropy, Loss
 from .metrics import accuracy
@@ -208,19 +207,10 @@ def train_stack(
             f"need one rng per run: {total} runs, {len(rngs)} rngs"
         )
 
-    # Losses, accuracies and the epoch bookkeeping below are host-side
-    # NumPy; stack outputs are downloaded once per forward (identity on
-    # the NumPy backend).  The optimizer shares the stack's backend so
-    # the parameter/moment updates stay device-resident.
-    xp = active_backend()
-    # On NumPy every step runs through the stack's compiled plan for its
-    # batch shape (at most two: full and remainder minibatches); its
-    # kernels are NumPy ``out=`` calls, so device backends step layer by
-    # layer.  The plan's input buffer is float64, as the layers would
-    # convert it.
-    planned = xp.is_numpy
-    if planned:
-        x_train = np.asarray(x_train, dtype=np.float64)
+    # Every step runs through the stack's compiled plan for its batch
+    # shape (at most two: full and remainder minibatches).  The plan's
+    # input buffer is float64, as the layers would convert it.
+    x_train = np.asarray(x_train, dtype=np.float64)
     optimizer = StackedAdam(learning_rate=learning_rate)
     histories = [History() for _ in range(total)]
     # The parameter/gradient views only change when the stack compacts;
@@ -253,28 +243,21 @@ def train_stack(
             rows = idx.reshape(-1)
             yb = np.take(y_train, rows, axis=0)
             stack.zero_grads()
-            if planned:
-                plan = stack.step_plan(idx.shape[1])
-                np.take(x_train, rows, axis=0, out=plan.inputs)
-                out = plan.forward()
-            else:
-                xb = np.take(x_train, rows, axis=0)
-                out = xp.to_numpy(stack.forward(xb, training=True))
+            plan = stack.step_plan(idx.shape[1])
+            np.take(x_train, rows, axis=0, out=plan.inputs)
+            out = plan.forward()
             # Loss values and gradients per slice: the scalar loss
             # divides by the *slice's* batch, not the fused one.
             values, grad = loss.stacked(out, yb, slices)
             step_losses.append(values)
-            if planned:
-                plan.backward(grad)
-            else:
-                stack.backward(grad)
+            plan.backward(grad)
             optimizer.step(params, grads, arena=stack.arena)
         # (slices, steps): each slice's epoch mean reduces one contiguous
         # row, as the scalar loop's mean over its list of step losses.
         epoch_losses = np.stack(step_losses, axis=1)
 
-        train_out = xp.to_numpy(stack.predict_shared(x_train))
-        val_out = xp.to_numpy(stack.predict_shared(x_val))
+        train_out = stack.predict_shared(x_train)
+        val_out = stack.predict_shared(x_val)
         live = np.ones(slices, dtype=bool)
         for r in range(slices):
             history = histories[slots[r]]

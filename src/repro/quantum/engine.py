@@ -110,10 +110,10 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ..backends import COMPLEX_DTYPE, REAL_DTYPE, ArrayBackend, get_backend
 from ..exceptions import ConfigurationError, ShapeError
 from . import gates
 from .circuit import GATE_SET, Operation
+from .gates import COMPLEX_DTYPE, REAL_DTYPE
 
 __all__ = [
     "ARITHMETIC_VERSION",
@@ -265,30 +265,11 @@ class CompiledTape:
         exactly).
     n_qubits:
         Register width (1 to 5).
-    backend:
-        Optional :class:`~repro.backends.ArrayBackend` the state
-        contractions execute on (default: the NumPy backend, the
-        bit-exact reference path).  Compilation, gate matrices and layer
-        unitaries are always host-side NumPy; execution state lives on
-        the backend's device, and compile-time index tables are uploaded
-        lazily once per engine.  See ``docs/backends.md``.
     """
 
-    def __init__(
-        self,
-        ops: Sequence[Operation],
-        n_qubits: int,
-        backend: "ArrayBackend | None" = None,
-    ) -> None:
+    def __init__(self, ops: Sequence[Operation], n_qubits: int) -> None:
         if n_qubits < 1:
             raise ShapeError(f"need at least one qubit, got {n_qubits}")
-        self._xp = backend if backend is not None else get_backend("numpy")
-        #: Device copies of compile-time constants, keyed by id() of the
-        #: host array.  Only arrays owned by the (immutable, shared)
-        #: compiled plan are cached here, so keys can never be recycled
-        #: while the engine lives; clones share the cache, so a constant
-        #: uploads once per compilation, not once per layer.
-        self._dev_cache: dict[int, object] = {}
         self.n_qubits = n_qubits
         self.dim = 2**n_qubits
         ops = list(ops)
@@ -500,8 +481,8 @@ class CompiledTape:
     def clone(self) -> "CompiledTape":
         """A new engine sharing this one's (immutable) compiled plan.
 
-        The compiled artefacts (the plan's index tables, sign tables,
-        device constants) are shared by reference; execution state
+        The compiled artefacts (the plan's index and sign tables) are
+        shared by reference; execution state
         (buffer pools, the recorded forward) starts fresh.  This is how
         the compile cache hands the same compilation to many live layers
         without any state hazard: compiling is the expensive part, the
@@ -512,39 +493,6 @@ class CompiledTape:
         twin._pools = {}
         twin._last = None
         return twin
-
-    # -- backend plumbing --------------------------------------------------
-
-    @property
-    def backend(self) -> ArrayBackend:
-        """The array backend this engine's contractions execute on."""
-        return self._xp
-
-    def _dev(self, arr):
-        """Device copy of a *compile-time constant* array (cached).
-
-        Identity on the NumPy backend.  Callers must only pass arrays
-        owned by the compiled plan (phase and sign tables): the cache is
-        keyed by ``id()``, which is only stable for arrays that live as
-        long as the engine.
-        """
-        if self._xp.is_numpy:
-            return arr
-        key = id(arr)
-        dev = self._dev_cache.get(key)
-        if dev is None:
-            dev = self._dev_cache[key] = self._xp.asarray(arr)
-        return dev
-
-    def _dev_idx(self, arr):
-        """Like :meth:`_dev` but for integer index tables."""
-        if self._xp.is_numpy:
-            return arr
-        key = id(arr)
-        dev = self._dev_cache.get(key)
-        if dev is None:
-            dev = self._dev_cache[key] = self._xp.index_const(arr)
-        return dev
 
     # -- introspection -----------------------------------------------------
 
@@ -584,7 +532,7 @@ class CompiledTape:
         pair = self._pools.pop(batch, None)
         if pair is None:
             pair = [
-                self._xp.empty((batch, self.dim), dtype=self._xp.complex_dtype)
+                np.empty((batch, self.dim), dtype=COMPLEX_DTYPE)
                 for _ in range(2)
             ]
         # Dicts preserve insertion order, so the first key is always
@@ -627,13 +575,10 @@ class CompiledTape:
         Its weights past its own layers are ignored and their gradients
         come back as exact zeros.
         """
-        plan, xp = self._plan, self._xp
+        plan = self._plan
         n, dim, n_layers = self.n_qubits, self.dim, plan.n_layers
         if inputs is not None:
-            # Parameter binding and gate-matrix construction are always
-            # host-side (tiny arrays); download any device inputs and
-            # weights first.  Identity on the NumPy backend.
-            inputs = np.asarray(xp.to_numpy(inputs), dtype=np.float64)
+            inputs = np.asarray(inputs, dtype=np.float64)
             if inputs.ndim != 2:
                 raise ShapeError(
                     f"inputs must be (batch, n_features), got {inputs.shape}"
@@ -644,7 +589,7 @@ class CompiledTape:
                     f"have {inputs.shape[1]} features"
                 )
         if weights is not None:
-            weights = np.asarray(xp.to_numpy(weights), dtype=np.float64)
+            weights = np.asarray(weights, dtype=np.float64)
             needed = plan.max_weight
             if weights.ndim == 2 and runs is not None:
                 if weights.shape[0] != runs:
@@ -721,12 +666,9 @@ class CompiledTape:
             # circuit bit for bit.
             padded = np.nonzero(np.arange(n_layers) >= depths[:, None])
             unitary[padded] = np.eye(dim, dtype=unitary.dtype)
-        unitary = xp.asarray(unitary)
 
         if record:
-            states = xp.empty(
-                (n_layers + 1, batch, dim), dtype=xp.complex_dtype
-            )
+            states = np.empty((n_layers + 1, batch, dim), dtype=COMPLEX_DTYPE)
             state = states[0]
             bufs = [states[l] for l in range(1, n_layers + 1)]
         else:
@@ -739,9 +681,9 @@ class CompiledTape:
         for lo in range(0, batch, _BLOCK_ROWS):
             rows = slice(lo, lo + _BLOCK_ROWS)
             block = None if encoding is None else encoding[rows]
-            state[rows] = xp.asarray(self._product_state(block))
+            state[rows] = self._product_state(block)
         for l, out in enumerate(bufs):
-            xp.einsum(
+            np.einsum(
                 _DENSE_APPLY,
                 state.reshape(n_u, -1, dim),
                 unitary[:, l],
@@ -828,12 +770,9 @@ class CompiledTape:
     ) -> np.ndarray:
         """Like :meth:`execute` but returns an owned ``(B, 2, ..., 2)`` copy
 
-        (the same layout as :func:`repro.quantum.circuit.run`).  Always
-        a host ndarray, whatever the backend.
+        (the same layout as :func:`repro.quantum.circuit.run`).
         """
-        state = self._xp.to_numpy(
-            self.execute(inputs=inputs, weights=weights, batch=batch)
-        )
+        state = self.execute(inputs=inputs, weights=weights, batch=batch)
         b = state.shape[0]
         return state.reshape((b,) + (2,) * self.n_qubits).copy()
 
@@ -867,12 +806,6 @@ class CompiledTape:
                     )
             signs = signs[wires]
             n_signs = len(wires)
-        if not self._xp.is_numpy:
-            state = self._xp.asarray(state, dtype=self._xp.complex_dtype)
-            signs = (
-                self._dev(signs) if wires is None
-                else self._xp.asarray(signs)
-            )
         blocks = runs or 1
         rows = state.shape[0]
         if rows % blocks != 0:
@@ -884,11 +817,12 @@ class CompiledTape:
         # temporaries stay near _BLOCK_ROWS rows; each run's gemm is the
         # same call whatever runs share its block.
         step = max(1, _BLOCK_ROWS // max(1, per))
-        out = self._xp.empty((blocks, per, n_signs))
+        out = np.empty((blocks, per, n_signs), dtype=REAL_DTYPE)
         for lo in range(0, blocks, step):
             hi = min(lo + step, blocks)
-            probs = self._xp.abs2(state[lo * per : hi * per])
-            self._xp.matmul(
+            z = state[lo * per : hi * per]
+            probs = z.real**2 + z.imag**2
+            np.matmul(
                 probs.reshape(hi - lo, per, -1), signs.T, out=out[lo:hi]
             )
         return out.reshape(rows, n_signs)
@@ -923,15 +857,14 @@ class CompiledTape:
                 "adjoint_gradients needs a recorded forward; call "
                 "execute(record=True) first"
             )
-        plan, xp, last = self._plan, self._xp, self._last
+        plan, last = self._plan, self._last
         batch, runs = last["batch"], last["runs"]
         states, unitary = last["states"], last["unitary"]
         n, dim, n_layers = self.n_qubits, self.dim, plan.n_layers
         n_u = unitary.shape[0]
         blocks = runs or 1
-        idx = self._dev_idx
 
-        grad_out = xp.as_real(grad_out)
+        grad_out = np.asarray(grad_out, dtype=REAL_DTYPE)
         signs = self._z_signs
         if measure_wires is not None:
             signs = signs[list(measure_wires)]
@@ -940,27 +873,22 @@ class CompiledTape:
                 f"grad_out must be ({batch}, {signs.shape[0]}), "
                 f"got {tuple(grad_out.shape)}"
             )
-        if not xp.is_numpy:
-            signs = (
-                self._dev(signs) if measure_wires is None
-                else xp.asarray(signs)
-            )
         # Seed |bra_b> = (sum_k g_bk Z_k)|psi_b>: the Z combination is a
         # diagonal, so it is one matmul against the sign table followed by
         # an elementwise product with the final state.  The matmul is
         # batched over run blocks, one gemm per block, so the gemm's row
         # count — and with it BLAS's rounding — matches a per-run
         # execution exactly.
-        seed = xp.matmul(
+        seed = np.matmul(
             grad_out.reshape(blocks, batch // blocks, -1), signs
         ).reshape(batch, dim)
 
         # bras[l] is the bra before layer l (bras[L]: the seeded bra).
-        bras = xp.empty((n_layers + 1, batch, dim), dtype=xp.complex_dtype)
-        xp.multiply(seed, states[n_layers], bras[n_layers])
-        inverse = xp.ascontiguousarray(xp.conj_transpose(unitary))
+        bras = np.empty((n_layers + 1, batch, dim), dtype=COMPLEX_DTYPE)
+        np.multiply(seed, states[n_layers], out=bras[n_layers])
+        inverse = np.ascontiguousarray(np.conj(np.swapaxes(unitary, -1, -2)))
         for l in range(n_layers - 1, -1, -1):
-            xp.einsum(
+            np.einsum(
                 _DENSE_APPLY,
                 bras[l + 1].reshape(n_u, -1, dim),
                 inverse[:, l],
@@ -971,13 +899,13 @@ class CompiledTape:
         # (rows, 2**n) gemm per (layer, block), so a block's arithmetic
         # does not depend on how many blocks run beside it.
         slices = (n_layers * blocks, -1, dim)
-        overlap = xp.matmul(
-            xp.conj_transpose(bras[:n_layers].reshape(slices)),
+        overlap = np.matmul(
+            np.conj(np.swapaxes(bras[:n_layers].reshape(slices), -1, -2)),
             states[:n_layers].reshape(slices),
         ).reshape((n_layers, blocks) + (2,) * (2 * n))
-        reduced = xp.empty((blocks, n_layers, n, 2, 2), dtype=xp.complex_dtype)
+        reduced = np.empty((blocks, n_layers, n, 2, 2), dtype=COMPLEX_DTYPE)
         for w, spec in enumerate(plan.traces):
-            xp.einsum(spec, overlap, out=reduced[:, :, w])
+            np.einsum(spec, overlap, out=reduced[:, :, w])
         derivs = GATE_SET[plan.gate].deriv_fn(*last["args"])
         if isinstance(derivs, tuple):
             derivs = np.stack(derivs)
@@ -990,35 +918,31 @@ class CompiledTape:
         # With weights shared by every run (n_u == 1 < blocks) the run
         # axis of ``local`` broadcasts: each block still sums only its
         # own samples.
-        grads = 2.0 * xp.einsum(
-            "prlwac,rlwac->rlwp", xp.asarray(local), reduced
-        ).real
+        grads = 2.0 * np.einsum("prlwac,rlwac->rlwp", local, reduced).real
         if last["padded"] is not None:
             # A run's layers past its depth hold no weights of its own.
-            grads[tuple(xp.index_const(i) for i in last["padded"])] = 0.0
+            grads[last["padded"]] = 0.0
         if runs is not None:
-            weight_grads = xp.zeros((runs, n_weights), dtype=xp.real_dtype)
-            weight_grads[:, idx(plan.wflat)] = grads.reshape(blocks, -1)
+            weight_grads = np.zeros((runs, n_weights), dtype=REAL_DTYPE)
+            weight_grads[:, plan.wflat] = grads.reshape(blocks, -1)
         else:
-            weight_grads = xp.zeros(n_weights, dtype=xp.real_dtype)
-            weight_grads[idx(plan.wflat)] = grads.reshape(-1)
+            weight_grads = np.zeros(n_weights, dtype=REAL_DTYPE)
+            weight_grads[plan.wflat] = grads.reshape(-1)
 
         # Input gradients: 2 Re <bra_0| G_w |psi_0> for every encoded
         # wire, with G_w psi_0 one gather and one phase multiply.
-        input_grads = xp.zeros((batch, n_inputs), dtype=xp.real_dtype)
+        input_grads = np.zeros((batch, n_inputs), dtype=REAL_DTYPE)
         n_enc = plan.enc_wires.size
         if n_enc:
-            moved = xp.empty(
-                (batch, plan.gen_idx.size), dtype=xp.complex_dtype
-            )
-            xp.take(states[0], idx(plan.gen_idx), moved)
-            xp.multiply(moved, self._dev(plan.gen_phase), moved)
-            overlaps = xp.einsum(
+            moved = np.empty((batch, plan.gen_idx.size), dtype=COMPLEX_DTYPE)
+            np.take(states[0], plan.gen_idx, axis=1, out=moved)
+            np.multiply(moved, plan.gen_phase, out=moved)
+            overlaps = np.einsum(
                 "bk,bwk->bw",
                 bras[0].conj(),
                 moved.reshape(batch, n_enc, dim),
             )
-            input_grads[:, idx(plan.enc_inputs)] = 2.0 * overlaps.real
+            input_grads[:, plan.enc_inputs] = 2.0 * overlaps.real
         self._last = None
         return input_grads, weight_grads
 
@@ -1128,27 +1052,19 @@ def compile_cache_scope() -> Iterator[None]:
             disable_compile_cache()
 
 
-def compiled_tape(
-    ops: Sequence[Operation],
-    n_qubits: int,
-    backend: "ArrayBackend | None" = None,
-) -> CompiledTape:
+def compiled_tape(ops: Sequence[Operation], n_qubits: int) -> CompiledTape:
     """Compile a tape, consulting the process-wide cache when enabled.
 
-    With the cache disabled this is exactly ``CompiledTape(ops, n_qubits,
-    backend=backend)``.  With it enabled, structurally identical tapes
-    share one compilation and each call receives its own
+    With the cache disabled this is exactly ``CompiledTape(ops,
+    n_qubits)``.  With it enabled, structurally identical tapes share
+    one compilation and each call receives its own
     :meth:`~CompiledTape.clone`; see the cache contract above for what
-    callers must rebind.  The cache key includes the backend name, so a
-    torch-backed layer never receives a numpy-backed engine (or vice
-    versa); ``backend=None`` means the NumPy backend — device execution
-    is an explicit opt-in per compilation.
+    callers must rebind.
     """
     global _CACHE_HITS, _CACHE_MISSES, _CACHE_EVICTIONS
-    xp = backend if backend is not None else get_backend("numpy")
     if _COMPILE_CACHE is None:
-        return CompiledTape(ops, n_qubits, backend=xp)
-    key = (xp.name,) + _structure_key(ops, n_qubits)
+        return CompiledTape(ops, n_qubits)
+    key = _structure_key(ops, n_qubits)
     engine = _COMPILE_CACHE.get(key)
     if engine is not None:
         _CACHE_HITS += 1
@@ -1156,7 +1072,7 @@ def compiled_tape(
         _COMPILE_CACHE[key] = _COMPILE_CACHE.pop(key)
         return engine.clone()
     _CACHE_MISSES += 1
-    engine = CompiledTape(ops, n_qubits, backend=xp)
+    engine = CompiledTape(ops, n_qubits)
     _COMPILE_CACHE[key] = engine
     while len(_COMPILE_CACHE) > _COMPILE_CACHE_MAX:
         del _COMPILE_CACHE[next(iter(_COMPILE_CACHE))]

@@ -22,10 +22,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..backends import COMPLEX_DTYPE, REAL_DTYPE
 from ..exceptions import GateError
 
 __all__ = [
+    "COMPLEX_DTYPE",
+    "REAL_DTYPE",
     "I2",
     "PAULI_X",
     "PAULI_Y",
@@ -51,6 +52,12 @@ __all__ = [
     "controlled",
     "is_unitary",
 ]
+
+#: Complex and real dtypes of the whole simulation substrate: every
+#: kernel, gate builder and buffer allocation uses these two constants,
+#: so no kernel silently upcasts or downcasts.
+COMPLEX_DTYPE = np.complex128
+REAL_DTYPE = np.float64
 
 # --------------------------------------------------------------------------
 # Fixed gates

@@ -150,9 +150,9 @@ def compiled_parameter_shift_gradients(
     state = engine.execute(
         inputs=run_inputs, weights=run_weights, batch=runs * batch, runs=runs
     )
-    exp = engine.backend.to_numpy(
-        engine.expvals(state, wires=measure_wires, runs=runs)
-    ).reshape(n_params, 2, batch, -1)
+    exp = engine.expvals(state, wires=measure_wires, runs=runs).reshape(
+        n_params, 2, batch, -1
+    )
     per_sample = np.sum(grad_out * (0.5 * (exp[:, 0] - exp[:, 1])), axis=2)
 
     input_grads = np.zeros((batch, n_inputs), dtype=np.float64)

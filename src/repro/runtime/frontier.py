@@ -54,8 +54,6 @@ class SearchEvent:
     * ``"memory-degrade"``: an out-of-memory failure walked the recovery
       ladder (results are unchanged, only the execution shape degraded);
     * ``"group-resize"``: the memory budget resized an in-process group;
-    * ``"backend-fallback"``: a requested array backend was unimportable
-      and the search fell back to NumPy (once per search);
     * ``"worker-lost"``, ``"chunk-overdue"``, ``"chunk-timeout"``: a
       pool worker died, or a chunk passed its soft or hard deadline;
     * ``"lease-expired"``: a chunk was reclaimed from a dead or

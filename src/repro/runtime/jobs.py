@@ -29,18 +29,17 @@ agents and the in-process executor
 (:meth:`repro.runtime.frontier.SearchFrontier.run_in_process`).  It
 turns a list of jobs into per-run :class:`RunResult` / :class:`RunError`
 entries, degrading an out-of-memory sweep stepwise (halve the group,
-retry on NumPy, fall to the scalar loop) and re-attributing any other
+fall to the scalar loop) and re-attributing any other
 sweep failure to its exact ``(candidate, run)`` through the scalar loop.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from ..backends import resolve_backend, use_backend
 from ..exceptions import TrainingCancelled
 from ..nn.optimizers import Adam
 from ..nn.stacked import stack_candidates
@@ -110,20 +109,6 @@ class RunError:
     run: int
     error: Exception
     attempts: int = 1
-
-
-def _settings_backend(settings: "TrainingSettings"):
-    """The ``use_backend`` scope for one job's settings.
-
-    Resolves ``settings.backend`` (explicit > ``REPRO_BACKEND`` env >
-    process default > numpy) with the standard fallback-to-numpy when
-    the requested backend is unimportable; the structured fallback
-    event is emitted once by the grid search, not per job.  Scoping the
-    active backend around each stacked sweep is what lets pooled
-    workers and the sequential path share one selection mechanism.
-    """
-    backend, _ = resolve_backend(settings.backend)
-    return use_backend(backend)
 
 
 def execute_job(
@@ -253,35 +238,32 @@ def execute_candidates(
     ]
     if len(slices) < 2:
         return None
-    with _settings_backend(settings):
-        rngs = [
-            np.random.default_rng((seed, candidate_index, run))
-            for _, candidate_index, run in slices
-        ]
-        models = [
-            spec.build(rng=rng) for (spec, _, _), rng in zip(slices, rngs)
-        ]
-        model_groups = []
-        offset = 0
-        for _, _, runs in group:
-            model_groups.append(models[offset : offset + len(runs)])
-            offset += len(runs)
-        stack = stack_candidates(model_groups)
-        if stack is None:
-            return None
-        histories = train_stack(
-            stack,
-            split.x_train,
-            split.y_train,
-            split.x_val,
-            split.y_val,
-            epochs=settings.epochs,
-            batch_size=settings.batch_size,
-            learning_rate=settings.learning_rate,
-            rngs=rngs,
-            early_stop_threshold=settings.early_stop_threshold,
-            cancel_check=cancel_check,
-        )
+    rngs = [
+        np.random.default_rng((seed, candidate_index, run))
+        for _, candidate_index, run in slices
+    ]
+    models = [spec.build(rng=rng) for (spec, _, _), rng in zip(slices, rngs)]
+    model_groups = []
+    offset = 0
+    for _, _, runs in group:
+        model_groups.append(models[offset : offset + len(runs)])
+        offset += len(runs)
+    stack = stack_candidates(model_groups)
+    if stack is None:
+        return None
+    histories = train_stack(
+        stack,
+        split.x_train,
+        split.y_train,
+        split.x_val,
+        split.y_val,
+        epochs=settings.epochs,
+        batch_size=settings.batch_size,
+        learning_rate=settings.learning_rate,
+        rngs=rngs,
+        early_stop_threshold=settings.early_stop_threshold,
+        cancel_check=cancel_check,
+    )
     return [
         _to_result(candidate_index, run, history, settings)
         for (_, candidate_index, run), history in zip(slices, histories)
@@ -349,8 +331,7 @@ def _ladder(
 
     * An *out-of-memory* sweep is a resource, not a correctness,
       problem: a multi-candidate group halves and each half walks the
-      ladder again; a lone candidate retries on the NumPy backend
-      (device OOMs usually fit in host RAM); the scalar per-run loop is
+      ladder again; a lone candidate falls to the scalar per-run loop,
       the floor.  Each step counts one ``memory_degrades``.
     * Any *other* sweep failure cannot be attributed to one run from
       inside the fused sweep: a group splits per candidate and a lone
@@ -373,35 +354,28 @@ def _ladder(
             (jobs[0].spec, jobs[0].candidate_index, [job.run for job in jobs])
             for jobs in items
         ]
-        steps = [settings]
-        numpy = resolve_backend(settings.backend)[0].is_numpy
-        if len(items) == 1 and not numpy:
-            steps.append(replace(settings, backend="numpy"))
-        for step in steps:
-            try:
-                _maybe_inject_oom(inject)
-                results = execute_candidates(
-                    group,
-                    items[0][0].seed,
-                    split,
-                    step,
-                    cancel_check=cancel_check,
-                )
-            except TrainingCancelled:
-                raise
-            except Exception as exc:  # noqa: BLE001 - classified below
-                if not is_memory_error(exc):
-                    fallback = True
-                    break
+        try:
+            _maybe_inject_oom(inject)
+            results = execute_candidates(
+                group,
+                items[0][0].seed,
+                split,
+                settings,
+                cancel_check=cancel_check,
+            )
+        except TrainingCancelled:
+            raise
+        except Exception as exc:  # noqa: BLE001 - classified below
+            if not is_memory_error(exc):
+                fallback = True
+            else:
                 degrades += 1
                 if len(items) > 1:
                     mid = (len(items) + 1) // 2
                     parts = [items[:mid], items[mid:]]
-                    break
-            else:
-                if results is not None:
-                    return results, False, degrades
-                break
+        else:
+            if results is not None:
+                return results, False, degrades
     elif inject and inject[0]:
         # No fused sweep to inject into (scalar chunk): the ladder's
         # floor *is* the scalar path, so the fault is absorbed here —

@@ -11,7 +11,7 @@ written.
 Records are keyed by :func:`search_key`, a hash over everything that
 determines the result stream: the ranked candidate list, the dataset
 split, the threshold, the base seed, the counting convention, the
-result-affecting training settings and the resolved array backend.
+result-affecting training settings.
 Runs derive their RNG streams from ``(seed, candidate_index, run)``,
 so a candidate's journaled result is bit-identical to what a rerun
 would recompute — resuming skips completed candidates and the
@@ -73,9 +73,7 @@ def search_key(
 ) -> str:
     """Hash of everything that determines a search's result stream.
 
-    Covers the split's arrays (shape, dtype and bytes), the name of
-    the *resolved* array backend — only NumPy is bit-exact, so a journal
-    written on one backend must not resume on another — and the
+    Covers the split's arrays (shape, dtype and bytes) and the
     engine's :data:`~repro.quantum.engine.ARITHMETIC_VERSION`, so a
     journal written by older kernels is not resumed as current.  Of the
     settings, only the fields tagged ``affects_results`` participate

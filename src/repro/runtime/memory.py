@@ -8,9 +8,9 @@ makes memory a governed resource:
 
 * :func:`resolve_memory_budget` turns ``TrainingSettings.memory_budget``
   (``--memory-budget`` on the CLI) into one byte count, or, when it is
-  unset, a fraction of the backend's
-  :meth:`~repro.backends.ArrayBackend.free_bytes` probe.  The group
-  planner and the pool scheduler size admissions against it.
+  unset, a fraction of the host's available memory (``MemAvailable``
+  in ``/proc/meminfo``).  The group planner and the pool scheduler
+  size admissions against it.
 * :func:`estimate_group_bytes` is the analytic peak-bytes model of a
   fused group, built from the specs alone: each member's
   :func:`estimate_candidate_bytes` (parameter stacks with Adam moments,
@@ -18,7 +18,7 @@ makes memory a governed resource:
   stacks) at the group's deepest ``n_layers``, since a fused quantum
   layer runs every slice at its deepest member's depth.
 * :func:`is_memory_error` classifies an exception as a *resource*
-  failure (host ``MemoryError``, CUDA/CuPy OOM, shm ``ENOSPC``) so the
+  failure (``MemoryError``, ``ENOMEM``, shm ``ENOSPC``) so the
   chunk runner degrades gracefully instead of retrying the same
   oversized allocation as if a worker had crashed.
 
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import sys
+import os
 from typing import Sequence
 
 from ..config import MEMORY_BUDGET_FRACTION
@@ -92,8 +92,8 @@ def resolve_memory_budget(setting: "float | None" = None) -> int | None:
 
     ``setting`` is ``TrainingSettings.memory_budget`` (fed by
     ``--memory-budget``); a non-positive value turns governance off.
-    Unset, the budget is ``MEMORY_BUDGET_FRACTION`` of the active
-    backend's free-memory probe, or ``None`` when the probe cannot tell.
+    Unset, the budget is ``MEMORY_BUDGET_FRACTION`` of the host's
+    available memory, or ``None`` when the probe cannot tell.
     """
     if setting is not None:
         value = float(setting)
@@ -103,9 +103,7 @@ def resolve_memory_budget(setting: "float | None" = None) -> int | None:
             )
         return int(value) if value > 0 else None
     try:
-        from ..backends import active_backend
-
-        free = active_backend().free_bytes()
+        free = _free_host_bytes()
     except Exception:  # pragma: no cover - probe must never break a search
         return None
     if free is None:
@@ -113,36 +111,36 @@ def resolve_memory_budget(setting: "float | None" = None) -> int | None:
     return int(free * MEMORY_BUDGET_FRACTION)
 
 
-def is_memory_error(exc: BaseException) -> bool:
-    """Whether ``exc`` is an out-of-memory *resource* failure.
+def _free_host_bytes() -> "int | None":
+    """Available host RAM in bytes (``/proc/meminfo`` ``MemAvailable``,
+    falling back to ``sysconf``), or ``None`` when neither can tell."""
+    try:
+        with open("/proc/meminfo", "rb") as fh:
+            for line in fh:
+                if line.startswith(b"MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
+    try:
+        pages = os.sysconf("SC_AVPHYS_PAGES")
+        page_size = os.sysconf("SC_PAGE_SIZE")
+    except (ValueError, OSError, AttributeError):
+        return None
+    if pages <= 0 or page_size <= 0:
+        return None
+    return int(pages) * int(page_size)
 
-    Covers host ``MemoryError``, ``OSError`` with ``ENOMEM``/``ENOSPC``
-    (shm segments live on a size-capped tmpfs), and — only when the
-    module is already imported, so the check never imports a device
-    stack — ``torch.cuda.OutOfMemoryError`` and CuPy's
-    ``OutOfMemoryError``.
-    """
+
+def is_memory_error(exc: BaseException) -> bool:
+    """Whether ``exc`` is an out-of-memory *resource* failure:
+    ``MemoryError``, or ``OSError`` with ``ENOMEM``/``ENOSPC`` (shm
+    segments live on a size-capped tmpfs)."""
     if isinstance(exc, MemoryError):
         return True
     if isinstance(exc, OSError):
         import errno
 
         if exc.errno in (errno.ENOMEM, errno.ENOSPC):
-            return True
-    torch = sys.modules.get("torch")
-    if torch is not None:
-        cuda_oom = getattr(
-            getattr(torch, "cuda", None), "OutOfMemoryError", None
-        )
-        if cuda_oom is not None and isinstance(exc, cuda_oom):
-            return True
-    cupy = sys.modules.get("cupy")
-    if cupy is not None:
-        cp_oom = getattr(
-            getattr(cupy, "cuda", None), "memory", None
-        )
-        cp_oom = getattr(cp_oom, "OutOfMemoryError", None)
-        if cp_oom is not None and isinstance(exc, cp_oom):
             return True
     return False
 

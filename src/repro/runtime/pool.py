@@ -278,31 +278,19 @@ _CTRL = None
 _ATTACHED: dict[str, tuple["SharedMemory", "DataSplit"]] = {}
 
 
-def _init_pool_worker(
-    ctrl_name: str, backend_name: "str | None" = None
-) -> None:
+def _init_pool_worker(ctrl_name: str) -> None:
     """Pool initializer: tiny payload by design (one segment name).
 
     Candidate runs rebuild structurally identical circuits over and
     over; the compiled-tape cache persists for the worker's lifetime,
     which with a persistent pool now spans *every* search of a protocol
     run.
-
-    ``backend_name`` installs the pool's array backend as this worker's
-    process default (:func:`repro.backends.set_default_backend`), so
-    jobs whose settings carry no explicit backend still inherit the
-    pool's.  An unimportable backend falls back to NumPy here exactly
-    as it does in the driver (the driver emits the structured event).
     """
     global _CTRL_NAME
     _CTRL_NAME = ctrl_name
     from ..quantum.engine import enable_compile_cache
 
     enable_compile_cache()
-    if backend_name is not None:
-        from ..backends import resolve_backend, set_default_backend
-
-        set_default_backend(resolve_backend(backend_name)[0])
 
 
 def _cancel_floor() -> int:
@@ -705,15 +693,10 @@ class PersistentPool:
     for the dataset-publication and cancellation protocols.
     """
 
-    def __init__(self, workers: int, backend: "str | None" = None):
+    def __init__(self, workers: int):
         if workers < 1:
             raise SearchError(f"pool needs workers >= 1, got {workers}")
         self.workers = workers
-        #: Array backend name installed as each worker's process default
-        #: (``None`` = NumPy).  Workers resolve it in their initializer,
-        #: so jobs inherit the pool's backend even when their settings
-        #: carry none.
-        self.backend = backend
         self._generation = 0
         #: Segments reclaimed from previously *crashed* runs at startup
         #: (a parent killed before its unlinks leaves tmpfs garbage; a
@@ -725,7 +708,7 @@ class PersistentPool:
         self._ctrl.buf[: faults.CTRL_SIZE] = bytes(faults.CTRL_SIZE)
         self._segments: dict[str, _PublishedSplit] = {}
         self._by_id: dict[int, str] = {}
-        self._initargs = (self._ctrl.name, backend)
+        self._initargs = (self._ctrl.name,)
         #: Instrumentation: the pickled initializer payload shipped to
         #: each worker.  PR 2 shipped the whole DataSplit here; now it
         #: is one segment name, constant in dataset size (asserted by
@@ -797,7 +780,6 @@ class PersistentPool:
         """
         return {
             "workers": self.workers,
-            "backend": self.backend,
             "searches_started": self.searches_started,
             "chunk_retries": self.chunk_retries,
             "chunk_timeouts": self.chunk_timeouts,

@@ -7,7 +7,8 @@ the sign of zero — for every layout the plan compiles: dense steps
 with fused ReLUs, opaque steps (Softmax, the quantum layer), members
 without a middle, groups without a head or a tail, and remainder
 minibatches.  The plan cache builds
-one plan per batch shape and starts over after a compaction.
+one plan per batch shape and starts over after a compaction, and
+``train_stack`` steps only through the plan.
 """
 
 import numpy as np
@@ -196,3 +197,30 @@ class TestPlanCache:
         assert second is not first
         assert builds == [8, 8]
         assert second.inputs.shape == (3 * 8, 4)
+
+
+class TestTrainingStepsOnlyThroughThePlan:
+    """``GroupedStack.forward``/``backward`` are the reference the plan
+    is compared against above; training never calls them, and only
+    ``predict_shared`` evaluates."""
+
+    @pytest.mark.parametrize("name", ["classical-seq", "sel-depths"])
+    def test_train_stack_never_walks_the_layers(self, name, monkeypatch):
+        stack = build(LAYOUTS[name][0])
+        calls = []
+
+        def spy(method):
+            original = getattr(stacked.GroupedStack, method)
+
+            def record(self, *args, **kwargs):
+                calls.append(method)
+                return original(self, *args, **kwargs)
+
+            monkeypatch.setattr(stacked.GroupedStack, method, record)
+
+        for method in ("forward", "backward", "predict_shared"):
+            spy(method)
+        x, y = minibatch(stack, 5, seed=4)
+        x, y = x[:21], y[:21]
+        train_stack(stack, x, y, x[:9], y[:9], epochs=2, batch_size=8)
+        assert calls == ["predict_shared"] * 4

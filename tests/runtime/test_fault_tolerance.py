@@ -401,29 +401,6 @@ class TestJournalResume:
         again = grid_search(**kwargs, workers=1, journal=str(journal))
         _assert_same_outcome(again, first)
 
-    def test_key_covers_resolved_backend(self, easy_split, monkeypatch):
-        """Only NumPy is bit-exact: a journal written on one resolved
-        backend must not resume on another."""
-        from repro import backends
-        from repro.core.grid_search import rank_by_flops
-        from repro.flops.conventions import get_convention
-        from repro.runtime.journal import search_key
-
-        class DeviceBackend(backends.ArrayBackend):
-            name = "torch"
-
-        # Register a stand-in so "torch" resolves even where the
-        # library is not installed.
-        monkeypatch.setitem(backends._INSTANCES, "torch", DeviceBackend())
-        conv = get_convention("paper")
-        ranked = rank_by_flops(small_space(), conv)
-
-        def key(backend):
-            settings = _settings(backend=backend)
-            return search_key(ranked, easy_split, 1.01, settings, conv, 5)
-
-        assert key("torch") != key("numpy")
-
     def test_journal_from_other_arithmetic_is_ignored(
         self, easy_split, tmp_path, monkeypatch
     ):

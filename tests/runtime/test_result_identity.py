@@ -28,6 +28,7 @@ from repro.core.search_space import (
 )
 from repro.data import make_spiral, stratified_split
 from repro.data.splits import DataSplit
+from repro.exceptions import ConfigurationError
 from repro.experiments.runner import cache_name
 from repro.flops.conventions import get_convention
 from repro.runtime import PersistentPool, search_key
@@ -314,3 +315,23 @@ def test_numpy_runs_share_the_reference_name(monkeypatch):
     monkeypatch.setenv("REPRO_BACKEND", "numpy")
     assert cache_name("smoke") == "smoke"
     assert cache_name("smoke", backend="numpy") == "smoke"
+
+
+# -- the legacy backend setting ----------------------------------------------
+
+
+@pytest.mark.parametrize("cls", CONFIGS, ids=lambda c: c.__name__)
+def test_only_numpy_is_a_backend(cls):
+    assert cls(backend="numpy").backend == "numpy"
+    with pytest.raises(ConfigurationError, match="backend"):
+        cls(backend="torch")
+
+
+def test_backend_env_var_forks_nothing(monkeypatch):
+    """Nothing reads ``REPRO_BACKEND``: it forks neither a cache name
+    nor a journal key."""
+    monkeypatch.setenv("REPRO_BACKEND", "torch")
+    assert cache_name("smoke") == "smoke"
+    assert _key(KEYED) == (
+        "615f833e52c60ad304a02f56a1e3c6c9f7bf1d3f68cb549b94f0e971bec8ee2a"
+    )

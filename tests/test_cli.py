@@ -65,6 +65,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(argv)
 
+    def test_backend_flag_is_gone(self):
+        """Every run is NumPy; ``--backend`` is an unknown argument."""
+        with pytest.raises(SystemExit) as exc:
+            main(["fig4", "--backend", "torch"])
+        assert exc.value.code == 2
+
     def test_cluster_agent_requires_spool(self):
         """``cluster-agent`` without ``--connect`` is a usage error."""
         with pytest.raises(SystemExit):
@@ -170,9 +176,8 @@ class TestMain:
                 return super().load_json(path)
 
         class _FakePool:
-            def __init__(self, workers, backend=None):
+            def __init__(self, workers):
                 self.workers = workers
-                self.backend = backend
                 self.cost_model = _FakeCostModel()
                 self.closed = False
 
@@ -188,10 +193,7 @@ class TestMain:
 
         monkeypatch.setattr(
             "repro.runtime.pool.PersistentPool",
-            lambda workers, backend=None: created.append(
-                _FakePool(workers, backend)
-            )
-            or created[-1],
+            lambda workers: created.append(_FakePool(workers)) or created[-1],
         )
         monkeypatch.setattr(cli_mod, "_dispatch", fake_dispatch)
         return created
