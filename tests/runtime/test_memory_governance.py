@@ -42,6 +42,7 @@ from repro.runtime.memory import (
     parse_memory_budget,
     resolve_memory_budget,
 )
+from repro.runtime import memory as memory_mod
 from repro.runtime import parallel as parallel_mod
 from repro.runtime.pool import ChunkCostModel
 
@@ -195,6 +196,104 @@ class TestMemoryErrorClassification:
     def test_ordinary_errors_are_not(self):
         assert not is_memory_error(ValueError("shape mismatch"))
         assert not is_memory_error(OSError(errno.ENOENT, "missing"))
+
+    @pytest.mark.parametrize(
+        "name,message",
+        [
+            ("OutOfMemoryError", "CUDA out of memory"),
+            ("RuntimeError", "CUDA out of memory. Tried to allocate 2 GiB"),
+            ("OutOfMemoryError", "Out of memory allocating 1024 bytes"),
+        ],
+    )
+    def test_device_library_errors_are_not(self, name, message):
+        """Only host allocations are classified: an error named or
+        worded like a GPU library's OOM is an ordinary failure."""
+        exc = type(name, (RuntimeError,), {})(message)
+        assert not is_memory_error(exc)
+
+
+class TestHostProbe:
+    """``_free_host_bytes`` reads ``MemAvailable`` from
+    ``/proc/meminfo`` and falls back to ``sysconf``."""
+
+    @staticmethod
+    def _meminfo(monkeypatch, text=None):
+        """Serve ``text`` as ``/proc/meminfo``; ``None`` makes it
+        unreadable."""
+        real_open = open
+
+        def fake_open(path, *args, **kwargs):
+            if path != "/proc/meminfo":
+                return real_open(path, *args, **kwargs)
+            if text is None:
+                raise OSError(errno.ENOENT, "no meminfo")
+            import io
+
+            return io.BytesIO(text.encode())
+
+        monkeypatch.setattr(memory_mod, "open", fake_open, raising=False)
+
+    @staticmethod
+    def _sysconf(monkeypatch, pages, page_size):
+        values = {"SC_AVPHYS_PAGES": pages, "SC_PAGE_SIZE": page_size}
+
+        def fake_sysconf(name):
+            value = values[name]
+            if isinstance(value, Exception):
+                raise value
+            return value
+
+        monkeypatch.setattr(memory_mod.os, "sysconf", fake_sysconf)
+
+    def test_reads_mem_available(self, monkeypatch):
+        self._meminfo(
+            monkeypatch,
+            "MemTotal:  8000 kB\nMemFree:  100 kB\nMemAvailable:  2048 kB\n",
+        )
+        self._sysconf(monkeypatch, 1, 1)
+        assert memory_mod._free_host_bytes() == 2048 * 1024
+
+    def test_unreadable_meminfo_falls_back_to_sysconf(self, monkeypatch):
+        self._meminfo(monkeypatch, None)
+        self._sysconf(monkeypatch, 300, 4096)
+        assert memory_mod._free_host_bytes() == 300 * 4096
+
+    def test_meminfo_without_available_falls_back(self, monkeypatch):
+        self._meminfo(monkeypatch, "MemTotal:  8000 kB\nMemFree:  1 kB\n")
+        self._sysconf(monkeypatch, 7, 4096)
+        assert memory_mod._free_host_bytes() == 7 * 4096
+
+    @pytest.mark.parametrize(
+        "pages,page_size",
+        [
+            (0, 4096),
+            (10, 0),
+            (-1, 4096),
+            (ValueError("unknown name"), 4096),
+            (10, OSError(errno.EINVAL, "unsupported")),
+        ],
+    )
+    def test_no_answer_is_none(self, monkeypatch, pages, page_size):
+        self._meminfo(monkeypatch, None)
+        self._sysconf(monkeypatch, pages, page_size)
+        assert memory_mod._free_host_bytes() is None
+
+    def test_budget_is_a_fraction_of_the_probe(self, monkeypatch):
+        monkeypatch.setattr(memory_mod, "_free_host_bytes", lambda: 1000)
+        assert resolve_memory_budget(None) == int(
+            1000 * memory_mod.MEMORY_BUDGET_FRACTION
+        )
+
+    def test_silent_probe_turns_governance_off(self, monkeypatch):
+        monkeypatch.setattr(memory_mod, "_free_host_bytes", lambda: None)
+        assert resolve_memory_budget(None) is None
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/meminfo"), reason="no /proc/meminfo"
+    )
+    def test_live_probe_is_positive(self):
+        free = memory_mod._free_host_bytes()
+        assert isinstance(free, int) and free > 0
 
 
 class TestAnalyticEstimates:

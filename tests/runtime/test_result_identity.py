@@ -335,3 +335,66 @@ def test_backend_env_var_forks_nothing(monkeypatch):
     assert _key(KEYED) == (
         "615f833e52c60ad304a02f56a1e3c6c9f7bf1d3f68cb549b94f0e971bec8ee2a"
     )
+
+
+@pytest.mark.parametrize("cls", CONFIGS, ids=lambda c: c.__name__)
+@pytest.mark.parametrize("name", ["cupy", "jax", "NumPy", "", "cpu"])
+def test_unknown_backends_are_rejected(cls, name):
+    with pytest.raises(ConfigurationError, match="backend"):
+        cls(backend=name)
+
+
+@pytest.mark.parametrize("cls", CONFIGS, ids=lambda c: c.__name__)
+def test_replace_checks_the_backend_too(cls):
+    with pytest.raises(ConfigurationError, match="backend"):
+        dataclasses.replace(cls(), backend="torch")
+
+
+def test_protocol_config_threads_backend_into_settings():
+    assert ProtocolConfig().training_settings().backend is None
+    settings = ProtocolConfig(backend="numpy").training_settings()
+    assert settings.backend == "numpy"
+
+
+def test_unset_and_numpy_backends_share_a_journal_key():
+    assert _key(dataclasses.replace(KEYED, backend=None)) == _key(KEYED)
+
+
+def test_explicit_numpy_run_is_the_cached_reference(
+    tmp_path, micro_profile, monkeypatch
+):
+    """A ``backend="numpy"`` run writes the plain cache file, and the
+    default run is served from it without recomputing."""
+    import repro.experiments.runner as runner_mod
+
+    explicit = runner_mod.run_family_cached(
+        "classical", micro_profile, cache_dir=tmp_path, backend="numpy"
+    )
+    assert [p.name for p in tmp_path.glob("*.json")] == [
+        "classical_micro.json"
+    ]
+
+    def no_rerun(*args, **kwargs):
+        raise AssertionError("a cached result was recomputed")
+
+    monkeypatch.setattr(runner_mod, "run_family", no_rerun)
+    default = runner_mod.run_family_cached(
+        "classical", micro_profile, cache_dir=tmp_path
+    )
+
+    def accuracies(result):
+        return [
+            c.val_accuracies
+            for level in result.levels
+            for outcome in level.outcomes
+            for c in outcome.evaluated
+        ]
+
+    assert accuracies(default) == accuracies(explicit)
+
+
+def test_pool_takes_no_backend():
+    with pytest.raises(TypeError):
+        PersistentPool(1, backend="numpy")
+    with PersistentPool(1) as pool:
+        assert "backend" not in pool.stats()

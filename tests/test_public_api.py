@@ -40,6 +40,18 @@ class TestPublicImports:
         for name in pkg.__all__:
             assert hasattr(pkg, name), f"{module}.{name}"
 
+    def test_no_array_backend_package(self):
+        """Every run executes on NumPy; there is no backend layer."""
+        import importlib
+
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.backends")
+
+    def test_no_backend_unavailable_error(self):
+        import repro.exceptions
+
+        assert not hasattr(repro.exceptions, "BackendUnavailable")
+
 
 class TestQuickstartFlow:
     """The README quickstart, end to end."""
