@@ -55,7 +55,7 @@ neighbouring slices belong to the same candidate.
 **Frozen-row compaction.**  Every stacked layer supports
 ``compact(keep)``: dropping a slice's rows from the parameter stacks
 (an index-map gather) leaves the surviving slices' per-slice kernels —
-einsum-only quantum kernels, per-slice gemms — bit-identical, so a run
+quantum and classical gemms alike — bit-identical, so a run
 that early-stops (or a candidate whose runs all finished) leaves the
 fused sweep instead of riding along frozen.
 

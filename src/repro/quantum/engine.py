@@ -31,25 +31,41 @@ construction.  Such tapes run on the reference executor instead, with
 :class:`~repro.quantum.circuit.ParamRef` slots and trainable angles
 through ``weight`` slots, then:
 
-* builds the encoding as a kron of per-wire first columns, from one
-  builder call over all encoded wires per block of rows;
+* builds the encoding as a kron of per-wire first columns ``R(x)|0>``,
+  from one call over all encoded wires per block of rows (the second
+  column of an encoding gate is never built);
 * builds each layer as one ``(2**n, 2**n)`` unitary per run: one builder
-  call over every (run, layer, wire) angle, ``n - 1`` broadcast krons
-  and one row take that applies every layer's ring.  A ring is a signed
+  call over every (run, layer, wire) angle, then the kron product of a
+  layer's gates as ``n`` gathers of gate entries, multiplied in wire
+  order, whose index also applies the layer's ring.  A ring is a signed
   permutation: CNOT and SWAP permute rows, CZ flips signs, and the rows
-  whose sign is ``-1`` are negated after the take (BEL/SEL rings have
-  none, so nothing is negated);
-* moves the state through each layer with one einsum.
+  whose sign is ``-1`` are negated after the product (BEL/SEL rings
+  have none, so nothing is negated).  A recorded execute gets the
+  gates' derivatives from the same builder call and trig pass;
+* moves the state through each layer with one run-batched ``matmul`` of
+  the ``(U, B, 2**n)`` state view against the swapped ``(U, 2**n,
+  2**n)`` unitaries: one gemm of ``B`` rows per run slice.
 
 **Adjoint.**  ``execute(record=True)`` keeps each layer's input state;
-``adjoint_gradients`` sweeps the bra back through each layer's
-``K^dagger`` and forms one overlap matrix ``H = sum_b conj(bra_b)^T
-ket_b`` per layer and run block.  A gate ``X`` on wire ``w`` has ``dK =
-K (X^dagger dX)_w`` for any fixed ring, so its gradients are ``2 Re
-sum((X^dagger dX) * Tr_rest H)``: partial traces through ``(2,)*n``
-reshapes, never a derivative kron.  Input gradients contract the first
+``adjoint_gradients`` sweeps the bra back through each layer (the same
+per-run gemm against ``conj(K)``) and forms one overlap matrix ``H =
+sum_b conj(bra_b)^T ket_b`` per layer and run block.  A gate ``X`` on
+wire ``w`` has ``dK = K (X^dagger dX)_w`` for any fixed ring, so its
+gradients are ``2 Re sum((X^dagger dX) * Tr_rest H)``: the partial
+traces are one gather of ``H``'s entries and a sum over the traced
+wires' bits, never a derivative kron, and ``X^dagger dX`` is
+elementwise 2x2 arithmetic.  Input gradients contract the first
 bra with the encoding generators ``-i/2 P`` applied to the product state
 (a gather and a phase per wire).
+
+**BLAS.**  Every product the engine hands to BLAS is a gemm per run
+slice: ``matmul`` over a leading run axis issues one call per slice,
+with the shape and strides the run's own execute would use, so a run's
+bits do not depend on the runs beside it.  ``execute``,
+``adjoint_gradients`` and ``expvals`` pin the calling thread's OpenBLAS
+to one thread while they run (restoring the caller's count
+afterwards): the gemms are small, and waking OpenBLAS's worker threads
+for them costs CPU time and, on a pool worker, a core.
 
 **Run-stacked execution (one sweep for R parameter sets).**  The
 protocol trains every candidate ``runs`` times with an *identical*
@@ -105,6 +121,10 @@ Contract notes:
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
+import os
 from contextlib import contextmanager
 from typing import Iterator, Sequence
 
@@ -130,8 +150,10 @@ __all__ = [
 #: kernel change can move results at the ulp level, so result stores
 #: (search journals, the protocol result cache) never serve results
 #: computed by older kernels.  1: the per-gate program only; 2: the
-#: dense per-layer unitary path for small product-encoded tapes.
-ARITHMETIC_VERSION = 2
+#: dense per-layer unitary path for small product-encoded tapes; 3: layer
+#: applies and the bra sweep as per-run gemms instead of einsums, and
+#: ``X^dagger dX`` as elementwise 2x2 arithmetic instead of BLAS.
+ARITHMETIC_VERSION = 3
 
 #: Widest register the engine compiles.  One layer unitary is a
 #: ``(2**n, 2**n)`` matrix per run, so its build and its contraction
@@ -153,20 +175,88 @@ _KET0 = np.array([1.0, 0.0], dtype=COMPLEX_DTYPE)
 #: Generators ``P`` of the encoding rotations ``exp(-i x P / 2)``.
 _GENERATORS = {"RX": gates.PAULI_X, "RY": gates.PAULI_Y, "RZ": gates.PAULI_Z}
 
-#: Contraction of a ``(U, rows/U, 2**n)`` state view with one ``(U,
-#: 2**n, 2**n)`` layer matrix per run (``K`` forward, a contiguous
-#: ``K^dagger`` for the bra sweep), reducing over both operands' last,
-#: contiguous axis.  A plain einsum, not a gemm: its per-row arithmetic
-#: does not depend on the row count (a gemm blocks by rows), and it
-#: never wakes BLAS worker threads, which a state-by-unitary gemm does
-#: even at a few rows.
-_DENSE_APPLY = "ubj,uij->ubi"
+#: Where NumPy's wheel keeps the OpenBLAS it links (``scipy-openblas``).
+_OPENBLAS_GLOB = os.path.join(
+    os.path.dirname(np.__file__),
+    os.pardir,
+    "numpy.libs",
+    "libscipy_openblas*.so*",
+)
+
+
+@functools.cache
+def _openblas():
+    """The OpenBLAS NumPy loaded, opened through ctypes (the loader hands
+    back the already-mapped library), or ``None`` when there is none to
+    find."""
+    for path in sorted(glob.glob(_OPENBLAS_GLOB)):
+        try:
+            return ctypes.CDLL(path)
+        except OSError:
+            continue
+    return None
+
+
+@functools.cache
+def _thread_pin():
+    """OpenBLAS's ``openblas_set_num_threads_local`` (set the calling
+    thread's count, return the previous one), or ``None`` when the
+    library or the symbol is absent.  Looked up on first use, not at
+    import."""
+    pin = getattr(_openblas(), "openblas_set_num_threads_local", None)
+    if pin is not None:
+        pin.argtypes = [ctypes.c_int]
+        pin.restype = ctypes.c_int
+    return pin
+
+
+def _one_blas_thread(method):
+    """Run ``method`` with the calling thread's OpenBLAS pinned to one
+    thread, restoring the caller's count afterwards (also on error).
+
+    The engine's gemms are small (``2**n <= 32`` columns), and
+    OpenBLAS wakes its worker threads for some of them: that costs more
+    CPU time than it saves wall time, and on a pool worker it takes a
+    core from the other worker.  Without the symbol this is a no-op.
+    Results do not depend on the pin: OpenBLAS splits a gemm's rows and
+    columns across threads, never its inner dimension, so each output
+    element is the same reduction at any thread count.
+    """
+
+    @functools.wraps(method)
+    def pinned(*args, **kwargs):
+        pin = _thread_pin()
+        if pin is None:
+            return method(*args, **kwargs)
+        previous = pin(1)
+        try:
+            return method(*args, **kwargs)
+        finally:
+            pin(previous)
+
+    return pinned
+
 
 #: Ping-pong buffer pairs are kept for at most this many distinct batch
-#: sizes; the least recently used pair is evicted beyond that.  Bounds
-#: the memory a long-lived engine pins when it alternates minibatch
+#: sizes, and identity fills for at most this many per-run ``depths``;
+#: the least recently used entry is evicted beyond that.  Bounds the
+#: memory a long-lived engine pins when it alternates minibatch
 #: training with full-dataset evaluation batches.
 _MAX_POOLS = 4
+
+
+def _lru(cache: dict, key, make):
+    """``cache[key]``, from ``make()`` on a miss, keeping at most
+    :data:`_MAX_POOLS` entries.  Dicts preserve insertion order, so
+    re-inserting on every use leaves the least recently used key
+    first, and that is the one evicted."""
+    value = cache.pop(key, None)
+    if value is None:
+        value = make()
+    cache[key] = value
+    while len(cache) > _MAX_POOLS:
+        del cache[next(iter(cache))]
+    return value
 
 
 def dense_peak_bytes(
@@ -188,17 +278,21 @@ def dense_peak_bytes(
 
     ``"forward"``: the pooled ping-pong pair, the product state and its
     kron partials (two states), and three ``(runs, L, 2**n, 2**n)``
-    unitary stacks (the kron product, its row take and the one before
-    it).  ``"adjoint"`` adds what a recorded step holds at its peak:
+    unitary stacks (the product, a gathered factor and the ring's sign
+    flip temporary).  ``"adjoint"`` adds what a recorded step holds at
+    its peak, where the gathered partial-trace entries (at most one
+    stack) reuse the forward's room:
     ``L + 1`` recorded states, ``L + 1`` bras, the ``L`` conjugated bras
     of the overlap contraction or the ``n_enc + 1`` gathered generator
-    states of the input gradients, whichever is larger, and the daggered
-    unitaries and the overlap stack.  ``L`` is the compiled depth, so an
-    execute with per-run ``depths`` (which records every run at that
-    depth) is covered too.  Both modes add the per-(run, layer, wire)
-    gate, derivative and builder-temporary matrices, the encoding's
-    per-sample ones, and a fixed allowance for array headers and index
-    tables.
+    states of the input gradients, whichever is larger, and the
+    conjugated unitaries and the overlap stack.  ``L`` is the compiled
+    depth, so an execute with per-run ``depths`` (which records every
+    run at that depth) is covered too.  Both modes add the per-(run,
+    layer, wire) gate, derivative, ``X^dagger dX`` and builder-temporary
+    matrices, the encoding's per-sample ones, a fixed allowance for
+    array headers and index tables, and what the engine keeps between
+    steps: the identity fills of up to ``_MAX_POOLS`` per-run ``depths``
+    patterns, each at most one unitary stack.
     """
     item = np.dtype(COMPLEX_DTYPE).itemsize
     dim = 2**n_qubits
@@ -208,7 +302,7 @@ def dense_peak_bytes(
         16 * (1 + n_params) * (runs or 1) * n_layers * n_qubits
         + 16 * batch * n_qubits
     )
-    total = 4 * state + 3 * stack + small + 16384
+    total = 4 * state + (3 + _MAX_POOLS) * stack + small + 16384
     if mode == "adjoint":
         total += (2 * n_layers + 2) * state + 2 * stack
         total += max(n_layers, n_enc + 1) * state
@@ -224,8 +318,11 @@ class _DensePlan:
     ``gate`` per wire, whose every angle is a distinct weight
     (``widx[l, w, p]``), then a signed permutation: row ``l*dim + k`` of
     the stacked layer unitaries is row ``rows[l*dim + k]`` of the kron
-    products, negated when listed in ``flips``.  ``max_input`` /
-    ``max_weight`` are the highest columns a binding must hold.
+    products, negated when listed in ``flips``.  ``kron`` gathers each
+    wire's factor of every unitary entry, ring included, and
+    ``traces`` every overlap entry a partial trace sums.
+    ``max_input`` / ``max_weight`` are the highest columns a binding
+    must hold.
     """
 
     __slots__ = (
@@ -246,6 +343,7 @@ class _DensePlan:
         "flips",
         "gen_idx",
         "gen_phase",
+        "kron",
         "traces",
     )
 
@@ -290,6 +388,7 @@ class CompiledTape:
 
         self._plan = self._compile(ops)
         self._pools: dict[int, list] = {}
+        self._paddings: dict[bytes, tuple] = {}
         self._last: dict | None = None
 
     # -- compilation -------------------------------------------------------
@@ -467,15 +566,35 @@ class CompiledTape:
             if phase
             else np.zeros(0, COMPLEX_DTYPE)
         )
-        # Partial trace of an (L, blocks, dim, dim) matrix stack over
-        # every wire but w, into (blocks, L, 2, 2), through (2,)*n
-        # reshapes: row wires a..e, column wires f..j, and a column
-        # label equal to its row label for every traced wire.
-        rows = "abcde"[:n]
-        plan.traces = []
-        for w in range(n):
-            cols = "".join("fghij"[v] if v == w else rows[v] for v in range(n))
-            plan.traces.append(f"yz{rows}{cols}->zy{rows[w]}{cols[w]}")
+        # Entry (k, j) of layer l's unitary is the product over wires w
+        # of w's gate entry (bit w of the row, bit w of j), with row k
+        # taken through the ring: kron[w] holds, per (l, k, j), that
+        # entry's index in one run's flat (L, n, 2, 2) gate block.
+        def bit(k, w):
+            return (k >> (n - 1 - w)) & 1
+
+        source = plan.rows.reshape(plan.n_layers, dim, 1) % dim
+        layer = np.arange(plan.n_layers)[:, None, None]
+        col = np.arange(dim)
+        plan.kron = np.stack(
+            [
+                (layer * n + w) * 4 + 2 * bit(source, w) + bit(col, w)
+                for w in range(n)
+            ]
+        ).reshape(n, -1)
+        # Partial trace of a (dim, dim) overlap over every wire but w:
+        # traces[k, w, a, c] is the flat index of the entry whose row
+        # has bit a and column bit c on wire w, and whose row and
+        # column both carry k's bits on the other wires.
+        rest = np.arange(2 ** (n - 1))[:, None, None, None]
+        ws = np.arange(n)[None, :, None, None]
+        shift = n - 1 - ws
+        low = rest & ((1 << shift) - 1)
+        high = (rest >> shift) << (shift + 1)
+        ab = np.arange(2)
+        row = high | (ab[:, None] << shift) | low
+        col = high | (ab[None, :] << shift) | low
+        plan.traces = row * dim + col
         return plan
 
     def clone(self) -> "CompiledTape":
@@ -491,6 +610,7 @@ class CompiledTape:
         twin = object.__new__(CompiledTape)
         twin.__dict__.update(self.__dict__)
         twin._pools = {}
+        twin._paddings = {}
         twin._last = None
         return twin
 
@@ -529,21 +649,18 @@ class CompiledTape:
     def _pair(self, batch: int) -> list:
         """The pooled ping-pong pair of flat ``(batch, 2**n)`` states
         plain executes sweep through."""
-        pair = self._pools.pop(batch, None)
-        if pair is None:
-            pair = [
+        return _lru(
+            self._pools,
+            batch,
+            lambda: [
                 np.empty((batch, self.dim), dtype=COMPLEX_DTYPE)
                 for _ in range(2)
-            ]
-        # Dicts preserve insertion order, so the first key is always
-        # the least recently used batch size.
-        self._pools[batch] = pair
-        while len(self._pools) > _MAX_POOLS:
-            del self._pools[next(iter(self._pools))]
-        return pair
+            ],
+        )
 
     # -- execution ---------------------------------------------------------
 
+    @_one_blas_thread
     def execute(
         self,
         inputs: np.ndarray | None = None,
@@ -637,7 +754,9 @@ class CompiledTape:
                     encoding[:, i] = default
 
         # Layer unitaries: one builder call over every (run, layer,
-        # wire), n-1 broadcast krons and one row take for the rings.
+        # wire), then n gathers of gate entries (the rings folded into
+        # the index) multiplied in wire order.  A recorded step gets the
+        # derivatives from the same trig pass.
         if weights is None:
             angles = plan.wdefault[None]
         elif weights.ndim == 2:
@@ -646,16 +765,16 @@ class CompiledTape:
             angles = weights[plan.widx][None]
         n_u = angles.shape[0]
         args = [angles[..., p].reshape(-1) for p in range(plan.n_params)]
-        gate = GATE_SET[plan.gate].matrix_fn(*args)
-        per_wire = gate.reshape(n_u, n_layers, n, 2, 2)
-        kron = per_wire[:, :, 0]
+        build = GATE_SET[plan.gate].matrix_fn
+        if record:
+            gate, derivs = build(*args, deriv=True)
+        else:
+            gate = build(*args)
+        flat = gate.reshape(n_u, -1)
+        unitary = np.take(flat, plan.kron[0], axis=1)
         for w in range(1, n):
-            side = 2 ** (w + 1)
-            factor = per_wire[:, :, w, None, :, None, :]
-            kron = (kron[..., :, None, :, None] * factor).reshape(
-                n_u, n_layers, side, side
-            )
-        unitary = kron.reshape(n_u, n_layers * dim, dim)[:, plan.rows]
+            unitary *= np.take(flat, plan.kron[w], axis=1)
+        unitary = unitary.reshape(n_u, n_layers * dim, dim)
         if plan.flips.size:
             unitary[:, plan.flips] = -unitary[:, plan.flips]
         unitary = unitary.reshape(n_u, n_layers, dim, dim)
@@ -664,8 +783,8 @@ class CompiledTape:
             # Layers past a run's depth pass its state through: x * 1
             # and x + 0 are exact, so the run sees its own depth's
             # circuit bit for bit.
-            padded = np.nonzero(np.arange(n_layers) >= depths[:, None])
-            unitary[padded] = np.eye(dim, dtype=unitary.dtype)
+            padded, identity = self._padding(depths)
+            unitary[padded] = identity
 
         if record:
             states = np.empty((n_layers + 1, batch, dim), dtype=COMPLEX_DTYPE)
@@ -681,12 +800,15 @@ class CompiledTape:
         for lo in range(0, batch, _BLOCK_ROWS):
             rows = slice(lo, lo + _BLOCK_ROWS)
             block = None if encoding is None else encoding[rows]
-            state[rows] = self._product_state(block)
+            self._product_state(block, out=state[rows])
+        # psi K^T as one matmul over the run axis: one gemm of a run's
+        # rows per run slice (with shared 1-D weights, one gemm of
+        # every row), under the one-thread pin.
+        applied = np.swapaxes(unitary, -1, -2)
         for l, out in enumerate(bufs):
-            np.einsum(
-                _DENSE_APPLY,
+            np.matmul(
                 state.reshape(n_u, -1, dim),
-                unitary[:, l],
+                applied[:, l],
                 out=out.reshape(n_u, -1, dim),
             )
             state = out
@@ -698,10 +820,26 @@ class CompiledTape:
                 "states": states,
                 "unitary": unitary,
                 "gate": gate,
-                "args": args,
+                "derivs": derivs,
                 "padded": padded,
             }
         return state
+
+    def _padding(self, depths: np.ndarray) -> tuple:
+        """The ``(run, layer)`` index of every layer past its run's depth
+        and the identity stack that fills them, cached per ``depths``
+        (a training loop repeats the same depths every step)."""
+
+        def build() -> tuple:
+            layers = np.arange(self._plan.n_layers)
+            padded = np.nonzero(layers >= depths[:, None])
+            identity = np.broadcast_to(
+                np.eye(self.dim, dtype=COMPLEX_DTYPE),
+                (padded[0].size, self.dim, self.dim),
+            ).copy()
+            return padded, identity
+
+        return _lru(self._paddings, depths.tobytes(), build)
 
     def _check_depths(self, depths, weights, runs) -> np.ndarray:
         """Validate ``execute``'s per-run ``depths``; return them as an
@@ -720,27 +858,32 @@ class CompiledTape:
             )
         return depths.astype(np.intp)
 
-    def _product_state(self, angles) -> np.ndarray:
-        """The encoded product state for a block of ``(rows,
-        n_encoded)`` angles, or ``|0...0>`` (shape ``(2**n,)``) for a
-        tape without encoding (``angles`` is ``None``).
+    def _product_state(self, angles, out: np.ndarray) -> None:
+        """Write the encoded product state of a block of ``(rows,
+        n_encoded)`` angles into ``out`` (``(rows, 2**n)``), or
+        ``|0...0>`` into every row for a tape without encoding
+        (``angles`` is ``None``).
 
-        One builder call over every encoded wire: each gate's first
-        column is its wire's factor of the state, and an unencoded
-        wire's factor is ``|0>``.
+        One builder call over every encoded wire gives each gate's first
+        column, its wire's factor of the state; an unencoded wire's
+        factor is ``|0>``.
         """
         plan = self._plan
         factors = [_KET0] * self.n_qubits
         if angles is not None:
-            mats = GATE_SET[plan.enc_gate].matrix_fn(angles.reshape(-1))
-            cols = mats[:, :, 0].reshape(angles.shape[0], -1, 2)
+            cols = gates.first_column(plan.enc_gate, angles.reshape(-1))
+            cols = cols.reshape(angles.shape[0], -1, 2)
             for i, w in enumerate(plan.enc_wires):
                 factors[w] = cols[:, i]
         psi = factors[0]
         for w in range(1, self.n_qubits):
-            psi = psi[..., :, None] * factors[w][..., None, :]
+            left, right = psi[..., :, None], factors[w][..., None, :]
+            if w == self.n_qubits - 1:
+                np.multiply(left, right, out=out.reshape(out.shape[0], -1, 2))
+                return
+            psi = left * right
             psi = psi.reshape(psi.shape[:-2] + (-1,))
-        return psi
+        out[...] = psi
 
     def is_layer_prefix(self, other: "CompiledTape") -> bool:
         """Whether this tape is ``other``'s truncated to its own depth:
@@ -776,6 +919,7 @@ class CompiledTape:
         b = state.shape[0]
         return state.reshape((b,) + (2,) * self.n_qubits).copy()
 
+    @_one_blas_thread
     def expvals(
         self,
         state: np.ndarray | None = None,
@@ -829,6 +973,7 @@ class CompiledTape:
 
     # -- adjoint -----------------------------------------------------------
 
+    @_one_blas_thread
     def adjoint_gradients(
         self,
         grad_out: np.ndarray,
@@ -883,13 +1028,13 @@ class CompiledTape:
             grad_out.reshape(blocks, batch // blocks, -1), signs
         ).reshape(batch, dim)
 
-        # bras[l] is the bra before layer l (bras[L]: the seeded bra).
+        # bras[l] is the bra before layer l (bras[L]: the seeded bra):
+        # bra K^* per run slice, the forward's gemm against conj(K).
         bras = np.empty((n_layers + 1, batch, dim), dtype=COMPLEX_DTYPE)
         np.multiply(seed, states[n_layers], out=bras[n_layers])
-        inverse = np.ascontiguousarray(np.conj(np.swapaxes(unitary, -1, -2)))
+        inverse = np.conj(unitary)
         for l in range(n_layers - 1, -1, -1):
-            np.einsum(
-                _DENSE_APPLY,
+            np.matmul(
                 bras[l + 1].reshape(n_u, -1, dim),
                 inverse[:, l],
                 out=bras[l].reshape(n_u, -1, dim),
@@ -902,19 +1047,23 @@ class CompiledTape:
         overlap = np.matmul(
             np.conj(np.swapaxes(bras[:n_layers].reshape(slices), -1, -2)),
             states[:n_layers].reshape(slices),
-        ).reshape((n_layers, blocks) + (2,) * (2 * n))
-        reduced = np.empty((blocks, n_layers, n, 2, 2), dtype=COMPLEX_DTYPE)
-        for w, spec in enumerate(plan.traces):
-            np.einsum(spec, overlap, out=reduced[:, :, w])
-        derivs = GATE_SET[plan.gate].deriv_fn(*last["args"])
-        if isinstance(derivs, tuple):
-            derivs = np.stack(derivs)
-        else:
-            derivs = derivs[None]
-        gate = last["gate"]
-        local = np.matmul(np.conj(np.swapaxes(gate, -1, -2)), derivs).reshape(
-            plan.n_params, n_u, n_layers, n, 2, 2
         )
+        # Partial traces, summed over the traced wires' bits in order.
+        pairs = np.take(
+            overlap.reshape(n_layers, blocks, dim * dim).transpose(1, 0, 2),
+            plan.traces,
+            axis=2,
+        )
+        reduced = pairs[:, :, 0].copy()
+        for k in range(1, pairs.shape[2]):
+            reduced += pairs[:, :, k]
+        # local = X^dagger dX, elementwise over the 2x2 entries:
+        # local[a, c] = conj(X[0, a]) dX[0, c] + conj(X[1, a]) dX[1, c].
+        dagger = np.conj(last["gate"])
+        derivs = last["derivs"]
+        local = dagger[:, 0, :, None] * derivs[..., 0, None, :]
+        local += dagger[:, 1, :, None] * derivs[..., 1, None, :]
+        local = local.reshape(plan.n_params, n_u, n_layers, n, 2, 2)
         # With weights shared by every run (n_u == 1 < blocks) the run
         # axis of ``local`` broadcasts: each block still sums only its
         # own samples.

@@ -15,7 +15,12 @@ encode a different data point on every statevector in one shot.
 Each rotation also has an analytic derivative builder (``rx_deriv`` etc.),
 used by the adjoint differentiation method: for a gate ``U(t)`` generated by
 a Pauli ``P`` (``U = exp(-i t P / 2)``) the derivative is
-``dU/dt = -i/2 * P @ U``.
+``dU/dt = -i/2 * P @ U``.  The rotation builders themselves take
+``deriv=True`` to return the matrices together with a ``(n_params, ...,
+2, 2)`` stack of their derivatives from the same trig pass, bit for bit
+what the ``*_deriv`` builders return; the compiled engine builds a
+recorded step's gates that way.  :func:`first_column` gives ``R(t)|0>``
+of an ``RX``/``RY``/``RZ`` without building the second column.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ __all__ = [
     "ry_deriv",
     "rz_deriv",
     "rot_deriv",
+    "first_column",
     "controlled",
     "is_unitary",
 ]
@@ -123,26 +129,55 @@ def _assemble(m00, m01, m10, m11) -> np.ndarray:
     return out
 
 
-def rx(theta) -> np.ndarray:
-    """Rotation about X: ``exp(-i theta X / 2)``."""
+def _left_multiply_pauli(pauli: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """Compute ``-i/2 * pauli @ mats`` supporting batched ``mats``."""
+    return -0.5j * np.einsum("ij,...jk->...ik", pauli, mats)
+
+
+def rx(theta, deriv: bool = False):
+    """Rotation about X: ``exp(-i theta X / 2)``.  With ``deriv=True``,
+    ``(matrix, derivs)``: ``derivs[0]`` is :func:`rx_deriv`'s result."""
     t = _as_array(theta) / 2.0
     c, s = np.cos(t), np.sin(t)
-    return _assemble(c, -1j * s, -1j * s, c)
+    mat = _assemble(c, -1j * s, -1j * s, c)
+    return (mat, _left_multiply_pauli(PAULI_X, mat)[None]) if deriv else mat
 
 
-def ry(theta) -> np.ndarray:
-    """Rotation about Y: ``exp(-i theta Y / 2)``."""
+def ry(theta, deriv: bool = False):
+    """Rotation about Y: ``exp(-i theta Y / 2)``; ``deriv`` as in
+    :func:`rx`."""
     t = _as_array(theta) / 2.0
     c, s = np.cos(t), np.sin(t)
-    return _assemble(c + 0j, -s + 0j, s + 0j, c + 0j)
+    mat = _assemble(c + 0j, -s + 0j, s + 0j, c + 0j)
+    return (mat, _left_multiply_pauli(PAULI_Y, mat)[None]) if deriv else mat
 
 
-def rz(theta) -> np.ndarray:
-    """Rotation about Z: ``exp(-i theta Z / 2)``."""
+def rz(theta, deriv: bool = False):
+    """Rotation about Z: ``exp(-i theta Z / 2)``; ``deriv`` as in
+    :func:`rx`."""
     t = _as_array(theta) / 2.0
     phase = np.exp(-1j * t)
     zeros = np.zeros_like(phase)
-    return _assemble(phase, zeros, zeros, np.conj(phase))
+    mat = _assemble(phase, zeros, zeros, np.conj(phase))
+    return (mat, _left_multiply_pauli(PAULI_Z, mat)[None]) if deriv else mat
+
+
+def first_column(name: str, theta) -> np.ndarray:
+    """``R(theta)|0>`` for ``name`` in ``RX``/``RY``/``RZ``: column 0 of
+    the matrix builder's result, entry for entry, shaped ``theta.shape
+    + (2,)``, without the work of the second column."""
+    t = _as_array(theta) / 2.0
+    out = np.empty(t.shape + (2,), dtype=COMPLEX_DTYPE)
+    if name == "RZ":
+        out[..., 0] = np.exp(-1j * t)
+        out[..., 1] = 0.0
+        return out
+    if name not in ("RX", "RY"):
+        raise GateError(f"first_column serves RX/RY/RZ, got {name!r}")
+    out[..., 0] = np.cos(t)
+    s = np.sin(t)
+    out[..., 1] = -1j * s if name == "RX" else s + 0j
+    return out
 
 
 def phase_shift(theta) -> np.ndarray:
@@ -153,22 +188,56 @@ def phase_shift(theta) -> np.ndarray:
     return _assemble(ones, zeros, zeros, np.exp(1j * t))
 
 
-def rot(phi, theta, omega) -> np.ndarray:
-    """PennyLane's general single-qubit rotation.
+#: Signs of the four entry phases of :func:`rot`, ``exp(-i (p + o))``,
+#: ``exp(i (p - o))``, ``exp(-i (p - o))`` and ``exp(i (p + o))``, in
+#: row-major entry order.
+_ROT_PHASES = np.array([-1j, 1j, -1j, 1j])
+#: Per-entry factors taking ``h * cos`` or ``h * sin`` (``h`` half an
+#: entry phase) to the entries of ``d/dphi``, ``d/dtheta``, ``d/domega``.
+_ROT_DPHI = np.array([-1j, -1j, -1j, 1j])
+_ROT_DTHETA = np.array([-1.0, -1.0, 1.0, -1.0])
+_ROT_DOMEGA = np.array([-1j, 1j, 1j, 1j])
 
-    ``Rot(phi, theta, omega) = RZ(omega) @ RY(theta) @ RZ(phi)``.
-    """
+
+def _rot_trig(phi, theta, omega) -> tuple:
+    """The one trig pass behind :func:`rot` and its derivatives: the
+    four entry phases, and the ``cos(theta/2)``/``sin(theta/2)`` factor
+    each entry takes (``cs``) and the one its ``d/dtheta`` takes
+    (``sc``), stacked entry-first in row-major entry order."""
     p = _as_array(phi) / 2.0
     t = _as_array(theta) / 2.0
     o = _as_array(omega) / 2.0
-    p, t, o = np.broadcast_arrays(p, t, o)
+    if not p.shape == t.shape == o.shape:
+        p, t, o = np.broadcast_arrays(p, t, o)
+    plus, minus = p + o, p - o
+    signs = _ROT_PHASES.reshape((4,) + (1,) * plus.ndim)
+    phases = np.exp(signs * np.array((plus, minus, minus, plus)))
     ct, st = np.cos(t), np.sin(t)
-    return _assemble(
-        np.exp(-1j * (p + o)) * ct,
-        -np.exp(1j * (p - o)) * st,
-        np.exp(-1j * (p - o)) * st,
-        np.exp(1j * (p + o)) * ct,
-    )
+    return phases, np.array((ct, st, st, ct)), np.array((st, ct, ct, st))
+
+
+def _entry_last(entries: np.ndarray, axis: int) -> np.ndarray:
+    """Entries stacked along ``axis`` (row-major, four of them) as
+    contiguous ``(..., 2, 2)`` matrices; ``axis`` is the last but one
+    axis or the last (an unbatched gate)."""
+    moved = np.ascontiguousarray(entries.swapaxes(axis, -1))
+    return moved.reshape(moved.shape[:-1] + (2, 2))
+
+
+def rot(phi, theta, omega, deriv: bool = False):
+    """PennyLane's general single-qubit rotation.
+
+    ``Rot(phi, theta, omega) = RZ(omega) @ RY(theta) @ RZ(phi)``.  With
+    ``deriv=True``, ``(matrix, derivs)``: ``derivs`` stacks
+    :func:`rot_deriv`'s three partials, from the same trig pass.
+    """
+    phases, cs, sc = _rot_trig(phi, theta, omega)
+    entries = phases * cs
+    # Entry 01 is -exp(i (p - o)) sin(theta/2); negating the product
+    # instead of the phase gives the same bits.
+    np.negative(entries[1:2], out=entries[1:2])
+    mat = _entry_last(entries, 0)
+    return (mat, _rot_partials(phases, cs, sc)) if deriv else mat
 
 
 # --------------------------------------------------------------------------
@@ -206,24 +275,19 @@ def crz(theta) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-def _left_multiply_pauli(pauli: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """Compute ``-i/2 * pauli @ mats`` supporting batched ``mats``."""
-    return -0.5j * np.einsum("ij,...jk->...ik", pauli, mats)
-
-
 def rx_deriv(theta) -> np.ndarray:
     """``d RX / d theta`` (shape matches :func:`rx`)."""
-    return _left_multiply_pauli(PAULI_X, rx(theta))
+    return rx(theta, deriv=True)[1][0]
 
 
 def ry_deriv(theta) -> np.ndarray:
     """``d RY / d theta``."""
-    return _left_multiply_pauli(PAULI_Y, ry(theta))
+    return ry(theta, deriv=True)[1][0]
 
 
 def rz_deriv(theta) -> np.ndarray:
     """``d RZ / d theta``."""
-    return _left_multiply_pauli(PAULI_Z, rz(theta))
+    return rz(theta, deriv=True)[1][0]
 
 
 def rot_deriv(phi, theta, omega) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -241,28 +305,23 @@ def rot_deriv(phi, theta, omega) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     entries (``Z`` is diagonal, and ``d/dtheta`` swaps the cosine and
     sine factors), so all three derivatives come from one trig pass.
     """
-    p = _as_array(phi) / 2.0
-    t = _as_array(theta) / 2.0
-    o = _as_array(omega) / 2.0
-    p, t, o = np.broadcast_arrays(p, t, o)
-    ct, st = np.cos(t), np.sin(t)
-    h00 = 0.5 * np.exp(-1j * (p + o))
-    h01 = 0.5 * np.exp(1j * (p - o))
-    h10 = 0.5 * np.exp(-1j * (p - o))
-    h11 = 0.5 * np.exp(1j * (p + o))
-    out = np.empty((3,) + ct.shape + (2, 2), dtype=COMPLEX_DTYPE)
-    d_phi, d_theta, d_omega = out
-    d_phi[..., 0, 0] = d_omega[..., 0, 0] = -1j * h00 * ct
-    d_phi[..., 1, 1] = d_omega[..., 1, 1] = 1j * h11 * ct
-    d_phi[..., 0, 1] = -1j * h01 * st
-    d_phi[..., 1, 0] = -1j * h10 * st
-    d_omega[..., 0, 1] = -d_phi[..., 0, 1]
-    d_omega[..., 1, 0] = -d_phi[..., 1, 0]
-    d_theta[..., 0, 0] = -h00 * st
-    d_theta[..., 0, 1] = -h01 * ct
-    d_theta[..., 1, 0] = h10 * ct
-    d_theta[..., 1, 1] = -h11 * st
+    d_phi, d_theta, d_omega = _rot_partials(*_rot_trig(phi, theta, omega))
     return d_phi, d_theta, d_omega
+
+
+def _rot_partials(phases, cs, sc) -> np.ndarray:
+    """The ``(3, ..., 2, 2)`` stack of :func:`rot_deriv`'s partials from
+    :func:`_rot_trig`'s values: with ``h`` half an entry's phase, each
+    partial's entry is ``h * cos`` or ``h * sin`` times ``+-1`` or
+    ``+-i``, both exact."""
+    half = 0.5 * phases
+    by_cs, by_sc = half * cs, half * sc
+    shape = (4,) + (1,) * (phases.ndim - 1)
+    out = np.empty((3,) + phases.shape, dtype=COMPLEX_DTYPE)
+    np.multiply(by_cs, _ROT_DPHI.reshape(shape), out=out[0])
+    np.multiply(by_sc, _ROT_DTHETA.reshape(shape), out=out[1])
+    np.multiply(by_cs, _ROT_DOMEGA.reshape(shape), out=out[2])
+    return _entry_last(out, 1)
 
 
 # --------------------------------------------------------------------------

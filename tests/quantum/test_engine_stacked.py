@@ -524,3 +524,87 @@ class TestSignedRingStack:
             assert np.array_equal(rig, ig[rows])
             assert np.array_equal(rwg, wg[s, : layer.n_weights])
             assert not wg[s, layer.n_weights :].any()
+
+
+class TestEvaluationSizedRuns:
+    """An evaluation execute carries about 1200 rows per run (a slice's
+    whole training split), where OpenBLAS blocks a gemm differently than
+    at a training minibatch's few rows.  Stacked ``execute``,
+    ``adjoint_gradients`` and ``expvals`` still equal the per-run calls
+    bit for bit, with per-run depths and after slice compaction."""
+
+    ROWS = 1200
+
+    def _ragged(self, ansatz, n_q, depths, seed):
+        """The deepest member's engine, zero-padded per-run weights and
+        run-major inputs and output gradients."""
+        rng = np.random.default_rng(seed)
+        deepest = int(max(depths))
+        ops, n_max = make_tape(ansatz, n_q, deepest, rng)
+        per_layer = n_max // deepest
+        weights = np.zeros((len(depths), n_max))
+        for r, depth in enumerate(depths):
+            own = depth * per_layer
+            weights[r, :own] = rng.normal(size=own)
+        inputs = rng.normal(size=(len(depths) * self.ROWS, n_q))
+        grad = rng.normal(size=inputs.shape)
+        return CompiledTape(ops, n_q), weights, inputs, grad, per_layer
+
+    def _stacked(self, engine, weights, inputs, grad, depths):
+        runs = len(depths)
+        state = engine.execute(
+            inputs=inputs, weights=weights, runs=runs, record=True,
+            depths=np.asarray(depths),
+        ).copy()
+        ev = engine.expvals(state, runs=runs)
+        n_q = engine.n_qubits
+        ig, wg = engine.adjoint_gradients(grad, n_q, weights.shape[1])
+        return state, ev, ig, wg
+
+    @pytest.mark.parametrize("ansatz", ["sel", "bel"])
+    @pytest.mark.parametrize("n_q", [3, 5])
+    def test_equals_per_run_calls(self, ansatz, n_q):
+        depths = (1, 3, 2)
+        engine, weights, inputs, grad, per_layer = self._ragged(
+            ansatz, n_q, depths, (n_q, self.ROWS, 1)
+        )
+        state, ev, ig, wg = self._stacked(
+            engine, weights, inputs, grad, depths
+        )
+        rng = np.random.default_rng(0)
+        for r, depth in enumerate(depths):
+            member = CompiledTape(make_tape(ansatz, n_q, depth, rng)[0], n_q)
+            n_w = depth * per_layer
+            rows = slice(r * self.ROWS, (r + 1) * self.ROWS)
+            ref = member.execute(
+                inputs=inputs[rows], weights=weights[r, :n_w], record=True
+            ).copy()
+            assert np.array_equal(ref, state[rows])
+            assert np.array_equal(member.expvals(ref), ev[rows])
+            rig, rwg = member.adjoint_gradients(grad[rows], n_q, n_w)
+            assert np.array_equal(rig, ig[rows])
+            assert np.array_equal(rwg, wg[r, :n_w])
+            assert not wg[r, n_w:].any()
+
+    @pytest.mark.parametrize("ansatz", ["sel", "bel"])
+    @pytest.mark.parametrize("n_q", [3, 5])
+    def test_compacted_equals_full_sweep(self, ansatz, n_q):
+        depths = np.array([2, 1, 3, 1])
+        keep = np.array([0, 2, 3])
+        engine, weights, inputs, grad, _ = self._ragged(
+            ansatz, n_q, depths, (n_q, self.ROWS, 2)
+        )
+        full = self._stacked(engine, weights, inputs, grad, depths)
+        rows = (
+            keep[:, None] * self.ROWS + np.arange(self.ROWS)[None, :]
+        ).reshape(-1)
+        compacted = self._stacked(
+            engine.clone(), weights[keep], inputs[rows], grad[rows],
+            depths[keep],
+        )
+        state, ev, ig, wg = full
+        sub_state, sub_ev, sub_ig, sub_wg = compacted
+        assert np.array_equal(sub_state, state[rows])
+        assert np.array_equal(sub_ev, ev[rows])
+        assert np.array_equal(sub_ig, ig[rows])
+        assert np.array_equal(sub_wg, wg[keep])

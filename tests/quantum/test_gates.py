@@ -143,6 +143,91 @@ class TestDerivatives:
         assert np.allclose(batch[0], gates.ry_deriv(0.3))
 
 
+class TestSharedTrigPass:
+    """``deriv=True`` returns a builder's matrices and derivatives from
+    one trig pass, bit for bit what the separate builders return, and
+    :func:`gates.first_column` is column 0 of the matrix, entry for
+    entry."""
+
+    ANGLES = np.array([-2.0, -0.0, 0.0, 0.3, 1.7, np.pi])
+
+    @pytest.mark.parametrize(
+        "builder,deriv,pauli",
+        [
+            (gates.rx, gates.rx_deriv, gates.PAULI_X),
+            (gates.ry, gates.ry_deriv, gates.PAULI_Y),
+            (gates.rz, gates.rz_deriv, gates.PAULI_Z),
+        ],
+    )
+    def test_single_axis(self, builder, deriv, pauli):
+        mat, derivs = builder(self.ANGLES, deriv=True)
+        assert np.array_equal(mat, builder(self.ANGLES))
+        assert derivs.shape == (1,) + mat.shape
+        assert np.array_equal(derivs[0], deriv(self.ANGLES))
+        generator = -0.5j * np.einsum("ij,bjk->bik", pauli, mat)
+        assert np.array_equal(derivs[0], generator)
+
+    @staticmethod
+    def _rot_entries(phi, theta, omega):
+        """Rot's matrix and partials entry by entry, each entry the
+        phase-times-trig product written out (the reference the
+        vectorized builder must reproduce bit for bit)."""
+        p, t, o = (
+            np.asarray(a, dtype=float) / 2.0 for a in (phi, theta, omega)
+        )
+        ct, st = np.cos(t), np.sin(t)
+        e00, e01 = np.exp(-1j * (p + o)), np.exp(1j * (p - o))
+        e10, e11 = np.exp(-1j * (p - o)), np.exp(1j * (p + o))
+        h00, h01, h10, h11 = 0.5 * e00, 0.5 * e01, 0.5 * e10, 0.5 * e11
+        mat = [[e00 * ct, -e01 * st], [e10 * st, e11 * ct]]
+        d_phi = [
+            [-1j * h00 * ct, -1j * h01 * st],
+            [-1j * h10 * st, 1j * h11 * ct],
+        ]
+        d_theta = [[-h00 * st, -h01 * ct], [h10 * ct, -h11 * st]]
+        d_omega = [
+            [-1j * h00 * ct, 1j * h01 * st],
+            [1j * h10 * st, 1j * h11 * ct],
+        ]
+        return mat, (d_phi, d_theta, d_omega)
+
+    def test_rot(self):
+        rng = np.random.default_rng(3)
+        phi, theta, omega = rng.uniform(-np.pi, np.pi, (3, 7))
+        phi[0], theta[1], omega[2] = 0.0, -0.0, np.pi
+        mat, derivs = gates.rot(phi, theta, omega, deriv=True)
+        assert np.array_equal(mat, gates.rot(phi, theta, omega))
+        assert derivs.shape == (3, 7, 2, 2)
+        for got, want in zip(derivs, gates.rot_deriv(phi, theta, omega)):
+            assert np.array_equal(got, want)
+        want_mat, want_derivs = self._rot_entries(phi, theta, omega)
+        for a in range(2):
+            for c in range(2):
+                assert np.array_equal(mat[:, a, c], want_mat[a][c])
+                for k in range(3):
+                    want = want_derivs[k][a][c]
+                    assert np.array_equal(derivs[k, :, a, c], want)
+
+    def test_rot_scalar(self):
+        mat, derivs = gates.rot(0.1, -0.4, 2.2, deriv=True)
+        assert mat.shape == (2, 2) and derivs.shape == (3, 2, 2)
+        want_mat, want_derivs = self._rot_entries(0.1, -0.4, 2.2)
+        assert np.array_equal(mat, np.array(want_mat))
+        assert np.array_equal(derivs, np.array(want_derivs))
+
+    @pytest.mark.parametrize("name", ["RX", "RY", "RZ"])
+    def test_first_column(self, name):
+        builder = {"RX": gates.rx, "RY": gates.ry, "RZ": gates.rz}[name]
+        column = gates.first_column(name, self.ANGLES)
+        want = builder(self.ANGLES)[..., :, 0]
+        assert column.shape == want.shape
+        assert column.tobytes() == want.tobytes()
+
+    def test_first_column_rejects_other_gates(self):
+        with pytest.raises(GateError):
+            gates.first_column("Rot", 0.3)
+
+
 class TestControlled:
     def test_controlled_x_is_cnot(self):
         assert np.allclose(gates.controlled(gates.PAULI_X), gates.CNOT)

@@ -221,11 +221,11 @@ def _key(settings):
     [
         (
             KEYED,
-            "615f833e52c60ad304a02f56a1e3c6c9f7bf1d3f68cb549b94f0e971bec8ee2a",
+            "7a44bdd0b4f4283ab5d26eceef446000700b426e3f98941b2a0ccfb52f75f934",
         ),
         (
             TrainingSettings(backend="numpy"),
-            "43ba1e3c49b1be710a1fbc329d1163d18c47cc6f93510ff9a67f3c12b20a47e6",
+            "5f941581a43b9907a903ff8c8e94030d9e45b858dd61523cda6d120eff6c497c",
         ),
     ],
     ids=["tiny", "defaults"],
@@ -333,7 +333,7 @@ def test_backend_env_var_forks_nothing(monkeypatch):
     monkeypatch.setenv("REPRO_BACKEND", "torch")
     assert cache_name("smoke") == "smoke"
     assert _key(KEYED) == (
-        "615f833e52c60ad304a02f56a1e3c6c9f7bf1d3f68cb549b94f0e971bec8ee2a"
+        "7a44bdd0b4f4283ab5d26eceef446000700b426e3f98941b2a0ccfb52f75f934"
     )
 
 
