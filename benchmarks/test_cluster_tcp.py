@@ -1,13 +1,11 @@
 """TCP-transport overhead: socket-sharded search vs sequential.
 
-The TCP coordinator makes the same promise as the worker pool —
-"distribution is free, determinism-wise" — over a partition-prone
-medium; this
-benchmark makes the *time* cost visible in the committed
-``BENCH_<rev>.json`` snapshots.  A loopback, single-agent run is a
-pure-overhead configuration: every training second the sequential
-baseline pays, plus framing, socket writes, acks, polling and
-heartbeats.  The delta between the two entries is the transport tax a
+The TCP coordinator promises that "distribution is free,
+determinism-wise" over a partition-prone medium; this benchmark makes
+the *time* cost visible in the committed ``BENCH_<rev>.json``
+snapshots.  A loopback, single-agent run is a pure-overhead
+configuration: every training second the sequential baseline pays,
+plus framing, socket writes, acks, claims and heartbeats.  The delta between the two entries is the transport tax a
 real multi-host run amortizes across agents.
 
 ``test_tcp_frame_roundtrip`` isolates the per-message cost (frame +
@@ -70,13 +68,12 @@ class TestTcpOverhead:
         space, split = _bench_case()
         cfg = TcpConfig(
             address=f"127.0.0.1:{_free_port()}",
-            poll_interval_s=0.02,
         )
         stop = threading.Event()
         agent = threading.Thread(
             target=run_tcp_agent,
             args=(cfg.address,),
-            kwargs=dict(poll_interval_s=0.02, heartbeat_s=0.5, stop=stop),
+            kwargs=dict(heartbeat_s=0.5, stop=stop),
             daemon=True,
         )
         agent.start()

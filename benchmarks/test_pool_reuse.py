@@ -1,11 +1,10 @@
 """Back-to-back search benchmarks: cold pool vs reused persistent pool.
 
 The paper's protocol is many grid searches in sequence (one per
-complexity level x experiment).  PR 2 paid pool spin-up plus a pickled
-``DataSplit`` per worker for *each* search; the persistent pool pays
-spin-up once per protocol run and ships datasets through shared memory
-(workers attach zero-copy, the per-chunk payload is a ~constant-size
-handle).
+complexity level x experiment).  A pool created per search pays agent
+start-up plus the pickled ``DataSplit`` per agent for *each* search;
+the persistent pool pays start-up once per protocol run and sends each
+split to each agent once (chunks name it by a ~constant-size token).
 
 Two wall-clock benchmarks make the difference visible in the committed
 ``BENCH_<rev>.json`` snapshots:
@@ -16,21 +15,22 @@ Two wall-clock benchmarks make the difference visible in the committed
   pool: what the second and every later search of a protocol run pays
   now.  The delta between the two is the amortized spin-up.
 
-``test_ship_split_pickle`` vs ``test_ship_split_handle`` compare the
-cost of the dataset bytes shipped per worker: pickling the full split
-(the old initializer payload, once per worker per search) against
-publishing once plus pickling the shared-memory handle (the new
-per-chunk payload).
+``test_ship_split_pickle`` vs ``test_ship_chunk_token`` compare the
+bytes shipped: pickling the full split (once per agent per split)
+against pickling one chunk that names the split by its token (once per
+chunk).
 """
 
 import pickle
+from dataclasses import replace
 
 import pytest
 
 from repro.core.grid_search import TrainingSettings, grid_search
 from repro.core.search_space import classical_search_space
 from repro.data import make_spiral, stratified_split
-from repro.runtime import PersistentPool, publish_split
+from repro.runtime import PersistentPool
+from repro.runtime.jobs import make_chunks
 
 _SETTINGS = TrainingSettings(epochs=8, batch_size=16, runs=2)
 _WORKERS = 2
@@ -79,7 +79,7 @@ class TestBackToBackSearches:
         # later back-to-back search pays.
         _search(split, space, pool=warm_pool)
         searches_before = warm_pool.searches_started
-        pids_before = warm_pool.worker_pids()
+        pids_before = warm_pool.agent_pids()
 
         outcome = benchmark.pedantic(
             lambda: _search(split, space, pool=warm_pool),
@@ -87,28 +87,25 @@ class TestBackToBackSearches:
             iterations=1,
         )
         assert outcome.candidates_trained == len(space)
-        # The measured searches reused the same workers — no spin-up.
-        assert warm_pool.worker_pids() == pids_before
+        # The measured searches reused the same agents — no start-up.
+        assert warm_pool.agent_pids() == pids_before
         assert warm_pool.searches_started > searches_before
 
 
 class TestDatasetShipping:
-    """Bytes shipped per worker: pickled split vs shared-memory attach."""
+    """Bytes shipped: the pickled split vs a chunk naming it by token."""
 
     def test_ship_split_pickle(self, benchmark):
         _, split = _bench_case()
         payload = benchmark(lambda: pickle.dumps(split))
         benchmark.extra_info["payload_bytes"] = len(payload)
 
-    def test_ship_split_handle(self, benchmark):
-        _, split = _bench_case()
-        shm, handle = publish_split(split)
-        try:
-            payload = benchmark(lambda: pickle.dumps(handle))
-            benchmark.extra_info["payload_bytes"] = len(payload)
-            # The zero-copy claim, recorded next to the timing: the
-            # handle is orders of magnitude smaller than the dataset.
-            assert len(payload) < len(pickle.dumps(split)) / 10
-        finally:
-            shm.close()
-            shm.unlink()
+    def test_ship_chunk_token(self, benchmark):
+        space, split = _bench_case()
+        [chunk] = make_chunks(space[0], 0, 3, 2, 2, _SETTINGS)
+        chunk = replace(chunk, split="coordinator-token-1")
+        payload = benchmark(lambda: pickle.dumps(chunk))
+        benchmark.extra_info["payload_bytes"] = len(payload)
+        # Recorded next to the timing: a chunk is orders of magnitude
+        # smaller than the dataset it names.
+        assert len(payload) < len(pickle.dumps(split)) / 10

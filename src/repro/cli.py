@@ -66,8 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="worker processes per grid search (1 = sequential, 0 = all "
-        "cores); results are identical for any value, only wall time "
+        help="local agent processes per grid search (1 = sequential, 0 = "
+        "all cores); results are identical for any value, only wall time "
         "changes",
     )
     parser.add_argument(
@@ -99,8 +99,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSON file persisting the measured chunk-cost model across "
         "invocations so adaptive packing is warm on the first search of "
         "a rerun (default: chunk_costs_<profile>[_<overrides>].json "
-        "inside --cache, named like the result cache, when both --cache "
-        "and --workers > 1 are given)",
+        "inside --cache, named like the result cache, when --cache is "
+        "given with --workers > 1 or --connect); the file records the "
+        "run's result identity, and one saved under another is ignored",
     )
     parser.add_argument(
         "--journal",
@@ -138,9 +139,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--connect",
         default=None,
         metavar="HOST:PORT",
-        help="cross-host sharding over TCP: experiments bind the address "
-        "and run their grid searches as coordinators leasing chunks to "
-        "'repro cluster-agent --connect HOST:PORT' processes over "
+        help="cross-host sharding over TCP: the invocation binds the "
+        "address and runs its grid searches as one coordinator leasing "
+        "chunks to 'repro cluster-agent --connect HOST:PORT' processes over "
         "checksummed frames; results are bit-identical to a local run, "
         "and losing every agent degrades to in-process sequential "
         "execution (see docs/parallel_runtime.md)",
@@ -273,11 +274,11 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     With ``--workers N`` (N != 1 after resolving 0 = all cores), one
     :class:`~repro.runtime.pool.PersistentPool` is created up front and
-    shared by every experiment of the invocation — workers spin up once
+    shared by every experiment of the invocation — agents start once
     per ``repro`` run (lazily, on the first real search), not once per
-    grid search, and each dataset is published to shared memory at most
-    once per protocol run (publication is keyed on the split object;
-    each level's segment is retired as soon as its level finishes).
+    grid search, and each dataset reaches each agent once.  With
+    ``--connect`` one :class:`~repro.runtime.cluster_tcp.Coordinator`
+    plays the same part for remote agents.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -319,43 +320,45 @@ def main(argv: Sequence[str] | None = None) -> int:
         overrides["memory_budget"] = parse_memory_budget(args.memory_budget)
     from .runtime.parallel import resolve_workers
 
-    pool = None
-    if not args.connect and resolve_workers(args.workers) > 1:
-        from .runtime.pool import PersistentPool
-
-        pool = PersistentPool(resolve_workers(args.workers))
     # Warm the adaptive packer from a previous invocation's measured
-    # chunk costs; written back below (pool) or by the coordinator
-    # itself (TCP transport) so reruns keep learning.  Costs are keyed
-    # by candidate label only, so the default file carries the result
-    # cache's identity: smoke timings never warm the packing or the
-    # deadlines of a reduced run.
+    # chunk costs; the pool or coordinator saves them back on close so
+    # reruns keep learning.  Costs are keyed by candidate label only, so
+    # the model carries the result cache's identity: smoke timings never
+    # warm the packing or the deadlines of a reduced run, whatever file
+    # they sit in.
+    name = cache_name(args.profile, **overrides)
+    parallel = bool(args.connect) or resolve_workers(args.workers) > 1
     cost_cache = args.cost_cache
-    if cost_cache is None and args.cache and (
-        pool is not None or args.connect
-    ):
+    if cost_cache is None and args.cache and parallel:
         from pathlib import Path
 
-        name = cache_name(args.profile, **overrides)
         cost_cache = str(Path(args.cache) / f"chunk_costs_{name}.json")
-    if pool is None and not args.connect and args.cost_cache:
+    if not parallel and args.cost_cache:
         # Sequential runs have no chunk scheduler, so there is nothing
         # to warm or record; say so instead of silently dropping it.
         print(
             "note: --cost-cache has no effect without --workers > 1",
             file=sys.stderr,
         )
-    if pool is not None and cost_cache:
-        pool.cost_model.load_json(cost_cache)
+    pool = None
+    cost_kwargs = {"cost_cache": cost_cache, "cost_identity": name}
     if args.connect:
-        from .runtime.cluster_tcp import TcpConfig
+        # One coordinator for the whole invocation: agents stay
+        # connected from one grid search to the next.
+        from .runtime.cluster_tcp import Coordinator, TcpConfig
 
-        tcp_kwargs: dict = {"cost_cache": cost_cache}
+        tcp_kwargs: dict = {}
         if args.lease_timeout is not None:
             tcp_kwargs["lease_timeout_s"] = args.lease_timeout
         if args.frame_timeout is not None:
             tcp_kwargs["frame_timeout_s"] = args.frame_timeout
-        overrides["connect"] = TcpConfig(address=args.connect, **tcp_kwargs)
+        pool = Coordinator(
+            TcpConfig(address=args.connect, **tcp_kwargs), **cost_kwargs
+        )
+    elif parallel:
+        from .runtime.pool import PersistentPool
+
+        pool = PersistentPool(resolve_workers(args.workers), **cost_kwargs)
     try:
         for target in targets:
             print(
@@ -372,8 +375,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             print()
     finally:
         if pool is not None:
-            if cost_cache and pool.cost_model.observations:
-                pool.cost_model.save_json(cost_cache)
             pool.close()
     return 0
 

@@ -104,8 +104,8 @@ REPORTED_FEATURE_SIZES = (10, 40, 80, 110)
 #: ``repro.runtime.memory``.
 MEMORY_BUDGET_FRACTION = 0.5
 
-#: Cross-host TCP defaults (``repro.runtime.cluster_tcp``; runtime
-#: knobs, not paper constants).  An agent sends an application-level
+#: TCP transport defaults for local and remote agents
+#: (``repro.runtime.cluster_tcp``; runtime knobs, not paper constants).  An agent sends an application-level
 #: heartbeat frame every ``TCP_HEARTBEAT_S``; the coordinator expires a
 #: chunk lease after seeing no frame from its holder for
 #: ``TCP_LEASE_TIMEOUT_S`` on its own monotonic clock (remote wall
@@ -120,7 +120,6 @@ MEMORY_BUDGET_FRACTION = 0.5
 #: ``TCP_RECONNECT_TIMEOUT_S`` without a successful connection.
 TCP_HEARTBEAT_S = 5.0
 TCP_LEASE_TIMEOUT_S = 60.0
-TCP_POLL_INTERVAL_S = 0.5
 TCP_AGENT_GRACE_S = 30.0
 TCP_FRAME_TIMEOUT_S = 30.0
 TCP_RECONNECT_CAP_S = 5.0

@@ -77,9 +77,9 @@ class ProtocolConfig:
     convention: str = setting("paper", affects_results=True)
     dataset_seed: int = setting(0, affects_results=True)
     base_seed: int = setting(0, affects_results=True)
-    #: Worker processes per grid search: 1 (default) = in-process
-    #: sequential, 0 = all cores, N > 1 = that many processes; negative
-    #: values are rejected.
+    #: Local agent processes per grid search: 1 (default) = in-process
+    #: sequential, 0 = all cores, N > 1 = a pool of that many agents;
+    #: negative values are rejected.
     workers: int = setting(1, affects_results=False)
     #: Run-stacked candidate training (one vectorized sweep per run set,
     #: see :class:`~repro.core.grid_search.TrainingSettings`).
@@ -270,11 +270,13 @@ def run_protocol(
     The protocol is many grid searches back to back (one per level x
     experiment), so with ``cfg.workers > 1`` it creates **one**
     :class:`~repro.runtime.pool.PersistentPool` up front and reuses it
-    for every search: workers spin up once, each level's dataset is
-    published to shared memory once and unlinked as soon as its last
-    experiment finishes.  Pass ``pool`` to share an even longer-lived
-    pool across protocols (the CLI does this for ``repro all``); an
-    explicit pool is used as-is and left open for the caller.
+    for every search: agents start once, and each level's dataset
+    reaches each agent once.  With ``cfg.connect`` it likewise binds one
+    :class:`~repro.runtime.cluster_tcp.Coordinator` for every search, so
+    remote agents stay connected between searches.  Pass ``pool`` to
+    share an even longer-lived pool or coordinator across protocols (the
+    CLI does this for ``repro all``); an explicit one is used as-is and
+    left open for the caller.
     """
     cfg = cfg or ProtocolConfig()
     if cfg.n_experiments < 1:
@@ -292,57 +294,49 @@ def run_protocol(
 
     from ..runtime.parallel import resolve_workers
 
-    owns_pool = False
-    if (
-        pool is None
-        and cfg.connect is None
-        and resolve_workers(cfg.workers) > 1
-    ):
+    owns_pool = pool is None
+    if pool is None and cfg.connect is not None:
+        from ..runtime.cluster_tcp import Coordinator
+
+        pool = Coordinator(cfg.connect)
+    elif pool is None and resolve_workers(cfg.workers) > 1:
         from ..runtime.pool import PersistentPool
 
         pool = PersistentPool(resolve_workers(cfg.workers))
-        owns_pool = True
     try:
         for feature_size in cfg.feature_sizes:
             split = make_level_split(cfg, feature_size)
             specs = search_space_for_family(family, feature_size)
             level = LevelResult(feature_size=feature_size)
-            try:
-                for experiment in range(cfg.n_experiments):
-                    outcome = grid_search(
-                        specs,
-                        split,
-                        threshold=cfg.threshold,
-                        settings=settings,
-                        convention=cfg.convention,
-                        seed=_level_seed(cfg, feature_size, experiment),
-                        max_candidates=cfg.max_candidates,
-                        workers=cfg.workers,
-                        pool=pool,
-                        journal=_search_journal_path(
-                            cfg.journal, feature_size, experiment
-                        ),
-                        on_event=on_event,
-                        connect=cfg.connect,
+            for experiment in range(cfg.n_experiments):
+                outcome = grid_search(
+                    specs,
+                    split,
+                    threshold=cfg.threshold,
+                    settings=settings,
+                    convention=cfg.convention,
+                    seed=_level_seed(cfg, feature_size, experiment),
+                    max_candidates=cfg.max_candidates,
+                    workers=cfg.workers,
+                    pool=pool,
+                    journal=_search_journal_path(
+                        cfg.journal, feature_size, experiment
+                    ),
+                    on_event=on_event,
+                )
+                level.outcomes.append(outcome)
+                if progress is not None:
+                    winner = (
+                        outcome.winner.spec.label if outcome.winner else "-"
                     )
-                    level.outcomes.append(outcome)
-                    if progress is not None:
-                        winner = (
-                            outcome.winner.spec.label if outcome.winner else "-"
-                        )
-                        progress(
-                            f"[{family}] fs={feature_size} "
-                            f"exp={experiment + 1}/"
-                            f"{cfg.n_experiments} winner={winner} "
-                            f"({outcome.candidates_trained} candidates)"
-                        )
-            finally:
-                if pool is not None:
-                    # This level's dataset is done: unlink its segment
-                    # now (or when the last search referencing it ends).
-                    pool.retire_split(split)
+                    progress(
+                        f"[{family}] fs={feature_size} "
+                        f"exp={experiment + 1}/"
+                        f"{cfg.n_experiments} winner={winner} "
+                        f"({outcome.candidates_trained} candidates)"
+                    )
             result.levels.append(level)
     finally:
-        if owns_pool:
+        if owns_pool and pool is not None:
             pool.close()
     return result

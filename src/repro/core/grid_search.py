@@ -87,7 +87,7 @@ class TrainingSettings:
 
     The parallel scheduler's *fault tolerance* (see
     ``docs/parallel_runtime.md``): ``max_retries`` is how many times a
-    chunk lost to a worker death, hard timeout, or runtime error is
+    chunk lost to an agent death, hard timeout, or runtime error is
     re-executed before the search gives up on the pool;
     ``fallback_sequential`` then finishes the remaining candidates
     in-process (the ``workers=1`` executor, with grouping and the OOM
@@ -300,19 +300,20 @@ def grid_search(
     workers:
         ``1`` (default) trains in-process
         (:meth:`repro.runtime.frontier.SearchFrontier.run_in_process`).
-        ``> 1`` fans (candidate, run) jobs out across that many worker
-        processes with speculative FLOPs-order commit semantics
+        ``> 1`` fans (candidate, run) jobs out across that many local
+        agent processes with speculative FLOPs-order commit semantics
         (:class:`repro.runtime.parallel.Scheduler` on a
-        :class:`~repro.runtime.parallel.PoolExecutor`); ``None``
-        or ``0`` uses all available cores.  The outcome is identical in
+        :class:`~repro.runtime.cluster_tcp.TcpExecutor` over a
+        :class:`~repro.runtime.pool.PersistentPool` of this search
+        alone); ``None`` or ``0`` uses all available cores.  The outcome is identical in
         either mode (only ``wall_time_s`` values differ).
     pool:
-        An optional :class:`repro.runtime.pool.PersistentPool` to run
-        the parallel search on.  When given it takes precedence over
-        ``workers``: warm workers are reused (no per-search pool
-        spin-up) and the dataset is served to workers from shared
-        memory, published at most once per (pool, split).  The caller
-        owns the pool's lifetime.  Results are identical with or
+        An optional :class:`repro.runtime.pool.PersistentPool` (or any
+        :class:`repro.runtime.cluster_tcp.Coordinator`) to run the
+        parallel search on.  When given it takes precedence over
+        ``workers``: warm agents are reused (no per-search start-up)
+        and the dataset reaches each agent once per (pool, split).  The
+        caller owns the pool's lifetime.  Results are identical with or
         without a pool.
     journal:
         Optional path to a JSONL checkpoint journal
@@ -329,18 +330,16 @@ def grid_search(
         :class:`repro.runtime.frontier.SearchEvent` for every execution
         decision: ``group-resize`` and
         ``memory-degrade`` (any mode, including ``workers=1``), and the
-        distributed modes' fault-tolerance decisions (worker loss,
+        distributed modes' fault-tolerance decisions (agent loss,
         retry, deadline warning/timeout, sequential fallback, lease
         expiry...).
     connect:
         Optional ``HOST:PORT`` to bind (or a
-        :class:`repro.runtime.cluster_tcp.TcpConfig`).  When given, the
-        search's scheduler runs on a
-        :class:`repro.runtime.cluster_tcp.TcpExecutor`: chunks
-        are leased to ``repro cluster-agent --connect`` processes over
-        checksummed socket frames — no shared filesystem required —
-        instead of local pool workers, and ``workers``/``pool`` are
-        ignored.  The outcome is bit-identical to the sequential
+        :class:`repro.runtime.cluster_tcp.TcpConfig`) for a coordinator
+        of this search alone: chunks are leased to ``repro
+        cluster-agent --connect`` processes over checksummed socket
+        frames — no shared filesystem required — instead of local
+        agents, and ``workers``/``pool`` are ignored.  The outcome is bit-identical to the sequential
         baseline regardless of agent count, disconnects, or
         partitions; losing every agent finishes the search in-process.
         An execution knob like ``workers``: it never affects results.
@@ -390,20 +389,23 @@ def grid_search(
     if frontier.resume():
         return frontier.outcome
 
-    from ..runtime.parallel import (
-        PoolExecutor,
-        resolve_workers,
-        speculative_search,
-    )
+    from ..runtime.cluster_tcp import TcpExecutor
+    from ..runtime.parallel import resolve_workers, speculative_search
 
     if connect is not None:
-        from ..runtime.cluster_tcp import TcpExecutor
+        medium = connect
+    elif pool is not None:
+        medium = pool
+    elif resolve_workers(workers) > 1:
+        from ..runtime.pool import PersistentPool
 
-        executor = TcpExecutor(connect)
-    elif pool is not None or resolve_workers(workers) > 1:
-        executor = PoolExecutor(pool, resolve_workers(workers))
+        with PersistentPool(resolve_workers(workers)) as ephemeral:
+            return speculative_search(
+                frontier, split, settings, seed, TcpExecutor(ephemeral),
+                on_event,
+            )
     else:
         return frontier.run_in_process(split, settings, seed, on_event)
     return speculative_search(
-        frontier, split, settings, seed, executor, on_event
+        frontier, split, settings, seed, TcpExecutor(medium), on_event
     )

@@ -36,8 +36,8 @@ class TrainingCancelled(ReproError):
     """A training run was cooperatively cancelled mid-flight.
 
     Raised by :func:`repro.nn.training.train_model` when its
-    ``cancel_check`` fires; the persistent worker pool uses it to abort
-    speculative runs whose search has already finished."""
+    ``cancel_check`` fires; agents use it to abort speculative runs
+    whose chunk was cancelled."""
 
 
 class SearchExhaustedError(SearchError):

@@ -97,9 +97,9 @@ def train_model(
 
     ``cancel_check`` (optional) is polled at every epoch boundary; when
     it returns true, training aborts by raising
-    :class:`~repro.exceptions.TrainingCancelled`.  The persistent worker
-    pool uses it to stop speculative runs whose grid search has already
-    committed a winner, bounding a stale worker's extra work to one
+    :class:`~repro.exceptions.TrainingCancelled`.  Agents use it to stop
+    speculative runs whose chunk was cancelled (its grid search already
+    committed a winner), bounding a stale agent's extra work to one
     epoch.
     """
     if y_train.ndim != 2 or y_val.ndim != 2:

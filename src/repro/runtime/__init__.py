@@ -1,22 +1,26 @@
 """Parallel search runtime.
 
-Process-pool execution of grid-search training jobs with speculative
-FLOPs-order semantics: results are bit-identical to the sequential
-search (same winner, same per-run accuracies, same evaluated order)
-while the embarrassingly parallel (candidate, run) training work fans
-out across workers.
+Execution of grid-search training jobs with speculative FLOPs-order
+semantics: results are bit-identical to the sequential search (same
+winner, same per-run accuracies, same evaluated order) while the
+embarrassingly parallel (candidate, run) training work fans out across
+agents.
 
-:mod:`repro.runtime.pool` provides the persistent worker pool — spun up
-once, reused across every grid search of a protocol run — the
-shared-memory dataset protocol (workers attach to published
-:class:`~repro.data.splits.DataSplit` segments zero-copy), and the
-measured-cost model behind adaptive chunk packing.
 :mod:`repro.runtime.parallel` is the speculative scheduler with
-cost-aware job packing and fault-tolerant supervision (chunk retry,
-duplicate dropping, sequential fallback) over a small executor
-protocol, plus the pool executor (generations, worker watchdog,
-deadlines), and :mod:`repro.runtime.jobs`
-holds the shared run primitives — scalar
+cost-aware job packing (the measured
+:class:`~repro.runtime.parallel.ChunkCostModel`), chunk deadlines and
+fault-tolerant supervision (chunk retry, duplicate dropping, sequential
+fallback) over a small executor protocol.
+:mod:`repro.runtime.cluster_tcp` is the one transport under it: a
+:class:`~repro.runtime.cluster_tcp.Coordinator` that leases chunks over
+checksummed TCP frames to agents that dial in (connection leases,
+heartbeat liveness, per-chunk cancel, reconnect with backoff, partition
+tolerance), and the :class:`~repro.runtime.cluster_tcp.TcpExecutor`
+that runs one search on it.  :mod:`repro.runtime.pool` provides the
+persistent local pool — a loopback coordinator plus the agent processes
+it starts itself, spun up once and reused across every grid search of
+a protocol run.  :mod:`repro.runtime.jobs` holds the shared run
+primitives — the chunk an agent trains, scalar
 :func:`~repro.runtime.jobs.execute_job`, the stacked
 :func:`~repro.runtime.jobs.execute_candidates` that trains one or more
 candidates' whole run sets in one fused sweep (one candidate's:
@@ -27,24 +31,28 @@ execution mode shares, including the in-process executor that is both
 ``workers=1`` and every mode's graceful-degradation floor.
 
 :mod:`repro.runtime.journal` persists every committed candidate to a
-JSONL checkpoint so interrupted searches resume bit-identically, and
-:mod:`repro.runtime.faults` provides the deterministic fault-injection
-hooks (worker kill, chunk delay, chunk-runner error, agent kill,
+JSONL checkpoint so interrupted searches resume bit-identically,
+:mod:`repro.runtime.faults` provides the deterministic file-armed fault
+hooks (agent kill, chunk delay, chunk-runner error, out-of-memory,
 connection drop, partition, stalled frame) the fault-tolerance tests
-drive real process death with.
-
-:mod:`repro.runtime.cluster_tcp` is the executor that shards one search
-across hosts over a listening socket (checksummed frames, connection
-leases, heartbeat liveness, reconnect with backoff, partition
-tolerance), and :mod:`repro.runtime.backoff` is the shared capped
-decorrelated-jitter retry policy every retry path sleeps through.
+drive real failures with, and :mod:`repro.runtime.backoff` is the
+shared capped decorrelated-jitter retry policy every retry path sleeps
+through.
 """
 
 from .backoff import Backoff
-from .cluster_tcp import AgentStats, TcpConfig, TcpExecutor, run_tcp_agent
+from .cluster_tcp import (
+    AgentStats,
+    Coordinator,
+    TcpConfig,
+    TcpExecutor,
+    run_tcp_agent,
+)
 from .faults import FaultPlan
 from .frontier import SearchFrontier
 from .jobs import (
+    ChunkResult,
+    JobChunk,
     RunResult,
     TrainingJob,
     execute_candidates,
@@ -54,45 +62,36 @@ from .jobs import (
 from .journal import SearchJournal, search_key
 from .parallel import (
     SPECULATION_FACTOR,
-    PoolExecutor,
+    ChunkCostModel,
     Scheduler,
     SearchEvent,
     resolve_workers,
     speculative_search,
 )
-from .pool import (
-    ChunkCostModel,
-    PersistentPool,
-    SharedSplitHandle,
-    attach_split,
-    publish_split,
-    sweep_stale_segments,
-)
+from .pool import PersistentPool
 
 __all__ = [
     "TrainingJob",
     "RunResult",
+    "JobChunk",
+    "ChunkResult",
     "execute_job",
     "execute_runs",
     "execute_candidates",
     "resolve_workers",
     "speculative_search",
     "Scheduler",
-    "PoolExecutor",
     "SearchEvent",
     "SearchFrontier",
     "SPECULATION_FACTOR",
     "PersistentPool",
-    "SharedSplitHandle",
     "ChunkCostModel",
-    "publish_split",
-    "attach_split",
-    "sweep_stale_segments",
     "FaultPlan",
     "SearchJournal",
     "search_key",
     "Backoff",
     "AgentStats",
+    "Coordinator",
     "TcpConfig",
     "TcpExecutor",
     "run_tcp_agent",

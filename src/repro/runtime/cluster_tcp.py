@@ -1,32 +1,48 @@
-"""Cross-host sharded grid search over plain TCP sockets.
+"""The one parallel transport: a coordinator that leases chunks to agents
+over TCP.
 
-The single-host seams — picklable :class:`~repro.runtime.pool.JobChunk`
+The single-host seams — picklable :class:`~repro.runtime.jobs.JobChunk`
 chunks, ``(seed, candidate, run)``-derived RNG streams, strict
-FLOPs-order commit — make distributed execution a pure transport
-problem.  This module is the one cross-host transport: a
-:class:`TcpExecutor` that listens on a socket for agents
-(:func:`run_tcp_agent`, ``repro cluster-agent --connect HOST:PORT``)
-that dial in and claim chunks over the wire.  Hosts need to share
+FLOPs-order commit — make parallel execution a pure transport problem.
+This module solves it once.  A :class:`Coordinator` listens on a socket
+for agents (:func:`run_tcp_agent`) that dial in and claim chunks over
+the wire, and a :class:`TcpExecutor` drives one search on it for the
+:class:`~repro.runtime.parallel.Scheduler`.  The agents are either the
+local processes of a :class:`~repro.runtime.pool.PersistentPool`
+(``--workers N``: a loopback coordinator plus N agents it starts
+itself) or remote hosts (``repro cluster-agent --connect HOST:PORT``);
+the wire and every liveness rule are the same.  Hosts need to share
 nothing but a network; a site whose compute nodes only share a
 filesystem forwards the coordinator's port over SSH instead (see
 ``docs/parallel_runtime.md``).
 
 Every message is one ``RSPL`` frame — magic, version, payload length,
 SHA-256 — so it is length-prefixed and checksummed, and the payloads
-are the same pickled :class:`~repro.runtime.pool.JobChunk` /
-:class:`~repro.runtime.pool.ChunkResult` types a pool worker sees.  On
-top of the stream, eight message kinds::
+are pickled ``(kind, data)`` pairs::
 
     agent -> coordinator    ("hello",  {"agent": id})
-    coordinator -> agent    ("welcome", {"token", "split"})
+    coordinator -> agent    ("welcome", {"token": coordinator id})
     agent -> coordinator    ("claim",  {"agent": id})
-    coordinator -> agent    ("chunk",  (cid, attempt, JobChunk))
+    coordinator -> agent    ("chunk",  (wire, JobChunk, DataSplit | None))
                             | ("idle", None)
     agent -> coordinator    ("beat",   {"agent": id})      # no reply
-    agent -> coordinator    ("result", (cid, attempt, ChunkResult))
+    agent -> coordinator    ("result", (wire, ChunkResult))
+                            | ("error", (wire, message))
     coordinator -> agent    ("ack",    None)
+    coordinator -> agent    ("cancel", wire)                # no reply
 
-The robustness ladder for the partition-prone medium:
+``wire`` is the coordinator's id for one submitted attempt of a chunk.
+A chunk names its dataset by the token :meth:`Coordinator.publish`
+returned; the split itself rides along with the first grant of that
+token on a connection, so it crosses the wire once per agent, never
+once per chunk.  A ``claim`` is answered as soon as a chunk is pending,
+or ``idle`` after a bounded long-poll, after which the agent claims
+again at once.  Each agent reads every frame on one reader thread, so a
+``cancel`` reaches a chunk mid-training and stops it at its next epoch
+boundary.  A chunk that raises comes back as an ``error`` and the agent
+serves on.
+
+The robustness ladder:
 
 * **heartbeats** are application-level ``beat`` frames.  TCP keepalive
   is useless here — a wedged peer keeps a socket "open" for hours — so
@@ -37,10 +53,10 @@ The robustness ladder for the partition-prone medium:
 
 * **leases** live in coordinator memory: a granted chunk is leased to
   the granting connection and expires after ``lease_timeout_s`` without
-  a frame from it.  A connection that dies outright (EOF, reset, torn
-  frame) releases its leases immediately — faster than waiting out the
-  timeout — and either way the scheduler resubmits the chunk under the
-  next attempt, bounded by ``settings.max_retries``;
+  a frame from it.  A connection that dies outright (EOF — a killed
+  agent's socket closes with it — reset, or a torn frame) releases its
+  leases immediately, and either way the scheduler resubmits the chunk
+  under the next attempt, bounded by ``settings.max_retries``;
 
 * **per-frame timeouts**: silence *between* frames is legal (that is
   what the lease table is for), but a frame that started arriving must
@@ -54,38 +70,42 @@ The robustness ladder for the partition-prone medium:
   restarts — and gives up after ``reconnect_timeout_s`` without a
   successful connection;
 
-* **duplicates** are harmless: a partitioned agent whose lease was
-  re-issued can reconnect and deliver its (bit-identical, because
-  chunks are deterministic) result anyway; the scheduler keeps the
-  first delivered copy and counts and drops later ones;
+* **late and duplicate deliveries** are harmless: a result for an
+  expired or cancelled lease is acked and dropped, and should two
+  copies of a chunk reach the scheduler (chunks are deterministic) it
+  keeps the first and counts and drops the other;
 
 * losing **every** agent for ``agent_grace_s`` starves the executor,
   and the scheduler finishes the remaining candidates in-process.
 
 All of the correctness machinery — speculation, packing, attempt
-bounding, duplicate arbitration, cost feedback, FLOPs-order commit and
-the in-process floor — is the :class:`~repro.runtime.parallel.Scheduler`'s,
-shared with the pool, which is why a TCP-sharded
+bounding, chunk deadlines, duplicate arbitration, cost feedback,
+FLOPs-order commit and the in-process floor — is the
+:class:`~repro.runtime.parallel.Scheduler`'s, which is why a sharded
 :class:`~repro.core.grid_search.SearchOutcome` is bit-identical to a
-pooled or sequential one under any failure history.
+sequential one under any failure history.
 """
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import itertools
 import logging
+import math
 import os
 import pickle
 import queue
 import random
 import re
 import secrets
+import signal
 import socket
 import struct
 import threading
 import time
-from dataclasses import asdict, dataclass, field
+import weakref
+from dataclasses import asdict, dataclass, field, replace
 from typing import TYPE_CHECKING, Callable
 
 from ..config import (
@@ -93,15 +113,21 @@ from ..config import (
     TCP_FRAME_TIMEOUT_S,
     TCP_HEARTBEAT_S,
     TCP_LEASE_TIMEOUT_S,
-    TCP_POLL_INTERVAL_S,
     TCP_RECONNECT_CAP_S,
     TCP_RECONNECT_TIMEOUT_S,
 )
 from ..exceptions import SearchError, TrainingCancelled
 from . import faults
 from .backoff import Backoff
-from .parallel import Delivered, ExecutorCounters, Lost, Notice, Starved
-from .pool import ChunkCostModel, ChunkResult, JobChunk, execute_chunk
+from .jobs import ChunkResult, JobChunk, execute_chunk
+from .parallel import (
+    ChunkCostModel,
+    Delivered,
+    ExecutorCounters,
+    Lost,
+    Notice,
+    Starved,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.grid_search import TrainingSettings
@@ -109,23 +135,31 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "TcpConfig",
+    "Coordinator",
     "TcpExecutor",
     "AgentStats",
     "run_tcp_agent",
     "ConnectionDead",
     "TornFrameError",
+    "LeaseLost",
+    "ChunkFailed",
 ]
 
 logger = logging.getLogger("repro.runtime")
 
 #: Upper bound on a declared frame payload.  A corrupt length field that
 #: somehow carried a valid magic must not make the reader allocate (or
-#: wait for) gigabytes; the largest legitimate payload is one pickled
-#: DataSplit, well under this.
+#: wait for) gigabytes; the largest legitimate payload is one grant
+#: carrying a pickled DataSplit, well under this.
 _MAX_FRAME_BYTES = 1 << 30
 
-#: How often a blocked coordinator-side read wakes up to notice shutdown.
+#: How often a blocked read wakes up to notice shutdown.
 _STOP_POLL_S = 0.25
+
+#: The longest a ``claim`` waits for work before it is answered
+#: ``idle``: long enough that an idle agent costs a frame a second, short
+#: enough that a silent connection is noticed between claims.
+_CLAIM_WAIT_S = 1.0
 
 
 class ConnectionDead(SearchError):
@@ -136,23 +170,39 @@ class TornFrameError(SearchError):
     """A frame failed validation (magic, version, length or checksum)."""
 
 
+class LeaseLost(SearchError):
+    """A granted chunk's agent went away before it delivered.
+
+    ``kind`` is ``"conn-lost"`` (the connection died) or
+    ``"lease-expired"`` (no frame from the agent for the lease timeout).
+    """
+
+    def __init__(self, kind: str, agent: str | None) -> None:
+        super().__init__(f"{kind}: agent {agent}")
+        self.kind = kind
+        self.agent = agent
+
+
+class ChunkFailed(SearchError):
+    """An agent's chunk runner raised; the agent itself serves on."""
+
+
 _MAGIC = b"RSPL"
-#: Version 2: payloads are JobChunk/ChunkResult.  A peer from an older
-#: checkout fails validation instead of unpickling a missing class.
-_FRAME_VERSION = 2
+#: Version 3: grants carry a wire id and the split on first use, and
+#: ``cancel``/``error`` exist.  A peer from an older checkout fails
+#: validation instead of misreading a message.
+_FRAME_VERSION = 3
 _HEADER = struct.Struct("<4sIQ32s")  # magic, version, payload len, sha256
 
 
-def _frame(payload: bytes) -> bytes:
-    return (
-        _HEADER.pack(
-            _MAGIC,
-            _FRAME_VERSION,
-            len(payload),
-            hashlib.sha256(payload).digest(),
-        )
-        + payload
+def _header(payload: bytes) -> bytes:
+    return _HEADER.pack(
+        _MAGIC, _FRAME_VERSION, len(payload), hashlib.sha256(payload).digest()
     )
+
+
+def _frame(payload: bytes) -> bytes:
+    return _header(payload) + payload
 
 
 def _new_owner_id() -> str:
@@ -184,47 +234,53 @@ def _send_frame(
     """Write one framed payload; a stalled or failed write is death.
 
     The lock serializes writers (an agent's heartbeat thread and its
-    serve loop share one socket) so frames can never interleave
-    mid-wire.
+    serve loop share one socket, as do a coordinator's connection thread
+    and a ``cancel``) so frames can never interleave mid-wire.
     """
-    frame = _frame(payload)
+    header = _header(payload)
     with lock:
         try:
             sock.settimeout(timeout_s)
-            sock.sendall(frame)
+            # Two writes instead of one concatenated frame: a grant that
+            # carries a split is not copied once more to be sent.
+            sock.sendall(header)
+            sock.sendall(payload)
         except OSError as error:
             raise ConnectionDead(f"send failed: {error}") from None
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    buf = bytearray()
-    while len(buf) < n:
+def _recv_exact(sock: socket.socket, n: int) -> bytearray:
+    """Read exactly ``n`` bytes into one buffer (no per-piece copies)."""
+    buf = bytearray(n)
+    view = memoryview(buf)
+    got = 0
+    while got < n:
         try:
-            piece = sock.recv(n - len(buf))
+            count = sock.recv_into(view[got:])
         except socket.timeout:
             raise ConnectionDead(
-                f"peer stalled mid-frame ({len(buf)}/{n} bytes)"
+                f"peer stalled mid-frame ({got}/{n} bytes)"
             ) from None
         except OSError as error:
             raise ConnectionDead(f"recv failed: {error}") from None
-        if not piece:
+        if not count:
             raise ConnectionDead("peer closed the connection mid-frame")
-        buf += piece
-    return bytes(buf)
+        got += count
+    return buf
 
 
 def _recv_frame(
     sock: socket.socket,
     frame_timeout_s: float,
     stop: Callable[[], bool] | None = None,
-) -> bytes:
+) -> bytearray:
     """Read and validate one frame; return its payload.
 
-    With ``stop`` (coordinator side) the wait for the next frame to
-    *start* is unbounded — inter-frame silence is legal, liveness is
-    the lease table's job — polling ``stop()`` so shutdown is prompt.
-    Without it (agent side, awaiting a prompt reply) the header itself
-    must arrive within ``frame_timeout_s``.  Either way, once the first
+    With ``stop`` (the reader thread of either end) the wait for the
+    next frame to *start* is unbounded — inter-frame silence is legal,
+    liveness is the lease table's job — polling ``stop()`` so shutdown
+    is prompt.  Without it (an agent awaiting its welcome) the header
+    itself must arrive within ``frame_timeout_s``.  Either way, once the first
     byte lands every subsequent read must progress within
     ``frame_timeout_s`` or the connection is declared dead.  A frame
     that fails validation raises
@@ -311,86 +367,102 @@ def _recv_msg(
 class TcpConfig:
     """TCP transport knobs (``address`` is ``HOST:PORT``).
 
-    The executor binds the address (port 0 picks an ephemeral port,
-    readable as ``executor.address`` after ``open()``); agents dial the
-    same string.  ``cost_cache`` names an optional JSON file for the
-    executor's measured-cost model, loaded when the executor is built
-    and saved on close.
+    The coordinator binds the address (port 0 picks an ephemeral port,
+    readable as ``coordinator.address`` once it listens); agents dial
+    the same string.
     """
 
     address: str
     lease_timeout_s: float = TCP_LEASE_TIMEOUT_S
-    poll_interval_s: float = TCP_POLL_INTERVAL_S
     agent_grace_s: float = TCP_AGENT_GRACE_S
     frame_timeout_s: float = TCP_FRAME_TIMEOUT_S
-    cost_cache: "str | os.PathLike | None" = None
 
 
-class _Lease:
-    """One granted chunk: who holds it, over which connection, since when."""
+@dataclass
+class _Dispatch:
+    """One submitted attempt of a chunk: pending until granted, then
+    leased to one connection until it delivers, dies or goes silent."""
 
-    __slots__ = ("agent", "conn_id", "attempt", "last_seen")
-
-    def __init__(
-        self, agent: str, conn_id: int, attempt: int, last_seen: float
-    ) -> None:
-        self.agent = agent
-        self.conn_id = conn_id
-        self.attempt = attempt
-        self.last_seen = last_seen
-
-
-# -- executor ---------------------------------------------------------------
+    chunk: JobChunk
+    callback: Callable[[ChunkResult], None]
+    error_callback: Callable[[Exception], None]
+    conn_id: int | None = None
+    agent: str | None = None
+    last_seen: float = 0.0
 
 
-class TcpExecutor:
-    """A listening socket as an executor of the
-    :class:`~repro.runtime.parallel.Scheduler`.
+@dataclass
+class _Conn:
+    """One agent connection: its socket, write lock and the split token
+    whose split it last received."""
 
-    Owns only the medium and its liveness: ``submit`` queues a chunk
-    for the next ``claim`` (granted in submission order, which the
-    scheduler already packed most-expensive-first); ``poll`` requeues
-    the leases of dropped connections, expires the leases of silent
-    agents, delivers received results and reports starvation once no
-    agent has been live for ``agent_grace_s``.  Connection handling
-    runs on daemon threads and reaches the scheduler thread through a
-    lock-guarded lease table and a result queue.
+    sock: socket.socket
+    wlock: threading.Lock = field(default_factory=threading.Lock)
+    agent: str | None = None
+    split_token: str | None = None
 
-    Single-writer: one listening socket, one commit stream; agents
-    scale horizontally.  ``address`` holds the bound
-    ``HOST:PORT`` once :meth:`open` ran (port 0 picks a free one).
+
+# -- coordinator ------------------------------------------------------------
+
+
+class Coordinator:
+    """A listening socket that leases chunks to the agents dialing it.
+
+    :meth:`submit` follows the ``apply_async`` contract: a submitted
+    chunk ends in ``callback(ChunkResult)`` once an agent delivers it,
+    or in ``error_callback(error)`` — :class:`LeaseLost` when its agent
+    went away, :class:`ChunkFailed` when its runner raised — unless
+    :meth:`cancel` withdrew it first.  Chunks are granted in submission
+    order.  Connection handling runs on daemon threads; callbacks run on
+    them too (or, for lease expiry, on the thread calling
+    :meth:`expire_leases`).
+
+    A coordinator outlives searches: ``publish``/``submit``/``cancel``
+    serve one search after another while agents stay connected.  It owns
+    the measured-cost model the scheduler packs by; with ``cost_cache``
+    the model is loaded at construction and saved on :meth:`close`,
+    under ``cost_identity`` (see
+    :class:`~repro.runtime.parallel.ChunkCostModel`).  Nothing binds
+    until :meth:`listen`.
     """
 
-    def __init__(self, config: "TcpConfig | str") -> None:
+    #: Agents this coordinator starts itself (see PersistentPool); a
+    #: plain coordinator only serves agents that dial in.
+    workers = 0
+
+    def __init__(
+        self,
+        config: "TcpConfig | str",
+        cost_cache: "str | os.PathLike | None" = None,
+        cost_identity: str | None = None,
+    ) -> None:
         self.cfg = (
             config if isinstance(config, TcpConfig) else TcpConfig(config)
         )
         self.host, self.port = _parse_address(self.cfg.address)
         self.address = self.cfg.address
         self.token = _new_owner_id()
-        self.cost_model = ChunkCostModel()
-        if self.cfg.cost_cache:
-            self.cost_model.load_json(self.cfg.cost_cache)
+        self.cost_cache = cost_cache
+        self.cost_model = ChunkCostModel(identity=cost_identity)
+        if cost_cache:
+            self.cost_model.load_json(cost_cache)
         self.counters = ExecutorCounters()
-        self.capacity = 0
-        self._split: "DataSplit | None" = None
-        # Shared between the scheduler thread and connection-handler
-        # threads, all guarded by one lock: unclaimed chunks, the lease
-        # table, per-agent last-frame times, open connections and the
-        # ids of connections that died since the last poll.
+        self.searches_started = 0
+        # Shared between callers and connection threads, all guarded by
+        # one lock (``_work`` waits on it): pending and leased dispatches
+        # by wire id, the pending order, open connections and the last
+        # frame time of each agent.
         self._lock = threading.Lock()
-        self._pending: list[tuple[int, int, JobChunk]] = []
-        self._leases: dict[int, _Lease] = {}  # cid -> lease
-        self._agent_seen: dict[str, float] = {}  # agent -> monotonic
-        self._agent_conns: dict[int, str] = {}  # conn_id -> agent
-        self._conns: dict[int, socket.socket] = {}
-        self._lost_conns: list[int] = []
-        #: (cid, attempt, ChunkResult) as received.
-        self._results: "queue.SimpleQueue[tuple]" = queue.SimpleQueue()
+        self._work = threading.Condition(self._lock)
+        self._dispatches: dict[int, _Dispatch] = {}
+        self._pending: collections.deque[int] = collections.deque()
+        self._conns: dict[int, _Conn] = {}
+        self._agent_seen: dict[str, float] = {}
+        self._splits: dict[str, weakref.ref] = {}
+        self._wires = itertools.count(1)
         self._conn_ids = itertools.count(1)
-        self._closing = False
-        self._draining = False
-        self._idle_since: float | None = None
+        self._split_ids = itertools.count(1)
+        self._closed = False
         self._server: socket.socket | None = None
         self._accept_thread: threading.Thread | None = None
         self.agents_seen: set[str] = set()
@@ -400,13 +472,15 @@ class TcpExecutor:
         self.torn_frames = 0
 
     def memory_budget(self, settings: "TrainingSettings") -> int | None:
-        # Agents do not share this host's memory, so no budget governs them.
+        # Remote agents do not share this host's memory: no budget.
         return None
 
     def stats(self) -> dict:
-        """One snapshot of the executor's instrumentation counters."""
+        """One snapshot of the coordinator's instrumentation counters."""
         return {
             "token": self.token,
+            "workers": self.workers,
+            "searches_started": self.searches_started,
             **asdict(self.counters),
             "cost_observations": self.cost_model.observations,
             "agents_seen": len(self.agents_seen),
@@ -418,11 +492,16 @@ class TcpExecutor:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def open(self, split: "DataSplit", chunk_seconds=None) -> None:
-        """Bind the listening socket and start accepting agents."""
+    @property
+    def closed(self) -> bool:
+        return self._closed
+
+    def listen(self) -> None:
+        """Bind the listening socket and start accepting agents (once)."""
+        if self._closed:
+            raise SearchError(f"{type(self).__name__} is closed")
         if self._server is not None:
             return
-        self._split = split
         self._server = socket.create_server(
             (self.host, self.port), backlog=64
         )
@@ -437,152 +516,263 @@ class TcpExecutor:
         )
 
     def close(self) -> None:
-        """Close every socket and persist the cost model."""
-        if self._server is None or self._closing:
+        """Close every socket and persist the cost model (idempotent)."""
+        if self._closed:
             return
-        self._closing = True
-        try:
-            # close() alone does not wake a thread blocked in accept();
-            # shutdown() does, so the join below returns at once.
-            self._server.shutdown(socket.SHUT_RDWR)
-        except OSError:  # pragma: no cover - platform refuses on a listener
-            pass
-        try:
-            self._server.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-        with self._lock:
+        with self._work:
+            self._closed = True
+            self._work.notify_all()  # end every claim's long-poll
             conns = list(self._conns.values())
             self._conns.clear()
+        if self._server is not None:
+            try:
+                # close() alone does not wake a thread blocked in
+                # accept(); shutdown() does, so the join returns at once.
+                self._server.shutdown(socket.SHUT_RDWR)
+            except OSError:  # pragma: no cover - platform refuses on a listener
+                pass
+            self._server.close()
         for conn in conns:
             try:
-                conn.close()
+                conn.sock.close()
             except OSError:  # pragma: no cover - already closed
                 pass
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5.0)
-        if self.cfg.cost_cache and self.cost_model.observations:
+        if self.cost_cache and self.cost_model.observations:
             try:
-                self.cost_model.save_json(self.cfg.cost_cache)
-            except OSError as error:  # pragma: no cover - cache dir gone
+                self.cost_model.save_json(self.cost_cache)
+            except OSError as error:
                 logger.warning(
-                    "could not save cluster cost cache %s: %s",
-                    self.cfg.cost_cache,
-                    error,
+                    "could not save cost cache %s: %s", self.cost_cache, error
                 )
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    # -- what a search calls -----------------------------------------------
+
+    def publish(self, split: "DataSplit") -> str:
+        """The token chunks name ``split`` by (one per split object).
+
+        Only a weak reference is kept: a split reaches agents while some
+        search holds it, and a token outlives nothing else.
+        """
+        with self._lock:
+            for token, ref in list(self._splits.items()):
+                held = ref()
+                if held is split:
+                    return token
+                if held is None:
+                    del self._splits[token]
+            token = f"{self.token}-{next(self._split_ids)}"
+            self._splits[token] = weakref.ref(split)
+        return token
+
+    def submit(self, chunk: JobChunk, callback, error_callback) -> int:
+        """Queue ``chunk`` (its ``split`` a :meth:`publish` token) for
+        the next claim; returns its wire id."""
+        with self._work:
+            wire = next(self._wires)
+            self._dispatches[wire] = _Dispatch(chunk, callback, error_callback)
+            self._pending.append(wire)
+            self._work.notify()
+        return wire
+
+    def cancel(self, wire: int) -> None:
+        """Withdraw a pending chunk, or tell its agent to stop it at the
+        next epoch boundary; its callbacks never fire."""
+        with self._lock:
+            dispatch = self._dispatches.pop(wire, None)
+            if dispatch is None:
+                return
+            if dispatch.conn_id is None:
+                self._pending.remove(wire)
+                return
+            conn = self._conns.get(dispatch.conn_id)
+        if conn is not None:
+            try:
+                _send_msg(
+                    conn.sock, ("cancel", wire), self.cfg.frame_timeout_s,
+                    conn.wlock,
+                )
+            except ConnectionDead:
+                pass  # the connection thread reports the death
+
+    def expire_leases(self, now: float) -> float:
+        """Fail every lease whose agent was silent past the lease
+        timeout; return when the next one would expire (``inf`` if no
+        chunk is leased)."""
+        timeout = self.cfg.lease_timeout_s
+        with self._lock:
+            expired = [
+                (wire, d)
+                for wire, d in self._dispatches.items()
+                if d.conn_id is not None and now - d.last_seen > timeout
+            ]
+            for wire, _dispatch in expired:
+                del self._dispatches[wire]
+            next_expiry = min(
+                (
+                    d.last_seen + timeout
+                    for d in self._dispatches.values()
+                    if d.conn_id is not None
+                ),
+                default=math.inf,
+            )
+        self.expired_leases += len(expired)
+        for _wire, dispatch in expired:
+            # A half-open partition: the socket looks open, no frames.
+            dispatch.error_callback(LeaseLost("lease-expired", dispatch.agent))
+        return next_expiry
+
+    def live_agents(self, now: float) -> int:
+        """Connected agents heard from within the lease timeout."""
+        with self._lock:
+            return sum(
+                1
+                for agent in {c.agent for c in self._conns.values()}
+                if agent is not None
+                and now - self._agent_seen.get(agent, -math.inf)
+                <= self.cfg.lease_timeout_s
+            )
 
     # -- connection handling (daemon threads) ------------------------------
 
     def _accept_loop(self) -> None:
         assert self._server is not None
-        while not self._closing:
+        while not self._closed:
             try:
-                conn, _addr = self._server.accept()
+                sock, _addr = self._server.accept()
             except OSError:
                 return  # listening socket closed: shutdown
             self.connections_accepted += 1
             conn_id = next(self._conn_ids)
             with self._lock:
-                self._conns[conn_id] = conn
+                if self._closed:
+                    sock.close()
+                    return
+                self._conns[conn_id] = _Conn(sock)
             threading.Thread(
                 target=self._serve_conn,
-                args=(conn, conn_id),
+                args=(conn_id,),
                 daemon=True,
                 name=f"tcp-coord-conn-{conn_id}",
             ).start()
 
-    def _touch(self, conn_id: int, now: float) -> None:
+    def _touch(self, conn_id: int, agent: str) -> None:
         """Any frame from a connection proves its agent (and leases) live."""
+        now = time.monotonic()
         with self._lock:
-            agent = self._agent_conns.get(conn_id)
-            if agent is not None:
-                self._agent_seen[agent] = now
-            for lease in self._leases.values():
-                if lease.conn_id == conn_id:
-                    lease.last_seen = now
+            self._agent_seen[agent] = now
+            for dispatch in self._dispatches.values():
+                if dispatch.conn_id == conn_id:
+                    dispatch.last_seen = now
 
-    def _grant(self, agent: str, conn_id: int) -> tuple | None:
-        """Lease out the oldest pending chunk as ``(cid, attempt, chunk)``."""
-        with self._lock:
-            if self._draining or not self._pending:
+    def _grant(self, conn_id: int, agent: str):
+        """Lease the oldest pending chunk as ``(wire, chunk, split)``,
+        waiting up to :data:`_CLAIM_WAIT_S` for one; ``split`` is the
+        chunk's dataset when this connection has not received it yet.
+        ``None`` when nothing came."""
+        deadline = time.monotonic() + _CLAIM_WAIT_S
+        with self._work:
+            while not self._pending and not self._closed:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0.0:
+                    return None
+                self._work.wait(remaining)
+            conn = self._conns.get(conn_id)
+            if self._closed or conn is None:
                 return None
-            grant = self._pending.pop(0)
-            self._leases[grant[0]] = _Lease(
-                agent, conn_id, grant[1], time.monotonic()
-            )
-        return grant
+            wire = self._pending.popleft()
+            dispatch = self._dispatches[wire]
+            dispatch.conn_id, dispatch.agent = conn_id, agent
+            dispatch.last_seen = time.monotonic()
+            token = dispatch.chunk.split
+            split = None
+            if conn.split_token != token:
+                ref = self._splits.get(token)
+                split = ref() if ref is not None else None
+                conn.split_token = token
+        return wire, dispatch.chunk, split
 
-    def _serve_conn(self, conn: socket.socket, conn_id: int) -> None:
+    def _finish(self, wire: int) -> "_Dispatch | None":
+        """Take a delivered (or failed) chunk out of the table."""
+        with self._lock:
+            return self._dispatches.pop(wire, None)
+
+    def _serve_conn(self, conn_id: int) -> None:
+        with self._lock:
+            conn = self._conns.get(conn_id)
+        if conn is None:
+            return  # closed before this thread started
+        sock, wlock = conn.sock, conn.wlock
         agent: str | None = None
-        wlock = threading.Lock()
         timeout = self.cfg.frame_timeout_s
         try:
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            while not self._closing:
-                msg = _recv_msg(
-                    conn, timeout, stop=lambda: self._closing
-                )
-                kind, data = msg[0], msg[1]
-                now = time.monotonic()
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            while not self._closed:
+                kind, data = _recv_msg(sock, timeout, stop=lambda: self._closed)
                 if kind == "hello":
                     agent = str(data["agent"])
                     with self._lock:
-                        self._agent_conns[conn_id] = agent
-                        self._agent_seen[agent] = now
+                        conn.agent = agent
                         self.agents_seen.add(agent)
+                    self._touch(conn_id, agent)
                     logger.info(
-                        "agent %s connected (connection %d)",
-                        agent,
-                        conn_id,
+                        "agent %s connected (connection %d)", agent, conn_id
                     )
                     _send_msg(
-                        conn,
-                        (
-                            "welcome",
-                            {"token": self.token, "split": self._split},
-                        ),
-                        timeout,
-                        wlock,
+                        sock, ("welcome", {"token": self.token}), timeout, wlock
                     )
                 elif agent is None:
                     raise ConnectionDead(
                         f"protocol violation: {kind!r} before hello"
                     )
                 elif kind == "beat":
-                    self._touch(conn_id, now)
+                    self._touch(conn_id, agent)
                 elif kind == "claim":
-                    self._touch(conn_id, now)
-                    grant = self._grant(agent, conn_id)
+                    self._touch(conn_id, agent)
+                    grant = self._grant(conn_id, agent)
                     reply = ("chunk", grant) if grant else ("idle", None)
-                    _send_msg(conn, reply, timeout, wlock)
-                elif kind == "result":
-                    self._touch(conn_id, now)
+                    _send_msg(sock, reply, timeout, wlock)
+                    self._touch(conn_id, agent)
+                elif kind in ("result", "error"):
+                    self._touch(conn_id, agent)
+                    expected = ChunkResult if kind == "result" else str
                     if not (
                         isinstance(data, tuple)
-                        and len(data) == 3
-                        and isinstance(data[2], ChunkResult)
+                        and len(data) == 2
+                        and isinstance(data[1], expected)
                     ):
-                        raise TornFrameError("malformed result message")
-                    cid, attempt, result = data
-                    with self._lock:
-                        lease = self._leases.get(cid)
-                        if lease is not None and lease.conn_id == conn_id:
-                            del self._leases[cid]
-                    self._results.put((cid, attempt, result))
-                    _send_msg(conn, ("ack", None), timeout, wlock)
+                        raise TornFrameError(f"malformed {kind} message")
+                    wire, payload = data
+                    dispatch = self._finish(wire)
+                    _send_msg(sock, ("ack", None), timeout, wlock)
+                    # A late copy (its lease expired, or it was
+                    # cancelled) finds no dispatch and is dropped.
+                    if dispatch is None:
+                        continue
+                    if kind == "result":
+                        dispatch.callback(payload)
+                    else:
+                        dispatch.error_callback(
+                            ChunkFailed(f"agent {agent}: {payload}")
+                        )
                 else:
                     raise ConnectionDead(
                         f"protocol violation: unknown kind {kind!r}"
                     )
         except TornFrameError as error:
             # A framing violation poisons the whole stream (no resync
-            # on TCP): count it and drop the connection; the next poll
-            # requeues whatever it held.
+            # on TCP): count it and drop the connection, releasing
+            # whatever it held.
             self.torn_frames += 1
             logger.warning(
-                "closing connection %d after a torn frame: %s",
-                conn_id,
-                error,
+                "closing connection %d after a torn frame: %s", conn_id, error
             )
         except ConnectionDead as error:
             logger.info("connection %d to %s died: %s", conn_id, agent, error)
@@ -590,103 +780,186 @@ class TcpExecutor:
             logger.info("connection %d errored: %s", conn_id, error)
         finally:
             try:
-                conn.close()
+                sock.close()
             except OSError:  # pragma: no cover - already closed
                 pass
             with self._lock:
                 self._conns.pop(conn_id, None)
-                self._agent_conns.pop(conn_id, None)
-                self._lost_conns.append(conn_id)
+                dropped = [
+                    (wire, d)
+                    for wire, d in self._dispatches.items()
+                    if d.conn_id == conn_id
+                ]
+                for wire, _dispatch in dropped:
+                    del self._dispatches[wire]
             self.connections_lost += 1
+            for _wire, dispatch in dropped:
+                dispatch.error_callback(LeaseLost("conn-lost", agent))
 
-    # -- the executor protocol (scheduler thread) --------------------------
+
+# -- the scheduler's executor -----------------------------------------------
+
+
+class TcpExecutor:
+    """One search of the :class:`~repro.runtime.parallel.Scheduler` on a
+    :class:`Coordinator`.
+
+    ``medium`` is a coordinator to borrow — a
+    :class:`~repro.runtime.pool.PersistentPool`, or one a caller keeps
+    across searches — or a :class:`TcpConfig`/``HOST:PORT`` for a
+    coordinator of this search alone, closed with it.  :meth:`poll`
+    blocks on the coordinator's callbacks (deliveries, chunk errors,
+    lost leases), waking early only to expire leases on time, and
+    reports starvation once no agent has been live for
+    ``agent_grace_s``.  ``capacity`` is the coordinator's local agent
+    count, or else its live agents at the last poll.
+    """
+
+    def __init__(self, medium: "Coordinator | TcpConfig | str") -> None:
+        self._owns = not isinstance(medium, Coordinator)
+        self.coordinator = Coordinator(medium) if self._owns else medium
+        self.cost_model = self.coordinator.cost_model
+        self.counters = self.coordinator.counters
+        self.capacity = self.coordinator.workers
+        self._token: str | None = None
+        #: cid -> (wire id, attempt) of its outstanding submission.
+        self._live: dict[int, tuple[int, int]] = {}
+        #: (cid, [wire id], result, error) from the coordinator's
+        #: callbacks; the wire id is filled once submit returns.
+        self._completions: "queue.SimpleQueue[tuple]" = queue.SimpleQueue()
+        self._idle_since: float | None = None
+
+    @property
+    def address(self) -> str:
+        return self.coordinator.address
+
+    def memory_budget(self, settings: "TrainingSettings") -> int | None:
+        return self.coordinator.memory_budget(settings)
+
+    def stats(self) -> dict:
+        return self.coordinator.stats()
+
+    def open(self, split: "DataSplit") -> None:
+        if self._token is not None:
+            return
+        self.coordinator.listen()
+        self._token = self.coordinator.publish(split)
+        self.coordinator.searches_started += 1
 
     def submit(self, cid: int, attempt: int, chunk: JobChunk) -> None:
-        with self._lock:
-            self._pending.append((cid, attempt, chunk))
+        wire: list[int] = []
+        put = self._completions.put
+        wire.append(
+            self.coordinator.submit(
+                replace(chunk, split=self._token),
+                lambda result: put((cid, wire, result, None)),
+                lambda error: put((cid, wire, None, error)),
+            )
+        )
+        self._live[cid] = (wire[0], attempt)
+
+    def cancel(self, cid: int) -> None:
+        live = self._live.pop(cid, None)
+        if live is not None:
+            self.coordinator.cancel(live[0])
+
+    def abort(self) -> None:
+        for cid in list(self._live):
+            self.cancel(cid)
+
+    def close(self) -> None:
+        """End the search: withdraw or cancel what is still out."""
+        self.abort()
+        if self._owns:
+            self.coordinator.close()
 
     def poll(self, timeout: float) -> list:
         now = time.monotonic()
-        with self._lock:
-            lost = set(self._lost_conns)
-            self._lost_conns.clear()
-            dropped = [
-                (cid, lease)
-                for cid, lease in self._leases.items()
-                if lease.conn_id in lost
-            ]
-            silent = [
-                (cid, lease)
-                for cid, lease in self._leases.items()
-                if lease.conn_id not in lost
-                and now - lease.last_seen > self.cfg.lease_timeout_s
-            ]
-            for cid, _lease in dropped + silent:
-                del self._leases[cid]
-            live = {
-                agent
-                for agent in set(self._agent_conns.values())
-                if now - self._agent_seen.get(agent, 0.0)
-                <= self.cfg.lease_timeout_s
-            }
-        self.capacity = len(live)
-        self.expired_leases += len(silent)
+        # A chunk granted while this poll waits expires a full lease
+        # timeout after the grant at the earliest: waking at least that
+        # often checks every lease on time.
+        lease_timeout = self.coordinator.cfg.lease_timeout_s
+        wake = min(
+            now + min(timeout, lease_timeout),
+            self.coordinator.expire_leases(now),
+        )
+        live = self.coordinator.live_agents(now)
+        if not self.coordinator.workers:
+            self.capacity = live
         reports: list = []
-        for cid, lease in dropped:
-            reports.append(
-                Notice(
-                    "conn-lost",
-                    f"the connection to agent {lease.agent} dropped while it "
-                    f"held the lease for chunk {cid} (attempt "
-                    f"{lease.attempt}); reclaiming",
-                    (cid,),
-                )
-            )
-            reports.append(Lost((cid,), "its connection dropped"))
-        for cid, lease in silent:
-            # A half-open partition: the socket looks open, no frames.
-            reports.append(
-                Notice(
-                    "lease-expired",
-                    f"lease for chunk {cid} (attempt {lease.attempt}) "
-                    f"expired: agent {lease.agent} is silent or "
-                    "partitioned; reclaiming",
-                    (cid,),
-                )
-            )
-            reports.append(Lost((cid,), "its lease expired"))
-        while True:
-            try:
-                cid, _attempt, result = self._results.get_nowait()
-            except queue.Empty:
-                break
-            with self._lock:
-                # A retry of a chunk that is now delivered must not be
-                # granted (or its lease reclaimed) again.
-                self._pending = [p for p in self._pending if p[0] != cid]
-                self._leases.pop(cid, None)
-            reports.append(Delivered(cid, result))
         if live:
             self._idle_since = None
         elif self._idle_since is None:
             self._idle_since = now
-        elif now - self._idle_since > self.cfg.agent_grace_s:
-            reports.append(
-                Notice(
-                    "no-agents",
-                    f"no live cluster agent for {self.cfg.agent_grace_s:.1f}s",
+        grace = self.coordinator.cfg.agent_grace_s
+        if self._idle_since is not None:
+            if now - self._idle_since > grace:
+                reports.append(
+                    Notice("no-agents", f"no live cluster agent for {grace:.1f}s")
                 )
-            )
-            reports.append(Starved("no live agent is connected"))
+                reports.append(Starved("no live agent is connected"))
+            wake = min(wake, self._idle_since + grace)
+        items = []
         if not reports:
-            time.sleep(min(timeout, self.cfg.poll_interval_s))
+            try:
+                items.append(
+                    self._completions.get(timeout=max(0.0, wake - now))
+                )
+            except queue.Empty:
+                pass
+        while True:
+            try:
+                items.append(self._completions.get_nowait())
+            except queue.Empty:
+                break
+        for cid, wire, result, error in items:
+            reports.extend(self._report(cid, wire[0], result, error))
         return reports
 
-    def abort(self) -> None:
-        """Withdraw ungranted work; later claims are answered ``idle``."""
-        with self._lock:
-            self._draining = True
-            self._pending.clear()
+    def _report(self, cid: int, wire: int, result, error) -> list:
+        live = self._live.get(cid)
+        current = live is not None and live[0] == wire
+        if error is None:
+            # Any copy of a chunk is the chunk (they are deterministic);
+            # an outstanding retry of it is now pointless.
+            if live is not None:
+                del self._live[cid]
+                if not current:
+                    self.coordinator.cancel(live[0])
+            return [Delivered(cid, result)]
+        if not current:
+            return []  # a superseded attempt's failure
+        del self._live[cid]
+        attempt = live[1]
+        if isinstance(error, LeaseLost) and error.kind == "conn-lost":
+            return [
+                Notice(
+                    "conn-lost",
+                    f"the connection to agent {error.agent} dropped while it "
+                    f"held the lease for chunk {cid} (attempt {attempt}); "
+                    "reclaiming",
+                    (cid,),
+                ),
+                Lost((cid,), "its connection dropped"),
+            ]
+        if isinstance(error, LeaseLost):
+            return [
+                Notice(
+                    "lease-expired",
+                    f"lease for chunk {cid} (attempt {attempt}) expired: agent "
+                    f"{error.agent} is silent or partitioned; reclaiming",
+                    (cid,),
+                ),
+                Lost((cid,), "its lease expired"),
+            ]
+        return [
+            Lost(
+                (cid,),
+                f"chunk {cid} (attempt {attempt}) failed on its agent "
+                f"({error})",
+                error=error,
+            )
+        ]
 
 
 # -- agent ------------------------------------------------------------------
@@ -697,12 +970,14 @@ class AgentStats:
     """What one agent serve loop did, for logs and tests.
 
     ``reconnects`` counts every re-dial after the first established
-    connection.
+    connection; ``cancelled`` counts chunks stopped by a ``cancel`` (or
+    a dead connection), ``chunk_errors`` chunks whose runner raised.
     """
 
     agent_id: str
     chunks_done: int = 0
     cancelled: int = 0
+    chunk_errors: int = 0
     reconnects: int = 0
     faults_fired: list = field(default_factory=list)
 
@@ -710,10 +985,11 @@ class AgentStats:
 class _TcpHeartbeat(threading.Thread):
     """Sends a ``beat`` frame every ``interval_s`` over the agent's socket.
 
-    A failed beat write is the earliest proof the connection is gone
-    mid-training, so it sets ``conn_dead`` — which the serve loop's
-    cancellation check watches, aborting the doomed chunk at the next
-    epoch boundary instead of training to completion for nobody.
+    A failed beat write proves the connection is gone mid-training (as
+    does EOF on the reader thread), so it sets ``conn_dead`` — which the
+    serve loop's cancellation check watches, aborting the doomed chunk
+    at the next epoch boundary instead of training to completion for
+    nobody.
     ``suspend``/``resume`` model a network partition for the
     ``partition`` fault.
     """
@@ -768,13 +1044,14 @@ class _TcpHeartbeat(threading.Thread):
         self.join(timeout=5.0)
 
 
+
+
 class _ExitServeLoop(Exception):
     """Internal: the agent hit a terminal condition (stop/max/idle)."""
 
 
 def run_tcp_agent(
     address: str,
-    poll_interval_s: float = TCP_POLL_INTERVAL_S,
     heartbeat_s: float = TCP_HEARTBEAT_S,
     idle_timeout_s: float | None = None,
     max_chunks: int | None = None,
@@ -795,7 +1072,7 @@ def run_tcp_agent(
     died is simply abandoned — the coordinator requeues it, and chunks
     are deterministic, so the retry is bit-identical.  ``fault_dir``
     names the directory :func:`repro.runtime.faults.arm_file_fault`
-    armed, for the deterministic TCP fault plans (tests only).
+    armed, for the deterministic fault plans (tests only).
     """
     from ..quantum.engine import compile_cache_scope
 
@@ -849,7 +1126,6 @@ def run_tcp_agent(
                         conn,
                         agent_id,
                         stats,
-                        poll_interval_s=poll_interval_s,
                         heartbeat_s=heartbeat_s,
                         frame_timeout_s=frame_timeout_s,
                         idle_timeout_s=idle_timeout_s,
@@ -877,11 +1153,34 @@ def run_tcp_agent(
     return stats
 
 
+def _read_frames(
+    conn: socket.socket,
+    frame_timeout_s: float,
+    replies: "queue.SimpleQueue",
+    cancelled: set,
+    conn_dead: threading.Event,
+    done: threading.Event,
+) -> None:
+    """The agent's one reader: ``cancel`` frames mark their chunk,
+    every other frame is a reply for the serve loop.  A dead or torn
+    stream ends the connection: the error is handed to the serve loop
+    and ``conn_dead`` stops the chunk in training."""
+    try:
+        while True:
+            kind, data = _recv_msg(conn, frame_timeout_s, stop=done.is_set)
+            if kind == "cancel":
+                cancelled.add(data)
+            else:
+                replies.put((kind, data))
+    except (ConnectionDead, TornFrameError) as error:
+        conn_dead.set()
+        replies.put(error)
+
+
 def _serve_connection(
     conn: socket.socket,
     agent_id: str,
     stats: AgentStats,
-    poll_interval_s: float,
     heartbeat_s: float,
     frame_timeout_s: float,
     idle_timeout_s: float | None,
@@ -900,28 +1199,46 @@ def _serve_connection(
     conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     wlock = threading.Lock()
     conn_dead = threading.Event()
+    done = threading.Event()
     _send_msg(conn, ("hello", {"agent": agent_id}), frame_timeout_s, wlock)
     msg = _recv_msg(conn, frame_timeout_s)
     if msg[0] != "welcome":
         raise ConnectionDead(f"expected welcome, got {msg[0]!r}")
-    split = msg[1]["split"]
+    replies: "queue.SimpleQueue" = queue.SimpleQueue()
+    cancelled: set[int] = set()
+    reader = threading.Thread(
+        target=_read_frames,
+        args=(conn, frame_timeout_s, replies, cancelled, conn_dead, done),
+        daemon=True,
+        name="tcp-agent-reader",
+    )
     heartbeat = _TcpHeartbeat(
         conn, wlock, agent_id, heartbeat_s, frame_timeout_s, conn_dead
     )
+    reader.start()
     heartbeat.start()
 
-    def cancelled() -> bool:
-        # The coordinator abandons a search by closing the socket; the
-        # heartbeat notices within one interval and this check aborts
-        # the chunk at the next epoch boundary.
-        return conn_dead.is_set() or halt.is_set()
+    def reply(*kinds: str) -> tuple:
+        try:
+            msg = replies.get(timeout=frame_timeout_s + _CLAIM_WAIT_S)
+        except queue.Empty:
+            raise ConnectionDead("timed out awaiting a reply") from None
+        if isinstance(msg, Exception):
+            raise msg
+        if msg[0] not in kinds:
+            raise ConnectionDead(f"expected {'/'.join(kinds)}, got {msg[0]!r}")
+        return msg
 
+    def send(msg: tuple) -> None:
+        _send_msg(conn, msg, frame_timeout_s, wlock)
+
+    held: tuple | None = None  # (token, DataSplit) last received
     try:
         while True:
             if halt.is_set():
                 raise _ExitServeLoop
             if conn_dead.is_set():
-                raise ConnectionDead("heartbeat write failed")
+                raise ConnectionDead("the connection died")
             if max_chunks is not None and stats.chunks_done >= max_chunks:
                 raise _ExitServeLoop
             if (
@@ -929,92 +1246,110 @@ def _serve_connection(
                 and time.monotonic() - last_work[0] > idle_timeout_s
             ):
                 raise _ExitServeLoop
-            _send_msg(
-                conn, ("claim", {"agent": agent_id}), frame_timeout_s, wlock
-            )
-            msg = _recv_msg(conn, frame_timeout_s)
-            if msg[0] == "idle":
-                halt.wait(poll_interval_s)
+            send(("claim", {"agent": agent_id}))
+            kind, grant = reply("chunk", "idle")
+            if kind == "idle":
                 continue
-            if msg[0] != "chunk":
-                raise ConnectionDead(f"expected chunk, got {msg[0]!r}")
-            cid, attempt, chunk = msg[1]
-            plan = (
-                faults.claim_file_fault(
-                    fault_dir, {job.candidate_index for job in chunk.jobs}
+            wire, chunk, split = grant
+            if split is not None:
+                held = (chunk.split, split)
+            if held is None or held[0] != chunk.split:
+                raise ConnectionDead(
+                    f"granted a chunk of split {chunk.split!r} never sent"
                 )
+            candidates = {job.candidate_index for job in chunk.jobs}
+            plan = (
+                faults.claim_file_fault(fault_dir, candidates)
                 if fault_dir is not None
                 else None
             )
-            drop_mid_frame = False
-            stall_mid_frame_s = 0.0
+            fired = plan.kind if plan is not None else None
             if plan is not None:
                 stats.faults_fired.append(plan.kind)
                 logger.warning(
                     "agent %s firing %s fault on candidate(s) %s",
                     agent_id,
                     plan.kind,
-                    sorted({job.candidate_index for job in chunk.jobs}),
+                    sorted(candidates),
                 )
-                if plan.kind == faults.HOST_KILL:
+                if fired in (faults.KILL, faults.HOST_KILL):
                     # The real thing: the whole agent process disappears
-                    # mid-lease, connection and all.
-                    import signal
-
+                    # mid-lease, connection and all — exactly what the
+                    # OOM killer does.
                     os.kill(os.getpid(), signal.SIGKILL)
-                elif plan.kind == faults.PARTITION:
+                elif fired == faults.DELAY:
+                    halt.wait(plan.delay_s)
+                elif fired == faults.PARTITION:
                     # Total silence — no beats, no frames — long enough
                     # for the coordinator to expire our lease and
                     # re-issue the chunk; then we "rejoin" (the socket
-                    # never closed) and deliver a duplicate anyway.
+                    # never closed) and deliver a late copy anyway.
                     heartbeat.suspend()
                     halt.wait(plan.delay_s)
                     heartbeat.resume()
-                elif plan.kind == faults.CONN_DROP:
-                    drop_mid_frame = True
-                elif plan.kind == faults.SLOW_FRAME:
-                    stall_mid_frame_s = plan.delay_s
+
+            def is_cancelled() -> bool:
+                return wire in cancelled or conn_dead.is_set() or halt.is_set()
+
             try:
-                result = execute_chunk(chunk, split, cancelled)
+                if fired == faults.ERROR:
+                    raise RuntimeError("injected chunk-runner failure")
+                # An armed "oom" fault is raised by the chunk's first
+                # recoverable attempt, so it engages the degradation
+                # ladder rather than the retry machinery.
+                result = execute_chunk(
+                    chunk, held[1], is_cancelled, inject=[fired == faults.OOM]
+                )
             except TrainingCancelled:
                 stats.cancelled += 1
+                cancelled.discard(wire)
                 continue  # the dead-connection check at the loop head
-            payload = pickle.dumps(
-                ("result", (cid, attempt, result)),
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
-            frame = _frame(payload)
-            # Past the header, inside the payload: the coordinator must
-            # be genuinely mid-frame when the fault lands.
-            cut = _HEADER.size + max(1, len(payload) // 2)
-            if drop_mid_frame:
-                with wlock:
-                    try:
-                        conn.settimeout(frame_timeout_s)
-                        conn.sendall(frame[:cut])
-                    except OSError:
-                        pass
-                    conn.close()
-                raise ConnectionDead("conn-drop fault: closed mid-frame")
-            if stall_mid_frame_s > 0.0:
-                # Holding the write lock through the stall wedges the
-                # heartbeat too — the connection really is stuck.
-                with wlock:
-                    conn.settimeout(frame_timeout_s)
-                    conn.sendall(frame[:cut])
-                    halt.wait(stall_mid_frame_s)
-                    try:
-                        conn.sendall(frame[cut:])
-                    except OSError as error:
-                        raise ConnectionDead(
-                            f"send failed after stall: {error}"
-                        ) from None
-            else:
-                _send_frame(conn, payload, frame_timeout_s, wlock)
-            msg = _recv_msg(conn, frame_timeout_s)
-            if msg[0] != "ack":
-                raise ConnectionDead(f"expected ack, got {msg[0]!r}")
+            except Exception as error:  # noqa: BLE001 - reported, not fatal
+                stats.chunk_errors += 1
+                logger.warning(
+                    "agent %s: chunk %d raised %r", agent_id, wire, error
+                )
+                send(("error", (wire, f"{type(error).__name__}: {error}")))
+                reply("ack")
+                continue
+            _deliver(conn, wlock, frame_timeout_s, wire, result, fired, plan, halt)
+            reply("ack")
             stats.chunks_done += 1
             last_work[0] = time.monotonic()
     finally:
+        done.set()
         heartbeat.stop()
+
+
+def _deliver(conn, wlock, frame_timeout_s, wire, result, fired, plan, halt):
+    """Send a result frame, torn or stalled mid-frame when a
+    ``conn-drop``/``slow-frame`` fault fired."""
+    payload = pickle.dumps(
+        ("result", (wire, result)), protocol=pickle.HIGHEST_PROTOCOL
+    )
+    if fired not in (faults.CONN_DROP, faults.SLOW_FRAME):
+        _send_frame(conn, payload, frame_timeout_s, wlock)
+        return
+    frame = _frame(payload)
+    # Past the header, inside the payload: the coordinator must be
+    # genuinely mid-frame when the fault lands.
+    cut = _HEADER.size + max(1, len(payload) // 2)
+    if fired == faults.CONN_DROP:
+        with wlock:
+            try:
+                conn.settimeout(frame_timeout_s)
+                conn.sendall(frame[:cut])
+            except OSError:
+                pass
+            conn.close()
+        raise ConnectionDead("conn-drop fault: closed mid-frame")
+    # Holding the write lock through the stall wedges the heartbeat
+    # too — the connection really is stuck.
+    with wlock:
+        conn.settimeout(frame_timeout_s)
+        conn.sendall(frame[:cut])
+        halt.wait(plan.delay_s)
+        try:
+            conn.sendall(frame[cut:])
+        except OSError as error:
+            raise ConnectionDead(f"send failed after stall: {error}") from None

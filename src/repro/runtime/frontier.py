@@ -8,7 +8,8 @@ of that rule.  Execution modes differ only in how run results reach it:
 * in-process (``grid_search(workers=1)``, and the graceful-degradation
   floor of every other mode): :meth:`SearchFrontier.run_in_process`;
 * the speculative scheduler (:class:`repro.runtime.parallel.Scheduler`)
-  on either of its executors: a persistent worker pool or TCP agents.
+  on its executor, whose agents are a persistent pool's local processes
+  or remote hosts.
 
 Each mode :meth:`~SearchFrontier.offer`\\ s per-run entries as they
 arrive, in any order, and calls :meth:`~SearchFrontier.commit`.  A
@@ -54,12 +55,12 @@ class SearchEvent:
     * ``"memory-degrade"``: an out-of-memory failure walked the recovery
       ladder (results are unchanged, only the execution shape degraded);
     * ``"group-resize"``: the memory budget resized an in-process group;
-    * ``"worker-lost"``, ``"chunk-overdue"``, ``"chunk-timeout"``: a
-      pool worker died, or a chunk passed its soft or hard deadline;
-    * ``"lease-expired"``: a chunk was reclaimed from a dead or
-      partitioned cluster agent;
-    * ``"conn-lost"``: a TCP agent's connection dropped while it held a
-      lease;
+    * ``"chunk-overdue"``, ``"chunk-timeout"``: a chunk passed its soft
+      or hard deadline;
+    * ``"lease-expired"``: a chunk was reclaimed from a silent or
+      partitioned agent;
+    * ``"conn-lost"``: an agent's connection dropped (it was killed, or
+      the link died) while it held a lease;
     * ``"torn-file"``: a socket frame or result failed validation;
     * ``"no-agents"``: no live agent served a cluster within its grace
       period.

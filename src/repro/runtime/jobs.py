@@ -1,15 +1,16 @@
 """Picklable training-job payloads and the shared run primitives.
 
-The parallel search runtime ships jobs to worker processes, so a job
+The parallel search runtime ships jobs to agent processes, so a job
 must be a small, picklable value object: the :class:`ModelSpec` (frozen
 dataclass), the base seed and the ``(candidate_index, run)`` coordinates
-that derive the job's RNG stream.  The heavyweight, per-search constants
-— the :class:`~repro.data.splits.DataSplit` and
-:class:`~repro.core.grid_search.TrainingSettings` — travel once per
-worker via the pool initializer, not once per job.
+that derive the job's RNG stream.  Jobs travel in batches, as a
+:class:`JobChunk`; a chunk names its
+:class:`~repro.data.splits.DataSplit` by a token, and the split itself
+reaches each agent once, not once per chunk.  The chunk comes back as
+one :class:`ChunkResult` (:func:`execute_chunk`).
 
 :func:`execute_job` is the *only* place a scalar (candidate, run)
-training run happens: the sequential grid search and every pool worker
+training run happens: the sequential grid search and every agent
 call the same function with the same ``(seed, candidate_index,
 run)``-derived RNG, so parallel results are bit-identical to sequential
 ones by construction rather than by testing alone.
@@ -24,8 +25,8 @@ wall-time optimizations.  :func:`execute_runs` is the one-candidate
 case with the scalar loop as fallback.
 
 :func:`chunk_entries` is the one **OOM recovery ladder** over those
-primitives, shared by every execution mode: pool workers, TCP cluster
-agents and the in-process executor
+primitives, shared by every execution mode: TCP agents, local or remote, and the
+in-process executor
 (:meth:`repro.runtime.frontier.SearchFrontier.run_in_process`).  It
 turns a list of jobs into per-run :class:`RunResult` / :class:`RunError`
 entries, degrading an out-of-memory sweep stepwise (halve the group,
@@ -35,6 +36,7 @@ sweep failure to its exact ``(candidate, run)`` through the scalar loop.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -60,6 +62,10 @@ __all__ = [
     "execute_runs",
     "execute_candidates",
     "chunk_entries",
+    "JobChunk",
+    "ChunkResult",
+    "execute_chunk",
+    "make_chunks",
 ]
 
 
@@ -77,7 +83,7 @@ class TrainingJob:
 class RunResult:
     """The outcome of one training run, reduced to what aggregation needs.
 
-    By default histories stay in the worker; only the paper's per-run
+    By default histories stay in the agent; only the paper's per-run
     metrics (max train/val accuracy over epochs), the epoch count and
     the wall time cross the process boundary.  With
     ``TrainingSettings.return_histories`` the full per-epoch
@@ -100,7 +106,7 @@ class RunError:
 
     ``attempts`` is how many times the run's chunk was executed before
     this entry was accepted (> 1 when the scheduler retried the chunk
-    after a worker loss or timeout); the scheduler stamps it so error
+    after an agent loss or timeout); the scheduler stamps it so error
     reports distinguish a first-try failure from one that survived
     retries.
     """
@@ -277,7 +283,7 @@ def execute_candidates(
 
 
 def _maybe_inject_oom(inject: "list[bool] | None") -> None:
-    """Raise the armed ``oom`` fault once (worker side, tests only)."""
+    """Raise the armed ``oom`` fault once (agent side, tests only)."""
     if inject and inject[0]:
         inject[0] = False
         raise MemoryError("injected 'oom' fault")
@@ -302,7 +308,7 @@ def chunk_entries(
 
     ``cancel_check`` aborts training with
     :class:`~repro.exceptions.TrainingCancelled`; ``inject`` is the
-    worker fault hook (a one-shot ``[armed]`` flag raising
+    agent fault hook (a one-shot ``[armed]`` flag raising
     ``MemoryError`` in the first recoverable attempt).
     """
     by_candidate: dict[int, list[TrainingJob]] = {}
@@ -402,3 +408,117 @@ def _ladder(
         except Exception as exc:  # noqa: BLE001 - surfaced at commit turn
             entries.append(RunError(job.candidate_index, job.run, exc))
     return entries, fallback, degrades
+
+
+# -- chunks: what an agent trains and sends back ---------------------------
+
+
+@dataclass(frozen=True)
+class JobChunk:
+    """A batch of training runs shipped to an agent as a single task.
+
+    Batching runs lets one agent invocation share a compiled tape
+    across several runs, and cuts per-job messages when ``runs`` is
+    large relative to the agent count.  The payload is small by
+    construction: jobs are coordinates, and ``split`` is the token the
+    coordinator publishes the dataset under (the scheduler builds
+    chunks with ``split=None``; its executor stamps the token).
+
+    ``vectorized`` asks the agent to train the chunk's run sets as one
+    stacked sweep (:func:`execute_candidates`); the scheduler then puts
+    each candidate's whole run set in one chunk.  A vectorized chunk may
+    span **several candidates**, whose run sets then fuse into one
+    cross-candidate sweep.  The scheduler packs consecutive same-key
+    candidates of its lookahead this way.
+    """
+
+    jobs: tuple[TrainingJob, ...]
+    split: str | None
+    settings: "TrainingSettings"
+    vectorized: bool = False
+
+
+@dataclass(frozen=True)
+class ChunkResult:
+    """What an agent sends back for one chunk.
+
+    ``wall_time_s`` is the measured execution time of the whole chunk on
+    its agent — the feedback signal for the scheduler's measured-cost
+    packing (:class:`~repro.runtime.parallel.ChunkCostModel`).
+    ``vectorized_fallback`` flags a chunk whose stacked sweep raised and
+    was re-run scalar (that chunk paid for both attempts); the scheduler
+    counts these so a deterministic stacked-path failure is visible
+    instead of silently doubling a candidate's cost.
+
+    ``memory_degrades`` counts OOM recovery-ladder steps the agent took
+    for this chunk (group halving, scalar floor — see
+    :func:`chunk_entries`); the scheduler turns a non-zero count into a
+    ``memory-degrade`` :class:`~repro.runtime.frontier.SearchEvent`.
+    ``cancelled`` is false on every delivered result: a cancelled chunk
+    sends nothing back.
+    """
+
+    cancelled: bool
+    entries: tuple["RunResult | RunError", ...] = ()
+    wall_time_s: float = 0.0
+    vectorized_fallback: bool = False
+    memory_degrades: int = 0
+
+
+def execute_chunk(
+    chunk: JobChunk,
+    split: "DataSplit",
+    cancel_check,
+    inject: "list[bool] | None" = None,
+) -> ChunkResult:
+    """Train a chunk through the OOM ladder and measure it.
+
+    The one chunk runner of every agent: :func:`chunk_entries` plus the
+    wall time and the ladder's counts the scheduler feeds back.  Raises
+    :class:`~repro.exceptions.TrainingCancelled` when ``cancel_check``
+    fires.
+    """
+    started = time.perf_counter()
+    entries, fallback, degrades = chunk_entries(
+        chunk.jobs,
+        split,
+        chunk.settings,
+        vectorized=chunk.vectorized,
+        cancel_check=cancel_check,
+        inject=inject,
+    )
+    return ChunkResult(
+        cancelled=False,
+        entries=tuple(entries),
+        wall_time_s=time.perf_counter() - started,
+        vectorized_fallback=fallback,
+        memory_degrades=degrades,
+    )
+
+
+def make_chunks(
+    spec: "ModelSpec",
+    candidate_index: int,
+    seed: int,
+    runs: int,
+    chunk: int,
+    settings: "TrainingSettings",
+    vectorized: bool = False,
+) -> list[JobChunk]:
+    """All chunks of one candidate, in run order, ``chunk`` runs each.
+
+    ``vectorized`` marks the chunks for run-stacked execution (the
+    caller packs the whole run set into one chunk in that mode).
+    """
+    return [
+        JobChunk(
+            jobs=tuple(
+                TrainingJob(spec, seed, candidate_index, run)
+                for run in range(start, min(start + chunk, runs))
+            ),
+            split=None,
+            settings=settings,
+            vectorized=vectorized,
+        )
+        for start in range(0, runs, chunk)
+    ]

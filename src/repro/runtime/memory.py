@@ -133,8 +133,8 @@ def _free_host_bytes() -> "int | None":
 
 def is_memory_error(exc: BaseException) -> bool:
     """Whether ``exc`` is an out-of-memory *resource* failure:
-    ``MemoryError``, or ``OSError`` with ``ENOMEM``/``ENOSPC`` (shm
-    segments live on a size-capped tmpfs)."""
+    ``MemoryError``, or ``OSError`` with ``ENOMEM``/``ENOSPC`` (a full
+    size-capped tmpfs)."""
     if isinstance(exc, MemoryError):
         return True
     if isinstance(exc, OSError):

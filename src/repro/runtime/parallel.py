@@ -1,4 +1,4 @@
-"""The speculative scheduler every multi-worker execution mode shares.
+"""The speculative scheduler every multi-agent execution mode shares.
 
 The paper's search trains candidates strictly in ascending-FLOPs order
 and stops at the first pass, which makes the *decision* sequential even
@@ -10,16 +10,16 @@ embarrassingly parallel.  :class:`Scheduler` exploits that gap on any
 * work goes out in bounded-lookahead **chunks** (*speculation*: the
   executor may train candidate ``i + k`` before candidate ``i``'s
   verdict is known).  At most ``SPECULATION_FACTOR x capacity`` chunks
-  are in flight, where capacity is the executor's worker or live-agent
-  count.  Consecutive same-key candidates of the lookahead share a
-  chunk, which the worker trains as one fused sweep;
+  are in flight, where capacity is the executor's local agent or
+  live-agent count.  Consecutive same-key candidates of the lookahead
+  share a chunk, which the agent trains as one fused sweep;
 
 * within the window, chunks are submitted **most-expensive-first**
   (longest-processing-time packing by the measured
-  :class:`~repro.runtime.pool.ChunkCostModel`), and a memory budget, on
-  executors that share this host's memory, caps the predicted bytes in
-  flight.  Submission order never affects results, because of the
-  commit rule below;
+  :class:`ChunkCostModel`), and a memory budget, on executors that
+  share this host's memory, caps the predicted bytes in flight.
+  Submission order never affects results, because of the commit rule
+  below;
 
 * delivered runs go to the :class:`~repro.runtime.frontier.SearchFrontier`,
   which commits candidates **strictly in FLOPs order** and stops at the
@@ -28,48 +28,44 @@ embarrassingly parallel.  :class:`Scheduler` exploits that gap on any
 * chunks are deterministic, so a lost chunk simply runs again: every
   chunk carries a stable id, re-attempts are bounded by
   ``settings.max_retries``, and the first delivered copy of a chunk
-  wins (later copies are counted and dropped).  Retry exhaustion either
-  raises or, with ``settings.fallback_sequential`` (the default),
-  finishes in-process through
-  :meth:`~repro.runtime.frontier.SearchFrontier.run_in_process`;
+  wins (later copies are counted and dropped).  Once the cost model
+  has a seconds scale, each chunk also carries a soft deadline (a
+  warning) and a hard one, past which that one chunk is cancelled and
+  resubmitted.  Retry exhaustion either raises or, with
+  ``settings.fallback_sequential`` (the default), finishes in-process
+  through :meth:`~repro.runtime.frontier.SearchFrontier.run_in_process`;
 
 * every decision is a :class:`SearchEvent` through ``on_event`` (and
   the ``repro.runtime`` logger).
 
-An executor keeps only its medium and its liveness:
-``submit(cid, attempt, chunk)``, ``poll(timeout)`` (deliveries, losses,
-notices, starvation) and ``abort()``.  Two exist:
-:class:`PoolExecutor` (a :class:`~repro.runtime.pool.PersistentPool`:
-generations, the worker-pid watchdog and chunk deadlines) and
-:class:`repro.runtime.cluster_tcp.TcpExecutor` (sockets).  The reported
+An executor keeps only its medium and that medium's liveness:
+``submit(cid, attempt, chunk)``, ``cancel(cid)``, ``poll(timeout)``
+(deliveries, losses, notices, starvation) and ``abort()``.  One exists,
+:class:`repro.runtime.cluster_tcp.TcpExecutor`, whose agents are the
+local processes of a :class:`~repro.runtime.pool.PersistentPool` or
+remote hosts.  The reported
 :class:`~repro.core.grid_search.SearchOutcome` is identical to
-``workers=1`` whatever the executor, completion order, packing, retries
+``workers=1`` whatever the agents, completion order, packing, retries
 or fallback.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import logging
 import os
+import pathlib
 import random
 import time
 from collections import Counter
 from dataclasses import dataclass, replace
-from queue import Empty, SimpleQueue
 from typing import TYPE_CHECKING, Callable, Protocol, Sequence
 
 from ..exceptions import SearchError
 from .backoff import Backoff
 from .frontier import SearchEvent, SearchFrontier
-from .jobs import RunError
-from .pool import (
-    ChunkCostModel,
-    ChunkResult,
-    JobChunk,
-    PersistentPool,
-    make_chunks,
-)
+from .jobs import ChunkResult, JobChunk, RunError, make_chunks
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.grid_search import SearchOutcome, TrainingSettings
@@ -80,8 +76,8 @@ __all__ = [
     "speculative_search",
     "Scheduler",
     "Executor",
-    "PoolExecutor",
     "ExecutorCounters",
+    "ChunkCostModel",
     "Delivered",
     "Lost",
     "Notice",
@@ -93,24 +89,22 @@ __all__ = [
 logger = logging.getLogger("repro.runtime")
 
 #: In-flight chunks are capped at ``SPECULATION_FACTOR * capacity``:
-#: enough look-ahead to keep every worker busy across uneven run times,
+#: enough look-ahead to keep every agent busy across uneven run times,
 #: small enough to bound the training discarded when an early candidate
 #: passes.
 SPECULATION_FACTOR = 2
 
-#: How often (seconds) the scheduler wakes an idle executor to check
-#: liveness (worker deaths, deadlines, leases).  ``multiprocessing.Pool``
-#: silently respawns a worker that dies mid-job and never fires the
-#: job's callbacks; without this tick a search would hang on such a
-#: loss.
+#: The longest (seconds) the scheduler waits on an idle executor before
+#: it looks at its own deadlines again; executors wake it sooner for
+#: every delivery, loss and lease expiry.
 _WATCHDOG_INTERVAL_S = 10.0
 
 #: Chunk deadlines, counted from submission, are derived from the cost
 #: model once it has a seconds scale: soft = ``_CHUNK_DEADLINE_FACTOR``
 #: x the chunk's seconds estimate, floored at
 #: ``_CHUNK_DEADLINE_FLOOR_S``; hard = ``_HARD_DEADLINE_FACTOR`` x soft.
-#: The clock includes queue wait; the factor and floor keep a
-#: busy-but-healthy pool from tripping them.
+#: The clock includes queue wait; the factor and floor keep busy but
+#: healthy agents from tripping them.
 _CHUNK_DEADLINE_FACTOR = 8.0
 _CHUNK_DEADLINE_FLOOR_S = 30.0
 _HARD_DEADLINE_FACTOR = 2.0
@@ -135,6 +129,173 @@ def _share(part: float, parts: Sequence[float]) -> float:
     total is not positive."""
     total = sum(parts)
     return part / total if total > 0 else 1.0 / len(parts)
+
+
+# -- measured-cost packing --------------------------------------------------
+
+
+class ChunkCostModel:
+    """EWMA of measured per-run training cost, keyed by candidate label.
+
+    The scheduler's FLOPs-aware packing submits the speculation window's
+    most expensive chunks first (longest-processing-time).  Static FLOPs
+    are only a proxy for wall time — per-epoch Python overhead and early
+    stopping skew real costs — so each finished chunk's measured
+    ``wall_time_s`` feeds an EWMA here, and later packing decisions (the
+    next search, the next complexity level on a persistent pool) rank by
+    observed seconds instead.  Candidates never seen before are
+    estimated from their FLOPs through a global seconds-per-FLOP EWMA,
+    which keeps the two kinds of estimate on one comparable scale.
+
+    Packing order never affects results (the scheduler commits strictly
+    in FLOPs order); this model only shapes the window's makespan.  It
+    measures seconds only: memory admission sizes chunks from their
+    specs (:func:`repro.runtime.memory.estimate_group_bytes`).
+
+    Costs are keyed by label only, so a model measured under one
+    configuration (say the smoke profile's 5 epochs) misprices another.
+    ``identity`` names the configuration the model measures; a saved
+    model carries it, and :meth:`load_json` refuses a file saved under
+    another one.
+    """
+
+    def __init__(self, alpha: float = 0.3, identity: str | None = None) -> None:
+        if not 0.0 < alpha <= 1.0:
+            raise SearchError(f"EWMA alpha must be in (0, 1], got {alpha}")
+        self.alpha = alpha
+        self.identity = identity
+        self._per_label: dict[str, float] = {}
+        self._rate: float | None = None  # seconds per FLOP
+        self.observations = 0
+
+    def _ewma(self, old: float | None, new: float) -> float:
+        if old is None:
+            return new
+        return old + self.alpha * (new - old)
+
+    def observe(
+        self, label: str, flops: int, wall_time_s: float, n_runs: int
+    ) -> None:
+        """Record a finished chunk's measured cost."""
+        if n_runs < 1 or wall_time_s <= 0.0:
+            return
+        per_run = wall_time_s / n_runs
+        self._per_label[label] = self._ewma(
+            self._per_label.get(label), per_run
+        )
+        if flops > 0:
+            self._rate = self._ewma(self._rate, per_run / flops)
+        self.observations += 1
+
+    def estimate(self, label: str, flops: int, n_runs: int = 1) -> float:
+        """Expected chunk cost in seconds (raw FLOPs before any data)."""
+        per_run = self._per_label.get(label)
+        if per_run is None:
+            if self._rate is None:
+                # No measurements yet anywhere: fall back to the static
+                # FLOPs ranking (any monotone scale packs identically).
+                return float(flops) * n_runs
+            per_run = float(flops) * self._rate
+        return per_run * n_runs
+
+    def seconds_estimate(
+        self, label: str, flops: int, n_runs: int = 1
+    ) -> float | None:
+        """Expected chunk cost in *wall-clock seconds*, or ``None``.
+
+        Unlike :meth:`estimate` — whose pre-calibration fallback is the
+        raw FLOPs count, fine for *ranking* but meaningless as a time —
+        this only answers once a measured seconds scale exists.  The
+        deadline watchdog uses it: no calibration, no deadline, never a
+        spurious timeout from comparing seconds against FLOPs.
+        """
+        per_run = self._per_label.get(label)
+        if per_run is None:
+            if self._rate is None:
+                return None
+            per_run = float(flops) * self._rate
+        return per_run * n_runs
+
+    def snapshot(self) -> dict[str, float]:
+        """Current per-label EWMA estimates (observability + tests)."""
+        return dict(self._per_label)
+
+    # -- persistence -------------------------------------------------------
+    #
+    # Measured costs survive the coordinator (and the process): the CLI
+    # saves the model next to the run-family result cache
+    # (``--cost-cache``), so the first search of a rerun packs by
+    # observed seconds instead of re-learning from raw FLOPs.  Estimates
+    # only shape submission order, never results, so a stale cache costs
+    # wall time only; one from another configuration is still refused.
+
+    def state(self) -> dict:
+        """JSON-serializable snapshot of the whole model.
+
+        :meth:`restore` is field-lenient: it reads the fields it knows
+        and ignores the rest (the measured-bytes map schema-2 files
+        carry, for one), so caches of any schema load.
+        """
+        return {
+            "schema": 4,
+            "identity": self.identity,
+            "alpha": self.alpha,
+            "per_label": dict(self._per_label),
+            "rate": self._rate,
+            "observations": self.observations,
+        }
+
+    def restore(self, state: dict) -> None:
+        """Adopt a :meth:`state` snapshot (bad entries are ignored)."""
+        alpha = state.get("alpha")
+        if isinstance(alpha, (int, float)) and 0.0 < alpha <= 1.0:
+            self.alpha = float(alpha)
+        per_label = state.get("per_label")
+        if isinstance(per_label, dict):
+            self._per_label = {
+                str(k): float(v)
+                for k, v in per_label.items()
+                if isinstance(v, (int, float)) and v > 0.0
+            }
+        rate = state.get("rate")
+        if isinstance(rate, (int, float)) and rate > 0.0:
+            self._rate = float(rate)
+        observations = state.get("observations")
+        if isinstance(observations, int) and observations >= 0:
+            self.observations = observations
+
+    def save_json(self, path) -> None:
+        """Write the model's state to ``path`` (parents created)."""
+        path = pathlib.Path(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(self.state(), indent=2, sort_keys=True))
+
+    def load_json(self, path) -> bool:
+        """Restore from ``path``; missing or corrupt files are a no-op
+        (returns whether anything was loaded).
+
+        A file saved under another :attr:`identity` is ignored with a
+        warning.  Files written before identities were recorded carry
+        none and still load.
+        """
+        path = pathlib.Path(path)
+        try:
+            state = json.loads(path.read_text())
+        except (OSError, ValueError):
+            return False
+        if not isinstance(state, dict):
+            return False
+        saved = state.get("identity")
+        if saved is not None and self.identity is not None and saved != self.identity:
+            logger.warning(
+                "ignoring cost cache %s: it measured %r, this run is %r",
+                path,
+                saved,
+                self.identity,
+            )
+            return False
+        self.restore(state)
+        return True
 
 
 # -- the executor protocol --------------------------------------------------
@@ -180,19 +341,29 @@ class Starved:
 
 @dataclass
 class ExecutorCounters:
-    """What the scheduler counts on an executor (see ``stats()``)."""
+    """What the scheduler counts on an executor (see ``stats()``).
+
+    Retries, hard-deadline timeouts, in-process fallbacks, late copies
+    of accepted chunks and the seconds slept in retry backoff; plus,
+    from delivered results, chunks whose stacked sweep was re-run scalar
+    and OOM recovery-ladder steps.  Results stay bit-identical either
+    way; a climbing counter means wall time is going somewhere.
+    """
 
     chunk_retries: int = 0
+    chunk_timeouts: int = 0
     sequential_fallbacks: int = 0
     duplicate_results: int = 0
     retry_backoff_s: float = 0.0
+    vectorized_fallbacks: int = 0
+    memory_degrades: int = 0
 
 
 class Executor(Protocol):
     """What :class:`Scheduler` needs from an execution medium.
 
     ``capacity`` is how many chunks the medium can work on at once (its
-    workers or live agents; it may change between polls).
+    local agents or live agents; it may change between polls).
     ``cost_model`` carries measured chunk costs across searches;
     ``counters`` holds the :class:`ExecutorCounters` fields the
     scheduler increments.  ``open`` and ``close`` are idempotent.
@@ -206,17 +377,15 @@ class Executor(Protocol):
         """The byte budget for chunks in flight (``None`` off this
         host)."""
 
-    def open(
-        self,
-        split: "DataSplit",
-        chunk_seconds: Callable[[JobChunk], "float | None"],
-    ) -> None:
-        """Start a search over ``split``.  ``chunk_seconds`` is the
-        scheduler's measured-seconds estimate for a chunk (``None``
-        before calibration)."""
+    def open(self, split: "DataSplit") -> None:
+        """Start a search over ``split``."""
 
     def submit(self, cid: int, attempt: int, chunk: JobChunk) -> None:
         """Start attempt ``attempt`` of chunk ``cid``."""
+
+    def cancel(self, cid: int) -> None:
+        """Withdraw chunk ``cid``, or stop it at its next epoch
+        boundary; nothing of its current attempt is reported later."""
 
     def poll(
         self, timeout: float
@@ -228,7 +397,7 @@ class Executor(Protocol):
         """Withdraw or cancel every outstanding chunk."""
 
     def close(self) -> None:
-        """End the search and release the medium's resources."""
+        """End the search (and release a medium it owns)."""
 
     def stats(self) -> dict:
         """One snapshot of the executor's counters."""
@@ -250,6 +419,12 @@ class RetriesExhausted(Exception):
 class _Flight:
     chunk: JobChunk
     attempts: int = 1  # submissions so far (1 = first try)
+    # The current attempt's submission time and (soft, hard) deadlines
+    # in seconds after it; no deadlines before calibration.
+    submitted_at: float = 0.0
+    soft_s: float | None = None
+    hard_s: float | None = None
+    warned: bool = False
 
 
 class Scheduler:
@@ -373,10 +548,10 @@ class Scheduler:
         """Cut newly admitted candidates into the member lists of chunks.
 
         Consecutive candidates with equal non-``None`` group keys share
-        a chunk, which the worker trains as one fused sweep.  A chunk
+        a chunk, which the agent trains as one fused sweep.  A chunk
         holds at most ``min(MAX_GROUP_CANDIDATES, ceil(lookahead /
         capacity))`` candidates, so the lookahead still spreads over
-        every worker.
+        every agent.
         """
         from ..core.grid_search import MAX_GROUP_CANDIDATES
 
@@ -420,15 +595,13 @@ class Scheduler:
                     self.seed,
                     self.settings.runs,
                     chunk_size,
-                    None,
                     self.settings,
-                    0,
                     vectorized=self.vectorized,
                 )
             ]
             if len(pack) > 1:
                 # Each member is one run-stacked chunk; merged, the
-                # worker trains them as one cross-candidate sweep.
+                # agent trains them as one cross-candidate sweep.
                 chunks = [
                     replace(
                         chunks[0],
@@ -465,7 +638,79 @@ class Scheduler:
             chunk = self._waiting.pop(best)[2]
             cid = next(self._cids)
             self._flights[cid] = _Flight(chunk)
-            self.executor.submit(cid, 1, chunk)
+            self._submit(cid)
+
+    def _submit(self, cid: int) -> None:
+        """Send chunk ``cid``'s current attempt and start its clocks."""
+        flight = self._flights[cid]
+        flight.submitted_at = time.monotonic()
+        flight.warned = False
+        seconds = self.chunk_seconds(flight.chunk)
+        if seconds is None:
+            flight.soft_s = flight.hard_s = None
+        else:
+            flight.soft_s = max(
+                _CHUNK_DEADLINE_FACTOR * seconds, _CHUNK_DEADLINE_FLOOR_S
+            )
+            flight.hard_s = _HARD_DEADLINE_FACTOR * flight.soft_s
+        self.executor.submit(cid, flight.attempts, flight.chunk)
+
+    # -- deadlines -------------------------------------------------------------
+
+    def _poll_timeout(self) -> float:
+        """Seconds until the next soft or hard deadline (capped)."""
+        now = time.monotonic()
+        timeout = _WATCHDOG_INTERVAL_S
+        for flight in self._flights.values():
+            elapsed = now - flight.submitted_at
+            if flight.soft_s is not None and not flight.warned:
+                timeout = min(timeout, flight.soft_s - elapsed)
+            if flight.hard_s is not None:
+                timeout = min(timeout, flight.hard_s - elapsed)
+        return max(0.0, timeout)
+
+    def _check_deadlines(self) -> None:
+        """Warn about overdue chunks; cancel and resubmit, alone, each
+        chunk past its hard deadline."""
+        now = time.monotonic()
+        timed_out = []
+        for cid, flight in self._flights.items():
+            elapsed = now - flight.submitted_at
+            if (
+                flight.soft_s is not None
+                and not flight.warned
+                and elapsed > flight.soft_s
+            ):
+                flight.warned = True
+                self._emit(
+                    "chunk-overdue",
+                    f"chunk for candidate(s) {chunk_candidates(flight.chunk)} "
+                    f"is overdue: {elapsed:.1f}s elapsed vs "
+                    f"{flight.soft_s:.1f}s soft deadline "
+                    f"(attempt {flight.attempts})",
+                    [cid],
+                )
+            if flight.hard_s is not None and elapsed > flight.hard_s:
+                timed_out.append(cid)
+        if not timed_out:
+            return
+        self.executor.counters.chunk_timeouts += len(timed_out)
+        candidates = sorted(
+            {
+                c
+                for cid in timed_out
+                for c in chunk_candidates(self._flights[cid].chunk)
+            }
+        )
+        self._emit(
+            "chunk-timeout",
+            f"cancelling {len(timed_out)} chunk(s) past their hard "
+            f"deadline [candidate(s) {candidates}] and retrying",
+            timed_out,
+        )
+        for cid in timed_out:
+            self.executor.cancel(cid)
+        self._retry(Lost(tuple(timed_out), "a chunk exceeded its hard deadline"))
 
     # -- events --------------------------------------------------------------
 
@@ -521,6 +766,8 @@ class Scheduler:
         del self._flights[cid]
         # A healthy completion ends the failure episode.
         self._backoff.reset()
+        counters.vectorized_fallbacks += result.vectorized_fallback
+        counters.memory_degrades += result.memory_degrades
         members = self._members(flight.chunk)
         # Measured cost refines later packing (and later searches on a
         # persistent pool).  A failed chunk measures the failure, not
@@ -587,7 +834,7 @@ class Scheduler:
                 f"{flight.attempts} of {max_retries + 1})",
                 [cid],
             )
-            self.executor.submit(cid, flight.attempts, flight.chunk)
+            self._submit(cid)
 
     def _fallback(self, reason: str, attempts: int = 0) -> "SearchOutcome":
         self.executor.counters.sequential_fallbacks += 1
@@ -612,11 +859,11 @@ class Scheduler:
         try:
             if frontier.finished:
                 return frontier.outcome
-            self.executor.open(self.split, self.chunk_seconds)
+            self.executor.open(self.split)
             try:
                 self.top_up()
                 while True:
-                    for report in self.executor.poll(_WATCHDOG_INTERVAL_S):
+                    for report in self.executor.poll(self._poll_timeout()):
                         if isinstance(report, Delivered):
                             self._accept(report.cid, report.result)
                             frontier.commit()
@@ -632,6 +879,7 @@ class Scheduler:
                             return self._fallback(report.reason)
                     if frontier.finished:
                         return frontier.outcome
+                    self._check_deadlines()
                     self.top_up()
             except RetriesExhausted as exhausted:
                 if not self.settings.fallback_sequential:
@@ -657,241 +905,3 @@ def speculative_search(
 ) -> "SearchOutcome":
     """Run ``frontier``'s search on ``executor`` (see :class:`Scheduler`)."""
     return Scheduler(frontier, split, settings, seed, executor, on_event).run()
-
-
-# -- the pool executor ------------------------------------------------------
-
-
-@dataclass
-class _PoolFlight:
-    chunk: JobChunk  # as submitted: handle and generation stamped
-    attempt: int
-    submitted_at: float
-    soft_deadline_s: float | None
-    hard_deadline_s: float | None
-    warned: bool = False
-
-
-class PoolExecutor:
-    """A :class:`~repro.runtime.pool.PersistentPool` as an executor.
-
-    Liveness is the pool's: each search runs under a generation
-    (cancelling it no-ops queued chunks and aborts running ones at the
-    next epoch boundary), a changed worker-pid set means a worker died
-    with its chunk (``multiprocessing.Pool`` fires no callback for it),
-    and chunks carry soft/hard deadlines once the cost model has a
-    seconds scale (see :data:`_CHUNK_DEADLINE_FACTOR`).  Cancellation
-    is generation-wide, so a deadline retry moves every outstanding
-    chunk to a fresh generation.
-
-    ``pool`` is reused warm; ``None`` creates an ephemeral
-    ``workers``-process pool that :meth:`close` tears down.
-    """
-
-    def __init__(self, pool: PersistentPool | None = None, workers: int = 1):
-        self._owns_pool = pool is None
-        self.pool = pool if pool is not None else PersistentPool(workers)
-        self.capacity = self.pool.workers
-        self.cost_model = self.pool.cost_model
-        self.counters = self.pool
-        self._handle = None
-        self._generation = 0
-        self._flights: dict[int, _PoolFlight] = {}
-        # Completions cross from the pool's result-handler thread to the
-        # scheduler's through a thread-safe queue:
-        # (cid, generation, result, exception).
-        self._completions: SimpleQueue = SimpleQueue()
-        self._pids: set[int] = set()
-        self._chunk_seconds: Callable[[JobChunk], float | None] = (
-            lambda chunk: None
-        )
-
-    def memory_budget(self, settings: "TrainingSettings") -> int | None:
-        from .memory import resolve_memory_budget
-
-        return resolve_memory_budget(settings.memory_budget)
-
-    def stats(self) -> dict:
-        return self.pool.stats()
-
-    def open(self, split, chunk_seconds) -> None:
-        if self._handle is not None:
-            return
-        self._generation = self.pool.new_generation()
-        self._handle = self.pool.acquire_split(split)
-        self._chunk_seconds = chunk_seconds
-
-    def _deadlines(self, chunk: JobChunk) -> tuple[float | None, float | None]:
-        """(soft, hard) deadline seconds, counted from submission; none
-        before the cost model has a seconds scale."""
-        seconds = self._chunk_seconds(chunk)
-        if seconds is None:
-            return None, None
-        soft = max(
-            _CHUNK_DEADLINE_FACTOR * seconds, _CHUNK_DEADLINE_FLOOR_S
-        )
-        return soft, _HARD_DEADLINE_FACTOR * soft
-
-    def submit(self, cid: int, attempt: int, chunk: JobChunk) -> None:
-        chunk = replace(
-            chunk, handle=self._handle, generation=self._generation
-        )
-        self._flights[cid] = _PoolFlight(
-            chunk, attempt, time.monotonic(), *self._deadlines(chunk)
-        )
-        generation = self._generation
-        self.pool.submit(
-            chunk,
-            callback=lambda res: self._completions.put(
-                (cid, generation, res, None)
-            ),
-            error_callback=lambda exc: self._completions.put(
-                (cid, generation, None, exc)
-            ),
-        )
-        if not self._pids:
-            # Workers start lazily: the baseline is sampled once work is
-            # submitted, so a later change means a worker died.
-            self._pids = self.pool.worker_pids()
-
-    def poll(self, timeout: float) -> list:
-        now = time.monotonic()
-        for flight in self._flights.values():
-            elapsed = now - flight.submitted_at
-            if flight.soft_deadline_s is not None and not flight.warned:
-                timeout = min(timeout, flight.soft_deadline_s - elapsed)
-            if flight.hard_deadline_s is not None:
-                timeout = min(timeout, flight.hard_deadline_s - elapsed)
-        try:
-            cid, generation, result, error = self._completions.get(
-                timeout=max(0.05, timeout)
-            )
-        except Empty:
-            return self._check_liveness()
-        flight = self._flights.get(cid)
-        if error is not None:
-            if flight is None or generation < self._generation:
-                return []  # a superseded copy's failure
-            # An infrastructure failure of this one chunk (its runner
-            # raised); per-run training errors arrive as RunError
-            # entries instead.
-            return [
-                Lost(
-                    (cid,),
-                    f"chunk for candidate(s) {chunk_candidates(flight.chunk)} "
-                    f"failed in the runtime ({error!r})",
-                    error=error,
-                )
-            ]
-        if result.cancelled:
-            if generation < self._generation:
-                return []  # the copy a retry superseded bailed out
-            raise SearchError(
-                "a worker cancelled a chunk of a live search; "
-                "was the pool closed concurrently?"
-            )
-        self._flights.pop(cid, None)
-        return [Delivered(cid, result)]
-
-    def _resubmit_all(self, lost: Sequence[int]) -> None:
-        """Move the search to a fresh generation.  Chunks not in
-        ``lost`` are resubmitted here at their attempt (an innocent copy
-        that finishes under the old generation still counts); the
-        scheduler resubmits the lost ones."""
-        self._generation = self.pool.advance_generation()
-        for cid, flight in list(self._flights.items()):
-            if cid not in lost:
-                self.submit(cid, flight.attempt, flight.chunk)
-
-    def _check_liveness(self) -> list:
-        current = self.pool.worker_pids()
-        if not self._pids:
-            self._pids = current
-        elif current != self._pids:
-            self._pids = current
-            lost = tuple(self._flights)
-            candidates = sorted(
-                {
-                    c
-                    for f in self._flights.values()
-                    for c in chunk_candidates(f.chunk)
-                }
-            )
-            self._resubmit_all(lost)
-            return [
-                Notice(
-                    "worker-lost",
-                    "a grid-search worker process died unexpectedly (killed "
-                    f"or out of memory?); {len(lost)} in-flight chunk(s) for "
-                    f"candidate(s) {candidates} may be lost",
-                    lost,
-                ),
-                Lost(
-                    lost,
-                    "a grid-search worker process died unexpectedly "
-                    "(killed or out of memory?)",
-                ),
-            ]
-        reports: list = []
-        timed_out: list[int] = []
-        now = time.monotonic()
-        for cid, flight in self._flights.items():
-            elapsed = now - flight.submitted_at
-            if (
-                not flight.warned
-                and flight.soft_deadline_s is not None
-                and elapsed > flight.soft_deadline_s
-            ):
-                flight.warned = True
-                cands = chunk_candidates(flight.chunk)
-                reports.append(
-                    Notice(
-                        "chunk-overdue",
-                        f"chunk for candidate(s) {cands} "
-                        f"is overdue: {elapsed:.1f}s elapsed vs "
-                        f"{flight.soft_deadline_s:.1f}s soft deadline "
-                        f"(attempt {flight.attempt})",
-                        (cid,),
-                    )
-                )
-            hard = flight.hard_deadline_s
-            if hard is not None and elapsed > hard:
-                timed_out.append(cid)
-        if timed_out:
-            self.pool.chunk_timeouts += len(timed_out)
-            candidates = sorted(
-                {
-                    c
-                    for cid in timed_out
-                    for c in chunk_candidates(self._flights[cid].chunk)
-                }
-            )
-            reports.append(
-                Notice(
-                    "chunk-timeout",
-                    f"cancelling {len(timed_out)} chunk(s) past their hard "
-                    f"deadline [candidate(s) {candidates}] and retrying",
-                    tuple(timed_out),
-                )
-            )
-            self._resubmit_all(timed_out)
-            reports.append(
-                Lost(tuple(timed_out), "a chunk exceeded its hard deadline")
-            )
-        return reports
-
-    def abort(self) -> None:
-        self.pool.cancel(self._generation)
-
-    def close(self) -> None:
-        """End the generation: queued speculative chunks no-op, running
-        trainings abort at the next epoch boundary."""
-        if self._handle is not None:
-            self.pool.release_split(self._handle)
-            self._handle = None
-            self.pool.cancel(self._generation)
-            self._flights.clear()
-        if self._owns_pool:
-            # Ephemeral pool: kill in-flight speculation outright and
-            # unlink the published dataset segment.
-            self.pool.close()

@@ -3,7 +3,7 @@
 The acceptance bar from the ISSUE: a TCP-sharded search returns a
 ``SearchOutcome`` bit-identical to the sequential baseline for any
 agent count — including under injected connection drops, agent SIGKILL,
-partitions with duplicate re-delivery, and mid-frame stalls — duplicate
+partitions with a late re-delivery, and mid-frame stalls — duplicate
 results resolve first-commit-wins, and losing every agent degrades to
 an in-process sequential finish.
 
@@ -29,6 +29,7 @@ from repro.core.search_space import classical_search_space
 from repro.data import make_spiral, stratified_split
 from repro.runtime import faults
 from repro.runtime.cluster_tcp import (
+    Coordinator,
     TcpConfig,
     TcpExecutor,
     _frame,
@@ -39,7 +40,7 @@ from repro.runtime.cluster_tcp import (
 from repro.runtime.faults import FaultPlan
 from repro.runtime.frontier import SearchFrontier
 from repro.runtime.parallel import Scheduler, speculative_search
-from repro.runtime.pool import ChunkResult
+from repro.runtime.jobs import ChunkResult
 
 # A transport regression's failure mode is a hang (a chunk nobody
 # serves, a lease nobody expires); bound every test so CI fails fast.
@@ -102,11 +103,10 @@ def _free_port():
 
 
 def _fast_tcp(port=None, **overrides):
-    """A TcpConfig with test-speed polling and timeouts."""
+    """A TcpConfig with test-speed timeouts."""
     base = dict(
         address=f"127.0.0.1:{port if port is not None else _free_port()}",
         lease_timeout_s=2.0,
-        poll_interval_s=0.05,
         agent_grace_s=30.0,
         frame_timeout_s=5.0,
     )
@@ -121,7 +121,6 @@ def _thread_agent(cfg, stop, stats_out=None, **kwargs):
     coordinator binds.  ``stats_out`` (a list) receives the final
     :class:`~repro.runtime.cluster_tcp.AgentStats`.
     """
-    kwargs.setdefault("poll_interval_s", 0.05)
     kwargs.setdefault("heartbeat_s", 0.2)
     kwargs.setdefault("rng", random.Random(0))
     kwargs["stop"] = stop
@@ -145,7 +144,7 @@ def _join_agents(stop, threads, timeout=30):
 
 _AGENT_SCRIPT = (
     "import sys; from repro.runtime.cluster_tcp import run_tcp_agent; "
-    "run_tcp_agent(sys.argv[1], poll_interval_s=0.05, heartbeat_s=0.2, "
+    "run_tcp_agent(sys.argv[1], heartbeat_s=0.2, "
     "reconnect_timeout_s=10.0, "
     "fault_dir=(sys.argv[2] if len(sys.argv) > 2 else None))"
 )
@@ -385,25 +384,22 @@ class TestDuplicateResults:
             scheduler.top_up()
             n_chunks = len(ranked) // 2
             # Serve every chunk inline over a real connection, then
-            # forge a duplicate of one queued result under a different
-            # agent id before the coordinator ever drains.
-            stats = run_tcp_agent(
-                coordinator.address,
-                poll_interval_s=0.05,
-                max_chunks=n_chunks,
-            )
+            # forge a second copy of one delivered result before the
+            # executor ever drains.
+            stats = run_tcp_agent(coordinator.address, max_chunks=n_chunks)
             assert stats.chunks_done == n_chunks
-            victim = coordinator._results.get(timeout=5)
-            coordinator._results.put(victim)
-            coordinator._results.put(
+            cid, wire, result, error = coordinator._completions.get(timeout=5)
+            coordinator._completions.put((cid, wire, result, error))
+            coordinator._completions.put(
                 (
-                    victim[0],
-                    victim[1],
+                    cid,
+                    wire,
                     ChunkResult(
                         cancelled=False,
-                        entries=victim[2].entries,
-                        wall_time_s=victim[2].wall_time_s,
+                        entries=result.entries,
+                        wall_time_s=result.wall_time_s,
                     ),
+                    None,
                 )
             )
             outcome = scheduler.run()
@@ -427,10 +423,8 @@ def _rogue_agent(address, corrupt, closed):
         kind, grant = _recv_msg(sock, 5.0)
         if kind != "chunk":
             return
-        cid, attempt, _ = grant
-        frame = bytearray(
-            _frame(pickle.dumps(("result", (cid, attempt, None))))
-        )
+        wire, _chunk, _split = grant
+        frame = bytearray(_frame(pickle.dumps(("result", (wire, None)))))
         frame[0 if corrupt == "magic" else -1] ^= 0xFF
         sock.sendall(bytes(frame))
         try:
@@ -565,10 +559,10 @@ class TestCostModel:
         self, easy_split, tmp_path
     ):
         """Every delivered ``ChunkResult.wall_time_s`` feeds the
-        coordinator's cost model, and ``cost_cache`` persists it."""
+        coordinator's cost model, and its ``cost_cache`` persists it."""
         from repro.core.grid_search import rank_by_flops
         from repro.flops.conventions import get_convention
-        from repro.runtime.pool import ChunkCostModel
+        from repro.runtime.parallel import ChunkCostModel
 
         settings = _settings()
         kwargs = _search_kwargs(easy_split, settings)
@@ -576,7 +570,9 @@ class TestCostModel:
         cache = tmp_path / "chunk_costs.json"
         conv = get_convention("paper")
         ranked = rank_by_flops(small_space(), conv)[:4]
-        coordinator = TcpExecutor(_fast_tcp(port=0, cost_cache=str(cache)))
+        coordinator = TcpExecutor(
+            Coordinator(_fast_tcp(port=0), cost_cache=str(cache))
+        )
         coordinator.open(easy_split)
         stop = threading.Event()
         agents = [
@@ -593,7 +589,7 @@ class TestCostModel:
                 coordinator,
             )
         finally:
-            coordinator.close()
+            coordinator.coordinator.close()
             _join_agents(stop, agents)
         _assert_same_outcome(outcome, seq)
         assert (
@@ -655,9 +651,7 @@ class TestCliTcpSmoke:
         seq = grid_search(**kwargs, workers=1)
         # Default lease timeout: CLI agents beat at the production 5s
         # interval, so a test-speed timeout would expire live leases.
-        cfg = TcpConfig(
-            address=f"127.0.0.1:{_free_port()}", poll_interval_s=0.1
-        )
+        cfg = TcpConfig(address=f"127.0.0.1:{_free_port()}")
         env = dict(os.environ)
         src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
         env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get(

@@ -1,12 +1,12 @@
-"""One scheduler, two executors: the cross-executor guarantees.
+"""One scheduler, one executor, two kinds of agents.
 
-Every execution medium — the persistent worker pool and TCP agents —
-runs the same :class:`Scheduler`, so a
-setting means the same thing on each: retries bound the same way and
-exhaust into the same fallback (or error), and a worker's out-of-memory
-recovery surfaces as the same ``memory-degrade`` event.  Each test is
-parametrized over the executors; cluster agents run on daemon threads
-in this process.
+Every search runs the same :class:`Scheduler` on a ``TcpExecutor``,
+whether its agents are the processes of a persistent pool or agents
+that dial a coordinator, so a setting means the same thing on each:
+retries bound the same way and exhaust into the same fallback (or
+error), and an agent's out-of-memory recovery surfaces as the same
+``memory-degrade`` event.  Each test is parametrized over the two;
+dialing agents run on daemon threads in this process.
 """
 
 import random
@@ -24,17 +24,10 @@ from repro.flops.conventions import get_convention
 from repro.runtime import FaultPlan, PersistentPool, faults
 from repro.runtime.cluster_tcp import TcpConfig, TcpExecutor, run_tcp_agent
 from repro.runtime.frontier import SearchFrontier
-from repro.runtime import parallel as parallel_mod
-from repro.runtime.parallel import PoolExecutor, speculative_search
+from repro.runtime.parallel import speculative_search
 
 # A scheduler regression's failure mode is a hang; fail fast instead.
 pytestmark = pytest.mark.timeout(180)
-
-
-@pytest.fixture(autouse=True)
-def snappy_watchdog(monkeypatch):
-    """Worker death detected in ~0.2s instead of the production 10s."""
-    monkeypatch.setattr(parallel_mod, "_WATCHDOG_INTERVAL_S", 0.2)
 
 
 @pytest.fixture(scope="module")
@@ -102,7 +95,6 @@ def _tcp_agent(tmp_path, fault=None):
     cfg = TcpConfig(
         address=f"127.0.0.1:{_free_port()}",
         lease_timeout_s=2.0,
-        poll_interval_s=0.05,
         agent_grace_s=30.0,
         frame_timeout_s=5.0,
     )
@@ -114,7 +106,6 @@ def _tcp_agent(tmp_path, fault=None):
     agent = _start(
         run_tcp_agent,
         cfg.address,
-        poll_interval_s=0.05,
         heartbeat_s=0.2,
         fault_dir=fault_dir,
         stop=stop,
@@ -133,14 +124,9 @@ def _tcp_agent(tmp_path, fault=None):
 def _chunk_losing_executor(kind, tmp_path, easy_split):
     """An executor whose medium loses candidate 1's first chunk."""
     if kind == "pool":
-        with PersistentPool(2) as pool:
-            # Warm workers: the watchdog samples live pids.
-            grid_search(**_search_kwargs(easy_split, _settings()), pool=pool)
-            pool.install_fault(FaultPlan(kind="kill", candidate=1))
-            try:
-                yield PoolExecutor(pool)
-            finally:
-                pool.clear_fault()
+        with PersistentPool(2, fault_dir=tmp_path) as pool:
+            faults.arm_file_fault(tmp_path, FaultPlan(kind="kill", candidate=1))
+            yield TcpExecutor(pool)
     else:
         fault = FaultPlan(kind="conn-drop", candidate=1)
         with _tcp_agent(tmp_path, fault) as cfg:

@@ -1,26 +1,21 @@
 """Fault-tolerance tests for the parallel search supervisor.
 
-The ISSUE's acceptance bar: a pooled search whose worker is ``kill
--9``-ed mid-chunk completes with an outcome array-equal to the
-fault-free baseline (chunk retry); chunks past their hard deadline are
-cancelled and retried (deadline watchdog); an interrupted journaled
-search resumes bit-identically (checkpoint/resume); retry exhaustion
-degrades to an in-process sequential finish instead of a dead sweep;
-and orphaned shared-memory segments from crashed runs are swept at
-pool startup.
+The acceptance bar: a pooled search whose agent is ``kill -9``-ed
+mid-chunk completes with an outcome array-equal to the fault-free
+baseline (chunk retry on connection loss, agent respawn); chunks past
+their hard deadline are cancelled and retried alone (the scheduler's
+deadlines); a chunk whose runner raises is retried alone while its
+agent serves on; an interrupted journaled search resumes
+bit-identically (checkpoint/resume); and retry exhaustion degrades to
+an in-process sequential finish instead of a dead sweep.
 
 All process-death faults here are *real* SIGKILLs delivered by the
-deterministic fault-injection harness (:mod:`repro.runtime.faults`):
-the worker kills itself at the start of a matching chunk, exercising
-the same ``multiprocessing.Pool`` respawn and lost-callback hole a
-production OOM kill hits.  ``times`` bounds each plan so retried
-chunks run clean — which is what makes the bit-identity assertions
-possible.
+deterministic file-armed fault harness (:mod:`repro.runtime.faults`):
+the agent kills itself right after claiming a matching chunk, closing
+its connection exactly as a production OOM kill does.  ``times``
+bounds each plan so retried chunks run clean — which is what makes the
+bit-identity assertions possible.
 """
-
-import os
-import subprocess
-import sys
 
 import pytest
 
@@ -28,7 +23,7 @@ from repro.core.grid_search import TrainingSettings, grid_search
 from repro.core.search_space import classical_search_space
 from repro.data import make_spiral, stratified_split
 from repro.exceptions import SearchError
-from repro.runtime import FaultPlan, PersistentPool, sweep_stale_segments
+from repro.runtime import FaultPlan, PersistentPool, faults
 from repro.runtime import parallel as parallel_mod
 
 # A supervision regression's failure mode is a hang (a lost chunk whose
@@ -67,12 +62,6 @@ def _assert_same_outcome(par, seq):
     ]
 
 
-@pytest.fixture(autouse=True)
-def snappy_watchdog(monkeypatch):
-    """Death detected in ~0.2s instead of the production 10s."""
-    monkeypatch.setattr(parallel_mod, "_WATCHDOG_INTERVAL_S", 0.2)
-
-
 def _settings(**overrides):
     """Fast settings."""
     base = dict(epochs=3, batch_size=32, runs=2)
@@ -95,69 +84,59 @@ def _search_kwargs(easy_split, settings):
     )
 
 
-class TestKilledWorkerRetry:
-    """Tentpole acceptance: kill -9 a worker mid-chunk; the search
-    completes and the outcome is bit-identical to the fault-free one."""
+class TestKilledAgentRetry:
+    """Kill -9 an agent mid-chunk; the search completes and the outcome
+    is bit-identical to the fault-free one."""
 
     @pytest.mark.parametrize("victim", [0, 1])
-    def test_kill_retry_bit_identical(self, easy_split, victim):
+    def test_kill_retry_bit_identical(self, easy_split, tmp_path, victim):
         settings = _settings()
         kwargs = _search_kwargs(easy_split, settings)
         seq = grid_search(**kwargs, workers=1)
-        with PersistentPool(2) as pool:
-            # Warm run first: it both provides the pooled fault-free
-            # baseline and leaves the workers spawned, so the faulted
-            # search samples its pid baseline from live processes.
+        with PersistentPool(2, fault_dir=tmp_path) as pool:
             clean = grid_search(**kwargs, pool=pool)
             _assert_same_outcome(clean, seq)
 
             events = []
-            pool.install_fault(FaultPlan(kind="kill", candidate=victim))
-            try:
-                faulted = grid_search(
-                    **kwargs, pool=pool, on_event=events.append
-                )
-            finally:
-                pool.clear_fault()
+            faults.arm_file_fault(
+                tmp_path, FaultPlan(kind="kill", candidate=victim)
+            )
+            faulted = grid_search(**kwargs, pool=pool, on_event=events.append)
             _assert_same_outcome(faulted, seq)
-            assert pool.chunk_retries >= 1
+            assert pool.counters.chunk_retries >= 1
             kinds = [e.kind for e in events]
-            assert "worker-lost" in kinds
+            assert "conn-lost" in kinds
             assert "retry" in kinds
             # Events carry the affected candidates and attempt counts.
-            lost = next(e for e in events if e.kind == "worker-lost")
+            lost = next(e for e in events if e.kind == "conn-lost")
             assert victim in lost.candidates
             retry = next(e for e in events if e.kind == "retry")
             assert retry.attempts >= 2
-            assert "worker" in str(lost)  # str(event) is the message
+            assert "agent" in str(lost)  # str(event) is the message
 
-            # The pool survives supervision: a later fault-free search
-            # on the same workers is still bit-identical.
+            # The dead agent was replaced: a later fault-free search on
+            # the same pool is still bit-identical.
             again = grid_search(**kwargs, pool=pool)
             _assert_same_outcome(again, seq)
+            assert pool.stats()["agents_started"] == 3
+            assert len(pool.agent_pids()) == 2
 
 
 class TestRetryExhaustion:
-    def test_exhaustion_falls_back_to_sequential(self, easy_split):
+    def test_exhaustion_falls_back_to_sequential(self, easy_split, tmp_path):
         """A fault that keeps killing (times > retry budget) exhausts
         retries; the sweep then finishes in-process, identically."""
         settings = _settings(max_retries=1)
         kwargs = _search_kwargs(easy_split, settings)
         seq = grid_search(**kwargs, workers=1)
-        with PersistentPool(2) as pool:
-            grid_search(**kwargs, pool=pool)  # warm the workers
+        with PersistentPool(2, fault_dir=tmp_path) as pool:
             events = []
-            pool.install_fault(
-                FaultPlan(kind="kill", candidate=1, times=4)
+            faults.arm_file_fault(
+                tmp_path, FaultPlan(kind="kill", candidate=1, times=4)
             )
-            try:
-                faulted = grid_search(
-                    **kwargs, pool=pool, on_event=events.append
-                )
-            finally:
-                pool.clear_fault()
+            faulted = grid_search(**kwargs, pool=pool, on_event=events.append)
             _assert_same_outcome(faulted, seq)
-            assert pool.sequential_fallbacks == 1
+            assert pool.counters.sequential_fallbacks == 1
             kinds = [e.kind for e in events]
             assert "sequential-fallback" in kinds
             fallback = next(
@@ -165,7 +144,9 @@ class TestRetryExhaustion:
             )
             assert fallback.attempts == settings.max_retries + 1
 
-    def test_fallback_floor_walks_oom_ladder(self, easy_split, monkeypatch):
+    def test_fallback_floor_walks_oom_ladder(
+        self, easy_split, tmp_path, monkeypatch
+    ):
         """The in-process floor a pool falls back to is the same executor
         as ``workers=1``: an out-of-memory sweep there degrades through
         the OOM ladder instead of killing the search."""
@@ -174,9 +155,9 @@ class TestRetryExhaustion:
         settings = _settings(max_retries=1)
         kwargs = _search_kwargs(easy_split, settings)
         seq = grid_search(**kwargs, workers=1)
-        with PersistentPool(2) as pool:
-            grid_search(**kwargs, pool=pool)  # warm the workers
-            # Pool workers are separate processes: only the driver's
+        with PersistentPool(2, fault_dir=tmp_path) as pool:
+            grid_search(**kwargs, pool=pool)  # start the agents
+            # Agents are separate processes: only the driver's
             # in-process sweeps see this patch.  Every sweep the floor
             # may run first — a fused group's or a lone candidate's —
             # enters execute_candidates.
@@ -191,50 +172,43 @@ class TestRetryExhaustion:
 
             monkeypatch.setattr(jobs, "execute_candidates", oom_once_grouped)
             events = []
-            pool.install_fault(
-                FaultPlan(kind="kill", candidate=1, times=4)
+            faults.arm_file_fault(
+                tmp_path, FaultPlan(kind="kill", candidate=1, times=4)
             )
-            try:
-                faulted = grid_search(
-                    **kwargs, pool=pool, on_event=events.append
-                )
-            finally:
-                pool.clear_fault()
+            faulted = grid_search(**kwargs, pool=pool, on_event=events.append)
             assert fired  # the fault hit the driver's fallback sweep
             _assert_same_outcome(faulted, seq)
-            assert pool.sequential_fallbacks == 1
+            assert pool.counters.sequential_fallbacks == 1
             kinds = [e.kind for e in events]
             assert "memory-degrade" in kinds
 
     def test_exhaustion_raises_with_attempts_when_fallback_disabled(
-        self, easy_split
+        self, easy_split, tmp_path
     ):
         settings = _settings(max_retries=0, fallback_sequential=False)
         kwargs = _search_kwargs(easy_split, settings)
-        with PersistentPool(2) as pool:
-            grid_search(**kwargs, pool=pool)  # warm the workers
-            pool.install_fault(
-                FaultPlan(kind="kill", candidate=0, times=3)
+        with PersistentPool(2, fault_dir=tmp_path) as pool:
+            faults.arm_file_fault(
+                tmp_path, FaultPlan(kind="kill", candidate=0, times=3)
             )
-            try:
-                with pytest.raises(
-                    SearchError, match="died unexpectedly"
-                ) as excinfo:
-                    grid_search(**kwargs, pool=pool)
-            finally:
-                pool.clear_fault()
+            with pytest.raises(
+                SearchError, match="connection dropped"
+            ) as excinfo:
+                grid_search(**kwargs, pool=pool)
             # The error reports how many executions were lost.
             assert excinfo.value.attempts == 1
 
 
-class TestDeadlineWatchdog:
-    def test_hard_timeout_cancels_and_retries(self, easy_split, monkeypatch):
-        """A chunk delayed past its hard deadline is cancelled via the
-        generation mechanism and retried; results stay identical."""
+class TestDeadlines:
+    def test_hard_timeout_cancels_and_retries(
+        self, easy_split, tmp_path, monkeypatch
+    ):
+        """A chunk delayed past its hard deadline is cancelled and
+        retried alone; results stay identical."""
         settings = _settings()
         kwargs = _search_kwargs(easy_split, settings)
         seq = grid_search(**kwargs, workers=1)
-        with PersistentPool(2) as pool:
+        with PersistentPool(2, fault_dir=tmp_path) as pool:
             # The clean run calibrates the cost model's seconds scale;
             # deadlines exist from the next search on.  Shrink them to
             # soft 0.4s / hard 0.8s: far above a clean chunk's
@@ -245,54 +219,50 @@ class TestDeadlineWatchdog:
             monkeypatch.setattr(parallel_mod, "_CHUNK_DEADLINE_FACTOR", 0.0)
             monkeypatch.setattr(parallel_mod, "_CHUNK_DEADLINE_FLOOR_S", 0.4)
             events = []
-            pool.install_fault(
-                FaultPlan(kind="delay", candidate=1, delay_s=2.5)
+            faults.arm_file_fault(
+                tmp_path, FaultPlan(kind="delay", candidate=1, delay_s=2.5)
             )
-            try:
-                faulted = grid_search(
-                    **kwargs, pool=pool, on_event=events.append
-                )
-            finally:
-                pool.clear_fault()
+            faulted = grid_search(**kwargs, pool=pool, on_event=events.append)
             _assert_same_outcome(faulted, seq)
-            assert pool.chunk_timeouts >= 1
+            assert pool.counters.chunk_timeouts == 1
             kinds = [e.kind for e in events]
             assert "chunk-overdue" in kinds  # soft-deadline warning
-            assert "chunk-timeout" in kinds
             timeout = next(e for e in events if e.kind == "chunk-timeout")
             assert 1 in timeout.candidates
+            # Only the late chunk was retried; nothing else moved.
+            assert pool.counters.chunk_retries == 1
 
 
 class TestChunkErrorRetry:
-    def test_chunk_runner_error_retries_single_chunk(self, easy_split):
-        """A worker's chunk runner raising reaches the parent as the
-        loss of that chunk (alone), which is re-executed — no
-        generation bump, no worker loss."""
+    def test_chunk_runner_error_retries_single_chunk(
+        self, easy_split, tmp_path
+    ):
+        """An agent's chunk runner raising reaches the scheduler as the
+        loss of that chunk (alone), which is re-executed; the agent
+        reports the error and serves on."""
         settings = _settings()
         kwargs = _search_kwargs(easy_split, settings)
         seq = grid_search(**kwargs, workers=1)
-        with PersistentPool(2) as pool:
+        with PersistentPool(2, fault_dir=tmp_path) as pool:
             events = []
-            pool.install_fault(FaultPlan(kind="error", candidate=1))
-            try:
-                faulted = grid_search(
-                    **kwargs, pool=pool, on_event=events.append
-                )
-            finally:
-                pool.clear_fault()
+            faults.arm_file_fault(
+                tmp_path, FaultPlan(kind="error", candidate=1)
+            )
+            faulted = grid_search(**kwargs, pool=pool, on_event=events.append)
             _assert_same_outcome(faulted, seq)
-            assert pool.chunk_retries >= 1
+            assert pool.counters.chunk_retries == 1
             kinds = [e.kind for e in events]
             assert "retry" in kinds
-            assert "worker-lost" not in kinds  # no process died
-            # One search, one generation: the retry resubmitted the
-            # lost chunk alone instead of moving the search on.
-            assert pool._generation == pool.searches_started == 1
+            assert "conn-lost" not in kinds  # no connection died
+            # No agent died or was replaced.
+            assert pool.stats()["agents_started"] == 2
+            assert pool.connections_lost == 0
             # The retry slept through the shared backoff policy, and
             # the pause is accounted in the stats snapshot.
             assert pool.stats()["retry_backoff_s"] > 0
             retry = next(e for e in events if e.kind == "retry")
             assert "retrying in" in str(retry)
+            assert "injected chunk-runner failure" in str(retry)
 
 
 class TestJournalResume:
@@ -449,78 +419,28 @@ class TestJournalResume:
 
 
 class TestPoolStats:
-    def test_stats_snapshot_reflects_supervision(self, easy_split):
+    def test_stats_snapshot_reflects_supervision(self, easy_split, tmp_path):
         """`PersistentPool.stats()` collects every counter in one dict;
         a faulted search must show up there, and the snapshot must be a
         copy (mutating it cannot touch the live counters)."""
         settings = _settings()
         kwargs = _search_kwargs(easy_split, settings)
-        with PersistentPool(2) as pool:
+        with PersistentPool(2, fault_dir=tmp_path) as pool:
             before = pool.stats()
             assert before["searches_started"] == 0
             assert before["chunk_retries"] == 0
             assert before["memory_degrades"] == 0
-            grid_search(**kwargs, pool=pool)  # warm the workers
-            pool.install_fault(FaultPlan(kind="kill", candidate=0))
-            try:
-                grid_search(**kwargs, pool=pool)
-            finally:
-                pool.clear_fault()
+            grid_search(**kwargs, pool=pool)
+            faults.arm_file_fault(
+                tmp_path, FaultPlan(kind="kill", candidate=0)
+            )
+            grid_search(**kwargs, pool=pool)
             stats = pool.stats()
             assert stats["workers"] == 2
             assert stats["searches_started"] == 2
             assert stats["chunk_retries"] >= 1
-            assert stats["chunk_retries"] == pool.chunk_retries
+            assert stats["chunk_retries"] == pool.counters.chunk_retries
+            assert stats["connections_lost"] >= 1
             assert stats["cost_observations"] == pool.cost_model.observations
             stats["chunk_retries"] = -1
-            assert pool.stats()["chunk_retries"] == pool.chunk_retries
-
-
-@pytest.mark.skipif(
-    not os.path.isdir("/dev/shm"), reason="POSIX shm not exposed as files"
-)
-class TestStartupSweeper:
-    def _dead_pid(self):
-        """A pid guaranteed to be dead: a just-exited child's."""
-        proc = subprocess.run(
-            [sys.executable, "-c", "import os; print(os.getpid())"],
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        return int(proc.stdout)
-
-    def test_sweep_reclaims_only_dead_owned_segments(self):
-        dead = f"repro_{self._dead_pid()}_ds{'0' * 8}"
-        live = f"repro_{os.getpid()}_ds{'1' * 8}"
-        unparsable = "repro_notapid_ds"
-        paths = {n: os.path.join("/dev/shm", n) for n in (dead, live, unparsable)}
-        for path in paths.values():
-            with open(path, "wb") as fh:
-                fh.write(b"\0" * 16)
-        try:
-            reclaimed = sweep_stale_segments()
-            assert dead in reclaimed
-            assert not os.path.exists(paths[dead])
-            # A live owner's segment and anything we cannot attribute
-            # stay untouched.
-            assert os.path.exists(paths[live])
-            assert os.path.exists(paths[unparsable])
-            assert live not in reclaimed
-        finally:
-            for name in (live, unparsable):
-                if os.path.exists(paths[name]):
-                    os.unlink(paths[name])
-
-    def test_pool_startup_sweeps(self):
-        name = f"repro_{self._dead_pid()}_ctrl{'2' * 8}"
-        path = os.path.join("/dev/shm", name)
-        with open(path, "wb") as fh:
-            fh.write(b"\0" * 16)
-        try:
-            with PersistentPool(1) as pool:
-                assert name in pool.swept_segments
-            assert not os.path.exists(path)
-        finally:
-            if os.path.exists(path):
-                os.unlink(path)
+            assert pool.stats()["chunk_retries"] == pool.counters.chunk_retries

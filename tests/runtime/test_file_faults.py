@@ -1,4 +1,4 @@
-"""Tests for the file-armed fault plans that TCP cluster agents claim.
+"""Tests for the file-armed fault plans that agents claim.
 
 A plan lives as ``faults/plan.json`` plus one ``token-<i>`` file per
 permitted firing under a directory every agent reads; an agent fires
@@ -25,14 +25,14 @@ def _tokens(root):
 
 
 class TestArming:
-    @pytest.mark.parametrize(
-        "kind",
-        [faults.KILL, faults.DELAY, faults.ERROR, faults.OOM],
-    )
-    def test_control_segment_kinds_are_refused(self, tmp_path, kind):
-        with pytest.raises(SearchError, match="cannot be file-armed"):
-            faults.arm_file_fault(tmp_path, FaultPlan(kind=kind, candidate=0))
-        assert not (tmp_path / "faults").exists()
+    @pytest.mark.parametrize("kind", faults._KINDS)
+    def test_every_kind_is_file_armed(self, tmp_path, kind):
+        faults.arm_file_fault(tmp_path, FaultPlan(kind=kind, candidate=0))
+        assert faults.claim_file_fault(tmp_path, {0}).kind == kind
+
+    def test_unknown_kind_is_refused(self):
+        with pytest.raises(SearchError, match="unknown fault kind"):
+            FaultPlan(kind="meteor", candidate=0)
 
     def test_plan_must_target_a_candidate(self, tmp_path):
         with pytest.raises(SearchError, match="candidate"):

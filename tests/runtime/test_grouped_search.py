@@ -4,7 +4,7 @@ Bit-identical ``SearchOutcome`` with candidate stacking on vs off,
 sequential and pooled; multi-candidate chunks priced and observed per
 candidate; stacked-path failures re-attributed through the
 per-candidate fallback with the correct candidate coordinates; chunk
-results counted into the pool's instrumentation.
+results counted into the executor's counters.
 """
 
 from dataclasses import replace
@@ -39,15 +39,12 @@ from repro.runtime.parallel import (
     Scheduler,
     chunk_candidates,
 )
-from repro.runtime.pool import (
+from repro.runtime.jobs import (
     ChunkResult,
     JobChunk,
     RunError,
-    _count_result,
-    _run_chunk,
     execute_chunk,
     make_chunks,
-    publish_split,
 )
 
 
@@ -363,84 +360,66 @@ class TestErrorAttribution:
         assert outcome.winner.spec.label == "SEL(3,1)"
 
     def test_grouped_chunk_reattributes_error(self, easy_split):
-        """Worker path: a grouped chunk containing a failing candidate
+        """Agent path: a grouped chunk containing a failing candidate
         falls back per candidate; entries carry the correct candidate
         coordinates and the healthy candidate's results are intact."""
-        shm, handle = publish_split(easy_split)
-        try:
-            good = head_varied_space()[0]
-            boom = BoomSpec(n_features=4, n_qubits=3, n_layers=1, hidden=(4,))
-            settings = _settings(True, early_stop_threshold=None, epochs=1)
-            [chunk_a] = make_chunks(
-                good, 0, 7, 2, 2, handle, settings, 0, vectorized=True
-            )
-            [chunk_b] = make_chunks(
-                boom, 1, 7, 2, 2, handle, settings, 0, vectorized=True
-            )
-            merged = JobChunk(
-                jobs=chunk_a.jobs + chunk_b.jobs,
-                handle=handle,
-                settings=settings,
-                generation=0,
-                vectorized=True,
-            )
-            result = _run_chunk(merged)
-            assert isinstance(result, ChunkResult)
-            assert result.vectorized_fallback
-            assert len(result.entries) == 4
-            by_candidate = {}
-            for entry in result.entries:
-                by_candidate.setdefault(entry.candidate_index, []).append(entry)
-            assert all(
-                isinstance(e, RunResult) for e in by_candidate[0]
-            )
-            assert all(isinstance(e, RunError) for e in by_candidate[1])
-            assert all(
-                "boom: SEL(3,1)+C[4]" in str(e.error)
-                for e in by_candidate[1]
-            )
-            ref = execute_job(TrainingJob(good, 7, 0, 0), easy_split, settings)
-            assert by_candidate[0][0].train_accuracy == ref.train_accuracy
-        finally:
-            shm.close()
-            shm.unlink()
+        good = head_varied_space()[0]
+        boom = BoomSpec(n_features=4, n_qubits=3, n_layers=1, hidden=(4,))
+        settings = _settings(True, early_stop_threshold=None, epochs=1)
+        [chunk_a] = make_chunks(good, 0, 7, 2, 2, settings, vectorized=True)
+        [chunk_b] = make_chunks(boom, 1, 7, 2, 2, settings, vectorized=True)
+        merged = JobChunk(
+            jobs=chunk_a.jobs + chunk_b.jobs,
+            split=None,
+            settings=settings,
+            vectorized=True,
+        )
+        result = execute_chunk(merged, easy_split, lambda: False)
+        assert isinstance(result, ChunkResult)
+        assert result.vectorized_fallback
+        assert len(result.entries) == 4
+        by_candidate = {}
+        for entry in result.entries:
+            by_candidate.setdefault(entry.candidate_index, []).append(entry)
+        assert all(
+            isinstance(e, RunResult) for e in by_candidate[0]
+        )
+        assert all(isinstance(e, RunError) for e in by_candidate[1])
+        assert all(
+            "boom: SEL(3,1)+C[4]" in str(e.error)
+            for e in by_candidate[1]
+        )
+        ref = execute_job(TrainingJob(good, 7, 0, 0), easy_split, settings)
+        assert by_candidate[0][0].train_accuracy == ref.train_accuracy
 
     def test_grouped_chunk_trains_fused_when_healthy(self, easy_split):
-        shm, handle = publish_split(easy_split)
-        try:
-            specs = head_varied_space()[:2]
-            settings = _settings(True, early_stop_threshold=None, epochs=1)
-            chunks = [
-                make_chunks(
-                    spec, i, 7, 2, 2, handle, settings, 0, vectorized=True
-                )[0]
-                for i, spec in enumerate(specs)
-            ]
-            merged = JobChunk(
-                jobs=chunks[0].jobs + chunks[1].jobs,
-                handle=handle,
-                settings=settings,
-                generation=0,
-                vectorized=True,
-            )
-            result = _run_chunk(merged)
-            assert isinstance(result, ChunkResult)
-            assert not result.vectorized_fallback
-            assert sorted(
-                (e.candidate_index, e.run) for e in result.entries
-            ) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-            ref = execute_job(
-                TrainingJob(specs[1], 7, 1, 1), easy_split, settings
-            )
-            got = next(
-                e for e in result.entries
-                if (e.candidate_index, e.run) == (1, 1)
-            )
-            assert got.train_accuracy == ref.train_accuracy
-            assert got.val_accuracy == ref.val_accuracy
-        finally:
-            shm.close()
-            shm.unlink()
+        specs = head_varied_space()[:2]
+        settings = _settings(True, early_stop_threshold=None, epochs=1)
+        chunks = [
+            make_chunks(spec, i, 7, 2, 2, settings, vectorized=True)[0]
+            for i, spec in enumerate(specs)
+        ]
+        merged = JobChunk(
+            jobs=chunks[0].jobs + chunks[1].jobs,
+            split=None,
+            settings=settings,
+            vectorized=True,
+        )
+        result = execute_chunk(merged, easy_split, lambda: False)
+        assert isinstance(result, ChunkResult)
+        assert not result.vectorized_fallback
+        assert sorted(
+            (e.candidate_index, e.run) for e in result.entries
+        ) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        ref = execute_job(
+            TrainingJob(specs[1], 7, 1, 1), easy_split, settings
+        )
+        got = next(
+            e for e in result.entries
+            if (e.candidate_index, e.run) == (1, 1)
+        )
+        assert got.train_accuracy == ref.train_accuracy
+        assert got.val_accuracy == ref.val_accuracy
 
 
 class _RecordingExecutor:
@@ -574,39 +553,41 @@ class TestSchedulerPacking:
 
 
 class TestResultCounters:
-    """Every finished chunk's fallback and memory-degrade counts reach
-    the pool's instrumentation on the result-handler thread."""
+    """Every accepted chunk's fallback and memory-degrade counts reach
+    the executor's counters: the scheduler counts them on delivery,
+    whatever the agents."""
 
-    class _PoolCounters:
-        vectorized_fallbacks = 0
-        memory_degrades = 0
-
-    def test_healthy_result_counts_nothing(self):
-        pool = self._PoolCounters()
-        ok = ChunkResult(cancelled=False, entries=(), wall_time_s=0.1)
-        _count_result(pool, ok)
-        assert pool.vectorized_fallbacks == 0
-        assert pool.memory_degrades == 0
-
-    def test_fallback_counter_still_counted(self):
-        pool = self._PoolCounters()
-        flagged = ChunkResult(
-            cancelled=False, entries=(), wall_time_s=0.1,
-            vectorized_fallback=True,
-        )
-        _count_result(pool, flagged)
-        assert pool.vectorized_fallbacks == 1
-
-    def test_memory_degrades_accumulate(self):
-        pool = self._PoolCounters()
-        for degrades in (2, 0, 1):
-            _count_result(
-                pool,
+    def _accept(self, **changes):
+        ranked = _sel_depth_space()
+        executor = _RecordingExecutor(capacity=2)
+        settings = _settings(True, early_stop_threshold=None, epochs=1)
+        scheduler = _scheduler(ranked, settings, executor)
+        scheduler.top_up()
+        for cid, chunk in executor.submitted.items():
+            entries = tuple(
+                RunResult(job.candidate_index, job.run, 0.5, 0.5, 1, 0.1)
+                for job in chunk.jobs
+            )
+            scheduler._accept(
+                cid,
                 ChunkResult(
-                    cancelled=False, entries=(), memory_degrades=degrades
+                    cancelled=False, entries=entries, wall_time_s=0.1, **changes
                 ),
             )
-        assert pool.memory_degrades == 3
+        return executor.counters, len(executor.submitted)
+
+    def test_healthy_result_counts_nothing(self):
+        counters, _ = self._accept()
+        assert counters.vectorized_fallbacks == 0
+        assert counters.memory_degrades == 0
+
+    def test_fallback_counter_still_counted(self):
+        counters, chunks = self._accept(vectorized_fallback=True)
+        assert counters.vectorized_fallbacks == chunks > 0
+
+    def test_memory_degrades_accumulate(self):
+        counters, chunks = self._accept(memory_degrades=3)
+        assert counters.memory_degrades == 3 * chunks
 
 
 class TestCostModelPersistence:

@@ -33,7 +33,7 @@ from repro.core.grid_search import (
 from repro.core.search_space import ClassicalSpec, HybridSpec, classical_search_space
 from repro.data import make_spiral, stratified_split
 from repro.exceptions import ConfigurationError
-from repro.runtime import FaultPlan, PersistentPool
+from repro.runtime import FaultPlan, PersistentPool, faults
 from repro.quantum.engine import dense_peak_bytes
 from repro.runtime.memory import (
     estimate_candidate_bytes,
@@ -44,7 +44,7 @@ from repro.runtime.memory import (
 )
 from repro.runtime import memory as memory_mod
 from repro.runtime import parallel as parallel_mod
-from repro.runtime.pool import ChunkCostModel
+from repro.runtime.parallel import ChunkCostModel
 
 pytestmark = pytest.mark.timeout(120)
 
@@ -569,51 +569,46 @@ class TestPooledDifferential:
             )
             _assert_same_outcome(governed, baseline)
             # Admission control throttled concurrency, nothing degraded.
-            assert pool.memory_degrades == 0
+            assert pool.counters.memory_degrades == 0
 
-    def test_injected_oom_pooled_bit_identical(self, easy_split):
-        """The ISSUE's ladder acceptance: an ``oom`` fault mid-chunk
-        degrades gracefully — same outcome, counted and surfaced."""
+    def test_injected_oom_pooled_bit_identical(self, easy_split, tmp_path):
+        """The ladder acceptance: an ``oom`` fault mid-chunk degrades
+        gracefully — same outcome, counted and surfaced."""
         kwargs = _search_kwargs(easy_split)
         baseline = grid_search(**kwargs, settings=_settings(), workers=1)
-        with PersistentPool(2) as pool:
+        with PersistentPool(2, fault_dir=tmp_path) as pool:
             events = []
-            pool.install_fault(FaultPlan(kind="oom", candidate=1))
-            try:
-                faulted = grid_search(
-                    **kwargs,
-                    settings=_settings(),
-                    pool=pool,
-                    on_event=events.append,
-                )
-            finally:
-                pool.clear_fault()
+            faults.arm_file_fault(tmp_path, FaultPlan(kind="oom", candidate=1))
+            faulted = grid_search(
+                **kwargs,
+                settings=_settings(),
+                pool=pool,
+                on_event=events.append,
+            )
             _assert_same_outcome(faulted, baseline)
-            assert pool.memory_degrades >= 1
-            assert pool.stats()["memory_degrades"] == pool.memory_degrades
+            degrades = pool.counters.memory_degrades
+            assert degrades >= 1
+            assert pool.stats()["memory_degrades"] == degrades
             degrade = next(
                 e for e in events if e.kind == "memory-degrade"
             )
             assert 1 in degrade.candidates
             # No crash/retry machinery involved: OOM is a resource
             # failure, not an infrastructure one.
-            assert pool.chunk_retries == 0
-            assert "worker-lost" not in [e.kind for e in events]
+            assert pool.counters.chunk_retries == 0
+            assert "conn-lost" not in [e.kind for e in events]
 
-    def test_oom_on_scalar_chunk_absorbed(self, easy_split):
+    def test_oom_on_scalar_chunk_absorbed(self, easy_split, tmp_path):
         """A chunk with no fused sweep to degrade absorbs the fault at
         the ladder's floor (the scalar path) instead of erroring."""
         kwargs = _search_kwargs(easy_split)
         settings = _settings(vectorized_runs=False)
         baseline = grid_search(**kwargs, settings=settings, workers=1)
-        with PersistentPool(2) as pool:
-            pool.install_fault(FaultPlan(kind="oom", candidate=0))
-            try:
-                faulted = grid_search(**kwargs, settings=settings, pool=pool)
-            finally:
-                pool.clear_fault()
+        with PersistentPool(2, fault_dir=tmp_path) as pool:
+            faults.arm_file_fault(tmp_path, FaultPlan(kind="oom", candidate=0))
+            faulted = grid_search(**kwargs, settings=settings, pool=pool)
             _assert_same_outcome(faulted, baseline)
-            assert pool.memory_degrades >= 1
+            assert pool.counters.memory_degrades >= 1
 
 
 class TestCostModelBytes:

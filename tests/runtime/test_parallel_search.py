@@ -193,7 +193,7 @@ def _assert_same_outcome(par, seq):
 
 class TestPersistentPoolDifferential:
     """The persistent-pool acceptance check: two consecutive searches on
-    one reused pool (warm workers, shared-memory dataset, FLOPs-aware
+    one reused pool (warm agents, the dataset sent once, FLOPs-aware
     packing, chunked runs) stay bit-identical to workers=1."""
 
     def test_pool_reuse_two_searches_bit_identical(self, easy_split):
@@ -210,14 +210,14 @@ class TestPersistentPoolDifferential:
         seq_b = grid_search(**kwargs, seed=5, workers=1)
         with PersistentPool(4) as pool:
             par_a = grid_search(**kwargs, seed=3, pool=pool)
-            pids_after_first = pool.worker_pids()
+            pids_after_first = pool.agent_pids()
             par_b = grid_search(**kwargs, seed=5, pool=pool)
             # The whole point: the second search reuses the same warm
-            # workers instead of spinning up a fresh pool.
-            assert pool.worker_pids() == pids_after_first
+            # agents instead of starting fresh ones.
+            assert len(pids_after_first) == 4
+            assert pool.agent_pids() == pids_after_first
+            assert pool.stats()["agents_started"] == 4
             assert pool.searches_started == 2
-            # ... and the shared split was published exactly once.
-            assert len(pool.live_segments) == 1
         _assert_same_outcome(par_a, seq_a)
         _assert_same_outcome(par_b, seq_b)
 

@@ -27,10 +27,12 @@ from repro.exceptions import SearchError
 from repro.runtime import cluster_tcp
 from repro.runtime.cluster_tcp import (
     ConnectionDead,
+    Coordinator,
     TcpConfig,
     TcpExecutor,
     TornFrameError,
     _frame,
+    _FRAME_VERSION,
     _HEADER,
     _MAGIC,
     _MAX_FRAME_BYTES,
@@ -43,7 +45,8 @@ from repro.runtime.cluster_tcp import (
     run_tcp_agent,
 )
 from repro.runtime.parallel import Delivered, Lost, Notice, Starved
-from repro.runtime.pool import ChunkCostModel, ChunkResult, JobChunk
+from repro.runtime.jobs import ChunkResult, JobChunk
+from repro.runtime.parallel import ChunkCostModel
 
 # A wire regression's failure mode is a hang; bound every test.
 pytestmark = pytest.mark.timeout(60)
@@ -74,7 +77,7 @@ def _send_async(sock, data, pause_after=None, pause_s=0.0):
 
 
 class TestFrameFormat:
-    def test_header_layout_is_rspl_version_2(self):
+    def test_header_layout_is_rspl_version_3(self):
         """The wire format, byte for byte: magic, u32 version, u64
         payload length, SHA-256 of the payload, then the payload."""
         payload = b"abc"
@@ -82,7 +85,7 @@ class TestFrameFormat:
         assert _HEADER.size == 48
         assert frame == (
             b"RSPL"
-            + (2).to_bytes(4, "little")
+            + (3).to_bytes(4, "little")
             + (3).to_bytes(8, "little")
             + hashlib.sha256(payload).digest()
             + payload
@@ -125,7 +128,9 @@ def _corrupt(kind):
         # An intact frame from an older checkout's wire version.
         return _HEADER.pack(_MAGIC, 1, len(payload), digest) + payload
     if kind == "length":
-        return _HEADER.pack(_MAGIC, 2, _MAX_FRAME_BYTES + 1, digest)
+        return _HEADER.pack(
+            _MAGIC, _FRAME_VERSION, _MAX_FRAME_BYTES + 1, digest
+        )
     frame = bytearray(_frame(payload))
     frame[-1] ^= 0xFF
     return bytes(frame)
@@ -245,9 +250,8 @@ def _chunk(tag):
     """A genuine (empty) JobChunk; the coordinator never looks inside."""
     return JobChunk(
         jobs=(),
-        handle=None,
+        split=None,
         settings=TrainingSettings(epochs=tag, batch_size=8, runs=1),
-        generation=0,
     )
 
 
@@ -257,7 +261,6 @@ def coordinator(tiny_split):
         TcpConfig(
             address="127.0.0.1:0",
             lease_timeout_s=30.0,
-            poll_interval_s=0.01,
             agent_grace_s=30.0,
             frame_timeout_s=2.0,
         )
@@ -318,37 +321,62 @@ def _wait_for(condition, timeout=10.0):
 
 
 class TestCoordinatorProtocol:
-    def test_welcome_carries_token_and_split(self, coordinator, tiny_split):
+    def test_welcome_carries_the_token(self, coordinator):
         client = _Client(coordinator)
         kind, data = client.hello(agent="a1")
         client.close()
         assert kind == "welcome"
-        assert data["token"] == coordinator.token
-        assert np.array_equal(data["split"].x_train, tiny_split.x_train)
-        assert coordinator.agents_seen == {"a1"}
+        assert data == {"token": coordinator.coordinator.token}
+        assert coordinator.coordinator.agents_seen == {"a1"}
 
-    def test_claims_follow_submission_order(self, coordinator):
+    def test_claims_follow_submission_order(self, coordinator, tiny_split):
         coordinator.submit(4, 1, _chunk(4))
         coordinator.submit(2, 3, _chunk(2))
         client = _Client(coordinator)
         client.hello()
         granted = [client.claim(), client.claim(), client.claim()]
         client.close()
-        assert [(k, g[:2] if g else g) for k, g in granted] == [
-            ("chunk", (4, 1)),
-            ("chunk", (2, 3)),
-            ("idle", None),
-        ]
-        assert granted[0][1][2] == _chunk(4)
+        assert [kind for kind, _ in granted] == ["chunk", "chunk", "idle"]
+        (_, first, split), (_, second, again) = granted[0][1], granted[1][1]
+        assert first.settings.epochs == 4 and second.settings.epochs == 2
+        # Chunks carry the split's token; the split itself rides along
+        # with the connection's first grant only.
+        assert first.split == second.split is not None
+        assert np.array_equal(split.x_train, tiny_split.x_train)
+        assert again is None
+
+    def test_claim_waits_for_work(self, coordinator):
+        """A claim with nothing pending is held open and answered the
+        moment a chunk arrives, not with an ``idle`` to poll again."""
+        client = _Client(coordinator)
+        client.hello()
+        client.send("claim", {"agent": "client"})
+        time.sleep(0.2)
+        coordinator.submit(7, 1, _chunk(7))
+        kind, (_wire, chunk, _split) = client.recv()
+        client.close()
+        assert (kind, chunk.settings.epochs) == ("chunk", 7)
 
     def test_abort_withdraws_ungranted_work(self, coordinator):
         coordinator.submit(1, 1, _chunk(1))
         coordinator.abort()
-        coordinator.submit(2, 1, _chunk(2))
         client = _Client(coordinator)
         client.hello()
         assert client.claim() == ("idle", None)
         client.close()
+
+    def test_cancel_reaches_the_agent_holding_the_chunk(self, coordinator):
+        coordinator.submit(1, 1, _chunk(1))
+        client = _Client(coordinator)
+        client.hello()
+        _kind, (wire, _chunk_, _split) = client.claim()
+        coordinator.cancel(1)
+        assert client.recv() == ("cancel", wire)
+        # A result the agent sends anyway is acked and dropped.
+        client.send("result", (wire, ChunkResult(cancelled=False)))
+        assert client.recv() == ("ack", None)
+        client.close()
+        assert coordinator.poll(0.2) == []
 
     def test_dropped_connection_releases_its_lease(self, coordinator):
         coordinator.submit(1, 1, _chunk(1))
@@ -362,14 +390,13 @@ class TestCoordinatorProtocol:
         notices = [r for r in reports if isinstance(r, Notice)]
         assert [n.kind for n in notices] == ["conn-lost"]
         assert [r.cids for r in reports if isinstance(r, Lost)] == [(1,)]
-        assert coordinator.expired_leases == 0
+        assert coordinator.coordinator.expired_leases == 0
 
     def test_silent_lease_expires(self, tiny_split):
         executor = TcpExecutor(
             TcpConfig(
                 address="127.0.0.1:0",
                 lease_timeout_s=0.3,
-                poll_interval_s=0.01,
                 agent_grace_s=30.0,
                 frame_timeout_s=2.0,
             )
@@ -391,7 +418,7 @@ class TestCoordinatorProtocol:
             "lease-expired"
         ]
         assert [r.cids for r in reports if isinstance(r, Lost)] == [(5,)]
-        assert executor.expired_leases == 1
+        assert executor.stats()["expired_leases"] == 1
 
     def test_result_is_acked_delivered_and_withdraws_retry(
         self, coordinator
@@ -399,11 +426,11 @@ class TestCoordinatorProtocol:
         coordinator.submit(3, 1, _chunk(3))
         client = _Client(coordinator)
         client.hello()
-        _kind, (cid, attempt, _chunk_) = client.claim()
+        _kind, (wire, _chunk_, _split) = client.claim()
         # A retry of the same chunk queued while the first attempt ran.
         coordinator.submit(3, 2, _chunk(3))
         result = ChunkResult(cancelled=False, entries=(), wall_time_s=0.25)
-        client.send("result", (cid, attempt, result))
+        client.send("result", (wire, result))
         assert client.recv() == ("ack", None)
         reports = _poll_until(
             coordinator, lambda r: any(isinstance(x, Delivered) for x in r)
@@ -416,6 +443,18 @@ class TestCoordinatorProtocol:
         assert client.claim() == ("idle", None)
         client.close()
 
+    def test_chunk_error_is_a_lost_chunk_with_its_error(self, coordinator):
+        coordinator.submit(6, 1, _chunk(6))
+        client = _Client(coordinator)
+        client.hello()
+        _kind, (wire, _chunk_, _split) = client.claim()
+        client.send("error", (wire, "RuntimeError: boom"))
+        assert client.recv() == ("ack", None)
+        [lost] = _poll_until(coordinator, lambda r: bool(r))
+        client.close()
+        assert isinstance(lost, Lost) and lost.cids == (6,)
+        assert "boom" in str(lost.error)
+
     @pytest.mark.parametrize(
         "first", [("claim", {"agent": "x"}), ("result", None)],
         ids=["claim", "result"],
@@ -425,8 +464,9 @@ class TestCoordinatorProtocol:
         client.send(*first)
         assert client.closed_by_peer()
         client.close()
-        _wait_for(lambda: coordinator.connections_lost == 1)
-        assert coordinator.torn_frames == 0
+        stats = coordinator.stats
+        _wait_for(lambda: stats()["connections_lost"] == 1)
+        assert stats()["torn_frames"] == 0
 
     def test_unknown_kind_drops_connection(self, coordinator):
         client = _Client(coordinator)
@@ -434,8 +474,9 @@ class TestCoordinatorProtocol:
         client.send("bogus")
         assert client.closed_by_peer()
         client.close()
-        _wait_for(lambda: coordinator.connections_lost == 1)
-        assert coordinator.torn_frames == 0
+        stats = coordinator.stats
+        _wait_for(lambda: stats()["connections_lost"] == 1)
+        assert stats()["torn_frames"] == 0
 
     @pytest.mark.parametrize("kind", ["magic", "version", "checksum"])
     def test_torn_frame_is_counted_and_dropped(self, coordinator, kind):
@@ -444,17 +485,17 @@ class TestCoordinatorProtocol:
         client.sock.sendall(_corrupt(kind))
         assert client.closed_by_peer()
         client.close()
-        _wait_for(lambda: coordinator.connections_lost == 1)
-        assert coordinator.torn_frames == 1
+        stats = coordinator.stats
+        _wait_for(lambda: stats()["connections_lost"] == 1)
+        assert stats()["torn_frames"] == 1
 
     def test_malformed_result_is_torn(self, coordinator):
         client = _Client(coordinator)
         client.hello()
-        client.send("result", (1, 1, "not a ChunkResult"))
+        client.send("result", (1, "not a ChunkResult"))
         assert client.closed_by_peer()
         client.close()
-        _wait_for(lambda: coordinator.torn_frames == 1)
-        assert coordinator.stats()["torn_frames"] == 1
+        _wait_for(lambda: coordinator.stats()["torn_frames"] == 1)
 
     def test_capacity_counts_live_agents(self, coordinator):
         clients = [_Client(coordinator) for _ in range(2)]
@@ -464,17 +505,13 @@ class TestCoordinatorProtocol:
         assert coordinator.capacity == 2
         for client in clients:
             client.close()
-        _wait_for(lambda: coordinator.connections_lost == 2)
+        _wait_for(lambda: coordinator.stats()["connections_lost"] == 2)
         coordinator.poll(0.0)
         assert coordinator.capacity == 0
 
     def test_starves_once_no_agent_for_grace(self, tiny_split):
         executor = TcpExecutor(
-            TcpConfig(
-                address="127.0.0.1:0",
-                poll_interval_s=0.01,
-                agent_grace_s=0.2,
-            )
+            TcpConfig(address="127.0.0.1:0", agent_grace_s=0.2)
         )
         executor.open(tiny_split)
         try:
@@ -492,58 +529,73 @@ class TestCoordinatorProtocol:
 
 class TestCoordinatorLifecycle:
     def test_close_is_idempotent(self, tiny_split, tmp_path):
-        """Closing a coordinator that never opened, or twice, is a
+        """Closing a coordinator that never listened, or twice, is a
         no-op: callers close unconditionally on every exit path."""
         cache = tmp_path / "costs.json"
-        executor = TcpExecutor(TcpConfig("127.0.0.1:0", cost_cache=cache))
-        executor.close()
+        Coordinator("127.0.0.1:0", cost_cache=cache).close()
+        executor = TcpExecutor(Coordinator("127.0.0.1:0", cost_cache=cache))
         executor.open(tiny_split)
-        executor.close()
-        executor.close()
+        executor.coordinator.close()
+        executor.coordinator.close()
         # Nothing observed, nothing persisted.
         assert not cache.exists()
 
+    def test_closed_coordinator_refuses_to_listen(self):
+        coordinator = Coordinator("127.0.0.1:0")
+        coordinator.close()
+        with pytest.raises(SearchError, match="closed"):
+            coordinator.listen()
+
     def test_close_returns_promptly(self, tiny_split):
-        """Shutdown wakes the accept thread instead of waiting out its
-        join timeout."""
+        """Shutdown wakes the accept thread and a held claim instead of
+        waiting out their timeouts."""
         executor = TcpExecutor("127.0.0.1:0")
         executor.open(tiny_split)
-        # One accepted agent: the accept thread is back in accept().
+        # One accepted agent with a claim held open.
         client = _Client(executor)
         client.hello()
+        client.send("claim", {"agent": "client"})
         time.sleep(0.1)
         t0 = time.monotonic()
         executor.close()
         client.close()
         assert time.monotonic() - t0 < 2.0
-        assert not executor._accept_thread.is_alive()
+        assert not executor.coordinator._accept_thread.is_alive()
 
     def test_cost_cache_round_trips(self, tiny_split, tmp_path):
         cache = tmp_path / "nested" / "costs.json"
-        executor = TcpExecutor(TcpConfig("127.0.0.1:0", cost_cache=cache))
-        executor.open(tiny_split)
-        executor.cost_model.observe("Dense(4)", 100, 0.5, 1)
-        executor.close()
-        warm = TcpExecutor(TcpConfig("127.0.0.1:0", cost_cache=cache))
+        coordinator = Coordinator("127.0.0.1:0", cost_cache=cache)
+        coordinator.cost_model.observe("Dense(4)", 100, 0.5, 1)
+        coordinator.close()
+        warm = Coordinator("127.0.0.1:0", cost_cache=cache)
         assert warm.cost_model.observations == 1
         assert warm.stats()["cost_observations"] == 1
+
+    def test_cost_cache_of_another_identity_is_ignored(self, tmp_path):
+        cache = tmp_path / "costs.json"
+        smoke = Coordinator("127.0.0.1:0", cost_cache=cache, cost_identity="smoke")
+        smoke.cost_model.observe("Dense(4)", 100, 0.5, 1)
+        smoke.close()
+        reduced = Coordinator(
+            "127.0.0.1:0", cost_cache=cache, cost_identity="reduced"
+        )
+        assert reduced.cost_model.observations == 0
+        again = Coordinator("127.0.0.1:0", cost_cache=cache, cost_identity="smoke")
+        assert again.cost_model.observations == 1
 
     def test_corrupt_cost_cache_is_ignored(self, tmp_path):
         cache = tmp_path / "costs.json"
         cache.write_text("{not json")
-        executor = TcpExecutor(TcpConfig("127.0.0.1:0", cost_cache=cache))
-        assert executor.cost_model.observations == 0
+        coordinator = Coordinator("127.0.0.1:0", cost_cache=cache)
+        assert coordinator.cost_model.observations == 0
 
-    def test_unwritable_cost_cache_does_not_fail_close(
-        self, tiny_split, tmp_path
-    ):
+    def test_unwritable_cost_cache_does_not_fail_close(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("")
         cache = blocker / "costs.json"
-        executor = TcpExecutor(TcpConfig("127.0.0.1:0", cost_cache=cache))
-        executor.open(tiny_split)
-        executor.cost_model.observe("Dense(4)", 100, 0.5, 1)
-        executor.close()
+        coordinator = Coordinator("127.0.0.1:0", cost_cache=cache)
+        coordinator.cost_model.observe("Dense(4)", 100, 0.5, 1)
+        coordinator.close()
         assert not ChunkCostModel().load_json(cache)
 
     def test_agents_get_no_memory_budget(self):
@@ -576,8 +628,7 @@ def _fake_coordinator(misbehave, seen):
             if misbehave == "no-welcome":
                 _send_msg(conn, ("idle", None), 5.0, lock)
             else:
-                _send_msg(conn, ("welcome", {"token": "t", "split": None}),
-                          5.0, lock)
+                _send_msg(conn, ("welcome", {"token": "t"}), 5.0, lock)
                 while True:
                     kind = _recv_msg(conn, 10.0)[0]
                     if kind == "claim":
@@ -609,7 +660,6 @@ class TestAgentFacingBadCoordinator:
         address, server = _fake_coordinator(misbehave, seen)
         stats = run_tcp_agent(
             address,
-            poll_interval_s=0.05,
             heartbeat_s=0.1,
             frame_timeout_s=5.0,
             reconnect_timeout_s=0.5,

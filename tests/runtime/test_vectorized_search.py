@@ -15,14 +15,13 @@ from repro.data import make_spiral, stratified_split
 from repro.exceptions import SearchError
 from repro.nn.training import History
 from repro.runtime import ChunkCostModel, PersistentPool, execute_runs
-from repro.runtime.pool import (
+from repro.runtime.jobs import (
     ChunkResult,
-    JobChunk,
-    _run_chunk,
+    TrainingJob,
+    execute_chunk,
+    execute_job,
     make_chunks,
-    publish_split,
 )
-from repro.runtime.jobs import TrainingJob, execute_job
 
 
 @pytest.fixture(scope="module")
@@ -156,7 +155,7 @@ class TestSearchDifferential:
         _assert_same_outcome(on, off)
 
     def test_histories_identical_through_pool(self, easy_split):
-        """return_histories payloads survive the worker round-trip and
+        """return_histories payloads survive the agent round-trip and
         match the sequential path's histories run for run."""
         settings = TrainingSettings(
             epochs=3, batch_size=16, runs=2, return_histories=True
@@ -180,25 +179,18 @@ class TestSearchDifferential:
 
 class TestChunkPacking:
     def test_vectorized_chunks_cover_whole_run_set(self, easy_split):
-        shm, handle = publish_split(easy_split)
-        try:
-            spec = hybrid_space()[0]
-            settings = TrainingSettings(runs=5, vectorized_runs=True)
-            chunks = make_chunks(
-                spec, 0, 1, 5, 5, handle, settings, 1, vectorized=True
-            )
-            assert len(chunks) == 1
-            assert chunks[0].vectorized
-            assert [j.run for j in chunks[0].jobs] == [0, 1, 2, 3, 4]
-        finally:
-            shm.close()
-            shm.unlink()
+        spec = hybrid_space()[0]
+        settings = TrainingSettings(runs=5, vectorized_runs=True)
+        chunks = make_chunks(spec, 0, 1, 5, 5, settings, vectorized=True)
+        assert len(chunks) == 1
+        assert chunks[0].vectorized
+        assert [j.run for j in chunks[0].jobs] == [0, 1, 2, 3, 4]
 
     def test_stacked_failure_falls_back_scalar_and_is_flagged(
         self, easy_split, monkeypatch
     ):
         """A stacked sweep that raises re-runs scalar (entries complete,
-        results correct) and the chunk is flagged so the pool can count
+        results correct) and the chunk is flagged so the scheduler can count
         the silent double-work."""
         import repro.runtime.jobs as jobs_mod
 
@@ -206,45 +198,31 @@ class TestChunkPacking:
             raise RuntimeError("stacked path exploded")
 
         monkeypatch.setattr(jobs_mod, "execute_candidates", boom)
-        shm, handle = publish_split(easy_split)
-        try:
-            spec = classical_search_space(
-                4, neuron_options=(2,), max_layers=1
-            )[0]
-            settings = TrainingSettings(epochs=1, batch_size=32, runs=2)
-            [chunk] = make_chunks(
-                spec, 0, 1, 2, 2, handle, settings, 0, vectorized=True
-            )
-            result = _run_chunk(chunk)
-            assert isinstance(result, ChunkResult)
-            assert result.vectorized_fallback
-            assert len(result.entries) == 2
-            ref = execute_job(
-                TrainingJob(spec, 1, 0, 0), easy_split, settings
-            )
-            assert result.entries[0].train_accuracy == ref.train_accuracy
-        finally:
-            shm.close()
-            shm.unlink()
+        spec = classical_search_space(
+            4, neuron_options=(2,), max_layers=1
+        )[0]
+        settings = TrainingSettings(epochs=1, batch_size=32, runs=2)
+        [chunk] = make_chunks(spec, 0, 1, 2, 2, settings, vectorized=True)
+        result = execute_chunk(chunk, easy_split, lambda: False)
+        assert isinstance(result, ChunkResult)
+        assert result.vectorized_fallback
+        assert len(result.entries) == 2
+        ref = execute_job(
+            TrainingJob(spec, 1, 0, 0), easy_split, settings
+        )
+        assert result.entries[0].train_accuracy == ref.train_accuracy
 
     def test_chunk_result_carries_wall_time(self, easy_split):
-        shm, handle = publish_split(easy_split)
-        try:
-            spec = classical_search_space(
-                4, neuron_options=(2,), max_layers=1
-            )[0]
-            settings = TrainingSettings(epochs=1, batch_size=32, runs=2)
-            [chunk] = make_chunks(
-                spec, 0, 1, 2, 2, handle, settings, 0, vectorized=True
-            )
-            result = _run_chunk(chunk)
-            assert isinstance(result, ChunkResult)
-            assert not result.cancelled
-            assert result.wall_time_s > 0.0
-            assert len(result.entries) == 2
-        finally:
-            shm.close()
-            shm.unlink()
+        spec = classical_search_space(
+            4, neuron_options=(2,), max_layers=1
+        )[0]
+        settings = TrainingSettings(epochs=1, batch_size=32, runs=2)
+        [chunk] = make_chunks(spec, 0, 1, 2, 2, settings, vectorized=True)
+        result = execute_chunk(chunk, easy_split, lambda: False)
+        assert isinstance(result, ChunkResult)
+        assert not result.cancelled
+        assert result.wall_time_s > 0.0
+        assert len(result.entries) == 2
 
 
 class TestChunkCostModel:

@@ -163,26 +163,25 @@ class TestMain:
 
     @staticmethod
     def _fake_pools(monkeypatch, cost_paths=None):
-        """Stand in a cost-model-only pool and a dispatch that records
-        one observation per run; returns the created pools.
-        ``cost_paths`` (a list) receives every path the model loads."""
+        """Stand in an agentless pool and a dispatch that records one
+        observation per run; returns the created pools.  ``cost_paths``
+        (a list) receives every cost cache a pool is given."""
         import repro.cli as cli_mod
-        from repro.runtime.pool import ChunkCostModel
+        from repro.runtime.cluster_tcp import Coordinator
 
-        class _FakeCostModel(ChunkCostModel):
-            def load_json(self, path):
+        class _FakePool(Coordinator):
+            """The pool's cost-model load and save, without agents."""
+
+            def __init__(self, workers, cost_cache=None, cost_identity=None):
                 if cost_paths is not None:
-                    cost_paths.append(str(path))
-                return super().load_json(path)
-
-        class _FakePool:
-            def __init__(self, workers):
+                    cost_paths.append(str(cost_cache))
+                super().__init__(
+                    "127.0.0.1:0",
+                    cost_cache=cost_cache,
+                    cost_identity=cost_identity,
+                )
                 self.workers = workers
-                self.cost_model = _FakeCostModel()
-                self.closed = False
-
-            def close(self):
-                self.closed = True
+                self.loaded = self.cost_model.observations
 
         created = []
 
@@ -193,7 +192,8 @@ class TestMain:
 
         monkeypatch.setattr(
             "repro.runtime.pool.PersistentPool",
-            lambda workers: created.append(_FakePool(workers)) or created[-1],
+            lambda workers, **kw: created.append(_FakePool(workers, **kw))
+            or created[-1],
         )
         monkeypatch.setattr(cli_mod, "_dispatch", fake_dispatch)
         return created
@@ -201,7 +201,7 @@ class TestMain:
     def test_cost_cache_written_and_reloaded(self, capsys, tmp_path, monkeypatch):
         """With --cache and --workers > 1 the measured-cost model is
         persisted next to the result cache and warms the next run."""
-        from repro.runtime.pool import ChunkCostModel
+        from repro.runtime.parallel import ChunkCostModel
 
         created = self._fake_pools(monkeypatch)
         code = main(
@@ -247,3 +247,16 @@ class TestMain:
             "chunk_costs_smoke_runs_per_candidate-3.json",
             "mine.json",
         ]
+
+    def test_explicit_cost_cache_keeps_profiles_apart(
+        self, tmp_path, monkeypatch
+    ):
+        """An explicit --cost-cache is one file for every profile, but
+        it records the run's identity: a smoke-profile file warms the
+        next smoke run and never a reduced one."""
+        created = self._fake_pools(monkeypatch)
+        cache = str(tmp_path / "costs.json")
+        for profile in ("smoke", "smoke", "reduced"):
+            argv = ["fig4", "--workers", "2", "--cost-cache", cache]
+            assert main(argv + ["--profile", profile, "--quiet"]) == 0
+        assert [pool.loaded for pool in created] == [0, 1, 0]
