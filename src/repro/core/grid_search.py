@@ -19,6 +19,7 @@ returned :class:`SearchOutcome` is identical in every mode.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -389,23 +390,23 @@ def grid_search(
     if frontier.resume():
         return frontier.outcome
 
-    from ..runtime.cluster_tcp import TcpExecutor
     from ..runtime.parallel import resolve_workers, speculative_search
 
-    if connect is not None:
-        medium = connect
-    elif pool is not None:
-        medium = pool
-    elif resolve_workers(workers) > 1:
-        from ..runtime.pool import PersistentPool
-
-        with PersistentPool(resolve_workers(workers)) as ephemeral:
-            return speculative_search(
-                frontier, split, settings, seed, TcpExecutor(ephemeral),
-                on_event,
-            )
-    else:
+    if connect is None and pool is None and resolve_workers(workers) <= 1:
         return frontier.run_in_process(split, settings, seed, on_event)
-    return speculative_search(
-        frontier, split, settings, seed, TcpExecutor(medium), on_event
-    )
+
+    from ..runtime.cluster_tcp import Coordinator, TcpExecutor
+    from ..runtime.pool import PersistentPool
+
+    with contextlib.ExitStack() as owned:
+        # A coordinator of this search alone is closed with it.
+        coordinator = pool
+        if connect is not None:
+            coordinator = owned.enter_context(Coordinator(connect))
+        elif coordinator is None:
+            coordinator = owned.enter_context(
+                PersistentPool(resolve_workers(workers))
+            )
+        return speculative_search(
+            frontier, split, settings, seed, TcpExecutor(coordinator), on_event
+        )

@@ -13,9 +13,10 @@ fault-tolerant supervision (chunk retry, duplicate dropping, sequential
 fallback) over a small executor protocol.
 :mod:`repro.runtime.cluster_tcp` is the one transport under it: a
 :class:`~repro.runtime.cluster_tcp.Coordinator` that leases chunks over
-checksummed TCP frames to agents that dial in (connection leases,
-heartbeat liveness, per-chunk cancel, reconnect with backoff, partition
-tolerance), and the :class:`~repro.runtime.cluster_tcp.TcpExecutor`
+checksummed TCP frames (signed with a per-pool key for local agents)
+to agents that dial in (connection leases, heartbeat liveness,
+per-chunk cancel, reconnect with backoff, partition tolerance), and
+the :class:`~repro.runtime.cluster_tcp.TcpExecutor`
 that runs one search on it.  :mod:`repro.runtime.pool` provides the
 persistent local pool — a loopback coordinator plus the agent processes
 it starts itself, spun up once and reused across every grid search of

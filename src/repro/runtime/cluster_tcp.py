@@ -17,8 +17,8 @@ filesystem forwards the coordinator's port over SSH instead (see
 ``docs/parallel_runtime.md``).
 
 Every message is one ``RSPL`` frame — magic, version, payload length,
-SHA-256 — so it is length-prefixed and checksummed, and the payloads
-are pickled ``(kind, data)`` pairs::
+HMAC-SHA-256 of the payload — so it is length-prefixed and checksummed,
+and the payloads are pickled ``(kind, data)`` pairs::
 
     agent -> coordinator    ("hello",  {"agent": id})
     coordinator -> agent    ("welcome", {"token": coordinator id})
@@ -41,6 +41,19 @@ again at once.  Each agent reads every frame on one reader thread, so a
 ``cancel`` reaches a chunk mid-training and stops it at its next epoch
 boundary.  A chunk that raises comes back as an ``error`` and the agent
 serves on.
+
+The frame digest is keyed by the coordinator's ``key``, and a frame
+whose digest does not verify is dropped *before* its payload is
+unpickled.  A :class:`~repro.runtime.pool.PersistentPool` draws a
+random 32-byte key and hands it only to the agents it starts, so on a
+shared host another local user who finds the loopback port can neither
+run code in the coordinator nor forge results.  Until a connection's
+first frame verifies, it may declare at most :data:`_HELLO_MAX_BYTES`,
+so an unauthenticated peer cannot make the coordinator allocate a large
+buffer either.  A ``--connect`` coordinator has no channel to hand
+remote agents a key, so it runs with the empty key: its frames are
+checksummed, not authenticated, and its port must be reachable only
+from trusted hosts.
 
 The robustness ladder:
 
@@ -89,7 +102,7 @@ sequential one under any failure history.
 from __future__ import annotations
 
 import collections
-import hashlib
+import hmac
 import itertools
 import logging
 import math
@@ -153,6 +166,10 @@ logger = logging.getLogger("repro.runtime")
 #: carrying a pickled DataSplit, well under this.
 _MAX_FRAME_BYTES = 1 << 30
 
+#: Upper bound on a frame declared before the peer has proven its key
+#: (a ``hello`` is a few dozen bytes).
+_HELLO_MAX_BYTES = 1 << 12
+
 #: How often a blocked read wakes up to notice shutdown.
 _STOP_POLL_S = 0.25
 
@@ -192,17 +209,23 @@ _MAGIC = b"RSPL"
 #: ``cancel``/``error`` exist.  A peer from an older checkout fails
 #: validation instead of misreading a message.
 _FRAME_VERSION = 3
-_HEADER = struct.Struct("<4sIQ32s")  # magic, version, payload len, sha256
+_HEADER = struct.Struct("<4sIQ32s")  # magic, version, payload len, mac
 
 
-def _header(payload: bytes) -> bytes:
+def _digest(payload: bytes, key: bytes) -> bytes:
+    """HMAC-SHA-256 of ``payload`` under ``key`` (a checksum that
+    authenticates nothing when ``key`` is empty)."""
+    return hmac.digest(key, payload, "sha256")
+
+
+def _header(payload: bytes, key: bytes = b"") -> bytes:
     return _HEADER.pack(
-        _MAGIC, _FRAME_VERSION, len(payload), hashlib.sha256(payload).digest()
+        _MAGIC, _FRAME_VERSION, len(payload), _digest(payload, key)
     )
 
 
-def _frame(payload: bytes) -> bytes:
-    return _header(payload) + payload
+def _frame(payload: bytes, key: bytes = b"") -> bytes:
+    return _header(payload, key) + payload
 
 
 def _new_owner_id() -> str:
@@ -230,6 +253,7 @@ def _send_frame(
     payload: bytes,
     timeout_s: float,
     lock: threading.Lock,
+    key: bytes = b"",
 ) -> None:
     """Write one framed payload; a stalled or failed write is death.
 
@@ -237,7 +261,7 @@ def _send_frame(
     serve loop share one socket, as do a coordinator's connection thread
     and a ``cancel``) so frames can never interleave mid-wire.
     """
-    header = _header(payload)
+    header = _header(payload, key)
     with lock:
         try:
             sock.settimeout(timeout_s)
@@ -273,6 +297,8 @@ def _recv_frame(
     sock: socket.socket,
     frame_timeout_s: float,
     stop: Callable[[], bool] | None = None,
+    key: bytes = b"",
+    max_bytes: int = _MAX_FRAME_BYTES,
 ) -> bytearray:
     """Read and validate one frame; return its payload.
 
@@ -283,7 +309,8 @@ def _recv_frame(
     itself must arrive within ``frame_timeout_s``.  Either way, once the first
     byte lands every subsequent read must progress within
     ``frame_timeout_s`` or the connection is declared dead.  A frame
-    that fails validation raises
+    that fails validation — one longer than ``max_bytes``, or whose
+    digest does not verify under ``key`` — raises
     :class:`TornFrameError` — on a byte stream
     there is no way to resync past a bad frame, so callers treat the
     connection as unusable afterwards.
@@ -315,12 +342,13 @@ def _recv_frame(
         raise TornFrameError(
             f"TCP frame version {version} != {_FRAME_VERSION}"
         )
-    if length > _MAX_FRAME_BYTES:
+    if length > max_bytes:
         raise TornFrameError(
-            f"TCP frame declares an absurd payload of {length} bytes"
+            f"TCP frame declares a payload of {length} bytes "
+            f"(at most {max_bytes} allowed here)"
         )
     payload = _recv_exact(sock, length)
-    if hashlib.sha256(payload).digest() != digest:
+    if not hmac.compare_digest(_digest(payload, key), digest):
         raise TornFrameError("TCP frame checksum mismatch")
     return payload
 
@@ -330,12 +358,14 @@ def _send_msg(
     msg: tuple,
     timeout_s: float,
     lock: threading.Lock,
+    key: bytes = b"",
 ) -> None:
     _send_frame(
         sock,
         pickle.dumps(msg, protocol=pickle.HIGHEST_PROTOCOL),
         timeout_s,
         lock,
+        key,
     )
 
 
@@ -343,8 +373,13 @@ def _recv_msg(
     sock: socket.socket,
     frame_timeout_s: float,
     stop: Callable[[], bool] | None = None,
+    key: bytes = b"",
+    max_bytes: int = _MAX_FRAME_BYTES,
 ) -> tuple:
-    payload = _recv_frame(sock, frame_timeout_s, stop=stop)
+    # The digest is verified before anything is unpickled.
+    payload = _recv_frame(
+        sock, frame_timeout_s, stop=stop, key=key, max_bytes=max_bytes
+    )
     try:
         msg = pickle.loads(payload)
     except Exception as error:
@@ -422,8 +457,10 @@ class Coordinator:
     the measured-cost model the scheduler packs by; with ``cost_cache``
     the model is loaded at construction and saved on :meth:`close`,
     under ``cost_identity`` (see
-    :class:`~repro.runtime.parallel.ChunkCostModel`).  Nothing binds
-    until :meth:`listen`.
+    :class:`~repro.runtime.parallel.ChunkCostModel`).  ``key`` signs
+    every frame both ways; a peer that does not hold it is dropped
+    before any of its frames is unpickled.  Nothing binds until
+    :meth:`listen`.
     """
 
     #: Agents this coordinator starts itself (see PersistentPool); a
@@ -435,6 +472,7 @@ class Coordinator:
         config: "TcpConfig | str",
         cost_cache: "str | os.PathLike | None" = None,
         cost_identity: str | None = None,
+        key: bytes = b"",
     ) -> None:
         self.cfg = (
             config if isinstance(config, TcpConfig) else TcpConfig(config)
@@ -442,6 +480,7 @@ class Coordinator:
         self.host, self.port = _parse_address(self.cfg.address)
         self.address = self.cfg.address
         self.token = _new_owner_id()
+        self.key = key
         self.cost_cache = cost_cache
         self.cost_model = ChunkCostModel(identity=cost_identity)
         if cost_cache:
@@ -597,7 +636,7 @@ class Coordinator:
             try:
                 _send_msg(
                     conn.sock, ("cancel", wire), self.cfg.frame_timeout_s,
-                    conn.wlock,
+                    conn.wlock, self.key,
                 )
             except ConnectionDead:
                 pass  # the connection thread reports the death
@@ -711,11 +750,19 @@ class Coordinator:
             return  # closed before this thread started
         sock, wlock = conn.sock, conn.wlock
         agent: str | None = None
-        timeout = self.cfg.frame_timeout_s
+        timeout, key = self.cfg.frame_timeout_s, self.key
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             while not self._closed:
-                kind, data = _recv_msg(sock, timeout, stop=lambda: self._closed)
+                kind, data = _recv_msg(
+                    sock,
+                    timeout,
+                    stop=lambda: self._closed,
+                    key=key,
+                    max_bytes=(
+                        _HELLO_MAX_BYTES if agent is None else _MAX_FRAME_BYTES
+                    ),
+                )
                 if kind == "hello":
                     agent = str(data["agent"])
                     with self._lock:
@@ -726,7 +773,11 @@ class Coordinator:
                         "agent %s connected (connection %d)", agent, conn_id
                     )
                     _send_msg(
-                        sock, ("welcome", {"token": self.token}), timeout, wlock
+                        sock,
+                        ("welcome", {"token": self.token}),
+                        timeout,
+                        wlock,
+                        key,
                     )
                 elif agent is None:
                     raise ConnectionDead(
@@ -738,7 +789,7 @@ class Coordinator:
                     self._touch(conn_id, agent)
                     grant = self._grant(conn_id, agent)
                     reply = ("chunk", grant) if grant else ("idle", None)
-                    _send_msg(sock, reply, timeout, wlock)
+                    _send_msg(sock, reply, timeout, wlock, key)
                     self._touch(conn_id, agent)
                 elif kind in ("result", "error"):
                     self._touch(conn_id, agent)
@@ -751,7 +802,7 @@ class Coordinator:
                         raise TornFrameError(f"malformed {kind} message")
                     wire, payload = data
                     dispatch = self._finish(wire)
-                    _send_msg(sock, ("ack", None), timeout, wlock)
+                    _send_msg(sock, ("ack", None), timeout, wlock, key)
                     # A late copy (its lease expired, or it was
                     # cancelled) finds no dispatch and is dropped.
                     if dispatch is None:
@@ -804,10 +855,9 @@ class TcpExecutor:
     """One search of the :class:`~repro.runtime.parallel.Scheduler` on a
     :class:`Coordinator`.
 
-    ``medium`` is a coordinator to borrow — a
+    The executor borrows ``coordinator`` — a
     :class:`~repro.runtime.pool.PersistentPool`, or one a caller keeps
-    across searches — or a :class:`TcpConfig`/``HOST:PORT`` for a
-    coordinator of this search alone, closed with it.  :meth:`poll`
+    across searches — and never closes it.  :meth:`poll`
     blocks on the coordinator's callbacks (deliveries, chunk errors,
     lost leases), waking early only to expire leases on time, and
     reports starvation once no agent has been live for
@@ -815,9 +865,8 @@ class TcpExecutor:
     count, or else its live agents at the last poll.
     """
 
-    def __init__(self, medium: "Coordinator | TcpConfig | str") -> None:
-        self._owns = not isinstance(medium, Coordinator)
-        self.coordinator = Coordinator(medium) if self._owns else medium
+    def __init__(self, coordinator: Coordinator) -> None:
+        self.coordinator = coordinator
         self.cost_model = self.coordinator.cost_model
         self.counters = self.coordinator.counters
         self.capacity = self.coordinator.workers
@@ -870,8 +919,6 @@ class TcpExecutor:
     def close(self) -> None:
         """End the search: withdraw or cancel what is still out."""
         self.abort()
-        if self._owns:
-            self.coordinator.close()
 
     def poll(self, timeout: float) -> list:
         now = time.monotonic()
@@ -1002,6 +1049,7 @@ class _TcpHeartbeat(threading.Thread):
         interval_s: float,
         frame_timeout_s: float,
         conn_dead: threading.Event,
+        key: bytes,
     ) -> None:
         super().__init__(daemon=True, name="tcp-heartbeat")
         self._sock = sock
@@ -1010,6 +1058,7 @@ class _TcpHeartbeat(threading.Thread):
             ("beat", {"agent": agent_id}),
             protocol=pickle.HIGHEST_PROTOCOL,
         )
+        self.key = key
         self.interval_s = interval_s
         self.frame_timeout_s = frame_timeout_s
         self.conn_dead = conn_dead
@@ -1019,7 +1068,11 @@ class _TcpHeartbeat(threading.Thread):
     def beat(self) -> None:
         try:
             _send_frame(
-                self._sock, self._payload, self.frame_timeout_s, self._wlock
+                self._sock,
+                self._payload,
+                self.frame_timeout_s,
+                self._wlock,
+                self.key,
             )
         except (ConnectionDead, OSError):
             self.conn_dead.set()
@@ -1060,6 +1113,7 @@ def run_tcp_agent(
     fault_dir: "str | os.PathLike | None" = None,
     stop: threading.Event | None = None,
     rng: "random.Random | None" = None,
+    key: bytes = b"",
 ) -> AgentStats:
     """Serve a TCP coordinator: dial, claim chunks, train, deliver.
 
@@ -1072,7 +1126,8 @@ def run_tcp_agent(
     died is simply abandoned — the coordinator requeues it, and chunks
     are deterministic, so the retry is bit-identical.  ``fault_dir``
     names the directory :func:`repro.runtime.faults.arm_file_fault`
-    armed, for the deterministic fault plans (tests only).
+    armed, for the deterministic fault plans (tests only).  ``key`` is
+    the coordinator's frame key (see :class:`Coordinator`).
     """
     from ..quantum.engine import compile_cache_scope
 
@@ -1133,6 +1188,7 @@ def run_tcp_agent(
                         fault_dir=fault_dir,
                         halt=halt,
                         last_work=last_work,
+                        key=key,
                     )
                 except _ExitServeLoop:
                     break
@@ -1160,6 +1216,7 @@ def _read_frames(
     cancelled: set,
     conn_dead: threading.Event,
     done: threading.Event,
+    key: bytes,
 ) -> None:
     """The agent's one reader: ``cancel`` frames mark their chunk,
     every other frame is a reply for the serve loop.  A dead or torn
@@ -1167,7 +1224,9 @@ def _read_frames(
     and ``conn_dead`` stops the chunk in training."""
     try:
         while True:
-            kind, data = _recv_msg(conn, frame_timeout_s, stop=done.is_set)
+            kind, data = _recv_msg(
+                conn, frame_timeout_s, stop=done.is_set, key=key
+            )
             if kind == "cancel":
                 cancelled.add(data)
             else:
@@ -1188,6 +1247,7 @@ def _serve_connection(
     fault_dir: "str | os.PathLike | None",
     halt: threading.Event,
     last_work: list,
+    key: bytes,
 ) -> None:
     """Serve one established connection until it dies or the agent is done.
 
@@ -1200,20 +1260,22 @@ def _serve_connection(
     wlock = threading.Lock()
     conn_dead = threading.Event()
     done = threading.Event()
-    _send_msg(conn, ("hello", {"agent": agent_id}), frame_timeout_s, wlock)
-    msg = _recv_msg(conn, frame_timeout_s)
+    _send_msg(
+        conn, ("hello", {"agent": agent_id}), frame_timeout_s, wlock, key
+    )
+    msg = _recv_msg(conn, frame_timeout_s, key=key)
     if msg[0] != "welcome":
         raise ConnectionDead(f"expected welcome, got {msg[0]!r}")
     replies: "queue.SimpleQueue" = queue.SimpleQueue()
     cancelled: set[int] = set()
     reader = threading.Thread(
         target=_read_frames,
-        args=(conn, frame_timeout_s, replies, cancelled, conn_dead, done),
+        args=(conn, frame_timeout_s, replies, cancelled, conn_dead, done, key),
         daemon=True,
         name="tcp-agent-reader",
     )
     heartbeat = _TcpHeartbeat(
-        conn, wlock, agent_id, heartbeat_s, frame_timeout_s, conn_dead
+        conn, wlock, agent_id, heartbeat_s, frame_timeout_s, conn_dead, key
     )
     reader.start()
     heartbeat.start()
@@ -1230,7 +1292,7 @@ def _serve_connection(
         return msg
 
     def send(msg: tuple) -> None:
-        _send_msg(conn, msg, frame_timeout_s, wlock)
+        _send_msg(conn, msg, frame_timeout_s, wlock, key)
 
     held: tuple | None = None  # (token, DataSplit) last received
     try:
@@ -1312,7 +1374,10 @@ def _serve_connection(
                 send(("error", (wire, f"{type(error).__name__}: {error}")))
                 reply("ack")
                 continue
-            _deliver(conn, wlock, frame_timeout_s, wire, result, fired, plan, halt)
+            _deliver(
+                conn, wlock, frame_timeout_s, key, wire, result, fired, plan,
+                halt,
+            )
             reply("ack")
             stats.chunks_done += 1
             last_work[0] = time.monotonic()
@@ -1321,16 +1386,18 @@ def _serve_connection(
         heartbeat.stop()
 
 
-def _deliver(conn, wlock, frame_timeout_s, wire, result, fired, plan, halt):
+def _deliver(
+    conn, wlock, frame_timeout_s, key, wire, result, fired, plan, halt
+):
     """Send a result frame, torn or stalled mid-frame when a
     ``conn-drop``/``slow-frame`` fault fired."""
     payload = pickle.dumps(
         ("result", (wire, result)), protocol=pickle.HIGHEST_PROTOCOL
     )
     if fired not in (faults.CONN_DROP, faults.SLOW_FRAME):
-        _send_frame(conn, payload, frame_timeout_s, wlock)
+        _send_frame(conn, payload, frame_timeout_s, wlock, key)
         return
-    frame = _frame(payload)
+    frame = _frame(payload, key)
     # Past the header, inside the payload: the coordinator must be
     # genuinely mid-frame when the fault lands.
     cut = _HEADER.size + max(1, len(payload) // 2)

@@ -15,6 +15,9 @@ executor, wire protocol and liveness rules as one sharded across hosts:
 * nothing starts until the first :meth:`PersistentPool.submit`; the
   coordinator then listens on an ephemeral loopback port and the agents
   start on the ``forkserver`` context and dial it;
+* the pool draws a random frame key and hands it only to its own
+  agents, so another local user who finds the port is dropped before
+  anything it sends is unpickled;
 * a split is published once per split object
   (:meth:`PersistentPool.publish`) and reaches each agent once, with its
   first chunk;
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import secrets
 from typing import TYPE_CHECKING
 
 from ..exceptions import SearchError
@@ -93,6 +97,7 @@ class PersistentPool(Coordinator):
             TcpConfig("127.0.0.1:0"),
             cost_cache=cost_cache,
             cost_identity=cost_identity,
+            key=secrets.token_bytes(32),
         )
         self.workers = workers
         self.fault_dir = fault_dir
@@ -134,7 +139,11 @@ class PersistentPool(Coordinator):
             agent = ctx.Process(
                 target=run_tcp_agent,
                 args=(self.address,),
-                kwargs={"reconnect_timeout_s": 0.0, "fault_dir": self.fault_dir},
+                kwargs={
+                    "reconnect_timeout_s": 0.0,
+                    "fault_dir": self.fault_dir,
+                    "key": self.key,
+                },
                 daemon=True,
                 name=f"repro-agent-{slot}",
             )

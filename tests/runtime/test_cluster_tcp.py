@@ -192,15 +192,16 @@ class TestBitIdentity:
         conv = get_convention("paper")
         ranked = rank_by_flops(small_space(), conv)[:4]
         events = []
-        coordinator = TcpExecutor(_fast_tcp(port=0, agent_grace_s=0.5))
-        outcome = speculative_search(
-            SearchFrontier(ranked, 1.01, conv, settings.runs),
-            easy_split,
-            settings,
-            5,
-            coordinator,
-            on_event=events.append,
-        )
+        with Coordinator(_fast_tcp(port=0, agent_grace_s=0.5)) as medium:
+            coordinator = TcpExecutor(medium)
+            outcome = speculative_search(
+                SearchFrontier(ranked, 1.01, conv, settings.runs),
+                easy_split,
+                settings,
+                5,
+                coordinator,
+                on_event=events.append,
+            )
         _assert_same_outcome(outcome, seq)
         kinds = [e.kind for e in events]
         assert "no-agents" in kinds
@@ -367,7 +368,7 @@ class TestDuplicateResults:
         seq = grid_search(**kwargs, workers=1)
         conv = get_convention("paper")
         ranked = rank_by_flops(small_space(), conv)[:4]
-        coordinator = TcpExecutor(_fast_tcp(port=0))
+        coordinator = TcpExecutor(Coordinator(_fast_tcp(port=0)))
         scheduler = Scheduler(
             SearchFrontier(ranked, 1.01, conv, settings.runs),
             easy_split,
@@ -404,7 +405,7 @@ class TestDuplicateResults:
             )
             outcome = scheduler.run()
         finally:
-            coordinator.close()
+            coordinator.coordinator.close()
         _assert_same_outcome(outcome, seq)
         assert coordinator.stats()["duplicate_results"] == 1
 
@@ -447,7 +448,7 @@ class TestCorruptFrame:
         seq = grid_search(**kwargs, workers=1)
         conv = get_convention("paper")
         ranked = rank_by_flops(small_space(), conv)[:4]
-        coordinator = TcpExecutor(_fast_tcp(port=0))
+        coordinator = TcpExecutor(Coordinator(_fast_tcp(port=0)))
         events = []
         scheduler = Scheduler(
             SearchFrontier(ranked, 1.01, conv, settings.runs),
@@ -473,7 +474,7 @@ class TestCorruptFrame:
             )
             outcome = scheduler.run()
         finally:
-            coordinator.close()
+            coordinator.coordinator.close()
             _join_agents(stop, agents)
         _assert_same_outcome(outcome, seq)
         assert coordinator.stats()["torn_frames"] == 1

@@ -22,7 +22,12 @@ from repro.data import make_spiral, stratified_split
 from repro.exceptions import SearchError
 from repro.flops.conventions import get_convention
 from repro.runtime import FaultPlan, PersistentPool, faults
-from repro.runtime.cluster_tcp import TcpConfig, TcpExecutor, run_tcp_agent
+from repro.runtime.cluster_tcp import (
+    Coordinator,
+    TcpConfig,
+    TcpExecutor,
+    run_tcp_agent,
+)
 from repro.runtime.frontier import SearchFrontier
 from repro.runtime.parallel import speculative_search
 
@@ -129,8 +134,8 @@ def _chunk_losing_executor(kind, tmp_path, easy_split):
             yield TcpExecutor(pool)
     else:
         fault = FaultPlan(kind="conn-drop", candidate=1)
-        with _tcp_agent(tmp_path, fault) as cfg:
-            yield TcpExecutor(cfg)
+        with _tcp_agent(tmp_path, fault) as cfg, Coordinator(cfg) as coordinator:
+            yield TcpExecutor(coordinator)
 
 
 EXECUTORS = ["pool", "tcp"]

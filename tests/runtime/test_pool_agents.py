@@ -28,7 +28,7 @@ from repro.core.search_space import ClassicalSpec, classical_search_space
 from repro.data import make_spiral, stratified_split
 from repro.exceptions import SearchError, TrainingCancelled
 from repro.runtime import Coordinator, PersistentPool, TcpExecutor
-from repro.runtime.cluster_tcp import run_tcp_agent
+from repro.runtime.cluster_tcp import _frame, run_tcp_agent
 from repro.runtime.jobs import make_chunks
 
 pytestmark = pytest.mark.timeout(180)
@@ -63,6 +63,31 @@ def _search_kwargs(easy_split):
         max_candidates=4,
         seed=5,
     )
+
+
+_TRIPPED = []
+
+
+def _trip(tag):
+    _TRIPPED.append(tag)
+
+
+class _Tripwire:
+    """Records it was unpickled (in whichever thread unpickles it)."""
+
+    def __reduce__(self):
+        return (_trip, ("unpickled",))
+
+
+def _send_raw(address, frame):
+    """Send ``frame`` on a fresh connection; True once the peer hangs up."""
+    host, port = address.rsplit(":", 1)
+    with socket.create_connection((host, int(port)), timeout=10) as sock:
+        sock.sendall(frame)
+        try:
+            return sock.recv(1) == b""
+        except ConnectionResetError:
+            return True
 
 
 def _accuracies(outcome):
@@ -147,6 +172,31 @@ class TestLifecycle:
             assert pool.stats()["agents_started"] == 3
             assert len(pool.agent_pids()) == 2
             assert victim not in pool.agent_pids()
+        assert _accuracies(first) == _accuracies(seq)
+        assert _accuracies(again) == _accuracies(seq)
+
+    def test_peer_without_the_key_is_dropped_before_unpickling(
+        self, easy_split
+    ):
+        """Another local user who finds the loopback port: a frame not
+        signed with the pool's key is torn before its payload is
+        unpickled, and the pool's own agents serve on unchanged."""
+        kwargs = _search_kwargs(easy_split)
+        seq = grid_search(**kwargs, workers=1)
+        payload = pickle.dumps(_Tripwire())
+        _TRIPPED.clear()
+        with PersistentPool(2) as pool:
+            assert len(pool.key) == 32
+            assert PersistentPool(2).key != pool.key
+            first = grid_search(**kwargs, pool=pool)
+            assert _send_raw(pool.address, _frame(payload))
+            assert _TRIPPED == []
+            assert pool.stats()["torn_frames"] == 1
+            # The control: the same frame under the key is unpickled.
+            assert _send_raw(pool.address, _frame(payload, pool.key))
+            assert _TRIPPED == ["unpickled"]
+            again = grid_search(**kwargs, pool=pool)
+            assert pool.stats()["agents_started"] == 2
         assert _accuracies(first) == _accuracies(seq)
         assert _accuracies(again) == _accuracies(seq)
 

@@ -9,7 +9,7 @@ violations, shutdown and its cost cache), and an agent's reaction to a
 coordinator that speaks garbage.  Every socket is loopback.
 """
 
-import hashlib
+import hmac
 import os
 import pickle
 import random
@@ -34,6 +34,7 @@ from repro.runtime.cluster_tcp import (
     _frame,
     _FRAME_VERSION,
     _HEADER,
+    _HELLO_MAX_BYTES,
     _MAGIC,
     _MAX_FRAME_BYTES,
     _new_owner_id,
@@ -79,7 +80,8 @@ def _send_async(sock, data, pause_after=None, pause_s=0.0):
 class TestFrameFormat:
     def test_header_layout_is_rspl_version_3(self):
         """The wire format, byte for byte: magic, u32 version, u64
-        payload length, SHA-256 of the payload, then the payload."""
+        payload length, HMAC-SHA-256 of the payload under the
+        coordinator's key (empty here), then the payload."""
         payload = b"abc"
         frame = _frame(payload)
         assert _HEADER.size == 48
@@ -87,7 +89,7 @@ class TestFrameFormat:
             b"RSPL"
             + (3).to_bytes(4, "little")
             + (3).to_bytes(8, "little")
-            + hashlib.sha256(payload).digest()
+            + hmac.digest(b"", payload, "sha256")
             + payload
         )
 
@@ -110,6 +112,15 @@ class TestFrameFormat:
         _send_msg(a, msg, 5.0, threading.Lock())
         assert _recv_msg(b, 5.0) == msg
 
+    def test_keyed_frame_verifies_only_under_its_key(self, pair):
+        a, b = pair
+        _send_frame(a, b"keyed", 5.0, threading.Lock(), b"k" * 32)
+        assert _recv_frame(b, 5.0, key=b"k" * 32) == b"keyed"
+        for key in (b"", b"j" * 32):
+            _send_frame(a, b"keyed", 5.0, threading.Lock(), b"k" * 32)
+            with pytest.raises(TornFrameError, match="checksum"):
+                _recv_frame(b, 5.0, key=key)
+
     def test_header_split_across_reads(self, pair):
         """A header that arrives in pieces is reassembled, not rejected."""
         a, b = pair
@@ -121,7 +132,7 @@ class TestFrameFormat:
 
 def _corrupt(kind):
     payload = pickle.dumps(("beat", {"agent": "x"}))
-    digest = hashlib.sha256(payload).digest()
+    digest = hmac.digest(b"", payload, "sha256")
     if kind == "magic":
         return b"XXXX" + _frame(payload)[4:]
     if kind == "version":
@@ -258,16 +269,19 @@ def _chunk(tag):
 @pytest.fixture
 def coordinator(tiny_split):
     executor = TcpExecutor(
-        TcpConfig(
-            address="127.0.0.1:0",
-            lease_timeout_s=30.0,
-            agent_grace_s=30.0,
-            frame_timeout_s=2.0,
+        Coordinator(
+            TcpConfig(
+                address="127.0.0.1:0",
+                lease_timeout_s=30.0,
+                agent_grace_s=30.0,
+                frame_timeout_s=2.0,
+            )
         )
     )
     executor.open(tiny_split)
     yield executor
     executor.close()
+    executor.coordinator.close()
 
 
 class _Client:
@@ -394,11 +408,13 @@ class TestCoordinatorProtocol:
 
     def test_silent_lease_expires(self, tiny_split):
         executor = TcpExecutor(
-            TcpConfig(
-                address="127.0.0.1:0",
-                lease_timeout_s=0.3,
-                agent_grace_s=30.0,
-                frame_timeout_s=2.0,
+            Coordinator(
+                TcpConfig(
+                    address="127.0.0.1:0",
+                    lease_timeout_s=0.3,
+                    agent_grace_s=30.0,
+                    frame_timeout_s=2.0,
+                )
             )
         )
         executor.open(tiny_split)
@@ -414,6 +430,7 @@ class TestCoordinatorProtocol:
         finally:
             client.close()
             executor.close()
+            executor.coordinator.close()
         assert [n.kind for n in reports if isinstance(n, Notice)] == [
             "lease-expired"
         ]
@@ -511,7 +528,7 @@ class TestCoordinatorProtocol:
 
     def test_starves_once_no_agent_for_grace(self, tiny_split):
         executor = TcpExecutor(
-            TcpConfig(address="127.0.0.1:0", agent_grace_s=0.2)
+            Coordinator(TcpConfig(address="127.0.0.1:0", agent_grace_s=0.2))
         )
         executor.open(tiny_split)
         try:
@@ -521,6 +538,7 @@ class TestCoordinatorProtocol:
             )
         finally:
             executor.close()
+            executor.coordinator.close()
         assert time.monotonic() - t0 >= 0.2
         assert [n.kind for n in reports if isinstance(n, Notice)] == [
             "no-agents"
@@ -549,7 +567,7 @@ class TestCoordinatorLifecycle:
     def test_close_returns_promptly(self, tiny_split):
         """Shutdown wakes the accept thread and a held claim instead of
         waiting out their timeouts."""
-        executor = TcpExecutor("127.0.0.1:0")
+        executor = TcpExecutor(Coordinator("127.0.0.1:0"))
         executor.open(tiny_split)
         # One accepted agent with a claim held open.
         client = _Client(executor)
@@ -558,6 +576,7 @@ class TestCoordinatorLifecycle:
         time.sleep(0.1)
         t0 = time.monotonic()
         executor.close()
+        executor.coordinator.close()
         client.close()
         assert time.monotonic() - t0 < 2.0
         assert not executor.coordinator._accept_thread.is_alive()
@@ -598,8 +617,24 @@ class TestCoordinatorLifecycle:
         coordinator.close()
         assert not ChunkCostModel().load_json(cache)
 
+    def test_unproven_peer_cannot_declare_a_large_frame(self, coordinator):
+        """Before its hello verifies, a connection may declare only a
+        small frame: a larger header is torn at once, before any buffer
+        is allocated or any payload awaited."""
+        client = _Client(coordinator)
+        try:
+            client.sock.sendall(
+                _HEADER.pack(
+                    _MAGIC, _FRAME_VERSION, _HELLO_MAX_BYTES + 1, bytes(32)
+                )
+            )
+            assert client.closed_by_peer()
+        finally:
+            client.close()
+        assert coordinator.stats()["torn_frames"] == 1
+
     def test_agents_get_no_memory_budget(self):
-        executor = TcpExecutor("127.0.0.1:0")
+        executor = TcpExecutor(Coordinator("127.0.0.1:0"))
         assert executor.memory_budget(TrainingSettings()) is None
 
 
