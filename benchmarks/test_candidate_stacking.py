@@ -14,15 +14,17 @@ same-structure candidates, runs=2 as in the reduced profile, batch 8,
 4 qubits, SEL depth 3) — into the committed ``BENCH_<rev>.json``
 snapshots:
 
-* ``test_per_candidate_search`` — candidate stacking off: one
-  run-stacked sweep per candidate (the PR-4 execution mode).
-* ``test_stacked_candidate_search`` — candidate stacking on: one fused
+* ``test_per_candidate_search`` — ``MAX_GROUP_CANDIDATES`` patched to
+  1: one run-stacked sweep per candidate.
+* ``test_stacked_candidate_search`` — the default cap: one fused
   sweep for the whole tape-structure group; bit-identical outcome.
 
 A third benchmark times a 6-candidate group, which the fixed
 ``MAX_GROUP_CANDIDATES`` cap of 4 packs as a 4-member fused sweep plus a
 2-member one.
 """
+
+import importlib
 
 import pytest
 
@@ -44,13 +46,9 @@ _WIDE_SPECS = [
 ]
 
 
-def _settings(stacked: bool) -> TrainingSettings:
-    return TrainingSettings(
-        epochs=3,
-        batch_size=8,
-        runs=_RUNS,
-        stacked_candidates=stacked,
-    )
+_SETTINGS = TrainingSettings(epochs=3, batch_size=8, runs=_RUNS)
+# The module, not the ``grid_search`` function ``repro.core`` re-exports.
+GRID_SEARCH = importlib.import_module("repro.core.grid_search")
 
 
 @pytest.fixture(scope="module")
@@ -59,14 +57,14 @@ def split():
     return stratified_split(ds, seed=7)
 
 
-def _search(split, stacked: bool):
+def _search(split):
     # threshold 1.01 is unreachable: every candidate trains, so the
     # snapshot's delta is pure execution strategy on a fixed workload.
     return grid_search(
         _SPECS,
         split,
         threshold=1.01,
-        settings=_settings(stacked),
+        settings=_SETTINGS,
         workers=1,
         seed=7,
     )
@@ -77,27 +75,29 @@ def _wide_search(split):
         _WIDE_SPECS,
         split,
         threshold=1.01,
-        settings=_settings(stacked=True),
+        settings=_SETTINGS,
         workers=1,
         seed=7,
     )
 
 
 class TestCandidateStackedSearch:
-    def test_per_candidate_search(self, benchmark, split):
+    def test_per_candidate_search(self, benchmark, split, monkeypatch):
+        monkeypatch.setattr(GRID_SEARCH, "MAX_GROUP_CANDIDATES", 1)
         outcome = benchmark.pedantic(
-            lambda: _search(split, stacked=False), rounds=3, iterations=1
+            lambda: _search(split), rounds=3, iterations=1
         )
         assert outcome.candidates_trained == len(_SPECS)
 
-    def test_stacked_candidate_search(self, benchmark, split):
+    def test_stacked_candidate_search(self, benchmark, split, monkeypatch):
         outcome = benchmark.pedantic(
-            lambda: _search(split, stacked=True), rounds=3, iterations=1
+            lambda: _search(split), rounds=3, iterations=1
         )
         assert outcome.candidates_trained == len(_SPECS)
-        # same outcome as the per-candidate mode — the snapshot's delta
+        # same outcome as one-candidate groups — the snapshot's delta
         # is pure execution strategy
-        reference = _search(split, stacked=False)
+        monkeypatch.setattr(GRID_SEARCH, "MAX_GROUP_CANDIDATES", 1)
+        reference = _search(split)
         for got, ref in zip(outcome.evaluated, reference.evaluated):
             assert got.spec == ref.spec
             assert got.train_accuracies == ref.train_accuracies

@@ -30,7 +30,7 @@ from repro.core.grid_search import TrainingSettings, grid_search
 from repro.core.search_space import classical_search_space
 from repro.data import make_spiral, stratified_split
 from repro.runtime import PersistentPool
-from repro.runtime.jobs import make_chunks
+from repro.runtime.jobs import make_chunk
 
 _SETTINGS = TrainingSettings(epochs=8, batch_size=16, runs=2)
 _WORKERS = 2
@@ -102,7 +102,7 @@ class TestDatasetShipping:
 
     def test_ship_chunk_token(self, benchmark):
         space, split = _bench_case()
-        [chunk] = make_chunks(space[0], 0, 3, 2, 2, _SETTINGS)
+        chunk = make_chunk([(space[0], 0)], 3, _SETTINGS)
         chunk = replace(chunk, split="coordinator-token-1")
         payload = benchmark(lambda: pickle.dumps(chunk))
         benchmark.extra_info["payload_bytes"] = len(payload)

@@ -79,20 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
         "cached results are keyed separately)",
     )
     parser.add_argument(
-        "--no-vectorized-runs",
-        action="store_true",
-        help="train a candidate's runs one by one instead of as one "
-        "run-stacked sweep; results are identical either way, only wall "
-        "time changes",
-    )
-    parser.add_argument(
-        "--no-stacked-candidates",
-        action="store_true",
-        help="do not merge neighbouring candidates' run sets into one "
-        "cross-candidate fused sweep; results are identical either way, "
-        "only wall time changes",
-    )
-    parser.add_argument(
         "--cost-cache",
         default=None,
         metavar="PATH",
@@ -306,10 +292,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     overrides: dict = {}
     if args.runs is not None:
         overrides["runs_per_candidate"] = args.runs
-    if args.no_vectorized_runs:
-        overrides["vectorized_runs"] = False
-    if args.no_stacked_candidates:
-        overrides["stacked_candidates"] = False
     if args.journal:
         overrides["journal"] = args.journal
     if args.max_retries is not None:

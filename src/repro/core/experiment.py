@@ -81,12 +81,6 @@ class ProtocolConfig:
     #: sequential, 0 = all cores, N > 1 = a pool of that many agents;
     #: negative values are rejected.
     workers: int = setting(1, affects_results=False)
-    #: Run-stacked candidate training (one vectorized sweep per run set,
-    #: see :class:`~repro.core.grid_search.TrainingSettings`).
-    vectorized_runs: bool = setting(True, affects_results=False)
-    #: Cross-candidate stacked execution: candidates with structurally
-    #: identical tapes merge their run sets into one fused sweep.
-    stacked_candidates: bool = setting(True, affects_results=False)
     #: How many times the parallel scheduler re-executes a chunk lost to
     #: a worker death, hard timeout, or runtime error before degrading
     #: to in-process sequential execution.
@@ -123,8 +117,6 @@ class ProtocolConfig:
             learning_rate=self.learning_rate,
             runs=self.runs_per_candidate,
             early_stop_threshold=self.threshold if self.early_stop else None,
-            vectorized_runs=self.vectorized_runs,
-            stacked_candidates=self.stacked_candidates,
             max_retries=self.max_retries,
             backend=self.backend,
             memory_budget=self.memory_budget,

@@ -67,24 +67,21 @@ class TrainingSettings:
     :mod:`repro.core.identity`): a field tagged ``False`` changes wall
     time, never the :class:`SearchOutcome`.
 
-    ``vectorized_runs`` selects the stacked execution mode: a
-    candidate's whole run set trains as one fused sweep
-    (:func:`~repro.runtime.jobs.execute_candidates`, one kernel sweep
-    instead of ``runs``); off, every run trains scalar.  Models that
-    cannot be stacked fall back to per-run training automatically.
+    Every search trains a candidate's whole run set, and the run sets
+    of the next candidates of one family and data shape (equal
+    :meth:`~repro.core.search_space.ModelSpec.group_key`, at most
+    :data:`MAX_GROUP_CANDIDATES`), as one fused sweep
+    (:func:`~repro.runtime.jobs.execute_candidates`): the layers every
+    member shares at the input and output end run once over all of
+    them, the rest per candidate.  Models that cannot be stacked fall
+    back to per-run training automatically; results are bit-identical
+    either way.
 
     ``return_histories`` keeps each run's full per-epoch
     :class:`~repro.nn.training.History` on its
     :class:`~repro.runtime.jobs.RunResult` (and on
     :attr:`CandidateResult.histories`) instead of dropping it after the
     max-over-epochs metrics are extracted.
-
-    ``stacked_candidates`` lets an in-process search merge the run sets
-    of the next candidates of one family and data shape (equal
-    :meth:`~repro.core.search_space.ModelSpec.group_key`) into one
-    cross-candidate fused sweep: the layers every member shares at the
-    input and output end run once over all of them, the rest per
-    candidate.  Speculative, bounded by :data:`MAX_GROUP_CANDIDATES`.
 
     The parallel scheduler's *fault tolerance* (see
     ``docs/parallel_runtime.md``): ``max_retries`` is how many times a
@@ -113,9 +110,7 @@ class TrainingSettings:
     learning_rate: float = setting(0.001, affects_results=True)
     runs: int = setting(5, affects_results=True)
     early_stop_threshold: float | None = setting(None, affects_results=True)
-    vectorized_runs: bool = setting(True, affects_results=False)
     return_histories: bool = setting(False, affects_results=False)
-    stacked_candidates: bool = setting(True, affects_results=False)
     max_retries: int = setting(2, affects_results=False)
     fallback_sequential: bool = setting(True, affects_results=False)
     backend: str | None = legacy_backend()
@@ -236,8 +231,6 @@ def plan_group(
     (:func:`~repro.runtime.memory.estimate_group_bytes`) fit, so an
     overweight group shrinks — down to the anchor alone.
     """
-    if not (settings.stacked_candidates and settings.vectorized_runs):
-        return [index]
     key = ranked[index].group_key()
     if key is None:
         return [index]

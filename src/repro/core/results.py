@@ -149,10 +149,12 @@ def protocol_from_dict(data: dict[str, Any]) -> ProtocolResult:
             f"with library schema {SCHEMA_VERSION}"
         )
     cfg_data = dict(data["config"])
-    # Files saved while ProtocolConfig still had a ``spool`` transport
-    # field carry it; it never affected results, so it is dropped.  Any
-    # other unknown key still raises.
-    cfg_data.pop("spool", None)
+    # Files saved while ProtocolConfig still had the ``spool`` transport
+    # or the ``vectorized_runs``/``stacked_candidates`` execution-shape
+    # fields carry them; none affected results, so they are dropped.
+    # Any other unknown key still raises.
+    for retired in ("spool", "vectorized_runs", "stacked_candidates"):
+        cfg_data.pop(retired, None)
     cfg_data["feature_sizes"] = tuple(cfg_data["feature_sizes"])
     cfg = ProtocolConfig(**cfg_data)
     result = ProtocolResult(family=str(data["family"]), config=cfg)

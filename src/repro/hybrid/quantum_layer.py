@@ -292,7 +292,7 @@ class StackedQuantumLayer(StackedLayer):
     bindings and per-run weight gradients.  The engine kernels are
     bit-identical to R independent executions
     (``tests/quantum/test_engine_stacked.py``), which is what lets
-    ``vectorized_runs`` searches reproduce per-run results exactly.
+    run-stacked searches reproduce per-run results exactly.
 
     ``engine`` is compiled from the deepest layer's tape (see
     :func:`_stack_quantum_layers`).  Layers of different depths share

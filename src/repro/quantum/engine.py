@@ -74,7 +74,7 @@ also accepts a stacked 2-D ``weights`` of shape ``(runs, n_weights)``
 together with ``runs=R`` and a fused ``(runs * batch, n_features)``
 input whose rows are run-major.  Each run gets its own layer unitaries,
 and every contraction works per run block, so each run's arithmetic is
-that of its own execution: ``vectorized_runs`` grid searches are
+that of its own execution: run-stacked grid searches are
 bit-identical to per-run ones.  The same sweep serves the parameter-shift
 rule: :func:`~repro.quantum.parameter_shift.compiled_parameter_shift_gradients`
 runs its ``2P`` shifted circuits as ``2P`` runs of one execute.

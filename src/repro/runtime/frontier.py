@@ -257,9 +257,7 @@ class SearchFrontier:
                     for j in group
                     for run in range(settings.runs)
                 ]
-                entries, _, degrades = chunk_entries(
-                    jobs, split, settings, vectorized=settings.vectorized_runs
-                )
+                entries, _, degrades = chunk_entries(jobs, split, settings)
                 if degrades:
                     emit(
                         "memory-degrade",

@@ -65,7 +65,7 @@ __all__ = [
     "JobChunk",
     "ChunkResult",
     "execute_chunk",
-    "make_chunks",
+    "make_chunk",
 ]
 
 
@@ -294,7 +294,6 @@ def chunk_entries(
     split: "DataSplit",
     settings: "TrainingSettings",
     *,
-    vectorized: bool,
     cancel_check: Callable[[], bool] | None = None,
     inject: "list[bool] | None" = None,
 ):
@@ -302,9 +301,9 @@ def chunk_entries(
 
     Returns ``(entries, vectorized_fallback, memory_degrades)``; every
     job yields exactly one entry, a per-run failure a :class:`RunError`.
-    With ``vectorized``, the batch's candidates first train as one fused
-    sweep (:func:`execute_candidates`); see :func:`_ladder` for what
-    happens when that sweep runs out of memory, fails, or declines.
+    The batch's candidates first train as one fused sweep
+    (:func:`execute_candidates`); see :func:`_ladder` for what happens
+    when that sweep runs out of memory, fails, or declines.
 
     ``cancel_check`` aborts training with
     :class:`~repro.exceptions.TrainingCancelled`; ``inject`` is the
@@ -315,12 +314,7 @@ def chunk_entries(
     for job in jobs:
         by_candidate.setdefault(job.candidate_index, []).append(job)
     return _ladder(
-        list(by_candidate.values()),
-        split,
-        settings,
-        vectorized,
-        cancel_check,
-        inject,
+        list(by_candidate.values()), split, settings, cancel_check, inject
     )
 
 
@@ -328,7 +322,6 @@ def _ladder(
     items: "list[list[TrainingJob]]",
     split: "DataSplit",
     settings: "TrainingSettings",
-    vectorized: bool,
     cancel_check: Callable[[], bool] | None,
     inject: "list[bool] | None",
 ):
@@ -355,7 +348,7 @@ def _ladder(
     fallback = False
     degrades = 0
     parts = [[jobs] for jobs in items]
-    if vectorized and sum(len(jobs) for jobs in items) > 1:
+    if sum(len(jobs) for jobs in items) > 1:
         group = [
             (jobs[0].spec, jobs[0].candidate_index, [job.run for job in jobs])
             for jobs in items
@@ -383,7 +376,7 @@ def _ladder(
             if results is not None:
                 return results, False, degrades
     elif inject and inject[0]:
-        # No fused sweep to inject into (scalar chunk): the ladder's
+        # No fused sweep to inject into (one-slice chunk): the ladder's
         # floor *is* the scalar path, so the fault is absorbed here —
         # counted, never re-raised — keeping results identical.
         inject[0] = False
@@ -392,7 +385,7 @@ def _ladder(
     if len(items) > 1:
         for part in parts:
             sub_entries, sub_fallback, sub_degrades = _ladder(
-                part, split, settings, vectorized, cancel_check, inject
+                part, split, settings, cancel_check, inject
             )
             entries.extend(sub_entries)
             fallback = fallback or sub_fallback
@@ -417,25 +410,21 @@ def _ladder(
 class JobChunk:
     """A batch of training runs shipped to an agent as a single task.
 
-    Batching runs lets one agent invocation share a compiled tape
-    across several runs, and cuts per-job messages when ``runs`` is
-    large relative to the agent count.  The payload is small by
-    construction: jobs are coordinates, and ``split`` is the token the
-    coordinator publishes the dataset under (the scheduler builds
-    chunks with ``split=None``; its executor stamps the token).
-
-    ``vectorized`` asks the agent to train the chunk's run sets as one
-    stacked sweep (:func:`execute_candidates`); the scheduler then puts
-    each candidate's whole run set in one chunk.  A vectorized chunk may
-    span **several candidates**, whose run sets then fuse into one
-    cross-candidate sweep.  The scheduler packs consecutive same-key
-    candidates of its lookahead this way.
+    A chunk holds the whole run sets of one or more candidates
+    (:func:`make_chunk`), which the agent trains through the OOM ladder
+    (:func:`chunk_entries`): as one stacked sweep, or scalar when the
+    chunk has a single slice or the sweep declines or fails.  The
+    scheduler packs consecutive same-key candidates of its lookahead
+    into one chunk, whose run sets then fuse into one cross-candidate
+    sweep.  The payload is small by construction: jobs are coordinates,
+    and ``split`` is the token the coordinator publishes the dataset
+    under (the scheduler builds chunks with ``split=None``; its
+    executor stamps the token).
     """
 
     jobs: tuple[TrainingJob, ...]
     split: str | None
     settings: "TrainingSettings"
-    vectorized: bool = False
 
 
 @dataclass(frozen=True)
@@ -483,7 +472,6 @@ def execute_chunk(
         chunk.jobs,
         split,
         chunk.settings,
-        vectorized=chunk.vectorized,
         cancel_check=cancel_check,
         inject=inject,
     )
@@ -496,29 +484,19 @@ def execute_chunk(
     )
 
 
-def make_chunks(
-    spec: "ModelSpec",
-    candidate_index: int,
+def make_chunk(
+    members: Sequence[tuple["ModelSpec", int]],
     seed: int,
-    runs: int,
-    chunk: int,
     settings: "TrainingSettings",
-    vectorized: bool = False,
-) -> list[JobChunk]:
-    """All chunks of one candidate, in run order, ``chunk`` runs each.
-
-    ``vectorized`` marks the chunks for run-stacked execution (the
-    caller packs the whole run set into one chunk in that mode).
-    """
-    return [
-        JobChunk(
-            jobs=tuple(
-                TrainingJob(spec, seed, candidate_index, run)
-                for run in range(start, min(start + chunk, runs))
-            ),
-            split=None,
-            settings=settings,
-            vectorized=vectorized,
-        )
-        for start in range(0, runs, chunk)
-    ]
+) -> JobChunk:
+    """One chunk of the whole run sets of ``members``, given as
+    ``(spec, candidate_index)`` pairs in rank order."""
+    return JobChunk(
+        jobs=tuple(
+            TrainingJob(spec, seed, candidate_index, run)
+            for spec, candidate_index in members
+            for run in range(settings.runs)
+        ),
+        split=None,
+        settings=settings,
+    )

@@ -65,7 +65,7 @@ from typing import TYPE_CHECKING, Callable, Protocol, Sequence
 from ..exceptions import SearchError
 from .backoff import Backoff
 from .frontier import SearchEvent, SearchFrontier
-from .jobs import ChunkResult, JobChunk, RunError, make_chunks
+from .jobs import ChunkResult, JobChunk, RunError, make_chunk
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.grid_search import SearchOutcome, TrainingSettings
@@ -457,12 +457,6 @@ class Scheduler:
         self.seed = seed
         self.executor = executor
         self.on_event = on_event
-        # Run-stacked chunks carry a candidate's whole run set, trained
-        # as one sweep; candidate stacking makes single-run candidates
-        # worth vectorizing too.
-        self.vectorized = settings.vectorized_runs and (
-            settings.runs > 1 or settings.stacked_candidates
-        )
         #: Static FLOPs per candidate: the packing order before the cost
         #: model has measured anything, on the same scale afterwards.
         self._flops = [
@@ -471,8 +465,8 @@ class Scheduler:
         # Memory governance shapes concurrency only, never results.
         self.budget = executor.memory_budget(settings)
         self._next_unqueued = frontier.next_commit
-        #: Chunks not yet submitted, as (candidate, first run, chunk).
-        self._waiting: list[tuple[int, int, JobChunk]] = []
+        #: Chunks not yet submitted, as (first candidate, chunk).
+        self._waiting: list[tuple[int, JobChunk]] = []
         #: Submitted chunks by a stable chunk id.  The id survives
         #: retries, so a late copy of an accepted chunk is recognized and
         #: dropped: a chunk's entries are accepted exactly once.
@@ -485,21 +479,11 @@ class Scheduler:
 
     # -- shaping -------------------------------------------------------------
 
-    def _shape(self) -> tuple[int, int, int]:
-        """(window, candidate lookahead, runs per chunk) for the current
-        executor capacity."""
+    def _window(self) -> int:
+        """Chunks in flight, and candidates of lookahead, for the
+        current executor capacity."""
         capacity = self.executor.capacity
-        window = max(SPECULATION_FACTOR * max(1, capacity), capacity + 1)
-        runs = self.settings.runs
-        if self.vectorized:
-            return window, window, runs
-        # Speculation is bounded in candidates, not just chunks, so the
-        # work discarded on an early pass stays near `window` chunks even
-        # when one cheap candidate trains slowly.  Batch consecutive runs
-        # only when `runs` is large relative to the window: the window
-        # still holds >= `window` submittable chunks.
-        lookahead = max(1, -(-window // runs))
-        return window, lookahead, max(1, (lookahead * runs) // window)
+        return max(SPECULATION_FACTOR * max(1, capacity), capacity + 1)
 
     def _members(self, chunk: JobChunk) -> list[tuple[int, int]]:
         """``(candidate, run count)`` for each candidate of a chunk,
@@ -555,9 +539,6 @@ class Scheduler:
         """
         from ..core.grid_search import MAX_GROUP_CANDIDATES
 
-        settings = self.settings
-        if not (settings.vectorized_runs and settings.stacked_candidates):
-            return [[index] for index in indices]
         ranked = self.frontier.ranked
         cap = min(
             MAX_GROUP_CANDIDATES,
@@ -580,48 +561,28 @@ class Scheduler:
 
     def top_up(self) -> None:
         """Queue candidates within the lookahead; fill the window."""
-        window, lookahead, chunk_size = self._shape()
+        window = self._window()
         ranked = self.frontier.ranked
-        limit = min(len(ranked), self.frontier.next_commit + lookahead)
+        limit = min(len(ranked), self.frontier.next_commit + window)
         admitted = range(self._next_unqueued, limit)
         self._next_unqueued = max(self._next_unqueued, limit)
-        for pack in self._packs(admitted, lookahead):
-            chunks = [
-                chunk
-                for index in pack
-                for chunk in make_chunks(
-                    ranked[index],
-                    index,
-                    self.seed,
-                    self.settings.runs,
-                    chunk_size,
-                    self.settings,
-                    vectorized=self.vectorized,
-                )
-            ]
-            if len(pack) > 1:
-                # Each member is one run-stacked chunk; merged, the
-                # agent trains them as one cross-candidate sweep.
-                chunks = [
-                    replace(
-                        chunks[0],
-                        jobs=tuple(job for c in chunks for job in c.jobs),
-                    )
-                ]
-            for chunk in chunks:
-                job = chunk.jobs[0]
-                self._waiting.append((job.candidate_index, job.run, chunk))
+        for pack in self._packs(admitted, window):
+            chunk = make_chunk(
+                [(ranked[index], index) for index in pack],
+                self.seed,
+                self.settings,
+            )
+            self._waiting.append((pack[0], chunk))
         while self._waiting and len(self._flights) < window:
             # Priced when the slot frees, not when queued: the first
             # measured chunk would otherwise leave stale FLOPs-priced
             # entries competing on another scale.  Ties fall back to
-            # (candidate, run) order.
+            # candidate order.
             best = max(
                 range(len(self._waiting)),
                 key=lambda i: (
-                    self._estimate(self._waiting[i][2]),
+                    self._estimate(self._waiting[i][1]),
                     -self._waiting[i][0],
-                    -self._waiting[i][1],
                 ),
             )
             if self.budget is not None and self._flights:
@@ -632,10 +593,10 @@ class Scheduler:
                 in_flight = sum(
                     self._bytes(f.chunk) for f in self._flights.values()
                 )
-                admitted = in_flight + self._bytes(self._waiting[best][2])
+                admitted = in_flight + self._bytes(self._waiting[best][1])
                 if admitted > self.budget:
                     break
-            chunk = self._waiting.pop(best)[2]
+            chunk = self._waiting.pop(best)[1]
             cid = next(self._cids)
             self._flights[cid] = _Flight(chunk)
             self._submit(cid)

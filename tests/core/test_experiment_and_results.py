@@ -147,6 +147,16 @@ class TestSerialization:
         restored = protocol_from_dict(data)
         assert restored.config == classical_result.config
 
+    def test_legacy_execution_shape_keys_load(self, classical_result):
+        """Files saved while the config had ``vectorized_runs`` and
+        ``stacked_candidates`` fields carry both; they still load, to
+        the same config."""
+        data = protocol_to_dict(classical_result)
+        data["config"]["vectorized_runs"] = False
+        data["config"]["stacked_candidates"] = True
+        restored = protocol_from_dict(data)
+        assert restored.config == classical_result.config
+
     def test_unknown_config_key_rejected(self, classical_result):
         data = protocol_to_dict(classical_result)
         data["config"]["bogus"] = None

@@ -3,7 +3,7 @@
 The contract: ``execute(inputs, weights_2d, runs=R)`` over a run-major
 fused batch is **bit-identical** — not merely 1e-12-close — to R
 independent executions with each run's weight row.  Bit-identity is what
-lets ``vectorized_runs`` grid searches reproduce per-run training
+lets run-stacked grid searches reproduce per-run training
 trajectories exactly (training is chaotic; a ulp would amplify).
 """
 

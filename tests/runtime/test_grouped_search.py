@@ -1,12 +1,14 @@
 """Runtime tests for cross-candidate stacked execution.
 
-Bit-identical ``SearchOutcome`` with candidate stacking on vs off,
-sequential and pooled; multi-candidate chunks priced and observed per
-candidate; stacked-path failures re-attributed through the
-per-candidate fallback with the correct candidate coordinates; chunk
-results counted into the executor's counters.
+Bit-identical ``SearchOutcome`` with fused candidate groups, with
+one-candidate groups (``MAX_GROUP_CANDIDATES`` patched to 1) and from
+the scalar oracle, sequential and pooled; multi-candidate chunks
+priced and observed per candidate; stacked-path failures re-attributed
+through the per-candidate fallback with the correct candidate
+coordinates; chunk results counted into the executor's counters.
 """
 
+import importlib
 from dataclasses import replace
 
 import numpy as np
@@ -41,11 +43,16 @@ from repro.runtime.parallel import (
 )
 from repro.runtime.jobs import (
     ChunkResult,
-    JobChunk,
     RunError,
     execute_chunk,
-    make_chunks,
+    make_chunk,
 )
+from scalar_oracle import scalar_search
+
+# The module, not the ``grid_search`` function ``repro.core`` re-exports
+# under the same name: plan_group and Scheduler._packs read its
+# MAX_GROUP_CANDIDATES at call time.
+GRID_SEARCH = importlib.import_module("repro.core.grid_search")
 
 
 @pytest.fixture(scope="module")
@@ -84,14 +91,10 @@ def _assert_same_outcome(a, b):
     ]
 
 
-def _settings(stacked, vectorized=True, **kw):
+def _settings(**kw):
     defaults = dict(epochs=6, batch_size=8, runs=2, early_stop_threshold=0.6)
     defaults.update(kw)
-    return TrainingSettings(
-        **defaults,
-        vectorized_runs=vectorized,
-        stacked_candidates=stacked,
-    )
+    return TrainingSettings(**defaults)
 
 
 class BoomSpec(HybridSpec):
@@ -120,107 +123,104 @@ class DropoutSpec(ClassicalSpec):
 
 
 class TestSearchDifferential:
-    """array_equal-identical SearchOutcome with candidate stacking on
-    vs off."""
+    """Fused candidate groups reproduce the scalar oracle's
+    SearchOutcome exactly, as one-candidate groups do."""
 
-    def test_sequential_on_off_identical(self, easy_split):
+    def test_sequential_matches_scalar_oracle(self, easy_split, monkeypatch):
         kwargs = dict(
-            specs=head_varied_space(), split=easy_split, threshold=0.6, seed=3
+            specs=head_varied_space(),
+            split=easy_split,
+            threshold=0.6,
+            seed=3,
+            settings=_settings(),
         )
-        off = grid_search(**kwargs, settings=_settings(False), workers=1)
-        on = grid_search(**kwargs, settings=_settings(True), workers=1)
-        scalar = grid_search(
-            **kwargs, settings=_settings(False, vectorized=False), workers=1
-        )
-        _assert_same_outcome(off, on)
-        _assert_same_outcome(off, scalar)
+        grouped = grid_search(**kwargs, workers=1)
+        monkeypatch.setattr(GRID_SEARCH, "MAX_GROUP_CANDIDATES", 1)
+        single = grid_search(**kwargs, workers=1)
+        scalar = scalar_search(**kwargs)
+        _assert_same_outcome(grouped, scalar)
+        _assert_same_outcome(single, scalar)
 
-    def test_pooled_matches_sequential_both_modes(self, easy_split):
+    def test_pooled_matches_scalar_oracle(self, easy_split, monkeypatch):
         kwargs = dict(
-            specs=head_varied_space(), split=easy_split, threshold=0.6, seed=3
+            specs=head_varied_space(),
+            split=easy_split,
+            threshold=0.6,
+            seed=3,
+            settings=_settings(),
         )
-        seq = grid_search(**kwargs, settings=_settings(True), workers=1)
         with PersistentPool(2) as pool:
-            pool_on = grid_search(
-                **kwargs, settings=_settings(True), pool=pool
-            )
-            pool_off = grid_search(
-                **kwargs, settings=_settings(False), pool=pool
-            )
+            packed = grid_search(**kwargs, pool=pool)
+            monkeypatch.setattr(GRID_SEARCH, "MAX_GROUP_CANDIDATES", 1)
+            single = grid_search(**kwargs, pool=pool)
             assert pool.cost_model.observations > 0
-        _assert_same_outcome(pool_on, seq)
-        _assert_same_outcome(pool_off, seq)
+        scalar = scalar_search(**kwargs)
+        _assert_same_outcome(packed, scalar)
+        _assert_same_outcome(single, scalar)
 
     def test_single_run_candidates_group(self, easy_split):
         """runs=1 (smoke-profile shape) has no run axis to stack, but
         same-structure candidates still fuse across the group."""
         kwargs = dict(
-            specs=head_varied_space(), split=easy_split, threshold=1.01, seed=5
-        )
-        on = grid_search(
-            **kwargs,
-            settings=_settings(True, runs=1, early_stop_threshold=None),
+            specs=head_varied_space(),
+            split=easy_split,
+            threshold=1.01,
+            seed=5,
+            settings=_settings(runs=1, early_stop_threshold=None),
             max_candidates=4,
-            workers=1,
         )
-        off = grid_search(
-            **kwargs,
-            settings=_settings(False, runs=1, early_stop_threshold=None),
-            max_candidates=4,
-            workers=1,
+        _assert_same_outcome(
+            grid_search(**kwargs, workers=1), scalar_search(**kwargs)
         )
-        _assert_same_outcome(on, off)
 
-    def test_classical_space_unaffected(self, easy_split):
+    def test_classical_space_matches_scalar_oracle(self, easy_split):
         """Classical candidates group (shared first and last layers);
-        the outcome is the same with stacking on or off."""
+        the outcome is the scalar oracle's."""
         specs = classical_search_space(4, neuron_options=(2, 8), max_layers=2)
-        kwargs = dict(specs=specs, split=easy_split, threshold=1.01, seed=5)
-        on = grid_search(
-            **kwargs,
-            settings=_settings(True, runs=2, early_stop_threshold=None),
+        kwargs = dict(
+            specs=specs,
+            split=easy_split,
+            threshold=1.01,
+            seed=5,
+            settings=_settings(runs=2, early_stop_threshold=None),
             max_candidates=3,
-            workers=1,
         )
-        off = grid_search(
-            **kwargs,
-            settings=_settings(False, runs=2, early_stop_threshold=None),
-            max_candidates=3,
-            workers=1,
+        _assert_same_outcome(
+            grid_search(**kwargs, workers=1), scalar_search(**kwargs)
         )
-        _assert_same_outcome(on, off)
 
 
 class TestPlanGroup:
     def test_groups_same_key_within_lookahead(self):
         ranked = head_varied_space()
-        group = plan_group(ranked, 0, _settings(True))
+        group = plan_group(ranked, 0, _settings())
         assert group[0] == 0
         assert 1 < len(group) <= MAX_GROUP_CANDIDATES
         key = ranked[0].group_key()
         assert all(ranked[j].group_key() == key for j in group)
 
-    def test_disabled_or_keyless_returns_anchor(self, easy_split):
+    def test_one_member_cap_or_keyless_returns_anchor(
+        self, easy_split, monkeypatch
+    ):
         ranked = head_varied_space()
-        assert plan_group(ranked, 0, _settings(False)) == [0]
-        assert plan_group(
-            ranked, 0, _settings(True, vectorized=False)
-        ) == [0]
+        with monkeypatch.context() as patch:
+            patch.setattr(GRID_SEARCH, "MAX_GROUP_CANDIDATES", 1)
+            assert plan_group(ranked, 0, _settings()) == [0]
         assert plan_group(
             [KeylessSpec(n_features=4, hidden=(h,)) for h in (2, 4, 6)],
             0,
-            _settings(True),
+            _settings(),
         ) == [0]
         # classical candidates group like any other family: the next
         # MAX_GROUP_CANDIDATES, whatever their depths and widths
         classical = classical_search_space(4, neuron_options=(2, 4))
-        assert plan_group(classical, 0, _settings(True)) == list(
+        assert plan_group(classical, 0, _settings()) == list(
             range(MAX_GROUP_CANDIDATES)
         )
         group = [
             (classical[j], j, range(2)) for j in range(MAX_GROUP_CANDIDATES)
         ]
-        settings = _settings(True, epochs=3)
+        settings = _settings(epochs=3)
         fused = execute_candidates(group, 7, easy_split, settings)
         assert len(fused) == 2 * MAX_GROUP_CANDIDATES
         for rr in fused:
@@ -234,21 +234,21 @@ class TestPlanGroup:
 
     def test_skip_excludes_speculated(self):
         ranked = head_varied_space()
-        full = plan_group(ranked, 0, _settings(True))
-        pruned = plan_group(ranked, 0, _settings(True), skip={full[1]})
+        full = plan_group(ranked, 0, _settings())
+        pruned = plan_group(ranked, 0, _settings(), skip={full[1]})
         assert full[1] not in pruned
 
     def test_lookahead_bounded(self):
         ranked = head_varied_space()
         for anchor in range(len(ranked)):
-            group = plan_group(ranked, anchor, _settings(True))
+            group = plan_group(ranked, anchor, _settings())
             assert all(j - anchor <= GROUP_LOOKAHEAD for j in group)
 
 
 class TestExecuteCandidates:
     def test_matches_per_candidate_runs(self, easy_split):
         specs = head_varied_space()[:3]
-        settings = _settings(True, early_stop_threshold=None, epochs=3)
+        settings = _settings(early_stop_threshold=None, epochs=3)
         group = [(spec, i, range(2)) for i, spec in enumerate(specs)]
         fused = execute_candidates(group, 7, easy_split, settings)
         assert fused is not None
@@ -267,7 +267,7 @@ class TestExecuteCandidates:
 
     def test_single_slice_returns_none(self, easy_split):
         spec = head_varied_space()[0]
-        settings = _settings(True)
+        settings = _settings()
         assert (
             execute_candidates([(spec, 0, [0])], 7, easy_split, settings)
             is None
@@ -275,7 +275,7 @@ class TestExecuteCandidates:
 
     def test_classical_shapes_match_per_candidate_runs(self, easy_split):
         specs = classical_search_space(4, neuron_options=(2, 8), max_layers=1)
-        settings = _settings(True, return_histories=True)
+        settings = _settings(return_histories=True)
         group = [(spec, i, range(2)) for i, spec in enumerate(specs[:2])]
         fused = execute_candidates(group, 7, easy_split, settings)
         assert [(rr.candidate_index, rr.run) for rr in fused] == [
@@ -296,7 +296,7 @@ class TestExecuteCandidates:
 
     def test_unstackable_group_returns_none(self, easy_split):
         specs = [DropoutSpec(n_features=4, hidden=(h,)) for h in (2, 8)]
-        settings = _settings(True)
+        settings = _settings()
         group = [(spec, i, range(2)) for i, spec in enumerate(specs)]
         assert execute_candidates(group, 7, easy_split, settings) is None
 
@@ -307,7 +307,7 @@ class TestExecuteCandidates:
         ]
         group = [(spec, i, range(2)) for i, spec in enumerate(specs)]
         with pytest.raises(RuntimeError, match="boom"):
-            execute_candidates(group, 7, easy_split, _settings(True))
+            execute_candidates(group, 7, easy_split, _settings())
 
 
 class TestErrorAttribution:
@@ -335,7 +335,7 @@ class TestErrorAttribution:
                 specs,
                 easy_split,
                 threshold=1.01,
-                settings=_settings(True, early_stop_threshold=None, epochs=1),
+                settings=_settings(early_stop_threshold=None, epochs=1),
                 workers=1,
                 seed=3,
                 progress=lambda c: progressed.append(c.spec.label),
@@ -352,7 +352,7 @@ class TestErrorAttribution:
             specs,
             easy_split,
             threshold=0.0,  # first candidate passes immediately
-            settings=_settings(True, early_stop_threshold=None, epochs=1),
+            settings=_settings(early_stop_threshold=None, epochs=1),
             workers=1,
             seed=3,
         )
@@ -365,15 +365,8 @@ class TestErrorAttribution:
         coordinates and the healthy candidate's results are intact."""
         good = head_varied_space()[0]
         boom = BoomSpec(n_features=4, n_qubits=3, n_layers=1, hidden=(4,))
-        settings = _settings(True, early_stop_threshold=None, epochs=1)
-        [chunk_a] = make_chunks(good, 0, 7, 2, 2, settings, vectorized=True)
-        [chunk_b] = make_chunks(boom, 1, 7, 2, 2, settings, vectorized=True)
-        merged = JobChunk(
-            jobs=chunk_a.jobs + chunk_b.jobs,
-            split=None,
-            settings=settings,
-            vectorized=True,
-        )
+        settings = _settings(early_stop_threshold=None, epochs=1)
+        merged = make_chunk([(good, 0), (boom, 1)], 7, settings)
         result = execute_chunk(merged, easy_split, lambda: False)
         assert isinstance(result, ChunkResult)
         assert result.vectorized_fallback
@@ -394,17 +387,8 @@ class TestErrorAttribution:
 
     def test_grouped_chunk_trains_fused_when_healthy(self, easy_split):
         specs = head_varied_space()[:2]
-        settings = _settings(True, early_stop_threshold=None, epochs=1)
-        chunks = [
-            make_chunks(spec, i, 7, 2, 2, settings, vectorized=True)[0]
-            for i, spec in enumerate(specs)
-        ]
-        merged = JobChunk(
-            jobs=chunks[0].jobs + chunks[1].jobs,
-            split=None,
-            settings=settings,
-            vectorized=True,
-        )
+        settings = _settings(early_stop_threshold=None, epochs=1)
+        merged = make_chunk(list(zip(specs, range(2))), 7, settings)
         result = execute_chunk(merged, easy_split, lambda: False)
         assert isinstance(result, ChunkResult)
         assert not result.vectorized_fallback
@@ -469,11 +453,33 @@ class TestSchedulerPacking:
 
     def test_capacity_two_submits_pairs(self):
         executor = _RecordingExecutor(capacity=2)
-        _scheduler(_sel_depth_space(), _settings(True), executor).top_up()
+        _scheduler(_sel_depth_space(), _settings(), executor).top_up()
         assert _packs(executor) == [[0, 1], [2, 3]]
         for chunk in executor.submitted.values():
-            assert chunk.vectorized
             assert len(chunk.jobs) == 4  # two candidates x two runs
+
+    @pytest.mark.parametrize("runs", [1, 3])
+    def test_every_chunk_carries_whole_run_sets(self, runs):
+        """Chunks are never cut inside a run set, whatever ``runs``:
+        with ``runs=1`` a keyless candidate's chunk is one slice, the
+        ladder's scalar floor."""
+        ranked = [KeylessSpec(n_features=4, hidden=(h,)) for h in (2, 4)]
+        ranked += _sel_depth_space()[:2]
+        executor = _RecordingExecutor(capacity=2)  # a window of four
+        scheduler = _scheduler(ranked, _settings(runs=runs), executor)
+        scheduler.top_up()
+        chunks = list(executor.submitted.values()) + [
+            chunk for _, chunk in scheduler._waiting
+        ]
+        queued = []
+        for chunk in chunks:
+            members = chunk_candidates(chunk)
+            assert [(j.candidate_index, j.run) for j in chunk.jobs] == [
+                (c, run) for c in members for run in range(runs)
+            ]
+            queued += members
+        assert sorted(queued) == [0, 1, 2, 3]
+        assert sorted(map(len, map(chunk_candidates, chunks))) == [1, 1, 2]
 
     @pytest.mark.parametrize(
         "ranked",
@@ -490,33 +496,32 @@ class TestSchedulerPacking:
     )
     def test_keyless_and_mixed_keys_never_pack(self, ranked):
         executor = _RecordingExecutor(capacity=2)
-        _scheduler(ranked, _settings(True), executor).top_up()
+        _scheduler(ranked, _settings(), executor).top_up()
         assert _packs(executor) == [[0], [1], [2], [3]]
 
-    @pytest.mark.parametrize(
-        "settings",
-        [_settings(False), _settings(True, vectorized=False)],
-        ids=["unstacked", "scalar"],
-    )
-    def test_packing_off_keeps_one_candidate_chunks(self, settings):
+    def test_one_member_cap_keeps_one_candidate_chunks(self, monkeypatch):
+        monkeypatch.setattr(GRID_SEARCH, "MAX_GROUP_CANDIDATES", 1)
         executor = _RecordingExecutor(capacity=2)
-        _scheduler(_sel_depth_space(), settings, executor).top_up()
-        assert all(len(c) == 1 for c in _packs(executor))
+        _scheduler(_sel_depth_space(), _settings(), executor).top_up()
+        assert _packs(executor) == [[0], [1], [2], [3]]
 
     @pytest.mark.parametrize("capacity", [1, 2, 3])
-    def test_lookahead_unchanged(self, capacity):
+    def test_lookahead_unchanged(self, capacity, monkeypatch):
         """Packing regroups the lookahead; it queues the same
         candidates as one-candidate chunks do."""
         ranked = hybrid_search_space(
             4, "sel", qubit_options=(3, 4), depth_options=(1, 2, 3, 4)
         )
         queued = []
-        for stacked in (True, False):
+        for cap in (MAX_GROUP_CANDIDATES, 1):
+            monkeypatch.setattr(
+                GRID_SEARCH, "MAX_GROUP_CANDIDATES", cap
+            )
             executor = _RecordingExecutor(capacity=capacity)
-            scheduler = _scheduler(ranked, _settings(stacked), executor)
+            scheduler = _scheduler(ranked, _settings(), executor)
             scheduler.top_up()
             chunks = list(executor.submitted.values()) + [
-                chunk for _, _, chunk in scheduler._waiting
+                chunk for _, chunk in scheduler._waiting
             ]
             queued.append(
                 sorted(c for chunk in chunks for c in chunk_candidates(chunk))
@@ -529,7 +534,7 @@ class TestSchedulerPacking:
         ranked = _sel_depth_space()
         events = []
         executor = _RecordingExecutor(capacity=2)
-        settings = _settings(True, early_stop_threshold=None, epochs=1)
+        settings = _settings(early_stop_threshold=None, epochs=1)
         scheduler = _scheduler(ranked, settings, executor, events.append)
         scheduler.top_up()
         cid, chunk = next(
@@ -560,7 +565,7 @@ class TestResultCounters:
     def _accept(self, **changes):
         ranked = _sel_depth_space()
         executor = _RecordingExecutor(capacity=2)
-        settings = _settings(True, early_stop_threshold=None, epochs=1)
+        settings = _settings(early_stop_threshold=None, epochs=1)
         scheduler = _scheduler(ranked, settings, executor)
         scheduler.top_up()
         for cid, chunk in executor.submitted.items():

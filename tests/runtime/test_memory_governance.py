@@ -18,6 +18,7 @@ address space (``RLIMIT_AS``) — CI uses this to prove the suite holds
 when allocations can genuinely fail.
 """
 
+import dataclasses
 import errno
 import os
 
@@ -45,6 +46,7 @@ from repro.runtime.memory import (
 from repro.runtime import memory as memory_mod
 from repro.runtime import parallel as parallel_mod
 from repro.runtime.parallel import ChunkCostModel
+from scalar_oracle import scalar_search
 
 pytestmark = pytest.mark.timeout(120)
 
@@ -118,6 +120,13 @@ def _search_kwargs(easy_split):
         max_candidates=4,
         seed=5,
     )
+
+
+class KeylessSpec(ClassicalSpec):
+    """A classical spec that never groups (picklable by reference)."""
+
+    def group_key(self):
+        return None
 
 
 def _head_varied_hybrids(n=6):
@@ -541,7 +550,7 @@ class TestRecoveryLadder:
             for run in range(settings.runs)
         ]
         entries, fallback, degrades = jobs.chunk_entries(
-            batch, easy_split, settings, vectorized=True
+            batch, easy_split, settings
         )
         assert (fallback, degrades) == flags
         assert seen == attempts
@@ -555,6 +564,25 @@ class TestRecoveryLadder:
             assert entry.train_accuracy == ref.train_accuracy
             assert entry.val_accuracy == ref.val_accuracy
             assert entry.epochs_run == ref.epochs_run
+
+    def test_one_slice_batch_trains_scalar(self, easy_split, monkeypatch):
+        """A batch of one run of one candidate has no sweep to try: it
+        trains through the scalar floor, unflagged."""
+        from repro.runtime import jobs
+
+        def sweep(*args, **kw):
+            raise AssertionError("a one-slice batch must not sweep")
+
+        monkeypatch.setattr(jobs, "execute_candidates", sweep)
+        settings = _settings(epochs=2, runs=1)
+        spec = classical_search_space(4, neuron_options=(2,), max_layers=1)[0]
+        job = jobs.TrainingJob(spec, 5, 0, 0)
+        [entry], fallback, degrades = jobs.chunk_entries(
+            [job], easy_split, settings
+        )
+        assert (fallback, degrades) == (False, 0)
+        ref = jobs.execute_job(job, easy_split, settings)
+        assert entry == dataclasses.replace(ref, wall_time_s=entry.wall_time_s)
 
 
 class TestPooledDifferential:
@@ -599,16 +627,22 @@ class TestPooledDifferential:
             assert "conn-lost" not in [e.kind for e in events]
 
     def test_oom_on_scalar_chunk_absorbed(self, easy_split, tmp_path):
-        """A chunk with no fused sweep to degrade absorbs the fault at
-        the ladder's floor (the scalar path) instead of erroring."""
+        """A chunk with no fused sweep to degrade (one run of one
+        keyless candidate) absorbs the fault at the ladder's floor (the
+        scalar path) instead of erroring."""
         kwargs = _search_kwargs(easy_split)
-        settings = _settings(vectorized_runs=False)
-        baseline = grid_search(**kwargs, settings=settings, workers=1)
+        kwargs["specs"] = [
+            KeylessSpec(n_features=spec.n_features, hidden=spec.hidden)
+            for spec in kwargs["specs"]
+        ]
+        settings = _settings(runs=1)
         with PersistentPool(2, fault_dir=tmp_path) as pool:
             faults.arm_file_fault(tmp_path, FaultPlan(kind="oom", candidate=0))
             faulted = grid_search(**kwargs, settings=settings, pool=pool)
-            _assert_same_outcome(faulted, baseline)
             assert pool.counters.memory_degrades >= 1
+        _assert_same_outcome(
+            faulted, scalar_search(**kwargs, settings=settings)
+        )
 
 
 class TestCostModelBytes:

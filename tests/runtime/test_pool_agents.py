@@ -29,7 +29,7 @@ from repro.data import make_spiral, stratified_split
 from repro.exceptions import SearchError, TrainingCancelled
 from repro.runtime import Coordinator, PersistentPool, TcpExecutor
 from repro.runtime.cluster_tcp import _frame, run_tcp_agent
-from repro.runtime.jobs import make_chunks
+from repro.runtime.jobs import make_chunk
 
 pytestmark = pytest.mark.timeout(180)
 
@@ -269,7 +269,7 @@ class TestSplitTokens:
             for split in (small, big):
                 executor = TcpExecutor(coordinator)
                 executor.open(split)
-                [chunk] = make_chunks(spec, 0, 3, 5, 5, settings)
+                chunk = make_chunk([(spec, 0)], 3, settings)
                 executor.submit(0, 1, chunk)
                 [sent] = [d.chunk for d in coordinator._dispatches.values()]
                 assert isinstance(sent.split, str)
@@ -312,7 +312,7 @@ class TestCancel:
                 daemon=True,
             )
             agent.start()
-            [chunk] = make_chunks(spec, 0, 3, 1, 1, long)
+            chunk = make_chunk([(spec, 0)], 3, long)
             executor.submit(0, 1, chunk)
             _wait_for(
                 lambda: any(

@@ -68,16 +68,12 @@ def test_every_field_is_classified(cls):
 #: One non-default value per field tagged ``affects_results=False``.
 #: ``connect`` is filled in by the test (it needs a live agent).
 MECHANICS = {
-    (TrainingSettings, "vectorized_runs"): False,
     (TrainingSettings, "return_histories"): True,
-    (TrainingSettings, "stacked_candidates"): False,
     (TrainingSettings, "max_retries"): 0,
     (TrainingSettings, "fallback_sequential"): False,
     # One byte: every fused group splits down to single candidates.
     (TrainingSettings, "memory_budget"): 1.0,
     (ProtocolConfig, "workers"): 2,
-    (ProtocolConfig, "vectorized_runs"): False,
-    (ProtocolConfig, "stacked_candidates"): False,
     (ProtocolConfig, "max_retries"): 0,
     (ProtocolConfig, "journal"): "ckpt.jsonl",
     (ProtocolConfig, "connect"): "tcp",
@@ -281,8 +277,6 @@ CACHE_NAMES = {
     "dataset_seed": (1, "smoke_dataset_seed-1"),
     "base_seed": (2, "smoke_base_seed-2"),
     "workers": (3, "smoke"),
-    "vectorized_runs": (False, "smoke"),
-    "stacked_candidates": (False, "smoke"),
     "max_retries": (0, "smoke"),
     "journal": ("ckpt.jsonl", "smoke"),
     "connect": ("127.0.0.1:1", "smoke"),
@@ -318,6 +312,15 @@ def test_numpy_runs_share_the_reference_name(monkeypatch):
 
 
 # -- the legacy backend setting ----------------------------------------------
+
+
+@pytest.mark.parametrize("cls", CONFIGS, ids=lambda c: c.__name__)
+@pytest.mark.parametrize("name", ["vectorized_runs", "stacked_candidates"])
+def test_execution_shape_fields_are_gone(cls, name):
+    """Every search trains stacked sweeps through the OOM ladder; the
+    fields that selected older execution shapes are unknown."""
+    with pytest.raises(TypeError, match=name):
+        cls(**{name: False})
 
 
 @pytest.mark.parametrize("cls", CONFIGS, ids=lambda c: c.__name__)

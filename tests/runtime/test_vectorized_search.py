@@ -1,9 +1,9 @@
 """Runtime-level tests for run-vectorized grid searches.
 
-Acceptance checks from the issue: ``SearchOutcome`` winner and
-accuracies identical with ``vectorized_runs`` on/off, sequential and
-pooled; measured-cost packing feeds chunk wall times back into the
-packer.
+Every search trains whole run sets as stacked sweeps; its
+``SearchOutcome`` winner and accuracies equal the scalar oracle's
+(:func:`scalar_oracle.scalar_search`), sequential and pooled;
+measured-cost packing feeds chunk wall times back into the packer.
 """
 
 import numpy as np
@@ -20,8 +20,9 @@ from repro.runtime.jobs import (
     TrainingJob,
     execute_chunk,
     execute_job,
-    make_chunks,
+    make_chunk,
 )
+from scalar_oracle import scalar_search
 
 
 @pytest.fixture(scope="module")
@@ -99,60 +100,47 @@ class TestExecuteRuns:
 
 
 class TestSearchDifferential:
-    """The issue's acceptance check: identical SearchOutcome with
-    vectorized_runs on/off, sequential and pooled."""
+    """Run-stacked searches, sequential and pooled, reproduce the
+    scalar oracle's SearchOutcome."""
 
-    def _settings(self, vectorized):
-        return TrainingSettings(
-            epochs=8,
-            batch_size=8,
-            runs=3,
-            early_stop_threshold=0.6,
-            vectorized_runs=vectorized,
-        )
+    settings = TrainingSettings(
+        epochs=8, batch_size=8, runs=3, early_stop_threshold=0.6
+    )
 
-    def test_sequential_on_off_identical(self, easy_split):
+    def test_sequential_matches_scalar_oracle(self, easy_split):
         kwargs = dict(
             specs=hybrid_space(), split=easy_split, threshold=0.6, seed=3
         )
-        on = grid_search(**kwargs, settings=self._settings(True), workers=1)
-        off = grid_search(**kwargs, settings=self._settings(False), workers=1)
-        _assert_same_outcome(on, off)
+        got = grid_search(**kwargs, settings=self.settings, workers=1)
+        _assert_same_outcome(
+            got, scalar_search(**kwargs, settings=self.settings)
+        )
 
-    def test_pooled_matches_sequential_both_modes(self, easy_split):
+    def test_pooled_matches_scalar_oracle(self, easy_split):
         kwargs = dict(
             specs=hybrid_space(), split=easy_split, threshold=0.6, seed=3
         )
-        seq = grid_search(**kwargs, settings=self._settings(True), workers=1)
         with PersistentPool(2) as pool:
-            pool_on = grid_search(
-                **kwargs, settings=self._settings(True), pool=pool
-            )
-            pool_off = grid_search(
-                **kwargs, settings=self._settings(False), pool=pool
-            )
-            # vectorized chunks fed measured costs back into the packer
+            pooled = grid_search(**kwargs, settings=self.settings, pool=pool)
+            # run-stacked chunks fed measured costs back into the packer
             assert pool.cost_model.observations > 0
-        _assert_same_outcome(pool_on, seq)
-        _assert_same_outcome(pool_off, seq)
+        _assert_same_outcome(
+            pooled, scalar_search(**kwargs, settings=self.settings)
+        )
 
-    def test_classical_family_on_off_identical(self, easy_split):
+    def test_classical_family_matches_scalar_oracle(self, easy_split):
         specs = classical_search_space(4, neuron_options=(2, 8), max_layers=2)
-        kwargs = dict(specs=specs, split=easy_split, threshold=1.01, seed=5)
-        settings = dict(epochs=2, batch_size=16, runs=2)
-        on = grid_search(
-            **kwargs,
-            settings=TrainingSettings(**settings, vectorized_runs=True),
+        kwargs = dict(
+            specs=specs,
+            split=easy_split,
+            threshold=1.01,
+            seed=5,
+            settings=TrainingSettings(epochs=2, batch_size=16, runs=2),
             max_candidates=3,
-            workers=1,
         )
-        off = grid_search(
-            **kwargs,
-            settings=TrainingSettings(**settings, vectorized_runs=False),
-            max_candidates=3,
-            workers=1,
+        _assert_same_outcome(
+            grid_search(**kwargs, workers=1), scalar_search(**kwargs)
         )
-        _assert_same_outcome(on, off)
 
     def test_histories_identical_through_pool(self, easy_split):
         """return_histories payloads survive the agent round-trip and
@@ -178,13 +166,11 @@ class TestSearchDifferential:
 
 
 class TestChunkPacking:
-    def test_vectorized_chunks_cover_whole_run_set(self, easy_split):
+    def test_chunk_covers_whole_run_set(self, easy_split):
         spec = hybrid_space()[0]
-        settings = TrainingSettings(runs=5, vectorized_runs=True)
-        chunks = make_chunks(spec, 0, 1, 5, 5, settings, vectorized=True)
-        assert len(chunks) == 1
-        assert chunks[0].vectorized
-        assert [j.run for j in chunks[0].jobs] == [0, 1, 2, 3, 4]
+        settings = TrainingSettings(runs=5)
+        chunk = make_chunk([(spec, 0)], 1, settings)
+        assert [j.run for j in chunk.jobs] == [0, 1, 2, 3, 4]
 
     def test_stacked_failure_falls_back_scalar_and_is_flagged(
         self, easy_split, monkeypatch
@@ -202,7 +188,7 @@ class TestChunkPacking:
             4, neuron_options=(2,), max_layers=1
         )[0]
         settings = TrainingSettings(epochs=1, batch_size=32, runs=2)
-        [chunk] = make_chunks(spec, 0, 1, 2, 2, settings, vectorized=True)
+        chunk = make_chunk([(spec, 0)], 1, settings)
         result = execute_chunk(chunk, easy_split, lambda: False)
         assert isinstance(result, ChunkResult)
         assert result.vectorized_fallback
@@ -212,12 +198,25 @@ class TestChunkPacking:
         )
         assert result.entries[0].train_accuracy == ref.train_accuracy
 
+    def test_chunk_is_candidate_major(self):
+        specs = hybrid_space()[:2]
+        settings = TrainingSettings(runs=2)
+        chunk = make_chunk([(specs[0], 3), (specs[1], 5)], 1, settings)
+        assert [(j.spec, j.candidate_index, j.run) for j in chunk.jobs] == [
+            (specs[0], 3, 0),
+            (specs[0], 3, 1),
+            (specs[1], 5, 0),
+            (specs[1], 5, 1),
+        ]
+        assert {j.seed for j in chunk.jobs} == {1}
+        assert chunk.split is None and chunk.settings is settings
+
     def test_chunk_result_carries_wall_time(self, easy_split):
         spec = classical_search_space(
             4, neuron_options=(2,), max_layers=1
         )[0]
         settings = TrainingSettings(epochs=1, batch_size=32, runs=2)
-        [chunk] = make_chunks(spec, 0, 1, 2, 2, settings, vectorized=True)
+        chunk = make_chunk([(spec, 0)], 1, settings)
         result = execute_chunk(chunk, easy_split, lambda: False)
         assert isinstance(result, ChunkResult)
         assert not result.cancelled

@@ -32,24 +32,16 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fig4", "--profile", "gigantic"])
 
-    def test_runs_and_vectorized_flags(self):
-        args = build_parser().parse_args(
-            ["fig8", "--runs", "3", "--no-vectorized-runs"]
-        )
+    def test_runs_flag(self):
+        args = build_parser().parse_args(["fig8", "--runs", "3"])
         assert args.runs == 3
-        assert args.no_vectorized_runs
         default = build_parser().parse_args(["fig8"])
         assert default.runs is None
-        assert not default.no_vectorized_runs
 
-    def test_stacking_and_cost_cache_flags(self):
-        args = build_parser().parse_args(
-            ["fig8", "--no-stacked-candidates", "--cost-cache", "c.json"]
-        )
-        assert args.no_stacked_candidates
+    def test_cost_cache_flag(self):
+        args = build_parser().parse_args(["fig8", "--cost-cache", "c.json"])
         assert args.cost_cache == "c.json"
         default = build_parser().parse_args(["fig8"])
-        assert not default.no_stacked_candidates
         assert default.cost_cache is None
 
     @pytest.mark.parametrize(
@@ -69,6 +61,16 @@ class TestParser:
         """Every run is NumPy; ``--backend`` is an unknown argument."""
         with pytest.raises(SystemExit) as exc:
             main(["fig4", "--backend", "torch"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "flag", ["--no-vectorized-runs", "--no-stacked-candidates"]
+    )
+    def test_execution_shape_flags_are_gone(self, flag):
+        """Every search trains stacked sweeps through the OOM ladder;
+        the flags that selected older execution shapes are unknown."""
+        with pytest.raises(SystemExit) as exc:
+            main(["fig4", flag])
         assert exc.value.code == 2
 
     def test_cluster_agent_requires_spool(self):
@@ -123,8 +125,7 @@ class TestMain:
 
     def test_runs_override_keys_cache_separately(self, capsys, tmp_path):
         """--runs changes results, so it must not share the default
-        cache entry; --no-vectorized-runs does not change results and
-        reuses it."""
+        cache entry."""
         code = main(
             [
                 "fig8",
@@ -132,7 +133,6 @@ class TestMain:
                 "smoke",
                 "--runs",
                 "2",
-                "--no-vectorized-runs",
                 "--cache",
                 str(tmp_path),
                 "--quiet",
@@ -143,15 +143,16 @@ class TestMain:
         assert (tmp_path / "sel_smoke_runs_per_candidate-2.json").exists()
         assert not (tmp_path / "sel_smoke.json").exists()
 
-    def test_no_stacked_candidates_shares_cache_entry(self, capsys, tmp_path):
-        """--no-stacked-candidates does not change results, so it reuses
-        the default cache key rather than forking it."""
+    def test_mechanics_flag_shares_cache_entry(self, capsys, tmp_path):
+        """--max-retries does not change results, so it reuses the
+        default cache key rather than forking it."""
         code = main(
             [
                 "fig8",
                 "--profile",
                 "smoke",
-                "--no-stacked-candidates",
+                "--max-retries",
+                "0",
                 "--cache",
                 str(tmp_path),
                 "--quiet",
@@ -228,7 +229,7 @@ class TestMain:
         base += ["--cache", str(tmp_path)]
         for extra in (
             [],
-            ["--no-stacked-candidates"],
+            ["--max-retries", "0"],
             ["--profile", "reduced"],
             ["--runs", "3"],
             ["--cost-cache", str(tmp_path / "mine.json")],
