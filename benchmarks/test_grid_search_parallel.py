@@ -22,7 +22,7 @@ from repro.data import make_spiral, stratified_split
 #: A search where eleven under-capacity candidates fail before the
 #: twelfth passes (paper-style: most of the space is genuinely trained),
 #: ~4.5 s sequential on one 2024 laptop core.  Sized so per-candidate
-#: training dominates worker startup (~0.2 s with the warm forkserver):
+#: training dominates worker startup (~10 ms with the zygote-forked agents):
 #: the parallel speedup measured here reflects the scheduler, not pool
 #: boot.
 _SETTINGS = TrainingSettings(

@@ -23,7 +23,8 @@ and the payloads are pickled ``(kind, data)`` pairs::
     agent -> coordinator    ("hello",  {"agent": id})
     coordinator -> agent    ("welcome", {"token": coordinator id})
     agent -> coordinator    ("claim",  {"agent": id})
-    coordinator -> agent    ("chunk",  (wire, JobChunk, DataSplit | None))
+    coordinator -> agent    ("chunk",  (wire, JobChunk, has_split))
+                            [+ the pickled DataSplit, one raw frame]
                             | ("idle", None)
     agent -> coordinator    ("beat",   {"agent": id})      # no reply
     agent -> coordinator    ("result", (wire, ChunkResult))
@@ -33,14 +34,15 @@ and the payloads are pickled ``(kind, data)`` pairs::
 
 ``wire`` is the coordinator's id for one submitted attempt of a chunk.
 A chunk names its dataset by the token :meth:`Coordinator.publish`
-returned; the split itself rides along with the first grant of that
-token on a connection, so it crosses the wire once per agent, never
-once per chunk.  A ``claim`` is answered as soon as a chunk is pending,
-or ``idle`` after a bounded long-poll, after which the agent claims
-again at once.  Each agent reads every frame on one reader thread, so a
-``cancel`` reaches a chunk mid-training and stops it at its next epoch
-boundary.  A chunk that raises comes back as an ``error`` and the agent
-serves on.
+returned.  The split itself is pickled once per token and follows the
+first grant of that token on a connection as one raw frame, so it
+crosses the wire once per agent, never once per chunk, and is never
+copied into a message.  A ``claim`` is answered as soon as a chunk is
+pending, or ``idle`` after a bounded long-poll, after which the agent
+claims again at once.  Each agent reads every frame on one reader
+thread, so a ``cancel`` reaches a chunk mid-training and stops it at
+its next epoch boundary.  A chunk that raises comes back as an
+``error`` and the agent serves on.
 
 The frame digest is keyed by the coordinator's ``key``, and a frame
 whose digest does not verify is dropped *before* its payload is
@@ -162,8 +164,8 @@ logger = logging.getLogger("repro.runtime")
 
 #: Upper bound on a declared frame payload.  A corrupt length field that
 #: somehow carried a valid magic must not make the reader allocate (or
-#: wait for) gigabytes; the largest legitimate payload is one grant
-#: carrying a pickled DataSplit, well under this.
+#: wait for) gigabytes; the largest legitimate payload is one pickled
+#: DataSplit, well under this.
 _MAX_FRAME_BYTES = 1 << 30
 
 #: Upper bound on a frame declared before the peer has proven its key
@@ -205,10 +207,11 @@ class ChunkFailed(SearchError):
 
 
 _MAGIC = b"RSPL"
-#: Version 3: grants carry a wire id and the split on first use, and
+#: Version 4: grants carry a wire id, and the split (pickled once per
+#: token) follows its first grant on a connection as a raw frame;
 #: ``cancel``/``error`` exist.  A peer from an older checkout fails
 #: validation instead of misreading a message.
-_FRAME_VERSION = 3
+_FRAME_VERSION = 4
 _HEADER = struct.Struct("<4sIQ32s")  # magic, version, payload len, mac
 
 
@@ -254,21 +257,26 @@ def _send_frame(
     timeout_s: float,
     lock: threading.Lock,
     key: bytes = b"",
+    then: bytes | None = None,
 ) -> None:
-    """Write one framed payload; a stalled or failed write is death.
+    """Write one framed payload, and ``then`` as a second frame right
+    after it; a stalled or failed write is death.
 
     The lock serializes writers (an agent's heartbeat thread and its
     serve loop share one socket, as do a coordinator's connection thread
-    and a ``cancel``) so frames can never interleave mid-wire.
+    and a ``cancel``) so frames can never interleave mid-wire, and a
+    grant and the split frame after it stay adjacent.
     """
-    header = _header(payload, key)
+    parts = (payload,) if then is None else (payload, then)
+    frames = [(_header(part, key), part) for part in parts]
     with lock:
         try:
             sock.settimeout(timeout_s)
-            # Two writes instead of one concatenated frame: a grant that
-            # carries a split is not copied once more to be sent.
-            sock.sendall(header)
-            sock.sendall(payload)
+            for header, part in frames:
+                # Two writes instead of one concatenated frame: a split
+                # is not copied once more to be sent.
+                sock.sendall(header)
+                sock.sendall(part)
         except OSError as error:
             raise ConnectionDead(f"send failed: {error}") from None
 
@@ -359,13 +367,16 @@ def _send_msg(
     timeout_s: float,
     lock: threading.Lock,
     key: bytes = b"",
+    then: bytes | None = None,
 ) -> None:
+    """Write ``msg`` pickled (and ``then`` as a raw frame after it)."""
     _send_frame(
         sock,
         pickle.dumps(msg, protocol=pickle.HIGHEST_PROTOCOL),
         timeout_s,
         lock,
         key,
+        then,
     )
 
 
@@ -498,6 +509,9 @@ class Coordinator:
         self._conns: dict[int, _Conn] = {}
         self._agent_seen: dict[str, float] = {}
         self._splits: dict[str, weakref.ref] = {}
+        #: Each live token's split, pickled by the first grant that
+        #: sends it and shared by every later one.
+        self._split_bytes: dict[str, bytes] = {}
         self._wires = itertools.count(1)
         self._conn_ids = itertools.count(1)
         self._split_ids = itertools.count(1)
@@ -607,6 +621,7 @@ class Coordinator:
                     return token
                 if held is None:
                     del self._splits[token]
+                    self._split_bytes.pop(token, None)
             token = f"{self.token}-{next(self._split_ids)}"
             self._splits[token] = weakref.ref(split)
         return token
@@ -714,8 +729,8 @@ class Coordinator:
     def _grant(self, conn_id: int, agent: str):
         """Lease the oldest pending chunk as ``(wire, chunk, split)``,
         waiting up to :data:`_CLAIM_WAIT_S` for one; ``split`` is the
-        chunk's dataset when this connection has not received it yet.
-        ``None`` when nothing came."""
+        chunk's dataset, pickled, when this connection has not received
+        it yet.  ``None`` when nothing came."""
         deadline = time.monotonic() + _CLAIM_WAIT_S
         with self._work:
             while not self._pending and not self._closed:
@@ -733,8 +748,13 @@ class Coordinator:
             token = dispatch.chunk.split
             split = None
             if conn.split_token != token:
+                split = self._split_bytes.get(token)
                 ref = self._splits.get(token)
-                split = ref() if ref is not None else None
+                held = ref() if ref is not None and split is None else None
+                if held is not None:
+                    split = self._split_bytes[token] = pickle.dumps(
+                        held, protocol=pickle.HIGHEST_PROTOCOL
+                    )
                 conn.split_token = token
         return wire, dispatch.chunk, split
 
@@ -788,8 +808,18 @@ class Coordinator:
                 elif kind == "claim":
                     self._touch(conn_id, agent)
                     grant = self._grant(conn_id, agent)
-                    reply = ("chunk", grant) if grant else ("idle", None)
-                    _send_msg(sock, reply, timeout, wlock, key)
+                    if grant is None:
+                        _send_msg(sock, ("idle", None), timeout, wlock, key)
+                    else:
+                        wire, chunk, split = grant
+                        _send_msg(
+                            sock,
+                            ("chunk", (wire, chunk, split is not None)),
+                            timeout,
+                            wlock,
+                            key,
+                            then=split,
+                        )
                     self._touch(conn_id, agent)
                 elif kind in ("result", "error"):
                     self._touch(conn_id, agent)
@@ -1218,8 +1248,9 @@ def _read_frames(
     done: threading.Event,
     key: bytes,
 ) -> None:
-    """The agent's one reader: ``cancel`` frames mark their chunk,
-    every other frame is a reply for the serve loop.  A dead or torn
+    """The agent's one reader: ``cancel`` frames mark their chunk, a
+    split frame joins the grant it follows, and every other frame is a
+    reply for the serve loop.  A dead or torn
     stream ends the connection: the error is handed to the serve loop
     and ``conn_dead`` stops the chunk in training."""
     try:
@@ -1229,8 +1260,16 @@ def _read_frames(
             )
             if kind == "cancel":
                 cancelled.add(data)
-            else:
-                replies.put((kind, data))
+                continue
+            if kind == "chunk":
+                wire, chunk, has_split = data
+                split = (
+                    _recv_frame(conn, frame_timeout_s, key=key)
+                    if has_split
+                    else None
+                )
+                data = (wire, chunk, split)
+            replies.put((kind, data))
     except (ConnectionDead, TornFrameError) as error:
         conn_dead.set()
         replies.put(error)
@@ -1314,7 +1353,7 @@ def _serve_connection(
                 continue
             wire, chunk, split = grant
             if split is not None:
-                held = (chunk.split, split)
+                held = (chunk.split, pickle.loads(split))
             if held is None or held[0] != chunk.split:
                 raise ConnectionDead(
                     f"granted a chunk of split {chunk.split!r} never sent"

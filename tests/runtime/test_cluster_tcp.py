@@ -33,6 +33,7 @@ from repro.runtime.cluster_tcp import (
     TcpConfig,
     TcpExecutor,
     _frame,
+    _recv_frame,
     _recv_msg,
     _send_msg,
     run_tcp_agent,
@@ -424,7 +425,9 @@ def _rogue_agent(address, corrupt, closed):
         kind, grant = _recv_msg(sock, 5.0)
         if kind != "chunk":
             return
-        wire, _chunk, _split = grant
+        wire, _chunk, has_split = grant
+        if has_split:
+            _recv_frame(sock, 5.0)  # the split follows its first grant
         frame = bytearray(_frame(pickle.dumps(("result", (wire, None)))))
         frame[0 if corrupt == "magic" else -1] ^= 0xFF
         sock.sendall(bytes(frame))

@@ -6,10 +6,10 @@ no listening socket behind; an agent that dies between searches is
 replaced and the next outcome is unchanged; a ``cancel`` stops a
 running chunk at its next epoch boundary; a chunk names its dataset by
 a token instead of carrying it; and a pooled search in a fresh
-interpreter exits clean.
+interpreter exits clean, needs no ``__main__`` guard, and leaves no
+zygote or agent behind when its driver is killed.
 """
 
-import multiprocessing
 import os
 import pickle
 import signal
@@ -100,6 +100,18 @@ def _gone(pid):
     except ProcessLookupError:
         return True
     return False
+
+
+def _running(pid):
+    """Alive and not a zombie (an orphan waits for its new parent to
+    reap it)."""
+    if _gone(pid):
+        return False
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return not _gone(pid)
 
 
 def _wait_for(condition, timeout=30.0):
@@ -233,7 +245,7 @@ class TestLifecycle:
             assert outcome.candidates_trained == 1
             assert pool.stats()["agents_started"] == 3
 
-    def test_protocol_closes_its_own_pool(self):
+    def test_protocol_closes_its_own_pool(self, monkeypatch):
         """run_protocol with workers > 1 creates one pool for all its
         searches and leaves no agent behind when it returns."""
         from repro.core.experiment import ProtocolConfig, run_protocol
@@ -248,11 +260,34 @@ class TestLifecycle:
             threshold=1.01,
             workers=2,
         )
-        before = {p.pid for p in multiprocessing.active_children()}
+        agents = []
+        close = PersistentPool.close
+
+        def recording_close(pool):
+            if not pool.closed:
+                agents.append(pool.agent_pids())
+            close(pool)
+
+        monkeypatch.setattr(PersistentPool, "close", recording_close)
         result = run_protocol("classical", cfg)
         assert len(result.levels) == 2
-        after = {p.pid for p in multiprocessing.active_children()}
-        assert after <= before
+        [pids] = agents
+        assert len(pids) == 2
+        assert all(_gone(pid) for pid in pids)
+
+    def test_no_fork_names_the_sequential_fallback(
+        self, easy_split, monkeypatch
+    ):
+        """Without ``os.fork`` the pool cannot start: its first submit
+        says so and points at ``--workers 1``."""
+        monkeypatch.delattr(os, "fork")
+        chunk = make_chunk(
+            [(small_space()[0], 0)], 3, TrainingSettings(epochs=1, runs=1)
+        )
+        with PersistentPool(2) as pool:
+            with pytest.raises(SearchError, match="--workers 1"):
+                pool.submit(chunk, print, print)
+            assert pool.agent_pids() == set()
 
 
 class TestSplitTokens:
@@ -381,6 +416,105 @@ class TestFreshInterpreter:
         ).split()[1:]
         assert len(agents) == 2
         assert all(_gone(int(pid)) for pid in agents)
+
+
+    def test_driver_without_main_guard(self, tmp_path):
+        """Agents are forked, never started by re-importing the driver:
+        a script with no ``__main__`` guard runs its top level once and
+        its pooled search needs no retry and no in-process fallback."""
+        script = tmp_path / "unguarded.py"
+        script.write_text(textwrap.dedent("""
+            from repro.core.grid_search import TrainingSettings, grid_search
+            from repro.core.search_space import classical_search_space
+            from repro.data import make_spiral, stratified_split
+            from repro.runtime import PersistentPool
+
+            print("top level")
+            split = stratified_split(
+                make_spiral(4, n_points=120, noise=0.0, seed=3), seed=3
+            )
+            space = classical_search_space(4, neuron_options=(2,), max_layers=1)
+            settings = TrainingSettings(epochs=1, batch_size=64, runs=2)
+            with PersistentPool(2) as pool:
+                outcome = grid_search(
+                    space, split, threshold=1.01, settings=settings, pool=pool
+                )
+                stats = pool.stats()
+            assert outcome.candidates_trained == len(space)
+            print(
+                "stats", stats["agents_started"], stats["chunk_retries"],
+                stats["sequential_fallbacks"],
+            )
+        """))
+        result = subprocess.run(
+            [sys.executable, str(script)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
+        lines = result.stdout.splitlines()
+        assert lines.count("top level") == 1
+        assert "stats 2 0 0" in lines
+
+    def test_killed_driver_leaves_no_zygote_and_no_agent(self, tmp_path):
+        """SIGKILL the driver after a pooled search: the zygote sees its
+        socket close, kills and reaps the agents and exits.  The line
+        the driver printed before its first submit reaches the pipe
+        exactly once: it was flushed before the fork, and no child ran
+        the driver's exit handlers."""
+        script = tmp_path / "killed_driver.py"
+        script.write_text(textwrap.dedent("""
+            import atexit
+            import sys
+            import time
+
+            from repro.core.grid_search import TrainingSettings, grid_search
+            from repro.core.search_space import classical_search_space
+            from repro.data import make_spiral, stratified_split
+            from repro.runtime import PersistentPool
+
+            atexit.register(print, "atexit")
+            split = stratified_split(
+                make_spiral(4, n_points=120, noise=0.0, seed=3), seed=3
+            )
+            space = classical_search_space(4, neuron_options=(2,), max_layers=1)
+            settings = TrainingSettings(epochs=1, batch_size=64, runs=2)
+            pool = PersistentPool(2)
+            print("before the first submit")  # block-buffered on a pipe
+            grid_search(space, split, threshold=1.01, settings=settings, pool=pool)
+            print("pids", pool._zygote.pid, *sorted(pool.agent_pids()), flush=True)
+            time.sleep(600)
+        """))
+        env = dict(os.environ)
+        env.pop("PYTHONUNBUFFERED", None)  # keep stdout block-buffered
+        driver = subprocess.Popen(
+            [sys.executable, str(script)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        try:
+            lines = []
+            for line in driver.stdout:
+                lines.append(line.strip())
+                if line.startswith("pids"):
+                    break
+            pids = [int(pid) for pid in lines[-1].split()[1:]]
+            assert len(pids) == 3, (lines, driver.stderr.read())
+            driver.kill()
+            driver.wait(timeout=30)
+            _wait_for(lambda: not any(map(_running, pids)), timeout=30.0)
+            # Every holder of the pipe's write end is gone: EOF.
+            lines += [line.strip() for line in driver.stdout]
+        finally:
+            driver.kill()
+            driver.wait()
+        assert lines.count("before the first submit") == 1
+        assert "atexit" not in lines
+        assert driver.stderr.read() == ""
 
 
 class TestCancelHook:

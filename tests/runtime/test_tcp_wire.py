@@ -23,6 +23,7 @@ import pytest
 
 from repro.core.grid_search import TrainingSettings
 from repro.data import make_spiral, stratified_split
+from repro.data.splits import DataSplit
 from repro.exceptions import SearchError
 from repro.runtime import cluster_tcp
 from repro.runtime.cluster_tcp import (
@@ -78,7 +79,7 @@ def _send_async(sock, data, pause_after=None, pause_s=0.0):
 
 
 class TestFrameFormat:
-    def test_header_layout_is_rspl_version_3(self):
+    def test_header_layout_is_rspl_version_4(self):
         """The wire format, byte for byte: magic, u32 version, u64
         payload length, HMAC-SHA-256 of the payload under the
         coordinator's key (empty here), then the payload."""
@@ -87,7 +88,7 @@ class TestFrameFormat:
         assert _HEADER.size == 48
         assert frame == (
             b"RSPL"
-            + (3).to_bytes(4, "little")
+            + (4).to_bytes(4, "little")
             + (3).to_bytes(8, "little")
             + hmac.digest(b"", payload, "sha256")
             + payload
@@ -304,7 +305,17 @@ class _Client:
 
     def claim(self):
         self.send("claim", {"agent": "client"})
-        return self.recv()
+        return self.grant()
+
+    def grant(self):
+        """The reply to a claim, a grant's split frame joined to it as
+        an agent's reader joins it."""
+        kind, data = self.recv()
+        if kind == "chunk":
+            wire, chunk, has_split = data
+            split = _recv_frame(self.sock, 5.0) if has_split else None
+            data = (wire, chunk, split)
+        return kind, data
 
     def closed_by_peer(self):
         try:
@@ -353,11 +364,41 @@ class TestCoordinatorProtocol:
         assert [kind for kind, _ in granted] == ["chunk", "chunk", "idle"]
         (_, first, split), (_, second, again) = granted[0][1], granted[1][1]
         assert first.settings.epochs == 4 and second.settings.epochs == 2
-        # Chunks carry the split's token; the split itself rides along
-        # with the connection's first grant only.
+        # Chunks carry the split's token; the split itself, pickled,
+        # follows the connection's first grant only.
         assert first.split == second.split is not None
-        assert np.array_equal(split.x_train, tiny_split.x_train)
+        assert np.array_equal(pickle.loads(split).x_train, tiny_split.x_train)
         assert again is None
+
+    def test_first_grants_share_one_pickle(
+        self, coordinator, tiny_split, monkeypatch
+    ):
+        """Two agents claiming at once both receive the split, pickled
+        once for its token rather than once per connection."""
+        pickled = []
+        reduce = DataSplit.__reduce_ex__
+
+        def counted(split, protocol):
+            pickled.append(protocol)
+            return reduce(split, protocol)
+
+        monkeypatch.setattr(DataSplit, "__reduce_ex__", counted)
+        coordinator.submit(1, 1, _chunk(1))
+        coordinator.submit(2, 1, _chunk(2))
+        clients = [_Client(coordinator) for _ in range(2)]
+        for n, client in enumerate(clients):
+            client.hello(agent=f"a{n}")
+        for client in clients:
+            client.send("claim", {"agent": "client"})
+        grants = [client.grant() for client in clients]
+        for client in clients:
+            client.close()
+        [(_, (_, first, a)), (_, (_, second, b))] = grants
+        assert {first.settings.epochs, second.settings.epochs} == {1, 2}
+        assert a == b and len(pickled) == 1
+        shared = coordinator.coordinator._split_bytes[first.split]
+        assert shared == a
+        assert np.array_equal(pickle.loads(a).y_val, tiny_split.y_val)
 
     def test_claim_waits_for_work(self, coordinator):
         """A claim with nothing pending is held open and answered the
