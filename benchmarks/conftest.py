@@ -4,8 +4,9 @@ The figure-level benchmarks all need protocol results; they are computed
 once per session under the ``smoke`` profile and shared through a cache
 directory, so `pytest benchmarks/ --benchmark-only` stays minutes-scale.
 Set ``REPRO_BENCH_PROFILE=reduced`` to regenerate the EXPERIMENTS.md
-numbers instead (minutes: at ``--workers 1`` on a 2-vCPU host Fig. 6
-takes 98.5 s, Fig. 7 41.0 s and Fig. 8 42.4 s).
+numbers instead (minutes: cold, at ``--workers 1`` on a 2-vCPU Xeon
+host with Python 3.11 and NumPy 2.4, Fig. 6 takes 52.0 s, Fig. 7
+15.1 s and Fig. 8 13.7 s).
 """
 
 from __future__ import annotations

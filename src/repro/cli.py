@@ -28,7 +28,7 @@ from .experiments import (
     fig10_comparative,
     table1_ablation,
 )
-from .experiments.runner import PROFILES, cache_name
+from .experiments.runner import PROFILES
 
 __all__ = ["main", "build_parser"]
 
@@ -77,17 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="R",
         help="override the profile's runs per candidate (changes results; "
         "cached results are keyed separately)",
-    )
-    parser.add_argument(
-        "--cost-cache",
-        default=None,
-        metavar="PATH",
-        help="JSON file persisting the measured chunk-cost model across "
-        "invocations so adaptive packing is warm on the first search of "
-        "a rerun (default: chunk_costs_<profile>[_<overrides>].json "
-        "inside --cache, named like the result cache, when --cache is "
-        "given with --workers > 1 or --connect); the file records the "
-        "run's result identity, and one saved under another is ignored",
     )
     parser.add_argument(
         "--journal",
@@ -302,28 +291,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         overrides["memory_budget"] = parse_memory_budget(args.memory_budget)
     from .runtime.parallel import resolve_workers
 
-    # Warm the adaptive packer from a previous invocation's measured
-    # chunk costs; the pool or coordinator saves them back on close so
-    # reruns keep learning.  Costs are keyed by candidate label only, so
-    # the model carries the result cache's identity: smoke timings never
-    # warm the packing or the deadlines of a reduced run, whatever file
-    # they sit in.
-    name = cache_name(args.profile, **overrides)
-    parallel = bool(args.connect) or resolve_workers(args.workers) > 1
-    cost_cache = args.cost_cache
-    if cost_cache is None and args.cache and parallel:
-        from pathlib import Path
-
-        cost_cache = str(Path(args.cache) / f"chunk_costs_{name}.json")
-    if not parallel and args.cost_cache:
-        # Sequential runs have no chunk scheduler, so there is nothing
-        # to warm or record; say so instead of silently dropping it.
-        print(
-            "note: --cost-cache has no effect without --workers > 1",
-            file=sys.stderr,
-        )
+    workers = resolve_workers(args.workers)
     pool = None
-    cost_kwargs = {"cost_cache": cost_cache, "cost_identity": name}
     if args.connect:
         # One coordinator for the whole invocation: agents stay
         # connected from one grid search to the next.
@@ -334,13 +303,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             tcp_kwargs["lease_timeout_s"] = args.lease_timeout
         if args.frame_timeout is not None:
             tcp_kwargs["frame_timeout_s"] = args.frame_timeout
-        pool = Coordinator(
-            TcpConfig(address=args.connect, **tcp_kwargs), **cost_kwargs
-        )
-    elif parallel:
+        pool = Coordinator(TcpConfig(address=args.connect, **tcp_kwargs))
+    elif workers > 1:
         from .runtime.pool import PersistentPool
 
-        pool = PersistentPool(resolve_workers(args.workers), **cost_kwargs)
+        pool = PersistentPool(workers)
     try:
         for target in targets:
             print(

@@ -3,10 +3,10 @@
 Every field of :class:`~repro.core.grid_search.TrainingSettings` and
 :class:`~repro.core.experiment.ProtocolConfig` is declared through
 :func:`setting`, tagged ``affects_results``.  The journal key
-(:func:`repro.runtime.journal.search_key`), the result-cache filename
-and the CLI's default cost-cache name are all derived from
-:func:`result_identity`, so classifying a field is one edit in one
-place; a field declared without a tag fails the classification test.
+(:func:`repro.runtime.journal.search_key`) and the result-cache filename
+are both derived from :func:`result_identity`, so classifying a field is
+one edit in one place; a field declared without a tag fails the
+classification test.
 """
 
 from __future__ import annotations

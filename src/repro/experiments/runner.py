@@ -11,8 +11,9 @@ is hours of compute.  Every experiment driver therefore accepts a
     count.  Exercises every code path; used by the test suite and the
     pytest benchmarks.
 ``reduced``
-    Minutes: at ``--workers 1`` on a 2-vCPU host Fig. 6 takes 98.5 s,
-    Fig. 7 41.0 s and Fig. 8 42.4 s.  The paper's reported feature sizes
+    Minutes: cold, at ``--workers 1`` on a 2-vCPU Xeon host (Python
+    3.11, NumPy 2.4), Fig. 6 takes 52.0 s, Fig. 7 15.1 s and Fig. 8
+    13.7 s.  The paper's reported feature sizes
     (10/40/80/110), one experiment, two runs per candidate, early
     stopping, threshold 0.85 (see RunProfile).  This is the profile
     behind the numbers in EXPERIMENTS.md.

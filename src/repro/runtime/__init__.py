@@ -6,9 +6,9 @@ winner, same per-run accuracies, same evaluated order) while the
 embarrassingly parallel (candidate, run) training work fans out across
 agents.
 
-:mod:`repro.runtime.parallel` is the speculative scheduler with
-cost-aware job packing (the measured
-:class:`~repro.runtime.parallel.ChunkCostModel`), chunk deadlines and
+:mod:`repro.runtime.parallel` is the speculative scheduler, which
+submits chunks in rank order, with chunk deadlines (timed by the
+measured :class:`~repro.runtime.parallel.ChunkCostModel`) and
 fault-tolerant supervision (chunk retry, duplicate dropping, sequential
 fallback) over a small executor protocol.
 :mod:`repro.runtime.cluster_tcp` is the one transport under it: a

@@ -207,11 +207,12 @@ class ChunkFailed(SearchError):
 
 
 _MAGIC = b"RSPL"
-#: Version 4: grants carry a wire id, and the split (pickled once per
-#: token) follows its first grant on a connection as a raw frame;
-#: ``cancel``/``error`` exist.  A peer from an older checkout fails
-#: validation instead of misreading a message.
-_FRAME_VERSION = 4
+#: Version 5: ``ChunkResult.vectorized_fallback`` became
+#: ``sweep_fallback``.  Version 4: grants carry a wire id, and the split
+#: (pickled once per token) follows its first grant on a connection as
+#: a raw frame; ``cancel``/``error`` exist.  A peer from an older
+#: checkout fails validation instead of misreading a message.
+_FRAME_VERSION = 5
 _HEADER = struct.Struct("<4sIQ32s")  # magic, version, payload len, mac
 
 
@@ -465,10 +466,9 @@ class Coordinator:
 
     A coordinator outlives searches: ``publish``/``submit``/``cancel``
     serve one search after another while agents stay connected.  It owns
-    the measured-cost model the scheduler packs by; with ``cost_cache``
-    the model is loaded at construction and saved on :meth:`close`,
-    under ``cost_identity`` (see
-    :class:`~repro.runtime.parallel.ChunkCostModel`).  ``key`` signs
+    the measured-cost model the scheduler's chunk deadlines read (see
+    :class:`~repro.runtime.parallel.ChunkCostModel`), so later searches
+    start calibrated.  ``key`` signs
     every frame both ways; a peer that does not hold it is dropped
     before any of its frames is unpickled.  Nothing binds until
     :meth:`listen`.
@@ -481,8 +481,6 @@ class Coordinator:
     def __init__(
         self,
         config: "TcpConfig | str",
-        cost_cache: "str | os.PathLike | None" = None,
-        cost_identity: str | None = None,
         key: bytes = b"",
     ) -> None:
         self.cfg = (
@@ -492,10 +490,7 @@ class Coordinator:
         self.address = self.cfg.address
         self.token = _new_owner_id()
         self.key = key
-        self.cost_cache = cost_cache
-        self.cost_model = ChunkCostModel(identity=cost_identity)
-        if cost_cache:
-            self.cost_model.load_json(cost_cache)
+        self.cost_model = ChunkCostModel()
         self.counters = ExecutorCounters()
         self.searches_started = 0
         # Shared between callers and connection threads, all guarded by
@@ -569,7 +564,7 @@ class Coordinator:
         )
 
     def close(self) -> None:
-        """Close every socket and persist the cost model (idempotent)."""
+        """Close every socket (idempotent)."""
         if self._closed:
             return
         with self._work:
@@ -592,13 +587,6 @@ class Coordinator:
                 pass
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5.0)
-        if self.cost_cache and self.cost_model.observations:
-            try:
-                self.cost_model.save_json(self.cost_cache)
-            except OSError as error:
-                logger.warning(
-                    "could not save cost cache %s: %s", self.cost_cache, error
-                )
 
     def __enter__(self):
         return self
@@ -1250,9 +1238,9 @@ def _read_frames(
 ) -> None:
     """The agent's one reader: ``cancel`` frames mark their chunk, a
     split frame joins the grant it follows, and every other frame is a
-    reply for the serve loop.  A dead or torn
-    stream ends the connection: the error is handed to the serve loop
-    and ``conn_dead`` stops the chunk in training."""
+    reply for the serve loop.  A dead or torn stream, or a socket the
+    serve loop already closed, ends the connection: the error is handed
+    to the serve loop and ``conn_dead`` stops the chunk in training."""
     try:
         while True:
             kind, data = _recv_msg(
@@ -1273,6 +1261,9 @@ def _read_frames(
     except (ConnectionDead, TornFrameError) as error:
         conn_dead.set()
         replies.put(error)
+    except OSError as error:
+        conn_dead.set()
+        replies.put(ConnectionDead(f"socket failed: {error}"))
 
 
 def _serve_connection(

@@ -299,7 +299,7 @@ def chunk_entries(
 ):
     """Execute a batch of runs through the OOM recovery ladder.
 
-    Returns ``(entries, vectorized_fallback, memory_degrades)``; every
+    Returns ``(entries, sweep_fallback, memory_degrades)``; every
     job yields exactly one entry, a per-run failure a :class:`RunError`.
     The batch's candidates first train as one fused sweep
     (:func:`execute_candidates`); see :func:`_ladder` for what happens
@@ -337,7 +337,7 @@ def _ladder(
       candidate re-runs through the scalar loop, which reproduces the
       exact error the sequential loop would hit first (lowest run) and
       still accounts for every other run.  This sets
-      ``vectorized_fallback``.
+      ``sweep_fallback``.
     * A group that declines to stack splits per candidate the same way;
       a lone candidate that declines trains scalar, unflagged.
 
@@ -432,12 +432,12 @@ class ChunkResult:
     """What an agent sends back for one chunk.
 
     ``wall_time_s`` is the measured execution time of the whole chunk on
-    its agent — the feedback signal for the scheduler's measured-cost
-    packing (:class:`~repro.runtime.parallel.ChunkCostModel`).
-    ``vectorized_fallback`` flags a chunk whose stacked sweep raised and
-    was re-run scalar (that chunk paid for both attempts); the scheduler
-    counts these so a deterministic stacked-path failure is visible
-    instead of silently doubling a candidate's cost.
+    its agent, which calibrates the scheduler's chunk deadlines
+    (:class:`~repro.runtime.parallel.ChunkCostModel`).
+    ``sweep_fallback`` flags a chunk whose fused sweep raised and re-ran
+    per candidate or scalar (that chunk paid for both attempts); the
+    scheduler counts these so a deterministic fused-sweep failure is
+    visible instead of silently doubling a candidate's cost.
 
     ``memory_degrades`` counts OOM recovery-ladder steps the agent took
     for this chunk (group halving, scalar floor — see
@@ -450,7 +450,7 @@ class ChunkResult:
     cancelled: bool
     entries: tuple["RunResult | RunError", ...] = ()
     wall_time_s: float = 0.0
-    vectorized_fallback: bool = False
+    sweep_fallback: bool = False
     memory_degrades: int = 0
 
 
@@ -479,7 +479,7 @@ def execute_chunk(
         cancelled=False,
         entries=tuple(entries),
         wall_time_s=time.perf_counter() - started,
-        vectorized_fallback=fallback,
+        sweep_fallback=fallback,
         memory_degrades=degrades,
     )
 

@@ -14,9 +14,8 @@ embarrassingly parallel.  :class:`Scheduler` exploits that gap on any
   live-agent count.  Consecutive same-key candidates of the lookahead
   share a chunk, which the agent trains as one fused sweep;
 
-* within the window, chunks are submitted **most-expensive-first**
-  (longest-processing-time packing by the measured
-  :class:`ChunkCostModel`), and a memory budget, on executors that
+* chunks are submitted in **rank order**, cheapest candidates first,
+  as the frontier will commit them; a memory budget, on executors that
   share this host's memory, caps the predicted bytes in flight.
   Submission order never affects results, because of the commit rule
   below;
@@ -28,11 +27,12 @@ embarrassingly parallel.  :class:`Scheduler` exploits that gap on any
 * chunks are deterministic, so a lost chunk simply runs again: every
   chunk carries a stable id, re-attempts are bounded by
   ``settings.max_retries``, and the first delivered copy of a chunk
-  wins (later copies are counted and dropped).  Once the cost model
-  has a seconds scale, each chunk also carries a soft deadline (a
-  warning) and a hard one, past which that one chunk is cancelled and
-  resubmitted.  Retry exhaustion either raises or, with
-  ``settings.fallback_sequential`` (the default), finishes in-process
+  wins (later copies are counted and dropped).  Once the
+  :class:`ChunkCostModel` has measured a delivered chunk, each chunk
+  also carries a soft deadline (a warning) and a hard one, past which
+  that one chunk is cancelled and resubmitted.  Retry exhaustion
+  either raises or, with ``settings.fallback_sequential`` (the
+  default), finishes in-process
   through :meth:`~repro.runtime.frontier.SearchFrontier.run_in_process`;
 
 * every decision is a :class:`SearchEvent` through ``on_event`` (and
@@ -45,20 +45,18 @@ An executor keeps only its medium and that medium's liveness:
 local processes of a :class:`~repro.runtime.pool.PersistentPool` or
 remote hosts.  The reported
 :class:`~repro.core.grid_search.SearchOutcome` is identical to
-``workers=1`` whatever the agents, completion order, packing, retries
-or fallback.
+``workers=1`` whatever the agents, completion order, retries or
+fallback.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
-import json
 import logging
 import os
-import pathlib
 import random
 import time
-from collections import Counter
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Protocol, Sequence
 
@@ -100,8 +98,8 @@ SPECULATION_FACTOR = 2
 _WATCHDOG_INTERVAL_S = 10.0
 
 #: Chunk deadlines, counted from submission, are derived from the cost
-#: model once it has a seconds scale: soft = ``_CHUNK_DEADLINE_FACTOR``
-#: x the chunk's seconds estimate, floored at
+#: model once it has measured a chunk: soft = ``_CHUNK_DEADLINE_FACTOR``
+#: x the chunk's expected seconds, floored at
 #: ``_CHUNK_DEADLINE_FLOOR_S``; hard = ``_HARD_DEADLINE_FACTOR`` x soft.
 #: The clock includes queue wait; the factor and floor keep busy but
 #: healthy agents from tripping them.
@@ -124,178 +122,41 @@ def chunk_candidates(chunk: JobChunk) -> list[int]:
     return sorted({job.candidate_index for job in chunk.jobs})
 
 
-def _share(part: float, parts: Sequence[float]) -> float:
-    """``part``'s fraction of ``sum(parts)``; even shares when the
-    total is not positive."""
-    total = sum(parts)
-    return part / total if total > 0 else 1.0 / len(parts)
+# -- the deadline clock -----------------------------------------------------
 
-
-# -- measured-cost packing --------------------------------------------------
+#: Weight of each new measurement in :class:`ChunkCostModel`'s EWMA.
+_COST_ALPHA = 0.3
 
 
 class ChunkCostModel:
-    """EWMA of measured per-run training cost, keyed by candidate label.
+    """EWMA of measured seconds per unit of chunk work.
 
-    The scheduler's FLOPs-aware packing submits the speculation window's
-    most expensive chunks first (longest-processing-time).  Static FLOPs
-    are only a proxy for wall time — per-epoch Python overhead and early
-    stopping skew real costs — so each finished chunk's measured
-    ``wall_time_s`` feeds an EWMA here, and later packing decisions (the
-    next search, the next complexity level on a persistent pool) rank by
-    observed seconds instead.  Candidates never seen before are
-    estimated from their FLOPs through a global seconds-per-FLOP EWMA,
-    which keeps the two kinds of estimate on one comparable scale.
-
-    Packing order never affects results (the scheduler commits strictly
-    in FLOPs order); this model only shapes the window's makespan.  It
-    measures seconds only: memory admission sizes chunks from their
-    specs (:func:`repro.runtime.memory.estimate_group_bytes`).
-
-    Costs are keyed by label only, so a model measured under one
-    configuration (say the smoke profile's 5 epochs) misprices another.
-    ``identity`` names the configuration the model measures; a saved
-    model carries it, and :meth:`load_json` refuses a file saved under
-    another one.
+    A chunk's work is FLOPs x runs summed over its candidates.  Each
+    cleanly delivered chunk folds its ``wall_time_s / work`` in, and
+    :meth:`seconds` prices a chunk for the scheduler's deadlines.  The
+    model lives on the coordinator, so a pool's later searches start
+    calibrated.  It never touches submission order or results.
     """
 
-    def __init__(self, alpha: float = 0.3, identity: str | None = None) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise SearchError(f"EWMA alpha must be in (0, 1], got {alpha}")
-        self.alpha = alpha
-        self.identity = identity
-        self._per_label: dict[str, float] = {}
-        self._rate: float | None = None  # seconds per FLOP
+    def __init__(self) -> None:
+        self._rate: float | None = None  # seconds per FLOP-run
+        #: Chunks measured so far.
         self.observations = 0
 
-    def _ewma(self, old: float | None, new: float) -> float:
-        if old is None:
-            return new
-        return old + self.alpha * (new - old)
-
-    def observe(
-        self, label: str, flops: int, wall_time_s: float, n_runs: int
-    ) -> None:
-        """Record a finished chunk's measured cost."""
-        if n_runs < 1 or wall_time_s <= 0.0:
+    def observe(self, work: float, wall_time_s: float) -> None:
+        """Record a delivered chunk's ``work`` and measured seconds."""
+        if work <= 0 or wall_time_s <= 0.0:
             return
-        per_run = wall_time_s / n_runs
-        self._per_label[label] = self._ewma(
-            self._per_label.get(label), per_run
-        )
-        if flops > 0:
-            self._rate = self._ewma(self._rate, per_run / flops)
+        rate = wall_time_s / work
+        if self._rate is not None:
+            rate = self._rate + _COST_ALPHA * (rate - self._rate)
+        self._rate = rate
         self.observations += 1
 
-    def estimate(self, label: str, flops: int, n_runs: int = 1) -> float:
-        """Expected chunk cost in seconds (raw FLOPs before any data)."""
-        per_run = self._per_label.get(label)
-        if per_run is None:
-            if self._rate is None:
-                # No measurements yet anywhere: fall back to the static
-                # FLOPs ranking (any monotone scale packs identically).
-                return float(flops) * n_runs
-            per_run = float(flops) * self._rate
-        return per_run * n_runs
-
-    def seconds_estimate(
-        self, label: str, flops: int, n_runs: int = 1
-    ) -> float | None:
-        """Expected chunk cost in *wall-clock seconds*, or ``None``.
-
-        Unlike :meth:`estimate` — whose pre-calibration fallback is the
-        raw FLOPs count, fine for *ranking* but meaningless as a time —
-        this only answers once a measured seconds scale exists.  The
-        deadline watchdog uses it: no calibration, no deadline, never a
-        spurious timeout from comparing seconds against FLOPs.
-        """
-        per_run = self._per_label.get(label)
-        if per_run is None:
-            if self._rate is None:
-                return None
-            per_run = float(flops) * self._rate
-        return per_run * n_runs
-
-    def snapshot(self) -> dict[str, float]:
-        """Current per-label EWMA estimates (observability + tests)."""
-        return dict(self._per_label)
-
-    # -- persistence -------------------------------------------------------
-    #
-    # Measured costs survive the coordinator (and the process): the CLI
-    # saves the model next to the run-family result cache
-    # (``--cost-cache``), so the first search of a rerun packs by
-    # observed seconds instead of re-learning from raw FLOPs.  Estimates
-    # only shape submission order, never results, so a stale cache costs
-    # wall time only; one from another configuration is still refused.
-
-    def state(self) -> dict:
-        """JSON-serializable snapshot of the whole model.
-
-        :meth:`restore` is field-lenient: it reads the fields it knows
-        and ignores the rest (the measured-bytes map schema-2 files
-        carry, for one), so caches of any schema load.
-        """
-        return {
-            "schema": 4,
-            "identity": self.identity,
-            "alpha": self.alpha,
-            "per_label": dict(self._per_label),
-            "rate": self._rate,
-            "observations": self.observations,
-        }
-
-    def restore(self, state: dict) -> None:
-        """Adopt a :meth:`state` snapshot (bad entries are ignored)."""
-        alpha = state.get("alpha")
-        if isinstance(alpha, (int, float)) and 0.0 < alpha <= 1.0:
-            self.alpha = float(alpha)
-        per_label = state.get("per_label")
-        if isinstance(per_label, dict):
-            self._per_label = {
-                str(k): float(v)
-                for k, v in per_label.items()
-                if isinstance(v, (int, float)) and v > 0.0
-            }
-        rate = state.get("rate")
-        if isinstance(rate, (int, float)) and rate > 0.0:
-            self._rate = float(rate)
-        observations = state.get("observations")
-        if isinstance(observations, int) and observations >= 0:
-            self.observations = observations
-
-    def save_json(self, path) -> None:
-        """Write the model's state to ``path`` (parents created)."""
-        path = pathlib.Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.state(), indent=2, sort_keys=True))
-
-    def load_json(self, path) -> bool:
-        """Restore from ``path``; missing or corrupt files are a no-op
-        (returns whether anything was loaded).
-
-        A file saved under another :attr:`identity` is ignored with a
-        warning.  Files written before identities were recorded carry
-        none and still load.
-        """
-        path = pathlib.Path(path)
-        try:
-            state = json.loads(path.read_text())
-        except (OSError, ValueError):
-            return False
-        if not isinstance(state, dict):
-            return False
-        saved = state.get("identity")
-        if saved is not None and self.identity is not None and saved != self.identity:
-            logger.warning(
-                "ignoring cost cache %s: it measured %r, this run is %r",
-                path,
-                saved,
-                self.identity,
-            )
-            return False
-        self.restore(state)
-        return True
+    def seconds(self, work: float) -> float | None:
+        """Expected seconds for ``work``; ``None`` before any
+        observation, so an uncalibrated chunk gets no deadline."""
+        return None if self._rate is None else work * self._rate
 
 
 # -- the executor protocol --------------------------------------------------
@@ -345,8 +206,8 @@ class ExecutorCounters:
 
     Retries, hard-deadline timeouts, in-process fallbacks, late copies
     of accepted chunks and the seconds slept in retry backoff; plus,
-    from delivered results, chunks whose stacked sweep was re-run scalar
-    and OOM recovery-ladder steps.  Results stay bit-identical either
+    from delivered results, chunks whose fused sweep raised and re-ran
+    per candidate or scalar, and OOM recovery-ladder steps.  Results stay bit-identical either
     way; a climbing counter means wall time is going somewhere.
     """
 
@@ -355,7 +216,7 @@ class ExecutorCounters:
     sequential_fallbacks: int = 0
     duplicate_results: int = 0
     retry_backoff_s: float = 0.0
-    vectorized_fallbacks: int = 0
+    sweep_fallbacks: int = 0
     memory_degrades: int = 0
 
 
@@ -364,7 +225,8 @@ class Executor(Protocol):
 
     ``capacity`` is how many chunks the medium can work on at once (its
     local agents or live agents; it may change between polls).
-    ``cost_model`` carries measured chunk costs across searches;
+    ``cost_model`` carries the measured seconds per unit of work across
+    searches;
     ``counters`` holds the :class:`ExecutorCounters` fields the
     scheduler increments.  ``open`` and ``close`` are idempotent.
     """
@@ -457,16 +319,15 @@ class Scheduler:
         self.seed = seed
         self.executor = executor
         self.on_event = on_event
-        #: Static FLOPs per candidate: the packing order before the cost
-        #: model has measured anything, on the same scale afterwards.
+        #: Static FLOPs per candidate: a chunk's work for the cost model.
         self._flops = [
             spec.flops(frontier.convention) for spec in frontier.ranked
         ]
         # Memory governance shapes concurrency only, never results.
         self.budget = executor.memory_budget(settings)
         self._next_unqueued = frontier.next_commit
-        #: Chunks not yet submitted, as (first candidate, chunk).
-        self._waiting: list[tuple[int, JobChunk]] = []
+        #: Chunks not yet submitted, in rank order.
+        self._waiting: collections.deque[JobChunk] = collections.deque()
         #: Submitted chunks by a stable chunk id.  The id survives
         #: retries, so a late copy of an accepted chunk is recognized and
         #: dropped: a chunk's entries are accepted exactly once.
@@ -488,33 +349,16 @@ class Scheduler:
     def _members(self, chunk: JobChunk) -> list[tuple[int, int]]:
         """``(candidate, run count)`` for each candidate of a chunk,
         ascending (a packed chunk spans several)."""
-        counts = Counter(job.candidate_index for job in chunk.jobs)
+        counts = collections.Counter(job.candidate_index for job in chunk.jobs)
         return sorted(counts.items())
 
-    def _member_estimate(self, index: int, n_runs: int) -> float:
-        label = self.frontier.ranked[index].label
-        return self.executor.cost_model.estimate(
-            label, self._flops[index], n_runs
-        )
-
-    def _estimate(self, chunk: JobChunk) -> float:
+    def _work(self, chunk: JobChunk) -> int:
+        """FLOPs x runs over a chunk's candidates: what the cost model
+        prices."""
         return sum(
-            self._member_estimate(index, n_runs)
+            self._flops[index] * n_runs
             for index, n_runs in self._members(chunk)
         )
-
-    def chunk_seconds(self, chunk: JobChunk) -> float | None:
-        """Measured-seconds estimate for a chunk, ``None`` before any
-        member has one."""
-        total = 0.0
-        for index, n_runs in self._members(chunk):
-            seconds = self.executor.cost_model.seconds_estimate(
-                self.frontier.ranked[index].label, self._flops[index], n_runs
-            )
-            if seconds is None:
-                return None
-            total += seconds
-        return total
 
     def _bytes(self, chunk: JobChunk) -> int:
         """Predicted working-set bytes of a chunk, sized as one group
@@ -560,7 +404,8 @@ class Scheduler:
         return packs
 
     def top_up(self) -> None:
-        """Queue candidates within the lookahead; fill the window."""
+        """Queue candidates within the lookahead; fill the window with
+        the waiting chunks in rank order."""
         window = self._window()
         ranked = self.frontier.ranked
         limit = min(len(ranked), self.frontier.next_commit + window)
@@ -572,19 +417,8 @@ class Scheduler:
                 self.seed,
                 self.settings,
             )
-            self._waiting.append((pack[0], chunk))
+            self._waiting.append(chunk)
         while self._waiting and len(self._flights) < window:
-            # Priced when the slot frees, not when queued: the first
-            # measured chunk would otherwise leave stale FLOPs-priced
-            # entries competing on another scale.  Ties fall back to
-            # candidate order.
-            best = max(
-                range(len(self._waiting)),
-                key=lambda i: (
-                    self._estimate(self._waiting[i][1]),
-                    -self._waiting[i][0],
-                ),
-            )
             if self.budget is not None and self._flights:
                 # Admission control: never more predicted bytes in
                 # flight than the budget.  A lone chunk is admitted
@@ -593,10 +427,10 @@ class Scheduler:
                 in_flight = sum(
                     self._bytes(f.chunk) for f in self._flights.values()
                 )
-                admitted = in_flight + self._bytes(self._waiting[best][1])
+                admitted = in_flight + self._bytes(self._waiting[0])
                 if admitted > self.budget:
                     break
-            chunk = self._waiting.pop(best)[1]
+            chunk = self._waiting.popleft()
             cid = next(self._cids)
             self._flights[cid] = _Flight(chunk)
             self._submit(cid)
@@ -606,7 +440,7 @@ class Scheduler:
         flight = self._flights[cid]
         flight.submitted_at = time.monotonic()
         flight.warned = False
-        seconds = self.chunk_seconds(flight.chunk)
+        seconds = self.executor.cost_model.seconds(self._work(flight.chunk))
         if seconds is None:
             flight.soft_s = flight.hard_s = None
         else:
@@ -727,23 +561,15 @@ class Scheduler:
         del self._flights[cid]
         # A healthy completion ends the failure episode.
         self._backoff.reset()
-        counters.vectorized_fallbacks += result.vectorized_fallback
+        counters.sweep_fallbacks += result.sweep_fallback
         counters.memory_degrades += result.memory_degrades
-        members = self._members(flight.chunk)
-        # Measured cost refines later packing (and later searches on a
-        # persistent pool).  A failed chunk measures the failure, not
-        # the work.  A packed chunk is measured as a whole: each member
-        # takes the share it was priced at, so every label's EWMA stays
-        # per-run.
+        # Measured seconds calibrate later deadlines (and later searches
+        # on a persistent pool).  A failed chunk measures the failure,
+        # not the work.
         if not any(isinstance(e, RunError) for e in result.entries):
-            prices = [self._member_estimate(i, n) for i, n in members]
-            for (index, n_runs), price in zip(members, prices):
-                self.executor.cost_model.observe(
-                    self.frontier.ranked[index].label,
-                    self._flops[index],
-                    result.wall_time_s * _share(price, prices),
-                    n_runs,
-                )
+            self.executor.cost_model.observe(
+                self._work(flight.chunk), result.wall_time_s
+            )
         if result.memory_degrades:
             candidates = chunk_candidates(flight.chunk)
             self._emit_event(

@@ -205,27 +205,20 @@ class PersistentPool(Coordinator):
 
     Create one per protocol run (or CLI invocation), pass it to
     :func:`repro.core.grid_search.grid_search` via ``pool=``, and close
-    it when done (it is a context manager).  ``cost_cache`` and
-    ``cost_identity`` persist the measured-cost model (see
-    :class:`~repro.runtime.cluster_tcp.Coordinator`); ``fault_dir`` is
-    handed to every agent for the deterministic fault plans of
+    it when done (it is a context manager).  ``fault_dir`` is handed to
+    every agent for the deterministic fault plans of
     :mod:`repro.runtime.faults` (tests only).
     """
 
     def __init__(
         self,
         workers: int,
-        cost_cache: "str | os.PathLike | None" = None,
-        cost_identity: str | None = None,
         fault_dir: "str | os.PathLike | None" = None,
     ) -> None:
         if workers < 1:
             raise SearchError(f"pool needs workers >= 1, got {workers}")
         super().__init__(
-            TcpConfig("127.0.0.1:0"),
-            cost_cache=cost_cache,
-            cost_identity=cost_identity,
-            key=secrets.token_bytes(32),
+            TcpConfig("127.0.0.1:0"), key=secrets.token_bytes(32)
         )
         self.workers = workers
         self.fault_dir = fault_dir

@@ -369,7 +369,7 @@ class TestErrorAttribution:
         merged = make_chunk([(good, 0), (boom, 1)], 7, settings)
         result = execute_chunk(merged, easy_split, lambda: False)
         assert isinstance(result, ChunkResult)
-        assert result.vectorized_fallback
+        assert result.sweep_fallback
         assert len(result.entries) == 4
         by_candidate = {}
         for entry in result.entries:
@@ -391,7 +391,7 @@ class TestErrorAttribution:
         merged = make_chunk(list(zip(specs, range(2))), 7, settings)
         result = execute_chunk(merged, easy_split, lambda: False)
         assert isinstance(result, ChunkResult)
-        assert not result.vectorized_fallback
+        assert not result.sweep_fallback
         assert sorted(
             (e.candidate_index, e.run) for e in result.entries
         ) == [(0, 0), (0, 1), (1, 0), (1, 1)]
@@ -458,6 +458,15 @@ class TestSchedulerPacking:
         for chunk in executor.submitted.values():
             assert len(chunk.jobs) == 4  # two candidates x two runs
 
+    def test_submits_in_rank_order(self):
+        """The window fills cheapest candidates first, the order the
+        frontier commits them in."""
+        executor = _RecordingExecutor(capacity=2)
+        _scheduler(_sel_depth_space(), _settings(), executor).top_up()
+        assert [
+            chunk_candidates(c) for c in executor.submitted.values()
+        ] == [[0, 1], [2, 3]]
+
     @pytest.mark.parametrize("runs", [1, 3])
     def test_every_chunk_carries_whole_run_sets(self, runs):
         """Chunks are never cut inside a run set, whatever ``runs``:
@@ -468,9 +477,7 @@ class TestSchedulerPacking:
         executor = _RecordingExecutor(capacity=2)  # a window of four
         scheduler = _scheduler(ranked, _settings(runs=runs), executor)
         scheduler.top_up()
-        chunks = list(executor.submitted.values()) + [
-            chunk for _, chunk in scheduler._waiting
-        ]
+        chunks = list(executor.submitted.values()) + list(scheduler._waiting)
         queued = []
         for chunk in chunks:
             members = chunk_candidates(chunk)
@@ -520,9 +527,9 @@ class TestSchedulerPacking:
             executor = _RecordingExecutor(capacity=capacity)
             scheduler = _scheduler(ranked, _settings(), executor)
             scheduler.top_up()
-            chunks = list(executor.submitted.values()) + [
-                chunk for _, chunk in scheduler._waiting
-            ]
+            chunks = list(executor.submitted.values()) + list(
+                scheduler._waiting
+            )
             queued.append(
                 sorted(c for chunk in chunks for c in chunk_candidates(chunk))
             )
@@ -530,7 +537,7 @@ class TestSchedulerPacking:
         window = max(2 * capacity, capacity + 1)
         assert queued[0] == list(range(window))
 
-    def test_delivery_observes_each_member(self, easy_split):
+    def test_delivery_observes_the_chunks_work(self, easy_split):
         ranked = _sel_depth_space()
         events = []
         executor = _RecordingExecutor(capacity=2)
@@ -546,13 +553,12 @@ class TestSchedulerPacking:
         result = replace(result, memory_degrades=1)
         scheduler._accept(cid, result)
         model = executor.cost_model
-        labels = [ranked[0].label, ranked[1].label]
-        assert model.observations == 2
-        assert sorted(model.snapshot()) == sorted(labels)
-        # Per-run EWMAs: the members' shares add up to the chunk.
-        assert sum(
-            model.estimate(label, 0, settings.runs) for label in labels
-        ) == pytest.approx(result.wall_time_s)
+        assert model.observations == 1
+        # One rate per FLOP-run: the chunk's work prices back to its
+        # measured seconds.
+        conv = get_convention("paper")
+        work = sum(spec.flops(conv) * settings.runs for spec in ranked[:2])
+        assert model.seconds(work) == pytest.approx(result.wall_time_s)
         degrade = next(e for e in events if e.kind == "memory-degrade")
         assert degrade.candidates == (0, 1)
 
@@ -583,57 +589,16 @@ class TestResultCounters:
 
     def test_healthy_result_counts_nothing(self):
         counters, _ = self._accept()
-        assert counters.vectorized_fallbacks == 0
+        assert counters.sweep_fallbacks == 0
         assert counters.memory_degrades == 0
 
     def test_fallback_counter_still_counted(self):
-        counters, chunks = self._accept(vectorized_fallback=True)
-        assert counters.vectorized_fallbacks == chunks > 0
+        counters, chunks = self._accept(sweep_fallback=True)
+        assert counters.sweep_fallbacks == chunks > 0
 
     def test_memory_degrades_accumulate(self):
         counters, chunks = self._accept(memory_degrades=3)
         assert counters.memory_degrades == 3 * chunks
-
-
-class TestCostModelPersistence:
-    def test_round_trip(self, tmp_path):
-        model = ChunkCostModel(alpha=0.5)
-        model.observe("A", flops=10, wall_time_s=4.0, n_runs=2)
-        model.observe("B", flops=100, wall_time_s=1.0, n_runs=1)
-        path = tmp_path / "costs" / "chunk_costs.json"
-        model.save_json(path)
-
-        fresh = ChunkCostModel()
-        assert fresh.load_json(path)
-        assert fresh.snapshot() == model.snapshot()
-        assert fresh.observations == model.observations
-        assert fresh.alpha == model.alpha
-        assert fresh.estimate("A", 10) == model.estimate("A", 10)
-        # the global seconds-per-FLOP rate survives too (unseen labels)
-        assert fresh.estimate("Z", 1000) == model.estimate("Z", 1000)
-
-    def test_missing_or_corrupt_files_are_noops(self, tmp_path):
-        model = ChunkCostModel()
-        assert not model.load_json(tmp_path / "absent.json")
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        assert not model.load_json(bad)
-        bad.write_text('["a list"]')
-        assert not model.load_json(bad)
-        assert model.snapshot() == {}
-
-    def test_restore_ignores_garbage_entries(self):
-        model = ChunkCostModel()
-        model.restore(
-            {
-                "per_label": {"A": 1.5, "B": "nan?", "C": -1.0},
-                "rate": "fast",
-                "observations": -3,
-            }
-        )
-        assert model.snapshot() == {"A": 1.5}
-        assert model.observations == 0
-        assert model.estimate("unseen", 100) == 100.0
 
 
 class TestHeadVariedSpecs:

@@ -45,7 +45,6 @@ from repro.runtime.memory import (
 )
 from repro.runtime import memory as memory_mod
 from repro.runtime import parallel as parallel_mod
-from repro.runtime.parallel import ChunkCostModel
 from scalar_oracle import scalar_search
 
 pytestmark = pytest.mark.timeout(120)
@@ -643,33 +642,6 @@ class TestPooledDifferential:
         _assert_same_outcome(
             faulted, scalar_search(**kwargs, settings=settings)
         )
-
-
-class TestCostModelBytes:
-    def test_v1_state_still_restores(self):
-        model = ChunkCostModel()
-        model.restore(
-            {"alpha": 0.3, "per_label": {"a": 1.5}, "rate": 1e-9,
-             "observations": 3}
-        )
-        assert model.estimate("a", 10, 1) == pytest.approx(1.5)
-
-    def test_schema2_bytes_field_still_restores_seconds(self, tmp_path):
-        """A schema-2 ``--cost-cache`` file also carries a measured
-        bytes-per-label map; loading ignores it and keeps the seconds."""
-        import json
-
-        path = tmp_path / "costs.json"
-        path.write_text(json.dumps({
-            "schema": 2, "alpha": 0.3, "per_label": {"a": 1.5},
-            "rate": 1e-9, "bytes_per_label": {"a": 500.0},
-            "observations": 3,
-        }))
-        model = ChunkCostModel()
-        assert model.load_json(path)
-        assert model.estimate("a", 10, 2) == pytest.approx(3.0)
-        assert model.estimate("b", 10, 1) == pytest.approx(1e-8)
-        assert "bytes_per_label" not in model.state()
 
 
 class TestConfigPlumbing:

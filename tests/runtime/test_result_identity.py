@@ -2,8 +2,8 @@
 
 Each field of :class:`TrainingSettings` and :class:`ProtocolConfig`
 is tagged ``affects_results`` (see :mod:`repro.core.identity`), and
-the journal key, the result-cache filename and the default cost-cache
-name are derived from those tags.  These tests pin both directions:
+the journal key and the result-cache filename are derived from those
+tags.  These tests pin both directions:
 
 * every field carries a tag, so a new one cannot slip in unclassified;
 * every field tagged as *not* affecting results is toggled in one

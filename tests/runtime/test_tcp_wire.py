@@ -5,13 +5,14 @@ this file pins the pieces underneath, one at a time: the ``RSPL``
 frame (layout, round trip and every validation failure), message
 decoding, address parsing and owner ids, the coordinator's handling of
 raw client connections (grant order, leases, delivery, protocol
-violations, shutdown and its cost cache), and an agent's reaction to a
-coordinator that speaks garbage.  Every socket is loopback.
+violations and shutdown), and an agent's reaction to a coordinator that
+speaks garbage or a socket closed under its reader.  Every socket is loopback.
 """
 
 import hmac
 import os
 import pickle
+import queue
 import random
 import re
 import socket
@@ -48,7 +49,6 @@ from repro.runtime.cluster_tcp import (
 )
 from repro.runtime.parallel import Delivered, Lost, Notice, Starved
 from repro.runtime.jobs import ChunkResult, JobChunk
-from repro.runtime.parallel import ChunkCostModel
 
 # A wire regression's failure mode is a hang; bound every test.
 pytestmark = pytest.mark.timeout(60)
@@ -79,7 +79,7 @@ def _send_async(sock, data, pause_after=None, pause_s=0.0):
 
 
 class TestFrameFormat:
-    def test_header_layout_is_rspl_version_4(self):
+    def test_header_layout_is_rspl_version_5(self):
         """The wire format, byte for byte: magic, u32 version, u64
         payload length, HMAC-SHA-256 of the payload under the
         coordinator's key (empty here), then the payload."""
@@ -88,7 +88,7 @@ class TestFrameFormat:
         assert _HEADER.size == 48
         assert frame == (
             b"RSPL"
-            + (4).to_bytes(4, "little")
+            + (5).to_bytes(4, "little")
             + (3).to_bytes(8, "little")
             + hmac.digest(b"", payload, "sha256")
             + payload
@@ -587,17 +587,15 @@ class TestCoordinatorProtocol:
 
 
 class TestCoordinatorLifecycle:
-    def test_close_is_idempotent(self, tiny_split, tmp_path):
+    def test_close_is_idempotent(self, tiny_split):
         """Closing a coordinator that never listened, or twice, is a
         no-op: callers close unconditionally on every exit path."""
-        cache = tmp_path / "costs.json"
-        Coordinator("127.0.0.1:0", cost_cache=cache).close()
-        executor = TcpExecutor(Coordinator("127.0.0.1:0", cost_cache=cache))
+        Coordinator("127.0.0.1:0").close()
+        executor = TcpExecutor(Coordinator("127.0.0.1:0"))
         executor.open(tiny_split)
         executor.coordinator.close()
         executor.coordinator.close()
-        # Nothing observed, nothing persisted.
-        assert not cache.exists()
+        assert executor.coordinator.closed
 
     def test_closed_coordinator_refuses_to_listen(self):
         coordinator = Coordinator("127.0.0.1:0")
@@ -621,42 +619,6 @@ class TestCoordinatorLifecycle:
         client.close()
         assert time.monotonic() - t0 < 2.0
         assert not executor.coordinator._accept_thread.is_alive()
-
-    def test_cost_cache_round_trips(self, tiny_split, tmp_path):
-        cache = tmp_path / "nested" / "costs.json"
-        coordinator = Coordinator("127.0.0.1:0", cost_cache=cache)
-        coordinator.cost_model.observe("Dense(4)", 100, 0.5, 1)
-        coordinator.close()
-        warm = Coordinator("127.0.0.1:0", cost_cache=cache)
-        assert warm.cost_model.observations == 1
-        assert warm.stats()["cost_observations"] == 1
-
-    def test_cost_cache_of_another_identity_is_ignored(self, tmp_path):
-        cache = tmp_path / "costs.json"
-        smoke = Coordinator("127.0.0.1:0", cost_cache=cache, cost_identity="smoke")
-        smoke.cost_model.observe("Dense(4)", 100, 0.5, 1)
-        smoke.close()
-        reduced = Coordinator(
-            "127.0.0.1:0", cost_cache=cache, cost_identity="reduced"
-        )
-        assert reduced.cost_model.observations == 0
-        again = Coordinator("127.0.0.1:0", cost_cache=cache, cost_identity="smoke")
-        assert again.cost_model.observations == 1
-
-    def test_corrupt_cost_cache_is_ignored(self, tmp_path):
-        cache = tmp_path / "costs.json"
-        cache.write_text("{not json")
-        coordinator = Coordinator("127.0.0.1:0", cost_cache=cache)
-        assert coordinator.cost_model.observations == 0
-
-    def test_unwritable_cost_cache_does_not_fail_close(self, tmp_path):
-        blocker = tmp_path / "blocker"
-        blocker.write_text("")
-        cache = blocker / "costs.json"
-        coordinator = Coordinator("127.0.0.1:0", cost_cache=cache)
-        coordinator.cost_model.observe("Dense(4)", 100, 0.5, 1)
-        coordinator.close()
-        assert not ChunkCostModel().load_json(cache)
 
     def test_unproven_peer_cannot_declare_a_large_frame(self, coordinator):
         """Before its hello verifies, a connection may declare only a
@@ -763,3 +725,17 @@ class TestAgentFacingBadCoordinator:
         )
         assert time.monotonic() - t0 < 10.0
         assert (stats.chunks_done, stats.reconnects) == (0, 0)
+
+    def test_reader_on_closed_socket_hangs_up(self, pair):
+        """The serve loop may close the socket under its reader thread:
+        the reader then ends the connection like a hang-up instead of
+        dying with ``OSError``."""
+        sock, _ = pair
+        sock.close()
+        replies = queue.SimpleQueue()
+        conn_dead = threading.Event()
+        cluster_tcp._read_frames(
+            sock, 1.0, replies, set(), conn_dead, threading.Event(), b""
+        )
+        assert conn_dead.is_set()
+        assert isinstance(replies.get_nowait(), ConnectionDead)

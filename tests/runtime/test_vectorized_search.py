@@ -12,7 +12,6 @@ import pytest
 from repro.core.grid_search import TrainingSettings, grid_search
 from repro.core.search_space import classical_search_space, hybrid_search_space
 from repro.data import make_spiral, stratified_split
-from repro.exceptions import SearchError
 from repro.nn.training import History
 from repro.runtime import ChunkCostModel, PersistentPool, execute_runs
 from repro.runtime.jobs import (
@@ -191,7 +190,7 @@ class TestChunkPacking:
         chunk = make_chunk([(spec, 0)], 1, settings)
         result = execute_chunk(chunk, easy_split, lambda: False)
         assert isinstance(result, ChunkResult)
-        assert result.vectorized_fallback
+        assert result.sweep_fallback
         assert len(result.entries) == 2
         ref = execute_job(
             TrainingJob(spec, 1, 0, 0), easy_split, settings
@@ -225,30 +224,24 @@ class TestChunkPacking:
 
 
 class TestChunkCostModel:
-    def test_unobserved_falls_back_to_flops(self):
-        model = ChunkCostModel()
-        assert model.estimate("A", 100, 2) == 200.0
-        assert model.estimate("B", 50) == 50.0
+    """One EWMA of seconds per FLOP-run, read by the chunk deadlines."""
 
-    def test_observation_overrides_flops_rank(self):
-        model = ChunkCostModel(alpha=0.5)
-        # label A is *cheap* by FLOPs but measured slow
-        model.observe("A", flops=10, wall_time_s=4.0, n_runs=2)
-        assert model.estimate("A", 10) == pytest.approx(2.0)
-        # unseen label B estimated via the global seconds-per-FLOP rate
-        assert model.estimate("B", 100) == pytest.approx(20.0)
-        # EWMA moves with new evidence
-        model.observe("A", flops=10, wall_time_s=2.0, n_runs=2)
-        assert model.estimate("A", 10) == pytest.approx(1.5)
+    def test_uncalibrated_model_has_no_seconds(self):
+        assert ChunkCostModel().seconds(100) is None
+
+    def test_rate_scales_with_work_and_follows_evidence(self):
+        model = ChunkCostModel()
+        model.observe(10, 4.0)
+        assert model.seconds(10) == pytest.approx(4.0)
+        assert model.seconds(5) == pytest.approx(2.0)
+        # EWMA: 0.4 s per unit moves 30 % of the way to 0.2.
+        model.observe(10, 2.0)
+        assert model.seconds(10) == pytest.approx(3.4)
         assert model.observations == 2
 
     def test_ignores_degenerate_observations(self):
         model = ChunkCostModel()
-        model.observe("A", 10, 0.0, 1)
-        model.observe("A", 10, 1.0, 0)
+        model.observe(10, 0.0)
+        model.observe(0, 1.0)
         assert model.observations == 0
-        assert model.snapshot() == {}
-
-    def test_bad_alpha_rejected(self):
-        with pytest.raises(SearchError):
-            ChunkCostModel(alpha=0.0)
+        assert model.seconds(10) is None
