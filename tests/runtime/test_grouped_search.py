@@ -2,8 +2,9 @@
 
 Bit-identical ``SearchOutcome`` with fused candidate groups, with
 one-candidate groups (``MAX_GROUP_CANDIDATES`` patched to 1) and from
-the scalar oracle, sequential and pooled; multi-candidate chunks
-priced and observed per candidate; stacked-path failures re-attributed
+the scalar oracle, sequential and pooled; chunks submitted in rank
+order within the memory budget, measured as one unit of work, and given
+deadlines from that rate; stacked-path failures re-attributed
 through the per-candidate fallback with the correct candidate
 coordinates; chunk results counted into the executor's counters.
 """
@@ -423,6 +424,17 @@ class _RecordingExecutor:
         self.submitted[cid] = chunk
 
 
+class _BudgetedExecutor(_RecordingExecutor):
+    """A recording executor with a fixed memory budget."""
+
+    def __init__(self, capacity, budget):
+        super().__init__(capacity)
+        self.budget = budget
+
+    def memory_budget(self, settings):
+        return self.budget
+
+
 def _sel_depth_space():
     """SEL(3,1)-SEL(3,4): one group key, ranked by FLOPs."""
     return rank_by_flops(
@@ -466,6 +478,53 @@ class TestSchedulerPacking:
         assert [
             chunk_candidates(c) for c in executor.submitted.values()
         ] == [[0, 1], [2, 3]]
+
+    def test_commits_advance_the_window_in_rank_order(self):
+        """Once the head chunk commits, the window moves on to the next
+        candidates in rank order, behind the chunk still in flight."""
+        ranked = rank_by_flops(
+            hybrid_search_space(
+                4, "sel", qubit_options=(3,), depth_options=range(1, 7)
+            ),
+            get_convention("paper"),
+        )
+        executor = _RecordingExecutor(capacity=2)
+        scheduler = _scheduler(ranked, _settings(), executor)
+        scheduler.top_up()
+        head = next(iter(executor.submitted))
+        _accept_untrained(scheduler, head, executor.submitted[head])
+        scheduler.frontier.commit()
+        assert scheduler.frontier.next_commit == 2
+        scheduler.top_up()
+        assert [
+            chunk_candidates(c) for c in executor.submitted.values()
+        ] == [[0, 1], [2, 3], [4, 5]]
+
+    def test_budget_holds_back_the_next_chunk(self):
+        """Admission keeps the predicted bytes in flight within the
+        budget; a held-back chunk is not overtaken by a later one."""
+        from repro.runtime.memory import estimate_group_bytes
+
+        ranked = _sel_depth_space()
+        settings = _settings()
+        first, second = (
+            estimate_group_bytes(ranked[i : i + 2], settings.batch_size, 2)
+            for i in (0, 2)
+        )
+        executor = _BudgetedExecutor(capacity=2, budget=first + second - 1)
+        scheduler = _scheduler(ranked, settings, executor)
+        scheduler.top_up()
+        assert _packs(executor) == [[0, 1]]
+        assert [chunk_candidates(c) for c in scheduler._waiting] == [[2, 3]]
+
+    def test_lone_chunk_is_admitted_over_budget(self):
+        """With nothing in flight the head chunk goes out whatever its
+        size, or one over-budget candidate would stall the search."""
+        executor = _BudgetedExecutor(capacity=2, budget=1)
+        scheduler = _scheduler(_sel_depth_space(), _settings(), executor)
+        scheduler.top_up()
+        assert _packs(executor) == [[0, 1]]
+        assert [chunk_candidates(c) for c in scheduler._waiting] == [[2, 3]]
 
     @pytest.mark.parametrize("runs", [1, 3])
     def test_every_chunk_carries_whole_run_sets(self, runs):
@@ -561,6 +620,88 @@ class TestSchedulerPacking:
         assert model.seconds(work) == pytest.approx(result.wall_time_s)
         degrade = next(e for e in events if e.kind == "memory-degrade")
         assert degrade.candidates == (0, 1)
+
+
+def _accept_untrained(scheduler, cid, chunk, wall_time_s=0.1, error=None):
+    """Deliver chunk ``cid`` as if trained: every run fails the
+    unreachable threshold, or raises ``error``."""
+    entries = tuple(
+        RunResult(job.candidate_index, job.run, 0.5, 0.5, 1, 0.1)
+        if error is None
+        else RunError(job.candidate_index, job.run, error)
+        for job in chunk.jobs
+    )
+    scheduler._accept(
+        cid,
+        ChunkResult(
+            cancelled=False, entries=entries, wall_time_s=wall_time_s
+        ),
+    )
+
+
+class TestChunkDeadlines:
+    """Only the deadlines read the cost model: no deadline before a
+    chunk was measured, then a multiple of the predicted seconds."""
+
+    def test_uncalibrated_chunks_have_no_deadline(self):
+        executor = _RecordingExecutor(capacity=2)
+        scheduler = _scheduler(_sel_depth_space(), _settings(), executor)
+        scheduler.top_up()
+        assert scheduler._flights
+        for flight in scheduler._flights.values():
+            assert flight.soft_s is None and flight.hard_s is None
+
+    @pytest.mark.parametrize("rate", [1e-12, 1.0], ids=["floored", "scaled"])
+    def test_calibrated_deadlines(self, rate):
+        from repro.runtime.parallel import (
+            _CHUNK_DEADLINE_FACTOR,
+            _CHUNK_DEADLINE_FLOOR_S,
+            _HARD_DEADLINE_FACTOR,
+        )
+
+        executor = _RecordingExecutor(capacity=2)
+        executor.cost_model.observe(1, rate)
+        scheduler = _scheduler(_sel_depth_space(), _settings(), executor)
+        scheduler.top_up()
+        for flight in scheduler._flights.values():
+            expected = rate * scheduler._work(flight.chunk)
+            soft = max(
+                _CHUNK_DEADLINE_FACTOR * expected, _CHUNK_DEADLINE_FLOOR_S
+            )
+            hard = _HARD_DEADLINE_FACTOR * soft
+            assert flight.soft_s == pytest.approx(soft)
+            assert flight.hard_s == pytest.approx(hard)
+        floored = [
+            f.soft_s == _CHUNK_DEADLINE_FLOOR_S
+            for f in scheduler._flights.values()
+        ]
+        assert all(floored) if rate < 1e-6 else not any(floored)
+
+    def test_failed_chunk_is_not_measured(self):
+        """A chunk whose runs raised measured the failure, not the
+        work: it leaves the rate alone."""
+        executor = _RecordingExecutor(capacity=2)
+        scheduler = _scheduler(_sel_depth_space(), _settings(), executor)
+        scheduler.top_up()
+        cid, chunk = next(iter(executor.submitted.items()))
+        _accept_untrained(scheduler, cid, chunk, error=RuntimeError("boom"))
+        assert executor.cost_model.observations == 0
+        assert executor.cost_model.seconds(1) is None
+
+    def test_next_search_starts_calibrated(self):
+        """The rate lives on the executor: a later search on the same
+        executor gives its first chunks deadlines at once."""
+        executor = _RecordingExecutor(capacity=2)
+        first = _scheduler(_sel_depth_space(), _settings(), executor)
+        first.top_up()
+        cid, chunk = next(iter(executor.submitted.items()))
+        _accept_untrained(first, cid, chunk, wall_time_s=2.0)
+        assert executor.cost_model.observations == 1
+        second = _scheduler(_sel_depth_space(), _settings(), executor)
+        second.top_up()
+        assert second._flights
+        for flight in second._flights.values():
+            assert flight.soft_s is not None and flight.hard_s is not None
 
 
 class TestResultCounters:

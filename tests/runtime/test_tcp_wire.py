@@ -48,7 +48,7 @@ from repro.runtime.cluster_tcp import (
     run_tcp_agent,
 )
 from repro.runtime.parallel import Delivered, Lost, Notice, Starved
-from repro.runtime.jobs import ChunkResult, JobChunk
+from repro.runtime.jobs import ChunkResult, JobChunk, RunResult
 
 # A wire regression's failure mode is a hang; bound every test.
 pytestmark = pytest.mark.timeout(60)
@@ -113,6 +113,20 @@ class TestFrameFormat:
         _send_msg(a, msg, 5.0, threading.Lock())
         assert _recv_msg(b, 5.0) == msg
 
+    def test_chunk_result_round_trips_with_its_counters(self, pair):
+        """A result message carries the chunk's sweep-fallback flag and
+        degradation count to the coordinator unchanged."""
+        a, b = pair
+        result = ChunkResult(
+            cancelled=False,
+            entries=(RunResult(0, 1, 0.5, 0.25, 3, 0.1),),
+            wall_time_s=1.5,
+            sweep_fallback=True,
+            memory_degrades=2,
+        )
+        _send_msg(a, ("result", (9, result)), 5.0, threading.Lock())
+        assert _recv_msg(b, 5.0) == ("result", (9, result))
+
     def test_keyed_frame_verifies_only_under_its_key(self, pair):
         a, b = pair
         _send_frame(a, b"keyed", 5.0, threading.Lock(), b"k" * 32)
@@ -154,6 +168,23 @@ class TestFrameValidation:
         a, b = pair
         a.sendall(_corrupt(kind))
         with pytest.raises(TornFrameError):
+            _recv_frame(b, frame_timeout_s=5.0)
+
+    def test_previous_wire_version_is_torn(self, pair):
+        """A peer one wire version behind is refused before its payload
+        is unpickled: its ``ChunkResult`` fields are not this one's."""
+        a, b = pair
+        payload = pickle.dumps(("beat", {"agent": "x"}))
+        a.sendall(
+            _HEADER.pack(
+                _MAGIC,
+                _FRAME_VERSION - 1,
+                len(payload),
+                hmac.digest(b"", payload, "sha256"),
+            )
+            + payload
+        )
+        with pytest.raises(TornFrameError, match="version"):
             _recv_frame(b, frame_timeout_s=5.0)
 
     def test_truncated_frame_is_a_dead_connection(self, pair):
@@ -739,3 +770,53 @@ class TestAgentFacingBadCoordinator:
         )
         assert conn_dead.is_set()
         assert isinstance(replies.get_nowait(), ConnectionDead)
+
+    def _read(self, sock):
+        replies = queue.SimpleQueue()
+        cancelled = set()
+        conn_dead = threading.Event()
+        cluster_tcp._read_frames(
+            sock, 5.0, replies, cancelled, conn_dead, threading.Event(), b""
+        )
+        got = []
+        while not replies.empty():
+            got.append(replies.get_nowait())
+        return got, cancelled, conn_dead
+
+    def test_reader_routes_cancels_and_replies(self, pair):
+        """``cancel`` frames mark their chunk and are not replies; every
+        other frame is queued for the serve loop in arrival order, and
+        the coordinator's hang-up ends the connection."""
+        a, b = pair
+        welcome = ("welcome", {"token": "t"})
+        for msg in (welcome, ("cancel", 4), ("ack", None)):
+            _send_msg(a, msg, 5.0, threading.Lock())
+        a.shutdown(socket.SHUT_WR)
+        got, cancelled, conn_dead = self._read(b)
+        assert got[:2] == [welcome, ("ack", None)]
+        assert isinstance(got[2], ConnectionDead) and len(got) == 3
+        assert cancelled == {4}
+        assert conn_dead.is_set()
+
+    def test_reader_joins_a_split_to_its_grant(self, pair):
+        """A grant flagged ``has_split`` is followed by the raw split
+        frame; the reader hands both to the serve loop as one reply."""
+        a, b = pair
+        chunk = _chunk(1)
+        lock = threading.Lock()
+        _send_msg(a, ("chunk", (3, chunk, True)), 5.0, lock, then=b"split")
+        _send_msg(a, ("chunk", (5, chunk, False)), 5.0, lock)
+        a.shutdown(socket.SHUT_WR)
+        got, _, _ = self._read(b)
+        grants = [(kind, wire, split) for kind, (wire, _, split) in got[:2]]
+        assert grants == [("chunk", 3, b"split"), ("chunk", 5, None)]
+        assert isinstance(got[2], ConnectionDead)
+
+    def test_reader_on_torn_frame_hangs_up(self, pair):
+        """A frame that fails validation ends the connection with the
+        validation error, like a hang-up."""
+        a, b = pair
+        a.sendall(_corrupt("checksum"))
+        got, _, conn_dead = self._read(b)
+        assert len(got) == 1 and isinstance(got[0], TornFrameError)
+        assert conn_dead.is_set()

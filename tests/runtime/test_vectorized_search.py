@@ -121,7 +121,7 @@ class TestSearchDifferential:
         )
         with PersistentPool(2) as pool:
             pooled = grid_search(**kwargs, settings=self.settings, pool=pool)
-            # run-stacked chunks fed measured costs back into the packer
+            # delivered chunks calibrated the pool's deadline rate
             assert pool.cost_model.observations > 0
         _assert_same_outcome(
             pooled, scalar_search(**kwargs, settings=self.settings)
@@ -245,3 +245,11 @@ class TestChunkCostModel:
         model.observe(0, 1.0)
         assert model.observations == 0
         assert model.seconds(10) is None
+
+    def test_degenerate_observations_keep_a_calibrated_rate(self):
+        model = ChunkCostModel()
+        model.observe(10, 4.0)
+        for work, seconds in ((10, 0.0), (0, 1.0), (-5, 1.0), (10, -2.0)):
+            model.observe(work, seconds)
+        assert model.observations == 1
+        assert model.seconds(10) == pytest.approx(4.0)
