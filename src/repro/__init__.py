@@ -38,59 +38,43 @@ Quickstart::
                           split.x_val, split.y_val, epochs=30)
     print(history.max_val_accuracy)
     print(profile_model(model).summary())
+
+Subpackages and the names re-exported here load on first use (see
+:mod:`repro._lazy`), so ``import repro`` imports no subpackage; a new
+public name goes in the table below.
 """
 
-from . import (
-    config,
-    core,
-    data,
-    experiments,
-    flops,
-    hybrid,
-    nn,
-    paperdata,
-    quantum,
-    runtime,
-)
-from .core import (
-    ClassicalSpec,
-    HybridSpec,
-    ProtocolConfig,
-    comparative_analysis,
-    grid_search,
-    run_protocol,
-)
-from .data import make_spiral, stratified_split
-from .flops import profile_model
-from .hybrid import QuantumLayer, build_classical_model, build_hybrid_model
-from .nn import Sequential, train_model
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "config",
-    "core",
-    "data",
-    "experiments",
-    "flops",
-    "hybrid",
-    "nn",
-    "paperdata",
-    "quantum",
-    "runtime",
-    "make_spiral",
-    "stratified_split",
-    "build_classical_model",
-    "build_hybrid_model",
-    "QuantumLayer",
-    "Sequential",
-    "train_model",
-    "profile_model",
-    "grid_search",
-    "run_protocol",
-    "comparative_analysis",
-    "ProtocolConfig",
-    "ClassicalSpec",
-    "HybridSpec",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "core": (
+            "grid_search",
+            "run_protocol",
+            "comparative_analysis",
+            "ProtocolConfig",
+            "ClassicalSpec",
+            "HybridSpec",
+        ),
+        "data": ("make_spiral", "stratified_split"),
+        "flops": ("profile_model",),
+        "hybrid": ("build_classical_model", "build_hybrid_model", "QuantumLayer"),
+        "nn": ("Sequential", "train_model"),
+    },
+    submodules=(
+        "config",
+        "core",
+        "data",
+        "experiments",
+        "flops",
+        "hybrid",
+        "nn",
+        "paperdata",
+        "quantum",
+        "runtime",
+    ),
+)
+__all__.append("__version__")

@@ -37,7 +37,13 @@ from .search_space import search_space_for_family
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.pool import PersistentPool
 
-__all__ = ["ProtocolConfig", "LevelResult", "ProtocolResult", "run_protocol"]
+__all__ = [
+    "ProtocolConfig",
+    "LevelResult",
+    "ProtocolResult",
+    "run_protocol",
+    "make_level_split",
+]
 
 
 @dataclass(frozen=True)

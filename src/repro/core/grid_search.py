@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from ..flops.conventions import CountingConvention, get_convention
 from ..runtime.frontier import SearchFrontier
 from ..runtime.jobs import RunResult
 from .identity import check_backend, legacy_backend, setting
-from .search_space import ModelSpec
+from .search_space import ModelSpec, spec_from_dict, spec_to_dict
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.pool import PersistentPool
@@ -40,6 +40,8 @@ __all__ = [
     "TrainingSettings",
     "CandidateResult",
     "SearchOutcome",
+    "candidate_to_dict",
+    "candidate_from_dict",
     "rank_by_flops",
     "aggregate_runs",
     "grid_search",
@@ -168,6 +170,30 @@ class SearchOutcome:
     @property
     def candidates_trained(self) -> int:
         return len(self.evaluated)
+
+
+def candidate_to_dict(candidate: CandidateResult) -> dict[str, Any]:
+    return {
+        "spec": spec_to_dict(candidate.spec),
+        "flops": candidate.flops,
+        "params": candidate.params,
+        "train_accuracies": list(candidate.train_accuracies),
+        "val_accuracies": list(candidate.val_accuracies),
+        "epochs_run": list(candidate.epochs_run),
+        "wall_time_s": candidate.wall_time_s,
+    }
+
+
+def candidate_from_dict(data: dict[str, Any]) -> CandidateResult:
+    return CandidateResult(
+        spec=spec_from_dict(data["spec"]),
+        flops=int(data["flops"]),
+        params=int(data["params"]),
+        train_accuracies=[float(a) for a in data["train_accuracies"]],
+        val_accuracies=[float(a) for a in data["val_accuracies"]],
+        epochs_run=[int(e) for e in data["epochs_run"]],
+        wall_time_s=float(data["wall_time_s"]),
+    )
 
 
 def rank_by_flops(

@@ -2,7 +2,10 @@
 
 Protocol runs are expensive, so every result object can round-trip
 through JSON: run once, analyze many times.  The on-disk schema is
-versioned; loaders refuse newer majors.
+versioned; loaders refuse newer majors.  Specs and candidates
+serialize beside their types (:mod:`~repro.core.search_space`,
+:mod:`~repro.core.grid_search`), where the search journal reads them
+without importing this module; they are re-exported here.
 """
 
 from __future__ import annotations
@@ -15,8 +18,8 @@ from typing import Any
 from ..exceptions import ExperimentError
 from ..quantum.engine import ARITHMETIC_VERSION
 from .experiment import LevelResult, ProtocolConfig, ProtocolResult
-from .grid_search import CandidateResult, SearchOutcome
-from .search_space import ClassicalSpec, HybridSpec, ModelSpec
+from .grid_search import SearchOutcome, candidate_from_dict, candidate_to_dict
+from .search_space import spec_from_dict, spec_to_dict
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -33,73 +36,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = "1.0"
-
-
-def spec_to_dict(spec: ModelSpec) -> dict[str, Any]:
-    if isinstance(spec, ClassicalSpec):
-        return {
-            "type": "classical",
-            "n_features": spec.n_features,
-            "n_classes": spec.n_classes,
-            "hidden": list(spec.hidden),
-        }
-    if isinstance(spec, HybridSpec):
-        return {
-            "type": "hybrid",
-            "n_features": spec.n_features,
-            "n_classes": spec.n_classes,
-            "n_qubits": spec.n_qubits,
-            "n_layers": spec.n_layers,
-            "ansatz": spec.ansatz,
-            "hidden": list(spec.hidden),
-        }
-    raise ExperimentError(f"cannot serialize spec type {type(spec).__name__}")
-
-
-def spec_from_dict(data: dict[str, Any]) -> ModelSpec:
-    kind = data.get("type")
-    if kind == "classical":
-        return ClassicalSpec(
-            n_features=int(data["n_features"]),
-            n_classes=int(data["n_classes"]),
-            hidden=tuple(int(h) for h in data["hidden"]),
-        )
-    if kind == "hybrid":
-        return HybridSpec(
-            n_features=int(data["n_features"]),
-            n_classes=int(data["n_classes"]),
-            n_qubits=int(data["n_qubits"]),
-            n_layers=int(data["n_layers"]),
-            ansatz=str(data["ansatz"]),
-            # Pre-head snapshots have no "hidden" field (the paper's
-            # architecture): absent means the empty head.
-            hidden=tuple(int(h) for h in data.get("hidden", ())),
-        )
-    raise ExperimentError(f"unknown spec type {kind!r}")
-
-
-def candidate_to_dict(candidate: CandidateResult) -> dict[str, Any]:
-    return {
-        "spec": spec_to_dict(candidate.spec),
-        "flops": candidate.flops,
-        "params": candidate.params,
-        "train_accuracies": list(candidate.train_accuracies),
-        "val_accuracies": list(candidate.val_accuracies),
-        "epochs_run": list(candidate.epochs_run),
-        "wall_time_s": candidate.wall_time_s,
-    }
-
-
-def candidate_from_dict(data: dict[str, Any]) -> CandidateResult:
-    return CandidateResult(
-        spec=spec_from_dict(data["spec"]),
-        flops=int(data["flops"]),
-        params=int(data["params"]),
-        train_accuracies=[float(a) for a in data["train_accuracies"]],
-        val_accuracies=[float(a) for a in data["val_accuracies"]],
-        epochs_run=[int(e) for e in data["epochs_run"]],
-        wall_time_s=float(data["wall_time_s"]),
-    )
 
 
 def outcome_to_dict(outcome: SearchOutcome) -> dict[str, Any]:

@@ -9,19 +9,20 @@ and class count (only the quantum block is searched).
 
 Specs are lightweight, hashable descriptions that know how to report
 their parameter count and FLOPs (without being built) and how to build
-the actual trainable model.
+the actual trainable model; :func:`spec_to_dict` and
+:func:`spec_from_dict` round-trip them through JSON.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
 from .. import config
-from ..exceptions import ConfigurationError
+from ..exceptions import ConfigurationError, ExperimentError
 from ..flops.conventions import CountingConvention
 from ..flops.formulas import (
     classical_model_flops,
@@ -40,6 +41,8 @@ __all__ = [
     "classical_search_space",
     "hybrid_search_space",
     "search_space_for_family",
+    "spec_to_dict",
+    "spec_from_dict",
     "FAMILIES",
 ]
 
@@ -185,6 +188,49 @@ class HybridSpec(ModelSpec):
 
     def group_key(self) -> tuple | None:
         return (self.ansatz, self.n_features, self.n_classes)
+
+
+def spec_to_dict(spec: ModelSpec) -> dict[str, Any]:
+    if isinstance(spec, ClassicalSpec):
+        return {
+            "type": "classical",
+            "n_features": spec.n_features,
+            "n_classes": spec.n_classes,
+            "hidden": list(spec.hidden),
+        }
+    if isinstance(spec, HybridSpec):
+        return {
+            "type": "hybrid",
+            "n_features": spec.n_features,
+            "n_classes": spec.n_classes,
+            "n_qubits": spec.n_qubits,
+            "n_layers": spec.n_layers,
+            "ansatz": spec.ansatz,
+            "hidden": list(spec.hidden),
+        }
+    raise ExperimentError(f"cannot serialize spec type {type(spec).__name__}")
+
+
+def spec_from_dict(data: dict[str, Any]) -> ModelSpec:
+    kind = data.get("type")
+    if kind == "classical":
+        return ClassicalSpec(
+            n_features=int(data["n_features"]),
+            n_classes=int(data["n_classes"]),
+            hidden=tuple(int(h) for h in data["hidden"]),
+        )
+    if kind == "hybrid":
+        return HybridSpec(
+            n_features=int(data["n_features"]),
+            n_classes=int(data["n_classes"]),
+            n_qubits=int(data["n_qubits"]),
+            n_layers=int(data["n_layers"]),
+            ansatz=str(data["ansatz"]),
+            # Pre-head snapshots have no "hidden" field (the paper's
+            # architecture): absent means the empty head.
+            hidden=tuple(int(h) for h in data.get("hidden", ())),
+        )
+    raise ExperimentError(f"unknown spec type {kind!r}")
 
 
 def combination_count(n_options: int, max_layers: int) -> int:

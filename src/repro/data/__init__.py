@@ -1,16 +1,16 @@
-"""Synthetic dataset generation (the paper's section III-A)."""
+"""Synthetic dataset generation (the paper's section III-A).
 
-from .complexity_probe import ProbeResult, probe_complexity
-from .spiral import DERIVED_FEATURE_KINDS, SpiralDataset, make_spiral
-from .splits import DataSplit, one_hot, stratified_split
+Names load on first use (see :mod:`repro._lazy`), so a search does not
+import the complexity probe; a new public name goes in the table below.
+"""
 
-__all__ = [
-    "SpiralDataset",
-    "make_spiral",
-    "DERIVED_FEATURE_KINDS",
-    "DataSplit",
-    "one_hot",
-    "stratified_split",
-    "ProbeResult",
-    "probe_complexity",
-]
+from .._lazy import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "spiral": ("SpiralDataset", "make_spiral", "DERIVED_FEATURE_KINDS"),
+        "splits": ("DataSplit", "one_hot", "stratified_split"),
+        "complexity_probe": ("ProbeResult", "probe_complexity"),
+    },
+)

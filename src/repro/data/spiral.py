@@ -187,16 +187,17 @@ def make_spiral(
         n_points, n_classes, angle_noise_fraction * noise, turns, rng
     )
 
-    columns = [base[:, 0], base[:, 1]]
+    # One preallocated matrix: each derived column reads the columns
+    # before it through a view, so the loop is linear in n_features.
+    features = np.empty((n_points, n_features))
+    features[:, :2] = base
     recipe: list[str] = ["spiral_x", "spiral_y"]
     kinds = np.asarray(DERIVED_FEATURE_KINDS)
-    for _ in range(n_features - 2):
+    for k in range(2, n_features):
         kind = str(rng.choice(kinds))
-        existing = np.column_stack(columns)
-        columns.append(_derived_feature(kind, existing, noise, rng))
+        features[:, k] = _derived_feature(kind, features[:, :k], noise, rng)
         recipe.append(kind)
 
-    features = np.column_stack(columns)
     mean = features.mean(axis=0)
     std = features.std(axis=0)
     std[std < 1e-12] = 1.0

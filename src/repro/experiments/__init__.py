@@ -14,44 +14,35 @@ table1    Table I                                  Enc/CL/QL FLOPs ablation
 
 Every driver exposes ``run(profile, ...)`` returning structured results
 and ``render(...)`` producing the paper-style text table.
+
+Figure modules load on first use (see :mod:`repro._lazy`), so running one
+figure imports no other; a new public name goes in the table below.
 """
 
-from . import (
-    fig4_dataset_complexity,
-    fig6_classical_flops,
-    fig7_bel_flops,
-    fig8_sel_flops,
-    fig9_parameters,
-    fig10_comparative,
-    report,
-    table1_ablation,
-)
-from .runner import (
-    FULL,
-    PROFILES,
-    REDUCED,
-    SMOKE,
-    RunProfile,
-    get_profile,
-    run_family,
-    run_family_cached,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "fig4_dataset_complexity",
-    "fig6_classical_flops",
-    "fig7_bel_flops",
-    "fig8_sel_flops",
-    "fig9_parameters",
-    "fig10_comparative",
-    "table1_ablation",
-    "report",
-    "RunProfile",
-    "SMOKE",
-    "REDUCED",
-    "FULL",
-    "PROFILES",
-    "get_profile",
-    "run_family",
-    "run_family_cached",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "runner": (
+            "RunProfile",
+            "SMOKE",
+            "REDUCED",
+            "FULL",
+            "PROFILES",
+            "get_profile",
+            "run_family",
+            "run_family_cached",
+        ),
+    },
+    submodules=(
+        "fig4_dataset_complexity",
+        "fig6_classical_flops",
+        "fig7_bel_flops",
+        "fig8_sel_flops",
+        "fig9_parameters",
+        "fig10_comparative",
+        "table1_ablation",
+        "report",
+    ),
+)

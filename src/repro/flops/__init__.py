@@ -4,68 +4,50 @@ Replaces the paper's TensorFlow-profiler procedure with an analytic,
 convention-parameterized cost model.  See
 :mod:`repro.flops.conventions` for the counting rules and their
 calibration against the paper's Table I.
+
+Names load on first use (see :mod:`repro._lazy`); a new public name
+goes in the table below.
 """
 
-from .classical import (
-    classical_layer_flops,
-    dense_flops,
-    relu_flops,
-    softmax_flops,
-)
-from .conventions import (
-    CONVENTIONS,
-    FIRST_PRINCIPLES,
-    PAPER,
-    PARAMETER_SHIFT,
-    CountingConvention,
-    get_convention,
-)
-from .formulas import (
-    classical_model_flops,
-    classical_param_count,
-    hybrid_flops_breakdown,
-    hybrid_model_flops,
-    hybrid_param_count,
-)
-from .profiler import (
-    FlopsBreakdown,
-    LayerProfile,
-    ModelProfile,
-    profile_model,
-)
-from .quantum import (
-    QuantumLayerFlops,
-    count_tape_params,
-    operation_fwd_flops,
-    quantum_layer_flops,
-    split_tape,
-    tape_fwd_flops,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CountingConvention",
-    "PAPER",
-    "FIRST_PRINCIPLES",
-    "PARAMETER_SHIFT",
-    "CONVENTIONS",
-    "get_convention",
-    "dense_flops",
-    "relu_flops",
-    "softmax_flops",
-    "classical_layer_flops",
-    "operation_fwd_flops",
-    "tape_fwd_flops",
-    "split_tape",
-    "count_tape_params",
-    "QuantumLayerFlops",
-    "quantum_layer_flops",
-    "LayerProfile",
-    "FlopsBreakdown",
-    "ModelProfile",
-    "profile_model",
-    "classical_param_count",
-    "classical_model_flops",
-    "hybrid_param_count",
-    "hybrid_model_flops",
-    "hybrid_flops_breakdown",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "conventions": (
+            "CountingConvention",
+            "PAPER",
+            "FIRST_PRINCIPLES",
+            "PARAMETER_SHIFT",
+            "CONVENTIONS",
+            "get_convention",
+        ),
+        "classical": (
+            "dense_flops",
+            "relu_flops",
+            "softmax_flops",
+            "classical_layer_flops",
+        ),
+        "quantum": (
+            "operation_fwd_flops",
+            "tape_fwd_flops",
+            "split_tape",
+            "count_tape_params",
+            "QuantumLayerFlops",
+            "quantum_layer_flops",
+        ),
+        "profiler": (
+            "LayerProfile",
+            "FlopsBreakdown",
+            "ModelProfile",
+            "profile_model",
+        ),
+        "formulas": (
+            "classical_param_count",
+            "classical_model_flops",
+            "hybrid_param_count",
+            "hybrid_model_flops",
+            "hybrid_flops_breakdown",
+        ),
+    },
+)

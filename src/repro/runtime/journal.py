@@ -81,7 +81,7 @@ def search_key(
     under one execution mode resumes under any other.
     """
     from ..core.identity import result_identity
-    from ..core.results import spec_to_dict
+    from ..core.search_space import spec_to_dict
 
     data = []
     for name in _SPLIT_ARRAYS:
@@ -139,7 +139,7 @@ class SearchJournal:
         exactly its usable content and nothing is re-skipped on every
         later resume.
         """
-        from ..core.results import candidate_from_dict
+        from ..core.grid_search import candidate_from_dict
 
         try:
             lines = self.path.read_text().splitlines()
@@ -222,7 +222,7 @@ class SearchJournal:
         )
 
     def _encode(self, index: int, candidate: "CandidateResult") -> str:
-        from ..core.results import candidate_to_dict
+        from ..core.grid_search import candidate_to_dict
 
         record = {
             "v": JOURNAL_VERSION,
