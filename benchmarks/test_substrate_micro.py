@@ -17,7 +17,6 @@ from repro.quantum import (
     adjoint_gradients,
     angle_embedding,
     apply_single_qubit,
-    compiled_parameter_shift_gradients,
     expval_z,
     gates,
     parameter_shift_gradients,
@@ -80,25 +79,6 @@ class TestCompiledEngine:
             return engine.adjoint_gradients(grad, n_qubits, w.size)
 
         benchmark(step)
-
-    def test_sel_compiled_parameter_shift_batch32_3q(self, benchmark):
-        n_qubits, batch = 3, 32
-        x = RNG.uniform(-1, 1, (batch, n_qubits))
-        w = random_sel_weights(2, n_qubits, RNG)
-        tape = angle_embedding(x, n_qubits) + strongly_entangling_layers(
-            w, n_qubits
-        )
-        engine = CompiledTape(tape, n_qubits)
-        grad = RNG.standard_normal((batch, n_qubits))
-        benchmark(
-            compiled_parameter_shift_gradients,
-            engine,
-            grad,
-            n_qubits,
-            w.size,
-            x,
-            w.ravel(),
-        )
 
 
 class TestGradientBackends:

@@ -45,20 +45,15 @@ __all__ = [
     "rank_by_flops",
     "aggregate_runs",
     "grid_search",
-    "plan_group",
     "MAX_GROUP_CANDIDATES",
-    "GROUP_LOOKAHEAD",
 ]
 
 #: Candidates fused into one cross-candidate sweep are capped: the
 #: whole group trains speculatively once its first member's turn comes,
-#: so the cap bounds the work discarded when that member passes.
+#: so the cap bounds the work discarded when that member passes.  Every
+#: execution mode packs with :func:`~repro.runtime.jobs.pack_candidates`
+#: and reads this cap at call time.
 MAX_GROUP_CANDIDATES = 4
-
-#: How far past the commit frontier the in-process executor scans for
-#: same-key candidates to group.  Non-matching candidates in
-#: between are skipped (they commit from their own, later groups).
-GROUP_LOOKAHEAD = 8
 
 
 @dataclass(frozen=True)
@@ -230,55 +225,6 @@ def aggregate_runs(
         if rr.history is not None:
             result.histories.append(rr.history)
     return result
-
-
-def plan_group(
-    ranked: Sequence[ModelSpec],
-    index: int,
-    settings: TrainingSettings,
-    skip: "frozenset[int] | set[int]" = frozenset(),
-    *,
-    budget: int | None = None,
-) -> list[int]:
-    """Candidate indices to train as one fused sweep, anchored at ``index``.
-
-    Scans up to :data:`GROUP_LOOKAHEAD` candidates past the anchor for
-    equal non-``None`` group keys, capped at
-    :data:`MAX_GROUP_CANDIDATES` members; ``skip`` holds indices whose
-    results already exist (earlier speculation).  Grouping never
-    changes results — members are committed strictly in rank order and
-    anything past a winner is discarded — so the plan only shapes wall
-    time.
-
-    ``budget`` (bytes, from
-    :func:`~repro.runtime.memory.resolve_memory_budget`; ``None`` =
-    ungoverned) makes the plan memory-governed: members are admitted
-    only while the group's predicted peak bytes
-    (:func:`~repro.runtime.memory.estimate_group_bytes`) fit, so an
-    overweight group shrinks — down to the anchor alone.
-    """
-    key = ranked[index].group_key()
-    if key is None:
-        return [index]
-    group = [index]
-    limit = min(len(ranked), index + 1 + GROUP_LOOKAHEAD)
-    for j in range(index + 1, limit):
-        if len(group) >= MAX_GROUP_CANDIDATES:
-            break
-        if j in skip or ranked[j].group_key() != key:
-            continue
-        if budget is not None:
-            from ..runtime.memory import estimate_group_bytes
-
-            predicted = estimate_group_bytes(
-                [ranked[i] for i in group + [j]],
-                settings.batch_size,
-                settings.runs,
-            )
-            if predicted > budget:
-                break
-        group.append(j)
-    return group
 
 
 def grid_search(

@@ -8,11 +8,14 @@ values:
 
     angle embedding (RY per qubit) -> BEL or SEL ansatz -> per-wire <Z>.
 
-Backward uses adjoint differentiation by default (exact, cheap); the
-parameter-shift rule is available as an alternative backend and as a
-hardware-realistic cost model for :mod:`repro.flops`.
+Backward uses adjoint differentiation by default (exact, cheap).  The
+parameter-shift rule is an alternative backend that runs on the
+reference executor (:func:`repro.quantum.circuit.run` with
+:func:`~repro.quantum.parameter_shift.parameter_shift_gradients`); the
+paper needs it only as a hardware-realistic cost model, which
+:mod:`repro.flops` prices by formula.
 
-Execution is routed through the compiled engine
+An adjoint layer executes through the compiled engine
 (:class:`repro.quantum.engine.CompiledTape`): the circuit structure from
 ``build_tape`` is compiled once on the first forward pass, and every
 subsequent call only rebinds the per-batch encoding angles and the
@@ -21,9 +24,8 @@ that override ``build_tape`` get compiled automatically when their tape
 has the engine's shape (a product encoding, then layers of one weight
 gate per wire and a CNOT/SWAP/CZ ring, at most five qubits); any other
 tape raises :class:`~repro.exceptions.ConfigurationError` at compile
-time, and the layer then runs on the reference executor
-(:func:`repro.quantum.circuit.run` with the reference adjoint or
-parameter-shift gradients), which stays the semantics oracle.
+time, and the layer then runs on the reference executor with the
+reference adjoint, which stays the semantics oracle.
 """
 
 from __future__ import annotations
@@ -37,10 +39,7 @@ from ..quantum.adjoint import adjoint_gradients
 from ..quantum.circuit import Operation, run
 from ..quantum.engine import CompiledTape, compiled_tape
 from ..quantum.measurements import expval_z
-from ..quantum.parameter_shift import (
-    compiled_parameter_shift_gradients,
-    parameter_shift_gradients,
-)
+from ..quantum.parameter_shift import parameter_shift_gradients
 from ..quantum.templates import (
     angle_embedding,
     basic_entangler_layers,
@@ -124,9 +123,10 @@ class QuantumLayer(Layer):
         self._cache_ops: list[Operation] | None = None
         self._cache_state: np.ndarray | None = None
         self._cache_batch: int = 0
-        self._cache_x: np.ndarray | None = None
         self._engine: CompiledTape | None = None
-        self._engine_disabled = False
+        # Parameter shift runs on the reference executor: only adjoint
+        # layers compile.
+        self._engine_disabled = gradient_method != "adjoint"
 
     # -- tape construction -----------------------------------------------
 
@@ -185,12 +185,9 @@ class QuantumLayer(Layer):
             self._engine = self._compile_engine(x)
         if self._engine is None:
             return self._forward_reference(x, training)
-        record = training and self.gradient_method == "adjoint"
         state = self._engine.execute(
-            inputs=x, weights=self.weights.reshape(-1), record=record
+            inputs=x, weights=self.weights.reshape(-1), record=training
         )
-        if training and self.gradient_method == "parameter_shift":
-            self._cache_x = x
         return self._engine.expvals(state)
 
     def _forward_reference(self, x: np.ndarray, training: bool) -> np.ndarray:
@@ -204,39 +201,19 @@ class QuantumLayer(Layer):
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._engine is not None:
-            input_grads, weight_grads = self._backward_compiled(grad)
-        else:
-            input_grads, weight_grads = self._backward_reference(grad)
-        self.grads[0] += weight_grads.reshape(self.weights.shape)
-        return input_grads
-
-    def _backward_compiled(
-        self, grad: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        if self.gradient_method == "adjoint":
             if not self._engine.has_record:
                 raise ShapeError(
                     f"{self.name}.backward called without a training forward"
                 )
             # adjoint_gradients consumes (and releases) the recorded
             # forward, so nothing pins the batch statevectors afterwards.
-            return self._engine.adjoint_gradients(
+            input_grads, weight_grads = self._engine.adjoint_gradients(
                 grad, n_inputs=self.n_qubits, n_weights=self.n_weights
             )
-        if self._cache_x is None:
-            raise ShapeError(
-                f"{self.name}.backward called without a training forward"
-            )
-        x = self._cache_x
-        self._cache_x = None
-        return compiled_parameter_shift_gradients(
-            self._engine,
-            grad,
-            n_inputs=self.n_qubits,
-            n_weights=self.n_weights,
-            inputs=x,
-            weights=self.weights.reshape(-1),
-        )
+        else:
+            input_grads, weight_grads = self._backward_reference(grad)
+        self.grads[0] += weight_grads.reshape(self.weights.shape)
+        return input_grads
 
     def _backward_reference(
         self, grad: np.ndarray

@@ -44,7 +44,6 @@ from .measurements import (
     marginal_probabilities,
 )
 from .parameter_shift import (
-    compiled_parameter_shift_gradients,
     count_shifted_executions,
     parameter_shift_gradients,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "compile_cache_scope",
     "compile_cache_info",
     "parameter_shift_gradients",
-    "compiled_parameter_shift_gradients",
     "count_shifted_executions",
     "expval_z",
     "apply_z_linear_combination",

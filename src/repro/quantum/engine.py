@@ -75,9 +75,10 @@ together with ``runs=R`` and a fused ``(runs * batch, n_features)``
 input whose rows are run-major.  Each run gets its own layer unitaries,
 and every contraction works per run block, so each run's arithmetic is
 that of its own execution: run-stacked grid searches are
-bit-identical to per-run ones.  The same sweep serves the parameter-shift
-rule: :func:`~repro.quantum.parameter_shift.compiled_parameter_shift_gradients`
-runs its ``2P`` shifted circuits as ``2P`` runs of one execute.
+bit-identical to per-run ones.  The engine differentiates by adjoint
+only: a parameter-shift :class:`repro.hybrid.QuantumLayer` runs on the
+reference executor with
+:func:`~repro.quantum.parameter_shift.parameter_shift_gradients`.
 
 Run-stacked executes also take per-run ``depths``: run ``r`` executes
 only its first ``depths[r]`` layers, every later layer's unitary being
@@ -100,9 +101,8 @@ and over, :func:`compiled_tape` + :func:`enable_compile_cache` share one
 engine per circuit structure per process (the parallel runtime enables
 this in every worker).
 
-The engine is differentially tested against the reference executor,
-:func:`repro.quantum.adjoint.adjoint_gradients` and
-:func:`repro.quantum.parameter_shift.parameter_shift_gradients` to 1e-12
+The engine is differentially tested against the reference executor and
+:func:`repro.quantum.adjoint.adjoint_gradients` to 1e-12
 (``tests/quantum/test_engine.py``); the reference implementations remain
 the semantics oracle.
 
@@ -620,12 +620,6 @@ class CompiledTape:
     def has_record(self) -> bool:
         """Whether a recorded forward execution is pending a backward."""
         return self._last is not None
-
-    @property
-    def input_columns(self) -> np.ndarray:
-        """The input column each encoding angle reads, in tape order.
-        No column feeds two angles."""
-        return self._plan.enc_inputs
 
     @property
     def weight_columns(self) -> np.ndarray:

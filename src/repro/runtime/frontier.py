@@ -11,6 +11,10 @@ of that rule.  Execution modes differ only in how run results reach it:
   on its executor, whose agents are a persistent pool's local processes
   or remote hosts.
 
+Both group candidates by the one packing rule,
+:func:`repro.runtime.jobs.pack_candidates`, and train each pack as one
+chunk with :func:`repro.runtime.jobs.execute_chunk`.
+
 Each mode :meth:`~SearchFrontier.offer`\\ s per-run entries as they
 arrive, in any order, and calls :meth:`~SearchFrontier.commit`.  A
 candidate's verdict is folded once all of its runs are in, then waits in
@@ -23,10 +27,11 @@ across modes.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .jobs import RunError, TrainingJob, chunk_entries
+from .jobs import RunError, execute_chunk, make_chunk, pack_candidates
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.grid_search import (
@@ -206,23 +211,27 @@ class SearchFrontier:
     ) -> "SearchOutcome":
         """Finish the search in this process, from the commit frontier.
 
-        Each step trains the group :func:`~repro.core.grid_search.plan_group`
-        anchors at ``next_commit`` through the OOM ladder
-        (:func:`~repro.runtime.jobs.chunk_entries`), then offers the
+        Each step takes the first pack
+        (:func:`~repro.runtime.jobs.pack_candidates`, at most
+        :data:`~repro.core.grid_search.MAX_GROUP_CANDIDATES` members) of
+        the candidates past ``next_commit`` that have no verdict yet,
+        trains it as one chunk through the OOM ladder
+        (:func:`~repro.runtime.jobs.execute_chunk`), then offers the
         entries and commits.  Verdicts already in ``ready`` (earlier
         speculation, or a distributed executor's buffered results) are
         reused, never retrained.  This is ``grid_search(workers=1)`` and
         the graceful-degradation floor of every other mode.
 
         Memory governance: one budget resolution for the whole run
-        (the setting, else a fraction of the free-memory probe) caps
-        every group; a group the budget shrank emits ``group-resize``,
-        and a group whose ladder degraded emits one ``memory-degrade``
-        with the step count.  Budgets shape group sizes, never results.
+        (the setting, else a fraction of the free-memory probe) trims
+        every pack's tail (:func:`~repro.runtime.memory.fit_group`); a
+        pack the budget shrank emits ``group-resize``, and a pack whose
+        ladder degraded emits one ``memory-degrade`` with the step
+        count.  Budgets shape group sizes, never results.
         """
-        from ..core.grid_search import plan_group
+        from ..core.grid_search import MAX_GROUP_CANDIDATES
         from ..quantum.engine import compile_cache_scope
-        from .memory import resolve_memory_budget
+        from .memory import fit_group, resolve_memory_budget
 
         def emit(kind: str, message: str, group: Sequence[int]) -> None:
             if on_event is not None:
@@ -233,39 +242,45 @@ class SearchFrontier:
                 )
 
         budget = resolve_memory_budget(settings.memory_budget)
+        ranked = self.ranked
         with compile_cache_scope():
             while not self.commit():
                 index = self.next_commit
-                skip = self.ready.keys()
-                group = plan_group(
-                    self.ranked, index, settings, skip=skip, budget=budget
+                # The first pack lies within the first cap candidates.
+                unready = (
+                    j for j in range(index, len(ranked)) if j not in self.ready
                 )
-                if budget is not None and on_event is not None:
-                    ungoverned = plan_group(
-                        self.ranked, index, settings, skip=skip
+                pending = itertools.islice(unready, MAX_GROUP_CANDIDATES)
+                pack = pack_candidates(
+                    ranked, pending, MAX_GROUP_CANDIDATES
+                )[0]
+                fits = fit_group(
+                    [ranked[j] for j in pack],
+                    settings.batch_size,
+                    settings.runs,
+                    budget,
+                )
+                group = pack[:fits]
+                if len(group) < len(pack):
+                    emit(
+                        "group-resize",
+                        f"budget of {budget} bytes shrank group at "
+                        f"{index} to {len(group)} members "
+                        f"(ungoverned: {len(pack)})",
+                        group,
                     )
-                    if len(group) < len(ungoverned):
-                        emit(
-                            "group-resize",
-                            f"budget of {budget} bytes shrank group at "
-                            f"{index} to {len(group)} members "
-                            f"(ungoverned: {len(ungoverned)})",
-                            group,
-                        )
-                jobs = [
-                    TrainingJob(self.ranked[j], seed, j, run)
-                    for j in group
-                    for run in range(settings.runs)
-                ]
-                entries, _, degrades = chunk_entries(jobs, split, settings)
-                if degrades:
+                chunk = make_chunk(
+                    [(ranked[j], j) for j in group], seed, settings
+                )
+                result = execute_chunk(chunk, split, None)
+                if result.memory_degrades:
                     emit(
                         "memory-degrade",
                         f"group {group} hit out-of-memory and recovered "
-                        f"via {degrades} degradation step(s); results "
-                        "are unchanged",
+                        f"via {result.memory_degrades} degradation step(s); "
+                        "results are unchanged",
                         group,
                     )
-                for entry in entries:
+                for entry in result.entries:
                     self.offer(entry)
         return self.outcome

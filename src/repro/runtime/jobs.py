@@ -9,6 +9,12 @@ that derive the job's RNG stream.  Jobs travel in batches, as a
 reaches each agent once, not once per chunk.  The chunk comes back as
 one :class:`ChunkResult` (:func:`execute_chunk`).
 
+:func:`pack_candidates` is the one packing rule of every execution
+mode: consecutive candidates with equal group keys share a chunk, up to
+a cap.  The scheduler cuts its lookahead into chunks with it, and the
+in-process executor trains the first pack past its commit frontier as
+one chunk through the same :func:`execute_chunk` every agent runs.
+
 :func:`execute_job` is the *only* place a scalar (candidate, run)
 training run happens: the sequential grid search and every agent
 call the same function with the same ``(seed, candidate_index,
@@ -38,7 +44,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -66,6 +72,7 @@ __all__ = [
     "ChunkResult",
     "execute_chunk",
     "make_chunk",
+    "pack_candidates",
 ]
 
 
@@ -500,3 +507,29 @@ def make_chunk(
         split=None,
         settings=settings,
     )
+
+
+def pack_candidates(
+    ranked: Sequence["ModelSpec"], indices: Iterable[int], cap: int
+) -> list[list[int]]:
+    """Cut candidates ``indices`` (ascending ranks into ``ranked``) into
+    the member lists of chunks.
+
+    Consecutive candidates with equal non-``None`` group keys share a
+    pack, which trains as one fused sweep; a pack holds at most ``cap``
+    candidates.
+    """
+    packs: list[list[int]] = []
+    for index in indices:
+        key = ranked[index].group_key()
+        last = packs[-1] if packs else None
+        if (
+            last is not None
+            and key is not None
+            and len(last) < cap
+            and ranked[last[-1]].group_key() == key
+        ):
+            last.append(index)
+        else:
+            packs.append([index])
+    return packs

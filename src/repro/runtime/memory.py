@@ -9,8 +9,9 @@ makes memory a governed resource:
 * :func:`resolve_memory_budget` turns ``TrainingSettings.memory_budget``
   (``--memory-budget`` on the CLI) into one byte count, or, when it is
   unset, a fraction of the host's available memory (``MemAvailable``
-  in ``/proc/meminfo``).  The group planner and the pool scheduler
-  size admissions against it.
+  in ``/proc/meminfo``).  The in-process executor trims its groups
+  against it (:func:`fit_group`) and the pool scheduler sizes its
+  admissions.
 * :func:`estimate_group_bytes` is the analytic peak-bytes model of a
   fused group, built from the specs alone: each member's
   :func:`estimate_candidate_bytes` (parameter stacks with Adam moments,
@@ -45,6 +46,7 @@ __all__ = [
     "is_memory_error",
     "estimate_candidate_bytes",
     "estimate_group_bytes",
+    "fit_group",
 ]
 
 #: float64 / complex128 item sizes used by the analytic byte model.
@@ -217,3 +219,24 @@ def estimate_group_bytes(specs: Sequence, batch: int, runs: int) -> int:
         )
         for spec in specs
     )
+
+
+def fit_group(
+    specs: Sequence, batch: int, runs: int, budget: int | None
+) -> int:
+    """How many leading ``specs`` one group holds within ``budget`` bytes.
+
+    The first always fits (a lone candidate trains whatever its size;
+    the OOM ladder catches a real OOM); each next member joins only
+    while the group's :func:`estimate_group_bytes` stays within the
+    budget.  ``None`` (governance off) fits them all.
+    """
+    if budget is None:
+        return len(specs)
+    size = 1
+    while (
+        size < len(specs)
+        and estimate_group_bytes(specs[: size + 1], batch, runs) <= budget
+    ):
+        size += 1
+    return size

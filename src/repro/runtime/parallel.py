@@ -63,7 +63,13 @@ from typing import TYPE_CHECKING, Callable, Protocol, Sequence
 from ..exceptions import SearchError
 from .backoff import Backoff
 from .frontier import SearchEvent, SearchFrontier
-from .jobs import ChunkResult, JobChunk, RunError, make_chunk
+from .jobs import (
+    ChunkResult,
+    JobChunk,
+    RunError,
+    make_chunk,
+    pack_candidates,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.grid_search import SearchOutcome, TrainingSettings
@@ -372,46 +378,27 @@ class Scheduler:
             max(n_runs for _, n_runs in members),
         )
 
-    def _packs(self, indices: range, lookahead: int) -> list[list[int]]:
-        """Cut newly admitted candidates into the member lists of chunks.
+    def top_up(self) -> None:
+        """Queue candidates within the lookahead; fill the window with
+        the waiting chunks in rank order.
 
-        Consecutive candidates with equal non-``None`` group keys share
-        a chunk, which the agent trains as one fused sweep.  A chunk
-        holds at most ``min(MAX_GROUP_CANDIDATES, ceil(lookahead /
-        capacity))`` candidates, so the lookahead still spreads over
-        every agent.
+        Newly admitted candidates are cut into chunks by
+        :func:`~repro.runtime.jobs.pack_candidates`, each at most
+        ``min(MAX_GROUP_CANDIDATES, ceil(lookahead / capacity))``
+        candidates, so the lookahead still spreads over every agent.
         """
         from ..core.grid_search import MAX_GROUP_CANDIDATES
 
-        ranked = self.frontier.ranked
-        cap = min(
-            MAX_GROUP_CANDIDATES,
-            -(-lookahead // max(1, self.executor.capacity)),
-        )
-        packs: list[list[int]] = []
-        for index in indices:
-            key = ranked[index].group_key()
-            last = packs[-1] if packs else None
-            if (
-                last is not None
-                and key is not None
-                and len(last) < cap
-                and ranked[last[-1]].group_key() == key
-            ):
-                last.append(index)
-            else:
-                packs.append([index])
-        return packs
-
-    def top_up(self) -> None:
-        """Queue candidates within the lookahead; fill the window with
-        the waiting chunks in rank order."""
         window = self._window()
         ranked = self.frontier.ranked
         limit = min(len(ranked), self.frontier.next_commit + window)
         admitted = range(self._next_unqueued, limit)
         self._next_unqueued = max(self._next_unqueued, limit)
-        for pack in self._packs(admitted, window):
+        cap = min(
+            MAX_GROUP_CANDIDATES,
+            -(-window // max(1, self.executor.capacity)),
+        )
+        for pack in pack_candidates(ranked, admitted, cap):
             chunk = make_chunk(
                 [(ranked[index], index) for index in pack],
                 self.seed,

@@ -1,9 +1,8 @@
 """Differential tests: the compiled engine vs the reference executor.
 
 The reference implementations (:func:`repro.quantum.circuit.run`,
-:func:`repro.quantum.adjoint.adjoint_gradients`,
-:func:`repro.quantum.parameter_shift.parameter_shift_gradients`) are the
-semantics oracle; :class:`repro.quantum.engine.CompiledTape` must match
+:func:`repro.quantum.adjoint.adjoint_gradients`) are the semantics
+oracle; :class:`repro.quantum.engine.CompiledTape` must match
 them to 1e-12 on both of the paper's ansatze and on random tapes of the
 compiled shape (any width it serves, encoding axis and subset, layer
 gate, and rings mixing CNOT, SWAP and CZ).  Tapes outside that shape
@@ -22,10 +21,8 @@ from repro.quantum import (
     angle_embedding,
     angle_embedding_structure,
     basic_entangler_layers,
-    compiled_parameter_shift_gradients,
     expval_z,
     input_ref,
-    parameter_shift_gradients,
     random_bel_weights,
     random_sel_weights,
     run,
@@ -357,132 +354,6 @@ class TestAdjointDifferential:
         ops = [Operation("CRX", (0, 1), (0.3,), (weight_ref(0),))]
         with pytest.raises(ConfigurationError, match="CRX"):
             CompiledTape(ops, 2)
-
-
-class TestCompiledParameterShift:
-    @pytest.mark.parametrize("seed", range(8))
-    def test_matches_reference(self, seed):
-        batch = 1 + seed % 4
-        ops, n_qubits, x, w = random_dense_tape(200 + seed, batch)
-        grad = np.random.default_rng(seed).standard_normal((batch, n_qubits))
-        ig_ref, wg_ref = parameter_shift_gradients(
-            ops, n_qubits, batch, grad, x.shape[1], w.size
-        )
-        engine = CompiledTape(ops, n_qubits)
-        ig, wg = compiled_parameter_shift_gradients(
-            engine, grad, x.shape[1], w.size, inputs=x, weights=w
-        )
-        np.testing.assert_allclose(ig, ig_ref, atol=ATOL, rtol=0)
-        np.testing.assert_allclose(wg, wg_ref, atol=ATOL, rtol=0)
-
-    def test_cz_ring_layer(self, cz_ring_layer, rng):
-        layer = cz_ring_layer(3, 2, rng=rng)
-        x = rng.uniform(-np.pi, np.pi, (4, 3))
-        grad = rng.standard_normal((4, 3))
-        tape = layer.build_tape(x)
-        ig_ref, wg_ref = parameter_shift_gradients(
-            tape, 3, 4, grad, 3, layer.n_weights
-        )
-        ig, wg = compiled_parameter_shift_gradients(
-            CompiledTape(tape, 3),
-            grad,
-            3,
-            layer.n_weights,
-            inputs=x,
-            weights=layer.weights.ravel(),
-        )
-        np.testing.assert_allclose(ig, ig_ref, atol=ATOL, rtol=0)
-        np.testing.assert_allclose(wg, wg_ref, atol=ATOL, rtol=0)
-
-    def test_one_execute(self, rng, monkeypatch):
-        """All 2P shifted circuits are the runs of one execute: P = 3
-        encoded inputs + 18 weights."""
-        x = rng.uniform(-np.pi, np.pi, (4, 3))
-        w = random_sel_weights(2, 3, rng)
-        tape = angle_embedding(x, 3) + strongly_entangling_layers(w, 3)
-        engine = CompiledTape(tape, 3)
-        calls = []
-        execute = engine.execute
-
-        def counted(**kwargs):
-            calls.append(kwargs["runs"])
-            return execute(**kwargs)
-
-        monkeypatch.setattr(engine, "execute", counted)
-        compiled_parameter_shift_gradients(
-            engine, np.ones((4, 3)), 3, w.size, inputs=x, weights=w.ravel()
-        )
-        assert calls == [2 * (3 + w.size)]
-
-    def test_tape_without_encoding(self, rng):
-        """No input column is encoded: ``grad_out``'s rows size the sweep."""
-        w = random_bel_weights(2, 3, rng)
-        tape = basic_entangler_layers(w, 3)
-        grad = rng.standard_normal((2, 3))
-        ig_ref, wg_ref = parameter_shift_gradients(tape, 3, 2, grad, 3, w.size)
-        ig, wg = compiled_parameter_shift_gradients(
-            CompiledTape(tape, 3), grad, 3, w.size, weights=w.ravel()
-        )
-        assert not ig.any()
-        np.testing.assert_allclose(ig, ig_ref, atol=ATOL, rtol=0)
-        np.testing.assert_allclose(wg, wg_ref, atol=ATOL, rtol=0)
-
-    def test_bindings_required(self, rng):
-        x = rng.uniform(-np.pi, np.pi, (2, 3))
-        w = random_bel_weights(1, 3, rng)
-        tape = angle_embedding(x, 3) + basic_entangler_layers(w, 3)
-        engine = CompiledTape(tape, 3)
-        grad = np.ones((2, 3))
-        with pytest.raises(ShapeError, match="inputs"):
-            compiled_parameter_shift_gradients(
-                engine, grad, 3, w.size, weights=w.ravel()
-            )
-        with pytest.raises(ShapeError, match="weights"):
-            compiled_parameter_shift_gradients(
-                engine, grad, 3, w.size, inputs=x
-            )
-
-    def test_batch_mismatch_rejected(self, rng):
-        """A grad_out whose rows disagree with the inputs raises instead of
-        broadcasting."""
-        x = rng.uniform(-np.pi, np.pi, (2, 3))
-        w = random_bel_weights(1, 3, rng)
-        tape = angle_embedding(x, 3) + basic_entangler_layers(w, 3)
-        engine = CompiledTape(tape, 3)
-        with pytest.raises(ShapeError, match="rows"):
-            compiled_parameter_shift_gradients(
-                engine, np.ones((1, 3)), 3, w.size, inputs=x, weights=w.ravel()
-            )
-        with pytest.raises(ShapeError, match="grad_out"):
-            compiled_parameter_shift_gradients(
-                engine, np.ones(3), 3, w.size, inputs=x, weights=w.ravel()
-            )
-
-    def test_with_bindings(self, rng):
-        n_qubits, batch = 3, 5
-        x = rng.uniform(-np.pi, np.pi, (batch, n_qubits))
-        w = random_sel_weights(2, n_qubits, rng)
-        tape = angle_embedding(x, n_qubits) + strongly_entangling_layers(
-            w, n_qubits
-        )
-        grad = rng.standard_normal((batch, n_qubits))
-        ig_ref, wg_ref = parameter_shift_gradients(
-            tape, n_qubits, batch, grad, n_qubits, w.size
-        )
-        structure = angle_embedding_structure(
-            n_qubits, n_qubits
-        ) + strongly_entangling_layers(w, n_qubits)
-        engine = CompiledTape(structure, n_qubits)
-        ig, wg = compiled_parameter_shift_gradients(
-            engine,
-            grad,
-            n_qubits,
-            w.size,
-            inputs=x,
-            weights=w.ravel(),
-        )
-        np.testing.assert_allclose(ig, ig_ref, atol=ATOL, rtol=0)
-        np.testing.assert_allclose(wg, wg_ref, atol=ATOL, rtol=0)
 
 
 class TestValidation:

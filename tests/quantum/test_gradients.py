@@ -179,30 +179,3 @@ class TestEdgeCases:
         )
         np.testing.assert_allclose(gi_a, gi_s, atol=1e-10)
         np.testing.assert_allclose(gw_a, gw_s, atol=1e-10)
-
-
-class TestStackedParameterShift:
-    """The compiled shift path runs all 2P shifted circuits as one
-    run-stacked sweep and must match the reference executor."""
-
-    def test_stacked_matches_reference_executor(self, rng):
-        from repro.quantum.engine import CompiledTape
-        from repro.quantum.parameter_shift import (
-            compiled_parameter_shift_gradients,
-        )
-
-        n_qubits, batch = 3, 3
-        x = rng.uniform(-np.pi, np.pi, (batch, n_qubits))
-        w = random_sel_weights(2, n_qubits, rng)
-        tape = build_sel_tape(x, w, n_qubits)
-        grad_out = rng.standard_normal((batch, n_qubits))
-        gi_r, gw_r = parameter_shift_gradients(
-            tape, n_qubits, batch, grad_out, n_qubits, w.size
-        )
-        engine = CompiledTape(tape, n_qubits)
-        gi_v, gw_v = compiled_parameter_shift_gradients(
-            engine, grad_out, n_qubits, w.size,
-            inputs=x, weights=w.reshape(-1),
-        )
-        np.testing.assert_allclose(gi_v, gi_r, atol=1e-10)
-        np.testing.assert_allclose(gw_v, gw_r, atol=1e-10)

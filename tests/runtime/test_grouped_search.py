@@ -16,11 +16,9 @@ import numpy as np
 import pytest
 
 from repro.core.grid_search import (
-    GROUP_LOOKAHEAD,
     MAX_GROUP_CANDIDATES,
     TrainingSettings,
     grid_search,
-    plan_group,
     rank_by_flops,
 )
 from repro.core.search_space import (
@@ -38,8 +36,10 @@ from repro.runtime import ChunkCostModel, PersistentPool, execute_candidates
 from repro.runtime.frontier import SearchFrontier
 from repro.runtime.jobs import RunResult, TrainingJob, execute_job
 from repro.runtime.parallel import (
+    Delivered,
     ExecutorCounters,
     Scheduler,
+    Starved,
     chunk_candidates,
 )
 from repro.runtime.jobs import (
@@ -47,12 +47,13 @@ from repro.runtime.jobs import (
     RunError,
     execute_chunk,
     make_chunk,
+    pack_candidates,
 )
 from scalar_oracle import scalar_search
 
 # The module, not the ``grid_search`` function ``repro.core`` re-exports
-# under the same name: plan_group and Scheduler._packs read its
-# MAX_GROUP_CANDIDATES at call time.
+# under the same name: the in-process executor and the scheduler read
+# its MAX_GROUP_CANDIDATES at call time.
 GRID_SEARCH = importlib.import_module("repro.core.grid_search")
 
 
@@ -191,33 +192,33 @@ class TestSearchDifferential:
         )
 
 
-class TestPlanGroup:
-    def test_groups_same_key_within_lookahead(self):
-        ranked = head_varied_space()
-        group = plan_group(ranked, 0, _settings())
-        assert group[0] == 0
-        assert 1 < len(group) <= MAX_GROUP_CANDIDATES
-        key = ranked[0].group_key()
-        assert all(ranked[j].group_key() == key for j in group)
+class TestPackCandidates:
+    """The one packing rule: consecutive same-key candidates share a
+    pack of at most ``cap`` members."""
 
-    def test_one_member_cap_or_keyless_returns_anchor(
-        self, easy_split, monkeypatch
-    ):
+    def test_groups_consecutive_same_key(self):
         ranked = head_varied_space()
-        with monkeypatch.context() as patch:
-            patch.setattr(GRID_SEARCH, "MAX_GROUP_CANDIDATES", 1)
-            assert plan_group(ranked, 0, _settings()) == [0]
-        assert plan_group(
-            [KeylessSpec(n_features=4, hidden=(h,)) for h in (2, 4, 6)],
-            0,
-            _settings(),
-        ) == [0]
+        pack = pack_candidates(
+            ranked, range(len(ranked)), MAX_GROUP_CANDIDATES
+        )[0]
+        assert pack[0] == 0
+        assert 1 < len(pack) <= MAX_GROUP_CANDIDATES
+        key = ranked[0].group_key()
+        assert all(ranked[j].group_key() == key for j in pack)
+
+    def test_one_member_cap_or_keyless_packs_alone(self, easy_split):
+        ranked = head_varied_space()
+        assert pack_candidates(ranked, range(3), 1) == [[0], [1], [2]]
+        keyless = [KeylessSpec(n_features=4, hidden=(h,)) for h in (2, 4, 6)]
+        assert pack_candidates(
+            keyless, range(3), MAX_GROUP_CANDIDATES
+        ) == [[0], [1], [2]]
         # classical candidates group like any other family: the next
         # MAX_GROUP_CANDIDATES, whatever their depths and widths
         classical = classical_search_space(4, neuron_options=(2, 4))
-        assert plan_group(classical, 0, _settings()) == list(
-            range(MAX_GROUP_CANDIDATES)
-        )
+        assert pack_candidates(
+            classical, range(len(classical)), MAX_GROUP_CANDIDATES
+        )[0] == list(range(MAX_GROUP_CANDIDATES))
         group = [
             (classical[j], j, range(2)) for j in range(MAX_GROUP_CANDIDATES)
         ]
@@ -233,17 +234,31 @@ class TestPlanGroup:
             assert rr.val_accuracy == ref.val_accuracy
             assert rr.epochs_run == ref.epochs_run
 
-    def test_skip_excludes_speculated(self):
-        ranked = head_varied_space()
-        full = plan_group(ranked, 0, _settings())
-        pruned = plan_group(ranked, 0, _settings(), skip={full[1]})
-        assert full[1] not in pruned
+    def test_in_process_pack_skips_ready_verdicts(
+        self, easy_split, monkeypatch
+    ):
+        """The in-process executor packs past a verdict already in
+        ``ready`` and never retrains it."""
+        jobs = importlib.import_module("repro.runtime.jobs")
+        ranked = _sel_depth_space()
+        settings = _settings(epochs=2, early_stop_threshold=None)
+        frontier = SearchFrontier(
+            ranked, 1.01, get_convention("paper"), settings.runs
+        )
+        for run in range(settings.runs):
+            frontier.offer(RunResult(1, run, 0.5, 0.5, 1, 0.1))
+        groups = []
+        real = jobs.execute_candidates
 
-    def test_lookahead_bounded(self):
-        ranked = head_varied_space()
-        for anchor in range(len(ranked)):
-            group = plan_group(ranked, anchor, _settings())
-            assert all(j - anchor <= GROUP_LOOKAHEAD for j in group)
+        def recording(group, *args, **kwargs):
+            groups.append([index for _, index, _ in group])
+            return real(group, *args, **kwargs)
+
+        monkeypatch.setattr(jobs, "execute_candidates", recording)
+        outcome = frontier.run_in_process(easy_split, settings, 7)
+        assert groups == [[0, 2, 3]]
+        assert outcome.evaluated[1].train_accuracies == [0.5, 0.5]
+        assert len(outcome.evaluated) == len(ranked)
 
 
 class TestExecuteCandidates:
@@ -435,6 +450,43 @@ class _BudgetedExecutor(_RecordingExecutor):
         return self.budget
 
 
+class _StarvingExecutor(_RecordingExecutor):
+    """Delivers the ``[2, 3]`` chunk only, trained for real, then
+    reports starvation, so the scheduler finishes the search in-process
+    with candidates 2 and 3 already in ``ready``."""
+
+    def __init__(self, capacity):
+        super().__init__(capacity)
+        self.split = None
+        self.polls = 0
+
+    def open(self, split):
+        self.split = split
+
+    def poll(self, timeout):
+        self.polls += 1
+        if self.polls > 1:
+            return [Starved("no agent left")]
+        cid, chunk = next(
+            (cid, c)
+            for cid, c in self.submitted.items()
+            if chunk_candidates(c) == [2, 3]
+        )
+        return [Delivered(cid, execute_chunk(chunk, self.split, None))]
+
+    def cancel(self, cid):
+        pass
+
+    def abort(self):
+        pass
+
+    def close(self):
+        pass
+
+    def stats(self):
+        return {}
+
+
 def _sel_depth_space():
     """SEL(3,1)-SEL(3,4): one group key, ranked by FLOPs."""
     return rank_by_flops(
@@ -620,6 +672,96 @@ class TestSchedulerPacking:
         assert model.seconds(work) == pytest.approx(result.wall_time_s)
         degrade = next(e for e in events if e.kind == "memory-degrade")
         assert degrade.candidates == (0, 1)
+
+
+class TestSequentialFallback:
+    """The in-process floor reuses verdicts a distributed executor
+    already delivered."""
+
+    def test_fallback_reuses_ready_verdicts(self, easy_split, monkeypatch):
+        jobs = importlib.import_module("repro.runtime.jobs")
+        trained = []
+        candidates, job = jobs.execute_candidates, jobs.execute_job
+
+        def counted_candidates(group, *args, **kwargs):
+            results = candidates(group, *args, **kwargs)
+            if results is not None:
+                trained.extend(r.candidate_index for r in results)
+            return results
+
+        def counted_job(training_job, *args, **kwargs):
+            trained.append(training_job.candidate_index)
+            return job(training_job, *args, **kwargs)
+
+        monkeypatch.setattr(jobs, "execute_candidates", counted_candidates)
+        monkeypatch.setattr(jobs, "execute_job", counted_job)
+        ranked = _sel_depth_space()
+        settings = _settings(early_stop_threshold=None)
+        executor = _StarvingExecutor(capacity=2)
+        frontier = SearchFrontier(
+            ranked, 1.01, get_convention("paper"), settings.runs
+        )
+        events = []
+        outcome = Scheduler(
+            frontier, easy_split, settings, 7, executor, events.append
+        ).run()
+        assert executor.counters.sequential_fallbacks == 1
+        assert "sequential-fallback" in [e.kind for e in events]
+        for index in range(len(ranked)):
+            assert trained.count(index) == settings.runs
+        _assert_same_outcome(
+            outcome,
+            scalar_search(
+                ranked, easy_split, 1.01, settings, seed=7
+            ),
+        )
+
+
+class ShiftSpec(HybridSpec):
+    """A hybrid spec whose quantum layer differentiates by parameter
+    shift: its models never stack, and the layer runs on the reference
+    executor."""
+
+    def build(self, rng=None):
+        from repro.hybrid import build_hybrid_model
+
+        return build_hybrid_model(
+            self.n_features,
+            self.n_qubits,
+            self.n_layers,
+            ansatz=self.ansatz,
+            n_classes=self.n_classes,
+            hidden=self.hidden,
+            gradient_method="parameter_shift",
+            rng=rng,
+        )
+
+
+class TestParameterShiftSearch:
+    def test_matches_scalar_oracle(self, easy_split, monkeypatch):
+        """The group declines to stack, each candidate falls to the
+        scalar floor, and the layers train on the reference executor:
+        the outcome is the scalar oracle's."""
+        from repro.hybrid import QuantumLayer
+
+        def refuse(self, x):
+            raise AssertionError("a parameter-shift layer compiled")
+
+        monkeypatch.setattr(QuantumLayer, "_compile_engine", refuse)
+        specs = [
+            ShiftSpec(n_features=4, n_qubits=3, n_layers=depth)
+            for depth in (1, 2)
+        ]
+        kwargs = dict(
+            specs=specs,
+            split=easy_split,
+            threshold=1.01,
+            seed=5,
+            settings=_settings(epochs=2, early_stop_threshold=None),
+        )
+        outcome = grid_search(**kwargs, workers=1)
+        assert len(outcome.evaluated) == 2
+        _assert_same_outcome(outcome, scalar_search(**kwargs))
 
 
 def _accept_untrained(scheduler, cid, chunk, wall_time_s=0.1, error=None):

@@ -29,7 +29,6 @@ from repro.core.grid_search import (
     MAX_GROUP_CANDIDATES,
     TrainingSettings,
     grid_search,
-    plan_group,
 )
 from repro.core.search_space import ClassicalSpec, HybridSpec, classical_search_space
 from repro.data import make_spiral, stratified_split
@@ -39,11 +38,13 @@ from repro.quantum.engine import dense_peak_bytes
 from repro.runtime.memory import (
     estimate_candidate_bytes,
     estimate_group_bytes,
+    fit_group,
     is_memory_error,
     parse_memory_budget,
     resolve_memory_budget,
 )
 from repro.runtime import memory as memory_mod
+from repro.runtime.jobs import pack_candidates
 from repro.runtime import parallel as parallel_mod
 from scalar_oracle import scalar_search
 
@@ -397,15 +398,32 @@ class TestAnalyticEstimates:
         )
 
 
-class TestPlanGroupSizing:
+def _first_pack(ranked):
+    """The in-process executor's first pack: same-key neighbours up to
+    the group cap."""
+    return pack_candidates(
+        ranked, range(len(ranked)), MAX_GROUP_CANDIDATES
+    )[0]
+
+
+class TestGroupSizing:
+    """The in-process executor trims each pack's tail to the budget
+    (:func:`fit_group`); the anchor always trains."""
+
+    def _fit(self, ranked, settings, budget):
+        return fit_group(ranked, settings.batch_size, settings.runs, budget)
+
     def test_huge_budget_never_grows(self):
         ranked = _head_varied_hybrids(6)
-        group = plan_group(ranked, 0, _settings(), budget=2**44)
-        assert len(group) == MAX_GROUP_CANDIDATES
+        pack = _first_pack(ranked)
+        assert len(pack) == MAX_GROUP_CANDIDATES
+        specs = [ranked[j] for j in pack]
+        assert self._fit(specs, _settings(), 2**44) == MAX_GROUP_CANDIDATES
 
     def test_tiny_budget_shrinks_to_anchor(self):
         ranked = _head_varied_hybrids(6)
-        assert plan_group(ranked, 0, _settings(), budget=1) == [0]
+        specs = [ranked[j] for j in _first_pack(ranked)]
+        assert self._fit(specs, _settings(), 1) == 1
 
     def test_ragged_group_shrinks_at_padded_depth(self):
         """A budget between the own-depth sum and the padded estimate
@@ -425,13 +443,16 @@ class TestPlanGroupSizing:
         )
         assert own_depth < padded
         budget = (own_depth + padded) // 2
-        assert plan_group(ranked, 0, settings) == [0, 1]
-        assert plan_group(ranked, 0, settings, budget=budget) == [0]
+        assert _first_pack(ranked) == [0, 1]
+        assert self._fit(ranked, settings, None) == 2
+        assert self._fit(ranked, settings, budget) == 1
 
     def test_no_budget_keeps_default_cap(self):
         ranked = _head_varied_hybrids(6)
-        group = plan_group(ranked, 0, _settings())
-        assert 1 < len(group) <= MAX_GROUP_CANDIDATES
+        pack = _first_pack(ranked)
+        assert 1 < len(pack) <= MAX_GROUP_CANDIDATES
+        specs = [ranked[j] for j in pack]
+        assert self._fit(specs, _settings(), None) == len(pack)
 
 
 class TestSequentialDifferential:
