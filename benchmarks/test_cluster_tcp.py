@@ -23,6 +23,7 @@ from repro.core.grid_search import TrainingSettings, grid_search
 from repro.core.search_space import classical_search_space
 from repro.data import make_spiral, stratified_split
 from repro.runtime.cluster_tcp import (
+    Coordinator,
     TcpConfig,
     _recv_frame,
     _send_frame,
@@ -77,12 +78,14 @@ class TestTcpOverhead:
             daemon=True,
         )
         agent.start()
+
+        def tcp_search():
+            # One coordinator per round, bound and closed with its search.
+            with Coordinator(cfg) as coordinator:
+                return _search(space, split, pool=coordinator)
+
         try:
-            outcome = benchmark.pedantic(
-                lambda: _search(space, split, connect=cfg),
-                rounds=2,
-                iterations=1,
-            )
+            outcome = benchmark.pedantic(tcp_search, rounds=2, iterations=1)
         finally:
             stop.set()
             agent.join(timeout=30)

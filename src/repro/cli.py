@@ -213,14 +213,11 @@ def _dispatch(
     profile: str,
     cache: str | None,
     quiet: bool,
-    workers: int = 1,
     pool=None,
     config_overrides: dict | None = None,
 ) -> str:
     progress = _progress_printer(quiet)
-    kwargs = dict(
-        cache_dir=cache, progress=progress, workers=workers, pool=pool
-    )
+    kwargs = dict(cache_dir=cache, progress=progress, pool=pool)
     kwargs.update(config_overrides or {})
     if name == "fig4":
         return fig4_dataset_complexity.render(
@@ -278,7 +275,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
     targets = list(_EXPERIMENTS) if args.experiment == "all" else [args.experiment]
 
-    overrides: dict = {}
+    overrides: dict = {"workers": args.workers}
     if args.runs is not None:
         overrides["runs_per_candidate"] = args.runs
     if args.journal:
@@ -316,7 +313,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                     args.profile,
                     args.cache,
                     args.quiet,
-                    args.workers,
                     pool=pool,
                     config_overrides=overrides,
                 )

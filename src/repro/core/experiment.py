@@ -35,7 +35,7 @@ from .identity import check_backend, legacy_backend, setting
 from .search_space import search_space_for_family
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..runtime.pool import PersistentPool
+    from ..runtime.cluster_tcp import Coordinator
 
 __all__ = [
     "ProtocolConfig",
@@ -85,7 +85,9 @@ class ProtocolConfig:
     base_seed: int = setting(0, affects_results=True)
     #: Local agent processes per grid search: 1 (default) = in-process
     #: sequential, 0 = all cores, N > 1 = a pool of that many agents;
-    #: negative values are rejected.
+    #: negative values are rejected.  Remote agents serve a
+    #: :class:`~repro.runtime.cluster_tcp.Coordinator` passed to
+    #: :func:`run_protocol` as ``pool``.
     workers: int = setting(1, affects_results=False)
     #: How many times the parallel scheduler re-executes a chunk lost to
     #: a worker death, hard timeout, or runtime error before degrading
@@ -98,12 +100,6 @@ class ProtocolConfig:
     #: searches would discard every other search's checkpoint.  An
     #: interrupted protocol rerun skips everything already committed.
     journal: str | None = setting(None, affects_results=False)
-    #: Optional ``HOST:PORT`` to bind as a TCP cluster coordinator:
-    #: every grid search leases chunks to ``repro cluster-agent
-    #: --connect`` processes over checksummed socket frames — no shared
-    #: filesystem needed (see ``repro.runtime.cluster_tcp``).  Overrides
-    #: ``workers``/pool execution.
-    connect: str | None = setting(None, affects_results=False)
     #: ``None`` or ``"numpy"``: every run executes on NumPy (see
     #: :func:`~repro.core.identity.legacy_backend`).
     backend: str | None = legacy_backend()
@@ -259,7 +255,7 @@ def run_protocol(
     family: str,
     cfg: ProtocolConfig | None = None,
     progress: Callable[[str], None] | None = None,
-    pool: "PersistentPool | None" = None,
+    pool: "Coordinator | None" = None,
 ) -> ProtocolResult:
     """Run the full protocol for one model family.
 
@@ -269,12 +265,11 @@ def run_protocol(
     experiment), so with ``cfg.workers > 1`` it creates **one**
     :class:`~repro.runtime.pool.PersistentPool` up front and reuses it
     for every search: agents start once, and each level's dataset
-    reaches each agent once.  With ``cfg.connect`` it likewise binds one
-    :class:`~repro.runtime.cluster_tcp.Coordinator` for every search, so
-    remote agents stay connected between searches.  Pass ``pool`` to
-    share an even longer-lived pool or coordinator across protocols (the
-    CLI does this for ``repro all``); an explicit one is used as-is and
-    left open for the caller.
+    reaches each agent once.  Pass a
+    :class:`~repro.runtime.cluster_tcp.Coordinator` as ``pool`` to run
+    every search on the remote agents dialing it, or a pool to share
+    across protocols (the CLI does both for ``repro all``); an explicit
+    one is used as-is and left open for the caller.
     """
     cfg = cfg or ProtocolConfig()
     if cfg.n_experiments < 1:
@@ -293,11 +288,7 @@ def run_protocol(
     from ..runtime.parallel import resolve_workers
 
     owns_pool = pool is None
-    if pool is None and cfg.connect is not None:
-        from ..runtime.cluster_tcp import Coordinator
-
-        pool = Coordinator(cfg.connect)
-    elif pool is None and resolve_workers(cfg.workers) > 1:
+    if pool is None and resolve_workers(cfg.workers) > 1:
         from ..runtime.pool import PersistentPool
 
         pool = PersistentPool(resolve_workers(cfg.workers))
@@ -315,7 +306,6 @@ def run_protocol(
                     convention=cfg.convention,
                     seed=_level_seed(cfg, feature_size, experiment),
                     max_candidates=cfg.max_candidates,
-                    workers=cfg.workers,
                     pool=pool,
                     journal=_search_journal_path(
                         cfg.journal, feature_size, experiment

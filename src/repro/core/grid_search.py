@@ -10,7 +10,8 @@ successful model.
 Every execution mode commits through one
 :class:`~repro.runtime.frontier.SearchFrontier`: ``workers=1`` trains
 in-process, ``workers > 1`` fans the (candidate, run) training jobs out
-across a process pool (:mod:`repro.runtime.parallel`), and ``connect=``
+across a process pool (:mod:`repro.runtime.parallel`), and a
+:class:`~repro.runtime.cluster_tcp.Coordinator` passed as ``pool=``
 shards them across hosts over TCP.  Candidates are always committed
 in FLOPs order, the winner is always the cheapest pass, and every run
 uses the same ``(seed, candidate, run)``-derived RNG stream, so the
@@ -19,7 +20,6 @@ returned :class:`SearchOutcome` is identical in every mode.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
@@ -34,7 +34,7 @@ from .identity import check_backend, legacy_backend, setting
 from .search_space import ModelSpec, spec_from_dict, spec_to_dict
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..runtime.pool import PersistentPool
+    from ..runtime.cluster_tcp import Coordinator
 
 __all__ = [
     "TrainingSettings",
@@ -237,10 +237,9 @@ def grid_search(
     max_candidates: int | None = None,
     progress: Callable[[CandidateResult], None] | None = None,
     workers: int | None = 1,
-    pool: "PersistentPool | None" = None,
+    pool: "Coordinator | None" = None,
     journal: "str | None" = None,
     on_event: Callable[..., None] | None = None,
-    connect: "str | None" = None,
 ) -> SearchOutcome:
     """Run the FLOPs-sorted search.
 
@@ -278,9 +277,13 @@ def grid_search(
         :class:`repro.runtime.cluster_tcp.Coordinator`) to run the
         parallel search on.  When given it takes precedence over
         ``workers``: warm agents are reused (no per-search start-up)
-        and the dataset reaches each agent once per (pool, split).  The
-        caller owns the pool's lifetime.  Results are identical with or
-        without a pool.
+        and the dataset reaches each agent once per (pool, split).  A
+        plain coordinator leases chunks to ``repro cluster-agent
+        --connect`` processes over checksummed socket frames, so no
+        shared filesystem is required.  The caller owns the pool's
+        lifetime.  Results are identical with or without a pool, for
+        any agent count, disconnects or partitions; losing every agent
+        finishes the search in-process.
     journal:
         Optional path to a JSONL checkpoint journal
         (:class:`repro.runtime.journal.SearchJournal`).  Every
@@ -299,16 +302,6 @@ def grid_search(
         distributed modes' fault-tolerance decisions (agent loss,
         retry, deadline warning/timeout, sequential fallback, lease
         expiry...).
-    connect:
-        Optional ``HOST:PORT`` to bind (or a
-        :class:`repro.runtime.cluster_tcp.TcpConfig`) for a coordinator
-        of this search alone: chunks are leased to ``repro
-        cluster-agent --connect`` processes over checksummed socket
-        frames — no shared filesystem required — instead of local
-        agents, and ``workers``/``pool`` are ignored.  The outcome is bit-identical to the sequential
-        baseline regardless of agent count, disconnects, or
-        partitions; losing every agent finishes the search in-process.
-        An execution knob like ``workers``: it never affects results.
 
     Returns
     -------
@@ -357,21 +350,19 @@ def grid_search(
 
     from ..runtime.parallel import resolve_workers, speculative_search
 
-    if connect is None and pool is None and resolve_workers(workers) <= 1:
+    if pool is None and resolve_workers(workers) <= 1:
         return frontier.run_in_process(split, settings, seed, on_event)
 
-    from ..runtime.cluster_tcp import Coordinator, TcpExecutor
+    from ..runtime.cluster_tcp import TcpExecutor
+
+    if pool is not None:
+        return speculative_search(
+            frontier, split, settings, seed, TcpExecutor(pool), on_event
+        )
     from ..runtime.pool import PersistentPool
 
-    with contextlib.ExitStack() as owned:
-        # A coordinator of this search alone is closed with it.
-        coordinator = pool
-        if connect is not None:
-            coordinator = owned.enter_context(Coordinator(connect))
-        elif coordinator is None:
-            coordinator = owned.enter_context(
-                PersistentPool(resolve_workers(workers))
-            )
+    # A pool of this search alone is closed with it.
+    with PersistentPool(resolve_workers(workers)) as own:
         return speculative_search(
-            frontier, split, settings, seed, TcpExecutor(coordinator), on_event
+            frontier, split, settings, seed, TcpExecutor(own), on_event
         )

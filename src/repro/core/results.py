@@ -85,11 +85,14 @@ def protocol_from_dict(data: dict[str, Any]) -> ProtocolResult:
             f"with library schema {SCHEMA_VERSION}"
         )
     cfg_data = dict(data["config"])
-    # Files saved while ProtocolConfig still had the ``spool`` transport
-    # or the ``vectorized_runs``/``stacked_candidates`` execution-shape
-    # fields carry them; none affected results, so they are dropped.
-    # Any other unknown key still raises.
-    for retired in ("spool", "vectorized_runs", "stacked_candidates"):
+    # Files saved while ProtocolConfig still had the ``spool`` or
+    # ``connect`` transports or the ``vectorized_runs``/
+    # ``stacked_candidates`` execution-shape fields carry them; none
+    # affected results, so they are dropped.  Any other unknown key
+    # still raises.
+    for retired in (
+        "spool", "connect", "vectorized_runs", "stacked_candidates"
+    ):
         cfg_data.pop(retired, None)
     cfg_data["feature_sizes"] = tuple(cfg_data["feature_sizes"])
     cfg = ProtocolConfig(**cfg_data)

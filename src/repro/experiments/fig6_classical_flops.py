@@ -24,7 +24,6 @@ def run(
     profile: str | RunProfile = "smoke",
     cache_dir: str | Path | None = None,
     progress: Callable[[str], None] | None = None,
-    workers: int = 1,
     pool: "PersistentPool | None" = None,
     **config_overrides,
 ) -> ProtocolResult:
@@ -34,7 +33,6 @@ def run(
         profile,
         cache_dir=cache_dir,
         progress=progress,
-        workers=workers,
         pool=pool,
         **config_overrides,
     )

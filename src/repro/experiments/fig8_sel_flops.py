@@ -25,7 +25,6 @@ def run(
     profile: str | RunProfile = "smoke",
     cache_dir: str | Path | None = None,
     progress: Callable[[str], None] | None = None,
-    workers: int = 1,
     pool: "PersistentPool | None" = None,
     **config_overrides,
 ) -> ProtocolResult:
@@ -35,7 +34,6 @@ def run(
         profile,
         cache_dir=cache_dir,
         progress=progress,
-        workers=workers,
         pool=pool,
         **config_overrides,
     )

@@ -157,21 +157,23 @@ def run_family(
     family: str,
     profile: str | RunProfile = "smoke",
     progress: Callable[[str], None] | None = None,
-    workers: int = 1,
     pool: "PersistentPool | None" = None,
     **config_overrides,
 ) -> ProtocolResult:
     """Run the protocol for one family under a profile.
 
-    ``workers`` selects the grid-search execution mode (see
-    :func:`repro.core.grid_search.grid_search`); it scales wall time
+    ``config_overrides`` replace
+    :class:`~repro.core.experiment.ProtocolConfig` fields, ``workers``
+    among them: it selects the grid-search execution mode (see
+    :func:`repro.core.grid_search.grid_search`) and scales wall time
     only — results are identical for any worker count.  ``pool`` lends
-    an existing :class:`~repro.runtime.pool.PersistentPool` so warm
-    workers carry over across families (without it, ``workers > 1``
-    creates one pool per protocol run).
+    an existing :class:`~repro.runtime.pool.PersistentPool`, or a
+    :class:`~repro.runtime.cluster_tcp.Coordinator` of remote agents,
+    so warm agents carry over across families (without it,
+    ``workers > 1`` creates one pool per protocol run).
     """
     prof = get_profile(profile)
-    cfg = prof.protocol_config(workers=workers, **config_overrides)
+    cfg = prof.protocol_config(**config_overrides)
     return run_protocol(family, cfg, progress=progress, pool=pool)
 
 
@@ -196,7 +198,6 @@ def run_family_cached(
     profile: str | RunProfile = "smoke",
     cache_dir: str | Path | None = None,
     progress: Callable[[str], None] | None = None,
-    workers: int = 1,
     pool: "PersistentPool | None" = None,
     **config_overrides,
 ) -> ProtocolResult:
@@ -215,28 +216,17 @@ def run_family_cached(
     overwritten, never served as current.
     """
     prof = get_profile(profile)
-    if cache_dir is None:
-        return run_family(
-            family,
-            prof,
-            progress=progress,
-            workers=workers,
-            pool=pool,
-            **config_overrides,
-        )
-    name = cache_name(prof, **config_overrides)
-    path = Path(cache_dir) / f"{family}_{name}.json"
-    if path.exists():
-        data = json.loads(path.read_text())
-        if data.get("arithmetic_version") == ARITHMETIC_VERSION:
-            return protocol_from_dict(data)
+    path = None
+    if cache_dir is not None:
+        name = cache_name(prof, **config_overrides)
+        path = Path(cache_dir) / f"{family}_{name}.json"
+        if path.exists():
+            data = json.loads(path.read_text())
+            if data.get("arithmetic_version") == ARITHMETIC_VERSION:
+                return protocol_from_dict(data)
     result = run_family(
-        family,
-        prof,
-        progress=progress,
-        workers=workers,
-        pool=pool,
-        **config_overrides,
+        family, prof, progress=progress, pool=pool, **config_overrides
     )
-    save_protocol(result, path)
+    if path is not None:
+        save_protocol(result, path)
     return result

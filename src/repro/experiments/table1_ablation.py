@@ -132,7 +132,6 @@ def run(
     cache_dir: str | Path | None = None,
     convention: str | CountingConvention = "paper",
     progress: Callable[[str], None] | None = None,
-    workers: int = 1,
     pool: "PersistentPool | None" = None,
     **config_overrides,
 ) -> dict[str, list[AblationRow]]:
@@ -144,7 +143,6 @@ def run(
             profile,
             cache_dir=cache_dir,
             progress=progress,
-            workers=workers,
             pool=pool,
             **config_overrides,
         )

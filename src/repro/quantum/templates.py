@@ -141,15 +141,6 @@ def sel_ranges(n_layers: int, n_qubits: int) -> tuple[int, ...]:
     return tuple(l % (n_qubits - 1) + 1 for l in range(n_layers))
 
 
-def _check_weights(weights: np.ndarray, expected: tuple[int, ...], what: str):
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != expected:
-        raise ShapeError(
-            f"{what} weights must have shape {expected}, got {weights.shape}"
-        )
-    return weights
-
-
 def basic_entangler_layers(
     weights: np.ndarray, n_qubits: int, rotation: str = "Y"
 ) -> list[Operation]:

@@ -140,12 +140,25 @@ class TestSerialization:
         assert restored.config == classical_result.config
 
     def test_legacy_spool_key_loads(self, classical_result):
-        """Files saved while the config had a ``spool`` transport field
-        carry ``"spool": null``; they still load, to the same config."""
-        data = protocol_to_dict(classical_result)
-        data["config"]["spool"] = None
-        restored = protocol_from_dict(data)
-        assert restored.config == classical_result.config
+        """Files saved while the config had a ``spool`` or a ``connect``
+        transport field carry it (``connect`` as ``null``, an address,
+        or a saved ``TcpConfig``); they still load, to the same
+        config."""
+        from dataclasses import asdict
+
+        from repro.runtime.cluster_tcp import TcpConfig
+
+        legacy = [
+            ("spool", None),
+            ("connect", None),
+            ("connect", "127.0.0.1:7171"),
+            ("connect", asdict(TcpConfig("127.0.0.1:0", lease_timeout_s=2.0))),
+        ]
+        for key, value in legacy:
+            data = protocol_to_dict(classical_result)
+            data["config"][key] = value
+            restored = protocol_from_dict(data)
+            assert restored.config == classical_result.config, (key, value)
 
     def test_legacy_execution_shape_keys_load(self, classical_result):
         """Files saved while the config had ``vectorized_runs`` and

@@ -82,6 +82,34 @@ class TestProtocolFigures:
         text = fig9_parameters.render(results)
         assert "panel: classical" in text and "panel: sel" in text
 
+    def test_fig6_workers_share_one_cache_entry(
+        self, micro_profile_module, tmp_path, monkeypatch
+    ):
+        """``workers`` reaches the protocol as a config override: a
+        2-worker run writes the file a 1-worker run writes, and a
+        1-worker run is then served from it without recomputing."""
+        from repro.experiments import runner
+
+        pooled = fig6_classical_flops.run(
+            micro_profile_module, cache_dir=tmp_path, workers=2
+        )
+        assert pooled.config.workers == 2
+        assert [p.name for p in tmp_path.glob("*.json")] == [
+            "classical_micro.json"
+        ]
+
+        def no_rerun(*args, **kwargs):
+            raise AssertionError("a cached result was recomputed")
+
+        monkeypatch.setattr(runner, "run_family", no_rerun)
+        served = fig6_classical_flops.run(
+            micro_profile_module, cache_dir=tmp_path, workers=1
+        )
+        assert served.config == pooled.config
+        assert served.smallest_flops_series() == (
+            pooled.smallest_flops_series()
+        )
+
     def test_fig9_empty_rejected(self):
         with pytest.raises(ExperimentError):
             fig9_parameters.render([])

@@ -177,7 +177,8 @@ class TestBitIdentity:
         stop = threading.Event()
         agents = [_thread_agent(cfg, stop) for _ in range(n_agents)]
         try:
-            par = grid_search(**kwargs, connect=cfg)
+            with Coordinator(cfg) as coordinator:
+                par = grid_search(**kwargs, pool=coordinator)
         finally:
             _join_agents(stop, agents)
         _assert_same_outcome(par, seq)
@@ -230,7 +231,10 @@ class TestAgentDeath:
         procs = [_subprocess_agent(cfg, fault_root) for _ in range(2)]
         events = []
         try:
-            par = grid_search(**kwargs, connect=cfg, on_event=events.append)
+            with Coordinator(cfg) as coordinator:
+                par = grid_search(
+                    **kwargs, pool=coordinator, on_event=events.append
+                )
         finally:
             for proc in procs:
                 try:
@@ -270,7 +274,10 @@ class TestConnDrop:
         ]
         events = []
         try:
-            par = grid_search(**kwargs, connect=cfg, on_event=events.append)
+            with Coordinator(cfg) as coordinator:
+                par = grid_search(
+                    **kwargs, pool=coordinator, on_event=events.append
+                )
         finally:
             _join_agents(stop, agents)
             faults.clear_file_fault(fault_root)
@@ -308,7 +315,10 @@ class TestPartition:
         ]
         events = []
         try:
-            par = grid_search(**kwargs, connect=cfg, on_event=events.append)
+            with Coordinator(cfg) as coordinator:
+                par = grid_search(
+                    **kwargs, pool=coordinator, on_event=events.append
+                )
         finally:
             _join_agents(stop, agents)
             faults.clear_file_fault(fault_root)
@@ -345,7 +355,10 @@ class TestSlowFrame:
         ]
         events = []
         try:
-            par = grid_search(**kwargs, connect=cfg, on_event=events.append)
+            with Coordinator(cfg) as coordinator:
+                par = grid_search(
+                    **kwargs, pool=coordinator, on_event=events.append
+                )
         finally:
             _join_agents(stop, agents)
             faults.clear_file_fault(fault_root)
@@ -508,21 +521,22 @@ class TestCoordinatorRestart:
                 if len(seen) >= 2:
                     raise Interrupted()
 
-            with pytest.raises(Interrupted):
+            with Coordinator(cfg) as coordinator, pytest.raises(Interrupted):
                 grid_search(
                     **kwargs,
-                    connect=cfg,
+                    pool=coordinator,
                     journal=str(journal),
                     progress=die_after_two,
                 )
             assert len(journal.read_text().splitlines()) >= 2
             replayed = []
-            resumed = grid_search(
-                **kwargs,
-                connect=cfg,
-                journal=str(journal),
-                progress=replayed.append,
-            )
+            with Coordinator(cfg) as coordinator:
+                resumed = grid_search(
+                    **kwargs,
+                    pool=coordinator,
+                    journal=str(journal),
+                    progress=replayed.append,
+                )
         finally:
             _join_agents(stop, agents)
         _assert_same_outcome(resumed, seq)
@@ -544,10 +558,12 @@ class TestReconnectBackoff:
         stats_out = []
         agents = [_thread_agent(cfg, stop, stats_out)]
         try:
-            first = grid_search(**kwargs, connect=cfg)
+            with Coordinator(cfg) as coordinator:
+                first = grid_search(**kwargs, pool=coordinator)
             # The first coordinator is gone; the agent is now redialing
             # a dead port with decorrelated-jitter backoff.
-            second = grid_search(**kwargs, connect=cfg)
+            with Coordinator(cfg) as coordinator:
+                second = grid_search(**kwargs, pool=coordinator)
         finally:
             _join_agents(stop, agents)
         _assert_same_outcome(first, seq)
@@ -606,10 +622,11 @@ class TestCostModel:
 
 class TestProtocolIntegration:
     def test_run_protocol_over_tcp_with_journals(self, tmp_path):
-        """The protocol layer: ``ProtocolConfig.connect`` routes every
-        search through the coordinator, and the configured journal path
-        forks into one derived file per (level, experiment) — sharing a
-        file would lose checkpoints to compaction."""
+        """The protocol layer: a coordinator passed as ``pool`` runs
+        every search on the agents dialing it, with the sequential
+        outcome, and the configured journal path forks into one derived
+        file per (level, experiment) — sharing a file would lose
+        checkpoints to compaction."""
         from repro.core.experiment import ProtocolConfig, run_protocol
 
         cfg = ProtocolConfig(
@@ -625,17 +642,18 @@ class TestProtocolIntegration:
         seq = run_protocol("classical", cfg)
         tcp = _fast_tcp()
         stop = threading.Event()
-        agents = [_thread_agent(tcp, stop)]
+        served = []
+        agents = [_thread_agent(tcp, stop, served)]
         try:
-            par = run_protocol(
-                "classical",
-                cfg.with_(
-                    connect=tcp,
-                    journal=str(tmp_path / "ckpt.jsonl"),
-                ),
-            )
+            with Coordinator(tcp) as coordinator:
+                par = run_protocol(
+                    "classical",
+                    cfg.with_(journal=str(tmp_path / "ckpt.jsonl")),
+                    pool=coordinator,
+                )
         finally:
             _join_agents(stop, agents)
+        assert served[0].chunks_done > 0  # the agent really trained
         assert not (tmp_path / "ckpt.jsonl").exists()
         for experiment in range(2):
             assert (tmp_path / f"ckpt-f4-e{experiment}.jsonl").exists()
@@ -678,7 +696,8 @@ class TestCliTcpSmoke:
             for _ in range(2)
         ]
         try:
-            par = grid_search(**kwargs, connect=cfg)
+            with Coordinator(cfg) as coordinator:
+                par = grid_search(**kwargs, pool=coordinator)
         finally:
             for proc in procs:
                 try:

@@ -212,8 +212,10 @@ class TestMemoryDegradeVisibility:
 
         monkeypatch.setattr(jobs, "execute_candidates", oom_once_grouped)
         events = []
-        with _tcp_agent(tmp_path) as cfg:
-            par = grid_search(**kwargs, connect=cfg, on_event=events.append)
+        with _tcp_agent(tmp_path) as cfg, Coordinator(cfg) as coordinator:
+            par = grid_search(
+                **kwargs, pool=coordinator, on_event=events.append
+            )
         assert fired
         _assert_same_outcome(par, seq)
         assert "memory-degrade" in [e.kind for e in events]

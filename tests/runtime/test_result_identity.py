@@ -13,11 +13,9 @@ tags.  These tests pin both directions:
 """
 
 import dataclasses
-import threading
 
 import numpy as np
 import pytest
-from test_cluster_tcp import _fast_tcp, _join_agents, _thread_agent
 
 from repro.core.experiment import ProtocolConfig, run_protocol
 from repro.core.grid_search import TrainingSettings, grid_search
@@ -66,7 +64,6 @@ def test_every_field_is_classified(cls):
 # -- the mechanics differential ---------------------------------------------
 
 #: One non-default value per field tagged ``affects_results=False``.
-#: ``connect`` is filled in by the test (it needs a live agent).
 MECHANICS = {
     (TrainingSettings, "return_histories"): True,
     (TrainingSettings, "max_retries"): 0,
@@ -76,7 +73,6 @@ MECHANICS = {
     (ProtocolConfig, "workers"): 2,
     (ProtocolConfig, "max_retries"): 0,
     (ProtocolConfig, "journal"): "ckpt.jsonl",
-    (ProtocolConfig, "connect"): "tcp",
     (ProtocolConfig, "memory_budget"): 1.0,
 }
 
@@ -161,18 +157,9 @@ def test_mechanics_field_keeps_the_outcome(
         )
         return
     reference = run_protocol("classical", PROTOCOL)
-    stop, agents, served = threading.Event(), [], []
-    if name == "connect":
-        value = _fast_tcp()
-        agents.append(_thread_agent(value, stop, served))
-    elif name == "journal":
+    if name == "journal":
         value = str(tmp_path / value)
-    try:
-        changed = run_protocol("classical", PROTOCOL.with_(**{name: value}))
-    finally:
-        _join_agents(stop, agents)
-    if name == "connect":
-        assert served[0].chunks_done > 0  # the agent really trained
+    changed = run_protocol("classical", PROTOCOL.with_(**{name: value}))
     for ref_level, level in zip(reference.levels, changed.levels):
         for expected, got in zip(ref_level.outcomes, level.outcomes):
             _assert_same_outcome(got, expected)
@@ -279,7 +266,6 @@ CACHE_NAMES = {
     "workers": (3, "smoke"),
     "max_retries": (0, "smoke"),
     "journal": ("ckpt.jsonl", "smoke"),
-    "connect": ("127.0.0.1:1", "smoke"),
     "memory_budget": (1e9, "smoke"),
 }
 
@@ -315,12 +301,18 @@ def test_numpy_runs_share_the_reference_name(monkeypatch):
 
 
 @pytest.mark.parametrize("cls", CONFIGS, ids=lambda c: c.__name__)
-@pytest.mark.parametrize("name", ["vectorized_runs", "stacked_candidates"])
+@pytest.mark.parametrize(
+    "name", ["vectorized_runs", "stacked_candidates", "connect"]
+)
 def test_execution_shape_fields_are_gone(cls, name):
-    """Every search trains stacked sweeps through the OOM ladder; the
-    fields that selected older execution shapes are unknown."""
+    """Every search trains stacked sweeps through the OOM ladder, and a
+    coordinator reaches a search only as ``pool``; the fields that
+    selected older execution shapes or a transport are unknown, to the
+    configs and to :func:`grid_search` alike."""
     with pytest.raises(TypeError, match=name):
         cls(**{name: False})
+    with pytest.raises(TypeError, match=name):
+        grid_search(RANKED, _literal_split(), **{name: "127.0.0.1:7171"})
 
 
 @pytest.mark.parametrize("cls", CONFIGS, ids=lambda c: c.__name__)

@@ -1,11 +1,14 @@
-"""Every Sphinx cross-reference into ``repro`` names something that exists.
+"""Every cross-reference into ``repro`` names something that exists.
 
 Docstrings and comments under ``src/repro`` point at functions, classes,
 methods, data, modules, attributes and exceptions with roles such as
-``:func:`~repro.runtime.jobs.execute_chunk```.  A rename or a deletion
+``:func:`~repro.runtime.jobs.execute_chunk```, and the Markdown notes
+(``docs/*.md`` and the verify skill) name them in code spans such as
+```repro.runtime.pool.PersistentPool```.  A rename or a deletion
 leaves such a reference stale without failing anything else; this test
-imports the target of every role that names a ``repro.`` path.
-Relative targets (``:meth:`~SearchFrontier.offer```) are not checked.
+imports the target of every role, and of every code span, that names a
+``repro.`` path.  Relative targets (``:meth:`~SearchFrontier.offer```)
+are not checked.
 """
 
 import dataclasses
@@ -15,7 +18,11 @@ import re
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "repro"
+NOTES = sorted(ROOT.glob("docs/*.md")) + [
+    ROOT / ".claude" / "skills" / "verify" / "SKILL.md"
+]
 
 ROLE = re.compile(
     r":(?:func|class|meth|data|mod|attr|exc):"
@@ -29,6 +36,19 @@ def _references():
         text = path.read_text(encoding="utf-8")
         for match in ROLE.finditer(text):
             refs.add((path.relative_to(SRC.parent).as_posix(), match[1]))
+    return sorted(refs)
+
+
+#: A code span that opens with a dotted ``repro.`` path, which may be
+#: followed by call arguments (```repro.runtime.jobs.f(a, b)```).
+SPAN = re.compile(r"`(repro(?:\.\w+)+)[^`]*`")
+
+
+def _note_references():
+    refs = set()
+    for path in NOTES:
+        for match in SPAN.finditer(path.read_text(encoding="utf-8")):
+            refs.add((path.relative_to(ROOT).as_posix(), match[1]))
     return sorted(refs)
 
 
@@ -65,4 +85,20 @@ def test_references_found():
     "where,target", REFERENCES, ids=[f"{w}:{t}" for w, t in REFERENCES]
 )
 def test_reference_resolves(where, target):
+    _resolve(target)
+
+
+NOTE_REFERENCES = _note_references()
+
+
+def test_note_references_found():
+    assert len(NOTE_REFERENCES) > 30
+
+
+@pytest.mark.parametrize(
+    "where,target",
+    NOTE_REFERENCES,
+    ids=[f"{w}:{t}" for w, t in NOTE_REFERENCES],
+)
+def test_note_reference_resolves(where, target):
     _resolve(target)
